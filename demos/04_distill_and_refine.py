@@ -7,13 +7,16 @@ confidence, and the top-k survivor least similar to the accepted pool is
 installed.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from distillab import (
     DiffusionCandidateGenerator,
     DistillConfig,
-    distill,
     evaluate,
+    generate_candidates,
+    select,
     synthesize_toy_dataset,
     train_denoiser,
     train_detector,
@@ -41,7 +44,10 @@ gen = DiffusionCandidateGenerator(
     denoiser=den, schedule=sched, decode_fn=codec.decode,
     strength=cfg.strength, guidance_scale=cfg.guidance_scale,
 )
-res = distill(train, codec.encode, gen, det, cfg, SeededRng(cfg.seed))
+# generation and selection are separate phases: the bank holds every
+# generated batch, scored once, and any selection mode can be run over it
+bank = generate_candidates(train, codec.encode, gen, det, cfg, SeededRng(cfg.seed))
+res = select(bank, cfg)
 c = res.report["counts"]
 print(f"slots: {c['total']}  normal {c['normal']}  refined {c['refined']}  fallback {c['fallback']}")
 
@@ -57,11 +63,8 @@ for slot in res.report["slots"]:
         )
         shown += 1
 
-# %% compare against the unrefined baseline downstream
-base = distill(
-    train, codec.encode, gen, det,
-    presets.frozen_distill_config(seed=1, selection_mode="base"), SeededRng(1),
-)
+# %% compare against the unrefined baseline downstream (same bank, no regeneration)
+base = select(bank, replace(cfg, selection_mode="base"))
 for name, r in (("base", base), ("tplus_s", res)):
     clf = train_downstream(r.dataset, presets.frozen_downstream_config(), SeededRng(33))
     acc = evaluate(clf, test)

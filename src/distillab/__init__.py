@@ -73,6 +73,7 @@ from .prototypes import (
     write_prototypes,
 )
 from .refine import (
+    CandidateBank,
     CandidateGenerator,
     DiffusionCandidateGenerator,
     DistillConfig,
@@ -82,7 +83,8 @@ from .refine import (
     classify_sample,
     cumulative_similarity,
     distill,
-    refine_defective,
+    generate_candidates,
+    select,
     select_replacement,
 )
 

@@ -159,7 +159,14 @@ def _schedule(cfg):
     return build_schedule(cfg.denoiser.timesteps, cfg.denoiser.beta_start, cfg.denoiser.beta_end)
 
 
-def _distill_cfg(cfg, args=None):
+def _distill_cfg(cfg, args=None, **fields):
+    """The DistillConfig for a run: config section, CLI overrides, then ``fields``.
+
+    A value that DistillConfig rejects is a ConfigError, so commands build
+    their distill configs before touching the run directory.
+    """
+    from dataclasses import replace
+
     from .refine import DistillConfig
 
     s = cfg.distill
@@ -180,18 +187,23 @@ def _distill_cfg(cfg, args=None):
     seed = cfg.master_seed
     if args is not None and getattr(args, "seed", None) is not None:
         seed = args.seed
-    return DistillConfig(
-        ipc=over.get("ipc", s.ipc),
-        beta=over.get("beta", s.beta),
-        top_k=over.get("top_k", s.top_k),
-        num_candidates=over.get("num_candidates", s.num_candidates),
-        guidance_scale=over.get("guidance_scale", s.guidance_scale),
-        strength=over.get("strength", s.strength),
-        seed=seed,
-        selection_mode=over.get("selection_mode", s.selection_mode),
-        fallback_policy=s.fallback_policy,
-        kmeans_restarts=s.kmeans_restarts,
-    )
+    try:
+        dcfg = DistillConfig(
+            ipc=over.get("ipc", s.ipc),
+            beta=over.get("beta", s.beta),
+            top_k=over.get("top_k", s.top_k),
+            num_candidates=over.get("num_candidates", s.num_candidates),
+            guidance_scale=over.get("guidance_scale", s.guidance_scale),
+            strength=over.get("strength", s.strength),
+            seed=seed,
+            selection_mode=over.get("selection_mode", s.selection_mode),
+            fallback_policy=s.fallback_policy,
+            kmeans_restarts=s.kmeans_restarts,
+        )
+        return replace(dcfg, **fields) if fields else dcfg
+    except ValueError as e:
+        cell = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+        raise ConfigError(f"distill ({cell}): {e}" if cell else f"distill: {e}") from None
 
 
 def _load_codec(run_dir: Path):
@@ -320,6 +332,7 @@ def _cmd_distill(args) -> int:
     from .refine import DiffusionCandidateGenerator, distill
 
     cfg = _resolve_config(args)
+    dcfg = _distill_cfg(cfg, args)
     run_dir = _run_dir(cfg)
     with _lock(run_dir):
         train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
@@ -330,7 +343,6 @@ def _cmd_distill(args) -> int:
         det = load_detector(det_path)
         codec = _load_codec(run_dir)
         den = load_denoiser(den_path)
-        dcfg = _distill_cfg(cfg, args)
         gen = DiffusionCandidateGenerator(
             denoiser=den,
             schedule=_schedule(cfg),
@@ -402,6 +414,15 @@ def _cmd_ablate(args) -> int:
     from .models import load_detector
 
     cfg = _resolve_config(args)
+    if not cfg.eval.modes or not cfg.eval.seeds:
+        raise ConfigError("eval.modes and eval.seeds must not be empty")
+    dcfg = _distill_cfg(cfg)
+    for mode in cfg.eval.modes:
+        _distill_cfg(cfg, selection_mode=mode)
+    if args.sweep:
+        for k in cfg.eval.sensitivity_top_k:
+            for beta in cfg.eval.sensitivity_betas:
+                _distill_cfg(cfg, top_k=k, beta=beta)
     run_dir = _run_dir(cfg)
     with _lock(run_dir):
         train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
@@ -425,7 +446,7 @@ def _cmd_ablate(args) -> int:
             inputs,
             list(cfg.eval.modes),
             list(cfg.eval.seeds),
-            _distill_cfg(cfg),
+            dcfg,
             _downstream_cfg(cfg),
         )
         inputs_list = [train_path, test_path, det_path, ae_path, den_path]
@@ -444,7 +465,7 @@ def _cmd_ablate(args) -> int:
                 list(cfg.eval.sensitivity_top_k),
                 list(cfg.eval.sensitivity_betas),
                 list(cfg.eval.seeds)[0],
-                _distill_cfg(cfg),
+                dcfg,
                 _downstream_cfg(cfg),
             )
             out_sweep = run_dir / "reports" / "sensitivity.csv"

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,14 @@ import numpy as np
 from .data import LabeledDataset
 from .models import Detector, TrainConfig, predict_batch, train_detector
 from .numerics import SeededRng
-from .refine import DiffusionCandidateGenerator, DistillConfig, distill
+from .refine import (
+    CandidateBank,
+    DiffusionCandidateGenerator,
+    DistillConfig,
+    generate_candidates,
+    generation_key,
+    select,
+)
 
 __all__ = [
     "AblationInputs",
@@ -111,9 +118,10 @@ def summarize_records(records: list[RunRecord]) -> dict[str, dict]:
 class AblationInputs:
     """Everything a pipeline run needs besides the per-run config.
 
-    ``generator_factory(cfg)`` builds the candidate generator for one run;
-    the default wires the diffusion sampler with the run's strength and
-    guidance scale.
+    ``generator_factory(cfg)`` builds the candidate generator for one
+    generation key; the default wires the diffusion sampler with the key's
+    strength and guidance scale. ``bank(cfg)`` keeps one candidate bank per
+    generation key, so every run on a seed selects from the same batches.
     """
 
     train: LabeledDataset
@@ -124,6 +132,15 @@ class AblationInputs:
     denoiser: object = None
     schedule: object = None
     decode_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    _banks: dict[tuple, CandidateBank] = field(default_factory=dict, init=False, repr=False)
+
+    def bank(self, cfg: DistillConfig) -> CandidateBank:
+        """The candidate bank for cfg's generation key, generated on first use."""
+        key = generation_key(cfg)
+        if key not in self._banks:
+            gen = self.make_generator(cfg)
+            self._banks[key] = generate_candidates(self.train, self.encode_fn, gen, self.detector, cfg)
+        return self._banks[key]
 
     def make_generator(self, cfg: DistillConfig):
         if self.generator_factory is not None:
@@ -151,10 +168,8 @@ def _config_fingerprint(base_cfg: DistillConfig, downstream_cfg: TrainConfig, ex
 
 
 def _run_once(inputs: AblationInputs, cfg: DistillConfig, downstream_cfg: TrainConfig):
-    gen = inputs.make_generator(cfg)
-    rng = SeededRng(cfg.seed)
-    res = distill(inputs.train, inputs.encode_fn, gen, inputs.detector, cfg, rng)
-    clf = train_downstream(res.dataset, downstream_cfg, rng.spawn(_KEY_DOWNSTREAM))
+    res = select(inputs.bank(cfg), cfg)
+    clf = train_downstream(res.dataset, downstream_cfg, SeededRng(cfg.seed).spawn(_KEY_DOWNSTREAM))
     acc = evaluate(clf, inputs.test)
     return acc, res
 
@@ -244,11 +259,12 @@ def run_sensitivity(
 ) -> tuple[list[dict], dict]:
     """Sweep the shortlist size and confidence threshold on one seed.
 
-    Returns (grid records, monotonicity evidence). While sweeping, asserts
-    the exact monotone-filter property: for a fixed candidate batch,
-    raising beta never grows the passing set. Candidate batches for the
-    same slot are identical across runs (generation never reads k or beta),
-    which the sweep also verifies.
+    Returns (grid records, monotonicity evidence). Every cell selects from
+    the one candidate bank of the seed (generation never reads k or beta),
+    so a slot's candidate batch is the same in every cell that flags it by
+    construction; the sweep still checks that it is. It also asserts the
+    exact monotone-filter property: for a fixed candidate batch, raising
+    beta never grows the passing set.
     """
     grid = []
     slot_candidates: dict[tuple, dict[float, list[dict]]] = {}

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset, cutmix, sample_mix_ratio
-from .numerics import SeededRng, require_finite, softmax
+from .numerics import SeededRng, max_softmax, require_finite
 
 __all__ = [
     "Adam",
@@ -37,6 +37,7 @@ __all__ = [
     "predict",
     "predict_batch",
     "read_checkpoint",
+    "score_batch",
     "train_autoencoder",
     "train_detector",
     "write_checkpoint",
@@ -273,9 +274,19 @@ def predict_batch(det: Detector, images: np.ndarray):
     """(labels, confidences, logits) for a batch; argmax ties break low."""
     x, _ = _flatten_images(images, det.image_shape)
     logits = mlp_forward(det.mlp, x)[-1]
-    labels = logits.argmax(axis=1)
-    confs = np.array([softmax(row).max() for row in logits])
-    return labels.astype(np.int64), confs, logits
+    return logits.argmax(axis=1).astype(np.int64), max_softmax(logits), logits
+
+
+def score_batch(det: Detector, images: np.ndarray):
+    """(labels, confidences, features) for a batch from one forward pass.
+
+    Each equals what ``predict_batch`` and ``extract_features_batch`` give
+    separately, bit for bit.
+    """
+    x, _ = _flatten_images(images, det.image_shape)
+    acts = mlp_forward(det.mlp, x)
+    logits = acts[-1]
+    return logits.argmax(axis=1).astype(np.int64), max_softmax(logits), acts[-2].astype(np.float32)
 
 
 def predict(det: Detector, image: np.ndarray):

@@ -21,6 +21,7 @@ __all__ = [
     "SeededRng",
     "cosine_similarity",
     "gaussian",
+    "max_softmax",
     "require_finite",
     "softmax",
 ]
@@ -180,6 +181,21 @@ def softmax(logits) -> np.ndarray:
     require_finite("logits", x)
     e = np.exp(x - x.max())
     return e / e.sum()
+
+
+def max_softmax(logits) -> np.ndarray:
+    """Largest softmax probability of each row of an (N, K) logit array.
+
+    Equal bit for bit to ``softmax(row).max()`` row by row (same
+    max-subtraction, float64 exp, row sum and division), without the
+    per-row Python loop.
+    """
+    x = np.asarray(logits, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError("max_softmax requires an (N, K) logit array with K >= 1")
+    require_finite("logits", x)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return (e / e.sum(axis=1, keepdims=True)).max(axis=1)
 
 
 def cosine_similarity(u, v) -> float:

@@ -1,12 +1,21 @@
 """Anomaly detection on synthetic samples and diversity-aware refinement.
 
-The full pipeline: extract per-class prototypes, generate one sample per
+The pipeline: extract per-class prototypes, generate one sample per
 prototype, flag samples whose predicted label mismatches the intent or
 whose confidence is not above the threshold, then regenerate each
 defective slot from its originating prototype. Replacement candidates are
 gated by the same label/confidence rule, ranked by confidence, and the
 survivor least similar (cumulative cosine) to the class's accepted pool is
 chosen, trading confidence for intra-class diversity.
+
+It runs in two phases. Generation (``generate_candidates``) reads only the
+config fields in ``GENERATION_FIELDS`` and yields a ``CandidateBank``: the
+prototypes and every generated batch, each scored once by the detector.
+Selection (``select``) applies the gate, pool, shortlist, similarity and
+fallback for one config. Generation never reads the selection knobs (beta,
+top_k, selection_mode), so one bank serves every selection mode and every
+(k, beta) cell on a seed, with outputs equal to a standalone ``distill``
+byte for byte.
 """
 
 from __future__ import annotations
@@ -17,11 +26,13 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .data import LabeledDataset
-from .models import Detector, extract_features_batch, predict_batch
+from .models import Detector, predict_batch, score_batch
 from .numerics import SeededRng, cosine_similarity
 from .prototypes import Prototype, extract_prototypes
 
 __all__ = [
+    "GENERATION_FIELDS",
+    "CandidateBank",
     "CandidateGenerator",
     "DiffusionCandidateGenerator",
     "DistillConfig",
@@ -32,8 +43,10 @@ __all__ = [
     "classify_sample",
     "cumulative_similarity",
     "distill",
+    "generate_candidates",
+    "generation_key",
     "is_accepted",
-    "refine_defective",
+    "select",
     "select_replacement",
 ]
 
@@ -240,19 +253,19 @@ def _fallback_choice(candidates: list[SyntheticSample]) -> int:
     return min(indices, key=lambda i: (-candidates[i].confidence, i))
 
 
-def _evaluate_candidates(det, images, latents, intended_label, rng_seeds, class_id, cluster_index):
-    labels, confs, _ = predict_batch(det, images)
-    feats = extract_features_batch(det, images)
+def _score(det, images, latents, label, provenances):
+    """One detector pass over a generated batch; the status is provisional."""
+    labels, confs, feats = score_batch(det, images)
     return [
         SyntheticSample(
             image=images[i],
             latent=latents[i],
-            intended_label=intended_label,
+            intended_label=label,
             predicted_label=int(labels[i]),
             confidence=float(confs[i]),
             feature=feats[i],
-            status=STATUS_FALLBACK,  # provisional; final status set by caller
-            provenance=Provenance(class_id, cluster_index, i, rng_seeds[i]),
+            status=STATUS_FALLBACK,  # provisional; select() sets the final status
+            provenance=provenances[i],
         )
         for i in range(len(images))
     ]
@@ -267,26 +280,100 @@ def _generate(gen, prototype, label, rngs):
     return images, latents
 
 
-def refine_defective(
-    prototype: Prototype,
+# The DistillConfig fields that generation reads; select() may vary all the
+# others (beta, top_k, selection_mode, fallback_policy) over one bank.
+GENERATION_FIELDS = (
+    "seed",
+    "ipc",
+    "num_candidates",
+    "strength",
+    "guidance_scale",
+    "kmeans_restarts",
+    "kmeans_max_iters",
+)
+
+
+def generation_key(cfg: DistillConfig) -> tuple:
+    """Values of GENERATION_FIELDS; configs with equal keys share one bank."""
+    return tuple(getattr(cfg, f) for f in GENERATION_FIELDS)
+
+
+class CandidateBank:
+    """Everything generation produces for one generation key, scored once.
+
+    Holds the prototypes and the scored initial sample of every slot, in
+    slot order (class ascending, cluster ascending). A slot's refinement
+    batch is generated and scored the first time a selection flags the
+    slot, and kept for every later selection.
+    """
+
+    def __init__(self, cfg: DistillConfig, train: LabeledDataset, prototypes, initial, gen, det, rng: SeededRng):
+        self.key = generation_key(cfg)
+        self.num_candidates = cfg.num_candidates
+        self.num_classes = train.num_classes
+        self.class_names = train.class_names
+        self.prototypes: list[Prototype] = prototypes
+        self.initial: list[SyntheticSample] = initial
+        self.rng = rng
+        self._gen = gen
+        self._det = det
+        self._refinements: dict[int, list[SyntheticSample]] = {}
+
+    def refinement(self, slot: int) -> list[SyntheticSample]:
+        """The slot's scored candidates: num_candidates rows from its own prototype."""
+        if slot not in self._refinements:
+            proto = self.prototypes[slot]
+            label, cluster = proto.class_id, proto.cluster_index
+            slot_rng = self.rng.spawn(_KEY_REFINE, label, cluster)
+            rngs = [slot_rng.spawn(i) for i in range(self.num_candidates)]
+            images, latents = _generate(self._gen, proto.latent, label, rngs)
+            provenances = [Provenance(label, cluster, i, r.seed) for i, r in enumerate(rngs)]
+            self._refinements[slot] = _score(self._det, images, latents, label, provenances)
+        return self._refinements[slot]
+
+
+def generate_candidates(
+    train: LabeledDataset,
+    encode_fn: Callable[[np.ndarray], np.ndarray],
     gen: CandidateGenerator,
     det: Detector,
-    pool: NormalPool,
     cfg: DistillConfig,
-    rng: SeededRng,
-) -> tuple[SyntheticSample, list[SyntheticSample]]:
-    """Regenerate one defective slot from its originating prototype.
+    rng: SeededRng | None = None,
+) -> CandidateBank:
+    """Prototypes plus the scored initial pass, one generation call per class.
 
-    Returns (chosen sample with final status, all evaluated candidates).
+    Reads only the GENERATION_FIELDS of cfg. Refinement batches are left to
+    the returned bank, which generates them on demand.
+    """
+    if rng is None:
+        rng = SeededRng(cfg.seed)
+    protos = extract_prototypes(
+        encode_fn,
+        train,
+        cfg.ipc,
+        rng.spawn(_KEY_PROTO),
+        restarts=cfg.kmeans_restarts,
+        max_iters=cfg.kmeans_max_iters,
+    )
+    initial: list[SyntheticSample | None] = [None] * len(protos)
+    for c in range(train.num_classes):
+        cls_protos = [p for p in protos if p.class_id == c]
+        rngs = [rng.spawn(_KEY_INITIAL, c, p.cluster_index) for p in cls_protos]
+        latvecs = np.stack([p.latent for p in cls_protos])
+        images, latents = _generate(gen, latvecs, c, rngs)
+        provenances = [Provenance(c, p.cluster_index, None, r.seed) for p, r in zip(cls_protos, rngs)]
+        for p, s in zip(cls_protos, _score(det, images, latents, c, provenances)):
+            initial[c * cfg.ipc + p.cluster_index] = s
+    return CandidateBank(cfg, train, protos, initial, gen, det, rng)
+
+
+def _refine_slot(candidates: list[SyntheticSample], pool: NormalPool, cfg: DistillConfig) -> SyntheticSample:
+    """Pick a defective slot's replacement by selection mode, with its final status.
+
     The chosen sample joins the pool only when it passes the acceptance
     rule (status refined); fallback picks stay out of the pool.
     """
-    label = prototype.class_id
-    rngs = [rng.spawn(i) for i in range(cfg.num_candidates)]
-    images, latents = _generate(gen, prototype.latent, label, rngs)
-    candidates = _evaluate_candidates(
-        det, images, latents, label, [r.seed for r in rngs], label, prototype.cluster_index
-    )
+    label = candidates[0].intended_label
     mode = cfg.selection_mode
     if mode == "tplus_s":
         chosen = select_replacement(candidates, pool, cfg.top_k, cfg.beta)
@@ -299,7 +386,7 @@ def refine_defective(
         ]
         chosen = min(scored)[2]
     else:
-        raise ValueError(f"refine_defective called with selection_mode={mode!r}")
+        raise ValueError(f"cannot refine a slot with selection_mode={mode!r}")
     if chosen is None:
         chosen = _fallback_choice(candidates)
         status = STATUS_FALLBACK
@@ -313,57 +400,35 @@ def refine_defective(
     sample = replace(candidates[chosen], status=status)
     if status == STATUS_REFINED:
         pool.add(label, sample.feature)
-    return sample, candidates
+    return sample
 
 
-def distill(
-    train: LabeledDataset,
-    encode_fn: Callable[[np.ndarray], np.ndarray],
-    gen: CandidateGenerator,
-    det: Detector,
-    cfg: DistillConfig,
-    rng: SeededRng | None = None,
-) -> "DistillResult":
-    """Run the full pipeline: prototypes, generation, anomaly check, refinement.
+def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
+    """Gate the initial pass, then refine the defective slots from the bank.
 
     Slots are processed in deterministic (class ascending, cluster
     ascending) order; per-class pools are seeded with the accepted initial
     samples in that same order before any refinement happens. When
     selection_mode is "base" defective slots are kept as generated
-    (flagged fallback, excluded from the pool).
+    (flagged fallback, excluded from the pool). Raises ValueError when cfg
+    disagrees with the bank on a field that generation reads.
     """
-    if rng is None:
-        rng = SeededRng(cfg.seed)
-    protos = extract_prototypes(
-        encode_fn,
-        train,
-        cfg.ipc,
-        rng.spawn(_KEY_PROTO),
-        restarts=cfg.kmeans_restarts,
-        max_iters=cfg.kmeans_max_iters,
-    )
-    # initial pass, batched per class
-    samples: list[SyntheticSample | None] = [None] * len(protos)
-    for c in range(train.num_classes):
-        cls_protos = [p for p in protos if p.class_id == c]
-        rngs = [rng.spawn(_KEY_INITIAL, c, p.cluster_index) for p in cls_protos]
-        latvecs = np.stack([p.latent for p in cls_protos])
-        images, latents = _generate(gen, latvecs, c, rngs)
-        labels, confs, _ = predict_batch(det, images)
-        feats = extract_features_batch(det, images)
-        for j, p in enumerate(cls_protos):
-            ok = is_accepted(int(labels[j]), float(confs[j]), c, cfg.beta)
-            samples[c * cfg.ipc + p.cluster_index] = SyntheticSample(
-                image=images[j],
-                latent=latents[j],
-                intended_label=c,
-                predicted_label=int(labels[j]),
-                confidence=float(confs[j]),
-                feature=feats[j],
-                status=STATUS_NORMAL if ok else STATUS_FALLBACK,
-                provenance=Provenance(c, p.cluster_index, None, rngs[j].seed),
-            )
-    pool = NormalPool(train.num_classes)
+    key = generation_key(cfg)
+    if key != bank.key:
+        diff = ", ".join(
+            f"{f}={v!r} (bank: {b!r})" for f, v, b in zip(GENERATION_FIELDS, key, bank.key) if v != b
+        )
+        raise ValueError(f"config disagrees with the candidate bank: {diff}")
+    samples = [
+        replace(
+            s,
+            status=STATUS_NORMAL
+            if is_accepted(s.predicted_label, s.confidence, s.intended_label, cfg.beta)
+            else STATUS_FALLBACK,
+        )
+        for s in bank.initial
+    ]
+    pool = NormalPool(bank.num_classes)
     for s in samples:
         if s.status == STATUS_NORMAL:
             pool.add(s.intended_label, s.feature)
@@ -380,9 +445,8 @@ def distill(
             "seed": s.provenance.seed,
         }
         if s.status != STATUS_NORMAL and cfg.selection_mode != "base":
-            proto = protos[slot]
-            slot_rng = rng.spawn(_KEY_REFINE, proto.class_id, proto.cluster_index)
-            chosen, candidates = refine_defective(proto, gen, det, pool, cfg, slot_rng)
+            candidates = bank.refinement(slot)
+            chosen = _refine_slot(candidates, pool, cfg)
             samples[slot] = chosen
             record.update(
                 status=chosen.status,
@@ -417,15 +481,15 @@ def distill(
             "selection_mode": cfg.selection_mode,
             "fallback_policy": cfg.fallback_policy,
         },
-        "master_seed": rng.seed,
+        "master_seed": bank.rng.seed,
         "counts": dict(counts, total=len(samples)),
         "slots": slot_records,
     }
     distilled = LabeledDataset(
         images=np.stack([s.image for s in samples]),
         labels=np.array([s.intended_label for s in samples], dtype=np.int64),
-        num_classes=train.num_classes,
-        class_names=train.class_names,
+        num_classes=bank.num_classes,
+        class_names=bank.class_names,
         provenance={
             "source": "distill",
             "seed": cfg.seed,
@@ -433,7 +497,21 @@ def distill(
             "counts": {k: int(v) for k, v in counts.items()},
         },
     )
-    return DistillResult(dataset=distilled, report=report, samples=samples, pool=pool, prototypes=protos)
+    return DistillResult(
+        dataset=distilled, report=report, samples=samples, pool=pool, prototypes=bank.prototypes
+    )
+
+
+def distill(
+    train: LabeledDataset,
+    encode_fn: Callable[[np.ndarray], np.ndarray],
+    gen: CandidateGenerator,
+    det: Detector,
+    cfg: DistillConfig,
+    rng: SeededRng | None = None,
+) -> "DistillResult":
+    """Run the full pipeline: ``select(generate_candidates(...), cfg)``."""
+    return select(generate_candidates(train, encode_fn, gen, det, cfg, rng), cfg)
 
 
 @dataclass

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +207,51 @@ class TestConfigHandling:
         payload = json.loads(capsys.readouterr().out)
         assert payload["distill"]["ipc"] == 2
         assert payload["output_root"].endswith("runs")
+
+
+class TestDistillConfigErrors:
+    """A rejected distill value is a one-line config error (exit 2), given
+    before the run directory or any artifact is touched."""
+
+    def _cli(self, tmp_path, cfg, *argv):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, DISTILLAB_OUTPUT_ROOT=str(tmp_path / "runs"))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-m", "distillab.cli", *argv, "--config", str(cfg_path)],
+            env=env, capture_output=True, text=True,
+        )
+
+    def _assert_config_error(self, tmp_path, proc, needle):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert needle in proc.stderr
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "override, needle",
+        [(["--beta", "1.5"], "beta must lie in (0, 1)"), (["--top-k", "5"], "top_k cannot exceed")],
+    )
+    def test_distill_override(self, tmp_path, override, needle):
+        proc = self._cli(tmp_path, TINY_CONFIG, "distill", *override)
+        self._assert_config_error(tmp_path, proc, needle)
+
+    def test_ablate_mode(self, tmp_path):
+        cfg = dict(TINY_CONFIG, eval=dict(TINY_CONFIG["eval"], modes=["base", "best"]))
+        proc = self._cli(tmp_path, cfg, "ablate")
+        self._assert_config_error(tmp_path, proc, "selection_mode='best'")
+
+    def test_ablate_sweep_top_k(self, tmp_path):
+        cfg = dict(TINY_CONFIG, eval=dict(TINY_CONFIG["eval"], sensitivity_top_k=[1, 8]))
+        proc = self._cli(tmp_path, cfg, "ablate", "--sweep")
+        self._assert_config_error(tmp_path, proc, "top_k=8")
+        # the grid is only read with --sweep: without it the command gets as
+        # far as the missing artifacts
+        assert self._cli(tmp_path, cfg, "ablate").returncode == 3
 
 
 class TestMissingArtifacts:

@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,8 @@ from distillab.evalharness import (
 )
 from distillab.models import Detector, Mlp, TrainConfig, train_detector
 from distillab.numerics import SeededRng
-from distillab.refine import DistillConfig
+from distillab.data import write_dataset
+from distillab.refine import SELECTION_MODES, DistillConfig, distill, select
 
 from test_refine import MockGenerator
 
@@ -230,3 +234,67 @@ class TestRunSensitivity:
         csv_text = sensitivity_csv(grid)
         assert csv_text.splitlines()[0].startswith("top_k,beta,seed")
         assert len(csv_text.splitlines()) == 5
+
+
+class CountingGenerator(MockGenerator):
+    """MockGenerator that tallies each batch it generates by (label, stream seeds)."""
+
+    def __init__(self, dataset, batches: Counter, **kwargs):
+        super().__init__(dataset, **kwargs)
+        self.batches = batches
+
+    def generate_batch(self, prototype, label, rngs):
+        self.batches[(label, tuple(r.seed for r in rngs))] += 1
+        protos = np.atleast_2d(np.asarray(prototype))
+        if len(protos) == 1 and len(rngs) > 1:
+            protos = np.repeat(protos, len(rngs), axis=0)
+        pairs = [self(protos[i], label, r) for i, r in enumerate(rngs)]
+        return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+
+
+class TestSharedBank:
+    def test_modes_and_grid_generate_each_batch_once(self, small_world, monkeypatch, tmp_path):
+        import distillab.refine as refine_module
+
+        train, test, det, encode_fn = small_world
+        batches, extractions = Counter(), Counter()
+        extract = refine_module.extract_prototypes
+
+        def counting_extract(encode_fn, dataset, ipc, rng, **kwargs):
+            extractions[rng.seed] += 1
+            return extract(encode_fn, dataset, ipc, rng, **kwargs)
+
+        monkeypatch.setattr(refine_module, "extract_prototypes", counting_extract)
+        inputs = AblationInputs(
+            train=train,
+            test=test,
+            encode_fn=encode_fn,
+            detector=det,
+            generator_factory=lambda cfg: CountingGenerator(train, batches, defect_rate=0.4),
+        )
+        cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
+        report = run_ablation(inputs, list(SELECTION_MODES), [1], cfg, _downstream_cfg())
+        _, evidence = run_sensitivity(
+            inputs, ks=[1, 2], betas=[0.5, 0.9], seed=1, base_cfg=cfg, downstream_cfg=_downstream_cfg()
+        )
+        assert evidence["slots_checked"] > 0
+        assert report.summary["tplus_s"]["n"] == 1
+        # the initial pass (one batch per class) plus at least one refined slot
+        assert len(batches) > train.num_classes
+        assert set(batches.values()) == {1}
+        assert len(extractions) == 1 and set(extractions.values()) == {1}
+
+        # every mode's selection from the shared bank equals a standalone run
+        for mode in SELECTION_MODES:
+            mcfg = replace(cfg, selection_mode=mode, seed=1)
+            shared = select(inputs.bank(mcfg), mcfg)
+            fresh = distill(train, encode_fn, MockGenerator(train, defect_rate=0.4), det, mcfg)
+            assert shared.report == fresh.report
+            write_dataset(tmp_path / "shared.dstl", shared.dataset)
+            write_dataset(tmp_path / "fresh.dstl", fresh.dataset)
+            assert (tmp_path / "shared.dstl").read_bytes() == (tmp_path / "fresh.dstl").read_bytes()
+
+        bank = inputs.bank(replace(cfg, seed=1))
+        for field, value in (("num_candidates", 7), ("strength", 0.5)):
+            with pytest.raises(ValueError, match=field):
+                select(bank, replace(cfg, seed=1, **{field: value}))

@@ -23,6 +23,7 @@ from distillab.models import (
     mlp_init,
     predict,
     predict_batch,
+    score_batch,
     save_autoencoder,
     save_detector,
     train_autoencoder,
@@ -130,6 +131,16 @@ class TestFeatures:
             s = cosine_similarity(feats[i], feats[j])
             (same if labels[i] == labels[j] else cross).append(s)
         assert np.mean(cross) < np.mean(same)
+
+
+class TestScoreBatch:
+    def test_one_pass_equals_separate_passes(self, detector, toy_test):
+        labels, confs, feats = score_batch(detector, toy_test.images)
+        want_labels, want_confs, _ = predict_batch(detector, toy_test.images)
+        assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
+        assert np.array_equal(confs, want_confs)
+        want_feats = extract_features_batch(detector, toy_test.images)
+        assert feats.dtype == want_feats.dtype and np.array_equal(feats, want_feats)
 
 
 class TestGradients:

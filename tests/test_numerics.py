@@ -8,6 +8,7 @@ from distillab.numerics import (
     SeededRng,
     cosine_similarity,
     gaussian,
+    max_softmax,
     require_finite,
     softmax,
 )
@@ -48,6 +49,21 @@ class TestSoftmax:
         p = softmax([1000.0, 1000.0, 0.0])
         assert abs(p.sum() - 1.0) < 1e-6
         assert p[0] == pytest.approx(0.5, abs=1e-9)
+
+
+class TestMaxSoftmax:
+    def test_equals_per_row_softmax_exactly(self):
+        rng = SeededRng(303)
+        for k, scale in ((1, 1.0), (2, 3.0), (5, 10.0), (10, 40.0), (17, 200.0)):
+            logits = rng.normal((4000, k)).astype(np.float64) * scale
+            want = np.array([softmax(row).max() for row in logits])
+            assert np.array_equal(max_softmax(logits), want)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            max_softmax(np.zeros((3, 0)))
+        with pytest.raises(NonFiniteError):
+            max_softmax(np.array([[1.0, float("inf")]]))
 
 
 class TestCosineSimilarity:

@@ -12,8 +12,9 @@ from distillab.refine import (
     classify_sample,
     cumulative_similarity,
     distill,
+    generate_candidates,
     is_accepted,
-    refine_defective,
+    select,
     select_replacement,
 )
 
@@ -281,26 +282,33 @@ def mock_world():
 
 
 class TestRefineDefective:
-    def _proto(self, train, c=0):
-        from distillab.prototypes import Prototype
+    """A defective slot is regenerated from its prototype during select().
 
-        latent = train.images[train.class_indices(c)][:5].reshape(5, -1).mean(0)
-        return Prototype(class_id=c, latent=latent.astype(np.float32), cluster_size=5, cluster_index=0)
+    With ipc=1 and an initial pass that always emits a wrong class, class 0
+    has one slot, it is defective, and its class pool starts empty.
+    """
+
+    def _bank(self, mock_world, gen, cfg):
+        train, det, encode_fn = mock_world
+        return generate_candidates(train, encode_fn, gen, det, cfg, SeededRng(7))
 
     def test_always_correct_generator_refines(self, mock_world):
-        train, det, _ = mock_world
-        gen = MockGenerator(train, always_correct=True)
-        pool = NormalPool(train.num_classes)
-        cfg = DistillConfig(ipc=2, beta=0.5, top_k=2, num_candidates=4)
-        sample, cands = refine_defective(self._proto(train), gen, det, pool, cfg, SeededRng(7))
+        train, _, _ = mock_world
+        gen = MockGenerator(train, defect_rate=1.0)
+        cfg = DistillConfig(ipc=1, beta=0.5, top_k=2, num_candidates=4, kmeans_restarts=2)
+        bank = self._bank(mock_world, gen, cfg)
+        assert bank.initial[0].predicted_label != 0
+        gen.always_correct = True  # clean refinement candidates
+        res = select(bank, cfg)
+        sample, cands = res.samples[0], res.report["slots"][0]["candidates"]
         assert sample.status == "refined"
         assert sample.predicted_label == sample.intended_label
         assert sample.confidence > 0.5
-        assert pool.size(0) == 1
+        assert res.pool.size(0) == 1
         assert len(cands) == 4
 
     def test_always_wrong_generator_falls_back(self, mock_world):
-        train, det, _ = mock_world
+        train, _, _ = mock_world
 
         class WrongGen:
             def __call__(self, prototype, label, rng):
@@ -308,11 +316,11 @@ class TestRefineDefective:
                 idx = train.class_indices(other)
                 return train.images[idx[rng.integers(len(idx))]], np.asarray(prototype)
 
-        pool = NormalPool(train.num_classes)
-        cfg = DistillConfig(ipc=2, beta=0.9, top_k=2, num_candidates=4)
-        sample, _ = refine_defective(self._proto(train), WrongGen(), det, pool, cfg, SeededRng(8))
+        cfg = DistillConfig(ipc=1, beta=0.9, top_k=2, num_candidates=4, kmeans_restarts=2)
+        res = select(self._bank(mock_world, WrongGen(), cfg), cfg)
+        sample = res.samples[0]
         assert sample.status == "fallback"
-        assert pool.size(0) == 0
+        assert res.pool.size(0) == 0
 
     def test_defaults_match_sensitivity_optima(self):
         cfg = DistillConfig()
