@@ -5,8 +5,8 @@ Stages write into an artifact directory keyed by the config hash
 gets a manifest listing the hashes of all inputs that influenced it.
 
 Exit codes: 0 success, 2 config error, 3 missing artifact, 4 numeric
-failure. Environment: DISTILLAB_OUTPUT_ROOT overrides the output root,
-DISTILLAB_THREADS pins the BLAS thread count (set before numpy loads).
+failure, 5 malformed artifact file (truncated or foreign). Environment:
+DISTILLAB_OUTPUT_ROOT overrides the output root.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, config_sha256, default_config, load_config, to_dict
+from .data import DatasetFormatError
+from .models import CheckpointFormatError
 
 __version__ = "0.1.0"
 
@@ -546,10 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("DISTILLAB_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -564,6 +562,9 @@ def main(argv=None) -> int:
     except MissingArtifactError as e:
         print(f"missing artifact: {e}", file=sys.stderr)
         return 3
+    except (DatasetFormatError, CheckpointFormatError) as e:
+        print(f"format error: {e}", file=sys.stderr)
+        return 5
     except ArithmeticError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 4

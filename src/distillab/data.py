@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import SeededRng, require_finite
+from .numerics import SeededRng, normal_from_words, require_finite, uniform_from_words
 
 __all__ = [
     "DatasetFormatError",
@@ -88,7 +88,11 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class MixedSample:
-    """CutMix output: mixed image, two-hot soft label, retained-pixel ratio."""
+    """CutMix output: mixed image, two-hot soft label, retained-pixel ratio.
+
+    For a batch the fields carry a leading batch axis: images (B, C, H, W),
+    soft labels (B, K) and ratios (B,).
+    """
 
     image: np.ndarray
     soft_label: np.ndarray
@@ -146,42 +150,55 @@ def grating_image(
     image_shape: tuple[int, int, int],
     theta_deg: float,
     frequency: float,
-    phase: float,
-    amplitude: float,
+    phase: float | np.ndarray,
+    amplitude: float | np.ndarray,
 ) -> np.ndarray:
-    """Sinusoidal grating on [0,1] coordinates, mid-gray baseline, clipped to [0,1]."""
+    """Sinusoidal grating on [0,1] coordinates, mid-gray baseline, clipped to [0,1].
+
+    Scalar ``phase`` and ``amplitude`` give one (C, H, W) image; 1-D arrays
+    of equal length N give an (N, C, H, W) stack, one image per entry.
+    """
     c, h, w = image_shape
     ys = (np.arange(h, dtype=np.float64) + 0.5) / h
     xs = (np.arange(w, dtype=np.float64) + 0.5) / w
     theta = np.deg2rad(theta_deg)
     proj = xs[None, :] * np.cos(theta) + ys[:, None] * np.sin(theta)
+    phase = np.asarray(phase, dtype=np.float64)[..., None, None]
+    amplitude = np.asarray(amplitude, dtype=np.float64)[..., None, None]
     img = 0.5 + 0.5 * amplitude * np.sin(2.0 * np.pi * frequency * proj + phase)
-    img = np.broadcast_to(img, (c, h, w))
+    img = np.broadcast_to(img[..., None, :, :], img.shape[:-2] + (c, h, w))
     return np.clip(img, 0.0, 1.0).astype(np.float32)
 
 
 def _synthesize_split(
     spec: ToyDataSpec, per_class: int, rng: SeededRng, split_key: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Images of one split, class by class.
+
+    Each image takes the next words of its class stream, in order: a phase
+    uniform, an amplitude uniform, then (with noise on) the 2 * ceil(CHW/2)
+    words of ``normal((C, H, W))``. A class draws the words of all its
+    images as one block and renders its gratings at once.
+    """
     thetas, freqs = spec.resolved_patterns()
     c, h, w = spec.image_shape
-    images = np.empty((spec.num_classes * per_class, c, h, w), dtype=np.float32)
-    labels = np.empty(spec.num_classes * per_class, dtype=np.int64)
-    i = 0
+    size = c * h * w
+    noise_words = 2 * ((size + 1) // 2) if spec.noise_std > 0 else 0
+    images = np.empty((spec.num_classes, per_class, c, h, w), dtype=np.float32)
     for cls in range(spec.num_classes):
-        sub = rng.spawn(split_key, cls)
-        for _ in range(per_class):
-            phase = 2.0 * np.pi * float(sub.uniform(1)[0])
-            amp = spec.amplitude * (
-                1.0 + spec.amplitude_jitter * (2.0 * float(sub.uniform(1)[0]) - 1.0)
-            )
-            img = grating_image(spec.image_shape, thetas[cls], freqs[cls], phase, amp)
-            if spec.noise_std > 0:
-                img = img + spec.noise_std * sub.normal((c, h, w))
-            images[i] = np.clip(img, 0.0, 1.0)
-            labels[i] = cls
-            i += 1
-    return images, labels
+        words = rng.spawn(split_key, cls).raw_u64(per_class * (2 + noise_words))
+        words = words.reshape(per_class, 2 + noise_words)
+        phase = 2.0 * np.pi * uniform_from_words(words[:, 0])
+        amp = spec.amplitude * (
+            1.0 + spec.amplitude_jitter * (2.0 * uniform_from_words(words[:, 1]) - 1.0)
+        )
+        img = grating_image(spec.image_shape, thetas[cls], freqs[cls], phase, amp)
+        if noise_words:
+            noise = normal_from_words(words[:, 2:])[:, :size].reshape(per_class, c, h, w)
+            img = img + spec.noise_std * noise
+        images[cls] = np.clip(img, 0.0, 1.0)
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), per_class)
+    return images.reshape(-1, c, h, w), labels
 
 
 def synthesize_toy_dataset(
@@ -240,62 +257,80 @@ def sample_mix_ratio(alpha: float, rng: SeededRng) -> float:
     return rng.beta_symmetric(alpha)
 
 
-def cutmix_box(
-    height: int, width: int, lam: float, rng: SeededRng
-) -> tuple[int, int, int, int]:
-    """Sample the cut rectangle (y1, y2, x1, x2) for mixing ratio ``lam``.
+def cutmix_box(height: int, width: int, lam, cy, cx):
+    """Cut rectangles (y1, y2, x1, x2) for mixing ratios ``lam`` and centres (cy, cx).
 
-    Side lengths are H*sqrt(1-lam) and W*sqrt(1-lam) (truncated to ints), the
-    center is uniform over the image, and the box is clipped to the bounds.
+    Side lengths are H*sqrt(1-lam) and W*sqrt(1-lam) (truncated to ints), and
+    each box is clipped to the image bounds. All arguments after the image
+    size are int/float scalars or equal-length arrays.
     """
-    cut = np.sqrt(max(0.0, 1.0 - lam))
-    cut_h = int(height * cut)
-    cut_w = int(width * cut)
-    cy = rng.integers(height)
-    cx = rng.integers(width)
-    y1 = max(cy - cut_h // 2, 0)
-    y2 = min(cy + cut_h // 2, height)
-    x1 = max(cx - cut_w // 2, 0)
-    x2 = min(cx + cut_w // 2, width)
+    cut = np.sqrt(np.maximum(0.0, 1.0 - np.asarray(lam, dtype=np.float64)))
+    cut_h = (height * cut).astype(np.int64)
+    cut_w = (width * cut).astype(np.int64)
+    y1 = np.maximum(cy - cut_h // 2, 0)
+    y2 = np.minimum(cy + cut_h // 2, height)
+    x1 = np.maximum(cx - cut_w // 2, 0)
+    x2 = np.minimum(cx + cut_w // 2, width)
     return y1, y2, x1, x2
 
 
 def cutmix(
     base_image: np.ndarray,
-    base_label: int,
+    base_label,
     patch_image: np.ndarray,
-    patch_label: int,
-    lam: float,
+    patch_label,
+    lam,
     num_classes: int,
     rng: SeededRng | None = None,
-    box: tuple[int, int, int, int] | None = None,
+    box=None,
+    center=None,
 ) -> MixedSample:
-    """Paste a random box from ``patch_image`` into ``base_image``.
+    """Paste a box from each patch image into its base image (CutMix).
+
+    Images are (B, C, H, W) with labels and ``lam`` of length B, or a single
+    (C, H, W) image with scalar label and ratio, which is a batch of one and
+    gives an unbatched result. The box is ``box`` = (y1, y2, x1, x2) if
+    given, else the ``cutmix_box`` around ``center`` = (cy, cx), else around
+    centres drawn from ``rng`` (all B rows, then all B columns).
 
     The soft label weights the base class by the exact retained-pixel
     fraction (recomputed from the clipped box as an integer pixel count, so
-    label weight and pixel count agree bit-exactly). Pass ``box`` to bypass
-    the random draw.
+    label weight and pixel count agree bit-exactly).
     """
     base = np.asarray(base_image, dtype=np.float32)
     patch = np.asarray(patch_image, dtype=np.float32)
     if base.shape != patch.shape:
         raise ValueError(f"image shape mismatch: {base.shape} vs {patch.shape}")
-    if not 0.0 <= lam <= 1.0:
+    single = base.ndim == 3
+    if single:
+        base, patch = base[None], patch[None]
+    if base.ndim != 4:
+        raise ValueError("images must have shape (C, H, W) or (B, C, H, W)")
+    b, _, h, w = base.shape
+    lam = np.asarray(lam, dtype=np.float64).reshape(-1)
+    base_label = np.asarray(base_label, dtype=np.int64).reshape(-1)
+    patch_label = np.asarray(patch_label, dtype=np.int64).reshape(-1)
+    if not len(lam) == len(base_label) == len(patch_label) == b:
+        raise ValueError("need one label pair and one lambda per image")
+    if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ValueError("lambda must lie in [0, 1]")
-    _, h, w = base.shape
     if box is None:
-        if rng is None:
-            raise ValueError("either rng or box must be provided")
-        box = cutmix_box(h, w, lam, rng)
-    y1, y2, x1, x2 = box
-    mixed = base.copy()
-    mixed[:, y1:y2, x1:x2] = patch[:, y1:y2, x1:x2]
-    area = (y2 - y1) * (x2 - x1)
+        if center is None:
+            if rng is None:
+                raise ValueError("one of rng, center or box must be provided")
+            center = (rng.integers(h, n=b), rng.integers(w, n=b))
+        box = cutmix_box(h, w, lam, *center)
+    y1, y2, x1, x2 = (np.asarray(v, dtype=np.int64).reshape(-1, 1) for v in box)
+    rows = (np.arange(h) >= y1) & (np.arange(h) < y2)
+    cols = (np.arange(w) >= x1) & (np.arange(w) < x2)
+    mixed = np.where(rows[:, None, :, None] & cols[:, None, None, :], patch, base)
+    area = ((y2 - y1) * (x2 - x1))[:, 0]
     mix_ratio = (h * w - area) / (h * w)
-    soft = np.zeros(num_classes, dtype=np.float64)
-    soft[base_label] += mix_ratio
-    soft[patch_label] += 1.0 - mix_ratio
+    soft = np.zeros((b, num_classes), dtype=np.float64)
+    soft[np.arange(b), base_label] += mix_ratio
+    soft[np.arange(b), patch_label] += 1.0 - mix_ratio
+    if single:
+        return MixedSample(image=mixed[0], soft_label=soft[0], mix_ratio=float(mix_ratio[0]))
     return MixedSample(image=mixed, soft_label=soft, mix_ratio=mix_ratio)
 
 
@@ -333,11 +368,32 @@ def write_dataset(path, ds: LabeledDataset) -> None:
         f.write(trailer)
 
 
-def _read_exact(f, count: int, what: str) -> bytes:
+def _read_exact(f, count: int, what: str, error=DatasetFormatError) -> bytes:
+    """Exactly ``count`` bytes of ``f``; a short read raises ``error``.
+
+    The container readers (datasets, prototypes, checkpoints) read every
+    field through this function and the two below, each passing its own
+    format error class.
+    """
     buf = f.read(count)
     if len(buf) != count:
-        raise DatasetFormatError(f"truncated payload while reading {what}")
+        raise error(f"truncated payload while reading {what}")
     return buf
+
+
+def _read_struct(f, fmt: str, what: str, error=DatasetFormatError) -> tuple:
+    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), what, error))
+
+
+def _read_json(f, count: int, what: str, error=DatasetFormatError) -> dict:
+    raw = _read_exact(f, count, what, error)
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except ValueError as e:  # bad UTF-8 or bad JSON
+        raise error(f"{what} is not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise error(f"{what} is not a JSON object")
+    return obj
 
 
 def read_dataset(path) -> LabeledDataset:
@@ -346,15 +402,15 @@ def read_dataset(path) -> LabeledDataset:
         magic = _read_exact(f, 4, "magic")
         if magic != _DATASET_MAGIC:
             raise DatasetFormatError(f"bad magic {magic!r}, expected {_DATASET_MAGIC!r}")
-        (version,) = struct.unpack("<H", _read_exact(f, 2, "version"))
+        (version,) = _read_struct(f, "<H", "version")
         if version != _DATASET_VERSION:
             raise DatasetFormatError(f"unsupported version {version}")
-        n, num_classes, c, h, w = struct.unpack("<5I", _read_exact(f, 20, "header counts"))
+        n, num_classes, c, h, w = _read_struct(f, "<5I", "header counts")
         labels = np.frombuffer(_read_exact(f, 2 * n, "labels"), dtype="<u2").astype(np.int64)
         img_bytes = _read_exact(f, 4 * n * c * h * w, "image data")
         images = np.frombuffer(img_bytes, dtype="<f4").reshape(n, c, h, w).copy()
-        (tlen,) = struct.unpack("<I", _read_exact(f, 4, "trailer length"))
-        trailer = json.loads(_read_exact(f, tlen, "trailer").decode("utf-8"))
+        (tlen,) = _read_struct(f, "<I", "trailer length")
+        trailer = _read_json(f, tlen, "trailer")
     if labels.size and labels.max() >= num_classes:
         bad = int(np.argmax(labels >= num_classes))
         raise DatasetFormatError(

@@ -275,6 +275,7 @@ def sample_img2img_batch(
     ``rngs`` supplies one independent stream per row; each stream is
     consumed in a fixed order (initial noise, then one draw per ancestral
     step above t=1), so results are reproducible per (prototype, stream).
+    Each stream draws that whole sequence as one ``normal_rows`` block.
     Note batched results can differ from one-at-a-time sampling in the last
     float bit (BLAS blocking); batch shapes are part of the frozen recipe.
     """
@@ -293,9 +294,11 @@ def sample_img2img_batch(
     t_start = int(np.floor(strength * sched.timesteps))
     if t_start == 0:
         return protos.astype(np.float32)
-    eps0 = np.stack([r.normal(d).astype(np.float64) for r in rngs])
+    # row 0 of a stream's block is the initial noise, row t_start - t + 1
+    # the noise of reverse step t (t = t_start .. 2)
+    noise = np.stack([r.normal_rows(t_start, d) for r in rngs]).astype(np.float64)
     ab = sched.alpha_bars[t_start - 1]
-    z = np.sqrt(ab) * protos + np.sqrt(1.0 - ab) * eps0
+    z = np.sqrt(ab) * protos + np.sqrt(1.0 - ab) * noise[:, 0]
     for t in range(t_start, 0, -1):
         tb = np.full(b, t, dtype=np.int64)
         eps_hat = _guided_noise(den, z, tb, label, guidance_scale)
@@ -306,8 +309,7 @@ def sample_img2img_batch(
         if t > 1:
             ab_prev = sched.alpha_bars[t - 2]
             var = beta * (1.0 - ab_prev) / (1.0 - ab_t)
-            xi = np.stack([r.normal(d).astype(np.float64) for r in rngs])
-            z = mean + np.sqrt(var) * xi
+            z = mean + np.sqrt(var) * noise[:, t_start - t + 1]
         else:
             z = mean
     out = z.astype(np.float32)

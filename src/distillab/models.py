@@ -17,8 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, cutmix, sample_mix_ratio
-from .numerics import SeededRng, max_softmax, require_finite
+from .data import LabeledDataset, _read_exact, _read_json, _read_struct, cutmix
+from .numerics import (
+    SeededRng,
+    beta_symmetric_from_words,
+    integers_from_words,
+    max_softmax,
+    require_finite,
+)
 
 __all__ = [
     "Adam",
@@ -208,6 +214,29 @@ def _soft_cross_entropy(logits: np.ndarray, soft_targets: np.ndarray):
     return loss, dlogits
 
 
+def _cutmix_minibatch(train: LabeledDataset, idx: np.ndarray, alpha: float, loop: SeededRng):
+    """CutMix images and soft labels for the minibatch ``train[idx]``.
+
+    Draws one block of 4 words per sample. Sample r takes words 4r .. 4r+3:
+    Beta ratio, partner, box centre y, box centre x. These are the words,
+    in order, that per-sample ``sample_mix_ratio``, ``integers(n)`` and
+    ``cutmix(rng=...)`` calls would take.
+    """
+    b = len(idx)
+    _, h, w = train.image_shape
+    words = loop.raw_u64(4 * b).reshape(b, 4)
+    j = integers_from_words(words[:, 1], len(train))
+    return cutmix(
+        train.images[idx],
+        train.labels[idx],
+        train.images[j],
+        train.labels[j],
+        beta_symmetric_from_words(words[:, 0], alpha),
+        train.num_classes,
+        center=(integers_from_words(words[:, 2], h), integers_from_words(words[:, 3], w)),
+    )
+
+
 def train_detector(train: LabeledDataset, cfg: TrainConfig, rng: SeededRng) -> Detector:
     """Train the anomaly detector with per-sample CutMix soft labels.
 
@@ -230,27 +259,15 @@ def train_detector(train: LabeledDataset, cfg: TrainConfig, rng: SeededRng) -> D
         epoch_losses = []
         for s in range(0, n, cfg.batch_size):
             idx = order[s : s + cfg.batch_size]
-            xb = np.empty((len(idx), din), dtype=np.float64)
-            yb = np.zeros((len(idx), train.num_classes), dtype=np.float64)
-            for row, i in enumerate(idx):
-                if cfg.use_cutmix:
-                    lam = sample_mix_ratio(cfg.cutmix_alpha, loop)
-                    j = loop.integers(n)
-                    mixed = cutmix(
-                        train.images[i],
-                        int(train.labels[i]),
-                        train.images[j],
-                        int(train.labels[j]),
-                        lam,
-                        train.num_classes,
-                        rng=loop,
-                    )
-                    xb[row] = mixed.image.reshape(-1)
-                    yb[row] = mixed.soft_label
-                else:
-                    xb[row] = train.images[i].reshape(-1)
-                    yb[row, int(train.labels[i])] = 1.0
-            acts = mlp_forward(mlp, xb)
+            b = len(idx)
+            if cfg.use_cutmix:
+                mixed = _cutmix_minibatch(train, idx, cfg.cutmix_alpha, loop)
+                xb, yb = mixed.image, mixed.soft_label
+            else:
+                xb = train.images[idx]
+                yb = np.zeros((b, train.num_classes), dtype=np.float64)
+                yb[np.arange(b), train.labels[idx]] = 1.0
+            acts = mlp_forward(mlp, xb.reshape(b, din))
             loss, dlogits = _soft_cross_entropy(acts[-1], yb)
             grads, _ = mlp_backward(mlp, acts, dlogits)
             opt.step(mlp.params(), grads)
@@ -489,27 +506,29 @@ def write_checkpoint(path, kind: str, desc: dict, params: list[np.ndarray]) -> N
 
 
 def read_checkpoint(path):
-    """Returns (kind, descriptor dict, list of float32 arrays); bit-exact."""
+    """Returns (kind, descriptor dict, list of float32 arrays); bit-exact.
+
+    A short or undecodable file raises CheckpointFormatError.
+    """
+    err = CheckpointFormatError
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = _read_exact(f, 4, "magic", err)
         if magic != _CKPT_MAGIC:
-            raise CheckpointFormatError(f"bad magic {magic!r}, expected {_CKPT_MAGIC!r}")
-        (version,) = struct.unpack("<H", f.read(2))
+            raise err(f"bad magic {magic!r}, expected {_CKPT_MAGIC!r}")
+        (version,) = _read_struct(f, "<H", "version", err)
         if version != _CKPT_VERSION:
-            raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-        (dlen,) = struct.unpack("<I", f.read(4))
-        desc = json.loads(f.read(dlen).decode("utf-8"))
-        (count,) = struct.unpack("<I", f.read(4))
+            raise err(f"unsupported checkpoint version {version}")
+        (dlen,) = _read_struct(f, "<I", "descriptor length", err)
+        desc = _read_json(f, dlen, "descriptor", err)
+        (count,) = _read_struct(f, "<I", "array count", err)
         shapes = []
         for _ in range(count):
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shapes.append(struct.unpack(f"<{ndim}I", f.read(4 * ndim)))
+            (ndim,) = _read_struct(f, "<I", "array rank", err)
+            shapes.append(_read_struct(f, f"<{ndim}I", "array shape", err))
         arrays = []
         for shape in shapes:
             size = int(np.prod(shape)) if shape else 1
-            buf = f.read(4 * size)
-            if len(buf) != 4 * size:
-                raise CheckpointFormatError("truncated parameter blob")
+            buf = _read_exact(f, 4 * size, "parameter blob", err)
             arrays.append(np.frombuffer(buf, dtype="<f4").reshape(shape).copy())
     kind = desc.pop("kind", None)
     if kind is None:

@@ -9,6 +9,30 @@ Conventions used across the package:
   generator built on the SplitMix64 finalizer. The bit stream is a pure
   function of (seed, counter), so identical seeds reproduce identical
   draws on every platform and numpy version.
+
+Raw 64-bit words consumed by each draw kind:
+
+=====================  ================================================
+draw                   raw words consumed
+=====================  ================================================
+``uniform(n)``         1 per value, in [0, 1)
+``normal(shape)``      2 * ceil(size/2): a block of (0, 1] uniforms
+                       (the Box-Muller radii), then a block of [0, 1)
+                       uniforms (the angles)
+``normal_rows(n, d)``  n times what ``normal(d)`` takes, row after row
+``integers``           1 per value (modulo reduction)
+``beta_symmetric``     1 per value (inverse CDF of one [0, 1) uniform)
+``permutation(n)``     n - 1 (Fisher-Yates, one word per swap)
+=====================  ================================================
+
+Each kind turns words into values through one function here
+(:func:`uniform_from_words`, :func:`uniform_oc_from_words`,
+:func:`normal_from_words`, :func:`integers_from_words`,
+:func:`beta_symmetric_from_words`), and the ``SeededRng`` methods use the
+same functions. A hot consumer may therefore draw one block with
+``raw_u64`` and convert slices of it, provided it takes the same words in
+the same order as the per-call draws it replaces: the stream counter then
+advances exactly as before, and every value is bit-identical.
 """
 
 from __future__ import annotations
@@ -19,11 +43,16 @@ from scipy.special import betaincinv
 __all__ = [
     "NonFiniteError",
     "SeededRng",
+    "beta_symmetric_from_words",
     "cosine_similarity",
     "gaussian",
+    "integers_from_words",
     "max_softmax",
+    "normal_from_words",
     "require_finite",
     "softmax",
+    "uniform_from_words",
+    "uniform_oc_from_words",
 ]
 
 
@@ -60,6 +89,48 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 def _mix64_int(x: int) -> int:
     return int(_mix64(np.array([x & _U64_MASK], dtype=np.uint64))[0])
+
+
+# --- word -> value conversions (one per draw kind) ---------------------------
+
+
+def uniform_from_words(words: np.ndarray) -> np.ndarray:
+    """float64 uniforms in [0, 1), one per word (top 53 bits)."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def uniform_oc_from_words(words: np.ndarray) -> np.ndarray:
+    """float64 uniforms in (0, 1], one per word; safe as log arguments."""
+    return ((words >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+
+
+def normal_from_words(words: np.ndarray) -> np.ndarray:
+    """Box-Muller normals along the last axis, float32, same shape as ``words``.
+
+    The last axis holds 2 * pairs words: the first ``pairs`` give the (0, 1]
+    radius uniforms, the rest the [0, 1) angle uniforms. The output holds the
+    cosine halves, then the sine halves.
+    """
+    pairs = words.shape[-1] // 2
+    r = np.sqrt(-2.0 * np.log(uniform_oc_from_words(words[..., :pairs])))
+    ang = 2.0 * np.pi * uniform_from_words(words[..., pairs:])
+    return np.concatenate([r * np.cos(ang), r * np.sin(ang)], axis=-1).astype(np.float32)
+
+
+def integers_from_words(words: np.ndarray, span, low: int = 0) -> np.ndarray:
+    """int64 values ``low + word % span``; ``span`` may be an array.
+
+    The modulo bias is bounded by span / 2^64 and is negligible for the
+    span sizes used here (< 2^32).
+    """
+    return (words % np.asarray(span, dtype=np.uint64)).astype(np.int64) + low
+
+
+def beta_symmetric_from_words(words: np.ndarray, alpha: float) -> np.ndarray:
+    """Beta(alpha, alpha) draws, one per word, by inverse CDF of a [0, 1) uniform."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return betaincinv(alpha, alpha, uniform_from_words(words))
 
 
 class SeededRng:
@@ -106,13 +177,7 @@ class SeededRng:
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` float64 uniforms in [0, 1), one raw word each (53-bit mantissa)."""
-        return (self.raw_u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-    def _uniform_open_closed(self, n: int) -> np.ndarray:
-        """Uniforms in (0, 1], safe as log arguments."""
-        return ((self.raw_u64(n) >> np.uint64(11)) + np.uint64(1)).astype(
-            np.float64
-        ) * 2.0**-53
+        return uniform_from_words(self.raw_u64(n))
 
     def normal(self, shape) -> np.ndarray:
         """i.i.d. standard normal draws via Box-Muller, returned as float32.
@@ -123,44 +188,43 @@ class SeededRng:
         shape = (shape,) if isinstance(shape, int) else tuple(int(s) for s in shape)
         size = int(np.prod(shape)) if shape else 1
         pairs = (size + 1) // 2
-        if pairs == 0:
-            return np.zeros(shape, dtype=np.float32)
-        u1 = self._uniform_open_closed(pairs)
-        u2 = self.uniform(pairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        ang = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:size]
-        return z.reshape(shape).astype(np.float32)
+        return normal_from_words(self.raw_u64(2 * pairs))[:size].reshape(shape)
+
+    def normal_rows(self, n: int, d: int) -> np.ndarray:
+        """``n`` successive ``normal(d)`` draws as one (n, d) float32 array.
+
+        Equal bit for bit to stacking ``n`` calls of ``normal(d)``, and
+        advances the counter by the same n * 2 * ceil(d/2) words, drawn as
+        one block.
+        """
+        n, d = int(n), int(d)
+        pairs = (d + 1) // 2
+        return normal_from_words(self.raw_u64(n * 2 * pairs).reshape(n, 2 * pairs))[:, :d]
 
     def integers(self, high: int, n: int | None = None, low: int = 0):
-        """Integers uniform in [low, high); modulo reduction of raw words.
-
-        The modulo bias is bounded by span / 2^64 and is negligible for the
-        span sizes used here (< 2^32).
-        """
+        """Integers uniform in [low, high); modulo reduction of one raw word each."""
         span = int(high) - int(low)
         if span <= 0:
             raise ValueError("high must exceed low")
-        raw = self.raw_u64(1 if n is None else n) % np.uint64(span)
-        out = raw.astype(np.int64) + low
+        out = integers_from_words(self.raw_u64(1 if n is None else n), span, low)
         return int(out[0]) if n is None else out
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of arange(n); consumes n-1 raw words for n > 1."""
-        perm = np.arange(n, dtype=np.int64)
+        """Fisher-Yates shuffle of arange(n); consumes n-1 raw words for n > 1.
+
+        Word k (k = 0 .. n-2) swaps position n-1-k with position
+        ``word % (n-k)``.
+        """
+        perm = list(range(n))
         if n > 1:
-            draws = self.raw_u64(n - 1)
-            for i in range(n - 1, 0, -1):
-                j = int(draws[n - 1 - i] % np.uint64(i + 1))
+            js = integers_from_words(self.raw_u64(n - 1), np.arange(n, 1, -1)).tolist()
+            for i, j in zip(range(n - 1, 0, -1), js):
                 perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
     def beta_symmetric(self, alpha: float, n: int | None = None):
         """Beta(alpha, alpha) draws by inverse-CDF on one uniform each."""
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        u = self.uniform(1 if n is None else n)
-        vals = betaincinv(alpha, alpha, u)
+        vals = beta_symmetric_from_words(self.raw_u64(1 if n is None else n), alpha)
         return float(vals[0]) if n is None else vals
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetFormatError, LabeledDataset
+from .data import DatasetFormatError, LabeledDataset, _read_exact, _read_json, _read_struct
 from .numerics import SeededRng, require_finite
 
 __all__ = [
@@ -213,21 +213,20 @@ def write_prototypes(path, protos: list[Prototype], provenance: dict | None = No
 
 
 def read_prototypes(path) -> tuple[list[Prototype], dict]:
+    """Load a PRTO file; a short or undecodable file raises DatasetFormatError."""
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = _read_exact(f, 4, "magic")
         if magic != _PROTO_MAGIC:
             raise DatasetFormatError(f"bad magic {magic!r}, expected {_PROTO_MAGIC!r}")
-        (version,) = struct.unpack("<H", f.read(2))
+        (version,) = _read_struct(f, "<H", "version")
         if version != _PROTO_VERSION:
             raise DatasetFormatError(f"unsupported prototype version {version}")
-        count, dim = struct.unpack("<2I", f.read(8))
-        meta = [struct.unpack("<3I", f.read(12)) for _ in range(count)]
-        blob = f.read(4 * count * dim)
-        if len(blob) != 4 * count * dim:
-            raise DatasetFormatError("truncated payload while reading latents")
+        count, dim = _read_struct(f, "<2I", "header counts")
+        meta = [_read_struct(f, "<3I", "prototype table") for _ in range(count)]
+        blob = _read_exact(f, 4 * count * dim, "latents")
         latents = np.frombuffer(blob, dtype="<f4").reshape(count, dim)
-        (tlen,) = struct.unpack("<I", f.read(4))
-        trailer = json.loads(f.read(tlen).decode("utf-8"))
+        (tlen,) = _read_struct(f, "<I", "trailer length")
+        trailer = _read_json(f, tlen, "trailer")
     protos = [
         Prototype(class_id=cid, latent=latents[i].copy(), cluster_size=size, cluster_index=ci)
         for i, (cid, ci, size) in enumerate(meta)

@@ -4,6 +4,9 @@ Heavy artifacts (trained detector, denoiser) are session-scoped so the
 suite trains them once.
 """
 
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,37 @@ def weak_denoiser(toy_train, train_latents, frozen_schedule):
         presets.frozen_defect_prone_denoiser_config(),
         SeededRng(presets.DENOISER_SEED),
     )
+
+
+@pytest.fixture()
+def rng_spy(monkeypatch):
+    """Count every top-level ``SeededRng`` draw while the test runs.
+
+    ``calls[(seed, method)]`` counts the draws a stream makes with a method;
+    ``words[seed]`` counts the raw words it consumes. A draw made inside
+    another draw (``normal`` calls ``raw_u64``) counts once, as the outer one.
+    """
+    calls, words = Counter(), Counter()
+    depth = [0]
+
+    def counting(name, fn):
+        def wrapper(rng, *args, **kwargs):
+            before = rng._counter
+            depth[0] += 1
+            try:
+                return fn(rng, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+                if depth[0] == 0:
+                    calls[(rng.seed, name)] += 1
+                    words[rng.seed] += rng._counter - before
+
+        return wrapper
+
+    for name, fn in list(vars(SeededRng).items()):
+        if callable(fn) and not name.startswith("_") and name != "spawn":
+            monkeypatch.setattr(SeededRng, name, counting(name, fn))
+    return SimpleNamespace(calls=calls, words=words)
 
 
 def gradient_check(loss_fn, params, rng, probes=60, step=1e-5, rel_tol=1e-3):

@@ -273,6 +273,32 @@ class TestMissingArtifacts:
         assert "ablate" in capsys.readouterr().err
 
 
+class TestFormatErrors:
+    def test_truncated_detector_exits_5(self, tmp_path):
+        """A truncated checkpoint is a one-line format error, not a traceback."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY_CONFIG))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, DISTILLAB_OUTPUT_ROOT=str(tmp_path / "runs"))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+        def cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "distillab.cli", *argv, "--config", str(cfg_path)],
+                env=env, capture_output=True, text=True,
+            )
+
+        for cmd in ("synth-data", "train-detector", "train-autoencoder", "train-diffusion"):
+            assert cli(cmd).returncode == 0
+        det = _run_dir(tmp_path) / "models" / "detector.mdlc"
+        det.write_bytes(det.read_bytes()[:30])
+        proc = cli("distill")
+        assert proc.returncode == 5
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("format error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
 class TestManifests:
     def test_manifest_lists_input_hashes(self, pipeline):
         tmp_path, _ = pipeline

@@ -12,6 +12,7 @@ from distillab.data import (
     synthesize_toy_dataset,
     write_dataset,
 )
+from distillab.data import _synthesize_split
 from distillab.numerics import SeededRng
 
 
@@ -69,6 +70,48 @@ class TestToyDataset:
         spec = ToyDataSpec(num_classes=2, train_per_class=3, test_per_class=3)
         train, test = synthesize_toy_dataset(spec)
         assert not np.array_equal(train.images[:3], test.images[:3])
+
+
+def _synthesize_split_loop(spec, per_class, rng, split_key):
+    """Reference: one grating and one set of scalar draws per image."""
+    thetas, freqs = spec.resolved_patterns()
+    c, h, w = spec.image_shape
+    images, labels = [], []
+    for cls in range(spec.num_classes):
+        sub = rng.spawn(split_key, cls)
+        for _ in range(per_class):
+            phase = 2.0 * np.pi * float(sub.uniform(1)[0])
+            amp = spec.amplitude * (
+                1.0 + spec.amplitude_jitter * (2.0 * float(sub.uniform(1)[0]) - 1.0)
+            )
+            img = grating_image(spec.image_shape, thetas[cls], freqs[cls], phase, amp)
+            if spec.noise_std > 0:
+                img = img + spec.noise_std * sub.normal((c, h, w))
+            images.append(np.clip(img, 0.0, 1.0))
+            labels.append(cls)
+    return np.array(images, dtype=np.float32).reshape(-1, c, h, w), np.array(labels, dtype=np.int64)
+
+
+class TestBlockSynthesis:
+    @pytest.mark.parametrize("noise_std", [0.05, 0.0])
+    @pytest.mark.parametrize("image_shape", [(2, 5, 7), (1, 16, 16)])
+    def test_equals_per_image_loop(self, rng_spy, noise_std, image_shape):
+        spec = ToyDataSpec(num_classes=3, image_shape=image_shape, noise_std=noise_std, seed=11)
+        got = _synthesize_split(spec, 9, SeededRng(spec.seed), 0)
+        block_words = dict(rng_spy.words)
+        rng_spy.words.clear()
+        want = _synthesize_split_loop(spec, 9, SeededRng(spec.seed), 0)
+        assert got[0].dtype == np.float32 and got[0].shape == (27, *image_shape)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        # every class stream consumed the same number of words
+        assert block_words == dict(rng_spy.words)
+        assert len(block_words) == 3
+
+    def test_empty_split(self):
+        spec = ToyDataSpec(num_classes=2, image_shape=(1, 4, 4))
+        images, labels = _synthesize_split(spec, 0, SeededRng(0), 1)
+        assert images.shape == (0, 1, 4, 4) and labels.shape == (0,)
 
 
 class TestMixRatio:

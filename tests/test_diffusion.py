@@ -265,6 +265,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_img2img(den, sched, latents[0], 0, 0.5, -1.0, SeededRng(1))
 
+    def test_one_block_draw_per_stream(self, rng_spy):
+        den, sched, latents, _ = _tiny_denoiser()
+        rngs = [SeededRng(3).spawn(9, i) for i in range(4)]
+        rng_spy.calls.clear()
+        sample_img2img_batch(den, sched, latents[:4], 1, 0.7, 2.0, rngs)
+        t_start = 7  # floor(0.7 * 10): initial noise plus 6 reverse steps above t=1
+        assert dict(rng_spy.calls) == {(r.seed, "normal_rows"): 1 for r in rngs}
+        for r in rngs:
+            assert rng_spy.words[r.seed] == t_start * 2 * ((den.latent_dim + 1) // 2)
+
     def test_batch_shape(self):
         den, sched, latents, _ = _tiny_denoiser()
         rngs = [SeededRng(0).spawn(9, i) for i in range(5)]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from distillab.data import LabeledDataset, ToyDataSpec, synthesize_toy_dataset
+from distillab.data import LabeledDataset, ToyDataSpec, cutmix, sample_mix_ratio, synthesize_toy_dataset
 from distillab.models import (
     Autoencoder,
     CheckpointFormatError,
@@ -11,6 +11,7 @@ from distillab.models import (
     LatentCodec,
     Mlp,
     TrainConfig,
+    _cutmix_minibatch,
     _soft_cross_entropy,
     decode,
     encode,
@@ -75,6 +76,49 @@ class TestTrainDetector:
         d2 = train_detector(train, cfg, SeededRng(5))
         for a, b in zip(d1.mlp.params(), d2.mlp.params()):
             assert np.array_equal(a, b)
+
+
+class TestCutMixMinibatch:
+    """One block of 4 words per sample equals the per-sample draw loop."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_equals_per_sample_loop(self, alpha):
+        c, h, w = 2, 5, 7
+        train, _ = _tiny_dataset(n_per_class=6, k=3, shape=(c, h, w))
+        idx = SeededRng(4).permutation(len(train))
+        block, loop = SeededRng(77), SeededRng(77)
+        block.uniform(2)  # start away from counter 0
+        loop.uniform(2)
+        got = _cutmix_minibatch(train, idx, alpha, block)
+        images, soft = [], []
+        same_class = clipped = 0
+        for i in idx:
+            lam = sample_mix_ratio(alpha, loop)
+            j = loop.integers(len(train))
+            m = cutmix(
+                train.images[i], int(train.labels[i]), train.images[j], int(train.labels[j]),
+                lam, train.num_classes, rng=loop,
+            )
+            images.append(m.image)
+            soft.append(m.soft_label)
+            same_class += int(train.labels[i] == train.labels[j])
+            cut = math.sqrt(1.0 - lam)
+            unclipped = 2 * (int(h * cut) // 2) * 2 * (int(w * cut) // 2)
+            clipped += int(round((1.0 - m.mix_ratio) * h * w) < unclipped)
+        assert got.image.tobytes() == np.stack(images).tobytes()
+        assert got.soft_label.tobytes() == np.stack(soft).tobytes()
+        assert block._counter == loop._counter
+        # the draws cover a same-class partner and a box clipped at the border
+        assert same_class >= 1 and clipped >= 1
+
+    def test_train_detector_one_block_per_minibatch(self, rng_spy):
+        train, _ = _tiny_dataset(n_per_class=10, k=3)  # 30 images: 4 minibatches of <= 8
+        rng = SeededRng(5)
+        train_detector(train, TrainConfig(epochs=3, batch_size=8, hidden_sizes=(8,)), rng)
+        loop = rng.spawn(1).seed
+        draws = {name: count for (seed, name), count in rng_spy.calls.items() if seed == loop}
+        assert draws == {"permutation": 3, "raw_u64": 3 * 4}
+        assert rng_spy.words[loop] == 3 * (30 - 1) + 3 * 4 * 30
 
 
 class TestPredict:
@@ -274,3 +318,21 @@ class TestCheckpoints:
         p.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(CheckpointFormatError, match="magic"):
             load_detector(p)
+
+    def test_truncated_file_is_a_format_error(self, tmp_path):
+        # every offset through the end of the header (magic, version,
+        # descriptor, shape table) and a few inside the parameter blob
+        det = Detector(mlp_init([6, 4, 3], SeededRng(1)), 3, (1, 2, 3), meta={"note": "cut"})
+        p = tmp_path / "det.mdlc"
+        save_detector(p, det)
+        raw = p.read_bytes()
+        dlen = int.from_bytes(raw[6:10], "little")
+        header_end = 10 + dlen + 4 + sum(4 + 4 * a.ndim for a in det.mlp.params())
+        assert len(raw) - header_end == 4 * sum(a.size for a in det.mlp.params())
+        cuts = [*range(header_end + 1), header_end + 1, header_end + 50, len(raw) - 1]
+        cut_path = tmp_path / "cut.mdlc"
+        for cut in cuts:
+            cut_path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointFormatError):
+                load_detector(cut_path)
+        assert load_detector(p).num_classes == 3

@@ -183,3 +183,46 @@ def _ref_splitmix(counter: int, seed: int = 0) -> int:
     x = (x * 0x94D049BB133111EB) & mask
     x ^= x >> 31
     return x
+
+
+def _fisher_yates_loop(rng, n):
+    """Reference permutation: one scalar modulo and one swap per step."""
+    perm = np.arange(n, dtype=np.int64)
+    if n > 1:
+        draws = rng.raw_u64(n - 1)
+        for i in range(n - 1, 0, -1):
+            j = int(draws[n - 1 - i] % np.uint64(i + 1))
+            perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+class TestBlockDraws:
+    """Block draws equal the per-call draws they replace, word for word."""
+
+    @pytest.mark.parametrize("d", [1, 2, 31, 32, 33, 256])
+    @pytest.mark.parametrize("n", [1, 5, 140])
+    def test_normal_rows_equals_stacked_normal(self, n, d):
+        block, loop = SeededRng(8080 + d), SeededRng(8080 + d)
+        block.uniform(3)  # start away from counter 0
+        loop.uniform(3)
+        rows = block.normal_rows(n, d)
+        want = np.stack([loop.normal(d) for _ in range(n)])
+        assert rows.dtype == np.float32 and rows.shape == (n, d)
+        assert rows.tobytes() == want.tobytes()
+        assert block._counter == loop._counter
+
+    def test_normal_rows_empty(self):
+        rng = SeededRng(1)
+        assert rng.normal_rows(0, 4).shape == (0, 4)
+        assert rng.normal_rows(3, 0).shape == (3, 0)
+        assert rng._counter == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 2500])
+    def test_permutation_equals_fisher_yates_loop(self, n):
+        for seed in range(20):
+            fast, loop = SeededRng(seed), SeededRng(seed)
+            got = fast.permutation(n)
+            want = _fisher_yates_loop(loop, n)
+            assert got.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
+            assert fast._counter == loop._counter == max(n - 1, 0)

@@ -194,3 +194,25 @@ class TestPrototypeIO:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_prototypes(tmp_path / "x.prto", [])
+
+    def test_truncated_file_is_a_format_error(self, tmp_path):
+        # every offset through the end of the header, a few inside the latent
+        # blob, and every offset inside the JSON trailer
+        rng = SeededRng(20)
+        protos = [
+            Prototype(class_id=c, latent=rng.normal(5), cluster_size=2, cluster_index=0)
+            for c in range(3)
+        ]
+        p = tmp_path / "p.prto"
+        write_prototypes(p, protos, provenance={"seed": 3, "note": "truncation"})
+        raw = p.read_bytes()
+        header_end = 4 + 2 + 8 + 12 * len(protos)
+        blob_end = header_end + 4 * 3 * 5
+        cuts = [*range(header_end + 1), header_end + 1, header_end + 30, blob_end - 1,
+                *range(blob_end, len(raw))]
+        cut_path = tmp_path / "cut.prto"
+        for cut in cuts:
+            cut_path.write_bytes(raw[:cut])
+            with pytest.raises(DatasetFormatError):
+                read_prototypes(cut_path)
+        assert len(read_prototypes(p)[0]) == 3
