@@ -12,7 +12,7 @@ from distillab.numerics import SeededRng
 
 # %% synthesize the frozen desk-scale dataset
 spec = ToyDataSpec(num_classes=5, train_per_class=500, test_per_class=100)
-train, test = synthesize_toy_dataset(spec, SeededRng(spec.seed))
+train, test = synthesize_toy_dataset(spec, SeededRng(0))
 print(f"train: {len(train)} images of shape {train.image_shape}")
 print(f"test:  {len(test)} images")
 print(f"classes: {train.class_names}")

@@ -9,19 +9,17 @@ confidence calibrated instead of saturating at 1.0.
 import numpy as np
 
 from distillab import (
-    TrainConfig,
-    ToyDataSpec,
     cutmix,
-    predict,
+    default_config,
+    predict_batch,
     sample_mix_ratio,
     synthesize_toy_dataset,
     train_detector,
 )
-from distillab.models import predict_batch
 from distillab.numerics import SeededRng
 
-spec = ToyDataSpec()
-train, test = synthesize_toy_dataset(spec)
+defaults = default_config()
+train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
 
 # %% one CutMix sample, by hand
 rng = SeededRng(7)
@@ -35,9 +33,8 @@ print(f"lambda drawn:      {lam:.4f}")
 print(f"retained fraction: {mixed.mix_ratio:.4f} (recomputed from the clipped box)")
 print(f"soft label:        {np.round(mixed.soft_label, 4)}")
 
-# %% train and evaluate
-cfg = TrainConfig(epochs=20, batch_size=64, learning_rate=1e-3, cutmix_alpha=1.0)
-det = train_detector(train, cfg, SeededRng(2024))
+# %% train and evaluate (the default detector section: 20 epochs, alpha 1.0)
+det = train_detector(train, defaults.detector, SeededRng(2024), use_cutmix=True)
 print(f"\nloss: {det.meta['loss_history'][0]:.3f} -> {det.meta['final_loss']:.3f}")
 
 labels, confs, _ = predict_batch(det, test.images)
@@ -45,6 +42,6 @@ acc = (labels == test.labels).mean()
 print(f"test accuracy: {acc:.4f}")
 print(f"confidence on real test images: mean {confs.mean():.3f}, min {confs.min():.3f}")
 
-# %% single-image prediction with the lowest-index tie rule
-label, conf, logits = predict(det, test.images[0])
-print(f"\nsample 0: predicted {label} (true {test.labels[0]}), confidence {conf:.4f}")
+# %% one image is a batch of one; argmax ties break to the lowest index
+labels, confs, logits = predict_batch(det, test.images[:1])
+print(f"\nsample 0: predicted {labels[0]} (true {test.labels[0]}), confidence {confs[0]:.4f}")

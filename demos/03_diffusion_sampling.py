@@ -9,26 +9,27 @@ eps_hat = eps_null + w * (eps_label - eps_null).
 import numpy as np
 
 from distillab import (
-    build_schedule,
+    LatentCodec,
+    default_config,
     forward_noise,
+    predict_batch,
     sample_img2img_batch,
     synthesize_toy_dataset,
+    train_autoencoder,
     train_denoiser,
     train_detector,
 )
-from distillab import DenoiserTrainConfig, ToyDataSpec
-from distillab.models import predict_batch
 from distillab.numerics import SeededRng
-from distillab import presets
 
-# %% the variance schedule
-sched = build_schedule(timesteps=200, beta_start=1e-4, beta_end=0.03)
+defaults = default_config()
+
+# %% the variance schedule (200 steps, betas 1e-4 .. 0.03)
+sched = defaults.denoiser.schedule()
 print("alpha_bar at t=1, T/2, T:", sched.alpha_bars[0], sched.alpha_bars[99], sched.alpha_bars[-1])
 
 # %% forward noising drains the signal
-spec = presets.frozen_toy_spec()
-train, test = synthesize_toy_dataset(spec)
-codec = presets.build_frozen_codec(train)
+train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
+codec = LatentCodec.from_autoencoder(train_autoencoder(train, defaults.autoencoder, SeededRng(2025)))
 latents = codec.encode(train.images)
 z0 = latents[0]
 rng = SeededRng(5)
@@ -37,14 +38,12 @@ for t in (1, 50, 140, 200):
     corr = np.corrcoef(z0, zt)[0, 1]
     print(f"t={t:3d}: correlation with clean latent {corr:+.3f}")
 
-# %% train the conditional denoiser (the frozen strong config)
-den = train_denoiser(
-    latents, train.labels, sched, presets.frozen_denoiser_config(), SeededRng(2026)
-)
+# %% train the conditional denoiser (the default, strong config)
+den = train_denoiser(latents, train.labels, sched, defaults.denoiser, SeededRng(2026))
 print(f"\ndenoiser loss: {den.meta['loss_history'][0]:.3f} -> {den.meta['final_loss']:.3f}")
 
 # %% guided vs unguided generation, judged by a detector
-det = train_detector(train, presets.frozen_detector_config(), SeededRng(2024))
+det = train_detector(train, defaults.detector, SeededRng(2024), use_cutmix=True)
 proto = latents[train.labels == 2][:20].mean(axis=0)
 for w in (0.0, 1.0, 10.0):
     reps = np.tile(proto, (50, 1))

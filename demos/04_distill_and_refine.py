@@ -13,40 +13,39 @@ import numpy as np
 
 from distillab import (
     DiffusionCandidateGenerator,
-    DistillConfig,
+    LatentCodec,
+    default_config,
     evaluate,
     generate_candidates,
     select,
     synthesize_toy_dataset,
+    train_autoencoder,
     train_denoiser,
     train_detector,
     train_downstream,
 )
 from distillab.numerics import SeededRng
-from distillab import presets
 
-# %% artifacts: data, detector, codec, weak (defect-prone) denoiser
-spec = presets.frozen_toy_spec()
-train, test = synthesize_toy_dataset(spec)
-det = train_detector(train, presets.frozen_detector_config(), SeededRng(2024))
-codec = presets.build_frozen_codec(train)
+defaults = default_config()
+
+# %% artifacts: data, detector, codec, weak (defect-prone: half the epochs) denoiser
+train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
+det = train_detector(train, defaults.detector, SeededRng(2024), use_cutmix=True)
+codec = LatentCodec.from_autoencoder(train_autoencoder(train, defaults.autoencoder, SeededRng(2025)))
 latents = codec.encode(train.images)
-sched = presets.frozen_schedule()
-den = train_denoiser(
-    latents, train.labels, sched,
-    presets.frozen_defect_prone_denoiser_config(), SeededRng(2026),
-)
+sched = defaults.denoiser.schedule()
+den = train_denoiser(latents, train.labels, sched, replace(defaults.denoiser, epochs=50), SeededRng(2026))
 print("artifacts ready\n")
 
-# %% distill with the full gate + diversity rule
-cfg = presets.frozen_distill_config(seed=1)
+# %% distill with the full gate + diversity rule, seed 1
+cfg = defaults.distill
 gen = DiffusionCandidateGenerator(
     denoiser=den, schedule=sched, decode_fn=codec.decode,
     strength=cfg.strength, guidance_scale=cfg.guidance_scale,
 )
 # generation and selection are separate phases: the bank holds every
 # generated batch, scored once, and any selection mode can be run over it
-bank = generate_candidates(train, codec.encode, gen, det, cfg, SeededRng(cfg.seed))
+bank = generate_candidates(train, codec.encode, gen, det, cfg, SeededRng(1))
 res = select(bank, cfg)
 c = res.report["counts"]
 print(f"slots: {c['total']}  normal {c['normal']}  refined {c['refined']}  fallback {c['fallback']}")
@@ -66,6 +65,6 @@ for slot in res.report["slots"]:
 # %% compare against the unrefined baseline downstream (same bank, no regeneration)
 base = select(bank, replace(cfg, selection_mode="base"))
 for name, r in (("base", base), ("tplus_s", res)):
-    clf = train_downstream(r.dataset, presets.frozen_downstream_config(), SeededRng(33))
+    clf = train_downstream(r.dataset, defaults.eval, SeededRng(33))
     acc = evaluate(clf, test)
     print(f"downstream accuracy ({name:8s}): {acc:.4f}")

@@ -7,21 +7,23 @@ shortlist size k and the threshold beta, asserting on the way that raising
 beta never grows a candidate batch's passing set.
 """
 
-from distillab import AblationInputs, run_ablation, run_sensitivity, synthesize_toy_dataset
-from distillab import train_denoiser, train_detector
+from dataclasses import replace
+
+from distillab import AblationInputs, LatentCodec, default_config, run_ablation, run_sensitivity
+from distillab import synthesize_toy_dataset, train_autoencoder, train_denoiser, train_detector
 from distillab.evalharness import sensitivity_csv
 from distillab.numerics import SeededRng
-from distillab import presets
 
-# %% artifacts (weak generator, so refinement matters)
-spec = presets.frozen_toy_spec()
-train, test = synthesize_toy_dataset(spec)
-det = train_detector(train, presets.frozen_detector_config(), SeededRng(2024))
-codec = presets.build_frozen_codec(train)
-sched = presets.frozen_schedule()
+defaults = default_config()
+
+# %% artifacts (weak generator: half the denoiser epochs, so refinement matters)
+train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
+det = train_detector(train, defaults.detector, SeededRng(2024), use_cutmix=True)
+codec = LatentCodec.from_autoencoder(train_autoencoder(train, defaults.autoencoder, SeededRng(2025)))
+sched = defaults.denoiser.schedule()
 den = train_denoiser(
     codec.encode(train.images), train.labels, sched,
-    presets.frozen_defect_prone_denoiser_config(), SeededRng(2026),
+    replace(defaults.denoiser, epochs=50), SeededRng(2026),
 )
 inputs = AblationInputs(
     train=train, test=test, encode_fn=codec.encode, detector=det,
@@ -29,20 +31,16 @@ inputs = AblationInputs(
 )
 
 # %% the mode x seed grid (2 seeds here; the acceptance suite runs 3)
-report = run_ablation(
-    inputs, ["base", "top1", "sim", "tplus_s"], [1, 2],
-    presets.frozen_distill_config(), presets.frozen_downstream_config(),
-)
+report = run_ablation(inputs, defaults.distill, replace(defaults.eval, seeds=[1, 2]))
 print("mode        mean    std     fallbacks")
 for mode, s in report.summary.items():
     std = f"{s['std']:.4f}" if s["std"] is not None else "  -   "
     print(f"{mode:10s} {s['mean']:.4f}  {std}  {s['fallbacks']}")
 
-# %% sensitivity: a reduced k x beta grid on one seed
+# %% sensitivity: a reduced k x beta grid on the first seed
 grid, evidence = run_sensitivity(
-    inputs, ks=[1, 2], betas=[0.5, 0.9], seed=1,
-    base_cfg=presets.frozen_distill_config(),
-    downstream_cfg=presets.frozen_downstream_config(),
+    inputs, defaults.distill,
+    replace(defaults.eval, seeds=[1], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9]),
 )
 print(f"\nmonotone filter checked on {evidence['slots_checked']} slots")
 print(sensitivity_csv(grid))

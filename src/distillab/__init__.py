@@ -8,19 +8,29 @@ feature-diversity criterion.
 Typical flow::
 
     from distillab import (
-        ToyDataSpec, synthesize_toy_dataset, train_detector, TrainConfig,
-        LatentCodec, train_autoencoder, build_schedule, train_denoiser,
-        DiffusionCandidateGenerator, DistillConfig, distill, SeededRng,
+        default_config, synthesize_toy_dataset, train_detector,
+        LatentCodec, train_autoencoder, train_denoiser,
+        DiffusionCandidateGenerator, distill, SeededRng,
     )
 
-or drive everything from the CLI: ``distillab synth-data`` through
+Each stage takes its section of ``default_config()`` (see ``config``), or
+drive everything from the CLI: ``distillab synth-data`` through
 ``distillab report``.
 """
 
+from .config import (
+    AutoencoderConfig,
+    DenoiserConfig,
+    DetectorConfig,
+    DistillConfig,
+    EvalConfig,
+    RunConfig,
+    ToyDataSpec,
+    default_config,
+)
 from .data import (
     LabeledDataset,
     MixedSample,
-    ToyDataSpec,
     cutmix,
     read_dataset,
     sample_mix_ratio,
@@ -29,12 +39,10 @@ from .data import (
 )
 from .diffusion import (
     Denoiser,
-    DenoiserTrainConfig,
     DiffusionSchedule,
     build_schedule,
     forward_noise,
     load_denoiser,
-    sample_img2img,
     sample_img2img_batch,
     save_denoiser,
     train_denoiser,
@@ -51,19 +59,18 @@ from .models import (
     Autoencoder,
     Detector,
     LatentCodec,
-    TrainConfig,
     decode,
     encode,
-    extract_features,
     load_autoencoder,
     load_detector,
-    predict,
+    predict_batch,
     save_autoencoder,
     save_detector,
+    score_batch,
     train_autoencoder,
     train_detector,
 )
-from .numerics import SeededRng, cosine_similarity, gaussian, softmax
+from .numerics import SeededRng, cosine_similarity, softmax
 from .prototypes import (
     KmeansResult,
     Prototype,
@@ -76,11 +83,9 @@ from .refine import (
     CandidateBank,
     CandidateGenerator,
     DiffusionCandidateGenerator,
-    DistillConfig,
     DistillResult,
     NormalPool,
     SyntheticSample,
-    classify_sample,
     cumulative_similarity,
     distill,
     generate_candidates,

@@ -4,22 +4,29 @@ Stages write into an artifact directory keyed by the config hash
 (runs/<run-id>/{data,models,prototypes,distilled,reports}); every output
 gets a manifest listing the hashes of all inputs that influenced it.
 
+Every command parses and checks the whole config before it touches the
+filesystem. Each section of the config is passed to its library function
+as is; the ``distill`` flags replace fields of the distill section.
+
 Exit codes: 0 success, 2 config error, 3 missing artifact, 4 numeric
-failure, 5 malformed artifact file (truncated or foreign). Environment:
-DISTILLAB_OUTPUT_ROOT overrides the output root.
+failure, 5 malformed artifact file (truncated or foreign), 6 run directory
+locked by another live command (a lock left by a process that no longer
+exists is taken over). Environment: DISTILLAB_OUTPUT_ROOT overrides the
+output root.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, config_sha256, default_config, load_config, to_dict
+from .config import SELECTION_MODES, ConfigError, config_sha256, default_config, load_config, to_dict
 from .data import DatasetFormatError
 from .models import CheckpointFormatError
 
@@ -28,6 +35,10 @@ __version__ = "0.1.0"
 
 class MissingArtifactError(FileNotFoundError):
     """A required input artifact is absent; the message names its producer."""
+
+
+class LockedError(RuntimeError):
+    """Another command that is still running holds the run directory's lock."""
 
 
 # --- helpers ------------------------------------------------------------------
@@ -44,9 +55,7 @@ def _sha256_file(path: Path) -> str:
 def _resolve_config(args) -> "RunConfig":
     cfg = load_config(args.config) if args.config else default_config()
     root = os.environ.get("DISTILLAB_OUTPUT_ROOT")
-    if root:
-        cfg.output_root = root
-    return cfg
+    return dataclasses.replace(cfg, output_root=root) if root else cfg
 
 
 def _run_dir(cfg) -> Path:
@@ -57,16 +66,43 @@ def _run_dir(cfg) -> Path:
     return d
 
 
+def _holder_gone(lock: Path) -> bool:
+    """True when the lock names a pid with no process behind it."""
+    try:
+        pid = int(lock.read_text())
+    except FileNotFoundError:
+        return True
+    except ValueError:  # empty or foreign: its writer may still be starting
+        return False
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return True
+    except PermissionError:  # alive, owned by another user
+        return False
+    return False
+
+
 @contextlib.contextmanager
 def _lock(run_dir: Path):
+    """Hold ``run_dir/.lock`` (holding our pid) while the command runs.
+
+    A lock whose process no longer exists is taken over once.
+    """
     lock = run_dir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise RuntimeError(
-            f"run directory {run_dir} is locked by another command "
-            f"(remove {lock} if that process is gone)"
-        )
+    for attempt in range(2):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _holder_gone(lock):
+                raise LockedError(
+                    f"run directory {run_dir} is locked by another command "
+                    f"(remove {lock} if no command is running)"
+                ) from None
+            lock.unlink(missing_ok=True)
     os.write(fd, str(os.getpid()).encode())
     os.close(fd)
     try:
@@ -110,102 +146,17 @@ def _write_pgm(path: Path, image) -> None:
         f.write(gray.tobytes())
 
 
-def _toy_spec(cfg):
-    from .data import ToyDataSpec
+def _distill_cfg(dcfg, **fields):
+    """``dcfg`` with ``fields`` replaced; a value it rejects is a ConfigError.
 
-    d = cfg.data
-    return ToyDataSpec(
-        num_classes=d.num_classes,
-        train_per_class=d.train_per_class,
-        test_per_class=d.test_per_class,
-        image_shape=(d.channels, d.image_height, d.image_width),
-        orientations_deg=tuple(d.orientations_deg) if d.orientations_deg else None,
-        frequencies=tuple(d.frequencies) if d.frequencies else None,
-        amplitude=d.amplitude,
-        amplitude_jitter=d.amplitude_jitter,
-        noise_std=d.noise_std,
-        seed=cfg.master_seed,
-    )
-
-
-def _detector_cfg(cfg):
-    from .models import TrainConfig
-
-    s = cfg.detector
-    return TrainConfig(
-        epochs=s.epochs,
-        batch_size=s.batch_size,
-        learning_rate=s.learning_rate,
-        cutmix_alpha=s.cutmix_alpha,
-        use_cutmix=True,
-        hidden_sizes=tuple(s.hidden_sizes),
-    )
-
-
-def _downstream_cfg(cfg):
-    from .models import TrainConfig
-
-    s = cfg.eval
-    return TrainConfig(
-        epochs=s.epochs,
-        batch_size=s.batch_size,
-        learning_rate=s.learning_rate,
-        use_cutmix=False,
-        hidden_sizes=tuple(s.hidden_sizes),
-    )
-
-
-def _schedule(cfg):
-    from .diffusion import build_schedule
-
-    return build_schedule(cfg.denoiser.timesteps, cfg.denoiser.beta_start, cfg.denoiser.beta_end)
-
-
-def _distill_cfg(cfg, args=None, **fields):
-    """The DistillConfig for a run: config section, CLI overrides, then ``fields``.
-
-    A value that DistillConfig rejects is a ConfigError, so commands build
-    their distill configs before touching the run directory.
+    Commands build their distill configs this way before touching the run
+    directory.
     """
-    from dataclasses import replace
-
-    from .refine import DistillConfig
-
-    s = cfg.distill
-    over = {}
-    if args is not None:
-        for arg_name, field in [
-            ("beta", "beta"),
-            ("top_k", "top_k"),
-            ("candidates", "num_candidates"),
-            ("guidance", "guidance_scale"),
-            ("strength", "strength"),
-            ("ipc", "ipc"),
-            ("mode", "selection_mode"),
-        ]:
-            v = getattr(args, arg_name, None)
-            if v is not None:
-                over[field] = v
-    seed = cfg.master_seed
-    if args is not None and getattr(args, "seed", None) is not None:
-        seed = args.seed
     try:
-        dcfg = DistillConfig(
-            ipc=over.get("ipc", s.ipc),
-            beta=over.get("beta", s.beta),
-            top_k=over.get("top_k", s.top_k),
-            num_candidates=over.get("num_candidates", s.num_candidates),
-            guidance_scale=over.get("guidance_scale", s.guidance_scale),
-            strength=over.get("strength", s.strength),
-            seed=seed,
-            selection_mode=over.get("selection_mode", s.selection_mode),
-            fallback_policy=s.fallback_policy,
-            kmeans_restarts=s.kmeans_restarts,
-        )
-        return replace(dcfg, **fields) if fields else dcfg
+        return dataclasses.replace(dcfg, **fields)
     except ValueError as e:
         cell = ", ".join(f"{k}={v!r}" for k, v in fields.items())
-        raise ConfigError(f"distill ({cell}): {e}" if cell else f"distill: {e}") from None
+        raise ConfigError(f"distill ({cell}): {e}") from None
 
 
 def _load_codec(run_dir: Path):
@@ -225,8 +176,7 @@ def _cmd_synth_data(args) -> int:
     cfg = _resolve_config(args)
     run_dir = _run_dir(cfg)
     with _lock(run_dir):
-        spec = _toy_spec(cfg)
-        train, test = synthesize_toy_dataset(spec, SeededRng(spec.seed))
+        train, test = synthesize_toy_dataset(cfg.data, SeededRng(cfg.master_seed))
         train_path = run_dir / "data" / "train.dstl"
         test_path = run_dir / "data" / "test.dstl"
         write_dataset(train_path, train)
@@ -250,7 +200,7 @@ def _cmd_train_detector(args) -> int:
     with _lock(run_dir):
         train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
         train = read_dataset(train_path)
-        det = train_detector(train, _detector_cfg(cfg), SeededRng(cfg.master_seed).spawn(31))
+        det = train_detector(train, cfg.detector, SeededRng(cfg.master_seed).spawn(31), use_cutmix=True)
         out = run_dir / "models" / "detector.mdlc"
         save_detector(out, det)
         _write_manifest(out, [train_path], cfg, {"final_loss": det.meta["final_loss"]})
@@ -260,7 +210,7 @@ def _cmd_train_detector(args) -> int:
 
 def _cmd_train_autoencoder(args) -> int:
     from .data import read_dataset
-    from .models import TrainConfig, save_autoencoder, train_autoencoder
+    from .models import save_autoencoder, train_autoencoder
     from .numerics import SeededRng
 
     cfg = _resolve_config(args)
@@ -268,20 +218,7 @@ def _cmd_train_autoencoder(args) -> int:
     with _lock(run_dir):
         train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
         train = read_dataset(train_path)
-        s = cfg.autoencoder
-        ae = train_autoencoder(
-            train,
-            TrainConfig(
-                epochs=s.epochs,
-                batch_size=s.batch_size,
-                learning_rate=s.learning_rate,
-                use_cutmix=False,
-            ),
-            SeededRng(cfg.master_seed).spawn(32),
-            latent_dim=s.latent_dim,
-            hidden_size=s.hidden_size,
-            mode=s.mode,
-        )
+        ae = train_autoencoder(train, cfg.autoencoder, SeededRng(cfg.master_seed).spawn(32))
         out = run_dir / "models" / "autoencoder.mdlc"
         save_autoencoder(out, ae)
         _write_manifest(out, [train_path], cfg, {"reconstruction_mse": ae.meta["reconstruction_mse"]})
@@ -291,7 +228,7 @@ def _cmd_train_autoencoder(args) -> int:
 
 def _cmd_train_diffusion(args) -> int:
     from .data import read_dataset
-    from .diffusion import DenoiserTrainConfig, save_denoiser, train_denoiser
+    from .diffusion import save_denoiser, train_denoiser
     from .numerics import SeededRng
 
     cfg = _resolve_config(args)
@@ -302,21 +239,8 @@ def _cmd_train_diffusion(args) -> int:
         train = read_dataset(train_path)
         codec = _load_codec(run_dir)
         latents = codec.encode(train.images)
-        s = cfg.denoiser
         den = train_denoiser(
-            latents,
-            train.labels,
-            _schedule(cfg),
-            DenoiserTrainConfig(
-                epochs=s.epochs,
-                batch_size=s.batch_size,
-                learning_rate=s.learning_rate,
-                hidden_sizes=tuple(s.hidden_sizes),
-                time_embed_dim=s.time_embed_dim,
-                label_embed_dim=s.label_embed_dim,
-                label_dropout=s.label_dropout,
-            ),
-            SeededRng(cfg.master_seed).spawn(33),
+            latents, train.labels, cfg.denoiser.schedule(), cfg.denoiser, SeededRng(cfg.master_seed).spawn(33)
         )
         out = run_dir / "models" / "denoiser.mdlc"
         save_denoiser(out, den)
@@ -334,7 +258,10 @@ def _cmd_distill(args) -> int:
     from .refine import DiffusionCandidateGenerator, distill
 
     cfg = _resolve_config(args)
-    dcfg = _distill_cfg(cfg, args)
+    # each override flag stores into the distill field of its name
+    names = [f.name for f in dataclasses.fields(cfg.distill)]
+    dcfg = _distill_cfg(cfg.distill, **{n: getattr(args, n) for n in names if getattr(args, n, None) is not None})
+    seed = cfg.master_seed if args.seed is None else args.seed
     run_dir = _run_dir(cfg)
     with _lock(run_dir):
         train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
@@ -347,17 +274,15 @@ def _cmd_distill(args) -> int:
         den = load_denoiser(den_path)
         gen = DiffusionCandidateGenerator(
             denoiser=den,
-            schedule=_schedule(cfg),
+            schedule=cfg.denoiser.schedule(),
             decode_fn=codec.decode,
             strength=dcfg.strength,
             guidance_scale=dcfg.guidance_scale,
         )
-        res = distill(train, codec.encode, gen, det, dcfg, SeededRng(dcfg.seed))
+        res = distill(train, codec.encode, gen, det, dcfg, SeededRng(seed))
 
         proto_path = run_dir / "prototypes" / "prototypes.prto"
-        write_prototypes(
-            proto_path, res.prototypes, provenance={"seed": dcfg.seed, "ipc": dcfg.ipc}
-        )
+        write_prototypes(proto_path, res.prototypes, provenance={"seed": seed, "ipc": dcfg.ipc})
         out_path = run_dir / "distilled" / "distilled.dstl"
         write_dataset(out_path, res.dataset)
         report_path = run_dir / "reports" / "distill_report.json"
@@ -392,7 +317,7 @@ def _cmd_eval(args) -> int:
         test_path = _require(run_dir / "data" / "test.dstl", "synth-data")
         distilled = read_dataset(distilled_path)
         test = read_dataset(test_path)
-        clf = train_downstream(distilled, _downstream_cfg(cfg), SeededRng(cfg.master_seed).spawn(34))
+        clf = train_downstream(distilled, cfg.eval, SeededRng(cfg.master_seed).spawn(34))
         acc = evaluate(clf, test)
         payload = {
             "accuracy": acc,
@@ -416,15 +341,10 @@ def _cmd_ablate(args) -> int:
     from .models import load_detector
 
     cfg = _resolve_config(args)
-    if not cfg.eval.modes or not cfg.eval.seeds:
-        raise ConfigError("eval.modes and eval.seeds must not be empty")
-    dcfg = _distill_cfg(cfg)
-    for mode in cfg.eval.modes:
-        _distill_cfg(cfg, selection_mode=mode)
     if args.sweep:
         for k in cfg.eval.sensitivity_top_k:
             for beta in cfg.eval.sensitivity_betas:
-                _distill_cfg(cfg, top_k=k, beta=beta)
+                _distill_cfg(cfg.distill, top_k=k, beta=beta)
     run_dir = _run_dir(cfg)
     with _lock(run_dir):
         train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
@@ -441,16 +361,10 @@ def _cmd_ablate(args) -> int:
             encode_fn=codec.encode,
             detector=load_detector(det_path),
             denoiser=load_denoiser(den_path),
-            schedule=_schedule(cfg),
+            schedule=cfg.denoiser.schedule(),
             decode_fn=codec.decode,
         )
-        report = run_ablation(
-            inputs,
-            list(cfg.eval.modes),
-            list(cfg.eval.seeds),
-            dcfg,
-            _downstream_cfg(cfg),
-        )
+        report = run_ablation(inputs, cfg.distill, cfg.eval)
         inputs_list = [train_path, test_path, det_path, ae_path, den_path]
         out_json = run_dir / "reports" / "ablation.json"
         out_json.write_text(report.to_json() + "\n")
@@ -462,14 +376,7 @@ def _cmd_ablate(args) -> int:
             std = f" +/- {s['std']:.4f}" if s["std"] is not None else ""
             print(f"{mode:10s} {s['mean']:.4f}{std}  (n={s['n']}, fallbacks={s['fallbacks']})")
         if args.sweep:
-            grid, evidence = run_sensitivity(
-                inputs,
-                list(cfg.eval.sensitivity_top_k),
-                list(cfg.eval.sensitivity_betas),
-                list(cfg.eval.seeds)[0],
-                dcfg,
-                _downstream_cfg(cfg),
-            )
+            grid, evidence = run_sensitivity(inputs, cfg.distill, cfg.eval)
             out_sweep = run_dir / "reports" / "sensitivity.csv"
             out_sweep.write_text(sensitivity_csv(grid))
             _write_manifest(out_sweep, inputs_list, cfg, {"monotone_filter": evidence})
@@ -483,12 +390,6 @@ def _cmd_report(args) -> int:
     run_dir = _run_dir(cfg)
     ablation_path = _require(run_dir / "reports" / "ablation.json", "ablate")
     payload = json.loads(ablation_path.read_text())
-    csv_path = run_dir / "reports" / "ablation.csv"
-    if not csv_path.exists():
-        rows = ["mode,seed,accuracy,fallback_count"]
-        for r in payload["records"]:
-            rows.append(f"{r['mode']},{r['seed']},{r['accuracy']:.6f},{r['fallback_count']}")
-        csv_path.write_text("\n".join(rows) + "\n")
     lines = ["mode        mean      std       n   fallbacks"]
     for mode, s in sorted(payload["summary"].items()):
         std = f"{s['std']:.4f}" if s["std"] is not None else "   -  "
@@ -533,17 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("distill", _cmd_distill, "generate, filter, and refine the distilled dataset")
     p.add_argument("--beta", type=float, default=None, help="confidence threshold override")
     p.add_argument("--top-k", dest="top_k", type=int, default=None, help="shortlist size override")
-    p.add_argument("--candidates", type=int, default=None, help="candidates per defective slot")
-    p.add_argument("--guidance", type=float, default=None, help="guidance scale override")
+    p.add_argument("--candidates", dest="num_candidates", type=int, default=None, help="candidates per defective slot")
+    p.add_argument("--guidance", dest="guidance_scale", type=float, default=None, help="guidance scale override")
     p.add_argument("--strength", type=float, default=None, help="img2img strength override")
     p.add_argument("--ipc", type=int, default=None, help="images-per-class override")
-    p.add_argument("--mode", type=str, default=None, choices=["base", "top1", "sim", "tplus_s"])
+    p.add_argument("--mode", dest="selection_mode", type=str, default=None, choices=SELECTION_MODES)
     p.add_argument("--seed", type=int, default=None, help="distillation seed override")
     p.add_argument("--preview", type=int, default=0, metavar="N", help="dump N distilled images as PGM")
     add("eval", _cmd_eval, "train a downstream classifier on the distilled set and score it")
     p = add("ablate", _cmd_ablate, "run the selection-mode ablation grid across seeds")
     p.add_argument("--sweep", action="store_true", help="also sweep top-k and beta (sensitivity grid)")
-    add("report", _cmd_report, "render the ablation summary table and CSV")
+    add("report", _cmd_report, "render the ablation summary table")
     return parser
 
 
@@ -565,6 +466,9 @@ def main(argv=None) -> int:
     except (DatasetFormatError, CheckpointFormatError) as e:
         print(f"format error: {e}", file=sys.stderr)
         return 5
+    except LockedError as e:
+        print(f"locked: {e}", file=sys.stderr)
+        return 6
     except ArithmeticError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 4

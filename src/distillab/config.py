@@ -1,8 +1,22 @@
-"""Declarative run configuration: strict JSON schema with documented defaults.
+"""Run configuration: one dataclass per pipeline stage, and the JSON schema.
 
-Every pipeline knob lives in one nested config; unknown keys are rejected
-with their dotted path, and JSON syntax errors cite line/column. The
-defaults reproduce the frozen desk-scale experiment.
+Each ``RunConfig`` section is the config object its library function
+takes: ``ToyDataSpec`` (``synthesize_toy_dataset``), ``DetectorConfig``
+(``train_detector``), ``AutoencoderConfig`` (``train_autoencoder``),
+``DenoiserConfig`` (``train_denoiser``; ``schedule()`` builds its noise
+schedule), ``DistillConfig`` (``generate_candidates``/``select``) and
+``EvalConfig`` (``train_downstream``, ``run_ablation``,
+``run_sensitivity``). Every default is written once, here, and the defaults
+reproduce the frozen desk-scale experiment. Each class checks its values in
+``__post_init__``.
+
+No section carries a seed: a seed reaches the library only as the
+``SeededRng`` argument, derived from ``master_seed``.
+
+A JSON config is flat: a section's keys are its field names, and absent
+keys keep their defaults. Unknown keys are rejected with their dotted path,
+a wrong type names the key, an out-of-range value names the section, and
+JSON syntax errors cite line and column.
 """
 
 from __future__ import annotations
@@ -10,11 +24,25 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import types
+import typing
 from dataclasses import dataclass, field
 
 __all__ = [
+    "AUTOENCODER_MODES",
+    "SELECTION_MODES",
+    "AutoencoderConfig",
+    "ClassifierConfig",
     "ConfigError",
+    "DenoiserConfig",
+    "DetectorConfig",
+    "DistillConfig",
+    "EvalConfig",
     "RunConfig",
+    "ToyDataSpec",
+    "TrainConfig",
+    "check_schedule",
     "config_sha256",
     "default_config",
     "load_config",
@@ -22,13 +50,31 @@ __all__ = [
     "to_dict",
 ]
 
+SELECTION_MODES = ("base", "top1", "sim", "tplus_s")
+AUTOENCODER_MODES = ("mlp", "identity")
+
 
 class ConfigError(ValueError):
     """Configuration rejected; message cites the offending key or location."""
 
 
-@dataclass
-class DataSection:
+def check_schedule(timesteps: int, beta_start: float, beta_end: float) -> None:
+    """Raise ValueError unless the values describe a linear variance schedule."""
+    if timesteps < 1:
+        raise ValueError("timesteps must be >= 1")
+    if not (0.0 < beta_start <= beta_end < 1.0):
+        raise ValueError("need 0 < beta_start <= beta_end < 1")
+
+
+@dataclass(frozen=True)
+class ToyDataSpec:
+    """The procedural grating dataset.
+
+    Distinct classes must have distinct (orientation, frequency) pairs.
+    ``orientations_deg`` / ``frequencies`` default to an evenly spaced fan
+    of angles and a 2..6 cycles-per-image ramp.
+    """
+
     num_classes: int = 5
     train_per_class: int = 500
     test_per_class: int = 100
@@ -38,45 +84,146 @@ class DataSection:
     amplitude: float = 0.9
     amplitude_jitter: float = 0.1
     noise_std: float = 0.05
-    orientations_deg: list | None = None
-    frequencies: list | None = None
+    orientations_deg: list[float] | None = None
+    frequencies: list[float] | None = None
+
+    def __post_init__(self):
+        if self.num_classes < 1:
+            raise ValueError("num_classes must be >= 1")
+        if self.train_per_class < 1 or self.test_per_class < 0:
+            raise ValueError("images per class must be positive")
+        if min(self.image_shape) < 1:
+            raise ValueError("channels, image_height and image_width must be >= 1")
+        if self.noise_std < 0 or self.amplitude_jitter < 0:
+            raise ValueError("noise_std and amplitude_jitter must be non-negative")
+        thetas, freqs = self.orientations_deg, self.frequencies
+        for name, given in (("orientations_deg", thetas), ("frequencies", freqs)):
+            if given is not None and len(given) != self.num_classes:
+                raise ValueError(f"{name} must list one value per class")
+        # the default fan and ramp are distinct per class, so only two given
+        # lists can repeat a pair
+        if thetas is not None and freqs is not None and len(set(zip(thetas, freqs))) != self.num_classes:
+            raise ValueError("classes must have distinct (orientation, frequency) pairs")
+
+    @property
+    def image_shape(self) -> tuple[int, int, int]:
+        return (self.channels, self.image_height, self.image_width)
+
+    def resolved_patterns(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Per-class orientations and frequencies, defaults filled in."""
+        k = self.num_classes
+        thetas = self.orientations_deg
+        freqs = self.frequencies
+        if thetas is None:
+            thetas = [180.0 * c / k for c in range(k)]
+        if freqs is None:
+            freqs = [2.0 + (4.0 * c / max(1, k - 1)) for c in range(k)]
+        return tuple(thetas), tuple(freqs)
 
 
-@dataclass
-class DetectorSection:
-    epochs: int = 20
+@dataclass(frozen=True)
+class TrainConfig:
+    """Minibatch Adam training: the keys every trained stage has."""
+
+    epochs: int
     batch_size: int = 64
     learning_rate: float = 1e-3
+
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+
+
+def _check_widths(name: str, sizes: list[int]) -> None:
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"{name} must be a non-empty list of positive widths")
+
+
+@dataclass(frozen=True)
+class ClassifierConfig(TrainConfig):
+    """A tanh MLP classifier over flattened images (``train_detector``)."""
+
+    hidden_sizes: list[int] = field(default_factory=lambda: [128, 64])
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_widths("hidden_sizes", self.hidden_sizes)
+
+
+@dataclass(frozen=True)
+class DetectorConfig(ClassifierConfig):
+    """The anomaly detector, trained with CutMix soft labels."""
+
+    epochs: int = 20
     cutmix_alpha: float = 1.0
-    hidden_sizes: list = field(default_factory=lambda: [128, 64])
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.cutmix_alpha <= 0:
+            raise ValueError("cutmix_alpha must be positive")
 
 
-@dataclass
-class AutoencoderSection:
-    mode: str = "mlp"  # "mlp" | "identity"
+@dataclass(frozen=True)
+class AutoencoderConfig(TrainConfig):
+    """The latent codec: a tanh-bottleneck MLP autoencoder, or the identity."""
+
+    epochs: int = 30
+    learning_rate: float = 2e-3
+    mode: str = "mlp"
     latent_dim: int = 32
     hidden_size: int = 128
-    epochs: int = 30
-    batch_size: int = 64
-    learning_rate: float = 2e-3
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.mode not in AUTOENCODER_MODES:
+            raise ValueError(f"mode must be one of {AUTOENCODER_MODES}, got {self.mode!r}")
+        if self.latent_dim < 1 or self.hidden_size < 1:
+            raise ValueError("latent_dim and hidden_size must be >= 1")
 
 
-@dataclass
-class DenoiserSection:
+@dataclass(frozen=True)
+class DenoiserConfig(TrainConfig):
+    """The conditional latent denoiser and its linear noise schedule."""
+
+    epochs: int = 100
     timesteps: int = 200
     beta_start: float = 1e-4
     beta_end: float = 0.03
-    epochs: int = 100
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    hidden_sizes: list = field(default_factory=lambda: [256, 256])
+    hidden_sizes: list[int] = field(default_factory=lambda: [256, 256])
     time_embed_dim: int = 16
     label_embed_dim: int = 32
     label_dropout: float = 0.1
 
+    def __post_init__(self):
+        super().__post_init__()
+        check_schedule(self.timesteps, self.beta_start, self.beta_end)
+        _check_widths("hidden_sizes", self.hidden_sizes)
+        if self.time_embed_dim < 2 or self.time_embed_dim % 2 != 0:
+            raise ValueError("time_embed_dim must be even and >= 2")
+        if self.label_embed_dim < 1:
+            raise ValueError("label_embed_dim must be >= 1")
+        if not 0.0 <= self.label_dropout <= 1.0:
+            raise ValueError("label_dropout must lie in [0, 1]")
 
-@dataclass
-class DistillSection:
+    def schedule(self):
+        """The ``DiffusionSchedule`` of timesteps, beta_start and beta_end."""
+        from .diffusion import build_schedule
+
+        return build_schedule(self.timesteps, self.beta_start, self.beta_end)
+
+
+@dataclass(frozen=True)
+class DistillConfig:
+    """All refinement knobs.
+
+    beta is the strict confidence threshold (accept needs p > beta); top_k
+    bounds the confidence-ranked shortlist from which the least-similar
+    candidate is taken. Defaults follow the sensitivity optima (k=2,
+    beta=0.9) and the 20-candidate refinement budget.
+    """
+
     ipc: int = 10
     beta: float = 0.9
     top_k: int = 2
@@ -84,85 +231,120 @@ class DistillSection:
     guidance_scale: float = 10.0
     strength: float = 0.7
     selection_mode: str = "tplus_s"
-    fallback_policy: str = "best_confidence"
     kmeans_restarts: int = 10
 
+    def __post_init__(self):
+        if self.ipc < 1:
+            raise ValueError("ipc must be >= 1")
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError("beta must lie in (0, 1)")
+        if self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
+        if self.top_k > self.num_candidates:
+            raise ValueError("top_k cannot exceed num_candidates")
+        if not 0.0 <= self.strength <= 1.0:
+            raise ValueError("strength must lie in [0, 1]")
+        if self.guidance_scale < 0.0:
+            raise ValueError("guidance_scale must be non-negative")
+        if self.selection_mode not in SELECTION_MODES:
+            raise ValueError(f"selection_mode must be one of {SELECTION_MODES}")
+        if self.kmeans_restarts < 1:
+            raise ValueError("kmeans_restarts must be >= 1")
 
-@dataclass
-class EvalSection:
+
+@dataclass(frozen=True)
+class EvalConfig(ClassifierConfig):
+    """Downstream classifier training, the ablation grid and the sensitivity sweep.
+
+    The classifier trains on plain one-hot targets. The ablation runs every
+    mode on every seed; the sweep runs every (top_k, beta) cell on the
+    first seed.
+    """
+
     epochs: int = 200
     batch_size: int = 16
-    learning_rate: float = 1e-3
-    hidden_sizes: list = field(default_factory=lambda: [128, 64])
-    modes: list = field(default_factory=lambda: ["base", "top1", "sim", "tplus_s"])
-    seeds: list = field(default_factory=lambda: [1, 2, 3])
-    sensitivity_top_k: list = field(default_factory=lambda: [1, 2, 4, 8])
-    sensitivity_betas: list = field(default_factory=lambda: [0.5, 0.7, 0.9])
+    modes: list[str] = field(default_factory=lambda: list(SELECTION_MODES))
+    seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
+    sensitivity_top_k: list[int] = field(default_factory=lambda: [1, 2, 4, 8])
+    sensitivity_betas: list[float] = field(default_factory=lambda: [0.5, 0.7, 0.9])
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.modes or not self.seeds:
+            raise ValueError("modes and seeds must not be empty")
+        for mode in self.modes:
+            if mode not in SELECTION_MODES:
+                raise ValueError(f"modes must be among {SELECTION_MODES}, got selection_mode={mode!r}")
+        if any(k < 1 for k in self.sensitivity_top_k):
+            raise ValueError("sensitivity_top_k values must be >= 1")
+        if any(not 0.0 < b < 1.0 for b in self.sensitivity_betas):
+            raise ValueError("sensitivity_betas values must lie in (0, 1)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     master_seed: int = 0
     output_root: str = "runs"
-    data: DataSection = field(default_factory=DataSection)
-    detector: DetectorSection = field(default_factory=DetectorSection)
-    autoencoder: AutoencoderSection = field(default_factory=AutoencoderSection)
-    denoiser: DenoiserSection = field(default_factory=DenoiserSection)
-    distill: DistillSection = field(default_factory=DistillSection)
-    eval: EvalSection = field(default_factory=EvalSection)
+    data: ToyDataSpec = field(default_factory=ToyDataSpec)
+    detector: DetectorConfig = field(default_factory=DetectorConfig)
+    autoencoder: AutoencoderConfig = field(default_factory=AutoencoderConfig)
+    denoiser: DenoiserConfig = field(default_factory=DenoiserConfig)
+    distill: DistillConfig = field(default_factory=DistillConfig)
+    eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-_SECTION_TYPES = {
-    "data": DataSection,
-    "detector": DetectorSection,
-    "autoencoder": AutoencoderSection,
-    "denoiser": DenoiserSection,
-    "distill": DistillSection,
-    "eval": EvalSection,
-}
+def _typed(hint, value, path: str):
+    """``value`` checked against the annotation ``hint``; floats accept ints.
+
+    Booleans are not numbers here, and floats must be finite.
+    """
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {path} expects list, got {type(value).__name__}")
+        (item,) = typing.get_args(hint)
+        return [_typed(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    numeric = (int, float) if hint is float else (hint,)
+    if isinstance(value, bool) or not isinstance(value, numeric):
+        raise ConfigError(f"config key {path} expects {hint.__name__}, got {type(value).__name__}")
+    if hint is float:
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {path} must be a finite number")
+    return value
 
 
-def _fill_section(cls, payload: dict, path: str):
+def _build(cls, payload, path: str = ""):
+    """An instance of ``cls`` from a JSON object; absent keys keep their defaults."""
     if not isinstance(payload, dict):
-        raise ConfigError(f"section {path!r} must be an object")
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    for key in payload:
-        if key not in known:
-            raise ConfigError(f"unknown config key {path}.{key}")
-    obj = cls()
+        raise ConfigError(f"section {path!r} must be an object" if path else "top-level config must be an object")
+    hints = typing.get_type_hints(cls)
+    known = {f.name for f in dataclasses.fields(cls)}
+    kwargs = {}
     for key, value in payload.items():
-        default = getattr(obj, key)
-        if default is not None and not isinstance(value, type(default)) and not (
-            isinstance(default, float) and isinstance(value, int)
-        ):
-            raise ConfigError(
-                f"config key {path}.{key} expects {type(default).__name__}, got {type(value).__name__}"
-            )
-        setattr(obj, key, float(value) if isinstance(default, float) else value)
-    return obj
+        dotted = f"{path}.{key}" if path else key
+        if key not in known:
+            raise ConfigError(f"unknown config key {dotted}")
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            kwargs[key] = _build(hint, value, dotted)
+        else:
+            kwargs[key] = _typed(hint, value, dotted)
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def parse_config(payload: dict) -> RunConfig:
-    """Build a RunConfig from a parsed JSON object, rejecting unknown keys."""
-    if not isinstance(payload, dict):
-        raise ConfigError("top-level config must be an object")
-    cfg = RunConfig()
-    top_fields = {f.name for f in dataclasses.fields(RunConfig)}
-    for key in payload:
-        if key not in top_fields:
-            raise ConfigError(f"unknown config key {key}")
-    for key, value in payload.items():
-        if key in _SECTION_TYPES:
-            setattr(cfg, key, _fill_section(_SECTION_TYPES[key], value, key))
-        elif key == "master_seed":
-            if not isinstance(value, int):
-                raise ConfigError("config key master_seed expects int")
-            cfg.master_seed = value
-        elif key == "output_root":
-            if not isinstance(value, str):
-                raise ConfigError("config key output_root expects str")
-            cfg.output_root = value
-    return cfg
+    """Build a RunConfig from a parsed JSON object; ConfigError on any bad key or value."""
+    return _build(RunConfig, payload)
 
 
 def load_config(path) -> RunConfig:
@@ -174,6 +356,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}")
+    except (OSError, UnicodeDecodeError, RecursionError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}")
     return parse_config(payload)
 
 

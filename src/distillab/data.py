@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ToyDataSpec
 from .numerics import SeededRng, normal_from_words, require_finite, uniform_from_words
 
 __all__ = [
     "DatasetFormatError",
     "LabeledDataset",
     "MixedSample",
-    "ToyDataSpec",
     "cutmix",
     "cutmix_box",
     "grating_image",
@@ -99,53 +99,6 @@ class MixedSample:
     mix_ratio: float
 
 
-@dataclass(frozen=True)
-class ToyDataSpec:
-    """Parameters of the procedural grating dataset.
-
-    Distinct classes must have distinct (orientation, frequency) pairs.
-    ``orientations_deg`` / ``frequencies`` default to an evenly spaced fan
-    of angles and a 2..6 cycles-per-image ramp.
-    """
-
-    num_classes: int = 5
-    train_per_class: int = 500
-    test_per_class: int = 100
-    image_shape: tuple[int, int, int] = (1, 16, 16)
-    orientations_deg: tuple[float, ...] | None = None
-    frequencies: tuple[float, ...] | None = None
-    amplitude: float = 0.9
-    amplitude_jitter: float = 0.1
-    noise_std: float = 0.05
-    seed: int = 0
-
-    def resolved_patterns(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        k = self.num_classes
-        thetas = self.orientations_deg
-        freqs = self.frequencies
-        if thetas is None:
-            thetas = tuple(180.0 * c / k for c in range(k))
-        if freqs is None:
-            freqs = tuple(2.0 + (4.0 * c / max(1, k - 1)) for c in range(k))
-        if len(thetas) != k or len(freqs) != k:
-            raise ValueError("orientation/frequency lists must match num_classes")
-        pairs = set(zip(thetas, freqs))
-        if len(pairs) != k:
-            raise ValueError("classes must have distinct (orientation, frequency) pairs")
-        return tuple(thetas), tuple(freqs)
-
-    def validate(self):
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
-        if self.train_per_class < 1 or self.test_per_class < 0:
-            raise ValueError("images per class must be positive")
-        if len(self.image_shape) != 3 or any(s < 1 for s in self.image_shape):
-            raise ValueError("image_shape must be (C, H, W) with positive sizes")
-        if self.noise_std < 0 or self.amplitude_jitter < 0:
-            raise ValueError("noise_std and amplitude_jitter must be non-negative")
-        self.resolved_patterns()
-
-
 def grating_image(
     image_shape: tuple[int, int, int],
     theta_deg: float,
@@ -201,17 +154,13 @@ def _synthesize_split(
     return images.reshape(-1, c, h, w), labels
 
 
-def synthesize_toy_dataset(
-    spec: ToyDataSpec, rng: SeededRng | None = None
-) -> tuple[LabeledDataset, LabeledDataset]:
+def synthesize_toy_dataset(spec: ToyDataSpec, rng: SeededRng) -> tuple[LabeledDataset, LabeledDataset]:
     """Generate disjoint train/test splits of the procedural grating dataset.
 
     The train and test splits use separate child RNG streams, so they are
     statistically disjoint draws of phase, amplitude jitter, and noise.
+    The provenance records ``rng.seed`` as the seed.
     """
-    spec.validate()
-    if rng is None:
-        rng = SeededRng(spec.seed)
     thetas, freqs = spec.resolved_patterns()
     names = tuple(
         f"grating_t{int(round(th))}_f{fq:g}" for th, fq in zip(thetas, freqs)
@@ -230,7 +179,7 @@ def synthesize_toy_dataset(
                 "amplitude": spec.amplitude,
                 "amplitude_jitter": spec.amplitude_jitter,
                 "noise_std": spec.noise_std,
-                "seed": spec.seed,
+                "seed": rng.seed,
             },
             sort_keys=True,
         ).encode()
@@ -238,7 +187,7 @@ def synthesize_toy_dataset(
     prov = {
         "generator": "toy-gratings-v1",
         "spec_sha": spec_sha,
-        "seed": spec.seed,
+        "seed": rng.seed,
         "noise_std": spec.noise_std,
         "orientations_deg": list(thetas),
         "frequencies": list(freqs),

@@ -17,19 +17,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DenoiserConfig, check_schedule
 from .models import Adam, Mlp, mlp_backward, mlp_forward, mlp_init, read_checkpoint, write_checkpoint
 from .models import CheckpointFormatError
 from .numerics import SeededRng, require_finite
 
 __all__ = [
     "Denoiser",
-    "DenoiserTrainConfig",
     "DiffusionSchedule",
     "build_schedule",
     "denoise_loss_and_grads",
     "forward_noise",
     "load_denoiser",
-    "sample_img2img",
     "sample_img2img_batch",
     "save_denoiser",
     "train_denoiser",
@@ -49,16 +48,9 @@ class DiffusionSchedule:
         return len(self.betas)
 
 
-def build_schedule(timesteps: int, beta_start: float = 1e-4, beta_end: float = 0.04) -> DiffusionSchedule:
-    """Linearly interpolated betas with cumulative-product alpha-bars.
-
-    The default end value is chosen so the 200-step desk-scale schedule
-    still drives alpha_bar_T below 0.05 (near-total noising).
-    """
-    if timesteps < 1:
-        raise ValueError("timesteps must be >= 1")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ValueError("need 0 < beta_start <= beta_end < 1")
+def build_schedule(timesteps: int, beta_start: float, beta_end: float) -> DiffusionSchedule:
+    """Linearly interpolated betas with cumulative-product alpha-bars."""
+    check_schedule(timesteps, beta_start, beta_end)
     betas = np.linspace(beta_start, beta_end, timesteps, dtype=np.float64)
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
@@ -85,30 +77,6 @@ def timestep_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     freqs = np.exp(-np.log(10000.0) * np.arange(half, dtype=np.float64) / half)
     ang = np.asarray(t, dtype=np.float64)[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-
-
-@dataclass
-class DenoiserTrainConfig:
-    epochs: int = 40
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    hidden_sizes: tuple[int, ...] = (256, 256)
-    time_embed_dim: int = 16
-    label_embed_dim: int = 16
-    label_dropout: float = 0.1
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.label_dropout <= 1.0:
-            raise ValueError("label_dropout must lie in [0, 1]")
-        if self.time_embed_dim % 2 != 0:
-            raise ValueError("time_embed_dim must be even")
 
 
 @dataclass
@@ -184,7 +152,7 @@ def train_denoiser(
     latents: np.ndarray,
     labels: np.ndarray,
     sched: DiffusionSchedule,
-    cfg: DenoiserTrainConfig,
+    cfg: DenoiserConfig,
     rng: SeededRng,
 ) -> Denoiser:
     """Fit the noise-prediction objective over uniformly sampled timesteps.
@@ -216,7 +184,7 @@ def train_denoiser(
         time_embed_dim=cfg.time_embed_dim,
     )
     params = mlp.params() + [den.label_table]
-    opt = Adam(params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    opt = Adam(params, cfg.learning_rate)
     loop = rng.spawn(2)
     n = len(latents)
     z0_all = latents.astype(np.float64)
@@ -315,21 +283,6 @@ def sample_img2img_batch(
     out = z.astype(np.float32)
     require_finite("sampled latent", out)
     return out
-
-
-def sample_img2img(
-    den: Denoiser,
-    sched: DiffusionSchedule,
-    prototype: np.ndarray,
-    label: int,
-    strength: float,
-    guidance_scale: float,
-    rng: SeededRng,
-) -> np.ndarray:
-    """Single-prototype convenience wrapper around the batch sampler."""
-    return sample_img2img_batch(
-        den, sched, np.asarray(prototype)[None], label, strength, guidance_scale, [rng]
-    )[0]
 
 
 def save_denoiser(path, den: Denoiser) -> None:

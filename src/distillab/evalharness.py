@@ -14,22 +14,16 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
+from .config import DistillConfig, EvalConfig
 from .data import LabeledDataset
-from .models import Detector, TrainConfig, predict_batch, train_detector
+from .models import Detector, predict_batch, train_detector
 from .numerics import SeededRng
-from .refine import (
-    CandidateBank,
-    DiffusionCandidateGenerator,
-    DistillConfig,
-    generate_candidates,
-    generation_key,
-    select,
-)
+from .refine import CandidateBank, DiffusionCandidateGenerator, generate_candidates, generation_key, select
 
 __all__ = [
     "AblationInputs",
@@ -45,7 +39,7 @@ _KEY_DOWNSTREAM = 21
 _KEY_BASELINE = 22
 
 
-def train_downstream(distilled: LabeledDataset, cfg: TrainConfig, rng: SeededRng) -> Detector:
+def train_downstream(distilled: LabeledDataset, cfg: EvalConfig, rng: SeededRng) -> Detector:
     """Train a fresh detector-architecture classifier on the distilled set.
 
     Always plain one-hot targets: CutMix is a property of detector training
@@ -53,9 +47,7 @@ def train_downstream(distilled: LabeledDataset, cfg: TrainConfig, rng: SeededRng
     """
     if len(distilled) == 0:
         raise ValueError("distilled dataset is empty")
-    if cfg.use_cutmix:
-        cfg = replace(cfg, use_cutmix=False)
-    return train_detector(distilled, cfg, rng)
+    return train_detector(distilled, cfg, rng, use_cutmix=False)
 
 
 def evaluate(classifier: Detector, test: LabeledDataset) -> float:
@@ -120,8 +112,9 @@ class AblationInputs:
 
     ``generator_factory(cfg)`` builds the candidate generator for one
     generation key; the default wires the diffusion sampler with the key's
-    strength and guidance scale. ``bank(cfg)`` keeps one candidate bank per
-    generation key, so every run on a seed selects from the same batches.
+    strength and guidance scale. ``bank(cfg, seed)`` keeps one candidate
+    bank per seed and generation key, so every run on a seed selects from
+    the same batches.
     """
 
     train: LabeledDataset
@@ -134,12 +127,14 @@ class AblationInputs:
     decode_fn: Callable[[np.ndarray], np.ndarray] | None = None
     _banks: dict[tuple, CandidateBank] = field(default_factory=dict, init=False, repr=False)
 
-    def bank(self, cfg: DistillConfig) -> CandidateBank:
-        """The candidate bank for cfg's generation key, generated on first use."""
-        key = generation_key(cfg)
+    def bank(self, cfg: DistillConfig, seed: int) -> CandidateBank:
+        """The candidate bank for the seed and cfg's generation key, generated on first use."""
+        key = (seed, *generation_key(cfg))
         if key not in self._banks:
             gen = self.make_generator(cfg)
-            self._banks[key] = generate_candidates(self.train, self.encode_fn, gen, self.detector, cfg)
+            self._banks[key] = generate_candidates(
+                self.train, self.encode_fn, gen, self.detector, cfg, SeededRng(seed)
+            )
         return self._banks[key]
 
     def make_generator(self, cfg: DistillConfig):
@@ -156,20 +151,18 @@ class AblationInputs:
         )
 
 
-def _config_fingerprint(base_cfg: DistillConfig, downstream_cfg: TrainConfig, extra: dict) -> str:
+def _config_fingerprint(base_cfg: DistillConfig, eval_cfg: EvalConfig) -> str:
     import hashlib
 
     payload = json.dumps(
-        {"distill": vars(base_cfg), "downstream": vars(downstream_cfg), **extra},
-        sort_keys=True,
-        default=str,
+        {"distill": asdict(base_cfg), "eval": asdict(eval_cfg)}, sort_keys=True
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _run_once(inputs: AblationInputs, cfg: DistillConfig, downstream_cfg: TrainConfig):
-    res = select(inputs.bank(cfg), cfg)
-    clf = train_downstream(res.dataset, downstream_cfg, SeededRng(cfg.seed).spawn(_KEY_DOWNSTREAM))
+def _run_once(inputs: AblationInputs, cfg: DistillConfig, seed: int, eval_cfg: EvalConfig):
+    res = select(inputs.bank(cfg, seed), cfg)
+    clf = train_downstream(res.dataset, eval_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM))
     acc = evaluate(clf, inputs.test)
     return acc, res
 
@@ -192,22 +185,18 @@ def _random_subset(train: LabeledDataset, ipc: int, rng: SeededRng) -> LabeledDa
 
 def run_ablation(
     inputs: AblationInputs,
-    modes: list[str],
-    seeds: list[int],
     base_cfg: DistillConfig,
-    downstream_cfg: TrainConfig,
+    eval_cfg: EvalConfig,
     include_random_baseline: bool = True,
 ) -> EvalReport:
-    """Full mode x seed grid, plus a random-real-subset baseline per seed."""
-    if not modes or not seeds:
-        raise ValueError("need at least one mode and one seed")
+    """Every eval mode on every eval seed, plus a random-real-subset baseline per seed."""
     records = []
     t_all = time.perf_counter()
-    for seed in seeds:
-        for mode in modes:
-            cfg = replace(base_cfg, selection_mode=mode, seed=seed)
+    for seed in eval_cfg.seeds:
+        for mode in eval_cfg.modes:
+            cfg = replace(base_cfg, selection_mode=mode)
             t0 = time.perf_counter()
-            acc, res = _run_once(inputs, cfg, downstream_cfg)
+            acc, res = _run_once(inputs, cfg, seed, eval_cfg)
             records.append(
                 RunRecord(
                     mode=mode,
@@ -220,7 +209,7 @@ def run_ablation(
         if include_random_baseline:
             t0 = time.perf_counter()
             subset = _random_subset(inputs.train, base_cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
-            clf = train_downstream(subset, downstream_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM, 1))
+            clf = train_downstream(subset, eval_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM, 1))
             acc = evaluate(clf, inputs.test)
             records.append(
                 RunRecord(
@@ -234,9 +223,7 @@ def run_ablation(
     return EvalReport(
         records=records,
         summary=summarize_records(records),
-        config_fingerprint=_config_fingerprint(
-            base_cfg, downstream_cfg, {"modes": modes, "seeds": seeds}
-        ),
+        config_fingerprint=_config_fingerprint(base_cfg, eval_cfg),
         total_seconds=time.perf_counter() - t_all,
     )
 
@@ -250,15 +237,11 @@ def _passing_set(candidates: list[dict], intended: int, beta: float) -> frozense
 
 
 def run_sensitivity(
-    inputs: AblationInputs,
-    ks: list[int],
-    betas: list[float],
-    seed: int,
-    base_cfg: DistillConfig,
-    downstream_cfg: TrainConfig,
+    inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig
 ) -> tuple[list[dict], dict]:
-    """Sweep the shortlist size and confidence threshold on one seed.
+    """Sweep the shortlist size and confidence threshold on the first eval seed.
 
+    The grid is ``eval_cfg.sensitivity_top_k`` x ``sensitivity_betas``.
     Returns (grid records, monotonicity evidence). Every cell selects from
     the one candidate bank of the seed (generation never reads k or beta),
     so a slot's candidate batch is the same in every cell that flags it by
@@ -266,12 +249,13 @@ def run_sensitivity(
     exact monotone-filter property: for a fixed candidate batch, raising
     beta never grows the passing set.
     """
+    ks, betas, seed = eval_cfg.sensitivity_top_k, eval_cfg.sensitivity_betas, eval_cfg.seeds[0]
     grid = []
     slot_candidates: dict[tuple, dict[float, list[dict]]] = {}
     for k in sorted(ks):
         for beta in betas:
-            cfg = replace(base_cfg, top_k=k, beta=beta, seed=seed, selection_mode="tplus_s")
-            acc, res = _run_once(inputs, cfg, downstream_cfg)
+            cfg = replace(base_cfg, top_k=k, beta=beta, selection_mode="tplus_s")
+            acc, res = _run_once(inputs, cfg, seed, eval_cfg)
             grid.append(
                 {
                     "top_k": k,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import AutoencoderConfig, ClassifierConfig
 from .data import LabeledDataset, _read_exact, _read_json, _read_struct, cutmix
 from .numerics import (
     SeededRng,
@@ -33,14 +34,10 @@ __all__ = [
     "Detector",
     "LatentCodec",
     "Mlp",
-    "TrainConfig",
     "decode",
     "encode",
-    "extract_features",
-    "extract_features_batch",
     "load_autoencoder",
     "load_detector",
-    "predict",
     "predict_batch",
     "read_checkpoint",
     "score_batch",
@@ -48,39 +45,6 @@ __all__ = [
     "train_detector",
     "write_checkpoint",
 ]
-
-
-@dataclass
-class TrainConfig:
-    """Knobs shared by the model trainers.
-
-    ``hidden_sizes`` fixes the MLP widths (feature dimension = last hidden
-    width for the detector). ``use_cutmix`` selects CutMix soft labels vs
-    plain one-hot targets.
-    """
-
-    epochs: int = 40
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    cutmix_alpha: float = 1.0
-    use_cutmix: bool = True
-    hidden_sizes: tuple[int, ...] = (128, 64)
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0 < self.adam_beta1 < 1 or not 0 < self.adam_beta2 < 1:
-            raise ValueError("Adam moment coefficients must lie in (0, 1)")
-        if self.cutmix_alpha <= 0:
-            raise ValueError("cutmix_alpha must be positive")
-        if len(self.hidden_sizes) < 1 or any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden_sizes must be positive")
 
 
 @dataclass
@@ -148,14 +112,16 @@ class Adam:
     """Adaptive-moment optimizer over a flat list of parameter arrays.
 
     Moments are float64; the update is computed in float64 and written back
-    in the parameter's own dtype.
+    in the parameter's own dtype. The coefficients are the defaults of
+    Kingma & Ba (2015).
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros(p.shape, dtype=np.float64) for p in params]
         self.v = [np.zeros(p.shape, dtype=np.float64) for p in params]
@@ -237,11 +203,15 @@ def _cutmix_minibatch(train: LabeledDataset, idx: np.ndarray, alpha: float, loop
     )
 
 
-def train_detector(train: LabeledDataset, cfg: TrainConfig, rng: SeededRng) -> Detector:
-    """Train the anomaly detector with per-sample CutMix soft labels.
+def train_detector(
+    train: LabeledDataset, cfg: ClassifierConfig, rng: SeededRng, *, use_cutmix: bool
+) -> Detector:
+    """Train an MLP classifier: the anomaly detector, or a downstream classifier.
 
-    Each minibatch sample gets a fresh mixing ratio and a partner drawn
-    uniformly from the whole training set. Deterministic per (cfg, rng).
+    With ``use_cutmix`` (the detector; ``cfg`` is then a DetectorConfig)
+    each minibatch sample gets a fresh mixing ratio and a partner drawn
+    uniformly from the whole training set; without it the targets are
+    plain one-hot. Deterministic per (cfg, rng).
     """
     if len(train) == 0:
         raise ValueError("training set is empty")
@@ -250,7 +220,7 @@ def train_detector(train: LabeledDataset, cfg: TrainConfig, rng: SeededRng) -> D
     din = int(np.prod(train.image_shape))
     sizes = [din, *cfg.hidden_sizes, train.num_classes]
     mlp = mlp_init(sizes, rng.spawn(0))
-    opt = Adam(mlp.params(), cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    opt = Adam(mlp.params(), cfg.learning_rate)
     loop = rng.spawn(1)
     n = len(train)
     losses = []
@@ -260,7 +230,7 @@ def train_detector(train: LabeledDataset, cfg: TrainConfig, rng: SeededRng) -> D
         for s in range(0, n, cfg.batch_size):
             idx = order[s : s + cfg.batch_size]
             b = len(idx)
-            if cfg.use_cutmix:
+            if use_cutmix:
                 mixed = _cutmix_minibatch(train, idx, cfg.cutmix_alpha, loop)
                 xb, yb = mixed.image, mixed.soft_label
             else:
@@ -282,7 +252,7 @@ def train_detector(train: LabeledDataset, cfg: TrainConfig, rng: SeededRng) -> D
             "final_loss": losses[-1],
             "loss_history": losses,
             "seed": rng.seed,
-            "use_cutmix": cfg.use_cutmix,
+            "use_cutmix": use_cutmix,
         },
     )
 
@@ -297,29 +267,13 @@ def predict_batch(det: Detector, images: np.ndarray):
 def score_batch(det: Detector, images: np.ndarray):
     """(labels, confidences, features) for a batch from one forward pass.
 
-    Each equals what ``predict_batch`` and ``extract_features_batch`` give
-    separately, bit for bit.
+    Labels and confidences equal what ``predict_batch`` gives, bit for
+    bit; features are the penultimate activations as float32.
     """
     x, _ = _flatten_images(images, det.image_shape)
     acts = mlp_forward(det.mlp, x)
     logits = acts[-1]
     return logits.argmax(axis=1).astype(np.int64), max_softmax(logits), acts[-2].astype(np.float32)
-
-
-def predict(det: Detector, image: np.ndarray):
-    """Predicted label, max-softmax confidence, and raw logits for one image."""
-    labels, confs, logits = predict_batch(det, np.asarray(image)[None])
-    return int(labels[0]), float(confs[0]), logits[0]
-
-
-def extract_features_batch(det: Detector, images: np.ndarray) -> np.ndarray:
-    """Penultimate-layer activations, float32, shape (N, feature_dim)."""
-    x, _ = _flatten_images(images, det.image_shape)
-    return mlp_forward(det.mlp, x)[-2].astype(np.float32)
-
-
-def extract_features(det: Detector, image: np.ndarray) -> np.ndarray:
-    return extract_features_batch(det, np.asarray(image)[None])[0]
 
 
 # --- autoencoder -------------------------------------------------------------
@@ -342,32 +296,23 @@ class Autoencoder:
     meta: dict = field(default_factory=dict)
 
 
-def train_autoencoder(
-    train: LabeledDataset,
-    cfg: TrainConfig,
-    rng: SeededRng,
-    *,
-    latent_dim: int = 32,
-    hidden_size: int = 128,
-    mode: str = "mlp",
-) -> Autoencoder:
+def train_autoencoder(train: LabeledDataset, cfg: AutoencoderConfig, rng: SeededRng) -> Autoencoder:
     """Train (or construct, for identity mode) the latent-space autoencoder."""
-    if mode not in ("identity", "mlp"):
-        raise ValueError(f"unknown autoencoder mode {mode!r}")
     if len(train) == 0:
         raise ValueError("training set is empty")
     din = int(np.prod(train.image_shape))
-    if mode == "identity":
+    latent_dim = cfg.latent_dim
+    if cfg.mode == "identity":
         return Autoencoder(
             mode="identity",
             image_shape=train.image_shape,
             latent_dim=din,
             meta={"reconstruction_mse": 0.0},
         )
-    enc = mlp_init([din, hidden_size, latent_dim], rng.spawn(0))
-    dec = mlp_init([latent_dim, hidden_size, din], rng.spawn(1))
+    enc = mlp_init([din, cfg.hidden_size, latent_dim], rng.spawn(0))
+    dec = mlp_init([latent_dim, cfg.hidden_size, din], rng.spawn(1))
     params = enc.params() + dec.params()
-    opt = Adam(params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    opt = Adam(params, cfg.learning_rate)
     loop = rng.spawn(2)
     n = len(train)
     flat = train.images.reshape(n, din).astype(np.float64)

@@ -45,7 +45,6 @@ __all__ = [
     "SeededRng",
     "beta_symmetric_from_words",
     "cosine_similarity",
-    "gaussian",
     "integers_from_words",
     "max_softmax",
     "normal_from_words",
@@ -226,11 +225,6 @@ class SeededRng:
         """Beta(alpha, alpha) draws by inverse-CDF on one uniform each."""
         vals = beta_symmetric_from_words(self.raw_u64(1 if n is None else n), alpha)
         return float(vals[0]) if n is None else vals
-
-
-def gaussian(rng: SeededRng, shape) -> np.ndarray:
-    """Standard-normal tensor of the given shape, advancing ``rng``."""
-    return rng.normal(shape)
 
 
 def softmax(logits) -> np.ndarray:

@@ -9,13 +9,12 @@ for empty clusters.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetFormatError, LabeledDataset, _read_exact, _read_json, _read_struct
+from .data import LabeledDataset
+from .models import CheckpointFormatError, read_checkpoint, write_checkpoint
 from .numerics import SeededRng, require_finite
 
 __all__ = [
@@ -103,7 +102,8 @@ def kmeans(
     num_clusters: int,
     max_iters: int = 100,
     restarts: int = 10,
-    rng: SeededRng | None = None,
+    *,
+    rng: SeededRng,
 ) -> KmeansResult:
     """Best-of-restarts Lloyd iterations with k-means++ seeding.
 
@@ -119,8 +119,6 @@ def kmeans(
     n = len(points)
     if not 1 <= num_clusters <= n:
         raise ValueError(f"num_clusters={num_clusters} outside [1, {n}]")
-    if rng is None:
-        rng = SeededRng(0)
     best = None
     for r in range(restarts):
         centroids, assign, iters, history = _lloyd(
@@ -149,8 +147,7 @@ def extract_prototypes(
     ipc: int,
     rng: SeededRng,
     *,
-    restarts: int = 10,
-    max_iters: int = 100,
+    restarts: int,
 ) -> list[Prototype]:
     """Per-class K-means over encoded latents; one prototype per cluster.
 
@@ -167,9 +164,7 @@ def extract_prototypes(
                 f"class {c} has {len(idx)} samples, fewer than ipc={ipc}"
             )
         latents = np.asarray(encode_fn(dataset.images[idx]), dtype=np.float32)
-        result = kmeans(
-            latents, ipc, max_iters=max_iters, restarts=restarts, rng=rng.spawn(c)
-        )
+        result = kmeans(latents, ipc, restarts=restarts, rng=rng.spawn(c))
         counts = np.bincount(result.assignments, minlength=ipc)
         for j in range(ipc):
             protos.append(
@@ -185,50 +180,32 @@ def extract_prototypes(
 
 # --- persistence --------------------------------------------------------------
 #
-# magic "PRTO" | u16 version | u32 count | u32 latent_dim
-# | count x (u32 class_id, u32 cluster_index, u32 cluster_size)
-# | count*latent_dim float32 LE | u32 trailer_len | JSON trailer
-
-_PROTO_MAGIC = b"PRTO"
-_PROTO_VERSION = 1
+# A checkpoint container (see models.write_checkpoint) of kind "prototypes":
+# the descriptor holds the (class_id, cluster_index, cluster_size) table and
+# the provenance; the one array is the (count, latent_dim) float32 latents.
 
 
 def write_prototypes(path, protos: list[Prototype], provenance: dict | None = None) -> None:
     if not protos:
         raise ValueError("prototype list is empty")
-    dim = len(protos[0].latent)
-    trailer = json.dumps(
-        {"provenance": provenance or {}}, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_PROTO_MAGIC)
-        f.write(struct.pack("<H", _PROTO_VERSION))
-        f.write(struct.pack("<2I", len(protos), dim))
-        for p in protos:
-            f.write(struct.pack("<3I", p.class_id, p.cluster_index, p.cluster_size))
-        blob = np.stack([p.latent for p in protos]).astype("<f4")
-        f.write(blob.tobytes())
-        f.write(struct.pack("<I", len(trailer)))
-        f.write(trailer)
+    desc = {
+        "table": [[p.class_id, p.cluster_index, p.cluster_size] for p in protos],
+        "provenance": provenance or {},
+    }
+    write_checkpoint(path, "prototypes", desc, [np.stack([p.latent for p in protos])])
 
 
 def read_prototypes(path) -> tuple[list[Prototype], dict]:
-    """Load a PRTO file; a short or undecodable file raises DatasetFormatError."""
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != _PROTO_MAGIC:
-            raise DatasetFormatError(f"bad magic {magic!r}, expected {_PROTO_MAGIC!r}")
-        (version,) = _read_struct(f, "<H", "version")
-        if version != _PROTO_VERSION:
-            raise DatasetFormatError(f"unsupported prototype version {version}")
-        count, dim = _read_struct(f, "<2I", "header counts")
-        meta = [_read_struct(f, "<3I", "prototype table") for _ in range(count)]
-        blob = _read_exact(f, 4 * count * dim, "latents")
-        latents = np.frombuffer(blob, dtype="<f4").reshape(count, dim)
-        (tlen,) = _read_struct(f, "<I", "trailer length")
-        trailer = _read_json(f, tlen, "trailer")
+    """Load a prototype file; a short or foreign file raises CheckpointFormatError."""
+    kind, desc, arrays = read_checkpoint(path)
+    if kind != "prototypes" or len(arrays) != 1 or arrays[0].ndim != 2:
+        raise CheckpointFormatError(f"expected a prototypes checkpoint, got {kind!r}")
+    latents = arrays[0]
+    table = desc.get("table")
+    if not isinstance(table, list) or len(table) != len(latents):
+        raise CheckpointFormatError("prototype table does not match the latents")
     protos = [
-        Prototype(class_id=cid, latent=latents[i].copy(), cluster_size=size, cluster_index=ci)
-        for i, (cid, ci, size) in enumerate(meta)
+        Prototype(class_id=cid, latent=latents[i], cluster_size=size, cluster_index=ci)
+        for i, (cid, ci, size) in enumerate(table)
     ]
-    return protos, trailer.get("provenance", {})
+    return protos, desc.get("provenance", {})

@@ -8,9 +8,10 @@ gated by the same label/confidence rule, ranked by confidence, and the
 survivor least similar (cumulative cosine) to the class's accepted pool is
 chosen, trading confidence for intra-class diversity.
 
-It runs in two phases. Generation (``generate_candidates``) reads only the
-config fields in ``GENERATION_FIELDS`` and yields a ``CandidateBank``: the
-prototypes and every generated batch, each scored once by the detector.
+It runs in two phases. Generation (``generate_candidates``) reads only its
+rng and the config fields in ``GENERATION_FIELDS``, and yields a
+``CandidateBank``: the prototypes and every generated batch, each scored
+once by the detector.
 Selection (``select``) applies the gate, pool, shortlist, similarity and
 fallback for one config. Generation never reads the selection knobs (beta,
 top_k, selection_mode), so one bank serves every selection mode and every
@@ -25,8 +26,10 @@ from typing import Callable, Protocol
 
 import numpy as np
 
+from .config import DistillConfig
 from .data import LabeledDataset
-from .models import Detector, predict_batch, score_batch
+from .models import Detector, score_batch
+from .models import predict_batch  # noqa: F401  perfbench's tracer checks this binding
 from .numerics import SeededRng, cosine_similarity
 from .prototypes import Prototype, extract_prototypes
 
@@ -35,12 +38,9 @@ __all__ = [
     "CandidateBank",
     "CandidateGenerator",
     "DiffusionCandidateGenerator",
-    "DistillConfig",
     "DistillResult",
     "NormalPool",
-    "SampleVerdict",
     "SyntheticSample",
-    "classify_sample",
     "cumulative_similarity",
     "distill",
     "generate_candidates",
@@ -54,54 +54,10 @@ STATUS_NORMAL = "normal"
 STATUS_REFINED = "refined"
 STATUS_FALLBACK = "fallback"
 
-SELECTION_MODES = ("base", "top1", "sim", "tplus_s")
-FALLBACK_POLICIES = ("best_confidence",)
-
 # spawn() key domains, keeping generation streams disjoint across pipeline stages
 _KEY_PROTO = 11
 _KEY_INITIAL = 12
 _KEY_REFINE = 13
-
-
-@dataclass
-class DistillConfig:
-    """All refinement knobs.
-
-    beta is the strict confidence threshold (accept needs p > beta); top_k
-    bounds the confidence-ranked shortlist from which the least-similar
-    candidate is taken. Defaults follow the sensitivity optima (k=2,
-    beta=0.9) and the 20-candidate refinement budget.
-    """
-
-    ipc: int = 10
-    beta: float = 0.9
-    top_k: int = 2
-    num_candidates: int = 20
-    guidance_scale: float = 10.0
-    strength: float = 0.7
-    seed: int = 0
-    selection_mode: str = "tplus_s"
-    fallback_policy: str = "best_confidence"
-    kmeans_restarts: int = 10
-    kmeans_max_iters: int = 100
-
-    def __post_init__(self):
-        if self.ipc < 1:
-            raise ValueError("ipc must be >= 1")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if self.top_k > self.num_candidates:
-            raise ValueError("top_k cannot exceed num_candidates")
-        if not 0.0 <= self.strength <= 1.0:
-            raise ValueError("strength must lie in [0, 1]")
-        if self.guidance_scale < 0.0:
-            raise ValueError("guidance_scale must be non-negative")
-        if self.selection_mode not in SELECTION_MODES:
-            raise ValueError(f"selection_mode must be one of {SELECTION_MODES}")
-        if self.fallback_policy not in FALLBACK_POLICIES:
-            raise ValueError(f"fallback_policy must be one of {FALLBACK_POLICIES}")
 
 
 @dataclass(frozen=True)
@@ -124,13 +80,6 @@ class SyntheticSample:
     feature: np.ndarray
     status: str
     provenance: Provenance
-
-
-@dataclass(frozen=True)
-class SampleVerdict:
-    accepted: bool
-    predicted_label: int
-    confidence: float
 
 
 class NormalPool:
@@ -195,19 +144,6 @@ class DiffusionCandidateGenerator:
 def is_accepted(predicted_label: int, confidence: float, intended_label: int, beta: float) -> bool:
     """The acceptance rule: label agreement and strictly above-threshold confidence."""
     return predicted_label == intended_label and confidence > beta
-
-
-def classify_sample(
-    det: Detector, image: np.ndarray, intended_label: int, beta: float
-) -> SampleVerdict:
-    """Run the detector on one image and apply the acceptance rule."""
-    labels, confs, _ = predict_batch(det, np.asarray(image)[None])
-    predicted, conf = int(labels[0]), float(confs[0])
-    return SampleVerdict(
-        accepted=is_accepted(predicted, conf, intended_label, beta),
-        predicted_label=predicted,
-        confidence=conf,
-    )
 
 
 def cumulative_similarity(feature: np.ndarray, pool: NormalPool, class_id: int) -> float:
@@ -281,16 +217,8 @@ def _generate(gen, prototype, label, rngs):
 
 
 # The DistillConfig fields that generation reads; select() may vary all the
-# others (beta, top_k, selection_mode, fallback_policy) over one bank.
-GENERATION_FIELDS = (
-    "seed",
-    "ipc",
-    "num_candidates",
-    "strength",
-    "guidance_scale",
-    "kmeans_restarts",
-    "kmeans_max_iters",
-)
+# others (beta, top_k, selection_mode) over one bank.
+GENERATION_FIELDS = ("ipc", "num_candidates", "strength", "guidance_scale", "kmeans_restarts")
 
 
 def generation_key(cfg: DistillConfig) -> tuple:
@@ -299,7 +227,7 @@ def generation_key(cfg: DistillConfig) -> tuple:
 
 
 class CandidateBank:
-    """Everything generation produces for one generation key, scored once.
+    """Everything generation produces for one rng and generation key, scored once.
 
     Holds the prototypes and the scored initial sample of every slot, in
     slot order (class ascending, cluster ascending). A slot's refinement
@@ -338,23 +266,14 @@ def generate_candidates(
     gen: CandidateGenerator,
     det: Detector,
     cfg: DistillConfig,
-    rng: SeededRng | None = None,
+    rng: SeededRng,
 ) -> CandidateBank:
     """Prototypes plus the scored initial pass, one generation call per class.
 
     Reads only the GENERATION_FIELDS of cfg. Refinement batches are left to
-    the returned bank, which generates them on demand.
+    the returned bank, which generates them on demand from ``rng``.
     """
-    if rng is None:
-        rng = SeededRng(cfg.seed)
-    protos = extract_prototypes(
-        encode_fn,
-        train,
-        cfg.ipc,
-        rng.spawn(_KEY_PROTO),
-        restarts=cfg.kmeans_restarts,
-        max_iters=cfg.kmeans_max_iters,
-    )
+    protos = extract_prototypes(encode_fn, train, cfg.ipc, rng.spawn(_KEY_PROTO), restarts=cfg.kmeans_restarts)
     initial: list[SyntheticSample | None] = [None] * len(protos)
     for c in range(train.num_classes):
         cls_protos = [p for p in protos if p.class_id == c]
@@ -477,9 +396,8 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
             "num_candidates": cfg.num_candidates,
             "guidance_scale": cfg.guidance_scale,
             "strength": cfg.strength,
-            "seed": cfg.seed,
+            "seed": bank.rng.seed,
             "selection_mode": cfg.selection_mode,
-            "fallback_policy": cfg.fallback_policy,
         },
         "master_seed": bank.rng.seed,
         "counts": dict(counts, total=len(samples)),
@@ -492,7 +410,7 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
         class_names=bank.class_names,
         provenance={
             "source": "distill",
-            "seed": cfg.seed,
+            "seed": bank.rng.seed,
             "selection_mode": cfg.selection_mode,
             "counts": {k: int(v) for k, v in counts.items()},
         },
@@ -508,7 +426,7 @@ def distill(
     gen: CandidateGenerator,
     det: Detector,
     cfg: DistillConfig,
-    rng: SeededRng | None = None,
+    rng: SeededRng,
 ) -> "DistillResult":
     """Run the full pipeline: ``select(generate_candidates(...), cfg)``."""
     return select(generate_candidates(train, encode_fn, gen, det, cfg, rng), cfg)

@@ -1,29 +1,36 @@
 """Shared fixtures: the frozen desk-scale pipeline artifacts.
 
-Heavy artifacts (trained detector, denoiser) are session-scoped so the
-suite trains them once.
+Every stage runs at its ``default_config()`` section. Heavy artifacts
+(trained detector, denoiser) are session-scoped so the suite trains them
+once.
 """
 
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from distillab import presets
+from distillab.config import default_config
 from distillab.data import synthesize_toy_dataset
 from distillab.models import LatentCodec, train_autoencoder, train_detector
 from distillab.numerics import SeededRng
 
+DEFAULTS = default_config()
+DETECTOR_SEED = 2024
+AUTOENCODER_SEED = 2025
+DENOISER_SEED = 2026
+
 
 @pytest.fixture(scope="session")
 def toy_spec():
-    return presets.frozen_toy_spec()
+    return DEFAULTS.data
 
 
 @pytest.fixture(scope="session")
 def toy_data(toy_spec):
-    return synthesize_toy_dataset(toy_spec)
+    return synthesize_toy_dataset(toy_spec, SeededRng(0))
 
 
 @pytest.fixture(scope="session")
@@ -38,25 +45,24 @@ def toy_test(toy_data):
 
 @pytest.fixture(scope="session")
 def detector(toy_train):
-    return train_detector(toy_train, presets.frozen_detector_config(), SeededRng(presets.DETECTOR_SEED))
+    return train_detector(toy_train, DEFAULTS.detector, SeededRng(DETECTOR_SEED), use_cutmix=True)
 
 
 @pytest.fixture(scope="session")
 def identity_codec(toy_train):
-    ae = train_autoencoder(
-        toy_train, presets.frozen_detector_config(), SeededRng(0), mode="identity"
-    )
+    ae = train_autoencoder(toy_train, replace(DEFAULTS.autoencoder, mode="identity"), SeededRng(0))
     return LatentCodec.from_autoencoder(ae)
 
 
 @pytest.fixture(scope="session")
 def codec(toy_train):
-    return presets.build_frozen_codec(toy_train)
+    ae = train_autoencoder(toy_train, DEFAULTS.autoencoder, SeededRng(AUTOENCODER_SEED))
+    return LatentCodec.from_autoencoder(ae)
 
 
 @pytest.fixture(scope="session")
 def frozen_schedule():
-    return presets.frozen_schedule()
+    return DEFAULTS.denoiser.schedule()
 
 
 @pytest.fixture(scope="session")
@@ -72,21 +78,27 @@ def denoiser(toy_train, train_latents, frozen_schedule):
         train_latents,
         toy_train.labels,
         frozen_schedule,
-        presets.frozen_denoiser_config(),
-        SeededRng(presets.DENOISER_SEED),
+        DEFAULTS.denoiser,
+        SeededRng(DENOISER_SEED),
     )
 
 
 @pytest.fixture(scope="session")
 def weak_denoiser(toy_train, train_latents, frozen_schedule):
+    """Deliberately under-trained generator for the refinement experiments.
+
+    Half the default epochs give roughly 10-20% label-inconsistent samples
+    on the default data, the regime where anomaly filtering has something
+    to fix; the confidence gate at beta=0.9 binds hard under it.
+    """
     from distillab.diffusion import train_denoiser
 
     return train_denoiser(
         train_latents,
         toy_train.labels,
         frozen_schedule,
-        presets.frozen_defect_prone_denoiser_config(),
-        SeededRng(presets.DENOISER_SEED),
+        replace(DEFAULTS.denoiser, epochs=50),
+        SeededRng(DENOISER_SEED),
     )
 
 

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from distillab import presets
+from distillab.config import default_config
 from distillab.numerics import SeededRng
 
 
@@ -117,12 +117,8 @@ class TestAcceptance:
 
     def test_04_gradient_checks(self):
         from conftest import gradient_check
-        from distillab.diffusion import (
-            DenoiserTrainConfig,
-            build_schedule,
-            denoise_loss_and_grads,
-            train_denoiser,
-        )
+        from distillab.config import DenoiserConfig
+        from distillab.diffusion import build_schedule, denoise_loss_and_grads, train_denoiser
         from distillab.models import (
             _ae_loss_and_grads,
             _soft_cross_entropy,
@@ -166,8 +162,8 @@ class TestAcceptance:
                 latents,
                 labels,
                 sched,
-                DenoiserTrainConfig(
-                    epochs=1, batch_size=8, hidden_sizes=(16, 16),
+                DenoiserConfig(
+                    epochs=1, batch_size=8, hidden_sizes=[16, 16],
                     time_embed_dim=4, label_embed_dim=4,
                 ),
                 SeededRng(3),
@@ -232,7 +228,7 @@ class TestAcceptance:
 
         with criterion(6, "generation class fidelity >= 80% per class"):
             t0 = time.perf_counter()
-            protos = extract_prototypes(codec.encode, toy_train, 10, SeededRng(77))
+            protos = extract_prototypes(codec.encode, toy_train, 10, SeededRng(77), restarts=10)
             worst = 1.0
             for c in range(toy_train.num_classes):
                 latvecs = np.stack([p.latent for p in protos if p.class_id == c])
@@ -248,18 +244,20 @@ class TestAcceptance:
             assert time.perf_counter() - t0 < 300.0
 
     def test_07_refinement_consistency(self):
-        from distillab.data import ToyDataSpec, synthesize_toy_dataset
-        from distillab.models import TrainConfig, predict_batch, train_detector
-        from distillab.refine import DistillConfig, distill
+        from distillab.config import DetectorConfig, DistillConfig, ToyDataSpec
+        from distillab.data import synthesize_toy_dataset
+        from distillab.models import predict_batch, train_detector
+        from distillab.refine import distill
         from test_refine import MockGenerator
 
         with criterion(7, "controlled-defect refinement consistency"):
             spec = ToyDataSpec(
-                num_classes=3, train_per_class=120, test_per_class=30, image_shape=(1, 8, 8)
+                num_classes=3, train_per_class=120, test_per_class=30, image_height=8, image_width=8
             )
             train, _ = synthesize_toy_dataset(spec, SeededRng(99))
             det = train_detector(
-                train, TrainConfig(epochs=15, batch_size=32, hidden_sizes=(48, 24)), SeededRng(1)
+                train, DetectorConfig(epochs=15, batch_size=32, hidden_sizes=[48, 24]), SeededRng(1),
+                use_cutmix=True,
             )
             cfg = DistillConfig(ipc=10, beta=0.6, num_candidates=20, top_k=2, kmeans_restarts=2)
             initial = MockGenerator(train, defect_rate=0.12)
@@ -307,13 +305,10 @@ class TestAcceptance:
                 schedule=frozen_schedule,
                 decode_fn=codec.decode,
             )
-            report = run_ablation(
-                inputs,
-                ["base", "top1", "sim", "tplus_s"],
-                [1, 2, 3],
-                presets.frozen_distill_config(),
-                presets.frozen_downstream_config(),
-            )
+            defaults = default_config()
+            assert defaults.eval.modes == ["base", "top1", "sim", "tplus_s"]
+            assert defaults.eval.seeds == [1, 2, 3]
+            report = run_ablation(inputs, defaults.distill, defaults.eval)
             m = report.summary
             for mode in ("base", "top1", "sim", "tplus_s", "random"):
                 s = m[mode]
@@ -378,14 +373,11 @@ class TestAcceptance:
                 schedule=frozen_schedule,
                 decode_fn=codec.decode,
             )
-            grid, evidence = run_sensitivity(
-                inputs,
-                ks=[1, 2, 4, 8],
-                betas=[0.5, 0.7, 0.9],
-                seed=1,
-                base_cfg=presets.frozen_distill_config(),
-                downstream_cfg=presets.frozen_downstream_config(),
-            )
+            defaults = default_config()
+            assert defaults.eval.sensitivity_top_k == [1, 2, 4, 8]
+            assert defaults.eval.sensitivity_betas == [0.5, 0.7, 0.9]
+            assert defaults.eval.seeds[0] == 1
+            grid, evidence = run_sensitivity(inputs, defaults.distill, defaults.eval)
             assert len(grid) == 12
             assert {(g["top_k"], g["beta"]) for g in grid} == set(
                 itertools.product([1, 2, 4, 8], [0.5, 0.7, 0.9])

@@ -201,6 +201,14 @@ class TestConfigHandling:
         tmp_path, _ = workdir
         assert _run("synth-data", "--config", str(tmp_path / "nope.json")) == 2
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000])
+    def test_unreadable_config_file(self, workdir, capsys, content):
+        tmp_path, cfg_path = workdir
+        cfg_path.write_bytes(content)
+        assert _run("synth-data", "--config", str(cfg_path)) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "runs").exists()
+
     def test_dump_config(self, workdir, capsys):
         tmp_path, cfg_path = workdir
         assert _run("distill", "--config", str(cfg_path), "--dump-config") == 0
@@ -209,49 +217,73 @@ class TestConfigHandling:
         assert payload["output_root"].endswith("runs")
 
 
+def _cli(tmp_path, cfg, *argv):
+    """Run the CLI in a child process with ``cfg`` as its config file."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, DISTILLAB_OUTPUT_ROOT=str(tmp_path / "runs"))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "distillab.cli", *argv, "--config", str(cfg_path)],
+        env=env, capture_output=True, text=True,
+    )
+
+
+def _assert_config_error(tmp_path, proc, needle):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert needle in proc.stderr
+    assert not (tmp_path / "runs").exists()
+
+
 class TestDistillConfigErrors:
     """A rejected distill value is a one-line config error (exit 2), given
     before the run directory or any artifact is touched."""
-
-    def _cli(self, tmp_path, cfg, *argv):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(cfg))
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, DISTILLAB_OUTPUT_ROOT=str(tmp_path / "runs"))
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        return subprocess.run(
-            [sys.executable, "-m", "distillab.cli", *argv, "--config", str(cfg_path)],
-            env=env, capture_output=True, text=True,
-        )
-
-    def _assert_config_error(self, tmp_path, proc, needle):
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("config error: ")
-        assert len(proc.stderr.strip().splitlines()) == 1
-        assert needle in proc.stderr
-        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
         "override, needle",
         [(["--beta", "1.5"], "beta must lie in (0, 1)"), (["--top-k", "5"], "top_k cannot exceed")],
     )
     def test_distill_override(self, tmp_path, override, needle):
-        proc = self._cli(tmp_path, TINY_CONFIG, "distill", *override)
-        self._assert_config_error(tmp_path, proc, needle)
+        proc = _cli(tmp_path, TINY_CONFIG, "distill", *override)
+        _assert_config_error(tmp_path, proc, needle)
 
     def test_ablate_mode(self, tmp_path):
         cfg = dict(TINY_CONFIG, eval=dict(TINY_CONFIG["eval"], modes=["base", "best"]))
-        proc = self._cli(tmp_path, cfg, "ablate")
-        self._assert_config_error(tmp_path, proc, "selection_mode='best'")
+        proc = _cli(tmp_path, cfg, "ablate")
+        _assert_config_error(tmp_path, proc, "selection_mode='best'")
 
     def test_ablate_sweep_top_k(self, tmp_path):
         cfg = dict(TINY_CONFIG, eval=dict(TINY_CONFIG["eval"], sensitivity_top_k=[1, 8]))
-        proc = self._cli(tmp_path, cfg, "ablate", "--sweep")
-        self._assert_config_error(tmp_path, proc, "top_k=8")
+        proc = _cli(tmp_path, cfg, "ablate", "--sweep")
+        _assert_config_error(tmp_path, proc, "top_k=8")
         # the grid is only read with --sweep: without it the command gets as
         # far as the missing artifacts
-        assert self._cli(tmp_path, cfg, "ablate").returncode == 3
+        assert _cli(tmp_path, cfg, "ablate").returncode == 3
+
+
+class TestSectionErrors:
+    """Every section checks its values when the config is parsed, so any
+    command rejects a bad value (exit 2) before creating the run directory."""
+
+    @pytest.mark.parametrize(
+        "section, values, needle",
+        [
+            ("data", {"num_classes": 0}, "data: num_classes must be >= 1"),
+            ("detector", {"epochs": 0}, "detector: epochs and batch_size must be >= 1"),
+            ("autoencoder", {"mode": "pca"}, "autoencoder: mode must be one of"),
+            ("denoiser", {"beta_end": 1.5}, "denoiser: need 0 < beta_start <= beta_end < 1"),
+            ("distill", {"top_k": 0}, "distill: top_k must be >= 1"),
+            ("eval", {"seeds": []}, "eval: modes and seeds must not be empty"),
+        ],
+    )
+    def test_bad_value_exits_2(self, tmp_path, section, values, needle):
+        cfg = dict(TINY_CONFIG, **{section: dict(TINY_CONFIG[section], **values)})
+        proc = _cli(tmp_path, cfg, "synth-data")
+        _assert_config_error(tmp_path, proc, needle)
 
 
 class TestMissingArtifacts:
@@ -334,8 +366,21 @@ class TestLocking:
         tmp_path, cfg_path = workdir
         assert _run("synth-data", "--config", str(cfg_path)) == 0
         rd = _run_dir(tmp_path)
-        (rd / ".lock").write_text("12345")
-        with pytest.raises(RuntimeError, match="locked"):
-            _run("synth-data", "--config", str(cfg_path))
+        (rd / ".lock").write_text(str(os.getpid()))  # a live process
+        capsys.readouterr()
+        assert _run("synth-data", "--config", str(cfg_path)) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("locked: ") and len(err.strip().splitlines()) == 1
+        assert (rd / ".lock").read_text() == str(os.getpid())
         (rd / ".lock").unlink()
         assert _run("synth-data", "--config", str(cfg_path)) == 0
+
+    def test_stale_lock_taken_over(self, workdir):
+        tmp_path, cfg_path = workdir
+        assert _run("synth-data", "--config", str(cfg_path)) == 0
+        rd = _run_dir(tmp_path)
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait(timeout=60)
+        (rd / ".lock").write_text(str(child.pid))  # a process that has exited
+        assert _run("synth-data", "--config", str(cfg_path)) == 0
+        assert not (rd / ".lock").exists()

@@ -1,0 +1,88 @@
+"""Config parsing: any JSON object either parses or is a ConfigError."""
+
+import dataclasses
+import json
+import types
+import typing
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from distillab.config import ConfigError, RunConfig, parse_config, to_dict
+
+_STRINGS = st.sampled_from(["mlp", "identity", "base", "top1", "sim", "tplus_s", "runs"]) | st.text(max_size=6)
+# json.loads also yields NaN, infinities and integers beyond float range
+_EDGES = st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _EDGES | _STRINGS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _values_for(hint):
+    """Values of the annotated JSON type, often in range, or any JSON value."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # X | None
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+        return st.none() | _values_for(hint)
+    if dataclasses.is_dataclass(hint):
+        fields = typing.get_type_hints(hint)
+        return st.fixed_dictionaries({}, optional={k: _values_for(h) for k, h in fields.items()}) | JSON_VALUES
+    if typing.get_origin(hint) is list:
+        return st.lists(_values_for(typing.get_args(hint)[0]), max_size=4) | JSON_VALUES
+    typed = {
+        int: st.integers(min_value=-2, max_value=40) | st.integers(),
+        float: st.floats(min_value=-0.5, max_value=2.0) | st.floats() | _EDGES,
+        str: _STRINGS,
+    }[hint]
+    return typed | JSON_VALUES
+
+
+_LEAVES = [
+    (name, key, hint)
+    for name, section in typing.get_type_hints(RunConfig).items()
+    if dataclasses.is_dataclass(section)
+    for key, hint in typing.get_type_hints(section).items()
+]
+
+
+@st.composite
+def _few_keys(draw):
+    """One to three keys set, the rest left at their defaults."""
+    payload = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        name, key, hint = draw(st.sampled_from(_LEAVES))
+        payload.setdefault(name, {})[key] = draw(_values_for(hint))
+    return payload
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values_for(RunConfig) | _few_keys())
+def test_parse_returns_config_or_config_error(payload):
+    try:
+        cfg = parse_config(payload)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    # what --dump-config prints is standard JSON and parses back to the same config
+    dumped = json.dumps(to_dict(cfg), allow_nan=False)
+    assert parse_config(json.loads(dumped)) == cfg
+
+
+@pytest.mark.parametrize(
+    "payload, needle",
+    [
+        ({"data": {"amplitude": float("nan")}}, "data.amplitude must be a finite number"),
+        ({"distill": {"beta": 10**400}}, "distill.beta must be a finite number"),
+        ({"detector": {"epochs": True}}, "detector.epochs expects int, got bool"),
+        ({"eval": {"seeds": [1, "2"]}}, "eval.seeds[1] expects int, got str"),
+        ({"denoiser": {"hidden_sizes": 256}}, "denoiser.hidden_sizes expects list, got int"),
+        ({"data": {"orientations_deg": [0.0, 0.0], "frequencies": [2.0, 2.0], "num_classes": 2}},
+         "data: classes must have distinct"),
+    ],
+)
+def test_rejections_name_the_key(payload, needle):
+    with pytest.raises(ConfigError) as e:
+        parse_config(payload)
+    assert needle in str(e.value)

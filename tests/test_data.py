@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from distillab.config import ToyDataSpec
 from distillab.data import (
     DatasetFormatError,
     LabeledDataset,
-    ToyDataSpec,
     cutmix,
     grating_image,
     read_dataset,
@@ -19,7 +19,7 @@ from distillab.numerics import SeededRng
 class TestToyDataset:
     def test_counts_and_labels(self):
         spec = ToyDataSpec(num_classes=5, train_per_class=500, test_per_class=20)
-        train, test = synthesize_toy_dataset(spec)
+        train, test = synthesize_toy_dataset(spec, SeededRng(0))
         assert len(train) == 2500
         assert len(test) == 100
         assert set(np.unique(train.labels)) == set(range(5))
@@ -33,7 +33,7 @@ class TestToyDataset:
             noise_std=0.0,
             amplitude_jitter=0.0,
         )
-        train, _ = synthesize_toy_dataset(spec)
+        train, _ = synthesize_toy_dataset(spec, SeededRng(0))
         thetas, freqs = spec.resolved_patterns()
         # every class-0 image must be reproducible as a pure grating of the
         # class pattern at some phase
@@ -49,26 +49,27 @@ class TestToyDataset:
         assert best < 2e-3
 
     def test_invalid_spec_rejected(self):
+        # the spec checks itself on construction
         with pytest.raises(ValueError):
-            synthesize_toy_dataset(ToyDataSpec(num_classes=0))
+            ToyDataSpec(num_classes=0)
         with pytest.raises(ValueError):
-            synthesize_toy_dataset(ToyDataSpec(train_per_class=0))
+            ToyDataSpec(train_per_class=0)
         with pytest.raises(ValueError):
             ToyDataSpec(
                 num_classes=2,
-                orientations_deg=(0.0, 0.0),
-                frequencies=(2.0, 2.0),
-            ).validate()
+                orientations_deg=[0.0, 0.0],
+                frequencies=[2.0, 2.0],
+            )
 
     def test_deterministic(self):
         spec = ToyDataSpec(num_classes=3, train_per_class=5, test_per_class=2)
-        a, _ = synthesize_toy_dataset(spec)
-        b, _ = synthesize_toy_dataset(spec)
+        a, _ = synthesize_toy_dataset(spec, SeededRng(0))
+        b, _ = synthesize_toy_dataset(spec, SeededRng(0))
         assert np.array_equal(a.images, b.images)
 
     def test_train_test_differ(self):
         spec = ToyDataSpec(num_classes=2, train_per_class=3, test_per_class=3)
-        train, test = synthesize_toy_dataset(spec)
+        train, test = synthesize_toy_dataset(spec, SeededRng(0))
         assert not np.array_equal(train.images[:3], test.images[:3])
 
 
@@ -96,11 +97,12 @@ class TestBlockSynthesis:
     @pytest.mark.parametrize("noise_std", [0.05, 0.0])
     @pytest.mark.parametrize("image_shape", [(2, 5, 7), (1, 16, 16)])
     def test_equals_per_image_loop(self, rng_spy, noise_std, image_shape):
-        spec = ToyDataSpec(num_classes=3, image_shape=image_shape, noise_std=noise_std, seed=11)
-        got = _synthesize_split(spec, 9, SeededRng(spec.seed), 0)
+        c, h, w = image_shape
+        spec = ToyDataSpec(num_classes=3, channels=c, image_height=h, image_width=w, noise_std=noise_std)
+        got = _synthesize_split(spec, 9, SeededRng(11), 0)
         block_words = dict(rng_spy.words)
         rng_spy.words.clear()
-        want = _synthesize_split_loop(spec, 9, SeededRng(spec.seed), 0)
+        want = _synthesize_split_loop(spec, 9, SeededRng(11), 0)
         assert got[0].dtype == np.float32 and got[0].shape == (27, *image_shape)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
@@ -109,7 +111,7 @@ class TestBlockSynthesis:
         assert len(block_words) == 3
 
     def test_empty_split(self):
-        spec = ToyDataSpec(num_classes=2, image_shape=(1, 4, 4))
+        spec = ToyDataSpec(num_classes=2, image_height=4, image_width=4)
         images, labels = _synthesize_split(spec, 0, SeededRng(0), 1)
         assert images.shape == (0, 1, 4, 4) and labels.shape == (0,)
 

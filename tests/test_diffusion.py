@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from distillab.config import DenoiserConfig
 from distillab.diffusion import (
-    DenoiserTrainConfig,
     build_schedule,
     denoise_loss_and_grads,
     forward_noise,
     load_denoiser,
-    sample_img2img,
     sample_img2img_batch,
     save_denoiser,
     timestep_embedding,
@@ -132,8 +131,8 @@ def _tiny_denoiser(rng_seed=17, n=40, d=6, k=3, epochs=2):
     latents = rng.normal((n, d))
     labels = rng.integers(k, n=n)
     sched = build_schedule(10, 1e-3, 0.2)
-    cfg = DenoiserTrainConfig(
-        epochs=epochs, batch_size=8, hidden_sizes=(16, 16), time_embed_dim=4, label_embed_dim=4
+    cfg = DenoiserConfig(
+        epochs=epochs, batch_size=8, hidden_sizes=[16, 16], time_embed_dim=4, label_embed_dim=4
     )
     den = train_denoiser(latents, labels, sched, cfg, SeededRng(rng_seed + 1))
     return den, sched, latents, labels
@@ -156,8 +155,8 @@ class TestTrainDenoiser:
         latents = rng.normal((30, 5))
         labels = rng.integers(2, n=30)
         sched = build_schedule(8, 1e-3, 0.2)
-        cfg = DenoiserTrainConfig(
-            epochs=3, batch_size=8, hidden_sizes=(12,), time_embed_dim=4,
+        cfg = DenoiserConfig(
+            epochs=3, batch_size=8, hidden_sizes=[12], time_embed_dim=4,
             label_embed_dim=4, label_dropout=1.0,
         )
         den = train_denoiser(latents, labels, sched, cfg, SeededRng(4))
@@ -182,7 +181,7 @@ class TestTrainDenoiser:
                 np.zeros((0, 4), dtype=np.float32),
                 np.zeros(0, dtype=np.int64),
                 sched,
-                DenoiserTrainConfig(epochs=1),
+                DenoiserConfig(epochs=1),
                 SeededRng(1),
             )
 
@@ -211,13 +210,13 @@ class TestSampling:
     def test_strength_zero_returns_prototype(self):
         den, sched, latents, _ = _tiny_denoiser()
         proto = latents[0]
-        out = sample_img2img(den, sched, proto, 0, 0.0, 10.0, SeededRng(1))
+        out = sample_img2img_batch(den, sched, proto[None], 0, 0.0, 10.0, [SeededRng(1)])[0]
         assert np.array_equal(out, proto.astype(np.float32))
 
     def test_determinism(self):
         den, sched, latents, _ = _tiny_denoiser()
-        a = sample_img2img(den, sched, latents[0], 1, 0.7, 5.0, SeededRng(42))
-        b = sample_img2img(den, sched, latents[0], 1, 0.7, 5.0, SeededRng(42))
+        a = sample_img2img_batch(den, sched, latents[0][None], 1, 0.7, 5.0, [SeededRng(42)])[0]
+        b = sample_img2img_batch(den, sched, latents[0][None], 1, 0.7, 5.0, [SeededRng(42)])[0]
         assert np.array_equal(a, b)
 
     def test_guidance_one_equals_pure_conditional(self):
@@ -251,19 +250,19 @@ class TestSampling:
             return original(tokens)
 
         monkeypatch.setattr(den, "label_vec", recording)
-        sample_img2img(den, sched, latents[0], 2, 0.8, 3.0, SeededRng(6))
+        sample_img2img_batch(den, sched, latents[0][None], 2, 0.8, 3.0, [SeededRng(6)])[0]
         assert set(seen) == {2, den.null_token}
 
     def test_strength_bounds_and_unknown_label(self):
         den, sched, latents, _ = _tiny_denoiser()
         with pytest.raises(ValueError):
-            sample_img2img(den, sched, latents[0], 0, 1.5, 1.0, SeededRng(1))
+            sample_img2img_batch(den, sched, latents[0][None], 0, 1.5, 1.0, [SeededRng(1)])[0]
         with pytest.raises(ValueError):
-            sample_img2img(den, sched, latents[0], 0, -0.1, 1.0, SeededRng(1))
+            sample_img2img_batch(den, sched, latents[0][None], 0, -0.1, 1.0, [SeededRng(1)])[0]
         with pytest.raises(ValueError):
-            sample_img2img(den, sched, latents[0], den.num_classes, 0.5, 1.0, SeededRng(1))
+            sample_img2img_batch(den, sched, latents[0][None], den.num_classes, 0.5, 1.0, [SeededRng(1)])[0]
         with pytest.raises(ValueError):
-            sample_img2img(den, sched, latents[0], 0, 0.5, -1.0, SeededRng(1))
+            sample_img2img_batch(den, sched, latents[0][None], 0, 0.5, -1.0, [SeededRng(1)])[0]
 
     def test_one_block_draw_per_stream(self, rng_spy):
         den, sched, latents, _ = _tiny_denoiser()
@@ -311,8 +310,8 @@ class TestDenoiserCheckpoint:
         for a, b in zip(den.mlp.params(), back.mlp.params()):
             assert np.array_equal(a, b)
         assert np.array_equal(den.label_table, back.label_table)
-        out1 = sample_img2img(den, sched, latents[0], 1, 0.5, 2.0, SeededRng(3))
-        out2 = sample_img2img(back, sched, latents[0], 1, 0.5, 2.0, SeededRng(3))
+        out1 = sample_img2img_batch(den, sched, latents[0][None], 1, 0.5, 2.0, [SeededRng(3)])[0]
+        out2 = sample_img2img_batch(back, sched, latents[0][None], 1, 0.5, 2.0, [SeededRng(3)])[0]
         assert np.array_equal(out1, out2)
 
     def test_kind_checked(self, tmp_path, detector):

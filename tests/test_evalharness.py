@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from distillab.data import LabeledDataset, ToyDataSpec, synthesize_toy_dataset
+from distillab.config import SELECTION_MODES, DetectorConfig, DistillConfig, EvalConfig, ToyDataSpec
+from distillab.data import LabeledDataset, synthesize_toy_dataset
 from distillab.evalharness import (
     AblationInputs,
     evaluate,
@@ -13,27 +14,27 @@ from distillab.evalharness import (
     sensitivity_csv,
     train_downstream,
 )
-from distillab.models import Detector, Mlp, TrainConfig, train_detector
+from distillab.models import Detector, Mlp, train_detector
 from distillab.numerics import SeededRng
 from distillab.data import write_dataset
-from distillab.refine import SELECTION_MODES, DistillConfig, distill, select
+from distillab.refine import distill, select
 
 from test_refine import MockGenerator
 
 
 @pytest.fixture(scope="module")
 def small_world():
-    spec = ToyDataSpec(num_classes=3, train_per_class=100, test_per_class=40, image_shape=(1, 8, 8))
+    spec = ToyDataSpec(num_classes=3, train_per_class=100, test_per_class=40, image_height=8, image_width=8)
     train, test = synthesize_toy_dataset(spec, SeededRng(77))
     det = train_detector(
-        train, TrainConfig(epochs=15, batch_size=32, hidden_sizes=(48, 24)), SeededRng(5)
+        train, DetectorConfig(epochs=15, batch_size=32, hidden_sizes=[48, 24]), SeededRng(5), use_cutmix=True
     )
     encode_fn = lambda imgs: imgs.reshape(len(imgs), -1)
     return train, test, det, encode_fn
 
 
-def _downstream_cfg():
-    return TrainConfig(epochs=60, batch_size=8, learning_rate=1e-3, use_cutmix=False, hidden_sizes=(48, 24))
+def _downstream_cfg(**fields):
+    return EvalConfig(epochs=60, batch_size=8, learning_rate=1e-3, hidden_sizes=[48, 24], **fields)
 
 
 class TestTrainDownstream:
@@ -58,7 +59,7 @@ class TestTrainDownstream:
 
     def test_cutmix_forced_off(self, small_world):
         train, _, _, _ = small_world
-        cfg = TrainConfig(epochs=1, use_cutmix=True, hidden_sizes=(8,))
+        cfg = EvalConfig(epochs=1, hidden_sizes=[8])
         clf = train_downstream(train, cfg, SeededRng(3))
         assert clf.meta["use_cutmix"] is False
 
@@ -66,7 +67,7 @@ class TestTrainDownstream:
         train, test, det, _ = small_world
         clf = train_downstream(
             train,
-            TrainConfig(epochs=15, batch_size=32, use_cutmix=False, hidden_sizes=(48, 24)),
+            EvalConfig(epochs=15, batch_size=32, hidden_sizes=[48, 24]),
             SeededRng(4),
         )
         assert evaluate(clf, test) >= 0.95
@@ -104,7 +105,7 @@ class TestEvaluate:
         subset_idx = np.concatenate([train.class_indices(c)[:5] for c in range(3)])
         tiny = LabeledDataset(train.images[subset_idx], train.labels[subset_idx], 3, train.class_names)
         clf = train_downstream(
-            tiny, TrainConfig(epochs=150, batch_size=4, use_cutmix=False, hidden_sizes=(48, 24)), SeededRng(7)
+            tiny, EvalConfig(epochs=150, batch_size=4, hidden_sizes=[48, 24]), SeededRng(7)
         )
         assert evaluate(clf, tiny) == 1.0
 
@@ -141,14 +142,14 @@ class TestRunAblation:
 
     def test_record_counting(self, small_world):
         report = run_ablation(
-            self._inputs(small_world), ["base", "tplus_s"], [1, 2, 3], self._cfg(), _downstream_cfg()
+            self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2, 3])
         )
         assert len([r for r in report.records if r.mode != "random"]) == 6
         assert len([r for r in report.records if r.mode == "random"]) == 3
 
     def test_single_seed_degenerate(self, small_world):
         report = run_ablation(
-            self._inputs(small_world), ["base"], [9], self._cfg(), _downstream_cfg(),
+            self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[9]),
             include_random_baseline=False,
         )
         assert report.summary["base"]["n"] == 1
@@ -157,7 +158,7 @@ class TestRunAblation:
 
     def test_summary_matches_recomputation(self, small_world):
         report = run_ablation(
-            self._inputs(small_world), ["base", "top1"], [1, 2], self._cfg(), _downstream_cfg()
+            self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base", "top1"], seeds=[1, 2])
         )
         for mode, s in report.summary.items():
             accs = [r.accuracy for r in report.records if r.mode == mode]
@@ -191,20 +192,20 @@ class TestRunAblation:
             generator_factory=lambda cfg: DefectThenClean(train),
         )
         report = run_ablation(
-            inputs, ["base", "tplus_s"], [1, 2], self._cfg(), _downstream_cfg(),
+            inputs, self._cfg(), _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2]),
             include_random_baseline=False,
         )
         assert report.summary["tplus_s"]["mean"] >= report.summary["base"]["mean"]
 
     def test_validation(self, small_world):
         with pytest.raises(ValueError):
-            run_ablation(self._inputs(small_world), [], [1], self._cfg(), _downstream_cfg())
+            run_ablation(self._inputs(small_world), self._cfg(), _downstream_cfg(modes=[], seeds=[1]))
 
     def test_json_and_csv_render(self, small_world):
         import json
 
         report = run_ablation(
-            self._inputs(small_world), ["base"], [1], self._cfg(), _downstream_cfg()
+            self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[1])
         )
         payload = json.loads(report.to_json())
         assert payload["summary"]["base"]["n"] == 1
@@ -225,8 +226,7 @@ class TestRunSensitivity:
         )
         cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
         grid, evidence = run_sensitivity(
-            inputs, ks=[1, 2], betas=[0.5, 0.9], seed=3, base_cfg=cfg,
-            downstream_cfg=_downstream_cfg(),
+            inputs, cfg, _downstream_cfg(seeds=[3], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9])
         )
         assert len(grid) == 4
         assert {(g["top_k"], g["beta"]) for g in grid} == {(1, 0.5), (1, 0.9), (2, 0.5), (2, 0.9)}
@@ -273,10 +273,11 @@ class TestSharedBank:
             generator_factory=lambda cfg: CountingGenerator(train, batches, defect_rate=0.4),
         )
         cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
-        report = run_ablation(inputs, list(SELECTION_MODES), [1], cfg, _downstream_cfg())
-        _, evidence = run_sensitivity(
-            inputs, ks=[1, 2], betas=[0.5, 0.9], seed=1, base_cfg=cfg, downstream_cfg=_downstream_cfg()
+        eval_cfg = _downstream_cfg(
+            modes=list(SELECTION_MODES), seeds=[1], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9]
         )
+        report = run_ablation(inputs, cfg, eval_cfg)
+        _, evidence = run_sensitivity(inputs, cfg, eval_cfg)
         assert evidence["slots_checked"] > 0
         assert report.summary["tplus_s"]["n"] == 1
         # the initial pass (one batch per class) plus at least one refined slot
@@ -286,15 +287,15 @@ class TestSharedBank:
 
         # every mode's selection from the shared bank equals a standalone run
         for mode in SELECTION_MODES:
-            mcfg = replace(cfg, selection_mode=mode, seed=1)
-            shared = select(inputs.bank(mcfg), mcfg)
-            fresh = distill(train, encode_fn, MockGenerator(train, defect_rate=0.4), det, mcfg)
+            mcfg = replace(cfg, selection_mode=mode)
+            shared = select(inputs.bank(mcfg, 1), mcfg)
+            fresh = distill(train, encode_fn, MockGenerator(train, defect_rate=0.4), det, mcfg, SeededRng(1))
             assert shared.report == fresh.report
             write_dataset(tmp_path / "shared.dstl", shared.dataset)
             write_dataset(tmp_path / "fresh.dstl", fresh.dataset)
             assert (tmp_path / "shared.dstl").read_bytes() == (tmp_path / "fresh.dstl").read_bytes()
 
-        bank = inputs.bank(replace(cfg, seed=1))
+        bank = inputs.bank(cfg, 1)
         for field, value in (("num_candidates", 7), ("strength", 0.5)):
             with pytest.raises(ValueError, match=field):
-                select(bank, replace(cfg, seed=1, **{field: value}))
+                select(bank, replace(cfg, **{field: value}))

@@ -3,26 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from distillab.data import LabeledDataset, ToyDataSpec, cutmix, sample_mix_ratio, synthesize_toy_dataset
+from distillab.config import AutoencoderConfig, DetectorConfig, ToyDataSpec, default_config
+from distillab.data import LabeledDataset, cutmix, sample_mix_ratio, synthesize_toy_dataset
 from distillab.models import (
     Autoencoder,
     CheckpointFormatError,
     Detector,
     LatentCodec,
     Mlp,
-    TrainConfig,
     _cutmix_minibatch,
     _soft_cross_entropy,
     decode,
     encode,
-    extract_features,
-    extract_features_batch,
     load_autoencoder,
     load_detector,
     mlp_forward,
     mlp_backward,
     mlp_init,
-    predict,
     predict_batch,
     score_batch,
     save_autoencoder,
@@ -32,12 +29,14 @@ from distillab.models import (
 )
 from distillab.numerics import SeededRng, cosine_similarity
 
-from conftest import gradient_check
+from conftest import AUTOENCODER_SEED, gradient_check
 
 
 def _tiny_dataset(n_per_class=6, k=3, shape=(1, 5, 5), seed=3):
+    c, h, w = shape
     spec = ToyDataSpec(
-        num_classes=k, train_per_class=n_per_class, test_per_class=2, image_shape=shape
+        num_classes=k, train_per_class=n_per_class, test_per_class=2,
+        channels=c, image_height=h, image_width=w,
     )
     rng = SeededRng(seed)
     train, test = synthesize_toy_dataset(spec, rng)
@@ -56,7 +55,7 @@ class TestTrainDetector:
 
     def test_zero_learning_rate_rejected(self):
         with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+            DetectorConfig(learning_rate=0.0)
 
     def test_single_class_rejected(self):
         train, _ = _tiny_dataset(k=3)
@@ -67,13 +66,13 @@ class TestTrainDetector:
             ("only",),
         )
         with pytest.raises(ValueError):
-            train_detector(mono, TrainConfig(epochs=1), SeededRng(1))
+            train_detector(mono, DetectorConfig(epochs=1), SeededRng(1), use_cutmix=True)
 
     def test_deterministic_parameters(self):
         train, _ = _tiny_dataset()
-        cfg = TrainConfig(epochs=2, batch_size=8, hidden_sizes=(16, 8))
-        d1 = train_detector(train, cfg, SeededRng(5))
-        d2 = train_detector(train, cfg, SeededRng(5))
+        cfg = DetectorConfig(epochs=2, batch_size=8, hidden_sizes=[16, 8])
+        d1 = train_detector(train, cfg, SeededRng(5), use_cutmix=True)
+        d2 = train_detector(train, cfg, SeededRng(5), use_cutmix=True)
         for a, b in zip(d1.mlp.params(), d2.mlp.params()):
             assert np.array_equal(a, b)
 
@@ -114,7 +113,7 @@ class TestCutMixMinibatch:
     def test_train_detector_one_block_per_minibatch(self, rng_spy):
         train, _ = _tiny_dataset(n_per_class=10, k=3)  # 30 images: 4 minibatches of <= 8
         rng = SeededRng(5)
-        train_detector(train, TrainConfig(epochs=3, batch_size=8, hidden_sizes=(8,)), rng)
+        train_detector(train, DetectorConfig(epochs=3, batch_size=8, hidden_sizes=[8]), rng, use_cutmix=True)
         loop = rng.spawn(1).seed
         draws = {name: count for (seed, name), count in rng_spy.calls.items() if seed == loop}
         assert draws == {"permutation": 3, "raw_u64": 3 * 4}
@@ -133,16 +132,16 @@ class TestPredict:
 
     def test_softmax_oracle_confidence(self):
         det = self._fixed_logit_detector([2.0, 0.0, 0.0])
-        label, conf, logits = predict(det, np.zeros((1, 1, 1), dtype=np.float32))
-        assert label == 0
-        assert conf == pytest.approx(math.exp(2) / (math.exp(2) + 2), abs=1e-6)
-        assert conf == pytest.approx(0.78699, abs=5e-6)
+        labels, confs, logits = predict_batch(det, np.zeros((1, 1, 1, 1), dtype=np.float32))
+        assert labels[0] == 0
+        assert confs[0] == pytest.approx(math.exp(2) / (math.exp(2) + 2), abs=1e-6)
+        assert confs[0] == pytest.approx(0.78699, abs=5e-6)
 
     def test_uniform_logits_tie_breaks_low(self):
         det = self._fixed_logit_detector([0.0, 0.0, 0.0, 0.0])
-        label, conf, _ = predict(det, np.zeros((1, 1, 1), dtype=np.float32))
-        assert label == 0
-        assert conf == pytest.approx(0.25, abs=1e-9)
+        labels, confs, _ = predict_batch(det, np.zeros((1, 1, 1, 1), dtype=np.float32))
+        assert labels[0] == 0
+        assert confs[0] == pytest.approx(0.25, abs=1e-9)
 
     def test_confidence_bounds(self, detector, toy_test):
         _, confs, _ = predict_batch(detector, toy_test.images[:64])
@@ -152,19 +151,19 @@ class TestPredict:
 
     def test_shape_mismatch(self, detector):
         with pytest.raises(ValueError):
-            predict(detector, np.zeros((1, 3, 3), dtype=np.float32))
+            predict_batch(detector, np.zeros((1, 1, 3, 3), dtype=np.float32))
 
 
 class TestFeatures:
     def test_deterministic_and_dim(self, detector, toy_test):
-        f1 = extract_features(detector, toy_test.images[0])
-        f2 = extract_features(detector, toy_test.images[0])
+        f1 = score_batch(detector, toy_test.images[:1])[2]
+        f2 = score_batch(detector, toy_test.images[:1])[2]
         assert np.array_equal(f1, f2)
-        assert f1.shape == (detector.feature_dim,)
+        assert f1.shape == (1, detector.feature_dim)
         assert detector.feature_dim == 64
 
     def test_class_structure(self, detector, toy_test):
-        feats = extract_features_batch(detector, toy_test.images)
+        feats = score_batch(detector, toy_test.images)[2]
         labels = toy_test.labels
         same, cross = [], []
         rng = SeededRng(17)
@@ -183,7 +182,7 @@ class TestScoreBatch:
         want_labels, want_confs, _ = predict_batch(detector, toy_test.images)
         assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
         assert np.array_equal(confs, want_confs)
-        want_feats = extract_features_batch(detector, toy_test.images)
+        want_feats = mlp_forward(detector.mlp, toy_test.images.reshape(len(toy_test), -1))[-2].astype(np.float32)
         assert feats.dtype == want_feats.dtype and np.array_equal(feats, want_feats)
 
 
@@ -224,7 +223,7 @@ class TestGradients:
 
 class TestAutoencoder:
     def test_identity_mode(self, toy_train):
-        ae = train_autoencoder(toy_train, TrainConfig(epochs=1), SeededRng(1), mode="identity")
+        ae = train_autoencoder(toy_train, AutoencoderConfig(epochs=1, mode="identity"), SeededRng(1))
         assert ae.latent_dim == 256
         z = encode(ae, toy_train.images[:4])
         assert z.shape == (4, 256)
@@ -234,30 +233,20 @@ class TestAutoencoder:
         assert ae.meta["reconstruction_mse"] == 0.0
 
     def test_trained_reconstruction(self, toy_train, toy_test):
-        from distillab import presets
-
-        ae = train_autoencoder(
-            toy_train,
-            presets.frozen_autoencoder_config(),
-            SeededRng(presets.AUTOENCODER_SEED),
-            latent_dim=32,
-            hidden_size=128,
-        )
+        ae = train_autoencoder(toy_train, default_config().autoencoder, SeededRng(AUTOENCODER_SEED))
         rec = decode(ae, encode(ae, toy_test.images))
         mse = np.mean((rec.astype(np.float64) - toy_test.images) ** 2)
         assert mse <= 0.01
         assert ae.meta["reconstruction_mse"] <= 0.01
 
     def test_shape_contract(self, toy_train):
-        ae = train_autoencoder(
-            toy_train, TrainConfig(epochs=1, use_cutmix=False), SeededRng(2), latent_dim=8
-        )
+        ae = train_autoencoder(toy_train, AutoencoderConfig(epochs=1, latent_dim=8), SeededRng(2))
         x = toy_train.images[0]
         assert decode(ae, encode(ae, x)).shape == x.shape
 
     def test_invalid_mode(self, toy_train):
         with pytest.raises(ValueError):
-            train_autoencoder(toy_train, TrainConfig(epochs=1), SeededRng(1), mode="vae")
+            train_autoencoder(toy_train, AutoencoderConfig(epochs=1, mode="vae"), SeededRng(1))
 
 
 class TestLatentCodec:
@@ -283,14 +272,12 @@ class TestCheckpoints:
             assert np.array_equal(a, b)
         assert back.num_classes == detector.num_classes
         assert back.image_shape == detector.image_shape
-        l1, c1, _ = predict(detector, toy_test.images[0])
-        l2, c2, _ = predict(back, toy_test.images[0])
-        assert (l1, c1) == (l2, c2)
+        l1, c1, _ = predict_batch(detector, toy_test.images[:1])
+        l2, c2, _ = predict_batch(back, toy_test.images[:1])
+        assert (l1[0], c1[0]) == (l2[0], c2[0])
 
     def test_autoencoder_round_trip(self, toy_train, tmp_path):
-        ae = train_autoencoder(
-            toy_train, TrainConfig(epochs=1, use_cutmix=False), SeededRng(4), latent_dim=8
-        )
+        ae = train_autoencoder(toy_train, AutoencoderConfig(epochs=1, latent_dim=8), SeededRng(4))
         p = tmp_path / "ae.mdlc"
         save_autoencoder(p, ae)
         back = load_autoencoder(p)
@@ -300,7 +287,7 @@ class TestCheckpoints:
         assert np.array_equal(decode(ae, z1), decode(back, z2))
 
     def test_identity_ae_round_trip(self, toy_train, tmp_path):
-        ae = train_autoencoder(toy_train, TrainConfig(epochs=1), SeededRng(1), mode="identity")
+        ae = train_autoencoder(toy_train, AutoencoderConfig(epochs=1, mode="identity"), SeededRng(1))
         p = tmp_path / "id.mdlc"
         save_autoencoder(p, ae)
         back = load_autoencoder(p)

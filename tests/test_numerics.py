@@ -7,7 +7,6 @@ from distillab.numerics import (
     NonFiniteError,
     SeededRng,
     cosine_similarity,
-    gaussian,
     max_softmax,
     require_finite,
     softmax,
@@ -121,7 +120,7 @@ class TestSeededRng:
         assert raw.tolist() == expected
 
     def test_gaussian_shape(self):
-        t = gaussian(SeededRng(5), (2, 3))
+        t = SeededRng(5).normal((2, 3))
         assert t.shape == (2, 3) and t.size == 6
 
     def test_gaussian_moments(self):

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from distillab.data import DatasetFormatError, LabeledDataset, grating_image
+from distillab.data import LabeledDataset, grating_image
+from distillab.models import CheckpointFormatError
 from distillab.numerics import SeededRng
 from distillab.prototypes import (
     Prototype,
@@ -125,7 +126,7 @@ class TestExtractPrototypes:
 
     def test_ipc_one_is_class_mean(self):
         ds = self._dataset()
-        protos = extract_prototypes(self._flatten, ds, 1, SeededRng(14))
+        protos = extract_prototypes(self._flatten, ds, 1, SeededRng(14), restarts=10)
         for p in protos:
             members = ds.images[ds.class_indices(p.class_id)].reshape(-1, 36)
             assert np.allclose(p.latent, members.mean(axis=0), atol=1e-5)
@@ -134,7 +135,7 @@ class TestExtractPrototypes:
     def test_insufficient_class_rejected(self):
         ds = self._dataset(per_class=4)
         with pytest.raises(ValueError, match="class 0"):
-            extract_prototypes(self._flatten, ds, 5, SeededRng(15))
+            extract_prototypes(self._flatten, ds, 5, SeededRng(15), restarts=10)
 
     def test_bimodal_class_separated(self):
         # one class whose phases concentrate at 0 and pi: ipc=2 must split it
@@ -188,7 +189,7 @@ class TestPrototypeIO:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.prto"
         p.write_bytes(b"WHAT" + b"\x00" * 16)
-        with pytest.raises(DatasetFormatError, match="magic"):
+        with pytest.raises(CheckpointFormatError, match="magic"):
             read_prototypes(p)
 
     def test_empty_rejected(self, tmp_path):
@@ -196,8 +197,9 @@ class TestPrototypeIO:
             write_prototypes(tmp_path / "x.prto", [])
 
     def test_truncated_file_is_a_format_error(self, tmp_path):
-        # every offset through the end of the header, a few inside the latent
-        # blob, and every offset inside the JSON trailer
+        # every offset through the end of the header (magic, version,
+        # descriptor with the table and provenance, shape table of the one
+        # latent array) and a few inside the latent blob
         rng = SeededRng(20)
         protos = [
             Prototype(class_id=c, latent=rng.normal(5), cluster_size=2, cluster_index=0)
@@ -206,13 +208,13 @@ class TestPrototypeIO:
         p = tmp_path / "p.prto"
         write_prototypes(p, protos, provenance={"seed": 3, "note": "truncation"})
         raw = p.read_bytes()
-        header_end = 4 + 2 + 8 + 12 * len(protos)
-        blob_end = header_end + 4 * 3 * 5
-        cuts = [*range(header_end + 1), header_end + 1, header_end + 30, blob_end - 1,
-                *range(blob_end, len(raw))]
+        dlen = int.from_bytes(raw[6:10], "little")
+        header_end = 10 + dlen + 4 + 4 + 4 * 2
+        assert len(raw) - header_end == 4 * 3 * 5
+        cuts = [*range(header_end + 1), header_end + 1, header_end + 30, len(raw) - 1]
         cut_path = tmp_path / "cut.prto"
         for cut in cuts:
             cut_path.write_bytes(raw[:cut])
-            with pytest.raises(DatasetFormatError):
+            with pytest.raises(CheckpointFormatError):
                 read_prototypes(cut_path)
         assert len(read_prototypes(p)[0]) == 3

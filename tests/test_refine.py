@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from distillab.data import LabeledDataset, ToyDataSpec, synthesize_toy_dataset
-from distillab.models import predict_batch
+from distillab.config import DetectorConfig, DistillConfig, ToyDataSpec
+from distillab.data import LabeledDataset, synthesize_toy_dataset
+from distillab.models import predict_batch, score_batch
 from distillab.numerics import SeededRng, cosine_similarity
 from distillab.refine import (
-    DistillConfig,
     NormalPool,
     Provenance,
     SyntheticSample,
-    classify_sample,
     cumulative_similarity,
     distill,
     generate_candidates,
@@ -72,7 +71,7 @@ def brute_force_select(candidates, pool, top_k, beta):
     return best
 
 
-# --- classify_sample ----------------------------------------------------------
+# --- acceptance rule ----------------------------------------------------------
 
 
 class TestAcceptanceRule:
@@ -89,13 +88,14 @@ class TestAcceptanceRule:
         assert not is_accepted(0, 0.9, 0, 0.9)
 
     def test_classify_sample_runs_detector(self, detector, toy_test):
-        v = classify_sample(detector, toy_test.images[0], int(toy_test.labels[0]), 0.5)
-        labels, confs, _ = predict_batch(detector, toy_test.images[:1])
-        assert v.predicted_label == int(labels[0])
-        assert v.confidence == pytest.approx(float(confs[0]))
-        assert v.accepted == (
-            v.predicted_label == int(toy_test.labels[0]) and v.confidence > 0.5
-        )
+        # the initial pass scores a generated batch with score_batch, then
+        # applies is_accepted to each row
+        labels, confs, _ = score_batch(detector, toy_test.images[:1])
+        want_labels, want_confs, _ = predict_batch(detector, toy_test.images[:1])
+        assert int(labels[0]) == int(want_labels[0])
+        assert float(confs[0]) == pytest.approx(float(want_confs[0]))
+        accepted = is_accepted(int(labels[0]), float(confs[0]), int(toy_test.labels[0]), 0.5)
+        assert accepted == (int(labels[0]) == int(toy_test.labels[0]) and float(confs[0]) > 0.5)
 
 
 class TestCumulativeSimilarity:
@@ -268,12 +268,12 @@ class MockGenerator:
 
 @pytest.fixture(scope="module")
 def mock_world():
-    spec = ToyDataSpec(num_classes=3, train_per_class=120, test_per_class=30, image_shape=(1, 8, 8))
+    spec = ToyDataSpec(num_classes=3, train_per_class=120, test_per_class=30, image_height=8, image_width=8)
     train, test = synthesize_toy_dataset(spec, SeededRng(99))
-    from distillab.models import TrainConfig, train_detector
+    from distillab.models import train_detector
 
     det = train_detector(
-        train, TrainConfig(epochs=15, batch_size=32, hidden_sizes=(48, 24)), SeededRng(1)
+        train, DetectorConfig(epochs=15, batch_size=32, hidden_sizes=[48, 24]), SeededRng(1), use_cutmix=True
     )
     labels, confs, _ = predict_batch(det, test.images)
     assert (labels == test.labels).mean() > 0.95
