@@ -4,9 +4,10 @@ Stages write into an artifact directory keyed by the config hash
 (runs/<run-id>/{data,models,prototypes,distilled,reports}); every output
 gets a manifest listing the hashes of all inputs that influenced it.
 
-Every command parses and checks the whole config before it touches the
-filesystem. Each section of the config is passed to its library function
-as is; the ``distill`` flags replace fields of the distill section.
+Every command checks the whole config, then that its inputs exist, before
+it touches the filesystem. Each section of the config is passed to its
+library function as is; the ``distill`` flags replace fields of the distill
+section.
 
 Exit codes: 0 success, 2 config error, 3 missing artifact, 4 numeric
 failure, 5 malformed artifact file (truncated or foreign), 6 run directory
@@ -59,11 +60,8 @@ def _resolve_config(args) -> "RunConfig":
 
 
 def _run_dir(cfg) -> Path:
-    run_id = config_sha256(cfg)[:12]
-    d = Path(cfg.output_root) / run_id
-    for sub in ("data", "models", "prototypes", "distilled", "reports"):
-        (d / sub).mkdir(parents=True, exist_ok=True)
-    return d
+    """The run directory of ``cfg``; ``_lock`` creates it."""
+    return Path(cfg.output_root) / config_sha256(cfg)[:12]
 
 
 def _holder_gone(lock: Path) -> bool:
@@ -87,10 +85,12 @@ def _holder_gone(lock: Path) -> bool:
 
 @contextlib.contextmanager
 def _lock(run_dir: Path):
-    """Hold ``run_dir/.lock`` (holding our pid) while the command runs.
+    """Create ``run_dir``'s tree and hold ``run_dir/.lock`` (our pid) while the command runs.
 
     A lock whose process no longer exists is taken over once.
     """
+    for sub in ("data", "models", "prototypes", "distilled", "reports"):
+        (run_dir / sub).mkdir(parents=True, exist_ok=True)
     lock = run_dir / ".lock"
     for attempt in range(2):
         try:
@@ -114,7 +114,7 @@ def _lock(run_dir: Path):
 def _require(path: Path, producer: str) -> Path:
     if not path.exists():
         raise MissingArtifactError(
-            f"missing artifact {path}; produce it with `distillab {producer}` first"
+            f"{path}; produce it with `distillab {producer}` first"
         )
     return path
 
@@ -197,8 +197,8 @@ def _cmd_train_detector(args) -> int:
 
     cfg = _resolve_config(args)
     run_dir = _run_dir(cfg)
+    train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
     with _lock(run_dir):
-        train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
         train = read_dataset(train_path)
         det = train_detector(train, cfg.detector, SeededRng(cfg.master_seed).spawn(31), use_cutmix=True)
         out = run_dir / "models" / "detector.mdlc"
@@ -215,8 +215,8 @@ def _cmd_train_autoencoder(args) -> int:
 
     cfg = _resolve_config(args)
     run_dir = _run_dir(cfg)
+    train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
     with _lock(run_dir):
-        train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
         train = read_dataset(train_path)
         ae = train_autoencoder(train, cfg.autoencoder, SeededRng(cfg.master_seed).spawn(32))
         out = run_dir / "models" / "autoencoder.mdlc"
@@ -233,9 +233,9 @@ def _cmd_train_diffusion(args) -> int:
 
     cfg = _resolve_config(args)
     run_dir = _run_dir(cfg)
+    train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
+    ae_path = _require(run_dir / "models" / "autoencoder.mdlc", "train-autoencoder")
     with _lock(run_dir):
-        train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
-        ae_path = _require(run_dir / "models" / "autoencoder.mdlc", "train-autoencoder")
         train = read_dataset(train_path)
         codec = _load_codec(run_dir)
         latents = codec.encode(train.images)
@@ -263,11 +263,11 @@ def _cmd_distill(args) -> int:
     dcfg = _distill_cfg(cfg.distill, **{n: getattr(args, n) for n in names if getattr(args, n, None) is not None})
     seed = cfg.master_seed if args.seed is None else args.seed
     run_dir = _run_dir(cfg)
+    train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
+    det_path = _require(run_dir / "models" / "detector.mdlc", "train-detector")
+    ae_path = _require(run_dir / "models" / "autoencoder.mdlc", "train-autoencoder")
+    den_path = _require(run_dir / "models" / "denoiser.mdlc", "train-diffusion")
     with _lock(run_dir):
-        train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
-        det_path = _require(run_dir / "models" / "detector.mdlc", "train-detector")
-        ae_path = _require(run_dir / "models" / "autoencoder.mdlc", "train-autoencoder")
-        den_path = _require(run_dir / "models" / "denoiser.mdlc", "train-diffusion")
         train = read_dataset(train_path)
         det = load_detector(det_path)
         codec = _load_codec(run_dir)
@@ -312,9 +312,9 @@ def _cmd_eval(args) -> int:
 
     cfg = _resolve_config(args)
     run_dir = _run_dir(cfg)
+    distilled_path = _require(run_dir / "distilled" / "distilled.dstl", "distill")
+    test_path = _require(run_dir / "data" / "test.dstl", "synth-data")
     with _lock(run_dir):
-        distilled_path = _require(run_dir / "distilled" / "distilled.dstl", "distill")
-        test_path = _require(run_dir / "data" / "test.dstl", "synth-data")
         distilled = read_dataset(distilled_path)
         test = read_dataset(test_path)
         clf = train_downstream(distilled, cfg.eval, SeededRng(cfg.master_seed).spawn(34))
@@ -346,12 +346,12 @@ def _cmd_ablate(args) -> int:
             for beta in cfg.eval.sensitivity_betas:
                 _distill_cfg(cfg.distill, top_k=k, beta=beta)
     run_dir = _run_dir(cfg)
+    train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
+    test_path = _require(run_dir / "data" / "test.dstl", "synth-data")
+    det_path = _require(run_dir / "models" / "detector.mdlc", "train-detector")
+    ae_path = _require(run_dir / "models" / "autoencoder.mdlc", "train-autoencoder")
+    den_path = _require(run_dir / "models" / "denoiser.mdlc", "train-diffusion")
     with _lock(run_dir):
-        train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
-        test_path = _require(run_dir / "data" / "test.dstl", "synth-data")
-        det_path = _require(run_dir / "models" / "detector.mdlc", "train-detector")
-        ae_path = _require(run_dir / "models" / "autoencoder.mdlc", "train-autoencoder")
-        den_path = _require(run_dir / "models" / "denoiser.mdlc", "train-diffusion")
         train = read_dataset(train_path)
         test = read_dataset(test_path)
         codec = _load_codec(run_dir)

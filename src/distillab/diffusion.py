@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DenoiserConfig, check_schedule
-from .models import Adam, Mlp, mlp_backward, mlp_forward, mlp_init, read_checkpoint, write_checkpoint
+from .models import Adam, Mlp, _mlp_from_arrays, mlp_backward, mlp_forward, mlp_init, read_checkpoint, write_checkpoint
 from .models import CheckpointFormatError
 from .numerics import SeededRng, require_finite
 
@@ -92,11 +92,14 @@ class Denoiser:
     """
 
     mlp: Mlp
-    label_table: np.ndarray  # (num_classes + 1, label_embed_dim) float32
+    label_table: np.ndarray  # (num_classes + 1, label_embed_dim), float64 of float32 values
     num_classes: int
     latent_dim: int
     time_embed_dim: int
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.label_table = np.asarray(self.label_table, dtype=np.float64)
 
     @property
     def null_token(self) -> int:
@@ -107,10 +110,10 @@ class Denoiser:
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.size and (tokens.min() < 0 or tokens.max() > self.num_classes):
             raise ValueError("label token out of range (including null)")
-        base = self.label_table[self.null_token].astype(np.float64)
+        base = self.label_table[self.null_token]
         out = np.broadcast_to(base, (len(tokens), base.size)).copy()
         cls = tokens < self.num_classes
-        out[cls] += self.label_table[tokens[cls]].astype(np.float64)
+        out[cls] += self.label_table[tokens[cls]]
         return out
 
     def predict_noise(self, z: np.ndarray, t: np.ndarray, tokens: np.ndarray) -> np.ndarray:
@@ -138,7 +141,7 @@ def denoise_loss_and_grads(den: Denoiser, zt, t, tokens, eps):
     diff = acts[-1] - np.asarray(eps, dtype=np.float64)
     loss = float(np.mean(diff**2))
     dout = 2.0 * diff / diff.size
-    grads, dinput = mlp_backward(den.mlp, acts, dout)
+    grads, dinput = mlp_backward(den.mlp, acts, dout, input_grad=True)
     demb = dinput[:, den.latent_dim + den.time_embed_dim :]
     tokens = np.asarray(tokens, dtype=np.int64)
     dtable = np.zeros(den.label_table.shape, dtype=np.float64)
@@ -300,12 +303,9 @@ def load_denoiser(path) -> Denoiser:
     kind, desc, arrays = read_checkpoint(path)
     if kind != "denoiser-v1":
         raise CheckpointFormatError(f"expected denoiser-v1 checkpoint, got {kind!r}")
-    table = arrays[-1]
-    weights = arrays[:-1][0::2]
-    biases = arrays[:-1][1::2]
     return Denoiser(
-        mlp=Mlp(list(weights), list(biases)),
-        label_table=table,
+        mlp=_mlp_from_arrays(arrays[:-1]),
+        label_table=arrays[-1],
         num_classes=int(desc["num_classes"]),
         latent_dim=int(desc["latent_dim"]),
         time_embed_dim=int(desc["time_embed_dim"]),

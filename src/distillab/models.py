@@ -3,10 +3,10 @@
 Two consumers: the detector (classifier + feature extractor used to flag
 defective synthetic samples) and an optional autoencoder supplying the
 latent space for the diffusion model. Both are tanh MLPs trained with a
-hand-rolled Adam; parameters are stored float32, while forward/backward
-math runs in float64 (activations and reductions), which keeps training
-bit-reproducible per seed and makes finite-difference gradient checks
-meaningful.
+hand-rolled Adam. Parameters are float32 on disk and float64 arrays of
+float32 values in memory, so float64 forward/backward math needs no casts;
+this keeps training bit-reproducible per seed and makes finite-difference
+gradient checks meaningful.
 """
 
 from __future__ import annotations
@@ -51,12 +51,16 @@ __all__ = [
 class Mlp:
     """Plain MLP: tanh on every hidden layer, linear output.
 
-    weights[i] has shape (fan_out, fan_in); float32 storage. Forward and
-    backward promote to float64.
+    weights[i] has shape (fan_out, fan_in). Parameters are float64 arrays
+    of float32 values; construction casts float32 arrays (a loaded file) once.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+
+    def __post_init__(self):
+        self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
+        self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -69,13 +73,13 @@ class Mlp:
         return out
 
 
-def mlp_init(layer_sizes, rng: SeededRng, dtype=np.float32) -> Mlp:
-    """Gaussian init scaled by 1/sqrt(fan_in)."""
+def mlp_init(layer_sizes, rng: SeededRng) -> Mlp:
+    """Gaussian init scaled by 1/sqrt(fan_in), rounded to float32 values."""
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         w = rng.normal((fan_out, fan_in)).astype(np.float64) / np.sqrt(fan_in)
-        weights.append(w.astype(dtype))
-        biases.append(np.zeros(fan_out, dtype=dtype))
+        weights.append(w.astype(np.float32))
+        biases.append(np.zeros(fan_out))
     return Mlp(weights, biases)
 
 
@@ -84,16 +88,17 @@ def mlp_forward(mlp: Mlp, x: np.ndarray) -> list[np.ndarray]:
     acts = [np.asarray(x, dtype=np.float64)]
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = acts[-1] @ w.T.astype(np.float64) + b.astype(np.float64)
+        z = acts[-1] @ w.T + b
         acts.append(z if i == last else np.tanh(z))
     return acts
 
 
-def mlp_backward(mlp: Mlp, acts: list[np.ndarray], dout: np.ndarray):
+def mlp_backward(mlp: Mlp, acts: list[np.ndarray], dout: np.ndarray, input_grad: bool = False):
     """Gradients of a scalar loss given d(loss)/d(output).
 
     Returns (grads, dinput) where grads interleaves [dW1, db1, dW2, ...]
-    matching ``Mlp.params()`` order.
+    matching ``Mlp.params()`` order. dinput, d(loss)/d(input), costs one
+    more matmul and is None unless ``input_grad``.
     """
     grads: list[np.ndarray] = [None] * (2 * len(mlp.weights))
     delta = np.asarray(dout, dtype=np.float64)
@@ -103,17 +108,17 @@ def mlp_backward(mlp: Mlp, acts: list[np.ndarray], dout: np.ndarray):
         grads[2 * i + 1] = delta.sum(axis=0)
         if i > 0:
             # acts[i] = tanh(z_{i-1}), so tanh' = 1 - acts[i]^2
-            delta = (delta @ mlp.weights[i].astype(np.float64)) * (1.0 - acts[i] ** 2)
-    dinput = delta @ mlp.weights[0].astype(np.float64)
+            delta = (delta @ mlp.weights[i]) * (1.0 - acts[i] ** 2)
+    dinput = delta @ mlp.weights[0] if input_grad else None
     return grads, dinput
 
 
 class Adam:
     """Adaptive-moment optimizer over a flat list of parameter arrays.
 
-    Moments are float64; the update is computed in float64 and written back
-    in the parameter's own dtype. The coefficients are the defaults of
-    Kingma & Ba (2015).
+    Moments and the update are float64; the new parameter is rounded to a
+    float32 value before it is written back. The coefficients are the
+    defaults of Kingma & Ba (2015).
     """
 
     beta1 = 0.9
@@ -137,7 +142,7 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             upd = (self.lr * (m / b1c)) / (np.sqrt(v / b2c) + self.eps)
-            p[...] = (p.astype(np.float64) - upd).astype(p.dtype)
+            p[...] = (p - upd).astype(np.float32)
 
 
 # --- detector ----------------------------------------------------------------
@@ -351,7 +356,7 @@ def _ae_loss_and_grads(enc: Mlp, dec: Mlp, xb: np.ndarray):
     diff = recon - xb
     loss = float(np.mean(diff**2))
     dout = 2.0 * diff / diff.size
-    dec_grads, dcode = mlp_backward(dec, dec_acts, dout)
+    dec_grads, dcode = mlp_backward(dec, dec_acts, dout, input_grad=True)
     denc_out = dcode * (1.0 - code**2)
     enc_grads, _ = mlp_backward(enc, enc_acts, denc_out)
     return loss, enc_grads + dec_grads
@@ -482,9 +487,7 @@ def read_checkpoint(path):
 
 
 def _mlp_from_arrays(arrays: list[np.ndarray]) -> Mlp:
-    weights = arrays[0::2]
-    biases = arrays[1::2]
-    return Mlp(list(weights), list(biases))
+    return Mlp(arrays[0::2], arrays[1::2])
 
 
 def save_detector(path, det: Detector) -> None:

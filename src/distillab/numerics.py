@@ -38,7 +38,6 @@ advances exactly as before, and every value is bit-identical.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import betaincinv
 
 __all__ = [
     "NonFiniteError",
@@ -129,6 +128,8 @@ def beta_symmetric_from_words(words: np.ndarray, alpha: float) -> np.ndarray:
     """Beta(alpha, alpha) draws, one per word, by inverse CDF of a [0, 1) uniform."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    from scipy.special import betaincinv  # here, not at load: importing scipy takes ~0.3 s
+
     return betaincinv(alpha, alpha, uniform_from_words(words))
 
 

@@ -129,7 +129,7 @@ class TestAcceptance:
 
         with criterion(4, "gradient checks vs central differences"):
             rng = SeededRng(123)
-            det_mlp = mlp_init([6, 5, 4, 3], rng, dtype=np.float64)
+            det_mlp = mlp_init([6, 5, 4, 3], rng)
             x = rng.normal((7, 6)).astype(np.float64)
             y = np.zeros((7, 3))
             y[np.arange(7), rng.integers(3, n=7)] = 0.7
@@ -144,8 +144,8 @@ class TestAcceptance:
             checked, _ = gradient_check(det_loss, det_mlp.params(), SeededRng(1), probes=60)
             assert checked >= 50
 
-            enc = mlp_init([8, 6, 3], rng.spawn(0), dtype=np.float64)
-            dec = mlp_init([3, 6, 8], rng.spawn(1), dtype=np.float64)
+            enc = mlp_init([8, 6, 3], rng.spawn(0))
+            dec = mlp_init([3, 6, 8], rng.spawn(1))
             xb = rng.normal((5, 8)).astype(np.float64)
             checked, _ = gradient_check(
                 lambda: _ae_loss_and_grads(enc, dec, xb),
@@ -168,9 +168,6 @@ class TestAcceptance:
                 ),
                 SeededRng(3),
             )
-            den.mlp.weights = [w.astype(np.float64) for w in den.mlp.weights]
-            den.mlp.biases = [b.astype(np.float64) for b in den.mlp.biases]
-            den.label_table = den.label_table.astype(np.float64)
             b = 10
             zt = rng.normal((b, 6)).astype(np.float64)
             t = rng.integers(10, n=b) + 1

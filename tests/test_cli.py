@@ -217,16 +217,21 @@ class TestConfigHandling:
         assert payload["output_root"].endswith("runs")
 
 
+def _child_env(tmp_path):
+    """Environment for a child process: this checkout's src, output under tmp_path/runs."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, DISTILLAB_OUTPUT_ROOT=str(tmp_path / "runs"))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _cli(tmp_path, cfg, *argv):
     """Run the CLI in a child process with ``cfg`` as its config file."""
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, DISTILLAB_OUTPUT_ROOT=str(tmp_path / "runs"))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "distillab.cli", *argv, "--config", str(cfg_path)],
-        env=env, capture_output=True, text=True,
+        env=_child_env(tmp_path), capture_output=True, text=True,
     )
 
 
@@ -304,27 +309,43 @@ class TestMissingArtifacts:
         assert _run("report", "--config", str(cfg_path)) == 3
         assert "ablate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        ["train-detector", "train-autoencoder", "train-diffusion", "distill", "eval", "ablate", "report"],
+    )
+    def test_leaves_no_run_directory(self, tmp_path, command):
+        """One line, exit 3, and no run directory created."""
+        proc = _cli(tmp_path, TINY_CONFIG, command)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("missing artifact: /")
+        assert proc.stderr.count("missing artifact") == 1
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "runs").exists()
+
+
+class TestStartup:
+    def test_synth_data_does_not_import_scipy(self, tmp_path):
+        """Only the detector's Beta draws need scipy; other commands skip it."""
+        code = (
+            "import sys, distillab, distillab.cli\n"
+            f"assert distillab.cli.main(['synth-data', '--config', {str(tmp_path / 'config.json')!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        )
+        (tmp_path / "config.json").write_text(json.dumps(TINY_CONFIG))
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (_run_dir(tmp_path) / "data" / "train.dstl").exists()
+
 
 class TestFormatErrors:
     def test_truncated_detector_exits_5(self, tmp_path):
         """A truncated checkpoint is a one-line format error, not a traceback."""
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(TINY_CONFIG))
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, DISTILLAB_OUTPUT_ROOT=str(tmp_path / "runs"))
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-
-        def cli(*argv):
-            return subprocess.run(
-                [sys.executable, "-m", "distillab.cli", *argv, "--config", str(cfg_path)],
-                env=env, capture_output=True, text=True,
-            )
-
         for cmd in ("synth-data", "train-detector", "train-autoencoder", "train-diffusion"):
-            assert cli(cmd).returncode == 0
+            assert _cli(tmp_path, TINY_CONFIG, cmd).returncode == 0
         det = _run_dir(tmp_path) / "models" / "detector.mdlc"
         det.write_bytes(det.read_bytes()[:30])
-        proc = cli("distill")
+        proc = _cli(tmp_path, TINY_CONFIG, "distill")
         assert proc.returncode == 5
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("format error: ")

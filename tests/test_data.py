@@ -279,11 +279,17 @@ class TestDatasetIO:
             read_dataset(p)
 
     def test_truncated(self, tmp_path):
-        p = tmp_path / "trunc.dstl"
-        write_dataset(p, self._random_dataset(SeededRng(3)))
-        p.write_bytes(p.read_bytes()[:40])
-        with pytest.raises(DatasetFormatError, match="truncated"):
-            read_dataset(p)
+        # every offset: the 26-byte header, the label and image blocks, the
+        # trailer length and the trailer
+        p = tmp_path / "full.dstl"
+        write_dataset(p, self._random_dataset(SeededRng(3), n=3, shape=(1, 2, 2)))
+        raw = p.read_bytes()
+        cut_path = tmp_path / "trunc.dstl"
+        for cut in range(len(raw)):
+            cut_path.write_bytes(raw[:cut])
+            with pytest.raises(DatasetFormatError, match="truncated"):
+                read_dataset(cut_path)
+        assert len(read_dataset(p)) == 3
 
     def test_label_out_of_range(self, tmp_path):
         p = tmp_path / "badlabel.dstl"
