@@ -92,14 +92,11 @@ class Denoiser:
     """
 
     mlp: Mlp
-    label_table: np.ndarray  # (num_classes + 1, label_embed_dim), float64 of float32 values
+    label_table: np.ndarray  # (num_classes + 1, label_embed_dim) float32; sets the pass dtype
     num_classes: int
     latent_dim: int
     time_embed_dim: int
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.label_table = np.asarray(self.label_table, dtype=np.float64)
 
     @property
     def null_token(self) -> int:
@@ -122,12 +119,12 @@ class Denoiser:
         return mlp_forward(self.mlp, x)[-1]
 
     def _assemble_input(self, z, t, tokens) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
+        z = np.asarray(z, dtype=self.label_table.dtype)
         if z.ndim != 2 or z.shape[1] != self.latent_dim:
             raise ValueError(f"latents must be (B, {self.latent_dim})")
         temb = timestep_embedding(t, self.time_embed_dim)
         lemb = self.label_vec(tokens)
-        return np.concatenate([z, temb, lemb], axis=1)
+        return np.concatenate([z, temb, lemb], axis=1, dtype=z.dtype)
 
 
 def denoise_loss_and_grads(den: Denoiser, zt, t, tokens, eps):
@@ -138,13 +135,13 @@ def denoise_loss_and_grads(den: Denoiser, zt, t, tokens, eps):
     """
     x = den._assemble_input(zt, t, tokens)
     acts = mlp_forward(den.mlp, x)
-    diff = acts[-1] - np.asarray(eps, dtype=np.float64)
+    diff = acts[-1] - np.asarray(eps, dtype=acts[-1].dtype)
     loss = float(np.mean(diff**2))
     dout = 2.0 * diff / diff.size
     grads, dinput = mlp_backward(den.mlp, acts, dout, input_grad=True)
     demb = dinput[:, den.latent_dim + den.time_embed_dim :]
     tokens = np.asarray(tokens, dtype=np.int64)
-    dtable = np.zeros(den.label_table.shape, dtype=np.float64)
+    dtable = np.zeros_like(den.label_table)
     dtable[den.null_token] = demb.sum(axis=0)  # base row is in every path
     cls = tokens < den.num_classes
     np.add.at(dtable, tokens[cls], demb[cls])
@@ -190,7 +187,6 @@ def train_denoiser(
     opt = Adam(params, cfg.learning_rate)
     loop = rng.spawn(2)
     n = len(latents)
-    z0_all = latents.astype(np.float64)
     losses = []
     for _epoch in range(cfg.epochs):
         order = loop.permutation(n)
@@ -199,9 +195,9 @@ def train_denoiser(
             idx = order[s : s + cfg.batch_size]
             b = len(idx)
             t = loop.integers(sched.timesteps, n=b) + 1
-            eps = loop.normal((b, d)).astype(np.float64)
+            eps = loop.normal((b, d))
             ab = sched.alpha_bars[t - 1][:, None]
-            zt = np.sqrt(ab) * z0_all[idx] + np.sqrt(1.0 - ab) * eps
+            zt = np.sqrt(ab) * latents[idx] + np.sqrt(1.0 - ab) * eps
             tokens = labels[idx].copy()
             drop = loop.uniform(b) < cfg.label_dropout
             tokens[drop] = den.null_token

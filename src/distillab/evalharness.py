@@ -209,7 +209,7 @@ def run_ablation(
         if include_random_baseline:
             t0 = time.perf_counter()
             subset = _random_subset(inputs.train, base_cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
-            clf = train_downstream(subset, eval_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM, 1))
+            clf = train_downstream(subset, eval_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM))
             acc = evaluate(clf, inputs.test)
             records.append(
                 RunRecord(

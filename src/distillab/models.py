@@ -3,10 +3,10 @@
 Two consumers: the detector (classifier + feature extractor used to flag
 defective synthetic samples) and an optional autoencoder supplying the
 latent space for the diffusion model. Both are tanh MLPs trained with a
-hand-rolled Adam. Parameters are float32 on disk and float64 arrays of
-float32 values in memory, so float64 forward/backward math needs no casts;
-this keeps training bit-reproducible per seed and makes finite-difference
-gradient checks meaningful.
+hand-rolled Adam. Parameters and Adam moments are float32 on disk and in
+memory, and a pass computes in the dtype of its arrays, so training and
+sampling run in float32. Detector scoring feeds a float64 input: confidences
+are the float64 softmax of float32 weights. Gradient checks cast to float64.
 """
 
 from __future__ import annotations
@@ -51,16 +51,12 @@ __all__ = [
 class Mlp:
     """Plain MLP: tanh on every hidden layer, linear output.
 
-    weights[i] has shape (fan_out, fan_in). Parameters are float64 arrays
-    of float32 values; construction casts float32 arrays (a loaded file) once.
+    weights[i] has shape (fan_out, fan_in). Parameters are float32 as
+    built by ``mlp_init`` or read from a checkpoint.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-
-    def __post_init__(self):
-        self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -74,18 +70,18 @@ class Mlp:
 
 
 def mlp_init(layer_sizes, rng: SeededRng) -> Mlp:
-    """Gaussian init scaled by 1/sqrt(fan_in), rounded to float32 values."""
+    """Gaussian init scaled by 1/sqrt(fan_in), float32."""
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         w = rng.normal((fan_out, fan_in)).astype(np.float64) / np.sqrt(fan_in)
         weights.append(w.astype(np.float32))
-        biases.append(np.zeros(fan_out))
+        biases.append(np.zeros(fan_out, dtype=np.float32))
     return Mlp(weights, biases)
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray) -> list[np.ndarray]:
-    """Return activations [a0=x, a1, ..., aL]; hidden layers tanh, last linear."""
-    acts = [np.asarray(x, dtype=np.float64)]
+    """Activations [a0=x, a1, ..., aL] in the dtype of x; hidden layers tanh, last linear."""
+    acts = [np.asarray(x)]
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         z = acts[-1] @ w.T + b
@@ -94,14 +90,14 @@ def mlp_forward(mlp: Mlp, x: np.ndarray) -> list[np.ndarray]:
 
 
 def mlp_backward(mlp: Mlp, acts: list[np.ndarray], dout: np.ndarray, input_grad: bool = False):
-    """Gradients of a scalar loss given d(loss)/d(output).
+    """Gradients of a scalar loss given d(loss)/d(output), in the weights' dtype.
 
     Returns (grads, dinput) where grads interleaves [dW1, db1, dW2, ...]
     matching ``Mlp.params()`` order. dinput, d(loss)/d(input), costs one
     more matmul and is None unless ``input_grad``.
     """
     grads: list[np.ndarray] = [None] * (2 * len(mlp.weights))
-    delta = np.asarray(dout, dtype=np.float64)
+    delta = np.asarray(dout, dtype=mlp.weights[0].dtype)
     for i in range(len(mlp.weights) - 1, -1, -1):
         a_prev = acts[i]
         grads[2 * i] = delta.T @ a_prev
@@ -116,9 +112,8 @@ def mlp_backward(mlp: Mlp, acts: list[np.ndarray], dout: np.ndarray, input_grad:
 class Adam:
     """Adaptive-moment optimizer over a flat list of parameter arrays.
 
-    Moments and the update are float64; the new parameter is rounded to a
-    float32 value before it is written back. The coefficients are the
-    defaults of Kingma & Ba (2015).
+    Moments and the update take each parameter's dtype (float32 for every
+    trained model). The coefficients are the defaults of Kingma & Ba (2015).
     """
 
     beta1 = 0.9
@@ -128,21 +123,20 @@ class Adam:
     def __init__(self, params, lr):
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros(p.shape, dtype=np.float64) for p in params]
-        self.v = [np.zeros(p.shape, dtype=np.float64) for p in params]
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
 
     def step(self, params, grads):
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            g = np.asarray(g, dtype=np.float64)
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             upd = (self.lr * (m / b1c)) / (np.sqrt(v / b2c) + self.eps)
-            p[...] = (p - upd).astype(np.float32)
+            p -= upd
 
 
 # --- detector ----------------------------------------------------------------
@@ -263,9 +257,9 @@ def train_detector(
 
 
 def predict_batch(det: Detector, images: np.ndarray):
-    """(labels, confidences, logits) for a batch; argmax ties break low."""
+    """(labels, confidences, logits) for a batch from a float64 pass; argmax ties break low."""
     x, _ = _flatten_images(images, det.image_shape)
-    logits = mlp_forward(det.mlp, x)[-1]
+    logits = mlp_forward(det.mlp, x.astype(np.float64))[-1]
     return logits.argmax(axis=1).astype(np.int64), max_softmax(logits), logits
 
 
@@ -276,7 +270,7 @@ def score_batch(det: Detector, images: np.ndarray):
     bit; features are the penultimate activations as float32.
     """
     x, _ = _flatten_images(images, det.image_shape)
-    acts = mlp_forward(det.mlp, x)
+    acts = mlp_forward(det.mlp, x.astype(np.float64))
     logits = acts[-1]
     return logits.argmax(axis=1).astype(np.int64), max_softmax(logits), acts[-2].astype(np.float32)
 
@@ -320,7 +314,7 @@ def train_autoencoder(train: LabeledDataset, cfg: AutoencoderConfig, rng: Seeded
     opt = Adam(params, cfg.learning_rate)
     loop = rng.spawn(2)
     n = len(train)
-    flat = train.images.reshape(n, din).astype(np.float64)
+    flat = train.images.reshape(n, din)
     losses = []
     for _epoch in range(cfg.epochs):
         order = loop.permutation(n)
@@ -387,11 +381,7 @@ def decode(ae: Autoencoder, latents: np.ndarray) -> np.ndarray:
     if ae.mode == "identity":
         imgs = z.reshape(len(z), *ae.image_shape).astype(np.float32)
     else:
-        imgs = (
-            mlp_forward(ae.dec, z.astype(np.float64))[-1]
-            .reshape(len(z), *ae.image_shape)
-            .astype(np.float32)
-        )
+        imgs = mlp_forward(ae.dec, z)[-1].reshape(len(z), *ae.image_shape).astype(np.float32)
     return imgs[0] if single else imgs
 
 

@@ -133,11 +133,26 @@ def rng_spy(monkeypatch):
     return SimpleNamespace(calls=calls, words=words)
 
 
+def as_float64(model):
+    """Cast an ``Mlp``'s or a ``Denoiser``'s arrays to float64 in place; return it.
+
+    Passes compute in the dtype of the arrays, so the model then runs in
+    float64, as gradient checks need.
+    """
+    mlp = getattr(model, "mlp", model)
+    mlp.weights = [w.astype(np.float64) for w in mlp.weights]
+    mlp.biases = [b.astype(np.float64) for b in mlp.biases]
+    if hasattr(model, "label_table"):
+        model.label_table = model.label_table.astype(np.float64)
+    return model
+
+
 def gradient_check(loss_fn, params, rng, probes=60, step=1e-5, rel_tol=1e-3):
     """Central-difference gradient check over randomly probed parameters.
 
     ``loss_fn() -> (loss, grads)`` where grads aligns with ``params``;
-    params must be float64 arrays (probing float32 storage is too noisy).
+    params must be float64 arrays (probing float32 storage is too noisy):
+    see ``as_float64``.
     """
     _, grads = loss_fn()
     flat_sizes = [p.size for p in params]

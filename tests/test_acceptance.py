@@ -116,7 +116,7 @@ class TestAcceptance:
                 assert np.all((out.image == 0.0) | (out.image == 1.0))
 
     def test_04_gradient_checks(self):
-        from conftest import gradient_check
+        from conftest import as_float64, gradient_check
         from distillab.config import DenoiserConfig
         from distillab.diffusion import build_schedule, denoise_loss_and_grads, train_denoiser
         from distillab.models import (
@@ -129,7 +129,7 @@ class TestAcceptance:
 
         with criterion(4, "gradient checks vs central differences"):
             rng = SeededRng(123)
-            det_mlp = mlp_init([6, 5, 4, 3], rng)
+            det_mlp = as_float64(mlp_init([6, 5, 4, 3], rng))
             x = rng.normal((7, 6)).astype(np.float64)
             y = np.zeros((7, 3))
             y[np.arange(7), rng.integers(3, n=7)] = 0.7
@@ -144,8 +144,8 @@ class TestAcceptance:
             checked, _ = gradient_check(det_loss, det_mlp.params(), SeededRng(1), probes=60)
             assert checked >= 50
 
-            enc = mlp_init([8, 6, 3], rng.spawn(0))
-            dec = mlp_init([3, 6, 8], rng.spawn(1))
+            enc = as_float64(mlp_init([8, 6, 3], rng.spawn(0)))
+            dec = as_float64(mlp_init([3, 6, 8], rng.spawn(1)))
             xb = rng.normal((5, 8)).astype(np.float64)
             checked, _ = gradient_check(
                 lambda: _ae_loss_and_grads(enc, dec, xb),
@@ -158,7 +158,7 @@ class TestAcceptance:
             latents = rng.normal((40, 6))
             labels = rng.integers(3, n=40)
             sched = build_schedule(10, 1e-3, 0.2)
-            den = train_denoiser(
+            den = as_float64(train_denoiser(
                 latents,
                 labels,
                 sched,
@@ -167,7 +167,7 @@ class TestAcceptance:
                     time_embed_dim=4, label_embed_dim=4,
                 ),
                 SeededRng(3),
-            )
+            ))
             b = 10
             zt = rng.normal((b, 6)).astype(np.float64)
             t = rng.integers(10, n=b) + 1

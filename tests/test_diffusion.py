@@ -15,7 +15,7 @@ from distillab.diffusion import (
 from distillab.models import CheckpointFormatError, predict_batch
 from distillab.numerics import SeededRng
 
-from conftest import gradient_check
+from conftest import as_float64, gradient_check
 
 
 class TestSchedule:
@@ -187,6 +187,7 @@ class TestTrainDenoiser:
 
     def test_gradcheck(self):
         den, sched, latents, labels = _tiny_denoiser(epochs=1)
+        as_float64(den)
         rng = SeededRng(8)
         b = 10
         zt = rng.normal((b, den.latent_dim)).astype(np.float64)
@@ -309,17 +310,6 @@ class TestDenoiserCheckpoint:
         out1 = sample_img2img_batch(den, sched, latents[0][None], 1, 0.5, 2.0, [SeededRng(3)])[0]
         out2 = sample_img2img_batch(back, sched, latents[0][None], 1, 0.5, 2.0, [SeededRng(3)])[0]
         assert np.array_equal(out1, out2)
-
-    def test_float32_values_in_float64(self, denoiser, tmp_path):
-        """Trained and loaded parameters are float64 arrays of float32 values."""
-        save_denoiser(tmp_path / "den.mdlc", denoiser)
-        back = load_denoiser(tmp_path / "den.mdlc")
-        for den in (denoiser, back):
-            for p in den.mlp.params() + [den.label_table]:
-                assert p.dtype == np.float64
-                assert p.tobytes() == p.astype(np.float32).astype(np.float64).tobytes()
-        for a, b in zip(denoiser.mlp.params() + [denoiser.label_table], back.mlp.params() + [back.label_table]):
-            assert a.tobytes() == b.tobytes()
 
     def test_kind_checked(self, tmp_path, detector):
         from distillab.models import save_detector

@@ -147,6 +147,20 @@ class TestRunAblation:
         assert len([r for r in report.records if r.mode != "random"]) == 6
         assert len([r for r in report.records if r.mode == "random"]) == 3
 
+    def test_random_baseline_shares_the_downstream_stream(self, small_world, monkeypatch):
+        import distillab.evalharness as evalharness
+
+        starts = []
+        real = evalharness.train_downstream
+
+        def spy(dataset, cfg, rng):
+            starts.append(rng.seed)
+            return real(dataset, cfg, rng)
+
+        monkeypatch.setattr(evalharness, "train_downstream", spy)
+        run_ablation(self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[4]))
+        assert len(starts) == 2 and starts[0] == starts[1]
+
     def test_single_seed_degenerate(self, small_world):
         report = run_ablation(
             self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[9]),

@@ -6,7 +6,6 @@ import pytest
 from distillab.config import AutoencoderConfig, DetectorConfig, ToyDataSpec, default_config
 from distillab.data import LabeledDataset, cutmix, sample_mix_ratio, synthesize_toy_dataset
 from distillab.models import (
-    Adam,
     Autoencoder,
     CheckpointFormatError,
     Detector,
@@ -28,9 +27,10 @@ from distillab.models import (
     train_autoencoder,
     train_detector,
 )
+from distillab.diffusion import load_denoiser, save_denoiser
 from distillab.numerics import SeededRng, cosine_similarity
 
-from conftest import AUTOENCODER_SEED, gradient_check
+from conftest import AUTOENCODER_SEED, as_float64, gradient_check
 
 
 def _tiny_dataset(n_per_class=6, k=3, shape=(1, 5, 5), seed=3):
@@ -183,14 +183,15 @@ class TestScoreBatch:
         want_labels, want_confs, _ = predict_batch(detector, toy_test.images)
         assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
         assert np.array_equal(confs, want_confs)
-        want_feats = mlp_forward(detector.mlp, toy_test.images.reshape(len(toy_test), -1))[-2].astype(np.float32)
+        x = toy_test.images.reshape(len(toy_test), -1).astype(np.float64)
+        want_feats = mlp_forward(detector.mlp, x)[-2].astype(np.float32)
         assert feats.dtype == want_feats.dtype and np.array_equal(feats, want_feats)
 
 
 class TestGradients:
     def test_detector_loss_gradcheck(self):
         rng = SeededRng(123)
-        mlp = mlp_init([6, 5, 4, 3], rng)
+        mlp = as_float64(mlp_init([6, 5, 4, 3], rng))
         x = rng.normal((7, 6)).astype(np.float64)
         y = np.zeros((7, 3))
         y[np.arange(7), rng.integers(3, n=7)] = 0.7
@@ -209,8 +210,8 @@ class TestGradients:
         from distillab.models import _ae_loss_and_grads
 
         rng = SeededRng(321)
-        enc = mlp_init([8, 6, 3], rng.spawn(0))
-        dec = mlp_init([3, 6, 8], rng.spawn(1))
+        enc = as_float64(mlp_init([8, 6, 3], rng.spawn(0)))
+        dec = as_float64(mlp_init([3, 6, 8], rng.spawn(1)))
         x = rng.normal((5, 8)).astype(np.float64)
 
         def loss_fn():
@@ -326,103 +327,36 @@ class TestCheckpoints:
         assert load_detector(p).num_classes == 3
 
 
-def _assert_float32_values(params):
-    """Every parameter is float64 and holds a float32-representable value."""
-    for p in params:
-        assert p.dtype == np.float64
-        assert p.tobytes() == p.astype(np.float32).astype(np.float64).tobytes()
-
-
-# Reference: the float32-storage MLP that casts its parameters to float64 on
-# every call. Float64 storage must reproduce it bit for bit.
-
-
-def _ref_forward(weights, biases, x):
-    acts = [np.asarray(x, dtype=np.float64)]
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w.T.astype(np.float64) + b.astype(np.float64)
-        acts.append(z if i == len(weights) - 1 else np.tanh(z))
-    return acts
-
-
-def _ref_backward(weights, acts, dout):
-    grads = [None] * (2 * len(weights))
-    delta = np.asarray(dout, dtype=np.float64)
-    for i in range(len(weights) - 1, -1, -1):
-        grads[2 * i] = delta.T @ acts[i]
-        grads[2 * i + 1] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ weights[i].astype(np.float64)) * (1.0 - acts[i] ** 2)
-    return grads, delta @ weights[0].astype(np.float64)
-
-
-def _ref_adam_step(params, grads, m, v, t, lr):
-    b1c = 1.0 - Adam.beta1**t
-    b2c = 1.0 - Adam.beta2**t
-    for p, g, mm, vv in zip(params, grads, m, v):
-        mm *= Adam.beta1
-        mm += (1.0 - Adam.beta1) * g
-        vv *= Adam.beta2
-        vv += (1.0 - Adam.beta2) * g * g
-        upd = (lr * (mm / b1c)) / (np.sqrt(vv / b2c) + Adam.eps)
-        p[...] = (p.astype(np.float64) - upd).astype(p.dtype)
-
-
-_D = default_config()
-_PIXELS = _D.data.channels * _D.data.image_height * _D.data.image_width
-_LATENT = _D.autoencoder.latent_dim
-_DEN_IN = _LATENT + _D.denoiser.time_embed_dim + _D.denoiser.label_embed_dim
-
-
-class TestFloat64Storage:
-    @pytest.mark.parametrize(
-        "sizes, batch",
-        [
-            ([_PIXELS, *_D.detector.hidden_sizes, _D.data.num_classes], _D.detector.batch_size),
-            ([_PIXELS, _D.autoencoder.hidden_size, _LATENT], _D.autoencoder.batch_size),
-            ([_LATENT, _D.autoencoder.hidden_size, _PIXELS], _D.autoencoder.batch_size),
-            ([_DEN_IN, *_D.denoiser.hidden_sizes, _LATENT], _D.denoiser.batch_size),
-        ],
-        ids=["detector", "encoder", "decoder", "denoiser"],
-    )
-    def test_steps_match_float32_storage(self, sizes, batch):
-        rng = SeededRng(77)
-        mlp = mlp_init(sizes, rng.spawn(0))
-        _assert_float32_values(mlp.params())
-        ref = [p.astype(np.float32) for p in mlp.params()]
-        ref_w, ref_b = ref[0::2], ref[1::2]
-        lr = 1e-3
-        opt = Adam(mlp.params(), lr)
-        m = [np.zeros(p.shape) for p in ref]
-        v = [np.zeros(p.shape) for p in ref]
-        for t in range(1, 6):
-            x = rng.normal((batch, sizes[0])).astype(np.float64)
-            target = rng.normal((batch, sizes[-1])).astype(np.float64)
-            acts = mlp_forward(mlp, x)
-            ref_acts = _ref_forward(ref_w, ref_b, x)
-            assert all(a.tobytes() == r.tobytes() for a, r in zip(acts, ref_acts))
-            dout = 2.0 * (acts[-1] - target) / acts[-1].size
-            grads, dinput = mlp_backward(mlp, acts, dout, input_grad=True)
-            ref_grads, ref_dinput = _ref_backward(ref_w, ref_acts, dout)
-            assert dinput.tobytes() == ref_dinput.tobytes()
-            assert mlp_backward(mlp, acts, dout)[1] is None
-            opt.step(mlp.params(), grads)
-            _ref_adam_step(ref, ref_grads, m, v, t, lr)
-            for p, r in zip(mlp.params(), ref):
-                assert p.tobytes() == r.astype(np.float64).tobytes()
-
-    def test_trained_and_loaded_models(self, detector, toy_train, tmp_path):
-        _assert_float32_values(detector.mlp.params())
-        save_detector(tmp_path / "det.mdlc", detector)
-        back = load_detector(tmp_path / "det.mdlc")
-        _assert_float32_values(back.mlp.params())
-        for a, b in zip(detector.mlp.params(), back.mlp.params()):
-            assert a.tobytes() == b.tobytes()
+class TestFloat32Storage:
+    def test_trained_and_loaded_models(self, detector, toy_train, denoiser, tmp_path):
+        """Trained models hold float32 arrays, and checkpoints keep them byte for byte."""
         ae = train_autoencoder(toy_train, AutoencoderConfig(epochs=1, latent_dim=8), SeededRng(4))
-        params = ae.enc.params() + ae.dec.params()
-        _assert_float32_values(params)
-        save_autoencoder(tmp_path / "ae.mdlc", ae)
-        back = load_autoencoder(tmp_path / "ae.mdlc")
-        back_params = back.enc.params() + back.dec.params()
-        _assert_float32_values(back_params)
-        assert [p.tobytes() for p in params] == [p.tobytes() for p in back_params]
+        cases = [
+            (save_detector, load_detector, detector, lambda m: m.mlp.params()),
+            (save_autoencoder, load_autoencoder, ae, lambda m: m.enc.params() + m.dec.params()),
+            (save_denoiser, load_denoiser, denoiser, lambda m: m.mlp.params() + [m.label_table]),
+        ]
+        for save, load, model, params in cases:
+            save(tmp_path / "model.mdlc", model)
+            back = load(tmp_path / "model.mdlc")
+            assert all(p.dtype == np.float32 for p in params(model) + params(back))
+            assert [p.tobytes() for p in params(model)] == [p.tobytes() for p in params(back)]
+
+
+class TestFloat64Scoring:
+    def test_confidences_are_a_float64_forward(self, detector, toy_test):
+        """Scoring is a float64 pass over the float32 weights, not a float32 pass."""
+        a = toy_test.images.reshape(len(toy_test), -1).astype(np.float64)
+        weights, biases = detector.mlp.weights, detector.mlp.biases
+        assert all(p.dtype == np.float32 for p in weights + biases)
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            a = a @ w.astype(np.float64).T + b.astype(np.float64)
+            if i < len(weights) - 1:
+                a = np.tanh(a)
+        p = np.exp(a - a.max(axis=1, keepdims=True))
+        want = (p / p.sum(axis=1, keepdims=True)).max(axis=1)
+        _, confs, _ = predict_batch(detector, toy_test.images)
+        _, score_confs, _ = score_batch(detector, toy_test.images)
+        assert confs.dtype == score_confs.dtype == np.float64
+        assert np.allclose(confs, want, rtol=0, atol=1e-12)
+        assert np.allclose(score_confs, want, rtol=0, atol=1e-12)
