@@ -311,6 +311,20 @@ class TestDenoiserCheckpoint:
         out2 = sample_img2img_batch(back, sched, latents[0][None], 1, 0.5, 2.0, [SeededRng(3)])[0]
         assert np.array_equal(out1, out2)
 
+    def test_float32_values_in_float64(self, denoiser, tmp_path):
+        """The sampler's float64 latents enter the float32 network as float32 values."""
+        save_denoiser(tmp_path / "den.mdlc", denoiser)
+        back = load_denoiser(tmp_path / "den.mdlc")
+        rng = SeededRng(5)
+        z = rng.normal((4, denoiser.latent_dim)).astype(np.float64)
+        t = np.array([1, 10, 50, 100], dtype=np.int64)
+        tokens = np.array([0, 1, 2, denoiser.null_token], dtype=np.int64)
+        want = denoiser.predict_noise(z.astype(np.float32), t, tokens)
+        assert want.dtype == np.float32
+        for den in (denoiser, back):
+            assert all(p.dtype == np.float32 for p in den.mlp.params() + [den.label_table])
+            assert den.predict_noise(z, t, tokens).tobytes() == want.tobytes()
+
     def test_kind_checked(self, tmp_path, detector):
         from distillab.models import save_detector
 

@@ -327,7 +327,9 @@ class TestCheckpoints:
         assert load_detector(p).num_classes == 3
 
 
-class TestFloat32Storage:
+class TestFloat64Storage:
+    """No model stores float64 parameters: training and loading keep them float32."""
+
     def test_trained_and_loaded_models(self, detector, toy_train, denoiser, tmp_path):
         """Trained models hold float32 arrays, and checkpoints keep them byte for byte."""
         ae = train_autoencoder(toy_train, AutoencoderConfig(epochs=1, latent_dim=8), SeededRng(4))
