@@ -9,7 +9,7 @@ beta never grows a candidate batch's passing set.
 
 from dataclasses import replace
 
-from distillab import AblationInputs, LatentCodec, default_config, run_ablation, run_sensitivity
+from distillab import AblationInputs, DiffusionCandidateGenerator, LatentCodec, default_config, run_ablation, run_sensitivity
 from distillab import synthesize_toy_dataset, train_autoencoder, train_denoiser, train_detector
 from distillab.evalharness import sensitivity_csv
 from distillab.numerics import SeededRng
@@ -25,9 +25,13 @@ den = train_denoiser(
     codec.encode(train.images), train.labels, sched,
     replace(defaults.denoiser, epochs=50), SeededRng(2026),
 )
+# one candidate generator per generation config (strength, guidance scale)
 inputs = AblationInputs(
     train=train, test=test, encode_fn=codec.encode, detector=det,
-    denoiser=den, schedule=sched, decode_fn=codec.decode,
+    generator_factory=lambda cfg: DiffusionCandidateGenerator(
+        denoiser=den, schedule=sched, decode_fn=codec.decode,
+        strength=cfg.strength, guidance_scale=cfg.guidance_scale,
+    ),
 )
 
 # %% the mode x seed grid (2 seeds here; the acceptance suite runs 3)

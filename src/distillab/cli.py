@@ -1,13 +1,17 @@
 """Pipeline orchestration: one subcommand per stage, deterministic artifacts.
 
 Stages write into an artifact directory keyed by the config hash
-(runs/<run-id>/{data,models,prototypes,distilled,reports}); every output
-gets a manifest listing the hashes of all inputs that influenced it.
+(runs/<run-id>/{data,models,prototypes,distilled,reports}). Every output is
+written atomically: its bytes go to a temp file in the same directory,
+which is fsynced and renamed over the target, so a command killed
+mid-write leaves the old artifact or none, never a truncated one. Each
+output gets a manifest listing exactly the command's inputs with their
+hashes.
 
-Every command checks the whole config, then that its inputs exist, before
-it touches the filesystem. Each section of the config is passed to its
-library function as is; the ``distill`` flags replace fields of the distill
-section.
+Every command runs in one frame (``_Command``): it checks the whole config,
+then that its inputs exist, before it touches the filesystem. Each section
+of the config is passed to its library function as is; the ``distill``
+flags replace fields of the distill section.
 
 Exit codes: 0 success, 2 config error, 3 missing artifact, 4 numeric
 failure, 5 malformed artifact file (truncated or foreign), 6 run directory
@@ -19,8 +23,8 @@ output root.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -28,7 +32,7 @@ import sys
 from pathlib import Path
 
 from .config import SELECTION_MODES, ConfigError, config_sha256, default_config, load_config, to_dict
-from .data import DatasetFormatError
+from .data import DatasetFormatError, write_atomic
 from .models import CheckpointFormatError
 
 __version__ = "0.1.0"
@@ -53,15 +57,14 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
 def _resolve_config(args) -> "RunConfig":
     cfg = load_config(args.config) if args.config else default_config()
     root = os.environ.get("DISTILLAB_OUTPUT_ROOT")
     return dataclasses.replace(cfg, output_root=root) if root else cfg
-
-
-def _run_dir(cfg) -> Path:
-    """The run directory of ``cfg``; ``_lock`` creates it."""
-    return Path(cfg.output_root) / config_sha256(cfg)[:12]
 
 
 def _holder_gone(lock: Path) -> bool:
@@ -83,56 +86,82 @@ def _holder_gone(lock: Path) -> bool:
     return False
 
 
-@contextlib.contextmanager
-def _lock(run_dir: Path):
-    """Create ``run_dir``'s tree and hold ``run_dir/.lock`` (our pid) while the command runs.
+# input artifact -> (path under the run directory, the command that produces it)
+_INPUTS = {
+    "train": ("data/train.dstl", "synth-data"),
+    "test": ("data/test.dstl", "synth-data"),
+    "detector": ("models/detector.mdlc", "train-detector"),
+    "autoencoder": ("models/autoencoder.mdlc", "train-autoencoder"),
+    "denoiser": ("models/denoiser.mdlc", "train-diffusion"),
+    "distilled": ("distilled/distilled.dstl", "distill"),
+    "ablation": ("reports/ablation.json", "ablate"),
+}
 
-    A lock whose process no longer exists is taken over once.
+
+class _Command:
+    """The frame every command runs in: config, inputs, lock and manifests.
+
+    Constructing it resolves the config, so a command can check its own
+    settings on ``cfg`` first. Entering it checks that each needed input
+    exists (a missing one raises MissingArtifactError naming its producer,
+    before the run directory is created), then creates the run directory's
+    tree and holds ``run_dir/.lock`` (our pid) until exit. A lock whose
+    process no longer exists is taken over once.
     """
-    for sub in ("data", "models", "prototypes", "distilled", "reports"):
-        (run_dir / sub).mkdir(parents=True, exist_ok=True)
-    lock = run_dir / ".lock"
-    for attempt in range(2):
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if attempt or not _holder_gone(lock):
-                raise LockedError(
-                    f"run directory {run_dir} is locked by another command "
-                    f"(remove {lock} if no command is running)"
-                ) from None
-            lock.unlink(missing_ok=True)
-    os.write(fd, str(os.getpid()).encode())
-    os.close(fd)
-    try:
-        yield
-    finally:
-        lock.unlink(missing_ok=True)
 
+    def __init__(self, args, *needs: str):
+        self.cfg = _resolve_config(args)
+        self.run_dir = Path(self.cfg.output_root) / config_sha256(self.cfg)[:12]
+        self.inputs = {name: self.run_dir / _INPUTS[name][0] for name in needs}
 
-def _require(path: Path, producer: str) -> Path:
-    if not path.exists():
-        raise MissingArtifactError(
-            f"{path}; produce it with `distillab {producer}` first"
-        )
-    return path
+    def __enter__(self) -> "_Command":
+        for name, path in self.inputs.items():
+            if not path.exists():
+                raise MissingArtifactError(f"{path}; produce it with `distillab {_INPUTS[name][1]}` first")
+        for sub in ("data", "models", "prototypes", "distilled", "reports"):
+            (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
+        self.lock = self.run_dir / ".lock"
+        for attempt in range(2):
+            try:
+                fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if attempt or not _holder_gone(self.lock):
+                    raise LockedError(
+                        f"run directory {self.run_dir} is locked by another command "
+                        f"(remove {self.lock} if no command is running)"
+                    ) from None
+                self.lock.unlink(missing_ok=True)
+        os.write(fd, str(os.getpid()).encode())
+        os.close(fd)
+        return self
 
+    def __exit__(self, *exc) -> None:
+        self.lock.unlink(missing_ok=True)
 
-def _write_manifest(out_path: Path, inputs: list[Path], cfg, extra: dict | None = None) -> None:
-    manifest = {
-        "output": out_path.name,
-        "output_sha256": _sha256_file(out_path),
-        "inputs": {p.name: _sha256_file(p) for p in inputs},
-        "config_sha256": config_sha256(cfg),
-        "master_seed": cfg.master_seed,
-        "tool_version": __version__,
-    }
-    if extra:
-        manifest.update(extra)
-    with open(out_path.with_name(out_path.name + ".manifest.json"), "w") as f:
-        json.dump(manifest, f, sort_keys=True, indent=2)
-        f.write("\n")
+    @functools.cached_property
+    def input_sha256(self) -> dict[str, str]:
+        """Each input's sha256 by file name, hashed once under the lock."""
+        return {path.name: _sha256_file(path) for path in self.inputs.values()}
+
+    def output(self, rel: str, writer, *args, **extra) -> Path:
+        """Write ``run_dir/rel`` with ``writer(path, *args)``, then its manifest.
+
+        ``writer`` returns the sha256 of the bytes it wrote (as
+        ``write_atomic`` does); ``extra`` adds fields to the manifest.
+        """
+        path = self.run_dir / rel
+        manifest = {
+            "output": path.name,
+            "output_sha256": writer(path, *args),
+            "inputs": self.input_sha256,
+            "config_sha256": config_sha256(self.cfg),
+            "master_seed": self.cfg.master_seed,
+            "tool_version": __version__,
+            **extra,
+        }
+        write_atomic(path.with_name(path.name + ".manifest.json"), [_json_bytes(manifest)])
+        return path
 
 
 def _write_pgm(path: Path, image) -> None:
@@ -141,9 +170,7 @@ def _write_pgm(path: Path, image) -> None:
 
     gray = np.clip(image[0] * 255.0, 0, 255).astype(np.uint8)
     h, w = gray.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(gray.tobytes())
+    write_atomic(path, [f"P5\n{w} {h}\n255\n".encode(), gray.tobytes()])
 
 
 def _distill_cfg(dcfg, **fields):
@@ -159,11 +186,37 @@ def _distill_cfg(dcfg, **fields):
         raise ConfigError(f"distill ({cell}): {e}") from None
 
 
-def _load_codec(run_dir: Path):
+def _load_codec(run: _Command):
     from .models import LatentCodec, load_autoencoder
 
-    ae = load_autoencoder(_require(run_dir / "models" / "autoencoder.mdlc", "train-autoencoder"))
-    return LatentCodec.from_autoencoder(ae)
+    return LatentCodec.from_autoencoder(load_autoencoder(run.inputs["autoencoder"]))
+
+
+def _load_models(run: _Command):
+    """The run's detector, codec, and generator factory, for ``distill`` and ``ablate``.
+
+    The factory maps a distill config to a candidate generator over the
+    run's denoiser with that config's strength and guidance scale.
+    """
+    from .diffusion import load_denoiser
+    from .models import load_detector
+    from .refine import DiffusionCandidateGenerator
+
+    det = load_detector(run.inputs["detector"])
+    codec = _load_codec(run)
+    den = load_denoiser(run.inputs["denoiser"])
+    schedule = run.cfg.denoiser.schedule()
+
+    def factory(dcfg):
+        return DiffusionCandidateGenerator(
+            denoiser=den,
+            schedule=schedule,
+            decode_fn=codec.decode,
+            strength=dcfg.strength,
+            guidance_scale=dcfg.guidance_scale,
+        )
+
+    return det, codec, factory
 
 
 # --- commands -------------------------------------------------------------------
@@ -173,19 +226,12 @@ def _cmd_synth_data(args) -> int:
     from .data import synthesize_toy_dataset, write_dataset
     from .numerics import SeededRng
 
-    cfg = _resolve_config(args)
-    run_dir = _run_dir(cfg)
-    with _lock(run_dir):
-        train, test = synthesize_toy_dataset(cfg.data, SeededRng(cfg.master_seed))
-        train_path = run_dir / "data" / "train.dstl"
-        test_path = run_dir / "data" / "test.dstl"
-        write_dataset(train_path, train)
-        write_dataset(test_path, test)
-        _write_manifest(train_path, [], cfg, {"samples": len(train)})
-        _write_manifest(test_path, [], cfg, {"samples": len(test)})
-        if args.preview:
-            for i in range(min(args.preview, len(train))):
-                _write_pgm(run_dir / "data" / f"preview_{i:03d}.pgm", train.images[i])
+    with _Command(args) as run:
+        train, test = synthesize_toy_dataset(run.cfg.data, SeededRng(run.cfg.master_seed))
+        train_path = run.output("data/train.dstl", write_dataset, train, samples=len(train))
+        test_path = run.output("data/test.dstl", write_dataset, test, samples=len(test))
+        for i in range(min(args.preview, len(train))):
+            _write_pgm(run.run_dir / "data" / f"preview_{i:03d}.pgm", train.images[i])
         print(f"wrote {train_path} ({len(train)} images) and {test_path} ({len(test)} images)")
     return 0
 
@@ -195,15 +241,10 @@ def _cmd_train_detector(args) -> int:
     from .models import save_detector, train_detector
     from .numerics import SeededRng
 
-    cfg = _resolve_config(args)
-    run_dir = _run_dir(cfg)
-    train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
-    with _lock(run_dir):
-        train = read_dataset(train_path)
-        det = train_detector(train, cfg.detector, SeededRng(cfg.master_seed).spawn(31), use_cutmix=True)
-        out = run_dir / "models" / "detector.mdlc"
-        save_detector(out, det)
-        _write_manifest(out, [train_path], cfg, {"final_loss": det.meta["final_loss"]})
+    with _Command(args, "train") as run:
+        train = read_dataset(run.inputs["train"])
+        det = train_detector(train, run.cfg.detector, SeededRng(run.cfg.master_seed).spawn(31), use_cutmix=True)
+        out = run.output("models/detector.mdlc", save_detector, det, final_loss=det.meta["final_loss"])
         print(f"wrote {out} (final training loss {det.meta['final_loss']:.4f})")
     return 0
 
@@ -213,16 +254,12 @@ def _cmd_train_autoencoder(args) -> int:
     from .models import save_autoencoder, train_autoencoder
     from .numerics import SeededRng
 
-    cfg = _resolve_config(args)
-    run_dir = _run_dir(cfg)
-    train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
-    with _lock(run_dir):
-        train = read_dataset(train_path)
-        ae = train_autoencoder(train, cfg.autoencoder, SeededRng(cfg.master_seed).spawn(32))
-        out = run_dir / "models" / "autoencoder.mdlc"
-        save_autoencoder(out, ae)
-        _write_manifest(out, [train_path], cfg, {"reconstruction_mse": ae.meta["reconstruction_mse"]})
-        print(f"wrote {out} (reconstruction mse {ae.meta['reconstruction_mse']:.5f})")
+    with _Command(args, "train") as run:
+        train = read_dataset(run.inputs["train"])
+        ae = train_autoencoder(train, run.cfg.autoencoder, SeededRng(run.cfg.master_seed).spawn(32))
+        mse = ae.meta["reconstruction_mse"]
+        out = run.output("models/autoencoder.mdlc", save_autoencoder, ae, reconstruction_mse=mse)
+        print(f"wrote {out} (reconstruction mse {mse:.5f})")
     return 0
 
 
@@ -231,72 +268,41 @@ def _cmd_train_diffusion(args) -> int:
     from .diffusion import save_denoiser, train_denoiser
     from .numerics import SeededRng
 
-    cfg = _resolve_config(args)
-    run_dir = _run_dir(cfg)
-    train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
-    ae_path = _require(run_dir / "models" / "autoencoder.mdlc", "train-autoencoder")
-    with _lock(run_dir):
-        train = read_dataset(train_path)
-        codec = _load_codec(run_dir)
-        latents = codec.encode(train.images)
+    with _Command(args, "train", "autoencoder") as run:
+        train = read_dataset(run.inputs["train"])
+        latents = _load_codec(run).encode(train.images)
+        cfg = run.cfg
         den = train_denoiser(
             latents, train.labels, cfg.denoiser.schedule(), cfg.denoiser, SeededRng(cfg.master_seed).spawn(33)
         )
-        out = run_dir / "models" / "denoiser.mdlc"
-        save_denoiser(out, den)
-        _write_manifest(out, [train_path, ae_path], cfg, {"final_loss": den.meta["final_loss"]})
+        out = run.output("models/denoiser.mdlc", save_denoiser, den, final_loss=den.meta["final_loss"])
         print(f"wrote {out} (final training loss {den.meta['final_loss']:.4f})")
     return 0
 
 
 def _cmd_distill(args) -> int:
     from .data import read_dataset, write_dataset
-    from .diffusion import load_denoiser
-    from .models import load_detector
     from .numerics import SeededRng
     from .prototypes import write_prototypes
-    from .refine import DiffusionCandidateGenerator, distill
+    from .refine import distill
 
-    cfg = _resolve_config(args)
+    run = _Command(args, "train", "detector", "autoencoder", "denoiser")
     # each override flag stores into the distill field of its name
-    names = [f.name for f in dataclasses.fields(cfg.distill)]
-    dcfg = _distill_cfg(cfg.distill, **{n: getattr(args, n) for n in names if getattr(args, n, None) is not None})
-    seed = cfg.master_seed if args.seed is None else args.seed
-    run_dir = _run_dir(cfg)
-    train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
-    det_path = _require(run_dir / "models" / "detector.mdlc", "train-detector")
-    ae_path = _require(run_dir / "models" / "autoencoder.mdlc", "train-autoencoder")
-    den_path = _require(run_dir / "models" / "denoiser.mdlc", "train-diffusion")
-    with _lock(run_dir):
-        train = read_dataset(train_path)
-        det = load_detector(det_path)
-        codec = _load_codec(run_dir)
-        den = load_denoiser(den_path)
-        gen = DiffusionCandidateGenerator(
-            denoiser=den,
-            schedule=cfg.denoiser.schedule(),
-            decode_fn=codec.decode,
-            strength=dcfg.strength,
-            guidance_scale=dcfg.guidance_scale,
-        )
-        res = distill(train, codec.encode, gen, det, dcfg, SeededRng(seed))
+    names = [f.name for f in dataclasses.fields(run.cfg.distill)]
+    dcfg = _distill_cfg(run.cfg.distill, **{n: getattr(args, n) for n in names if getattr(args, n, None) is not None})
+    seed = run.cfg.master_seed if args.seed is None else args.seed
+    with run:
+        train = read_dataset(run.inputs["train"])
+        det, codec, factory = _load_models(run)
+        res = distill(train, codec.encode, factory(dcfg), det, dcfg, SeededRng(seed))
 
-        proto_path = run_dir / "prototypes" / "prototypes.prto"
-        write_prototypes(proto_path, res.prototypes, provenance={"seed": seed, "ipc": dcfg.ipc})
-        out_path = run_dir / "distilled" / "distilled.dstl"
-        write_dataset(out_path, res.dataset)
-        report_path = run_dir / "reports" / "distill_report.json"
-        with open(report_path, "w") as f:
-            json.dump(res.report, f, sort_keys=True, indent=2)
-            f.write("\n")
-        inputs = [train_path, det_path, ae_path, den_path]
         extra = {"distill_config": res.report["config"]}
-        _write_manifest(proto_path, inputs, cfg, extra)
-        _write_manifest(out_path, inputs, cfg, extra)
-        _write_manifest(report_path, inputs, cfg, extra)
-        if args.preview:
-            for i in range(min(args.preview, len(res.dataset))):
-                _write_pgm(run_dir / "distilled" / f"distilled_{i:03d}.pgm", res.dataset.images[i])
+        provenance = {"seed": seed, "ipc": dcfg.ipc}
+        run.output("prototypes/prototypes.prto", write_prototypes, res.prototypes, provenance, **extra)
+        out_path = run.output("distilled/distilled.dstl", write_dataset, res.dataset, **extra)
+        run.output("reports/distill_report.json", write_atomic, [_json_bytes(res.report)], **extra)
+        for i in range(min(args.preview, len(res.dataset))):
+            _write_pgm(run.run_dir / "distilled" / f"distilled_{i:03d}.pgm", res.dataset.images[i])
         c = res.report["counts"]
         print(
             f"wrote {out_path}: {c['total']} samples "
@@ -310,99 +316,72 @@ def _cmd_eval(args) -> int:
     from .evalharness import evaluate, train_downstream
     from .numerics import SeededRng
 
-    cfg = _resolve_config(args)
-    run_dir = _run_dir(cfg)
-    distilled_path = _require(run_dir / "distilled" / "distilled.dstl", "distill")
-    test_path = _require(run_dir / "data" / "test.dstl", "synth-data")
-    with _lock(run_dir):
-        distilled = read_dataset(distilled_path)
-        test = read_dataset(test_path)
-        clf = train_downstream(distilled, cfg.eval, SeededRng(cfg.master_seed).spawn(34))
+    with _Command(args, "distilled", "test") as run:
+        distilled = read_dataset(run.inputs["distilled"])
+        test = read_dataset(run.inputs["test"])
+        clf = train_downstream(distilled, run.cfg.eval, SeededRng(run.cfg.master_seed).spawn(34))
         acc = evaluate(clf, test)
         payload = {
             "accuracy": acc,
             "distilled_samples": len(distilled),
             "test_samples": len(test),
-            "master_seed": cfg.master_seed,
+            "master_seed": run.cfg.master_seed,
         }
-        out = run_dir / "reports" / "eval.json"
-        with open(out, "w") as f:
-            json.dump(payload, f, sort_keys=True, indent=2)
-            f.write("\n")
-        _write_manifest(out, [distilled_path, test_path], cfg)
+        out = run.output("reports/eval.json", write_atomic, [_json_bytes(payload)])
         print(f"downstream Top-1 accuracy: {acc:.4f} ({out})")
     return 0
 
 
 def _cmd_ablate(args) -> int:
     from .data import read_dataset
-    from .diffusion import load_denoiser
     from .evalharness import AblationInputs, run_ablation, run_sensitivity, sensitivity_csv
-    from .models import load_detector
 
-    cfg = _resolve_config(args)
+    run = _Command(args, "train", "test", "detector", "autoencoder", "denoiser")
+    cfg = run.cfg
     if args.sweep:
         for k in cfg.eval.sensitivity_top_k:
             for beta in cfg.eval.sensitivity_betas:
                 _distill_cfg(cfg.distill, top_k=k, beta=beta)
-    run_dir = _run_dir(cfg)
-    train_path = _require(run_dir / "data" / "train.dstl", "synth-data")
-    test_path = _require(run_dir / "data" / "test.dstl", "synth-data")
-    det_path = _require(run_dir / "models" / "detector.mdlc", "train-detector")
-    ae_path = _require(run_dir / "models" / "autoencoder.mdlc", "train-autoencoder")
-    den_path = _require(run_dir / "models" / "denoiser.mdlc", "train-diffusion")
-    with _lock(run_dir):
-        train = read_dataset(train_path)
-        test = read_dataset(test_path)
-        codec = _load_codec(run_dir)
+    with run:
+        det, codec, factory = _load_models(run)
         inputs = AblationInputs(
-            train=train,
-            test=test,
+            train=read_dataset(run.inputs["train"]),
+            test=read_dataset(run.inputs["test"]),
             encode_fn=codec.encode,
-            detector=load_detector(det_path),
-            denoiser=load_denoiser(den_path),
-            schedule=cfg.denoiser.schedule(),
-            decode_fn=codec.decode,
+            detector=det,
+            generator_factory=factory,
         )
         report = run_ablation(inputs, cfg.distill, cfg.eval)
-        inputs_list = [train_path, test_path, det_path, ae_path, den_path]
-        out_json = run_dir / "reports" / "ablation.json"
-        out_json.write_text(report.to_json() + "\n")
-        out_csv = run_dir / "reports" / "ablation.csv"
-        out_csv.write_text(report.to_csv())
-        _write_manifest(out_json, inputs_list, cfg)
-        _write_manifest(out_csv, inputs_list, cfg)
+        out_json = run.output("reports/ablation.json", write_atomic, [(report.to_json() + "\n").encode()])
+        out_csv = run.output("reports/ablation.csv", write_atomic, [report.to_csv().encode()])
         for mode, s in report.summary.items():
             std = f" +/- {s['std']:.4f}" if s["std"] is not None else ""
             print(f"{mode:10s} {s['mean']:.4f}{std}  (n={s['n']}, fallbacks={s['fallbacks']})")
         if args.sweep:
             grid, evidence = run_sensitivity(inputs, cfg.distill, cfg.eval)
-            out_sweep = run_dir / "reports" / "sensitivity.csv"
-            out_sweep.write_text(sensitivity_csv(grid))
-            _write_manifest(out_sweep, inputs_list, cfg, {"monotone_filter": evidence})
+            sweep = [sensitivity_csv(grid).encode()]
+            run.output("reports/sensitivity.csv", write_atomic, sweep, monotone_filter=evidence)
             print(f"sensitivity grid: {len(grid)} runs, {evidence['slots_checked']} slots checked")
         print(f"wrote {out_json} and {out_csv}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    cfg = _resolve_config(args)
-    run_dir = _run_dir(cfg)
-    ablation_path = _require(run_dir / "reports" / "ablation.json", "ablate")
-    payload = json.loads(ablation_path.read_text())
-    lines = ["mode        mean      std       n   fallbacks"]
-    for mode, s in sorted(payload["summary"].items()):
-        std = f"{s['std']:.4f}" if s["std"] is not None else "   -  "
-        lines.append(f"{mode:10s} {s['mean']:.4f}   {std}   {s['n']}   {s['fallbacks']}")
-    eval_path = run_dir / "reports" / "eval.json"
-    if eval_path.exists():
-        acc = json.loads(eval_path.read_text())["accuracy"]
-        lines.append(f"single-run downstream accuracy: {acc:.4f}")
-    text = "\n".join(lines) + "\n"
-    out = run_dir / "reports" / "summary.txt"
-    out.write_text(text)
-    print(text, end="")
-    print(f"wrote {out}")
+    with _Command(args, "ablation") as run:
+        payload = json.loads(run.inputs["ablation"].read_text())
+        lines = ["mode        mean      std       n   fallbacks"]
+        for mode, s in sorted(payload["summary"].items()):
+            std = f"{s['std']:.4f}" if s["std"] is not None else "   -  "
+            lines.append(f"{mode:10s} {s['mean']:.4f}   {std}   {s['n']}   {s['fallbacks']}")
+        eval_path = run.run_dir / "reports" / "eval.json"
+        if eval_path.exists():
+            acc = json.loads(eval_path.read_text())["accuracy"]
+            lines.append(f"single-run downstream accuracy: {acc:.4f}")
+        text = "\n".join(lines) + "\n"
+        out = run.run_dir / "reports" / "summary.txt"
+        write_atomic(out, [text.encode()])
+        print(text, end="")
+        print(f"wrote {out}")
     return 0
 
 

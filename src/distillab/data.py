@@ -9,7 +9,10 @@ tiny MLPs, and cheap enough for end-to-end pipeline tests.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -28,6 +31,7 @@ __all__ = [
     "read_dataset",
     "sample_mix_ratio",
     "synthesize_toy_dataset",
+    "write_atomic",
     "write_dataset",
 ]
 
@@ -298,8 +302,37 @@ def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def write_dataset(path, ds: LabeledDataset) -> None:
-    """Serialize a dataset; ``read_dataset(write_dataset(ds))`` is bit-identical."""
+def write_atomic(path, chunks) -> str:
+    """Write the byte chunks to ``path`` atomically and return their sha256.
+
+    The chunks stream to a temp file in the target's directory, hashed as
+    they are written; the file is fsynced, then renamed over ``path``. On
+    any exception the temp file is removed and the exception re-raised, so
+    ``path`` keeps its old bytes or stays absent. Every artifact the package
+    writes goes through this function.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    digest = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                digest.update(chunk)
+                f.write(chunk)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return digest.hexdigest()
+
+
+def write_dataset(path, ds: LabeledDataset) -> str:
+    """Serialize a dataset atomically and return the file's sha256.
+
+    ``read_dataset`` of the file is bit-identical to ``ds``.
+    """
     n = len(ds)
     c, h, w = ds.image_shape
     if ds.labels.size and ds.labels.max() >= 2**16:
@@ -307,14 +340,9 @@ def write_dataset(path, ds: LabeledDataset) -> None:
     trailer = _canonical_json(
         {"class_names": list(ds.class_names), "provenance": ds.provenance}
     )
-    with open(path, "wb") as f:
-        f.write(_DATASET_MAGIC)
-        f.write(struct.pack("<H", _DATASET_VERSION))
-        f.write(struct.pack("<5I", n, ds.num_classes, c, h, w))
-        f.write(ds.labels.astype("<u2").tobytes())
-        f.write(ds.images.astype("<f4").tobytes())
-        f.write(struct.pack("<I", len(trailer)))
-        f.write(trailer)
+    header = _DATASET_MAGIC + struct.pack("<H5I", _DATASET_VERSION, n, ds.num_classes, c, h, w)
+    arrays = (a.astype(dtype).tobytes() for a, dtype in ((ds.labels, "<u2"), (ds.images, "<f4")))
+    return write_atomic(path, itertools.chain([header], arrays, [struct.pack("<I", len(trailer)), trailer]))
 
 
 def _read_exact(f, count: int, what: str, error=DatasetFormatError) -> bytes:

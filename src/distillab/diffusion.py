@@ -284,7 +284,7 @@ def sample_img2img_batch(
     return out
 
 
-def save_denoiser(path, den: Denoiser) -> None:
+def save_denoiser(path, den: Denoiser) -> str:
     desc = {
         "layer_sizes": den.mlp.layer_sizes,
         "num_classes": den.num_classes,
@@ -292,7 +292,7 @@ def save_denoiser(path, den: Denoiser) -> None:
         "time_embed_dim": den.time_embed_dim,
         "meta": den.meta,
     }
-    write_checkpoint(path, "denoiser-v1", desc, den.mlp.params() + [den.label_table])
+    return write_checkpoint(path, "denoiser-v1", desc, den.mlp.params() + [den.label_table])
 
 
 def load_denoiser(path) -> Denoiser:

@@ -23,7 +23,7 @@ from .config import DistillConfig, EvalConfig
 from .data import LabeledDataset
 from .models import Detector, predict_batch, train_detector
 from .numerics import SeededRng
-from .refine import CandidateBank, DiffusionCandidateGenerator, generate_candidates, generation_key, select
+from .refine import CandidateBank, CandidateGenerator, generate_candidates, generation_key, select
 
 __all__ = [
     "AblationInputs",
@@ -111,8 +111,8 @@ class AblationInputs:
     """Everything a pipeline run needs besides the per-run config.
 
     ``generator_factory(cfg)`` builds the candidate generator for one
-    generation key; the default wires the diffusion sampler with the key's
-    strength and guidance scale. ``bank(cfg, seed)`` keeps one candidate
+    generation key; the CLI's factory wires the diffusion sampler with the
+    key's strength and guidance scale. ``bank(cfg, seed)`` keeps one candidate
     bank per seed and generation key, so every run on a seed selects from
     the same batches.
     """
@@ -121,34 +121,18 @@ class AblationInputs:
     test: LabeledDataset
     encode_fn: Callable[[np.ndarray], np.ndarray]
     detector: Detector
-    generator_factory: Callable[[DistillConfig], object] | None = None
-    denoiser: object = None
-    schedule: object = None
-    decode_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    generator_factory: Callable[[DistillConfig], CandidateGenerator]
     _banks: dict[tuple, CandidateBank] = field(default_factory=dict, init=False, repr=False)
 
     def bank(self, cfg: DistillConfig, seed: int) -> CandidateBank:
         """The candidate bank for the seed and cfg's generation key, generated on first use."""
         key = (seed, *generation_key(cfg))
         if key not in self._banks:
-            gen = self.make_generator(cfg)
+            gen = self.generator_factory(cfg)
             self._banks[key] = generate_candidates(
                 self.train, self.encode_fn, gen, self.detector, cfg, SeededRng(seed)
             )
         return self._banks[key]
-
-    def make_generator(self, cfg: DistillConfig):
-        if self.generator_factory is not None:
-            return self.generator_factory(cfg)
-        if self.denoiser is None or self.schedule is None or self.decode_fn is None:
-            raise ValueError("need denoiser/schedule/decode_fn or a generator_factory")
-        return DiffusionCandidateGenerator(
-            denoiser=self.denoiser,
-            schedule=self.schedule,
-            decode_fn=self.decode_fn,
-            strength=cfg.strength,
-            guidance_scale=cfg.guidance_scale,
-        )
 
 
 def _config_fingerprint(base_cfg: DistillConfig, eval_cfg: EvalConfig) -> str:
@@ -183,12 +167,7 @@ def _random_subset(train: LabeledDataset, ipc: int, rng: SeededRng) -> LabeledDa
     )
 
 
-def run_ablation(
-    inputs: AblationInputs,
-    base_cfg: DistillConfig,
-    eval_cfg: EvalConfig,
-    include_random_baseline: bool = True,
-) -> EvalReport:
+def run_ablation(inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig) -> EvalReport:
     """Every eval mode on every eval seed, plus a random-real-subset baseline per seed."""
     records = []
     t_all = time.perf_counter()
@@ -206,20 +185,19 @@ def run_ablation(
                     seconds=time.perf_counter() - t0,
                 )
             )
-        if include_random_baseline:
-            t0 = time.perf_counter()
-            subset = _random_subset(inputs.train, base_cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
-            clf = train_downstream(subset, eval_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM))
-            acc = evaluate(clf, inputs.test)
-            records.append(
-                RunRecord(
-                    mode="random",
-                    seed=seed,
-                    accuracy=acc,
-                    fallback_count=0,
-                    seconds=time.perf_counter() - t0,
-                )
+        t0 = time.perf_counter()
+        subset = _random_subset(inputs.train, base_cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
+        clf = train_downstream(subset, eval_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM))
+        acc = evaluate(clf, inputs.test)
+        records.append(
+            RunRecord(
+                mode="random",
+                seed=seed,
+                accuracy=acc,
+                fallback_count=0,
+                seconds=time.perf_counter() - t0,
             )
+        )
     return EvalReport(
         records=records,
         summary=summarize_records(records),

@@ -11,6 +11,7 @@ are the float64 softmax of float32 weights. Gradient checks cast to float64.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import AutoencoderConfig, ClassifierConfig
-from .data import LabeledDataset, _read_exact, _read_json, _read_struct, cutmix
+from .data import LabeledDataset, _read_exact, _read_json, _read_struct, cutmix, write_atomic
 from .numerics import (
     SeededRng,
     beta_symmetric_from_words,
@@ -429,20 +430,14 @@ class CheckpointFormatError(ValueError):
     """A model checkpoint failed validation."""
 
 
-def write_checkpoint(path, kind: str, desc: dict, params: list[np.ndarray]) -> None:
+def write_checkpoint(path, kind: str, desc: dict, params: list[np.ndarray]) -> str:
+    """Write a checkpoint atomically (``data.write_atomic``); return its sha256."""
     desc = dict(desc, kind=kind)
     desc_bytes = json.dumps(desc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<H", _CKPT_VERSION))
-        f.write(struct.pack("<I", len(desc_bytes)))
-        f.write(desc_bytes)
-        f.write(struct.pack("<I", len(params)))
-        for p in params:
-            f.write(struct.pack("<I", p.ndim))
-            f.write(struct.pack(f"<{p.ndim}I", *p.shape))
-        for p in params:
-            f.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
+    header = [_CKPT_MAGIC, struct.pack("<HI", _CKPT_VERSION, len(desc_bytes)), desc_bytes, struct.pack("<I", len(params))]
+    shapes = [struct.pack(f"<I{p.ndim}I", p.ndim, *p.shape) for p in params]
+    blobs = (np.ascontiguousarray(p, dtype="<f4").tobytes() for p in params)
+    return write_atomic(path, itertools.chain(header, shapes, blobs))
 
 
 def read_checkpoint(path):
@@ -480,14 +475,14 @@ def _mlp_from_arrays(arrays: list[np.ndarray]) -> Mlp:
     return Mlp(arrays[0::2], arrays[1::2])
 
 
-def save_detector(path, det: Detector) -> None:
+def save_detector(path, det: Detector) -> str:
     desc = {
         "layer_sizes": det.mlp.layer_sizes,
         "num_classes": det.num_classes,
         "image_shape": list(det.image_shape),
         "meta": det.meta,
     }
-    write_checkpoint(path, "detector", desc, det.mlp.params())
+    return write_checkpoint(path, "detector", desc, det.mlp.params())
 
 
 def load_detector(path) -> Detector:
@@ -502,7 +497,7 @@ def load_detector(path) -> Detector:
     )
 
 
-def save_autoencoder(path, ae: Autoencoder) -> None:
+def save_autoencoder(path, ae: Autoencoder) -> str:
     desc = {
         "mode": ae.mode,
         "image_shape": list(ae.image_shape),
@@ -511,7 +506,7 @@ def save_autoencoder(path, ae: Autoencoder) -> None:
         "meta": ae.meta,
     }
     params = (ae.enc.params() + ae.dec.params()) if ae.mode == "mlp" else []
-    write_checkpoint(path, "autoencoder", desc, params)
+    return write_checkpoint(path, "autoencoder", desc, params)
 
 
 def load_autoencoder(path) -> Autoencoder:

@@ -185,14 +185,14 @@ def extract_prototypes(
 # the provenance; the one array is the (count, latent_dim) float32 latents.
 
 
-def write_prototypes(path, protos: list[Prototype], provenance: dict | None = None) -> None:
+def write_prototypes(path, protos: list[Prototype], provenance: dict | None = None) -> str:
     if not protos:
         raise ValueError("prototype list is empty")
     desc = {
         "table": [[p.class_id, p.cluster_index, p.cluster_size] for p in protos],
         "provenance": provenance or {},
     }
-    write_checkpoint(path, "prototypes", desc, [np.stack([p.latent for p in protos])])
+    return write_checkpoint(path, "prototypes", desc, [np.stack([p.latent for p in protos])])
 
 
 def read_prototypes(path) -> tuple[list[Prototype], dict]:

@@ -99,14 +99,15 @@ class NormalPool:
 
 
 class CandidateGenerator(Protocol):
-    """Contract for sample producers: (prototype, label, rng) -> (image, latent).
+    """Contract for sample producers: one batch of samples for one class.
 
-    Implementations must be deterministic per rng stream. An optional
-    ``generate_batch(prototype, label, rngs)`` returning stacked
-    (images, latents) lets the pipeline batch the reverse process.
+    ``generate_batch(prototype, label, rngs)`` returns stacked (images,
+    latents) with one row per rng stream. ``prototype`` is one latent, used
+    for every row, or one latent per row. Implementations must be
+    deterministic per rng stream.
     """
 
-    def __call__(self, prototype: np.ndarray, label: int, rng: SeededRng): ...
+    def generate_batch(self, prototype: np.ndarray, label: int, rngs: list[SeededRng]): ...
 
 
 @dataclass(frozen=True)
@@ -118,10 +119,6 @@ class DiffusionCandidateGenerator:
     decode_fn: Callable[[np.ndarray], np.ndarray]
     strength: float
     guidance_scale: float
-
-    def __call__(self, prototype: np.ndarray, label: int, rng: SeededRng):
-        images, latents = self.generate_batch(prototype, label, [rng])
-        return images[0], latents[0]
 
     def generate_batch(self, prototype: np.ndarray, label: int, rngs):
         from .diffusion import sample_img2img_batch
@@ -207,15 +204,6 @@ def _score(det, images, latents, label, provenances):
     ]
 
 
-def _generate(gen, prototype, label, rngs):
-    if hasattr(gen, "generate_batch"):
-        return gen.generate_batch(prototype, label, rngs)
-    pairs = [gen(prototype, label, r) for r in rngs]
-    images = np.stack([p[0] for p in pairs])
-    latents = np.stack([p[1] for p in pairs])
-    return images, latents
-
-
 # The DistillConfig fields that generation reads; select() may vary all the
 # others (beta, top_k, selection_mode) over one bank.
 GENERATION_FIELDS = ("ipc", "num_candidates", "strength", "guidance_scale", "kmeans_restarts")
@@ -254,7 +242,7 @@ class CandidateBank:
             label, cluster = proto.class_id, proto.cluster_index
             slot_rng = self.rng.spawn(_KEY_REFINE, label, cluster)
             rngs = [slot_rng.spawn(i) for i in range(self.num_candidates)]
-            images, latents = _generate(self._gen, proto.latent, label, rngs)
+            images, latents = self._gen.generate_batch(proto.latent, label, rngs)
             provenances = [Provenance(label, cluster, i, r.seed) for i, r in enumerate(rngs)]
             self._refinements[slot] = _score(self._det, images, latents, label, provenances)
         return self._refinements[slot]
@@ -279,7 +267,7 @@ def generate_candidates(
         cls_protos = [p for p in protos if p.class_id == c]
         rngs = [rng.spawn(_KEY_INITIAL, c, p.cluster_index) for p in cls_protos]
         latvecs = np.stack([p.latent for p in cls_protos])
-        images, latents = _generate(gen, latvecs, c, rngs)
+        images, latents = gen.generate_batch(latvecs, c, rngs)
         provenances = [Provenance(c, p.cluster_index, None, r.seed) for p, r in zip(cls_protos, rngs)]
         for p, s in zip(cls_protos, _score(det, images, latents, c, provenances)):
             initial[c * cfg.ipc + p.cluster_index] = s

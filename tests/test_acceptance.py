@@ -31,6 +31,19 @@ def criterion(num, name):
         print(f"\n[acceptance] criterion {num:2d} ({name}): PASS in {dt:.1f}s", flush=True)
 
 
+def _diffusion_factory(denoiser, schedule, codec):
+    """A generator factory over one denoiser, with each config's strength and guidance scale."""
+    from distillab.refine import DiffusionCandidateGenerator
+
+    return lambda cfg: DiffusionCandidateGenerator(
+        denoiser=denoiser,
+        schedule=schedule,
+        decode_fn=codec.decode,
+        strength=cfg.strength,
+        guidance_scale=cfg.guidance_scale,
+    )
+
+
 class TestAcceptance:
     def test_01_selection_oracle_equivalence(self):
         from distillab.refine import NormalPool, select_replacement
@@ -298,9 +311,7 @@ class TestAcceptance:
                 test=toy_test,
                 encode_fn=codec.encode,
                 detector=detector,
-                denoiser=weak_denoiser,
-                schedule=frozen_schedule,
-                decode_fn=codec.decode,
+                generator_factory=_diffusion_factory(weak_denoiser, frozen_schedule, codec),
             )
             defaults = default_config()
             assert defaults.eval.modes == ["base", "top1", "sim", "tplus_s"]
@@ -366,9 +377,7 @@ class TestAcceptance:
                 test=toy_test,
                 encode_fn=codec.encode,
                 detector=detector,
-                denoiser=weak_denoiser,
-                schedule=frozen_schedule,
-                decode_fn=codec.decode,
+                generator_factory=_diffusion_factory(weak_denoiser, frozen_schedule, codec),
             )
             defaults = default_config()
             assert defaults.eval.sensitivity_top_k == [1, 2, 4, 8]

@@ -364,6 +364,20 @@ class TestManifests:
         assert manifest["tool_version"]
         assert manifest["config_sha256"]
 
+    def test_manifests_hash_their_outputs(self, pipeline):
+        """Every manifest's output_sha256 is its file's, and no temp file is left."""
+        import hashlib
+
+        tmp_path, _ = pipeline
+        rd = _run_dir(tmp_path)
+        assert not list(rd.rglob("*.tmp"))
+        manifests = list(rd.rglob("*.manifest.json"))
+        assert len(manifests) >= 8
+        for m in manifests:
+            out = m.with_name(m.name[: -len(".manifest.json")])
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert json.loads(m.read_text())["output_sha256"] == digest, out.name
+
     def test_changing_input_changes_manifest(self, workdir, monkeypatch):
         tmp_path, cfg_path = workdir
         assert _run("synth-data", "--config", str(cfg_path)) == 0

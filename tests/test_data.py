@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from distillab.data import (
     write_dataset,
 )
 from distillab.data import _synthesize_split
+from distillab.models import write_checkpoint
 from distillab.numerics import SeededRng
 
 
@@ -301,3 +304,44 @@ class TestDatasetIO:
         p.write_bytes(bytes(raw))
         with pytest.raises(DatasetFormatError, match="labels"):
             read_dataset(p)
+
+
+def _dataset_writer(path, seed):
+    return write_dataset(path, TestDatasetIO()._random_dataset(SeededRng(seed)))
+
+
+def _checkpoint_writer(path, seed):
+    return write_checkpoint(path, "test", {"seed": seed}, [SeededRng(seed).uniform(6).reshape(2, 3)])
+
+
+def _interrupted(src, dst):
+    raise OSError("interrupted before the rename")
+
+
+WRITERS = [pytest.param(_dataset_writer, id="dataset"), pytest.param(_checkpoint_writer, id="checkpoint")]
+
+
+class TestAtomicWrite:
+    """A write that fails before its rename leaves the old file or none, and no temp file."""
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_interrupted_write_keeps_old_bytes(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "artifact"
+        writer(path, 1)
+        old = path.read_bytes()
+        monkeypatch.setattr(os, "replace", _interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            writer(path, 2)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["artifact"]
+        monkeypatch.undo()
+        writer(path, 2)  # the same write, uninterrupted, does replace the bytes
+        assert path.read_bytes() != old
+        assert os.listdir(tmp_path) == ["artifact"]
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch, writer):
+        monkeypatch.setattr(os, "replace", _interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            writer(tmp_path / "artifact", 1)
+        assert os.listdir(tmp_path) == []

@@ -163,8 +163,7 @@ class TestRunAblation:
 
     def test_single_seed_degenerate(self, small_world):
         report = run_ablation(
-            self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[9]),
-            include_random_baseline=False,
+            self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[9])
         )
         assert report.summary["base"]["n"] == 1
         assert report.summary["base"]["std"] is None
@@ -205,10 +204,7 @@ class TestRunAblation:
             detector=det,
             generator_factory=lambda cfg: DefectThenClean(train),
         )
-        report = run_ablation(
-            inputs, self._cfg(), _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2]),
-            include_random_baseline=False,
-        )
+        report = run_ablation(inputs, self._cfg(), _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2]))
         assert report.summary["tplus_s"]["mean"] >= report.summary["base"]["mean"]
 
     def test_validation(self, small_world):
@@ -259,11 +255,7 @@ class CountingGenerator(MockGenerator):
 
     def generate_batch(self, prototype, label, rngs):
         self.batches[(label, tuple(r.seed for r in rngs))] += 1
-        protos = np.atleast_2d(np.asarray(prototype))
-        if len(protos) == 1 and len(rngs) > 1:
-            protos = np.repeat(protos, len(rngs), axis=0)
-        pairs = [self(protos[i], label, r) for i, r in enumerate(rngs)]
-        return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+        return super().generate_batch(prototype, label, rngs)
 
 
 class TestSharedBank:

@@ -265,6 +265,14 @@ class MockGenerator:
         img = self.ds.images[idx[rng.integers(len(idx))]]
         return img, np.asarray(prototype, dtype=np.float32)
 
+    def generate_batch(self, prototype, label, rngs):
+        """One per-stream draw per rng, stacked; one prototype row per stream."""
+        protos = np.atleast_2d(np.asarray(prototype))
+        if len(protos) == 1 and len(rngs) > 1:
+            protos = np.repeat(protos, len(rngs), axis=0)
+        pairs = [self(protos[i], label, r) for i, r in enumerate(rngs)]
+        return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+
 
 @pytest.fixture(scope="module")
 def mock_world():
@@ -310,14 +318,14 @@ class TestRefineDefective:
     def test_always_wrong_generator_falls_back(self, mock_world):
         train, _, _ = mock_world
 
-        class WrongGen:
+        class WrongGen(MockGenerator):
             def __call__(self, prototype, label, rng):
                 other = (label + 1) % train.num_classes
                 idx = train.class_indices(other)
                 return train.images[idx[rng.integers(len(idx))]], np.asarray(prototype)
 
         cfg = DistillConfig(ipc=1, beta=0.9, top_k=2, num_candidates=4, kmeans_restarts=2)
-        res = select(self._bank(mock_world, WrongGen(), cfg), cfg)
+        res = select(self._bank(mock_world, WrongGen(train), cfg), cfg)
         sample = res.samples[0]
         assert sample.status == "fallback"
         assert res.pool.size(0) == 0
