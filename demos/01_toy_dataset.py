@@ -5,6 +5,9 @@ phase and amplitude are randomized per image and Gaussian pixel noise is
 added, so a classifier has to learn the pattern, not memorize pixels.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from distillab import ToyDataSpec, synthesize_toy_dataset, write_dataset, read_dataset
@@ -28,8 +31,10 @@ for c in range(train.num_classes):
     print("\n".join(rows))
 
 # %% the container format round-trips bit-exactly
-write_dataset("/tmp/toy_train.dstl", train)
-back = read_dataset("/tmp/toy_train.dstl")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "toy_train.dstl"
+    write_dataset(path, train)
+    back = read_dataset(path)
 assert back.images.tobytes() == train.images.tobytes()
 assert np.array_equal(back.labels, train.labels)
 print("\ncontainer round-trip: bit-identical, provenance:", back.provenance["spec_sha"])

@@ -43,5 +43,5 @@ print(f"test accuracy: {acc:.4f}")
 print(f"confidence on real test images: mean {confs.mean():.3f}, min {confs.min():.3f}")
 
 # %% one image is a batch of one; argmax ties break to the lowest index
-labels, confs, logits = predict_batch(det, test.images[:1])
+labels, confs, _ = predict_batch(det, test.images[:1])
 print(f"\nsample 0: predicted {labels[0]} (true {test.labels[0]}), confidence {confs[0]:.4f}")

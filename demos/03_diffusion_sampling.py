@@ -9,7 +9,6 @@ eps_hat = eps_null + w * (eps_label - eps_null).
 import numpy as np
 
 from distillab import (
-    LatentCodec,
     default_config,
     forward_noise,
     predict_batch,
@@ -29,7 +28,7 @@ print("alpha_bar at t=1, T/2, T:", sched.alpha_bars[0], sched.alpha_bars[99], sc
 
 # %% forward noising drains the signal
 train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
-codec = LatentCodec.from_autoencoder(train_autoencoder(train, defaults.autoencoder, SeededRng(2025)))
+codec = train_autoencoder(train, defaults.autoencoder, SeededRng(2025))
 latents = codec.encode(train.images)
 z0 = latents[0]
 rng = SeededRng(5)

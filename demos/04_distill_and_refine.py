@@ -13,7 +13,6 @@ import numpy as np
 
 from distillab import (
     DiffusionCandidateGenerator,
-    LatentCodec,
     default_config,
     evaluate,
     generate_candidates,
@@ -31,7 +30,7 @@ defaults = default_config()
 # %% artifacts: data, detector, codec, weak (defect-prone: half the epochs) denoiser
 train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
 det = train_detector(train, defaults.detector, SeededRng(2024), use_cutmix=True)
-codec = LatentCodec.from_autoencoder(train_autoencoder(train, defaults.autoencoder, SeededRng(2025)))
+codec = train_autoencoder(train, defaults.autoencoder, SeededRng(2025))
 latents = codec.encode(train.images)
 sched = defaults.denoiser.schedule()
 den = train_denoiser(latents, train.labels, sched, replace(defaults.denoiser, epochs=50), SeededRng(2026))

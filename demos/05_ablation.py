@@ -9,7 +9,7 @@ beta never grows a candidate batch's passing set.
 
 from dataclasses import replace
 
-from distillab import AblationInputs, DiffusionCandidateGenerator, LatentCodec, default_config, run_ablation, run_sensitivity
+from distillab import AblationInputs, DiffusionCandidateGenerator, default_config, run_ablation, run_sensitivity
 from distillab import synthesize_toy_dataset, train_autoencoder, train_denoiser, train_detector
 from distillab.evalharness import sensitivity_csv
 from distillab.numerics import SeededRng
@@ -19,7 +19,7 @@ defaults = default_config()
 # %% artifacts (weak generator: half the denoiser epochs, so refinement matters)
 train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
 det = train_detector(train, defaults.detector, SeededRng(2024), use_cutmix=True)
-codec = LatentCodec.from_autoencoder(train_autoencoder(train, defaults.autoencoder, SeededRng(2025)))
+codec = train_autoencoder(train, defaults.autoencoder, SeededRng(2025))
 sched = defaults.denoiser.schedule()
 den = train_denoiser(
     codec.encode(train.images), train.labels, sched,

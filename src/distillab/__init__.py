@@ -56,17 +56,13 @@ from .evalharness import (
     train_downstream,
 )
 from .models import (
-    Autoencoder,
     Detector,
     LatentCodec,
-    decode,
-    encode,
     load_autoencoder,
     load_detector,
     predict_batch,
     save_autoencoder,
     save_detector,
-    score_batch,
     train_autoencoder,
     train_detector,
 )

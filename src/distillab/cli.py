@@ -95,6 +95,7 @@ _INPUTS = {
     "denoiser": ("models/denoiser.mdlc", "train-diffusion"),
     "distilled": ("distilled/distilled.dstl", "distill"),
     "ablation": ("reports/ablation.json", "ablate"),
+    "eval": ("reports/eval.json", "eval"),
 }
 
 
@@ -187,9 +188,9 @@ def _distill_cfg(dcfg, **fields):
 
 
 def _load_codec(run: _Command):
-    from .models import LatentCodec, load_autoencoder
+    from .models import load_autoencoder
 
-    return LatentCodec.from_autoencoder(load_autoencoder(run.inputs["autoencoder"]))
+    return load_autoencoder(run.inputs["autoencoder"])
 
 
 def _load_models(run: _Command):
@@ -256,9 +257,9 @@ def _cmd_train_autoencoder(args) -> int:
 
     with _Command(args, "train") as run:
         train = read_dataset(run.inputs["train"])
-        ae = train_autoencoder(train, run.cfg.autoencoder, SeededRng(run.cfg.master_seed).spawn(32))
-        mse = ae.meta["reconstruction_mse"]
-        out = run.output("models/autoencoder.mdlc", save_autoencoder, ae, reconstruction_mse=mse)
+        codec = train_autoencoder(train, run.cfg.autoencoder, SeededRng(run.cfg.master_seed).spawn(32))
+        mse = codec.meta["reconstruction_mse"]
+        out = run.output("models/autoencoder.mdlc", save_autoencoder, codec, reconstruction_mse=mse)
         print(f"wrote {out} (reconstruction mse {mse:.5f})")
     return 0
 
@@ -373,13 +374,13 @@ def _cmd_report(args) -> int:
         for mode, s in sorted(payload["summary"].items()):
             std = f"{s['std']:.4f}" if s["std"] is not None else "   -  "
             lines.append(f"{mode:10s} {s['mean']:.4f}   {std}   {s['n']}   {s['fallbacks']}")
-        eval_path = run.run_dir / "reports" / "eval.json"
-        if eval_path.exists():
+        eval_path = run.run_dir / _INPUTS["eval"][0]
+        if eval_path.exists():  # optional: the manifest lists it only when read
+            run.inputs["eval"] = eval_path
             acc = json.loads(eval_path.read_text())["accuracy"]
             lines.append(f"single-run downstream accuracy: {acc:.4f}")
         text = "\n".join(lines) + "\n"
-        out = run.run_dir / "reports" / "summary.txt"
-        write_atomic(out, [text.encode()])
+        out = run.output("reports/summary.txt", write_atomic, [text.encode()])
         print(text, end="")
         print(f"wrote {out}")
     return 0
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("synth-data", _cmd_synth_data, "generate the procedural train/test datasets")
     p.add_argument("--preview", type=int, default=0, metavar="N", help="dump N train images as PGM")
     add("train-detector", _cmd_train_detector, "train the CutMix anomaly detector")
-    add("train-autoencoder", _cmd_train_autoencoder, "train (or build) the latent codec")
+    add("train-autoencoder", _cmd_train_autoencoder, "train the latent codec")
     add("train-diffusion", _cmd_train_diffusion, "train the conditional denoiser on latents")
     p = add("distill", _cmd_distill, "generate, filter, and refine the distilled dataset")
     p.add_argument("--beta", type=float, default=None, help="confidence threshold override")

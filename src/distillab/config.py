@@ -30,7 +30,6 @@ import typing
 from dataclasses import dataclass, field
 
 __all__ = [
-    "AUTOENCODER_MODES",
     "SELECTION_MODES",
     "AutoencoderConfig",
     "ClassifierConfig",
@@ -51,7 +50,6 @@ __all__ = [
 ]
 
 SELECTION_MODES = ("base", "top1", "sim", "tplus_s")
-AUTOENCODER_MODES = ("mlp", "identity")
 
 
 class ConfigError(ValueError):
@@ -167,18 +165,15 @@ class DetectorConfig(ClassifierConfig):
 
 @dataclass(frozen=True)
 class AutoencoderConfig(TrainConfig):
-    """The latent codec: a tanh-bottleneck MLP autoencoder, or the identity."""
+    """The latent codec: a tanh-bottleneck MLP autoencoder."""
 
     epochs: int = 30
     learning_rate: float = 2e-3
-    mode: str = "mlp"
     latent_dim: int = 32
     hidden_size: int = 128
 
     def __post_init__(self):
         super().__post_init__()
-        if self.mode not in AUTOENCODER_MODES:
-            raise ValueError(f"mode must be one of {AUTOENCODER_MODES}, got {self.mode!r}")
         if self.latent_dim < 1 or self.hidden_size < 1:
             raise ValueError("latent_dim and hidden_size must be >= 1")
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DenoiserConfig, check_schedule
-from .models import Adam, Mlp, _mlp_from_arrays, mlp_backward, mlp_forward, mlp_init, read_checkpoint, write_checkpoint
-from .models import CheckpointFormatError
+from .models import Adam, Mlp, _desc_size, _desc_sizes, _mlp_from_arrays, mlp_backward, mlp_forward, mlp_init
+from .models import CheckpointFormatError, read_checkpoint, write_checkpoint
 from .numerics import SeededRng, require_finite
 
 __all__ = [
@@ -299,11 +299,18 @@ def load_denoiser(path) -> Denoiser:
     kind, desc, arrays = read_checkpoint(path)
     if kind != "denoiser-v1":
         raise CheckpointFormatError(f"expected denoiser-v1 checkpoint, got {kind!r}")
+    num_classes, latent_dim, time_embed_dim = (_desc_size(desc, k) for k in ("num_classes", "latent_dim", "time_embed_dim"))
+    sizes = _desc_sizes(desc, "layer_sizes")
+    label_embed_dim = sizes[0] - latent_dim - time_embed_dim
+    if time_embed_dim % 2 or label_embed_dim < 1 or sizes[-1] != latent_dim:
+        raise CheckpointFormatError(f"layer_sizes {sizes} do not fit latent_dim and time_embed_dim")
+    if not arrays or arrays[-1].shape != (num_classes + 1, label_embed_dim):
+        raise CheckpointFormatError(f"last array is not a ({num_classes + 1}, {label_embed_dim}) label table")
     return Denoiser(
-        mlp=_mlp_from_arrays(arrays[:-1]),
+        mlp=_mlp_from_arrays(arrays[:-1], sizes),
         label_table=arrays[-1],
-        num_classes=int(desc["num_classes"]),
-        latent_dim=int(desc["latent_dim"]),
-        time_embed_dim=int(desc["time_embed_dim"]),
+        num_classes=num_classes,
+        latent_dim=latent_dim,
+        time_embed_dim=time_embed_dim,
         meta=desc.get("meta", {}),
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
@@ -64,7 +63,6 @@ class RunRecord:
     seed: int
     accuracy: float
     fallback_count: int
-    seconds: float
 
 
 @dataclass
@@ -74,14 +72,12 @@ class EvalReport:
     records: list[RunRecord]
     summary: dict[str, dict]
     config_fingerprint: str
-    total_seconds: float
 
     def to_json(self) -> str:
         payload = {
             "records": [vars(r) for r in self.records],
             "summary": self.summary,
             "config_fingerprint": self.config_fingerprint,
-            "total_seconds": self.total_seconds,
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
@@ -170,39 +166,19 @@ def _random_subset(train: LabeledDataset, ipc: int, rng: SeededRng) -> LabeledDa
 def run_ablation(inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig) -> EvalReport:
     """Every eval mode on every eval seed, plus a random-real-subset baseline per seed."""
     records = []
-    t_all = time.perf_counter()
     for seed in eval_cfg.seeds:
         for mode in eval_cfg.modes:
             cfg = replace(base_cfg, selection_mode=mode)
-            t0 = time.perf_counter()
             acc, res = _run_once(inputs, cfg, seed, eval_cfg)
-            records.append(
-                RunRecord(
-                    mode=mode,
-                    seed=seed,
-                    accuracy=acc,
-                    fallback_count=res.report["counts"]["fallback"],
-                    seconds=time.perf_counter() - t0,
-                )
-            )
-        t0 = time.perf_counter()
+            records.append(RunRecord(mode, seed, accuracy=acc, fallback_count=res.report["counts"]["fallback"]))
         subset = _random_subset(inputs.train, base_cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
         clf = train_downstream(subset, eval_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM))
         acc = evaluate(clf, inputs.test)
-        records.append(
-            RunRecord(
-                mode="random",
-                seed=seed,
-                accuracy=acc,
-                fallback_count=0,
-                seconds=time.perf_counter() - t0,
-            )
-        )
+        records.append(RunRecord("random", seed, accuracy=acc, fallback_count=0))
     return EvalReport(
         records=records,
         summary=summarize_records(records),
         config_fingerprint=_config_fingerprint(base_cfg, eval_cfg),
-        total_seconds=time.perf_counter() - t_all,
     )
 
 

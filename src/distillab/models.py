@@ -1,8 +1,8 @@
 """Small trainable networks with hand-derived gradients.
 
 Two consumers: the detector (classifier + feature extractor used to flag
-defective synthetic samples) and an optional autoencoder supplying the
-latent space for the diffusion model. Both are tanh MLPs trained with a
+defective synthetic samples) and the autoencoder (``LatentCodec``) supplying
+the latent space for the diffusion model. Both are tanh MLPs trained with a
 hand-rolled Adam. Parameters and Adam moments are float32 on disk and in
 memory, and a pass computes in the dtype of its arrays, so training and
 sampling run in float32. Detector scoring feeds a float64 input: confidences
@@ -30,18 +30,14 @@ from .numerics import (
 
 __all__ = [
     "Adam",
-    "Autoencoder",
     "CheckpointFormatError",
     "Detector",
     "LatentCodec",
     "Mlp",
-    "decode",
-    "encode",
     "load_autoencoder",
     "load_detector",
     "predict_batch",
     "read_checkpoint",
-    "score_batch",
     "train_autoencoder",
     "train_detector",
     "write_checkpoint",
@@ -258,17 +254,9 @@ def train_detector(
 
 
 def predict_batch(det: Detector, images: np.ndarray):
-    """(labels, confidences, logits) for a batch from a float64 pass; argmax ties break low."""
-    x, _ = _flatten_images(images, det.image_shape)
-    logits = mlp_forward(det.mlp, x.astype(np.float64))[-1]
-    return logits.argmax(axis=1).astype(np.int64), max_softmax(logits), logits
+    """(labels, confidences, features) for a batch from one float64 pass.
 
-
-def score_batch(det: Detector, images: np.ndarray):
-    """(labels, confidences, features) for a batch from one forward pass.
-
-    Labels and confidences equal what ``predict_batch`` gives, bit for
-    bit; features are the penultimate activations as float32.
+    Argmax ties break low; features are the penultimate activations as float32.
     """
     x, _ = _flatten_images(images, det.image_shape)
     acts = mlp_forward(det.mlp, x.astype(np.float64))
@@ -276,41 +264,52 @@ def score_batch(det: Detector, images: np.ndarray):
     return logits.argmax(axis=1).astype(np.int64), max_softmax(logits), acts[-2].astype(np.float32)
 
 
-# --- autoencoder -------------------------------------------------------------
+# --- latent codec ------------------------------------------------------------
 
 
 @dataclass
-class Autoencoder:
-    """Pixel-space <-> latent-space map for the diffusion model.
+class LatentCodec:
+    """Pixel space <-> the diffusion model's latent space: an MLP autoencoder.
 
-    mode "identity": encode flattens, decode reshapes (no parameters,
-    latent_dim = C*H*W). mode "mlp": tanh encoder (bounded codes in (-1,1))
-    and a linear-output decoder trained on mean squared reconstruction.
+    The tanh encoder bounds codes to (-1, 1), the roughly unit scale the
+    diffusion model wants; the linear-output decoder is trained on mean
+    squared reconstruction, and ``decode`` clips its images to [0, 1].
     """
 
-    mode: str
+    enc: Mlp
+    dec: Mlp
     image_shape: tuple[int, int, int]
-    latent_dim: int
-    enc: Mlp | None = None
-    dec: Mlp | None = None
     meta: dict = field(default_factory=dict)
 
+    @property
+    def latent_dim(self) -> int:
+        return self.enc.weights[-1].shape[0]
 
-def train_autoencoder(train: LabeledDataset, cfg: AutoencoderConfig, rng: SeededRng) -> Autoencoder:
-    """Train (or construct, for identity mode) the latent-space autoencoder."""
+    def encode(self, images: np.ndarray) -> np.ndarray:
+        """Image(s) -> tanh code(s), float32; one image gives one code."""
+        x, single = _flatten_images(images, self.image_shape)
+        z = np.tanh(mlp_forward(self.enc, x)[-1]).astype(np.float32)
+        return z[0] if single else z
+
+    def decode(self, latents: np.ndarray) -> np.ndarray:
+        """Code(s) -> image(s) clipped to [0, 1], float32; one code gives one image."""
+        z = np.asarray(latents, dtype=np.float32)
+        single = z.ndim == 1
+        if single:
+            z = z[None]
+        if z.shape[1] != self.latent_dim:
+            raise ValueError(f"latent dim {z.shape[1]} != {self.latent_dim}")
+        imgs = np.clip(mlp_forward(self.dec, z)[-1], 0.0, 1.0).reshape(len(z), *self.image_shape)
+        return imgs[0] if single else imgs
+
+
+def train_autoencoder(train: LabeledDataset, cfg: AutoencoderConfig, rng: SeededRng) -> LatentCodec:
+    """Train the latent codec; ``meta["reconstruction_mse"]`` is of the unclipped decoder output."""
     if len(train) == 0:
         raise ValueError("training set is empty")
     din = int(np.prod(train.image_shape))
-    latent_dim = cfg.latent_dim
-    if cfg.mode == "identity":
-        return Autoencoder(
-            mode="identity",
-            image_shape=train.image_shape,
-            latent_dim=din,
-            meta={"reconstruction_mse": 0.0},
-        )
-    enc = mlp_init([din, cfg.hidden_size, latent_dim], rng.spawn(0))
-    dec = mlp_init([latent_dim, cfg.hidden_size, din], rng.spawn(1))
+    enc = mlp_init([din, cfg.hidden_size, cfg.latent_dim], rng.spawn(0))
+    dec = mlp_init([cfg.latent_dim, cfg.hidden_size, din], rng.spawn(1))
     params = enc.params() + dec.params()
     opt = Adam(params, cfg.learning_rate)
     loop = rng.spawn(2)
@@ -327,19 +326,17 @@ def train_autoencoder(train: LabeledDataset, cfg: AutoencoderConfig, rng: Seeded
             opt.step(params, grads)
             epoch_losses.append(loss)
         losses.append(float(np.mean(epoch_losses)))
-    ae = Autoencoder(
-        mode="mlp",
-        image_shape=train.image_shape,
-        latent_dim=latent_dim,
+    codec = LatentCodec(
         enc=enc,
         dec=dec,
+        image_shape=train.image_shape,
         meta={"epochs": cfg.epochs, "loss_history": losses, "seed": rng.seed},
     )
-    recon = decode(ae, encode(ae, train.images))
-    ae.meta["reconstruction_mse"] = float(
+    recon = mlp_forward(dec, codec.encode(train.images))[-1].reshape(train.images.shape)
+    codec.meta["reconstruction_mse"] = float(
         np.mean((recon.astype(np.float64) - train.images.astype(np.float64)) ** 2)
     )
-    return ae
+    return codec
 
 
 def _ae_loss_and_grads(enc: Mlp, dec: Mlp, xb: np.ndarray):
@@ -355,66 +352,6 @@ def _ae_loss_and_grads(enc: Mlp, dec: Mlp, xb: np.ndarray):
     denc_out = dcode * (1.0 - code**2)
     enc_grads, _ = mlp_backward(enc, enc_acts, denc_out)
     return loss, enc_grads + dec_grads
-
-
-def encode(ae: Autoencoder, images: np.ndarray) -> np.ndarray:
-    """Image(s) -> latent code(s), float32. Identity mode flattens."""
-    x, single = _flatten_images(images, ae.image_shape)
-    if ae.mode == "identity":
-        z = x.astype(np.float32)
-    else:
-        z = np.tanh(mlp_forward(ae.enc, x)[-1]).astype(np.float32)
-    return z[0] if single else z
-
-
-def decode(ae: Autoencoder, latents: np.ndarray) -> np.ndarray:
-    """Latent code(s) -> image(s), float32. Identity mode reshapes.
-
-    Output is not clipped; materialization to pixel range is the caller's
-    choice (see LatentCodec).
-    """
-    z = np.asarray(latents)
-    single = z.ndim == 1
-    if single:
-        z = z[None]
-    if z.shape[1] != ae.latent_dim:
-        raise ValueError(f"latent dim {z.shape[1]} != {ae.latent_dim}")
-    if ae.mode == "identity":
-        imgs = z.reshape(len(z), *ae.image_shape).astype(np.float32)
-    else:
-        imgs = mlp_forward(ae.dec, z)[-1].reshape(len(z), *ae.image_shape).astype(np.float32)
-    return imgs[0] if single else imgs
-
-
-@dataclass(frozen=True)
-class LatentCodec:
-    """Pipeline-facing latent interface around an Autoencoder.
-
-    The diffusion model wants roughly zero-centered, unit-scale latents, so
-    the identity codec maps pixels [0,1] -> [-1,1] on encode and back
-    (clipped) on decode; the mlp codec passes tanh-bounded codes through
-    unchanged and clips decoded pixels to [0,1].
-    """
-
-    ae: Autoencoder
-    latent_dim: int
-
-    @classmethod
-    def from_autoencoder(cls, ae: Autoencoder) -> "LatentCodec":
-        return cls(ae=ae, latent_dim=ae.latent_dim)
-
-    def encode(self, images: np.ndarray) -> np.ndarray:
-        z = encode(self.ae, images)
-        if self.ae.mode == "identity":
-            z = (2.0 * z - 1.0).astype(np.float32)
-        return z
-
-    def decode(self, latents: np.ndarray) -> np.ndarray:
-        z = np.asarray(latents, dtype=np.float32)
-        if self.ae.mode == "identity":
-            z = ((z + 1.0) / 2.0).astype(np.float32)
-        imgs = decode(self.ae, z)
-        return np.clip(imgs, 0.0, 1.0)
 
 
 # --- checkpoints -------------------------------------------------------------
@@ -471,7 +408,37 @@ def read_checkpoint(path):
     return kind, desc, arrays
 
 
-def _mlp_from_arrays(arrays: list[np.ndarray]) -> Mlp:
+def _is_size(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _desc_size(desc: dict, key: str) -> int:
+    """``desc[key]``, a positive int; CheckpointFormatError when missing or mistyped."""
+    value = desc.get(key)
+    if not _is_size(value):
+        raise CheckpointFormatError(f"descriptor key {key} must be a positive integer")
+    return value
+
+
+def _desc_sizes(desc: dict, key: str, count: int | None = None) -> list[int]:
+    """``desc[key]``, a list of ``count`` (by default at least 2) positive ints."""
+    value = desc.get(key)
+    if not (
+        isinstance(value, list)
+        and (len(value) == count if count else len(value) >= 2)
+        and all(_is_size(v) for v in value)
+    ):
+        raise CheckpointFormatError(f"descriptor key {key} must list {count or 'at least 2'} positive integers")
+    return value
+
+
+def _mlp_from_arrays(arrays: list[np.ndarray], layer_sizes: list[int]) -> Mlp:
+    """The Mlp of interleaved (weight, bias) arrays; CheckpointFormatError unless shaped for ``layer_sizes``."""
+    want = []
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        want += [(fan_out, fan_in), (fan_out,)]
+    if [a.shape for a in arrays] != want:
+        raise CheckpointFormatError(f"{len(arrays)} arrays do not fit layer sizes {layer_sizes}")
     return Mlp(arrays[0::2], arrays[1::2])
 
 
@@ -489,41 +456,43 @@ def load_detector(path) -> Detector:
     kind, desc, arrays = read_checkpoint(path)
     if kind != "detector":
         raise CheckpointFormatError(f"expected detector checkpoint, got {kind!r}")
+    image_shape = _desc_sizes(desc, "image_shape", 3)
+    num_classes = _desc_size(desc, "num_classes")
+    sizes = _desc_sizes(desc, "layer_sizes")
+    if [sizes[0], sizes[-1]] != [int(np.prod(image_shape)), num_classes]:
+        raise CheckpointFormatError(f"layer_sizes {sizes} do not fit image_shape and num_classes")
     return Detector(
-        mlp=_mlp_from_arrays(arrays),
-        num_classes=int(desc["num_classes"]),
-        image_shape=tuple(desc["image_shape"]),
+        mlp=_mlp_from_arrays(arrays, sizes),
+        num_classes=num_classes,
+        image_shape=tuple(image_shape),
         meta=desc.get("meta", {}),
     )
 
 
-def save_autoencoder(path, ae: Autoencoder) -> str:
+def save_autoencoder(path, codec: LatentCodec) -> str:
     desc = {
-        "mode": ae.mode,
-        "image_shape": list(ae.image_shape),
-        "latent_dim": ae.latent_dim,
-        "enc_layers": ae.enc.layer_sizes if ae.enc else None,
-        "meta": ae.meta,
+        "image_shape": list(codec.image_shape),
+        "latent_dim": codec.latent_dim,
+        "enc_layers": codec.enc.layer_sizes,
+        "meta": codec.meta,
     }
-    params = (ae.enc.params() + ae.dec.params()) if ae.mode == "mlp" else []
-    return write_checkpoint(path, "autoencoder", desc, params)
+    return write_checkpoint(path, "autoencoder", desc, codec.enc.params() + codec.dec.params())
 
 
-def load_autoencoder(path) -> Autoencoder:
+def load_autoencoder(path) -> LatentCodec:
+    """The codec of an autoencoder checkpoint; its decoder mirrors ``enc_layers``."""
     kind, desc, arrays = read_checkpoint(path)
     if kind != "autoencoder":
         raise CheckpointFormatError(f"expected autoencoder checkpoint, got {kind!r}")
-    mode = desc["mode"]
-    enc = dec = None
-    if mode == "mlp":
-        n_enc = 2 * (len(desc["enc_layers"]) - 1)
-        enc = _mlp_from_arrays(arrays[:n_enc])
-        dec = _mlp_from_arrays(arrays[n_enc:])
-    return Autoencoder(
-        mode=mode,
-        image_shape=tuple(desc["image_shape"]),
-        latent_dim=int(desc["latent_dim"]),
-        enc=enc,
-        dec=dec,
+    image_shape = _desc_sizes(desc, "image_shape", 3)
+    latent_dim = _desc_size(desc, "latent_dim")
+    sizes = _desc_sizes(desc, "enc_layers")
+    if [sizes[0], sizes[-1]] != [int(np.prod(image_shape)), latent_dim]:
+        raise CheckpointFormatError(f"enc_layers {sizes} do not fit image_shape and latent_dim")
+    n_enc = 2 * (len(sizes) - 1)
+    return LatentCodec(
+        enc=_mlp_from_arrays(arrays[:n_enc], sizes),
+        dec=_mlp_from_arrays(arrays[n_enc:], sizes[::-1]),
+        image_shape=tuple(image_shape),
         meta=desc.get("meta", {}),
     )

@@ -28,8 +28,7 @@ import numpy as np
 
 from .config import DistillConfig
 from .data import LabeledDataset
-from .models import Detector, score_batch
-from .models import predict_batch  # noqa: F401  perfbench's tracer checks this binding
+from .models import Detector, predict_batch
 from .numerics import SeededRng, cosine_similarity
 from .prototypes import Prototype, extract_prototypes
 
@@ -188,7 +187,7 @@ def _fallback_choice(candidates: list[SyntheticSample]) -> int:
 
 def _score(det, images, latents, label, provenances):
     """One detector pass over a generated batch; the status is provisional."""
-    labels, confs, feats = score_batch(det, images)
+    labels, confs, feats = predict_batch(det, images)
     return [
         SyntheticSample(
             image=images[i],

@@ -14,7 +14,7 @@ import pytest
 
 from distillab.config import default_config
 from distillab.data import synthesize_toy_dataset
-from distillab.models import LatentCodec, train_autoencoder, train_detector
+from distillab.models import train_autoencoder, train_detector
 from distillab.numerics import SeededRng
 
 DEFAULTS = default_config()
@@ -49,15 +49,8 @@ def detector(toy_train):
 
 
 @pytest.fixture(scope="session")
-def identity_codec(toy_train):
-    ae = train_autoencoder(toy_train, replace(DEFAULTS.autoencoder, mode="identity"), SeededRng(0))
-    return LatentCodec.from_autoencoder(ae)
-
-
-@pytest.fixture(scope="session")
 def codec(toy_train):
-    ae = train_autoencoder(toy_train, DEFAULTS.autoencoder, SeededRng(AUTOENCODER_SEED))
-    return LatentCodec.from_autoencoder(ae)
+    return train_autoencoder(toy_train, DEFAULTS.autoencoder, SeededRng(AUTOENCODER_SEED))
 
 
 @pytest.fixture(scope="session")

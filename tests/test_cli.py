@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +21,7 @@ TINY_CONFIG = {
         "image_width": 8,
     },
     "detector": {"epochs": 6, "batch_size": 32, "hidden_sizes": [32, 16]},
-    "autoencoder": {"mode": "mlp", "latent_dim": 8, "hidden_size": 32, "epochs": 6},
+    "autoencoder": {"latent_dim": 8, "hidden_size": 32, "epochs": 6},
     "denoiser": {
         "timesteps": 30,
         "beta_end": 0.08,
@@ -279,7 +281,11 @@ class TestSectionErrors:
         [
             ("data", {"num_classes": 0}, "data: num_classes must be >= 1"),
             ("detector", {"epochs": 0}, "detector: epochs and batch_size must be >= 1"),
-            ("autoencoder", {"mode": "pca"}, "autoencoder: mode must be one of"),
+            # the codec has no modes left: ``mode`` is an unknown key
+            pytest.param(
+                "autoencoder", {"mode": "pca"}, "unknown config key autoencoder.mode",
+                id="autoencoder-values2-autoencoder: mode must be one of",
+            ),
             ("denoiser", {"beta_end": 1.5}, "denoiser: need 0 < beta_start <= beta_end < 1"),
             ("distill", {"top_k": 0}, "distill: top_k must be >= 1"),
             ("eval", {"seeds": []}, "eval: modes and seeds must not be empty"),
@@ -351,6 +357,75 @@ class TestFormatErrors:
         assert proc.stderr.startswith("format error: ")
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "name, kind, misfit",
+        [
+            ("detector", "detector", {"num_classes": 2}),
+            ("autoencoder", "autoencoder", {"latent_dim": 9}),
+            ("denoiser", "denoiser-v1", {"time_embed_dim": 7}),
+        ],
+    )
+    def test_malformed_descriptor_exits_5(self, pipeline, tmp_path, name, kind, misfit):
+        """A descriptor with a key missing, of the wrong type or at odds with
+        the others, or arrays that do not fit its layer sizes, is a one-line
+        format error, not a traceback."""
+        from distillab.models import read_checkpoint, write_checkpoint
+
+        path = _copy_run(pipeline, tmp_path) / "models" / f"{name}.mdlc"
+        _, desc, arrays = read_checkpoint(path)
+        mistyped = {k: str(v) if isinstance(v, int) else v for k, v in desc.items()}
+        for bad_desc, bad_arrays in (({}, arrays), (mistyped, arrays), (dict(desc, **misfit), arrays), (desc, [])):
+            write_checkpoint(path, kind, bad_desc, bad_arrays)
+            proc = _cli(tmp_path, TINY_CONFIG, "distill")
+            assert proc.returncode == 5, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith("format error: ")
+            assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def _copy_run(pipeline, dest):
+    """A copy of the tiny pipeline's run directory under ``dest/runs``."""
+    shutil.copytree(pipeline[0] / "runs", dest / "runs")
+    return _run_dir(dest)
+
+
+def _manifest(path):
+    return json.loads(path.with_name(path.name + ".manifest.json").read_text())
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestReports:
+    def test_ablation_json_byte_reproducible(self, pipeline, tmp_path, monkeypatch):
+        """Two ablate runs into two output roots write the same ablation.json."""
+        outputs = []
+        for root in (tmp_path / "a", tmp_path / "b"):
+            rd = _copy_run(pipeline, root)
+            monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(root / "runs"))
+            assert _run("ablate", "--config", str(pipeline[1])) == 0
+            path = rd / "reports" / "ablation.json"
+            outputs.append((path.read_bytes(), _manifest(path)["output_sha256"]))
+        assert outputs[0] == outputs[1]
+
+    def test_summary_manifest_lists_what_report_read(self, pipeline, tmp_path, monkeypatch):
+        """summary.txt's manifest lists ablation.json, and eval.json exactly when it was read."""
+        rd = _copy_run(pipeline, tmp_path)
+        for stale in rd.glob("reports/eval.json*"):
+            stale.unlink()
+        monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
+        cfg = str(pipeline[1])
+        reports = rd / "reports"
+        assert _run("ablate", "--config", cfg) == 0
+        for command, read in ((None, ["ablation.json"]), ("eval", ["ablation.json", "eval.json"])):
+            if command:
+                assert _run(command, "--config", cfg) == 0
+            assert _run("report", "--config", cfg) == 0
+            manifest = _manifest(reports / "summary.txt")
+            assert manifest["output_sha256"] == _sha256(reports / "summary.txt")
+            assert manifest["inputs"] == {name: _sha256(reports / name) for name in read}
+
 
 class TestManifests:
     def test_manifest_lists_input_hashes(self, pipeline):
@@ -366,8 +441,6 @@ class TestManifests:
 
     def test_manifests_hash_their_outputs(self, pipeline):
         """Every manifest's output_sha256 is its file's, and no temp file is left."""
-        import hashlib
-
         tmp_path, _ = pipeline
         rd = _run_dir(tmp_path)
         assert not list(rd.rglob("*.tmp"))

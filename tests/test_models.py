@@ -3,34 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from distillab.config import AutoencoderConfig, DetectorConfig, ToyDataSpec, default_config
+from distillab.config import AutoencoderConfig, ConfigError, DetectorConfig, ToyDataSpec, parse_config
 from distillab.data import LabeledDataset, cutmix, sample_mix_ratio, synthesize_toy_dataset
 from distillab.models import (
-    Autoencoder,
     CheckpointFormatError,
     Detector,
     LatentCodec,
     Mlp,
     _cutmix_minibatch,
     _soft_cross_entropy,
-    decode,
-    encode,
     load_autoencoder,
     load_detector,
     mlp_forward,
     mlp_backward,
     mlp_init,
     predict_batch,
-    score_batch,
     save_autoencoder,
     save_detector,
     train_autoencoder,
     train_detector,
+    write_checkpoint,
 )
 from distillab.diffusion import load_denoiser, save_denoiser
-from distillab.numerics import SeededRng, cosine_similarity
+from distillab.numerics import SeededRng, cosine_similarity, max_softmax
 
-from conftest import AUTOENCODER_SEED, as_float64, gradient_check
+from conftest import as_float64, gradient_check
 
 
 def _tiny_dataset(n_per_class=6, k=3, shape=(1, 5, 5), seed=3):
@@ -133,7 +130,7 @@ class TestPredict:
 
     def test_softmax_oracle_confidence(self):
         det = self._fixed_logit_detector([2.0, 0.0, 0.0])
-        labels, confs, logits = predict_batch(det, np.zeros((1, 1, 1, 1), dtype=np.float32))
+        labels, confs, _ = predict_batch(det, np.zeros((1, 1, 1, 1), dtype=np.float32))
         assert labels[0] == 0
         assert confs[0] == pytest.approx(math.exp(2) / (math.exp(2) + 2), abs=1e-6)
         assert confs[0] == pytest.approx(0.78699, abs=5e-6)
@@ -157,14 +154,14 @@ class TestPredict:
 
 class TestFeatures:
     def test_deterministic_and_dim(self, detector, toy_test):
-        f1 = score_batch(detector, toy_test.images[:1])[2]
-        f2 = score_batch(detector, toy_test.images[:1])[2]
+        f1 = predict_batch(detector, toy_test.images[:1])[2]
+        f2 = predict_batch(detector, toy_test.images[:1])[2]
         assert np.array_equal(f1, f2)
         assert f1.shape == (1, detector.feature_dim)
         assert detector.feature_dim == 64
 
     def test_class_structure(self, detector, toy_test):
-        feats = score_batch(detector, toy_test.images)[2]
+        feats = predict_batch(detector, toy_test.images)[2]
         labels = toy_test.labels
         same, cross = [], []
         rng = SeededRng(17)
@@ -179,12 +176,13 @@ class TestFeatures:
 
 class TestScoreBatch:
     def test_one_pass_equals_separate_passes(self, detector, toy_test):
-        labels, confs, feats = score_batch(detector, toy_test.images)
-        want_labels, want_confs, _ = predict_batch(detector, toy_test.images)
-        assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
-        assert np.array_equal(confs, want_confs)
+        """predict_batch's labels, confidences and features all come from one float64 pass."""
+        labels, confs, feats = predict_batch(detector, toy_test.images)
         x = toy_test.images.reshape(len(toy_test), -1).astype(np.float64)
-        want_feats = mlp_forward(detector.mlp, x)[-2].astype(np.float32)
+        acts = mlp_forward(detector.mlp, x)
+        assert labels.dtype == np.int64 and np.array_equal(labels, acts[-1].argmax(axis=1))
+        assert np.array_equal(confs, max_softmax(acts[-1]))
+        want_feats = acts[-2].astype(np.float32)
         assert feats.dtype == want_feats.dtype and np.array_equal(feats, want_feats)
 
 
@@ -224,45 +222,51 @@ class TestGradients:
 
 
 class TestAutoencoder:
-    def test_identity_mode(self, toy_train):
-        ae = train_autoencoder(toy_train, AutoencoderConfig(epochs=1, mode="identity"), SeededRng(1))
-        assert ae.latent_dim == 256
-        z = encode(ae, toy_train.images[:4])
-        assert z.shape == (4, 256)
-        assert np.array_equal(z, toy_train.images[:4].reshape(4, -1))
-        back = decode(ae, z)
-        assert np.array_equal(back, toy_train.images[:4])
-        assert ae.meta["reconstruction_mse"] == 0.0
+    def test_identity_mode(self):
+        """The codec has one mode, so a config that names any is rejected."""
+        for mode in ("identity", "mlp"):
+            with pytest.raises(ConfigError, match="unknown config key autoencoder.mode"):
+                parse_config({"autoencoder": {"mode": mode}})
 
-    def test_trained_reconstruction(self, toy_train, toy_test):
-        ae = train_autoencoder(toy_train, default_config().autoencoder, SeededRng(AUTOENCODER_SEED))
-        rec = decode(ae, encode(ae, toy_test.images))
+    def test_trained_reconstruction(self, codec, toy_train, toy_test):
+        rec = codec.decode(codec.encode(toy_test.images))
         mse = np.mean((rec.astype(np.float64) - toy_test.images) ** 2)
         assert mse <= 0.01
-        assert ae.meta["reconstruction_mse"] <= 0.01
+        assert codec.meta["reconstruction_mse"] <= 0.01
+        # the recorded mse is of the unclipped decoder output
+        unclipped = mlp_forward(codec.dec, codec.encode(toy_train.images))[-1]
+        want = np.mean((unclipped.astype(np.float64) - toy_train.images.reshape(len(toy_train), -1)) ** 2)
+        assert codec.meta["reconstruction_mse"] == pytest.approx(want, rel=1e-12)
 
     def test_shape_contract(self, toy_train):
-        ae = train_autoencoder(toy_train, AutoencoderConfig(epochs=1, latent_dim=8), SeededRng(2))
+        codec = train_autoencoder(toy_train, AutoencoderConfig(epochs=1, latent_dim=8), SeededRng(2))
         x = toy_train.images[0]
-        assert decode(ae, encode(ae, x)).shape == x.shape
+        assert codec.encode(x).shape == (8,)
+        assert codec.decode(codec.encode(x)).shape == x.shape
 
-    def test_invalid_mode(self, toy_train):
-        with pytest.raises(ValueError):
-            train_autoencoder(toy_train, AutoencoderConfig(epochs=1, mode="vae"), SeededRng(1))
+    def test_invalid_mode(self):
+        with pytest.raises(TypeError):
+            AutoencoderConfig(mode="vae")
 
 
 class TestLatentCodec:
-    def test_identity_codec_range(self, identity_codec, toy_train):
-        z = identity_codec.encode(toy_train.images[:8])
+    def test_identity_codec_range(self, codec, toy_train):
+        """Codes are float32 tanh values; decoded images are float32 in [0, 1]."""
+        z = codec.encode(toy_train.images[:8])
+        assert z.dtype == np.float32 and z.shape == (8, codec.latent_dim)
         assert z.min() >= -1.0 and z.max() <= 1.0
-        back = identity_codec.decode(z)
-        assert np.allclose(back, toy_train.images[:8], atol=1e-6)
+        back = codec.decode(z)
+        assert back.dtype == np.float32 and back.shape == toy_train.images[:8].shape
         assert back.min() >= 0.0 and back.max() <= 1.0
+        assert np.mean(np.abs(back - toy_train.images[:8])) < 0.1
 
-    def test_decode_clips(self, identity_codec):
-        wild = np.full((1, identity_codec.latent_dim), 5.0, dtype=np.float32)
-        img = identity_codec.decode(wild)
-        assert img.max() <= 1.0
+    def test_decode_clips(self, codec):
+        for value in (5.0, -5.0):
+            wild = np.full((1, codec.latent_dim), value, dtype=np.float32)
+            img = codec.decode(wild)
+            assert img.min() >= 0.0 and img.max() <= 1.0
+        with pytest.raises(ValueError, match="latent dim"):
+            codec.decode(np.zeros((1, codec.latent_dim + 1), dtype=np.float32))
 
 
 class TestCheckpoints:
@@ -279,22 +283,24 @@ class TestCheckpoints:
         assert (l1[0], c1[0]) == (l2[0], c2[0])
 
     def test_autoencoder_round_trip(self, toy_train, tmp_path):
-        ae = train_autoencoder(toy_train, AutoencoderConfig(epochs=1, latent_dim=8), SeededRng(4))
+        codec = train_autoencoder(toy_train, AutoencoderConfig(epochs=1, latent_dim=8), SeededRng(4))
         p = tmp_path / "ae.mdlc"
-        save_autoencoder(p, ae)
+        save_autoencoder(p, codec)
         back = load_autoencoder(p)
-        z1 = encode(ae, toy_train.images[:3])
-        z2 = encode(back, toy_train.images[:3])
+        assert isinstance(back, LatentCodec) and back.latent_dim == 8
+        assert back.image_shape == codec.image_shape and back.meta == codec.meta
+        z1 = codec.encode(toy_train.images[:3])
+        z2 = back.encode(toy_train.images[:3])
         assert np.array_equal(z1, z2)
-        assert np.array_equal(decode(ae, z1), decode(back, z2))
+        assert np.array_equal(codec.decode(z1), back.decode(z2))
 
-    def test_identity_ae_round_trip(self, toy_train, tmp_path):
-        ae = train_autoencoder(toy_train, AutoencoderConfig(epochs=1, mode="identity"), SeededRng(1))
+    def test_identity_ae_round_trip(self, tmp_path):
+        """An identity-mode checkpoint (no encoder, no arrays) is a format error."""
         p = tmp_path / "id.mdlc"
-        save_autoencoder(p, ae)
-        back = load_autoencoder(p)
-        assert back.mode == "identity"
-        assert back.latent_dim == ae.latent_dim
+        desc = {"mode": "identity", "image_shape": [1, 16, 16], "latent_dim": 256, "enc_layers": None, "meta": {}}
+        write_checkpoint(p, "autoencoder", desc, [])
+        with pytest.raises(CheckpointFormatError, match="enc_layers"):
+            load_autoencoder(p)
 
     def test_wrong_kind_rejected(self, detector, tmp_path):
         p = tmp_path / "det.mdlc"
@@ -358,7 +364,5 @@ class TestFloat64Scoring:
         p = np.exp(a - a.max(axis=1, keepdims=True))
         want = (p / p.sum(axis=1, keepdims=True)).max(axis=1)
         _, confs, _ = predict_batch(detector, toy_test.images)
-        _, score_confs, _ = score_batch(detector, toy_test.images)
-        assert confs.dtype == score_confs.dtype == np.float64
+        assert confs.dtype == np.float64
         assert np.allclose(confs, want, rtol=0, atol=1e-12)
-        assert np.allclose(score_confs, want, rtol=0, atol=1e-12)

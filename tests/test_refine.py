@@ -3,7 +3,7 @@ import pytest
 
 from distillab.config import DetectorConfig, DistillConfig, ToyDataSpec
 from distillab.data import LabeledDataset, synthesize_toy_dataset
-from distillab.models import predict_batch, score_batch
+from distillab.models import predict_batch
 from distillab.numerics import SeededRng, cosine_similarity
 from distillab.refine import (
     NormalPool,
@@ -88,10 +88,11 @@ class TestAcceptanceRule:
         assert not is_accepted(0, 0.9, 0, 0.9)
 
     def test_classify_sample_runs_detector(self, detector, toy_test):
-        # the initial pass scores a generated batch with score_batch, then
-        # applies is_accepted to each row
-        labels, confs, _ = score_batch(detector, toy_test.images[:1])
-        want_labels, want_confs, _ = predict_batch(detector, toy_test.images[:1])
+        # the initial pass scores a generated batch with predict_batch, then
+        # applies is_accepted to each row; a row's verdict does not depend on
+        # the rest of its batch
+        labels, confs, _ = predict_batch(detector, toy_test.images[:1])
+        want_labels, want_confs, _ = predict_batch(detector, toy_test.images[:8])
         assert int(labels[0]) == int(want_labels[0])
         assert float(confs[0]) == pytest.approx(float(want_confs[0]))
         accepted = is_accepted(int(labels[0]), float(confs[0]), int(toy_test.labels[0]), 0.5)
