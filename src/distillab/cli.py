@@ -32,8 +32,7 @@ import sys
 from pathlib import Path
 
 from .config import SELECTION_MODES, ConfigError, config_sha256, default_config, load_config, to_dict
-from .data import DatasetFormatError, write_atomic
-from .models import CheckpointFormatError
+from .data import CheckpointFormatError, DatasetFormatError, write_atomic
 
 __version__ = "0.1.0"
 

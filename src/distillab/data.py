@@ -9,6 +9,7 @@ tiny MLPs, and cheap enough for end-to-end pipeline tests.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -22,6 +23,7 @@ from .config import ToyDataSpec
 from .numerics import SeededRng, normal_from_words, require_finite, uniform_from_words
 
 __all__ = [
+    "CheckpointFormatError",
     "DatasetFormatError",
     "LabeledDataset",
     "MixedSample",
@@ -41,7 +43,31 @@ _KEY_TEST = 1
 
 
 class DatasetFormatError(ValueError):
-    """A dataset/prototype file failed validation; the message names the field."""
+    """A dataset file failed validation; the message names the file and the field."""
+
+
+class CheckpointFormatError(ValueError):
+    """A model or prototype checkpoint failed validation; the message names the file."""
+
+
+def names_path(read):
+    """Decorate a reader ``read(path, ...)``: a format error it raises starts with ``path``.
+
+    A reader that calls another decorated reader on the same path prefixes
+    the message once.
+    """
+
+    @functools.wraps(read)
+    def reader(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except (DatasetFormatError, CheckpointFormatError) as e:
+            prefix = f"{path}: "
+            if str(e).startswith(prefix):
+                raise
+            raise type(e)(prefix + str(e)) from None
+
+    return reader
 
 
 @dataclass
@@ -373,6 +399,7 @@ def _read_json(f, count: int, what: str, error=DatasetFormatError) -> dict:
     return obj
 
 
+@names_path
 def read_dataset(path) -> LabeledDataset:
     """Load a dataset container, validating magic, sizes, and label range."""
     with open(path, "rb") as f:

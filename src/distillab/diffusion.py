@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DenoiserConfig, check_schedule
+from .data import CheckpointFormatError, names_path
 from .models import Adam, Mlp, _desc_size, _desc_sizes, _mlp_from_arrays, mlp_backward, mlp_forward, mlp_init
-from .models import CheckpointFormatError, read_checkpoint, write_checkpoint
+from .models import read_checkpoint, write_checkpoint
 from .numerics import SeededRng, require_finite
 
 __all__ = [
@@ -115,15 +116,14 @@ class Denoiser:
 
     def predict_noise(self, z: np.ndarray, t: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """eps_hat for a batch of latents; tokens may include the null token."""
-        x = self._assemble_input(z, t, tokens)
-        return mlp_forward(self.mlp, x)[-1]
+        return mlp_forward(self.mlp, self._assemble_input(z, t, self.label_vec(tokens)))[-1]
 
-    def _assemble_input(self, z, t, tokens) -> np.ndarray:
+    def _assemble_input(self, z, t, lemb) -> np.ndarray:
+        """The MLP input: latents, time embeddings and the rows' label embeddings ``lemb``."""
         z = np.asarray(z, dtype=self.label_table.dtype)
         if z.ndim != 2 or z.shape[1] != self.latent_dim:
             raise ValueError(f"latents must be (B, {self.latent_dim})")
         temb = timestep_embedding(t, self.time_embed_dim)
-        lemb = self.label_vec(tokens)
         return np.concatenate([z, temb, lemb], axis=1, dtype=z.dtype)
 
 
@@ -133,7 +133,7 @@ def denoise_loss_and_grads(den: Denoiser, zt, t, tokens, eps):
     Gradient list matches ``den.mlp.params() + [den.label_table]``; the
     input gradient is scattered back into the looked-up embedding rows.
     """
-    x = den._assemble_input(zt, t, tokens)
+    x = den._assemble_input(zt, t, den.label_vec(tokens))
     acts = mlp_forward(den.mlp, x)
     diff = acts[-1] - np.asarray(eps, dtype=acts[-1].dtype)
     loss = float(np.mean(diff**2))
@@ -215,15 +215,17 @@ def train_denoiser(
     return den
 
 
-def _guided_noise(den: Denoiser, z: np.ndarray, t: np.ndarray, label: int, w: float) -> np.ndarray:
-    """Classifier-free guided estimate; only the target and null rows are read."""
+def _guided_noise(den: Denoiser, z: np.ndarray, t: np.ndarray, label: int, w: float, lemb=None) -> np.ndarray:
+    """Classifier-free guided estimate; only the target and null rows are read.
+
+    One pass over the stacked (label, null) rows. ``lemb``, when given, is
+    ``label_vec`` of their tokens ``[label] * b + [null] * b``; the sampler
+    builds it once per call, since the tokens do not change between steps.
+    """
     b = len(z)
-    zz = np.concatenate([z, z], axis=0)
-    tt = np.concatenate([t, t])
-    tokens = np.concatenate(
-        [np.full(b, label, dtype=np.int64), np.full(b, den.null_token, dtype=np.int64)]
-    )
-    out = den.predict_noise(zz, tt, tokens)
+    if lemb is None:
+        lemb = den.label_vec(np.repeat(np.array([label, den.null_token], dtype=np.int64), b))
+    out = mlp_forward(den.mlp, den._assemble_input(np.concatenate([z, z]), np.concatenate([t, t]), lemb))[-1]
     eps_label, eps_null = out[:b], out[b:]
     return eps_null + w * (eps_label - eps_null)
 
@@ -266,9 +268,10 @@ def sample_img2img_batch(
     noise = np.stack([r.normal_rows(t_start, d) for r in rngs]).astype(np.float64)
     ab = sched.alpha_bars[t_start - 1]
     z = np.sqrt(ab) * protos + np.sqrt(1.0 - ab) * noise[:, 0]
+    lemb = den.label_vec(np.repeat(np.array([label, den.null_token], dtype=np.int64), b))
     for t in range(t_start, 0, -1):
         tb = np.full(b, t, dtype=np.int64)
-        eps_hat = _guided_noise(den, z, tb, label, guidance_scale)
+        eps_hat = _guided_noise(den, z, tb, label, guidance_scale, lemb)
         beta = sched.betas[t - 1]
         alpha = sched.alphas[t - 1]
         ab_t = sched.alpha_bars[t - 1]
@@ -295,6 +298,7 @@ def save_denoiser(path, den: Denoiser) -> str:
     return write_checkpoint(path, "denoiser-v1", desc, den.mlp.params() + [den.label_table])
 
 
+@names_path
 def load_denoiser(path) -> Denoiser:
     kind, desc, arrays = read_checkpoint(path)
     if kind != "denoiser-v1":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
@@ -47,6 +48,33 @@ def train_downstream(distilled: LabeledDataset, cfg: EvalConfig, rng: SeededRng)
     if len(distilled) == 0:
         raise ValueError("distilled dataset is empty")
     return train_detector(distilled, cfg, rng, use_cutmix=False)
+
+
+def _train_job(job: tuple[LabeledDataset, EvalConfig, SeededRng]) -> Detector:
+    return train_downstream(*job)
+
+
+def _train_all(jobs: list[tuple[LabeledDataset, EvalConfig, SeededRng]]) -> list[Detector]:
+    """``train_downstream(*job)`` for every job, in order, on every usable core.
+
+    The jobs run on ``min(len(jobs), usable cores)`` forked worker processes,
+    or in this process when that is one. A job's classifier depends only on
+    the job, so the result does not depend on the worker count. An exception
+    raised in a worker is raised here with its type; a worker that dies
+    raises ``BrokenProcessPool`` instead of leaving the call waiting.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(jobs), cores)
+    if workers <= 1:
+        return [_train_job(job) for job in jobs]
+    # imported here, as every command imports this module: they cost 20 ms and 1 MB
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: the workers start with the modules already loaded, and the
+    # executor forks them all before it starts its own thread
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_train_job, jobs))
 
 
 def evaluate(classifier: Detector, test: LabeledDataset) -> float:
@@ -140,11 +168,9 @@ def _config_fingerprint(base_cfg: DistillConfig, eval_cfg: EvalConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _run_once(inputs: AblationInputs, cfg: DistillConfig, seed: int, eval_cfg: EvalConfig):
-    res = select(inputs.bank(cfg, seed), cfg)
-    clf = train_downstream(res.dataset, eval_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM))
-    acc = evaluate(clf, inputs.test)
-    return acc, res
+def _downstream_job(dataset: LabeledDataset, eval_cfg: EvalConfig, seed: int):
+    """The downstream training of a run on ``seed``: every run on a seed trains from one stream."""
+    return dataset, eval_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM)
 
 
 def _random_subset(train: LabeledDataset, ipc: int, rng: SeededRng) -> LabeledDataset:
@@ -164,17 +190,25 @@ def _random_subset(train: LabeledDataset, ipc: int, rng: SeededRng) -> LabeledDa
 
 
 def run_ablation(inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig) -> EvalReport:
-    """Every eval mode on every eval seed, plus a random-real-subset baseline per seed."""
-    records = []
+    """Every eval mode on every eval seed, plus a random-real-subset baseline per seed.
+
+    Selection runs here, seed by seed; the downstream trainings then run
+    together (``_train_all``).
+    """
+    runs, jobs = [], []
     for seed in eval_cfg.seeds:
         for mode in eval_cfg.modes:
             cfg = replace(base_cfg, selection_mode=mode)
-            acc, res = _run_once(inputs, cfg, seed, eval_cfg)
-            records.append(RunRecord(mode, seed, accuracy=acc, fallback_count=res.report["counts"]["fallback"]))
+            res = select(inputs.bank(cfg, seed), cfg)
+            runs.append((mode, seed, res.report["counts"]["fallback"]))
+            jobs.append(_downstream_job(res.dataset, eval_cfg, seed))
         subset = _random_subset(inputs.train, base_cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
-        clf = train_downstream(subset, eval_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM))
-        acc = evaluate(clf, inputs.test)
-        records.append(RunRecord("random", seed, accuracy=acc, fallback_count=0))
+        runs.append(("random", seed, 0))
+        jobs.append(_downstream_job(subset, eval_cfg, seed))
+    records = [
+        RunRecord(mode, seed, accuracy=evaluate(clf, inputs.test), fallback_count=fallbacks)
+        for (mode, seed, fallbacks), clf in zip(runs, _train_all(jobs))
+    ]
     return EvalReport(
         records=records,
         summary=summarize_records(records),
@@ -204,18 +238,19 @@ def run_sensitivity(
     beta never grows the passing set.
     """
     ks, betas, seed = eval_cfg.sensitivity_top_k, eval_cfg.sensitivity_betas, eval_cfg.seeds[0]
-    grid = []
+    grid, jobs = [], []
     slot_candidates: dict[tuple, dict[float, list[dict]]] = {}
     for k in sorted(ks):
         for beta in betas:
             cfg = replace(base_cfg, top_k=k, beta=beta, selection_mode="tplus_s")
-            acc, res = _run_once(inputs, cfg, seed, eval_cfg)
+            res = select(inputs.bank(cfg, seed), cfg)
+            jobs.append(_downstream_job(res.dataset, eval_cfg, seed))
             grid.append(
                 {
                     "top_k": k,
                     "beta": beta,
                     "seed": seed,
-                    "accuracy": acc,
+                    "accuracy": None,
                     "fallback_count": res.report["counts"]["fallback"],
                     "refined_count": res.report["counts"]["refined"],
                 }
@@ -225,6 +260,8 @@ def run_sensitivity(
                     continue
                 key = (slot["class"], slot["cluster"])
                 slot_candidates.setdefault(key, {})[beta] = slot["candidates"]
+    for row, clf in zip(grid, _train_all(jobs)):
+        row["accuracy"] = evaluate(clf, inputs.test)
     checked_slots = 0
     for key, by_beta in slot_candidates.items():
         betas_here = sorted(by_beta)

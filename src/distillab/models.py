@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import AutoencoderConfig, ClassifierConfig
-from .data import LabeledDataset, _read_exact, _read_json, _read_struct, cutmix, write_atomic
+from .data import CheckpointFormatError, LabeledDataset, cutmix, names_path, write_atomic
+from .data import _read_exact, _read_json, _read_struct
 from .numerics import (
     SeededRng,
     beta_symmetric_from_words,
@@ -107,10 +108,15 @@ def mlp_backward(mlp: Mlp, acts: list[np.ndarray], dout: np.ndarray, input_grad:
 
 
 class Adam:
-    """Adaptive-moment optimizer over a flat list of parameter arrays.
+    """Adaptive-moment optimizer over a list of parameter arrays.
 
-    Moments and the update take each parameter's dtype (float32 for every
-    trained model). The coefficients are the defaults of Kingma & Ba (2015).
+    The moments, the gradients and one scratch array each live in one flat
+    buffer of the parameters' dtype (float32 for every trained model),
+    allocated once; once the moments are updated, the gradient buffer holds
+    the update. A step is a fixed run of in-place ufuncs in the operation
+    order of the per-parameter formula ``lr * (m / b1c) / (sqrt(v / b2c) + eps)``,
+    so it is bit-identical to that formula and allocates no parameter-sized
+    array. The coefficients are the defaults of Kingma & Ba (2015).
     """
 
     beta1 = 0.9
@@ -120,20 +126,32 @@ class Adam:
     def __init__(self, params, lr):
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        size = sum(p.size for p in params)
+        self.m, self.v, self._g, self._tmp = (np.zeros(size, dtype=np.result_type(*params)) for _ in range(4))
+        ends = np.cumsum([p.size for p in params])
+        self._updates = [self._g[end - p.size : end].reshape(p.shape) for p, end in zip(params, ends)]
 
     def step(self, params, grads):
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            upd = (self.lr * (m / b1c)) / (np.sqrt(v / b2c) + self.eps)
-            p -= upd
+        m, v, g, tmp = self.m, self.v, self._g, self._tmp
+        np.concatenate([x.reshape(-1) for x in grads], out=g)
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, g, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=tmp)
+        tmp *= g
+        v += tmp
+        upd = np.divide(m, b1c, out=g)  # g is spent: it takes the update
+        upd *= self.lr
+        np.divide(v, b2c, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        upd /= tmp
+        for p, u in zip(params, self._updates):
+            p -= u
 
 
 # --- detector ----------------------------------------------------------------
@@ -363,10 +381,6 @@ _CKPT_MAGIC = b"MDLC"
 _CKPT_VERSION = 1
 
 
-class CheckpointFormatError(ValueError):
-    """A model checkpoint failed validation."""
-
-
 def write_checkpoint(path, kind: str, desc: dict, params: list[np.ndarray]) -> str:
     """Write a checkpoint atomically (``data.write_atomic``); return its sha256."""
     desc = dict(desc, kind=kind)
@@ -377,6 +391,7 @@ def write_checkpoint(path, kind: str, desc: dict, params: list[np.ndarray]) -> s
     return write_atomic(path, itertools.chain(header, shapes, blobs))
 
 
+@names_path
 def read_checkpoint(path):
     """Returns (kind, descriptor dict, list of float32 arrays); bit-exact.
 
@@ -452,6 +467,7 @@ def save_detector(path, det: Detector) -> str:
     return write_checkpoint(path, "detector", desc, det.mlp.params())
 
 
+@names_path
 def load_detector(path) -> Detector:
     kind, desc, arrays = read_checkpoint(path)
     if kind != "detector":
@@ -479,6 +495,7 @@ def save_autoencoder(path, codec: LatentCodec) -> str:
     return write_checkpoint(path, "autoencoder", desc, codec.enc.params() + codec.dec.params())
 
 
+@names_path
 def load_autoencoder(path) -> LatentCodec:
     """The codec of an autoencoder checkpoint; its decoder mirrors ``enc_layers``."""
     kind, desc, arrays = read_checkpoint(path)

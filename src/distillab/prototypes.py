@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
-from .models import CheckpointFormatError, read_checkpoint, write_checkpoint
+from .data import CheckpointFormatError, LabeledDataset, names_path
+from .models import read_checkpoint, write_checkpoint
 from .numerics import SeededRng, require_finite
 
 __all__ = [
@@ -195,6 +195,7 @@ def write_prototypes(path, protos: list[Prototype], provenance: dict | None = No
     return write_checkpoint(path, "prototypes", desc, [np.stack([p.latent for p in protos])])
 
 
+@names_path
 def read_prototypes(path) -> tuple[list[Prototype], dict]:
     """Load a prototype file; a short or foreign file raises CheckpointFormatError."""
     kind, desc, arrays = read_checkpoint(path)

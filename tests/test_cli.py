@@ -368,7 +368,7 @@ class TestFormatErrors:
     def test_malformed_descriptor_exits_5(self, pipeline, tmp_path, name, kind, misfit):
         """A descriptor with a key missing, of the wrong type or at odds with
         the others, or arrays that do not fit its layer sizes, is a one-line
-        format error, not a traceback."""
+        format error that names the file, not a traceback."""
         from distillab.models import read_checkpoint, write_checkpoint
 
         path = _copy_run(pipeline, tmp_path) / "models" / f"{name}.mdlc"
@@ -379,7 +379,7 @@ class TestFormatErrors:
             proc = _cli(tmp_path, TINY_CONFIG, "distill")
             assert proc.returncode == 5, proc.stderr
             assert "Traceback" not in proc.stderr
-            assert proc.stderr.startswith("format error: ")
+            assert proc.stderr.startswith(f"format error: {path}: ")
             assert len(proc.stderr.strip().splitlines()) == 1
 
 

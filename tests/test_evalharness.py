@@ -1,3 +1,6 @@
+import json
+import multiprocessing
+import os
 from collections import Counter
 from dataclasses import replace
 
@@ -15,10 +18,11 @@ from distillab.evalharness import (
     train_downstream,
 )
 from distillab.models import Detector, Mlp, train_detector
-from distillab.numerics import SeededRng
+from distillab.numerics import NonFiniteError, SeededRng
 from distillab.data import write_dataset
 from distillab.refine import distill, select
 
+from test_cli import _copy_run, pipeline  # noqa: F401  (pipeline is a fixture)
 from test_refine import MockGenerator
 
 
@@ -150,14 +154,15 @@ class TestRunAblation:
     def test_random_baseline_shares_the_downstream_stream(self, small_world, monkeypatch):
         import distillab.evalharness as evalharness
 
+        # the trainings may run in worker processes: observe the jobs the parent submits
         starts = []
-        real = evalharness.train_downstream
+        real = evalharness._train_all
 
-        def spy(dataset, cfg, rng):
-            starts.append(rng.seed)
-            return real(dataset, cfg, rng)
+        def spy(jobs):
+            starts.extend(rng.seed for _, _, rng in jobs)
+            return real(jobs)
 
-        monkeypatch.setattr(evalharness, "train_downstream", spy)
+        monkeypatch.setattr(evalharness, "_train_all", spy)
         run_ablation(self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[4]))
         assert len(starts) == 2 and starts[0] == starts[1]
 
@@ -305,3 +310,171 @@ class TestSharedBank:
         for field, value in (("num_candidates", 7), ("strength", 0.5)):
             with pytest.raises(ValueError, match=field):
                 select(bank, replace(cfg, **{field: value}))
+
+
+def _non_finite_training(dataset, cfg, rng):
+    raise NonFiniteError("downstream loss contains non-finite values")
+
+
+def _cores(monkeypatch, n):
+    """Make ``n`` cores look usable to the harness."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture()
+def job_pids(tmp_path, monkeypatch):
+    """The pid of every downstream training, read back from a file the workers append to."""
+    import distillab.evalharness as evalharness
+
+    log = tmp_path / "job_pids.txt"
+    real = evalharness.train_downstream
+
+    def logging(dataset, cfg, rng):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(dataset, cfg, rng)
+
+    monkeypatch.setattr(evalharness, "train_downstream", logging)
+    return lambda: [int(line) for line in log.read_text().split()] if log.exists() else []
+
+
+class TestFanOut:
+    """The downstream trainings run on every usable core; results do not depend on how many."""
+
+    def _inputs(self, small_world):
+        train, test, det, encode_fn = small_world
+        return AblationInputs(
+            train=train,
+            test=test,
+            encode_fn=encode_fn,
+            detector=det,
+            generator_factory=lambda cfg: MockGenerator(train, defect_rate=0.4),
+        )
+
+    def _cfgs(self):
+        cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
+        eval_cfg = _downstream_cfg(
+            modes=["base", "tplus_s"], seeds=[1, 2], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9]
+        )
+        return cfg, eval_cfg
+
+    def _loop(self, inputs, cfg, eval_cfg):
+        """The runs one after another: select, train_downstream, evaluate."""
+        from distillab.evalharness import _KEY_BASELINE, _KEY_DOWNSTREAM, RunRecord, _random_subset
+
+        def accuracy(dataset, seed):
+            clf = train_downstream(dataset, eval_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM))
+            return evaluate(clf, inputs.test)
+
+        records = []
+        for seed in eval_cfg.seeds:
+            for mode in eval_cfg.modes:
+                mcfg = replace(cfg, selection_mode=mode)
+                res = select(inputs.bank(mcfg, seed), mcfg)
+                records.append(RunRecord(mode, seed, accuracy(res.dataset, seed), res.report["counts"]["fallback"]))
+            subset = _random_subset(inputs.train, cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
+            records.append(RunRecord("random", seed, accuracy(subset, seed), 0))
+        accuracies = []
+        for k in sorted(eval_cfg.sensitivity_top_k):
+            for beta in eval_cfg.sensitivity_betas:
+                gcfg = replace(cfg, top_k=k, beta=beta, selection_mode="tplus_s")
+                res = select(inputs.bank(gcfg, eval_cfg.seeds[0]), gcfg)
+                accuracies.append(accuracy(res.dataset, eval_cfg.seeds[0]))
+        return records, accuracies
+
+    def test_one_worker_two_workers_and_a_loop_agree(self, small_world, monkeypatch, job_pids):
+        cfg, eval_cfg = self._cfgs()
+        results = {}
+        for cores in (1, 2):
+            _cores(monkeypatch, cores)
+            inputs = self._inputs(small_world)
+            before = len(job_pids())
+            report = run_ablation(inputs, cfg, eval_cfg)
+            grid, evidence = run_sensitivity(inputs, cfg, eval_cfg)
+            pids = set(job_pids()[before:])
+            assert (pids == {os.getpid()}) if cores == 1 else (os.getpid() not in pids and len(pids) >= 1)
+            assert multiprocessing.active_children() == []
+            results[cores] = (report.to_json(), report.to_csv(), sensitivity_csv(grid), evidence)
+        assert results[1] == results[2]
+
+        records, accuracies = self._loop(self._inputs(small_world), cfg, eval_cfg)
+        report_json, _, grid_csv, _ = results[2]
+        assert json.loads(report_json)["records"] == [vars(r) for r in records]
+        assert [row.split(",")[3] for row in grid_csv.splitlines()[1:]] == [f"{a:.6f}" for a in accuracies]
+        assert len(accuracies) == 4
+
+    def test_worker_exception_keeps_its_type(self, small_world, monkeypatch):
+        import distillab.evalharness as evalharness
+
+        monkeypatch.setattr(evalharness, "train_downstream", _non_finite_training)
+        _cores(monkeypatch, 2)
+        cfg, eval_cfg = self._cfgs()
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            run_ablation(self._inputs(small_world), cfg, eval_cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_instead_of_waiting(self, small_world, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        import distillab.evalharness as evalharness
+
+        parent = os.getpid()
+
+        def dying(dataset, cfg, rng):
+            if os.getpid() != parent:
+                os._exit(1)  # as a worker killed for memory would
+
+        monkeypatch.setattr(evalharness, "train_downstream", dying)
+        _cores(monkeypatch, 2)
+        cfg, eval_cfg = self._cfgs()
+        with pytest.raises(BrokenProcessPool):
+            run_ablation(self._inputs(small_world), cfg, eval_cfg)
+        assert multiprocessing.active_children() == []
+
+
+class TestFanOutCli:
+    def test_worker_failure_exits_4(self, pipeline, tmp_path, monkeypatch, capsys):
+        import distillab.evalharness as evalharness
+        from distillab.cli import main
+
+        rd = _copy_run(pipeline, tmp_path)
+        monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
+        monkeypatch.setattr(evalharness, "train_downstream", _non_finite_training)
+        _cores(monkeypatch, 2)
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(pipeline[1])]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and len(err.strip().splitlines()) == 1
+        assert multiprocessing.active_children() == []
+        assert not (rd / ".lock").exists()
+
+    def test_lock_is_removed_by_the_parent_only(self, pipeline, tmp_path, monkeypatch, job_pids):
+        import distillab.cli as cli
+        import distillab.evalharness as evalharness
+
+        rd = _copy_run(pipeline, tmp_path)
+        monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
+        exits, held = tmp_path / "exits.txt", tmp_path / "held.txt"
+        real_exit, real_train = cli._Command.__exit__, evalharness.train_downstream
+
+        def recording_exit(self, *exc):
+            with open(exits, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return real_exit(self, *exc)
+
+        def checking_train(dataset, cfg, rng):
+            with open(held, "a") as f:
+                f.write(f"{(rd / '.lock').read_text()}\n")
+            return real_train(dataset, cfg, rng)
+
+        monkeypatch.setattr(cli._Command, "__exit__", recording_exit)
+        monkeypatch.setattr(evalharness, "train_downstream", checking_train)
+        _cores(monkeypatch, 2)
+        assert cli.main(["ablate", "--config", str(pipeline[1]), "--sweep"]) == 0
+        assert exits.read_text().split() == [str(os.getpid())]
+        workers = set(job_pids())
+        assert workers and os.getpid() not in workers
+        # every training saw the parent's lock in place
+        assert set(held.read_text().split()) == {str(os.getpid())}
+        assert not (rd / ".lock").exists()
+        assert multiprocessing.active_children() == []

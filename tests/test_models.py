@@ -6,6 +6,7 @@ import pytest
 from distillab.config import AutoencoderConfig, ConfigError, DetectorConfig, ToyDataSpec, parse_config
 from distillab.data import LabeledDataset, cutmix, sample_mix_ratio, synthesize_toy_dataset
 from distillab.models import (
+    Adam,
     CheckpointFormatError,
     Detector,
     LatentCodec,
@@ -219,6 +220,36 @@ class TestGradients:
             loss_fn, enc.params() + dec.params(), SeededRng(10), probes=60
         )
         assert checked >= 50
+
+
+class TestAdam:
+    def test_flat_buffers_equal_per_parameter_formula(self):
+        """50 steps over mixed float32 shapes give the parameters and moments,
+        bit for bit, of the per-parameter formula written out here."""
+        rng = SeededRng(41)
+        shapes = [(12, 7), (12,), (5, 12), (5,), (4, 3)]  # weights, biases, a label table
+        params = [rng.normal(shape).astype(np.float32) for shape in shapes]
+        ref = [p.copy() for p in params]
+        ref_m = [np.zeros_like(p) for p in params]
+        ref_v = [np.zeros_like(p) for p in params]
+        opt = Adam(params, 3e-3)
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
+        for t in range(1, 51):
+            grads = [rng.normal(shape).astype(np.float32) for shape in shapes]
+            opt.step(params, grads)
+            b1c, b2c = 1.0 - b1**t, 1.0 - b2**t
+            for p, g, m, v in zip(ref, grads, ref_m, ref_v):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                p -= (lr * (m / b1c)) / (np.sqrt(v / b2c) + eps)
+        for got, want in zip(params, ref):
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+        assert opt.m.dtype == opt.v.dtype == np.float32
+        assert opt.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
+        assert opt.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
 
 
 class TestAutoencoder:
