@@ -38,10 +38,8 @@ print("artifacts ready\n")
 
 # %% distill with the full gate + diversity rule, seed 1
 cfg = defaults.distill
-gen = DiffusionCandidateGenerator(
-    denoiser=den, schedule=sched, decode_fn=codec.decode,
-    strength=cfg.strength, guidance_scale=cfg.guidance_scale,
-)
+# the generator samples with the strength and guidance scale of the config it is given
+gen = DiffusionCandidateGenerator(denoiser=den, schedule=sched, decode_fn=codec.decode)
 # generation and selection are separate phases: the bank holds every
 # generated batch, scored once, and any selection mode can be run over it
 bank = generate_candidates(train, codec.encode, gen, det, cfg, SeededRng(1))

@@ -25,13 +25,10 @@ den = train_denoiser(
     codec.encode(train.images), train.labels, sched,
     replace(defaults.denoiser, epochs=50), SeededRng(2026),
 )
-# one candidate generator per generation config (strength, guidance scale)
+# one candidate generator; each bank samples with its own config's strength and guidance scale
 inputs = AblationInputs(
     train=train, test=test, encode_fn=codec.encode, detector=det,
-    generator_factory=lambda cfg: DiffusionCandidateGenerator(
-        denoiser=den, schedule=sched, decode_fn=codec.decode,
-        strength=cfg.strength, guidance_scale=cfg.guidance_scale,
-    ),
+    generator=DiffusionCandidateGenerator(denoiser=den, schedule=sched, decode_fn=codec.decode),
 )
 
 # %% the mode x seed grid (2 seeds here; the acceptance suite runs 3)

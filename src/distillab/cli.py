@@ -193,11 +193,7 @@ def _load_codec(run: _Command):
 
 
 def _load_models(run: _Command):
-    """The run's detector, codec, and generator factory, for ``distill`` and ``ablate``.
-
-    The factory maps a distill config to a candidate generator over the
-    run's denoiser with that config's strength and guidance scale.
-    """
+    """The run's detector, codec and candidate generator, for ``distill`` and ``ablate``."""
     from .diffusion import load_denoiser
     from .models import load_detector
     from .refine import DiffusionCandidateGenerator
@@ -205,18 +201,7 @@ def _load_models(run: _Command):
     det = load_detector(run.inputs["detector"])
     codec = _load_codec(run)
     den = load_denoiser(run.inputs["denoiser"])
-    schedule = run.cfg.denoiser.schedule()
-
-    def factory(dcfg):
-        return DiffusionCandidateGenerator(
-            denoiser=den,
-            schedule=schedule,
-            decode_fn=codec.decode,
-            strength=dcfg.strength,
-            guidance_scale=dcfg.guidance_scale,
-        )
-
-    return det, codec, factory
+    return det, codec, DiffusionCandidateGenerator(den, run.cfg.denoiser.schedule(), codec.decode)
 
 
 # --- commands -------------------------------------------------------------------
@@ -293,8 +278,8 @@ def _cmd_distill(args) -> int:
     seed = run.cfg.master_seed if args.seed is None else args.seed
     with run:
         train = read_dataset(run.inputs["train"])
-        det, codec, factory = _load_models(run)
-        res = distill(train, codec.encode, factory(dcfg), det, dcfg, SeededRng(seed))
+        det, codec, gen = _load_models(run)
+        res = distill(train, codec.encode, gen, det, dcfg, SeededRng(seed))
 
         extra = {"distill_config": res.report["config"]}
         provenance = {"seed": seed, "ipc": dcfg.ipc}
@@ -343,13 +328,13 @@ def _cmd_ablate(args) -> int:
             for beta in cfg.eval.sensitivity_betas:
                 _distill_cfg(cfg.distill, top_k=k, beta=beta)
     with run:
-        det, codec, factory = _load_models(run)
+        det, codec, gen = _load_models(run)
         inputs = AblationInputs(
             train=read_dataset(run.inputs["train"]),
             test=read_dataset(run.inputs["test"]),
             encode_fn=codec.encode,
             detector=det,
-            generator_factory=factory,
+            generator=gen,
         )
         report = run_ablation(inputs, cfg.distill, cfg.eval)
         out_json = run.output("reports/ablation.json", write_atomic, [(report.to_json() + "\n").encode()])

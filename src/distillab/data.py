@@ -375,7 +375,7 @@ def _read_exact(f, count: int, what: str, error=DatasetFormatError) -> bytes:
     """Exactly ``count`` bytes of ``f``; a short read raises ``error``.
 
     The container readers (datasets, prototypes, checkpoints) read every
-    field through this function and the two below, each passing its own
+    field through this function and the three below, each passing its own
     format error class.
     """
     buf = f.read(count)
@@ -399,6 +399,12 @@ def _read_json(f, count: int, what: str, error=DatasetFormatError) -> dict:
     return obj
 
 
+def _read_end(f, what: str, error=DatasetFormatError) -> None:
+    """A container ends with its last field ``what``; more bytes raise ``error``."""
+    if f.read(1):
+        raise error(f"trailing bytes after the {what}")
+
+
 @names_path
 def read_dataset(path) -> LabeledDataset:
     """Load a dataset container, validating magic, sizes, and label range."""
@@ -415,6 +421,7 @@ def read_dataset(path) -> LabeledDataset:
         images = np.frombuffer(img_bytes, dtype="<f4").reshape(n, c, h, w).copy()
         (tlen,) = _read_struct(f, "<I", "trailer length")
         trailer = _read_json(f, tlen, "trailer")
+        _read_end(f, "trailer")
     if labels.size and labels.max() >= num_classes:
         bad = int(np.argmax(labels >= num_classes))
         raise DatasetFormatError(

@@ -58,16 +58,20 @@ def build_schedule(timesteps: int, beta_start: float, beta_end: float) -> Diffus
     return DiffusionSchedule(betas=betas, alphas=alphas, alpha_bars=alpha_bars)
 
 
-def forward_noise(z0: np.ndarray, t: int, eps: np.ndarray, sched: DiffusionSchedule) -> np.ndarray:
-    """q(z_t | z_0): sqrt(abar_t) * z0 + sqrt(1 - abar_t) * eps; t is 1-based."""
-    if not 1 <= t <= sched.timesteps:
+def forward_noise(z0: np.ndarray, t, eps: np.ndarray, sched: DiffusionSchedule) -> np.ndarray:
+    """q(z_t | z_0): sqrt(abar_t) * z0 + sqrt(1 - abar_t) * eps, in float64.
+
+    ``t`` is 1-based: one timestep for all of ``z0``, or one per row.
+    """
+    t = np.asarray(t)
+    if t.min() < 1 or t.max() > sched.timesteps:
         raise ValueError(f"t={t} outside [1, {sched.timesteps}]")
     z0 = np.asarray(z0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
-    if z0.shape != eps.shape:
-        raise ValueError(f"shape mismatch: {z0.shape} vs {eps.shape}")
-    ab = sched.alpha_bars[t - 1]
-    return (np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps).astype(np.float32)
+    if z0.shape != eps.shape or t.shape != z0.shape[: t.ndim]:
+        raise ValueError(f"shape mismatch: z0 {z0.shape}, eps {eps.shape}, t {t.shape}")
+    ab = sched.alpha_bars[t - 1].reshape(t.shape + (1,) * (z0.ndim - t.ndim))
+    return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
 
 
 def timestep_embedding(t: np.ndarray, dim: int) -> np.ndarray:
@@ -196,8 +200,7 @@ def train_denoiser(
             b = len(idx)
             t = loop.integers(sched.timesteps, n=b) + 1
             eps = loop.normal((b, d))
-            ab = sched.alpha_bars[t - 1][:, None]
-            zt = np.sqrt(ab) * latents[idx] + np.sqrt(1.0 - ab) * eps
+            zt = forward_noise(latents[idx], t, eps, sched)
             tokens = labels[idx].copy()
             drop = loop.uniform(b) < cfg.label_dropout
             tokens[drop] = den.null_token
@@ -266,8 +269,7 @@ def sample_img2img_batch(
     # row 0 of a stream's block is the initial noise, row t_start - t + 1
     # the noise of reverse step t (t = t_start .. 2)
     noise = np.stack([r.normal_rows(t_start, d) for r in rngs]).astype(np.float64)
-    ab = sched.alpha_bars[t_start - 1]
-    z = np.sqrt(ab) * protos + np.sqrt(1.0 - ab) * noise[:, 0]
+    z = forward_noise(protos, t_start, noise[:, 0], sched)
     lemb = den.label_vec(np.repeat(np.array([label, den.null_token], dtype=np.int64), b))
     for t in range(t_start, 0, -1):
         tb = np.full(b, t, dtype=np.int64)

@@ -134,27 +134,24 @@ def summarize_records(records: list[RunRecord]) -> dict[str, dict]:
 class AblationInputs:
     """Everything a pipeline run needs besides the per-run config.
 
-    ``generator_factory(cfg)`` builds the candidate generator for one
-    generation key; the CLI's factory wires the diffusion sampler with the
-    key's strength and guidance scale. ``bank(cfg, seed)`` keeps one candidate
-    bank per seed and generation key, so every run on a seed selects from
-    the same batches.
+    ``generator`` samples with the config of each bank it generates.
+    ``bank(cfg, seed)`` keeps one candidate bank per seed and generation
+    key, so every run on a seed selects from the same batches.
     """
 
     train: LabeledDataset
     test: LabeledDataset
     encode_fn: Callable[[np.ndarray], np.ndarray]
     detector: Detector
-    generator_factory: Callable[[DistillConfig], CandidateGenerator]
+    generator: CandidateGenerator
     _banks: dict[tuple, CandidateBank] = field(default_factory=dict, init=False, repr=False)
 
     def bank(self, cfg: DistillConfig, seed: int) -> CandidateBank:
         """The candidate bank for the seed and cfg's generation key, generated on first use."""
         key = (seed, *generation_key(cfg))
         if key not in self._banks:
-            gen = self.generator_factory(cfg)
             self._banks[key] = generate_candidates(
-                self.train, self.encode_fn, gen, self.detector, cfg, SeededRng(seed)
+                self.train, self.encode_fn, self.generator, self.detector, cfg, SeededRng(seed)
             )
         return self._banks[key]
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import AutoencoderConfig, ClassifierConfig
 from .data import CheckpointFormatError, LabeledDataset, cutmix, names_path, write_atomic
-from .data import _read_exact, _read_json, _read_struct
+from .data import _read_end, _read_exact, _read_json, _read_struct
 from .numerics import (
     SeededRng,
     beta_symmetric_from_words,
@@ -395,7 +395,7 @@ def write_checkpoint(path, kind: str, desc: dict, params: list[np.ndarray]) -> s
 def read_checkpoint(path):
     """Returns (kind, descriptor dict, list of float32 arrays); bit-exact.
 
-    A short or undecodable file raises CheckpointFormatError.
+    A short, overlong or undecodable file raises CheckpointFormatError.
     """
     err = CheckpointFormatError
     with open(path, "rb") as f:
@@ -417,6 +417,7 @@ def read_checkpoint(path):
             size = int(np.prod(shape)) if shape else 1
             buf = _read_exact(f, 4 * size, "parameter blob", err)
             arrays.append(np.frombuffer(buf, dtype="<f4").reshape(shape).copy())
+        _read_end(f, "last array", err)
     kind = desc.pop("kind", None)
     if kind is None:
         raise CheckpointFormatError("descriptor missing kind")

@@ -197,16 +197,15 @@ def write_prototypes(path, protos: list[Prototype], provenance: dict | None = No
 
 @names_path
 def read_prototypes(path) -> tuple[list[Prototype], dict]:
-    """Load a prototype file; a short or foreign file raises CheckpointFormatError."""
+    """Load a prototype file; a short, overlong or foreign file raises CheckpointFormatError."""
     kind, desc, arrays = read_checkpoint(path)
     if kind != "prototypes" or len(arrays) != 1 or arrays[0].ndim != 2:
         raise CheckpointFormatError(f"expected a prototypes checkpoint, got {kind!r}")
-    latents = arrays[0]
     table = desc.get("table")
-    if not isinstance(table, list) or len(table) != len(latents):
+    if not isinstance(table, list) or len(table) != len(arrays[0]):
         raise CheckpointFormatError("prototype table does not match the latents")
     protos = [
-        Prototype(class_id=cid, latent=latents[i], cluster_size=size, cluster_index=ci)
+        Prototype(class_id=cid, latent=arrays[0][i], cluster_size=size, cluster_index=ci)
         for i, (cid, ci, size) in enumerate(table)
     ]
     return protos, desc.get("provenance", {})

@@ -72,7 +72,6 @@ class SyntheticSample:
     """A generated image with its detector verdict and feature vector."""
 
     image: np.ndarray
-    latent: np.ndarray
     intended_label: int
     predicted_label: int
     confidence: float
@@ -98,15 +97,15 @@ class NormalPool:
 
 
 class CandidateGenerator(Protocol):
-    """Contract for sample producers: one batch of samples for one class.
+    """Contract for sample producers: one batch of images for one class.
 
-    ``generate_batch(prototype, label, rngs)`` returns stacked (images,
-    latents) with one row per rng stream. ``prototype`` is one latent, used
-    for every row, or one latent per row. Implementations must be
-    deterministic per rng stream.
+    ``generate_batch(prototypes, label, rngs, cfg)`` returns stacked images,
+    one row per rng stream, generated from the prototype latent of that row
+    with the sampler settings of ``cfg`` (only its GENERATION_FIELDS are
+    read). Implementations must be deterministic per rng stream.
     """
 
-    def generate_batch(self, prototype: np.ndarray, label: int, rngs: list[SeededRng]): ...
+    def generate_batch(self, prototypes: np.ndarray, label: int, rngs: list[SeededRng], cfg: DistillConfig): ...
 
 
 @dataclass(frozen=True)
@@ -116,25 +115,15 @@ class DiffusionCandidateGenerator:
     denoiser: object
     schedule: object
     decode_fn: Callable[[np.ndarray], np.ndarray]
-    strength: float
-    guidance_scale: float
 
-    def generate_batch(self, prototype: np.ndarray, label: int, rngs):
+    def generate_batch(self, prototypes: np.ndarray, label: int, rngs, cfg: DistillConfig):
         from .diffusion import sample_img2img_batch
 
-        protos = np.atleast_2d(np.asarray(prototype))
-        if len(protos) == 1 and len(rngs) > 1:
-            protos = np.repeat(protos, len(rngs), axis=0)
-        latents = sample_img2img_batch(
-            self.denoiser,
-            self.schedule,
-            protos,
-            label,
-            self.strength,
-            self.guidance_scale,
-            rngs,
+        return self.decode_fn(
+            sample_img2img_batch(
+                self.denoiser, self.schedule, prototypes, label, cfg.strength, cfg.guidance_scale, rngs
+            )
         )
-        return self.decode_fn(latents), latents
 
 
 def is_accepted(predicted_label: int, confidence: float, intended_label: int, beta: float) -> bool:
@@ -177,21 +166,12 @@ def select_replacement(
     return min(scored)[2]
 
 
-def _fallback_choice(candidates: list[SyntheticSample]) -> int:
-    """Best-effort slot filler: highest-confidence label-matching candidate,
-    else highest-confidence overall (ties to the lower index)."""
-    matching = [i for i, c in enumerate(candidates) if c.predicted_label == c.intended_label]
-    indices = matching if matching else range(len(candidates))
-    return min(indices, key=lambda i: (-candidates[i].confidence, i))
-
-
-def _score(det, images, latents, label, provenances):
+def _score(det, images, label, provenances):
     """One detector pass over a generated batch; the status is provisional."""
     labels, confs, feats = predict_batch(det, images)
     return [
         SyntheticSample(
             image=images[i],
-            latent=latents[i],
             intended_label=label,
             predicted_label=int(labels[i]),
             confidence=float(confs[i]),
@@ -224,7 +204,7 @@ class CandidateBank:
 
     def __init__(self, cfg: DistillConfig, train: LabeledDataset, prototypes, initial, gen, det, rng: SeededRng):
         self.key = generation_key(cfg)
-        self.num_candidates = cfg.num_candidates
+        self.cfg = cfg
         self.num_classes = train.num_classes
         self.class_names = train.class_names
         self.prototypes: list[Prototype] = prototypes
@@ -240,10 +220,11 @@ class CandidateBank:
             proto = self.prototypes[slot]
             label, cluster = proto.class_id, proto.cluster_index
             slot_rng = self.rng.spawn(_KEY_REFINE, label, cluster)
-            rngs = [slot_rng.spawn(i) for i in range(self.num_candidates)]
-            images, latents = self._gen.generate_batch(proto.latent, label, rngs)
+            rngs = [slot_rng.spawn(i) for i in range(self.cfg.num_candidates)]
+            latents = np.repeat(proto.latent[None], len(rngs), axis=0)
+            images = self._gen.generate_batch(latents, label, rngs, self.cfg)
             provenances = [Provenance(label, cluster, i, r.seed) for i, r in enumerate(rngs)]
-            self._refinements[slot] = _score(self._det, images, latents, label, provenances)
+            self._refinements[slot] = _score(self._det, images, label, provenances)
         return self._refinements[slot]
 
 
@@ -266,9 +247,9 @@ def generate_candidates(
         cls_protos = [p for p in protos if p.class_id == c]
         rngs = [rng.spawn(_KEY_INITIAL, c, p.cluster_index) for p in cls_protos]
         latvecs = np.stack([p.latent for p in cls_protos])
-        images, latents = gen.generate_batch(latvecs, c, rngs)
+        images = gen.generate_batch(latvecs, c, rngs, cfg)
         provenances = [Provenance(c, p.cluster_index, None, r.seed) for p, r in zip(cls_protos, rngs)]
-        for p, s in zip(cls_protos, _score(det, images, latents, c, provenances)):
+        for p, s in zip(cls_protos, _score(det, images, c, provenances)):
             initial[c * cfg.ipc + p.cluster_index] = s
     return CandidateBank(cfg, train, protos, initial, gen, det, rng)
 
@@ -276,35 +257,36 @@ def generate_candidates(
 def _refine_slot(candidates: list[SyntheticSample], pool: NormalPool, cfg: DistillConfig) -> SyntheticSample:
     """Pick a defective slot's replacement by selection mode, with its final status.
 
+    Each mode makes a shortlist: ``tplus_s`` the pick of
+    ``select_replacement``, ``top1`` the most confident candidate, ``sim``
+    every candidate. The least similar candidate on it wins (ties to higher
+    confidence, then lower index); an empty shortlist falls back to the most
+    confident label-matching candidate, else the most confident overall.
     The chosen sample joins the pool only when it passes the acceptance
     rule (status refined); fallback picks stay out of the pool.
     """
     label = candidates[0].intended_label
+    ranked = sorted(range(len(candidates)), key=lambda i: (-candidates[i].confidence, i))
     mode = cfg.selection_mode
     if mode == "tplus_s":
         chosen = select_replacement(candidates, pool, cfg.top_k, cfg.beta)
+        shortlist = [] if chosen is None else [chosen]
     elif mode == "top1":
-        chosen = min(range(len(candidates)), key=lambda i: (-candidates[i].confidence, i))
+        shortlist = ranked[:1]
     elif mode == "sim":
-        scored = [
-            (cumulative_similarity(c.feature, pool, label), -c.confidence, i)
-            for i, c in enumerate(candidates)
-        ]
-        chosen = min(scored)[2]
+        shortlist = ranked
     else:
         raise ValueError(f"cannot refine a slot with selection_mode={mode!r}")
-    if chosen is None:
-        chosen = _fallback_choice(candidates)
-        status = STATUS_FALLBACK
+    if shortlist:
+        chosen = min(
+            (cumulative_similarity(candidates[i].feature, pool, label), -candidates[i].confidence, i) for i in shortlist
+        )[2]
     else:
-        cand = candidates[chosen]
-        status = (
-            STATUS_REFINED
-            if is_accepted(cand.predicted_label, cand.confidence, cand.intended_label, cfg.beta)
-            else STATUS_FALLBACK
-        )
-    sample = replace(candidates[chosen], status=status)
-    if status == STATUS_REFINED:
+        chosen = next((i for i in ranked if candidates[i].predicted_label == label), ranked[0])
+    cand = candidates[chosen]
+    accepted = is_accepted(cand.predicted_label, cand.confidence, label, cfg.beta)
+    sample = replace(cand, status=STATUS_REFINED if accepted else STATUS_FALLBACK)
+    if accepted:
         pool.add(label, sample.feature)
     return sample
 

@@ -31,19 +31,6 @@ def criterion(num, name):
         print(f"\n[acceptance] criterion {num:2d} ({name}): PASS in {dt:.1f}s", flush=True)
 
 
-def _diffusion_factory(denoiser, schedule, codec):
-    """A generator factory over one denoiser, with each config's strength and guidance scale."""
-    from distillab.refine import DiffusionCandidateGenerator
-
-    return lambda cfg: DiffusionCandidateGenerator(
-        denoiser=denoiser,
-        schedule=schedule,
-        decode_fn=codec.decode,
-        strength=cfg.strength,
-        guidance_scale=cfg.guidance_scale,
-    )
-
-
 class TestAcceptance:
     def test_01_selection_oracle_equivalence(self):
         from distillab.refine import NormalPool, select_replacement
@@ -280,14 +267,10 @@ class TestAcceptance:
                 def __init__(self):
                     self.calls = 0
 
-                def generate_batch(self, prototype, label, rngs):
-                    protos = np.atleast_2d(np.asarray(prototype))
-                    if len(protos) == 1 and len(rngs) > 1:
-                        protos = np.repeat(protos, len(rngs), axis=0)
+                def generate_batch(self, prototypes, label, rngs, cfg):
                     use = initial if self.calls < budget else clean
                     self.calls += len(rngs)
-                    pairs = [use(protos[i], label, r) for i, r in enumerate(rngs)]
-                    return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+                    return use.generate_batch(prototypes, label, rngs, cfg)
 
             res = distill(train, lambda im: im.reshape(len(im), -1), PhasedGen(), det, cfg, SeededRng(13))
             fallback_count = res.report["counts"]["fallback"]
@@ -303,6 +286,7 @@ class TestAcceptance:
 
     def test_08_ablation_direction(self, toy_train, toy_test, codec, detector, weak_denoiser, frozen_schedule):
         from distillab.evalharness import AblationInputs, run_ablation
+        from distillab.refine import DiffusionCandidateGenerator
 
         with criterion(8, "desk-scale ablation direction"):
             t0 = time.perf_counter()
@@ -311,7 +295,7 @@ class TestAcceptance:
                 test=toy_test,
                 encode_fn=codec.encode,
                 detector=detector,
-                generator_factory=_diffusion_factory(weak_denoiser, frozen_schedule, codec),
+                generator=DiffusionCandidateGenerator(weak_denoiser, frozen_schedule, codec.decode),
             )
             defaults = default_config()
             assert defaults.eval.modes == ["base", "top1", "sim", "tplus_s"]
@@ -370,6 +354,7 @@ class TestAcceptance:
 
     def test_10_sensitivity_harness(self, toy_train, toy_test, codec, detector, weak_denoiser, frozen_schedule):
         from distillab.evalharness import AblationInputs, run_sensitivity, sensitivity_csv
+        from distillab.refine import DiffusionCandidateGenerator
 
         with criterion(10, "k/beta sensitivity grid with monotone filter"):
             inputs = AblationInputs(
@@ -377,7 +362,7 @@ class TestAcceptance:
                 test=toy_test,
                 encode_fn=codec.encode,
                 detector=detector,
-                generator_factory=_diffusion_factory(weak_denoiser, frozen_schedule, codec),
+                generator=DiffusionCandidateGenerator(weak_denoiser, frozen_schedule, codec.decode),
             )
             defaults = default_config()
             assert defaults.eval.sensitivity_top_k == [1, 2, 4, 8]

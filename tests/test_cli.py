@@ -49,6 +49,15 @@ TINY_CONFIG = {
 }
 
 
+# TINY_CONFIG flags every slot and refines none; at beta 0.3 distill gives
+# every status and the four modes choose differently
+FOUR_MODE_CONFIG = dict(
+    TINY_CONFIG,
+    distill=dict(TINY_CONFIG["distill"], beta=0.3),
+    eval=dict(TINY_CONFIG["eval"], modes=["base", "top1", "sim", "tplus_s"]),
+)
+
+
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
     monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
@@ -167,6 +176,36 @@ class TestFullPipeline:
         pgm = (rd / "data" / "preview_000.pgm").read_bytes()
         assert pgm.startswith(b"P5\n8 8\n255\n")
         assert len(pgm) == len(b"P5\n8 8\n255\n") + 64
+
+
+class TestFourModes:
+    """The tiny pipeline at FOUR_MODE_CONFIG, through ``ablate --sweep``."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("four_modes")
+        commands = ("synth-data", "train-detector", "train-autoencoder", "train-diffusion", "distill")
+        for command in commands + ("ablate --sweep",):
+            proc = _cli(tmp_path, FOUR_MODE_CONFIG, *command.split())
+            assert proc.returncode == 0, proc.stderr
+        return _run_dir(tmp_path)
+
+    def test_distill_gives_every_status(self, run_dir):
+        report = json.loads((run_dir / "reports" / "distill_report.json").read_text())
+        counts = report["counts"]
+        assert counts == {"normal": 2, "refined": 2, "fallback": 2, "total": 6}
+        statuses = [slot["status"] for slot in report["slots"]]
+        assert {status: statuses.count(status) for status in ("normal", "refined", "fallback")} == {
+            k: v for k, v in counts.items() if k != "total"
+        }
+        for slot in report["slots"]:
+            assert ("candidates" in slot) == (slot["status"] != "normal")
+
+    def test_modes_fall_back_on_different_slots(self, run_dir):
+        summary = json.loads((run_dir / "reports" / "ablation.json").read_text())["summary"]
+        fallbacks = {mode: s["fallbacks"] for mode, s in summary.items()}
+        assert fallbacks == {"base": 3, "sim": 2, "top1": 1, "tplus_s": 1, "random": 0}
+        assert len((run_dir / "reports" / "sensitivity.csv").read_text().splitlines()) == 1 + 4
 
 
 class TestConfigHandling:
@@ -355,6 +394,19 @@ class TestFormatErrors:
         assert proc.returncode == 5
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("format error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("rel, junk", [("data/train.dstl", b"garbage"), ("models/detector.mdlc", b"junk")])
+    def test_appended_bytes_exit_5(self, pipeline, tmp_path, rel, junk):
+        """Bytes after a container's last field are a one-line format error
+        that names the file, for a dataset and for a checkpoint."""
+        path = _copy_run(pipeline, tmp_path) / rel
+        path.write_bytes(path.read_bytes() + junk)
+        proc = _cli(tmp_path, TINY_CONFIG, "distill")
+        assert proc.returncode == 5, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"format error: {path}: ")
+        assert "trailing bytes" in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(

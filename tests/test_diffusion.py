@@ -79,12 +79,26 @@ class TestForwardNoise:
         z0, eps = rng.normal(16), rng.normal(16)
         t = 7
         a, b = np.sqrt(sched.alpha_bars[t - 1]), np.sqrt(1 - sched.alpha_bars[t - 1])
-        expected = (a * z0.astype(np.float64) + b * eps.astype(np.float64)).astype(np.float32)
+        expected = a * z0.astype(np.float64) + b * eps.astype(np.float64)
+        assert forward_noise(z0, t, eps, sched).dtype == np.float64
         assert np.array_equal(forward_noise(z0, t, eps, sched), expected)
         # scaling both inputs scales the output
         assert np.allclose(
             forward_noise(2 * z0, t, 2 * eps, sched), 2 * forward_noise(z0, t, eps, sched), atol=1e-6
         )
+
+    def test_one_t_per_row(self):
+        """Rows noised at their own timesteps equal one call per row."""
+        sched = build_schedule(20, 1e-3, 0.1)
+        rng = SeededRng(6)
+        z0, eps = rng.normal((3, 5)), rng.normal((3, 5))
+        t = np.array([1, 7, 20])
+        rows = np.stack([forward_noise(z0[i], t[i], eps[i], sched) for i in range(3)])
+        assert np.array_equal(forward_noise(z0, t, eps, sched), rows)
+        with pytest.raises(ValueError):
+            forward_noise(z0, t[:2], eps, sched)
+        with pytest.raises(ValueError):
+            forward_noise(z0, np.array([1, 21, 3]), eps, sched)
 
     def test_t_out_of_range(self):
         sched = build_schedule(10, 0.01, 0.1)

@@ -138,7 +138,7 @@ class TestRunAblation:
             test=test,
             encode_fn=encode_fn,
             detector=det,
-            generator_factory=lambda cfg: MockGenerator(train, defect_rate=defect_rate),
+            generator=MockGenerator(train, defect_rate=defect_rate),
         )
 
     def _cfg(self):
@@ -191,23 +191,17 @@ class TestRunAblation:
         class DefectThenClean(MockGenerator):
             """Initial samples carry many label defects; candidates are clean."""
 
-            def __init__(self, ds):
-                super().__init__(ds, defect_rate=0.5)
-                self.initial_budget = 3 * 5  # num_classes * ipc
-
-            def __call__(self, prototype, label, rng):
-                if self.initial_budget > 0:
-                    self.initial_budget -= 1
-                    return super().__call__(prototype, label, rng)
-                clean = MockGenerator(self.ds, always_correct=True)
-                return clean(prototype, label, rng)
+            def generate_batch(self, prototypes, label, rngs, cfg):
+                # a refinement batch has num_candidates rows, an initial one ipc
+                self.always_correct = len(rngs) == cfg.num_candidates
+                return super().generate_batch(prototypes, label, rngs, cfg)
 
         inputs = AblationInputs(
             train=train,
             test=test,
             encode_fn=encode_fn,
             detector=det,
-            generator_factory=lambda cfg: DefectThenClean(train),
+            generator=DefectThenClean(train, defect_rate=0.5),
         )
         report = run_ablation(inputs, self._cfg(), _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2]))
         assert report.summary["tplus_s"]["mean"] >= report.summary["base"]["mean"]
@@ -237,7 +231,7 @@ class TestRunSensitivity:
             test=test,
             encode_fn=encode_fn,
             detector=det,
-            generator_factory=lambda cfg: MockGenerator(train, defect_rate=0.4),
+            generator=MockGenerator(train, defect_rate=0.4),
         )
         cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
         grid, evidence = run_sensitivity(
@@ -258,9 +252,9 @@ class CountingGenerator(MockGenerator):
         super().__init__(dataset, **kwargs)
         self.batches = batches
 
-    def generate_batch(self, prototype, label, rngs):
+    def generate_batch(self, prototypes, label, rngs, cfg):
         self.batches[(label, tuple(r.seed for r in rngs))] += 1
-        return super().generate_batch(prototype, label, rngs)
+        return super().generate_batch(prototypes, label, rngs, cfg)
 
 
 class TestSharedBank:
@@ -281,7 +275,7 @@ class TestSharedBank:
             test=test,
             encode_fn=encode_fn,
             detector=det,
-            generator_factory=lambda cfg: CountingGenerator(train, batches, defect_rate=0.4),
+            generator=CountingGenerator(train, batches, defect_rate=0.4),
         )
         cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
         eval_cfg = _downstream_cfg(
@@ -348,7 +342,7 @@ class TestFanOut:
             test=test,
             encode_fn=encode_fn,
             detector=det,
-            generator_factory=lambda cfg: MockGenerator(train, defect_rate=0.4),
+            generator=MockGenerator(train, defect_rate=0.4),
         )
 
     def _cfgs(self):

@@ -31,7 +31,6 @@ def _sample(
     feat = np.asarray(feature, dtype=np.float32)
     return SyntheticSample(
         image=np.zeros((1, 2, 2), dtype=np.float32),
-        latent=feat.copy(),
         intended_label=intended,
         predicted_label=predicted,
         confidence=conf,
@@ -257,22 +256,18 @@ class MockGenerator:
         self.defect_rate = defect_rate
         self.always_correct = always_correct
 
-    def __call__(self, prototype, label, rng):
+    def __call__(self, label, rng):
         emit = label
         if not self.always_correct and float(rng.uniform(1)[0]) < self.defect_rate:
             others = [c for c in range(self.ds.num_classes) if c != label]
             emit = others[rng.integers(len(others))]
         idx = self.ds.class_indices(emit)
-        img = self.ds.images[idx[rng.integers(len(idx))]]
-        return img, np.asarray(prototype, dtype=np.float32)
+        return self.ds.images[idx[rng.integers(len(idx))]]
 
-    def generate_batch(self, prototype, label, rngs):
+    def generate_batch(self, prototypes, label, rngs, cfg):
         """One per-stream draw per rng, stacked; one prototype row per stream."""
-        protos = np.atleast_2d(np.asarray(prototype))
-        if len(protos) == 1 and len(rngs) > 1:
-            protos = np.repeat(protos, len(rngs), axis=0)
-        pairs = [self(protos[i], label, r) for i, r in enumerate(rngs)]
-        return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+        assert len(prototypes) == len(rngs)
+        return np.stack([self(label, r) for r in rngs])
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +283,50 @@ def mock_world():
     assert (labels == test.labels).mean() > 0.95
     encode_fn = lambda imgs: imgs.reshape(len(imgs), -1)
     return train, det, encode_fn
+
+
+class TestRefineSlot:
+    """One chooser for every refining mode: shortlist, least similar, fallback.
+
+    The pool holds (1, 0) for class 0. Candidate 2 is the most confident
+    but predicts class 1; candidate 1 is the least similar to the pool.
+    """
+
+    CANDIDATES = [
+        _sample(predicted=0, conf=0.95, feature=(0.6, 0.8), index=0),
+        _sample(predicted=0, conf=0.80, feature=(0.0, 1.0), index=1),
+        _sample(predicted=1, conf=0.99, feature=(1.0, 0.1), index=2),
+        _sample(predicted=0, conf=0.80, feature=(0.0, -1.0), index=3),
+    ]
+
+    @pytest.mark.parametrize(
+        "mode, beta, chosen, status",
+        [
+            ("top1", 0.7, 2, "fallback"),  # the most confident, though 0 is less similar
+            ("sim", 0.7, 1, "refined"),  # least similar; 1 and 3 tie, so index 1
+            ("sim", 0.9, 1, "fallback"),  # least similar but not above beta
+            ("tplus_s", 0.9, 0, "refined"),  # the only candidate through the gate
+            ("tplus_s", 0.7, 1, "refined"),  # shortlist [0, 1]: the less similar
+            ("tplus_s", 0.97, 0, "fallback"),  # empty: most confident label match
+        ],
+    )
+    def test_modes(self, mode, beta, chosen, status):
+        from distillab.refine import _refine_slot
+
+        pool = NormalPool(2)
+        pool.add(0, np.array([1.0, 0.0], dtype=np.float32))
+        cfg = DistillConfig(beta=beta, top_k=2, num_candidates=4, selection_mode=mode)
+        sample = _refine_slot(self.CANDIDATES, pool, cfg)
+        assert (sample.provenance.candidate_index, sample.status) == (chosen, status)
+        assert pool.size(0) == (2 if status == "refined" else 1)
+
+    def test_no_label_match_falls_back_to_most_confident(self):
+        from distillab.refine import _refine_slot
+
+        candidates = [_sample(predicted=1, conf=c, index=i) for i, c in enumerate((0.5, 0.9, 0.9))]
+        cfg = DistillConfig(beta=0.5, top_k=2, num_candidates=3, selection_mode="tplus_s")
+        sample = _refine_slot(candidates, NormalPool(2), cfg)
+        assert (sample.provenance.candidate_index, sample.status) == (1, "fallback")
 
 
 class TestRefineDefective:
@@ -320,10 +359,10 @@ class TestRefineDefective:
         train, _, _ = mock_world
 
         class WrongGen(MockGenerator):
-            def __call__(self, prototype, label, rng):
+            def __call__(self, label, rng):
                 other = (label + 1) % train.num_classes
                 idx = train.class_indices(other)
-                return train.images[idx[rng.integers(len(idx))]], np.asarray(prototype)
+                return train.images[idx[rng.integers(len(idx))]]
 
         cfg = DistillConfig(ipc=1, beta=0.9, top_k=2, num_candidates=4, kmeans_restarts=2)
         res = select(self._bank(mock_world, WrongGen(train), cfg), cfg)
@@ -375,44 +414,21 @@ class TestDistill:
         # 12% injected label defects; refiner candidates are always clean
         train, det, encode_fn = mock_world
 
-        class TwoPhaseGen:
-            """Defective on the initial pass, clean for refinement candidates."""
-
-            def __init__(self):
-                self.initial = MockGenerator(train, defect_rate=0.12)
-                self.refiner = MockGenerator(train, always_correct=True)
-                self.phase_initial = True
-
-            def __call__(self, prototype, label, rng):
-                gen = self.initial if self.phase_initial else self.refiner
-                return gen(prototype, label, rng)
-
-            def generate_batch(self, prototype, label, rngs):
-                protos = np.atleast_2d(prototype)
-                if len(protos) == 1 and len(rngs) > 1:
-                    protos = np.repeat(protos, len(rngs), axis=0)
-                pairs = [self(protos[i], label, r) for i, r in enumerate(rngs)]
-                done_initial = self.phase_initial and len(rngs) > 1
-                return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
-
-        gen = TwoPhaseGen()
+        initial = MockGenerator(train, defect_rate=0.12)
+        refiner = MockGenerator(train, always_correct=True)
         cfg = DistillConfig(ipc=10, beta=0.6, num_candidates=8, top_k=2, kmeans_restarts=2)
 
-        # run the initial pass defective, then flip the phase for refinement:
-        # distill interleaves, so emulate by a generator that keys on rng use
         class PhasedGen:
+            """Defective on the initial pass, clean for refinement candidates."""
+
             def __init__(self):
                 self.calls = 0
                 self.n_initial = train.num_classes * cfg.ipc
 
-            def generate_batch(self, prototype, label, rngs):
-                protos = np.atleast_2d(np.asarray(prototype))
-                if len(protos) == 1 and len(rngs) > 1:
-                    protos = np.repeat(protos, len(rngs), axis=0)
-                use = gen.initial if self.calls < self.n_initial else gen.refiner
+            def generate_batch(self, prototypes, label, rngs, cfg):
+                use = initial if self.calls < self.n_initial else refiner
                 self.calls += len(rngs)
-                pairs = [use(protos[i], label, r) for i, r in enumerate(rngs)]
-                return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+                return use.generate_batch(prototypes, label, rngs, cfg)
 
         res = distill(train, encode_fn, PhasedGen(), det, cfg, SeededRng(13))
         # fallback count is reported, not forbidden; every non-fallback output
@@ -473,3 +489,34 @@ class TestDistill:
             if s.status in ("normal", "refined"):
                 assert s.predicted_label == s.intended_label
                 assert s.confidence > cfg.beta
+
+
+class TestDiffusionCandidateGenerator:
+    def test_samples_with_the_config_it_is_given(
+        self, toy_train, codec, detector, denoiser, frozen_schedule, monkeypatch
+    ):
+        """At strength 0 the sampler returns its prototypes, so the initial
+        samples are their decodings; the report names the settings the
+        sampler ran with, not the defaults."""
+        import distillab.diffusion as diffusion
+        from distillab.refine import DiffusionCandidateGenerator
+
+        used = []
+        sample = diffusion.sample_img2img_batch
+
+        def spy(den, sched, prototypes, label, strength, guidance_scale, rngs):
+            used.append((strength, guidance_scale))
+            return sample(den, sched, prototypes, label, strength, guidance_scale, rngs)
+
+        monkeypatch.setattr(diffusion, "sample_img2img_batch", spy)
+        gen = DiffusionCandidateGenerator(denoiser, frozen_schedule, codec.decode)
+        cfg = DistillConfig(ipc=2, strength=0.0, guidance_scale=3.0, num_candidates=4, kmeans_restarts=2)
+        bank = generate_candidates(toy_train, codec.encode, gen, detector, cfg, SeededRng(3))
+        for c in range(toy_train.num_classes):
+            latents = np.stack([p.latent for p in bank.prototypes if p.class_id == c])
+            images = np.stack([s.image for s in bank.initial if s.intended_label == c])
+            assert np.array_equal(images, codec.decode(latents))
+        res = select(bank, cfg)
+        assert res.report["counts"]["total"] == 2 * toy_train.num_classes
+        assert set(used) == {(0.0, 3.0)}
+        assert (res.report["config"]["strength"], res.report["config"]["guidance_scale"]) == (0.0, 3.0)
