@@ -16,8 +16,8 @@ flags replace fields of the distill section.
 Exit codes: 0 success, 2 config error, 3 missing artifact, 4 numeric
 failure, 5 malformed artifact file (truncated or foreign), 6 run directory
 locked by another live command (a lock left by a process that no longer
-exists is taken over). Environment: DISTILLAB_OUTPUT_ROOT overrides the
-output root.
+exists is taken over), 7 failed sensitivity-sweep check. Environment:
+DISTILLAB_OUTPUT_ROOT overrides the output root.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ import sys
 from pathlib import Path
 
 from .config import SELECTION_MODES, ConfigError, config_sha256, default_config, load_config, to_dict
-from .data import CheckpointFormatError, DatasetFormatError, write_atomic
+from .data import FormatError, read_report, write_atomic
+from .evalharness import SweepCheckError
 
 __version__ = "0.1.0"
 
@@ -351,9 +352,15 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
+_NUMBER = (int, float)
+# what ``report`` reads of each report file
+_ABLATION_SCHEMA = {"summary": {"*": {"mean": _NUMBER, "std": (*_NUMBER, type(None)), "n": int, "fallbacks": int}}}
+_EVAL_SCHEMA = {"accuracy": _NUMBER}
+
+
 def _cmd_report(args) -> int:
     with _Command(args, "ablation") as run:
-        payload = json.loads(run.inputs["ablation"].read_text())
+        payload = read_report(run.inputs["ablation"], _ABLATION_SCHEMA)
         lines = ["mode        mean      std       n   fallbacks"]
         for mode, s in sorted(payload["summary"].items()):
             std = f"{s['std']:.4f}" if s["std"] is not None else "   -  "
@@ -361,7 +368,7 @@ def _cmd_report(args) -> int:
         eval_path = run.run_dir / _INPUTS["eval"][0]
         if eval_path.exists():  # optional: the manifest lists it only when read
             run.inputs["eval"] = eval_path
-            acc = json.loads(eval_path.read_text())["accuracy"]
+            acc = read_report(eval_path, _EVAL_SCHEMA)["accuracy"]
             lines.append(f"single-run downstream accuracy: {acc:.4f}")
         text = "\n".join(lines) + "\n"
         out = run.output("reports/summary.txt", write_atomic, [text.encode()])
@@ -427,7 +434,7 @@ def main(argv=None) -> int:
     except MissingArtifactError as e:
         print(f"missing artifact: {e}", file=sys.stderr)
         return 3
-    except (DatasetFormatError, CheckpointFormatError) as e:
+    except FormatError as e:
         print(f"format error: {e}", file=sys.stderr)
         return 5
     except LockedError as e:
@@ -436,6 +443,9 @@ def main(argv=None) -> int:
     except ArithmeticError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 4
+    except SweepCheckError as e:
+        print(f"sweep check failed: {e}", file=sys.stderr)
+        return 7
 
 
 if __name__ == "__main__":

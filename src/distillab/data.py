@@ -25,12 +25,14 @@ from .numerics import SeededRng, normal_from_words, require_finite, uniform_from
 __all__ = [
     "CheckpointFormatError",
     "DatasetFormatError",
+    "FormatError",
     "LabeledDataset",
     "MixedSample",
     "cutmix",
     "cutmix_box",
     "grating_image",
     "read_dataset",
+    "read_report",
     "sample_mix_ratio",
     "synthesize_toy_dataset",
     "write_atomic",
@@ -42,12 +44,16 @@ _KEY_TRAIN = 0
 _KEY_TEST = 1
 
 
-class DatasetFormatError(ValueError):
-    """A dataset file failed validation; the message names the file and the field."""
+class FormatError(ValueError):
+    """An artifact file failed validation; the message names the file, then the field."""
 
 
-class CheckpointFormatError(ValueError):
-    """A model or prototype checkpoint failed validation; the message names the file."""
+class DatasetFormatError(FormatError):
+    """A dataset file failed validation."""
+
+
+class CheckpointFormatError(FormatError):
+    """A model or prototype checkpoint failed validation."""
 
 
 def names_path(read):
@@ -61,7 +67,7 @@ def names_path(read):
     def reader(path, *args, **kwargs):
         try:
             return read(path, *args, **kwargs)
-        except (DatasetFormatError, CheckpointFormatError) as e:
+        except FormatError as e:
             prefix = f"{path}: "
             if str(e).startswith(prefix):
                 raise
@@ -403,6 +409,35 @@ def _read_end(f, what: str, error=DatasetFormatError) -> None:
     """A container ends with its last field ``what``; more bytes raise ``error``."""
     if f.read(1):
         raise error(f"trailing bytes after the {what}")
+
+
+@names_path
+def read_report(path, schema: dict) -> dict:
+    """Load a JSON report and check it against ``schema``.
+
+    A schema maps each required key to the types its value may have or to
+    the schema of a nested object; the key ``"*"`` gives the schema of every
+    key of its object. Bad JSON, a missing key or a value of another type
+    (a JSON boolean is never a number) raises FormatError.
+    """
+    with open(path, "rb") as f:
+        report = _read_json(f, os.fstat(f.fileno()).st_size, "report", FormatError)
+    _check_keys(report, schema, "")
+    return report
+
+
+def _check_keys(obj: dict, schema: dict, where: str) -> None:
+    for key in obj if "*" in schema else schema:
+        name, kind = where + key, schema.get(key, schema.get("*"))
+        if key not in obj:
+            raise FormatError(f"key {name} is missing")
+        value = obj[key]
+        if isinstance(kind, dict):
+            if not isinstance(value, dict):
+                raise FormatError(f"key {name} is not a JSON object")
+            _check_keys(value, kind, name + ".")
+        elif isinstance(value, bool) or not isinstance(value, kind):
+            raise FormatError(f"key {name} has a value of type {type(value).__name__}")
 
 
 @names_path

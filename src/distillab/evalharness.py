@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
@@ -22,13 +21,14 @@ import numpy as np
 from .config import DistillConfig, EvalConfig
 from .data import LabeledDataset
 from .models import Detector, predict_batch, train_detector
-from .numerics import SeededRng
+from .numerics import SeededRng, fan_out
 from .refine import CandidateBank, CandidateGenerator, generate_candidates, generation_key, select
 
 __all__ = [
     "AblationInputs",
     "EvalReport",
     "RunRecord",
+    "SweepCheckError",
     "evaluate",
     "run_ablation",
     "run_sensitivity",
@@ -37,6 +37,10 @@ __all__ = [
 
 _KEY_DOWNSTREAM = 21
 _KEY_BASELINE = 22
+
+
+class SweepCheckError(RuntimeError):
+    """The sensitivity sweep found a slot whose candidate batch or passing set breaks its invariant."""
 
 
 def train_downstream(distilled: LabeledDataset, cfg: EvalConfig, rng: SeededRng) -> Detector:
@@ -50,31 +54,13 @@ def train_downstream(distilled: LabeledDataset, cfg: EvalConfig, rng: SeededRng)
     return train_detector(distilled, cfg, rng, use_cutmix=False)
 
 
-def _train_job(job: tuple[LabeledDataset, EvalConfig, SeededRng]) -> Detector:
-    return train_downstream(*job)
-
-
 def _train_all(jobs: list[tuple[LabeledDataset, EvalConfig, SeededRng]]) -> list[Detector]:
-    """``train_downstream(*job)`` for every job, in order, on every usable core.
+    """``train_downstream(*job)`` for every job, in order, on every usable core (``fan_out``).
 
-    The jobs run on ``min(len(jobs), usable cores)`` forked worker processes,
-    or in this process when that is one. A job's classifier depends only on
-    the job, so the result does not depend on the worker count. An exception
-    raised in a worker is raised here with its type; a worker that dies
-    raises ``BrokenProcessPool`` instead of leaving the call waiting.
+    A job's classifier depends only on the job, so the result does not
+    depend on the core count.
     """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(len(jobs), cores)
-    if workers <= 1:
-        return [_train_job(job) for job in jobs]
-    # imported here, as every command imports this module: they cost 20 ms and 1 MB
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork: the workers start with the modules already loaded, and the
-    # executor forks them all before it starts its own thread
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_train_job, jobs))
+    return fan_out(lambda job: train_downstream(*job), jobs)
 
 
 def evaluate(classifier: Detector, test: LabeledDataset) -> float:
@@ -189,8 +175,8 @@ def _random_subset(train: LabeledDataset, ipc: int, rng: SeededRng) -> LabeledDa
 def run_ablation(inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig) -> EvalReport:
     """Every eval mode on every eval seed, plus a random-real-subset baseline per seed.
 
-    Selection runs here, seed by seed; the downstream trainings then run
-    together (``_train_all``).
+    Selection runs here, seed by seed (each bank generates on every core);
+    the downstream trainings then run together (``_train_all``).
     """
     runs, jobs = [], []
     for seed in eval_cfg.seeds:
@@ -230,9 +216,8 @@ def run_sensitivity(
     Returns (grid records, monotonicity evidence). Every cell selects from
     the one candidate bank of the seed (generation never reads k or beta),
     so a slot's candidate batch is the same in every cell that flags it by
-    construction; the sweep still checks that it is. It also asserts the
-    exact monotone-filter property: for a fixed candidate batch, raising
-    beta never grows the passing set.
+    construction; ``check_sweep_slots`` still checks that, and the exact
+    monotone-filter property, before any training starts.
     """
     ks, betas, seed = eval_cfg.sensitivity_top_k, eval_cfg.sensitivity_betas, eval_cfg.seeds[0]
     grid, jobs = [], []
@@ -256,23 +241,30 @@ def run_sensitivity(
                 if "candidates" not in slot:
                     continue
                 key = (slot["class"], slot["cluster"])
-                slot_candidates.setdefault(key, {})[beta] = slot["candidates"]
+                slot_candidates.setdefault(key, []).append((beta, slot["candidates"]))
+    evidence = {"slots_checked": check_sweep_slots(slot_candidates), "betas": sorted(betas), "ks": sorted(ks)}
     for row, clf in zip(grid, _train_all(jobs)):
         row["accuracy"] = evaluate(clf, inputs.test)
-    checked_slots = 0
-    for key, by_beta in slot_candidates.items():
-        betas_here = sorted(by_beta)
-        # identical candidate batches across runs for the same slot
-        first = by_beta[betas_here[0]]
-        for b in betas_here[1:]:
-            assert by_beta[b] == first, f"candidate batch for slot {key} varies with beta"
-        intended = key[0]
-        sets = [_passing_set(first, intended, b) for b in betas_here]
-        for lo, hi in zip(sets, sets[1:]):
-            assert hi <= lo, f"raising beta grew the passing set for slot {key}"
-        checked_slots += 1
-    evidence = {"slots_checked": checked_slots, "betas": sorted(betas), "ks": sorted(ks)}
     return grid, evidence
+
+
+def check_sweep_slots(slot_candidates: dict[tuple, list[tuple[float, list[dict]]]]) -> int:
+    """Check every refined slot of a sweep; return how many were checked.
+
+    ``slot_candidates[(class, cluster)]`` lists the (beta, candidate
+    records) of each cell that refined the slot. Every cell must report
+    the same batch, and raising beta must never grow the set of candidates
+    that pass the gate. Raises SweepCheckError naming the first slot that
+    fails, also under ``python -O``.
+    """
+    for key, cells in slot_candidates.items():
+        first = cells[0][1]
+        if any(batch != first for _, batch in cells[1:]):
+            raise SweepCheckError(f"candidate batch for slot {key} varies across the grid")
+        sets = [_passing_set(first, key[0], b) for b in sorted({b for b, _ in cells})]
+        if any(not hi <= lo for lo, hi in zip(sets, sets[1:])):
+            raise SweepCheckError(f"raising beta grew the passing set for slot {key}")
+    return len(slot_candidates)
 
 
 def sensitivity_csv(grid: list[dict]) -> str:

@@ -1,4 +1,5 @@
-"""Deterministic numeric primitives: seeded RNG, softmax, cosine similarity.
+"""Deterministic numeric primitives: seeded RNG, softmax, cosine similarity,
+and ``fan_out``, which computes independent jobs on every usable core.
 
 Conventions used across the package:
 
@@ -37,6 +38,8 @@ advances exactly as before, and every value is bit-identical.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 __all__ = [
@@ -44,6 +47,7 @@ __all__ = [
     "SeededRng",
     "beta_symmetric_from_words",
     "cosine_similarity",
+    "fan_out",
     "integers_from_words",
     "max_softmax",
     "normal_from_words",
@@ -226,6 +230,67 @@ class SeededRng:
         """Beta(alpha, alpha) draws by inverse-CDF on one uniform each."""
         vals = beta_symmetric_from_words(self.raw_u64(1 if n is None else n), alpha)
         return float(vals[0]) if n is None else vals
+
+
+# fan_out's (fn, items, cores) while its workers start: they inherit it through fork
+_fan_out_job = None
+
+
+def _pin(cores: set[int]) -> None:
+    """Run this process on ``cores`` only; where the system does not allow it, leave it be."""
+    try:
+        os.sched_setaffinity(0, cores)
+    except (AttributeError, OSError):  # no affinity call, or cores this process may not use
+        pass
+
+
+def _fan_out_share(start: int, step: int) -> list:
+    fn, items, cores = _fan_out_job
+    _pin({cores[start]})
+    return [fn(item) for item in items[start::step]]
+
+
+def fan_out(fn, items) -> list:
+    """``[fn(item) for item in items]``, computed on every usable core.
+
+    With ``n = min(len(items), usable cores)`` (the cores of
+    ``os.sched_getaffinity``), this process computes ``items[0::n]`` and
+    ``n - 1`` forked workers compute the other strided shares, so jobs of
+    equal cost balance. Each share runs pinned to a core of its own (this
+    process gets its affinity back on return): left to itself, the kernel
+    may wake a worker on the core of the busy parent and keep it there.
+    ``fn`` and ``items`` reach the workers through fork, not pickling: ``fn``
+    may be a closure over models. Only each share's results are pickled
+    back. When ``n`` is 1 it is a plain loop. A job's result must depend on
+    the item alone (and on the rng streams it spawns), so the results do
+    not depend on ``n``. An exception raised in a worker is raised here with
+    its type; a worker that dies raises ``BrokenProcessPool``; every worker
+    has exited when the call returns.
+    """
+    global _fan_out_job
+    items = list(items)
+    cores = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else list(range(os.cpu_count() or 1))
+    n = min(len(items), len(cores))
+    if n <= 1:
+        return [fn(item) for item in items]
+    # imported here, as every command imports this module: they cost 20 ms and 1 MB
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    outer, _fan_out_job = _fan_out_job, (fn, items, cores)
+    try:
+        # fork: the executor forks every worker at the first submit, before
+        # it starts its own thread
+        with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_fan_out_share, start, n) for start in range(1, n)]
+            shares = [_fan_out_share(0, n)] + [f.result() for f in futures]
+    finally:
+        _pin(set(cores))
+        _fan_out_job = outer
+    out = [None] * len(items)
+    for start, share in enumerate(shares):
+        out[start::n] = share
+    return out
 
 
 def softmax(logits) -> np.ndarray:

@@ -148,16 +148,19 @@ def extract_prototypes(
     rng: SeededRng,
     *,
     restarts: int,
+    classes=None,
 ) -> list[Prototype]:
     """Per-class K-means over encoded latents; one prototype per cluster.
 
-    Output ordering is (class_id ascending, cluster_index ascending) and the
-    total count is num_classes * ipc.
+    Class ``c`` clusters with ``rng.spawn(c)``, so its prototypes do not
+    depend on the other classes: ``classes`` (default: every class, in
+    ascending order) picks the ones to extract. Output ordering is (class
+    order, cluster_index ascending), ipc prototypes per class.
     """
     if ipc < 1:
         raise ValueError("ipc must be >= 1")
     protos: list[Prototype] = []
-    for c in range(dataset.num_classes):
+    for c in range(dataset.num_classes) if classes is None else classes:
         idx = dataset.class_indices(c)
         if len(idx) < ipc:
             raise ValueError(

@@ -17,6 +17,11 @@ fallback for one config. Generation never reads the selection knobs (beta,
 top_k, selection_mode), so one bank serves every selection mode and every
 (k, beta) cell on a seed, with outputs equal to a standalone ``distill``
 byte for byte.
+
+Generation is split into independent jobs that ``fan_out`` runs on every
+usable core: one per class (encoding, k-means and the class's initial
+batch) and one per flagged slot (its refinement batch). A job reads only
+its own rng streams, so the bank does not depend on the core count.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from .config import DistillConfig
 from .data import LabeledDataset
 from .models import Detector, predict_batch
-from .numerics import SeededRng, cosine_similarity
+from .numerics import SeededRng, cosine_similarity, fan_out
 from .prototypes import Prototype, extract_prototypes
 
 __all__ = [
@@ -102,7 +107,9 @@ class CandidateGenerator(Protocol):
     ``generate_batch(prototypes, label, rngs, cfg)`` returns stacked images,
     one row per rng stream, generated from the prototype latent of that row
     with the sampler settings of ``cfg`` (only its GENERATION_FIELDS are
-    read). Implementations must be deterministic per rng stream.
+    read). Implementations must be deterministic per rng stream. Batches may
+    be generated in forked worker processes, so a generator's own state
+    must not depend on which batches it generated before.
     """
 
     def generate_batch(self, prototypes: np.ndarray, label: int, rngs: list[SeededRng], cfg: DistillConfig): ...
@@ -197,9 +204,12 @@ class CandidateBank:
     """Everything generation produces for one rng and generation key, scored once.
 
     Holds the prototypes and the scored initial sample of every slot, in
-    slot order (class ascending, cluster ascending). A slot's refinement
-    batch is generated and scored the first time a selection flags the
-    slot, and kept for every later selection.
+    slot order (class ascending, cluster ascending). Refinement batches are
+    generated on request: ``refinements(slots)`` generates and scores the
+    batches of the requested slots the bank does not hold yet, one job per
+    slot on every usable core, and keeps them for every later selection. So
+    a slot's batch is generated at most once, and only when some selection
+    flags the slot.
     """
 
     def __init__(self, cfg: DistillConfig, train: LabeledDataset, prototypes, initial, gen, det, rng: SeededRng):
@@ -214,18 +224,22 @@ class CandidateBank:
         self._det = det
         self._refinements: dict[int, list[SyntheticSample]] = {}
 
-    def refinement(self, slot: int) -> list[SyntheticSample]:
+    def _generate(self, slot: int) -> list[SyntheticSample]:
         """The slot's scored candidates: num_candidates rows from its own prototype."""
-        if slot not in self._refinements:
-            proto = self.prototypes[slot]
-            label, cluster = proto.class_id, proto.cluster_index
-            slot_rng = self.rng.spawn(_KEY_REFINE, label, cluster)
-            rngs = [slot_rng.spawn(i) for i in range(self.cfg.num_candidates)]
-            latents = np.repeat(proto.latent[None], len(rngs), axis=0)
-            images = self._gen.generate_batch(latents, label, rngs, self.cfg)
-            provenances = [Provenance(label, cluster, i, r.seed) for i, r in enumerate(rngs)]
-            self._refinements[slot] = _score(self._det, images, label, provenances)
-        return self._refinements[slot]
+        proto = self.prototypes[slot]
+        label, cluster = proto.class_id, proto.cluster_index
+        slot_rng = self.rng.spawn(_KEY_REFINE, label, cluster)
+        rngs = [slot_rng.spawn(i) for i in range(self.cfg.num_candidates)]
+        latents = np.repeat(proto.latent[None], len(rngs), axis=0)
+        images = self._gen.generate_batch(latents, label, rngs, self.cfg)
+        provenances = [Provenance(label, cluster, i, r.seed) for i, r in enumerate(rngs)]
+        return _score(self._det, images, label, provenances)
+
+    def refinements(self, slots: list[int]) -> dict[int, list[SyntheticSample]]:
+        """Each slot's scored candidates; missing batches are generated, one job per slot."""
+        missing = [slot for slot in slots if slot not in self._refinements]
+        self._refinements.update(zip(missing, fan_out(self._generate, missing)))
+        return {slot: self._refinements[slot] for slot in slots}
 
 
 def generate_candidates(
@@ -236,21 +250,27 @@ def generate_candidates(
     cfg: DistillConfig,
     rng: SeededRng,
 ) -> CandidateBank:
-    """Prototypes plus the scored initial pass, one generation call per class.
+    """Prototypes plus the scored initial pass, one job per class on every usable core.
 
-    Reads only the GENERATION_FIELDS of cfg. Refinement batches are left to
-    the returned bank, which generates them on demand from ``rng``.
+    A class's job encodes its images, runs k-means with
+    ``rng.spawn(_KEY_PROTO).spawn(c)`` and generates and scores the class's
+    initial batch in one generation call. Reads only the GENERATION_FIELDS
+    of cfg. Refinement batches are left to the returned bank, which
+    generates them on demand from ``rng``.
     """
-    protos = extract_prototypes(encode_fn, train, cfg.ipc, rng.spawn(_KEY_PROTO), restarts=cfg.kmeans_restarts)
-    initial: list[SyntheticSample | None] = [None] * len(protos)
-    for c in range(train.num_classes):
-        cls_protos = [p for p in protos if p.class_id == c]
-        rngs = [rng.spawn(_KEY_INITIAL, c, p.cluster_index) for p in cls_protos]
-        latvecs = np.stack([p.latent for p in cls_protos])
-        images = gen.generate_batch(latvecs, c, rngs, cfg)
-        provenances = [Provenance(c, p.cluster_index, None, r.seed) for p, r in zip(cls_protos, rngs)]
-        for p, s in zip(cls_protos, _score(det, images, c, provenances)):
-            initial[c * cfg.ipc + p.cluster_index] = s
+
+    def class_job(c: int):
+        protos = extract_prototypes(
+            encode_fn, train, cfg.ipc, rng.spawn(_KEY_PROTO), restarts=cfg.kmeans_restarts, classes=[c]
+        )
+        rngs = [rng.spawn(_KEY_INITIAL, c, p.cluster_index) for p in protos]
+        images = gen.generate_batch(np.stack([p.latent for p in protos]), c, rngs, cfg)
+        provenances = [Provenance(c, p.cluster_index, None, r.seed) for p, r in zip(protos, rngs)]
+        return protos, _score(det, images, c, provenances)
+
+    jobs = fan_out(class_job, range(train.num_classes))
+    protos = [p for class_protos, _ in jobs for p in class_protos]
+    initial = [s for _, class_initial in jobs for s in class_initial]
     return CandidateBank(cfg, train, protos, initial, gen, det, rng)
 
 
@@ -298,8 +318,10 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
     ascending) order; per-class pools are seeded with the accepted initial
     samples in that same order before any refinement happens. When
     selection_mode is "base" defective slots are kept as generated
-    (flagged fallback, excluded from the pool). Raises ValueError when cfg
-    disagrees with the bank on a field that generation reads.
+    (flagged fallback, excluded from the pool); otherwise the bank is asked
+    for every flagged slot's batch before the slot loop, so the missing ones
+    are generated together. Raises ValueError when cfg disagrees with the
+    bank on a field that generation reads.
     """
     key = generation_key(cfg)
     if key != bank.key:
@@ -320,6 +342,8 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
     for s in samples:
         if s.status == STATUS_NORMAL:
             pool.add(s.intended_label, s.feature)
+    flagged = [slot for slot, s in enumerate(samples) if s.status != STATUS_NORMAL]
+    batches = bank.refinements(flagged) if cfg.selection_mode != "base" else {}
     # refinement pass over defective slots in slot order
     slot_records = []
     for slot, s in enumerate(samples):
@@ -332,8 +356,8 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
             "candidate_index": s.provenance.candidate_index,
             "seed": s.provenance.seed,
         }
-        if s.status != STATUS_NORMAL and cfg.selection_mode != "base":
-            candidates = bank.refinement(slot)
+        if slot in batches:
+            candidates = batches[slot]
             chosen = _refine_slot(candidates, pool, cfg)
             samples[slot] = chosen
             record.update(

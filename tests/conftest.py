@@ -5,6 +5,7 @@ Every stage runs at its ``default_config()`` section. Heavy artifacts
 once.
 """
 
+import os
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -93,6 +94,23 @@ def weak_denoiser(toy_train, train_latents, frozen_schedule):
         replace(DEFAULTS.denoiser, epochs=50),
         SeededRng(DENOISER_SEED),
     )
+
+
+@pytest.fixture()
+def cores(monkeypatch):
+    """``cores(n)`` makes ``n`` cores look usable to ``numerics.fan_out``.
+
+    fan_out gives this process back the affinity it was told it had, so the
+    real one is restored after the test.
+    """
+    real = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    yield use
+    if real is not None:
+        os.sched_setaffinity(0, real)
 
 
 @pytest.fixture()

@@ -259,17 +259,13 @@ class TestAcceptance:
             cfg = DistillConfig(ipc=10, beta=0.6, num_candidates=20, top_k=2, kmeans_restarts=2)
             initial = MockGenerator(train, defect_rate=0.12)
             clean = MockGenerator(train, always_correct=True)
-            budget = train.num_classes * cfg.ipc
 
             class PhasedGen:
-                """12% label defects on the initial pass, clean candidates after."""
-
-                def __init__(self):
-                    self.calls = 0
+                """12% label defects on the initial pass (batches of ipc rows),
+                clean candidates (batches of num_candidates rows)."""
 
                 def generate_batch(self, prototypes, label, rngs, cfg):
-                    use = initial if self.calls < budget else clean
-                    self.calls += len(rngs)
+                    use = clean if len(rngs) == cfg.num_candidates else initial
                     return use.generate_batch(prototypes, label, rngs, cfg)
 
             res = distill(train, lambda im: im.reshape(len(im), -1), PhasedGen(), det, cfg, SeededRng(13))

@@ -435,6 +435,31 @@ class TestFormatErrors:
             assert len(proc.stderr.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize(
+        "name, text, needle",
+        [
+            ("ablation.json", '{"summary": ', "report is not valid JSON"),
+            ("ablation.json", '{"records": []}', "key summary is missing"),
+            ("ablation.json", '{"summary": {"base": {"mean": "0.5", "std": null, "n": 1, "fallbacks": 0}}}',
+             "key summary.base.mean has a value of type str"),
+            ("eval.json", '{"accuracy": true}', "key accuracy has a value of type bool"),
+        ],
+    )
+    def test_malformed_report_exits_5(self, pipeline, tmp_path, name, text, needle):
+        """``report`` reads ablation.json and eval.json through one checked reader:
+        bad JSON, a missing key or a mistyped value is a one-line format error
+        that names the file."""
+        reports = _copy_run(pipeline, tmp_path) / "reports"
+        summary = {"base": {"mean": 0.5, "std": None, "n": 1, "fallbacks": 0}}
+        (reports / "ablation.json").write_text(json.dumps({"summary": summary}))
+        (reports / name).write_text(text)
+        proc = _cli(tmp_path, TINY_CONFIG, "report")
+        assert proc.returncode == 5, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"format error: {reports / name}: {needle}")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def _copy_run(pipeline, dest):
     """A copy of the tiny pipeline's run directory under ``dest/runs``."""
     shutil.copytree(pipeline[0] / "runs", dest / "runs")

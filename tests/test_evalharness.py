@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -11,6 +13,8 @@ from distillab.config import SELECTION_MODES, DetectorConfig, DistillConfig, Eva
 from distillab.data import LabeledDataset, synthesize_toy_dataset
 from distillab.evalharness import (
     AblationInputs,
+    SweepCheckError,
+    check_sweep_slots,
     evaluate,
     run_ablation,
     run_sensitivity,
@@ -23,7 +27,7 @@ from distillab.data import write_dataset
 from distillab.refine import distill, select
 
 from test_cli import _copy_run, pipeline  # noqa: F401  (pipeline is a fixture)
-from test_refine import MockGenerator
+from test_refine import LoggingGenerator, MockGenerator
 
 
 @pytest.fixture(scope="module")
@@ -245,37 +249,27 @@ class TestRunSensitivity:
         assert len(csv_text.splitlines()) == 5
 
 
-class CountingGenerator(MockGenerator):
-    """MockGenerator that tallies each batch it generates by (label, stream seeds)."""
-
-    def __init__(self, dataset, batches: Counter, **kwargs):
-        super().__init__(dataset, **kwargs)
-        self.batches = batches
-
-    def generate_batch(self, prototypes, label, rngs, cfg):
-        self.batches[(label, tuple(r.seed for r in rngs))] += 1
-        return super().generate_batch(prototypes, label, rngs, cfg)
-
-
 class TestSharedBank:
     def test_modes_and_grid_generate_each_batch_once(self, small_world, monkeypatch, tmp_path):
+        """Counted across every process that generates: the parent and fan_out's workers."""
         import distillab.refine as refine_module
 
         train, test, det, encode_fn = small_world
-        batches, extractions = Counter(), Counter()
-        extract = refine_module.extract_prototypes
+        extract, extract_log = refine_module.extract_prototypes, tmp_path / "extractions.txt"
 
         def counting_extract(encode_fn, dataset, ipc, rng, **kwargs):
-            extractions[rng.seed] += 1
+            with open(extract_log, "a") as f:
+                f.write(f"{rng.seed} {' '.join(map(str, kwargs['classes']))}\n")
             return extract(encode_fn, dataset, ipc, rng, **kwargs)
 
         monkeypatch.setattr(refine_module, "extract_prototypes", counting_extract)
+        gen = LoggingGenerator(train, tmp_path / "batches.txt", defect_rate=0.4)
         inputs = AblationInputs(
             train=train,
             test=test,
             encode_fn=encode_fn,
             detector=det,
-            generator=CountingGenerator(train, batches, defect_rate=0.4),
+            generator=gen,
         )
         cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
         eval_cfg = _downstream_cfg(
@@ -286,9 +280,14 @@ class TestSharedBank:
         assert evidence["slots_checked"] > 0
         assert report.summary["tplus_s"]["n"] == 1
         # the initial pass (one batch per class) plus at least one refined slot
+        batches = Counter((label, seeds) for _, label, seeds in gen.batches())
         assert len(batches) > train.num_classes
         assert set(batches.values()) == {1}
-        assert len(extractions) == 1 and set(extractions.values()) == {1}
+        # one bank: each class's prototypes extracted once, from one stream
+        extractions = Counter(extract_log.read_text().splitlines())
+        assert len({line.split()[0] for line in extractions}) == 1
+        assert sorted(line.split()[1] for line in extractions) == [str(c) for c in range(train.num_classes)]
+        assert set(extractions.values()) == {1}
 
         # every mode's selection from the shared bank equals a standalone run
         for mode in SELECTION_MODES:
@@ -308,11 +307,6 @@ class TestSharedBank:
 
 def _non_finite_training(dataset, cfg, rng):
     raise NonFiniteError("downstream loss contains non-finite values")
-
-
-def _cores(monkeypatch, n):
-    """Make ``n`` cores look usable to the harness."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 @pytest.fixture()
@@ -376,19 +370,21 @@ class TestFanOut:
                 accuracies.append(accuracy(res.dataset, eval_cfg.seeds[0]))
         return records, accuracies
 
-    def test_one_worker_two_workers_and_a_loop_agree(self, small_world, monkeypatch, job_pids):
+    def test_one_worker_two_workers_and_a_loop_agree(self, small_world, cores, job_pids):
         cfg, eval_cfg = self._cfgs()
         results = {}
-        for cores in (1, 2):
-            _cores(monkeypatch, cores)
+        for n in (1, 2):
+            cores(n)
             inputs = self._inputs(small_world)
             before = len(job_pids())
             report = run_ablation(inputs, cfg, eval_cfg)
+            middle = len(job_pids())
             grid, evidence = run_sensitivity(inputs, cfg, eval_cfg)
-            pids = set(job_pids()[before:])
-            assert (pids == {os.getpid()}) if cores == 1 else (os.getpid() not in pids and len(pids) >= 1)
+            # each call: the parent trains its share; with 2 cores one worker trains the rest
+            for pids in (set(job_pids()[before:middle]), set(job_pids()[middle:])):
+                assert os.getpid() in pids and len(pids) == n
             assert multiprocessing.active_children() == []
-            results[cores] = (report.to_json(), report.to_csv(), sensitivity_csv(grid), evidence)
+            results[n] = (report.to_json(), report.to_csv(), sensitivity_csv(grid), evidence)
         assert results[1] == results[2]
 
         records, accuracies = self._loop(self._inputs(small_world), cfg, eval_cfg)
@@ -397,17 +393,17 @@ class TestFanOut:
         assert [row.split(",")[3] for row in grid_csv.splitlines()[1:]] == [f"{a:.6f}" for a in accuracies]
         assert len(accuracies) == 4
 
-    def test_worker_exception_keeps_its_type(self, small_world, monkeypatch):
+    def test_worker_exception_keeps_its_type(self, small_world, monkeypatch, cores):
         import distillab.evalharness as evalharness
 
         monkeypatch.setattr(evalharness, "train_downstream", _non_finite_training)
-        _cores(monkeypatch, 2)
+        cores(2)
         cfg, eval_cfg = self._cfgs()
         with pytest.raises(NonFiniteError, match="non-finite"):
             run_ablation(self._inputs(small_world), cfg, eval_cfg)
         assert multiprocessing.active_children() == []
 
-    def test_dead_worker_raises_instead_of_waiting(self, small_world, monkeypatch):
+    def test_dead_worker_raises_instead_of_waiting(self, small_world, monkeypatch, cores):
         from concurrent.futures.process import BrokenProcessPool
 
         import distillab.evalharness as evalharness
@@ -419,7 +415,7 @@ class TestFanOut:
                 os._exit(1)  # as a worker killed for memory would
 
         monkeypatch.setattr(evalharness, "train_downstream", dying)
-        _cores(monkeypatch, 2)
+        cores(2)
         cfg, eval_cfg = self._cfgs()
         with pytest.raises(BrokenProcessPool):
             run_ablation(self._inputs(small_world), cfg, eval_cfg)
@@ -427,14 +423,14 @@ class TestFanOut:
 
 
 class TestFanOutCli:
-    def test_worker_failure_exits_4(self, pipeline, tmp_path, monkeypatch, capsys):
+    def test_worker_failure_exits_4(self, pipeline, tmp_path, monkeypatch, capsys, cores):
         import distillab.evalharness as evalharness
         from distillab.cli import main
 
         rd = _copy_run(pipeline, tmp_path)
         monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
         monkeypatch.setattr(evalharness, "train_downstream", _non_finite_training)
-        _cores(monkeypatch, 2)
+        cores(2)
         capsys.readouterr()
         assert main(["ablate", "--config", str(pipeline[1])]) == 4
         err = capsys.readouterr().err
@@ -442,7 +438,7 @@ class TestFanOutCli:
         assert multiprocessing.active_children() == []
         assert not (rd / ".lock").exists()
 
-    def test_lock_is_removed_by_the_parent_only(self, pipeline, tmp_path, monkeypatch, job_pids):
+    def test_lock_is_removed_by_the_parent_only(self, pipeline, tmp_path, monkeypatch, job_pids, cores):
         import distillab.cli as cli
         import distillab.evalharness as evalharness
 
@@ -450,6 +446,7 @@ class TestFanOutCli:
         monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
         exits, held = tmp_path / "exits.txt", tmp_path / "held.txt"
         real_exit, real_train = cli._Command.__exit__, evalharness.train_downstream
+        real_train_all, calls = evalharness._train_all, []
 
         def recording_exit(self, *exc):
             with open(exits, "a") as f:
@@ -461,14 +458,95 @@ class TestFanOutCli:
                 f.write(f"{(rd / '.lock').read_text()}\n")
             return real_train(dataset, cfg, rng)
 
+        def marking_train_all(jobs):
+            start = len(job_pids())
+            out = real_train_all(jobs)
+            calls.append(set(job_pids()[start:]))
+            return out
+
         monkeypatch.setattr(cli._Command, "__exit__", recording_exit)
         monkeypatch.setattr(evalharness, "train_downstream", checking_train)
-        _cores(monkeypatch, 2)
+        monkeypatch.setattr(evalharness, "_train_all", marking_train_all)
+        cores(2)
         assert cli.main(["ablate", "--config", str(pipeline[1]), "--sweep"]) == 0
         assert exits.read_text().split() == [str(os.getpid())]
-        workers = set(job_pids())
-        assert workers and os.getpid() not in workers
+        # each fan-out of trainings (ablation, then sweep): the parent trains its share, one worker the rest
+        assert len(calls) == 2
+        for pids in calls:
+            assert len(pids) == 2 and os.getpid() in pids
         # every training saw the parent's lock in place
         assert set(held.read_text().split()) == {str(os.getpid())}
         assert not (rd / ".lock").exists()
         assert multiprocessing.active_children() == []
+
+    def test_sampler_failure_in_a_worker_exits_4(self, pipeline, tmp_path, monkeypatch, capsys, cores):
+        """A NonFiniteError raised by the sampler in a class job's worker ends distill with exit 4."""
+        import distillab.diffusion as diffusion
+        from distillab.cli import main
+
+        parent, sample = os.getpid(), diffusion.sample_img2img_batch
+
+        def failing_in_workers(*args):
+            if os.getpid() != parent:
+                raise NonFiniteError("sampled latents contain non-finite values")
+            return sample(*args)
+
+        rd = _copy_run(pipeline, tmp_path)
+        monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
+        monkeypatch.setattr(diffusion, "sample_img2img_batch", failing_in_workers)
+        cores(2)
+        capsys.readouterr()
+        assert main(["distill", "--config", str(pipeline[1])]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and len(err.strip().splitlines()) == 1
+        assert multiprocessing.active_children() == []
+        assert not (rd / ".lock").exists()
+
+    def test_sweep_check_failure_exits_7(self, pipeline, tmp_path, monkeypatch, capsys):
+        import distillab.evalharness as evalharness
+        from distillab.cli import main
+
+        def failing_check(slot_candidates):
+            raise SweepCheckError("candidate batch for slot (0, 0) varies across the grid")
+
+        rd = _copy_run(pipeline, tmp_path)
+        monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
+        monkeypatch.setattr(evalharness, "check_sweep_slots", failing_check)
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(pipeline[1]), "--sweep"]) == 7
+        err = capsys.readouterr().err
+        assert err.startswith("sweep check failed: ") and len(err.strip().splitlines()) == 1
+        assert not (rd / "reports" / "sensitivity.csv").exists()
+        assert not (rd / ".lock").exists()
+
+
+def _candidates(*confidences, label=0):
+    return [{"index": i, "predicted_label": label, "confidence": c} for i, c in enumerate(confidences)]
+
+
+class TestSweepChecks:
+    def test_consistent_slots_pass(self):
+        cells = [(0.5, _candidates(0.6, 0.95)), (0.9, _candidates(0.6, 0.95))]
+        assert check_sweep_slots({(0, 0): cells, (1, 0): cells[1:]}) == 2
+
+    def test_forged_batch_raises(self):
+        forged = {(0, 1): [(0.5, _candidates(0.6, 0.95)), (0.9, _candidates(0.6, 0.96))]}
+        with pytest.raises(SweepCheckError, match=r"slot \(0, 1\) varies"):
+            check_sweep_slots(forged)
+
+    def test_checks_run_under_python_o(self):
+        """The checks are not asserts: ``python -O`` keeps them."""
+        code = (
+            "from distillab.evalharness import SweepCheckError, check_sweep_slots\n"
+            "batch = [{'index': 0, 'predicted_label': 0, 'confidence': 0.95}]\n"
+            "forged = dict(batch[0], confidence=0.5)\n"
+            "try:\n"
+            "    check_sweep_slots({(0, 1): [(0.5, batch), (0.9, [forged])]})\n"
+            "except SweepCheckError as e:\n"
+            "    print(e)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "varies across the grid" in proc.stdout

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from distillab.numerics import (
     NonFiniteError,
     SeededRng,
     cosine_similarity,
+    fan_out,
     max_softmax,
     require_finite,
     softmax,
@@ -225,3 +228,51 @@ class TestBlockDraws:
             assert got.dtype == np.int64
             assert got.tobytes() == want.tobytes()
             assert fast._counter == loop._counter == max(n - 1, 0)
+
+
+class TestFanOut:
+    def test_results_in_order_for_any_length(self, cores):
+        cores(2)
+        offset = 10  # a closure: fan_out hands fn to its workers through fork, not pickling
+        for n in range(6):
+            assert fan_out(lambda x: x + offset, range(n)) == [x + offset for x in range(n)]
+        assert multiprocessing.active_children() == []
+
+    def test_parent_computes_the_first_strided_share(self, cores):
+        cores(2)
+        pids = fan_out(lambda x: os.getpid(), range(5))
+        assert pids[0::2] == [os.getpid()] * 3
+        assert len(set(pids[1::2])) == 1 and os.getpid() not in pids[1::2]
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs two usable cores")
+    def test_each_share_runs_on_a_core_of_its_own(self):
+        before = os.sched_getaffinity(0)
+        usable = sorted(before)[:4]
+        n = len(usable)
+        assert fan_out(lambda x: os.sched_getaffinity(0), range(4)) == [{usable[i % n]} for i in range(4)]
+        assert os.sched_getaffinity(0) == before
+
+        def fails_in_the_parent(x):
+            if os.getpid() == parent:
+                raise NonFiniteError(f"item {x}")
+
+        parent = os.getpid()
+        with pytest.raises(NonFiniteError):
+            fan_out(fails_in_the_parent, range(2))
+        assert os.sched_getaffinity(0) == before
+
+    def test_one_core_is_a_plain_loop(self, cores):
+        cores(1)
+        assert fan_out(lambda x: os.getpid(), range(3)) == [os.getpid()] * 3
+
+    def test_worker_exception_keeps_its_type(self, cores):
+        cores(2)
+
+        def fails_on_one(x):
+            if x == 1:
+                raise NonFiniteError(f"item {x}")
+            return x
+
+        with pytest.raises(NonFiniteError, match="item 1"):
+            fan_out(fails_on_one, range(4))
+        assert multiprocessing.active_children() == []

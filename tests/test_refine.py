@@ -1,11 +1,18 @@
+import multiprocessing
+import os
+from collections import Counter
+from dataclasses import is_dataclass, replace
+from itertools import product
+
 import numpy as np
 import pytest
 
-from distillab.config import DetectorConfig, DistillConfig, ToyDataSpec
+from distillab.config import SELECTION_MODES, DetectorConfig, DistillConfig, ToyDataSpec
 from distillab.data import LabeledDataset, synthesize_toy_dataset
 from distillab.models import predict_batch
 from distillab.numerics import SeededRng, cosine_similarity
 from distillab.refine import (
+    _KEY_REFINE,
     NormalPool,
     Provenance,
     SyntheticSample,
@@ -270,6 +277,37 @@ class MockGenerator:
         return np.stack([self(label, r) for r in rngs])
 
 
+class LoggingGenerator(MockGenerator):
+    """MockGenerator that appends every batch it generates to a log file, from any process."""
+
+    def __init__(self, dataset, log, **kwargs):
+        super().__init__(dataset, **kwargs)
+        self.log = log
+
+    def generate_batch(self, prototypes, label, rngs, cfg):
+        with open(self.log, "a") as f:
+            f.write(" ".join(str(v) for v in (os.getpid(), label, *(r.seed for r in rngs))) + "\n")
+        return super().generate_batch(prototypes, label, rngs, cfg)
+
+    def batches(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        """(pid, label, stream seeds) of every batch generated so far."""
+        rows = [[int(v) for v in line.split()] for line in self.log.read_text().splitlines()] if self.log.exists() else []
+        return [(row[0], row[1], tuple(row[2:])) for row in rows]
+
+
+def plain(x):
+    """Dataclasses, arrays and containers as plain values that compare exactly (arrays by bytes)."""
+    if is_dataclass(x):
+        return type(x).__name__, plain(vars(x))
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [plain(v) for v in x]
+    return x
+
+
 @pytest.fixture(scope="module")
 def mock_world():
     spec = ToyDataSpec(num_classes=3, train_per_class=120, test_per_class=30, image_height=8, image_width=8)
@@ -419,15 +457,13 @@ class TestDistill:
         cfg = DistillConfig(ipc=10, beta=0.6, num_candidates=8, top_k=2, kmeans_restarts=2)
 
         class PhasedGen:
-            """Defective on the initial pass, clean for refinement candidates."""
+            """Defective on the initial pass, clean for refinement candidates.
 
-            def __init__(self):
-                self.calls = 0
-                self.n_initial = train.num_classes * cfg.ipc
+            A refinement batch has num_candidates rows, an initial one ipc.
+            """
 
             def generate_batch(self, prototypes, label, rngs, cfg):
-                use = initial if self.calls < self.n_initial else refiner
-                self.calls += len(rngs)
+                use = refiner if len(rngs) == cfg.num_candidates else initial
                 return use.generate_batch(prototypes, label, rngs, cfg)
 
         res = distill(train, encode_fn, PhasedGen(), det, cfg, SeededRng(13))
@@ -520,3 +556,55 @@ class TestDiffusionCandidateGenerator:
         assert res.report["counts"]["total"] == 2 * toy_train.num_classes
         assert set(used) == {(0.0, 3.0)}
         assert (res.report["config"]["strength"], res.report["config"]["guidance_scale"]) == (0.0, 3.0)
+
+
+class TestBankFanOut:
+    """Class jobs and slot jobs run on every usable core; the bank does not depend on how many."""
+
+    CFG = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
+    GRID = list(product(SELECTION_MODES, (1, 2), (0.5, 0.9)))  # mode, top_k, beta
+
+    def _bank(self, mock_world, cores, n, log):
+        train, det, encode_fn = mock_world
+        cores(n)
+        gen = LoggingGenerator(train, log, defect_rate=0.4)
+        return generate_candidates(train, encode_fn, gen, det, self.CFG, SeededRng(21)), gen
+
+    def test_one_and_two_cores_give_equal_banks(self, mock_world, cores, tmp_path):
+        banks = [self._bank(mock_world, cores, n, tmp_path / f"{n}.log")[0] for n in (1, 2)]
+        slots = list(range(len(banks[0].initial)))
+        one, two = (plain([bank.prototypes, bank.initial, bank.refinements(slots)]) for bank in banks)
+        assert one == two
+        assert multiprocessing.active_children() == []
+
+    def test_select_agrees_on_one_and_two_cores(self, mock_world, cores, tmp_path):
+        results = []
+        for n in (1, 2):
+            bank, _ = self._bank(mock_world, cores, n, tmp_path / f"{n}.log")
+            cells = [replace(self.CFG, selection_mode=mode, top_k=k, beta=beta) for mode, k, beta in self.GRID]
+            results.append([plain([res.report, res.dataset, res.samples]) for res in (select(bank, c) for c in cells)])
+        assert results[0] == results[1]
+        assert any(res[0]["counts"]["refined"] for res in results[1])
+
+    def test_jobs_run_in_the_parent_and_one_worker(self, mock_world, cores, tmp_path):
+        bank, gen = self._bank(mock_world, cores, 2, tmp_path / "2.log")
+        res = select(bank, self.CFG)
+        assert res.report["counts"]["normal"] <= res.report["counts"]["total"] - 2  # two slot jobs or more
+        for rows in (self.CFG.ipc, self.CFG.num_candidates):  # class jobs, then slot jobs
+            pids = {pid for pid, _, seeds in gen.batches() if len(seeds) == rows}
+            assert len(pids) == 2 and os.getpid() in pids
+        assert multiprocessing.active_children() == []
+
+    def test_each_flagged_slot_is_generated_once(self, mock_world, cores, tmp_path):
+        bank, gen = self._bank(mock_world, cores, 2, tmp_path / "2.log")
+        flagged = set()
+        for mode, k, beta in self.GRID:
+            res = select(bank, replace(self.CFG, selection_mode=mode, top_k=k, beta=beta))
+            flagged |= {(r["class"], r["cluster"]) for r in res.report["slots"] if "candidates" in r}
+        slot_batches = Counter((label, seeds) for _, label, seeds in gen.batches() if len(seeds) == self.CFG.num_candidates)
+        assert set(slot_batches.values()) == {1}
+        streams = SeededRng(21)
+        assert set(slot_batches) == {
+            (c, tuple(streams.spawn(_KEY_REFINE, c, j).spawn(i).seed for i in range(self.CFG.num_candidates)))
+            for c, j in flagged
+        }
