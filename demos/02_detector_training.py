@@ -12,26 +12,28 @@ from distillab import (
     cutmix,
     default_config,
     predict_batch,
-    sample_mix_ratio,
     synthesize_toy_dataset,
     train_detector,
 )
-from distillab.numerics import SeededRng
+from distillab.numerics import SeededRng, beta_symmetric_from_words
 
 defaults = default_config()
 train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
 
-# %% one CutMix sample, by hand
+# %% one CutMix batch, by hand: each row pastes a box from its partner
+# (CutMix takes (B, C, H, W) batches; here rows 0 and 1 take rows 600 and 1200)
 rng = SeededRng(7)
-lam = sample_mix_ratio(1.0, rng)
+_, h, w = train.image_shape
+base, partner = np.array([0, 1]), np.array([600, 1200])
+lam = beta_symmetric_from_words(rng.raw_u64(2), 1.0)  # Beta(1, 1) ratios, one word each
 mixed = cutmix(
-    train.images[0], int(train.labels[0]),
-    train.images[600], int(train.labels[600]),
-    lam, train.num_classes, rng=rng,
+    train.images[base], train.labels[base],
+    train.images[partner], train.labels[partner],
+    lam, train.num_classes, center=(rng.integers(h, n=2), rng.integers(w, n=2)),
 )
-print(f"lambda drawn:      {lam:.4f}")
-print(f"retained fraction: {mixed.mix_ratio:.4f} (recomputed from the clipped box)")
-print(f"soft label:        {np.round(mixed.soft_label, 4)}")
+print(f"lambda drawn:      {np.round(lam, 4)}")
+print(f"retained fraction: {np.round(mixed.mix_ratio, 4)} (recomputed from the clipped boxes)")
+print(f"soft labels:\n{np.round(mixed.soft_label, 4)}")
 
 # %% train and evaluate (the default detector section: 20 epochs, alpha 1.0)
 det = train_detector(train, defaults.detector, SeededRng(2024), use_cutmix=True)

@@ -33,7 +33,6 @@ from .data import (
     MixedSample,
     cutmix,
     read_dataset,
-    sample_mix_ratio,
     synthesize_toy_dataset,
     write_dataset,
 )

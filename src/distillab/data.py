@@ -33,7 +33,6 @@ __all__ = [
     "grating_image",
     "read_dataset",
     "read_report",
-    "sample_mix_ratio",
     "synthesize_toy_dataset",
     "write_atomic",
     "write_dataset",
@@ -124,15 +123,15 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class MixedSample:
-    """CutMix output: mixed image, two-hot soft label, retained-pixel ratio.
+    """CutMix output for a batch of B images.
 
-    For a batch the fields carry a leading batch axis: images (B, C, H, W),
-    soft labels (B, K) and ratios (B,).
+    Mixed images (B, C, H, W), two-hot soft labels (B, K) and
+    retained-pixel ratios (B,).
     """
 
     image: np.ndarray
     soft_label: np.ndarray
-    mix_ratio: float
+    mix_ratio: np.ndarray
 
 
 def grating_image(
@@ -201,8 +200,6 @@ def synthesize_toy_dataset(spec: ToyDataSpec, rng: SeededRng) -> tuple[LabeledDa
     names = tuple(
         f"grating_t{int(round(th))}_f{fq:g}" for th, fq in zip(thetas, freqs)
     )
-    import hashlib
-
     spec_sha = hashlib.sha256(
         json.dumps(
             {
@@ -235,13 +232,6 @@ def synthesize_toy_dataset(spec: ToyDataSpec, rng: SeededRng) -> tuple[LabeledDa
     return train, test
 
 
-def sample_mix_ratio(alpha: float, rng: SeededRng) -> float:
-    """Draw the CutMix mixing ratio lambda ~ Beta(alpha, alpha)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return rng.beta_symmetric(alpha)
-
-
 def cutmix_box(height: int, width: int, lam, cy, cx):
     """Cut rectangles (y1, y2, x1, x2) for mixing ratios ``lam`` and centres (cy, cx).
 
@@ -259,53 +249,30 @@ def cutmix_box(height: int, width: int, lam, cy, cx):
     return y1, y2, x1, x2
 
 
-def cutmix(
-    base_image: np.ndarray,
-    base_label,
-    patch_image: np.ndarray,
-    patch_label,
-    lam,
-    num_classes: int,
-    rng: SeededRng | None = None,
-    box=None,
-    center=None,
-) -> MixedSample:
+def cutmix(base, base_label, patch, patch_label, lam, num_classes: int, center) -> MixedSample:
     """Paste a box from each patch image into its base image (CutMix).
 
-    Images are (B, C, H, W) with labels and ``lam`` of length B, or a single
-    (C, H, W) image with scalar label and ratio, which is a batch of one and
-    gives an unbatched result. The box is ``box`` = (y1, y2, x1, x2) if
-    given, else the ``cutmix_box`` around ``center`` = (cy, cx), else around
-    centres drawn from ``rng`` (all B rows, then all B columns).
+    Images are (B, C, H, W); labels, ``lam`` and the two arrays of
+    ``center`` = (cy, cx) have length B. Row r's box is the ``cutmix_box``
+    of ``lam[r]`` around (cy[r], cx[r]).
 
     The soft label weights the base class by the exact retained-pixel
     fraction (recomputed from the clipped box as an integer pixel count, so
     label weight and pixel count agree bit-exactly).
     """
-    base = np.asarray(base_image, dtype=np.float32)
-    patch = np.asarray(patch_image, dtype=np.float32)
-    if base.shape != patch.shape:
-        raise ValueError(f"image shape mismatch: {base.shape} vs {patch.shape}")
-    single = base.ndim == 3
-    if single:
-        base, patch = base[None], patch[None]
-    if base.ndim != 4:
-        raise ValueError("images must have shape (C, H, W) or (B, C, H, W)")
+    base = np.asarray(base, dtype=np.float32)
+    patch = np.asarray(patch, dtype=np.float32)
+    if base.shape != patch.shape or base.ndim != 4:
+        raise ValueError(f"images must be two (B, C, H, W) batches of one shape: {base.shape} vs {patch.shape}")
     b, _, h, w = base.shape
-    lam = np.asarray(lam, dtype=np.float64).reshape(-1)
-    base_label = np.asarray(base_label, dtype=np.int64).reshape(-1)
-    patch_label = np.asarray(patch_label, dtype=np.int64).reshape(-1)
-    if not len(lam) == len(base_label) == len(patch_label) == b:
+    lam = np.asarray(lam, dtype=np.float64)
+    base_label = np.asarray(base_label, dtype=np.int64)
+    patch_label = np.asarray(patch_label, dtype=np.int64)
+    if not lam.shape == base_label.shape == patch_label.shape == (b,):
         raise ValueError("need one label pair and one lambda per image")
     if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ValueError("lambda must lie in [0, 1]")
-    if box is None:
-        if center is None:
-            if rng is None:
-                raise ValueError("one of rng, center or box must be provided")
-            center = (rng.integers(h, n=b), rng.integers(w, n=b))
-        box = cutmix_box(h, w, lam, *center)
-    y1, y2, x1, x2 = (np.asarray(v, dtype=np.int64).reshape(-1, 1) for v in box)
+    y1, y2, x1, x2 = (np.asarray(v, dtype=np.int64).reshape(-1, 1) for v in cutmix_box(h, w, lam, *center))
     rows = (np.arange(h) >= y1) & (np.arange(h) < y2)
     cols = (np.arange(w) >= x1) & (np.arange(w) < x2)
     mixed = np.where(rows[:, None, :, None] & cols[:, None, None, :], patch, base)
@@ -314,8 +281,6 @@ def cutmix(
     soft = np.zeros((b, num_classes), dtype=np.float64)
     soft[np.arange(b), base_label] += mix_ratio
     soft[np.arange(b), patch_label] += 1.0 - mix_ratio
-    if single:
-        return MixedSample(image=mixed[0], soft_label=soft[0], mix_ratio=float(mix_ratio[0]))
     return MixedSample(image=mixed, soft_label=soft, mix_ratio=mix_ratio)
 
 
@@ -378,16 +343,17 @@ def write_dataset(path, ds: LabeledDataset) -> str:
 
 
 def _read_exact(f, count: int, what: str, error=DatasetFormatError) -> bytes:
-    """Exactly ``count`` bytes of ``f``; a short read raises ``error``.
+    """Exactly ``count`` bytes of ``f``; a short file raises ``error``.
 
+    ``count`` is checked against the bytes left in the file before the
+    read, so a size forged in a header fails without a huge allocation.
     The container readers (datasets, prototypes, checkpoints) read every
     field through this function and the three below, each passing its own
     format error class.
     """
-    buf = f.read(count)
-    if len(buf) != count:
+    if count > os.fstat(f.fileno()).st_size - f.tell():
         raise error(f"truncated payload while reading {what}")
-    return buf
+    return f.read(count)
 
 
 def _read_struct(f, fmt: str, what: str, error=DatasetFormatError) -> tuple:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DenoiserConfig, check_schedule
 from .data import CheckpointFormatError, names_path
-from .models import Adam, Mlp, _desc_size, _desc_sizes, _mlp_from_arrays, mlp_backward, mlp_forward, mlp_init
+from .models import Mlp, _desc_size, _desc_sizes, _mlp_from_arrays, fit, mlp_backward, mlp_forward, mlp_init
 from .models import read_checkpoint, write_checkpoint
 from .numerics import SeededRng, require_finite
 
@@ -187,27 +187,17 @@ def train_denoiser(
         latent_dim=d,
         time_embed_dim=cfg.time_embed_dim,
     )
-    params = mlp.params() + [den.label_table]
-    opt = Adam(params, cfg.learning_rate)
     loop = rng.spawn(2)
-    n = len(latents)
-    losses = []
-    for _epoch in range(cfg.epochs):
-        order = loop.permutation(n)
-        epoch_losses = []
-        for s in range(0, n, cfg.batch_size):
-            idx = order[s : s + cfg.batch_size]
-            b = len(idx)
-            t = loop.integers(sched.timesteps, n=b) + 1
-            eps = loop.normal((b, d))
-            zt = forward_noise(latents[idx], t, eps, sched)
-            tokens = labels[idx].copy()
-            drop = loop.uniform(b) < cfg.label_dropout
-            tokens[drop] = den.null_token
-            loss, grads = denoise_loss_and_grads(den, zt, t, tokens, eps)
-            opt.step(params, grads)
-            epoch_losses.append(loss)
-        losses.append(float(np.mean(epoch_losses)))
+
+    def batch_loss(idx):
+        b = len(idx)
+        t = loop.integers(sched.timesteps, n=b) + 1
+        eps = loop.normal((b, d))
+        zt = forward_noise(latents[idx], t, eps, sched)
+        tokens = np.where(loop.uniform(b) < cfg.label_dropout, den.null_token, labels[idx])
+        return denoise_loss_and_grads(den, zt, t, tokens, eps)
+
+    losses = fit(mlp.params() + [den.label_table], cfg, len(latents), loop, batch_loss)
     den.meta = {
         "epochs": cfg.epochs,
         "loss_history": losses,
@@ -218,16 +208,14 @@ def train_denoiser(
     return den
 
 
-def _guided_noise(den: Denoiser, z: np.ndarray, t: np.ndarray, label: int, w: float, lemb=None) -> np.ndarray:
-    """Classifier-free guided estimate; only the target and null rows are read.
+def _guided_noise(den: Denoiser, z: np.ndarray, t: np.ndarray, lemb: np.ndarray, w: float) -> np.ndarray:
+    """Classifier-free guided estimate from one pass over the stacked (label, null) rows.
 
-    One pass over the stacked (label, null) rows. ``lemb``, when given, is
-    ``label_vec`` of their tokens ``[label] * b + [null] * b``; the sampler
-    builds it once per call, since the tokens do not change between steps.
+    ``lemb`` is ``label_vec`` of their tokens ``[label] * b + [null] * b``;
+    the sampler builds it once per call, since the tokens do not change
+    between steps.
     """
     b = len(z)
-    if lemb is None:
-        lemb = den.label_vec(np.repeat(np.array([label, den.null_token], dtype=np.int64), b))
     out = mlp_forward(den.mlp, den._assemble_input(np.concatenate([z, z]), np.concatenate([t, t]), lemb))[-1]
     eps_label, eps_null = out[:b], out[b:]
     return eps_null + w * (eps_label - eps_null)
@@ -273,7 +261,7 @@ def sample_img2img_batch(
     lemb = den.label_vec(np.repeat(np.array([label, den.null_token], dtype=np.int64), b))
     for t in range(t_start, 0, -1):
         tb = np.full(b, t, dtype=np.int64)
-        eps_hat = _guided_noise(den, z, tb, label, guidance_scale, lemb)
+        eps_hat = _guided_noise(den, z, tb, lemb, guidance_scale)
         beta = sched.betas[t - 1]
         alpha = sched.alphas[t - 1]
         ab_t = sched.alpha_bars[t - 1]

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import AutoencoderConfig, ClassifierConfig
+from .config import AutoencoderConfig, ClassifierConfig, TrainConfig
 from .data import CheckpointFormatError, LabeledDataset, cutmix, names_path, write_atomic
 from .data import _read_end, _read_exact, _read_json, _read_struct
 from .numerics import (
@@ -35,6 +36,7 @@ __all__ = [
     "Detector",
     "LatentCodec",
     "Mlp",
+    "fit",
     "load_autoencoder",
     "load_detector",
     "predict_batch",
@@ -154,6 +156,26 @@ class Adam:
             p -= u
 
 
+def fit(params, cfg: TrainConfig, n: int, loop: SeededRng, batch_loss) -> list[float]:
+    """Minibatch Adam over ``n`` rows; returns the mean loss of each epoch.
+
+    Each epoch draws ``loop.permutation(n)`` and takes one Adam step per
+    ``cfg.batch_size`` slice of it. ``batch_loss(idx)`` gives the slice's
+    ``(loss, grads)``, grads in ``params`` order; it may draw from ``loop``.
+    """
+    opt = Adam(params, cfg.learning_rate)
+    losses = []
+    for _epoch in range(cfg.epochs):
+        order = loop.permutation(n)
+        epoch_losses = []
+        for s in range(0, n, cfg.batch_size):
+            loss, grads = batch_loss(order[s : s + cfg.batch_size])
+            opt.step(params, grads)
+            epoch_losses.append(loss)
+        losses.append(float(np.mean(epoch_losses)))
+    return losses
+
+
 # --- detector ----------------------------------------------------------------
 
 
@@ -166,22 +188,14 @@ class Detector:
     image_shape: tuple[int, int, int]
     meta: dict = field(default_factory=dict)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.mlp.weights[-1].shape[1]
-
 
 def _flatten_images(images: np.ndarray, image_shape) -> np.ndarray:
+    """A (B, C, H, W) batch of ``image_shape`` images as (B, C*H*W) rows."""
     images = np.asarray(images)
-    single = images.ndim == 3
-    if single:
-        images = images[None]
-    if tuple(images.shape[1:]) != tuple(image_shape):
-        raise ValueError(
-            f"image shape {tuple(images.shape[1:])} does not match model shape {tuple(image_shape)}"
-        )
+    if images.ndim != 4 or tuple(images.shape[1:]) != tuple(image_shape):
+        raise ValueError(f"images of shape {images.shape} are not a batch of {tuple(image_shape)} images")
     require_finite("images", images)
-    return images.reshape(len(images), -1), single
+    return images.reshape(len(images), -1)
 
 
 def _soft_cross_entropy(logits: np.ndarray, soft_targets: np.ndarray):
@@ -198,9 +212,7 @@ def _cutmix_minibatch(train: LabeledDataset, idx: np.ndarray, alpha: float, loop
     """CutMix images and soft labels for the minibatch ``train[idx]``.
 
     Draws one block of 4 words per sample. Sample r takes words 4r .. 4r+3:
-    Beta ratio, partner, box centre y, box centre x. These are the words,
-    in order, that per-sample ``sample_mix_ratio``, ``integers(n)`` and
-    ``cutmix(rng=...)`` calls would take.
+    Beta ratio, partner, box centre y, box centre x.
     """
     b = len(idx)
     _, h, w = train.image_shape
@@ -232,31 +244,20 @@ def train_detector(
     if train.num_classes < 2:
         raise ValueError("training requires at least 2 classes")
     din = int(np.prod(train.image_shape))
-    sizes = [din, *cfg.hidden_sizes, train.num_classes]
-    mlp = mlp_init(sizes, rng.spawn(0))
-    opt = Adam(mlp.params(), cfg.learning_rate)
+    mlp = mlp_init([din, *cfg.hidden_sizes, train.num_classes], rng.spawn(0))
     loop = rng.spawn(1)
-    n = len(train)
-    losses = []
-    for _epoch in range(cfg.epochs):
-        order = loop.permutation(n)
-        epoch_losses = []
-        for s in range(0, n, cfg.batch_size):
-            idx = order[s : s + cfg.batch_size]
-            b = len(idx)
-            if use_cutmix:
-                mixed = _cutmix_minibatch(train, idx, cfg.cutmix_alpha, loop)
-                xb, yb = mixed.image, mixed.soft_label
-            else:
-                xb = train.images[idx]
-                yb = np.zeros((b, train.num_classes), dtype=np.float64)
-                yb[np.arange(b), train.labels[idx]] = 1.0
-            acts = mlp_forward(mlp, xb.reshape(b, din))
-            loss, dlogits = _soft_cross_entropy(acts[-1], yb)
-            grads, _ = mlp_backward(mlp, acts, dlogits)
-            opt.step(mlp.params(), grads)
-            epoch_losses.append(loss)
-        losses.append(float(np.mean(epoch_losses)))
+
+    def batch_loss(idx):
+        if use_cutmix:
+            mixed = _cutmix_minibatch(train, idx, cfg.cutmix_alpha, loop)
+            xb, yb = mixed.image, mixed.soft_label
+        else:
+            xb, yb = train.images[idx], np.eye(train.num_classes)[train.labels[idx]]
+        acts = mlp_forward(mlp, xb.reshape(len(idx), din))
+        loss, dlogits = _soft_cross_entropy(acts[-1], yb)
+        return loss, mlp_backward(mlp, acts, dlogits)[0]
+
+    losses = fit(mlp.params(), cfg, len(train), loop, batch_loss)
     return Detector(
         mlp=mlp,
         num_classes=train.num_classes,
@@ -276,7 +277,7 @@ def predict_batch(det: Detector, images: np.ndarray):
 
     Argmax ties break low; features are the penultimate activations as float32.
     """
-    x, _ = _flatten_images(images, det.image_shape)
+    x = _flatten_images(images, det.image_shape)
     acts = mlp_forward(det.mlp, x.astype(np.float64))
     logits = acts[-1]
     return logits.argmax(axis=1).astype(np.int64), max_softmax(logits), acts[-2].astype(np.float32)
@@ -304,21 +305,15 @@ class LatentCodec:
         return self.enc.weights[-1].shape[0]
 
     def encode(self, images: np.ndarray) -> np.ndarray:
-        """Image(s) -> tanh code(s), float32; one image gives one code."""
-        x, single = _flatten_images(images, self.image_shape)
-        z = np.tanh(mlp_forward(self.enc, x)[-1]).astype(np.float32)
-        return z[0] if single else z
+        """(B, C, H, W) images -> (B, latent_dim) tanh codes, float32."""
+        return np.tanh(mlp_forward(self.enc, _flatten_images(images, self.image_shape))[-1]).astype(np.float32)
 
     def decode(self, latents: np.ndarray) -> np.ndarray:
-        """Code(s) -> image(s) clipped to [0, 1], float32; one code gives one image."""
+        """(B, latent_dim) codes -> (B, C, H, W) images clipped to [0, 1], float32."""
         z = np.asarray(latents, dtype=np.float32)
-        single = z.ndim == 1
-        if single:
-            z = z[None]
-        if z.shape[1] != self.latent_dim:
-            raise ValueError(f"latent dim {z.shape[1]} != {self.latent_dim}")
-        imgs = np.clip(mlp_forward(self.dec, z)[-1], 0.0, 1.0).reshape(len(z), *self.image_shape)
-        return imgs[0] if single else imgs
+        if z.ndim != 2 or z.shape[1] != self.latent_dim:
+            raise ValueError(f"latents of shape {z.shape} are not (B, latent dim {self.latent_dim})")
+        return np.clip(mlp_forward(self.dec, z)[-1], 0.0, 1.0).reshape(len(z), *self.image_shape)
 
 
 def train_autoencoder(train: LabeledDataset, cfg: AutoencoderConfig, rng: SeededRng) -> LatentCodec:
@@ -328,22 +323,9 @@ def train_autoencoder(train: LabeledDataset, cfg: AutoencoderConfig, rng: Seeded
     din = int(np.prod(train.image_shape))
     enc = mlp_init([din, cfg.hidden_size, cfg.latent_dim], rng.spawn(0))
     dec = mlp_init([cfg.latent_dim, cfg.hidden_size, din], rng.spawn(1))
-    params = enc.params() + dec.params()
-    opt = Adam(params, cfg.learning_rate)
-    loop = rng.spawn(2)
-    n = len(train)
-    flat = train.images.reshape(n, din)
-    losses = []
-    for _epoch in range(cfg.epochs):
-        order = loop.permutation(n)
-        epoch_losses = []
-        for s in range(0, n, cfg.batch_size):
-            idx = order[s : s + cfg.batch_size]
-            xb = flat[idx]
-            loss, grads = _ae_loss_and_grads(enc, dec, xb)
-            opt.step(params, grads)
-            epoch_losses.append(loss)
-        losses.append(float(np.mean(epoch_losses)))
+    flat = train.images.reshape(len(train), din)
+    losses = fit(enc.params() + dec.params(), cfg, len(train), rng.spawn(2),
+                 lambda idx: _ae_loss_and_grads(enc, dec, flat[idx]))
     codec = LatentCodec(
         enc=enc,
         dec=dec,
@@ -414,7 +396,7 @@ def read_checkpoint(path):
             shapes.append(_read_struct(f, f"<{ndim}I", "array shape", err))
         arrays = []
         for shape in shapes:
-            size = int(np.prod(shape)) if shape else 1
+            size = math.prod(shape)  # exact: np.prod wraps at 2**64
             buf = _read_exact(f, 4 * size, "parameter blob", err)
             arrays.append(np.frombuffer(buf, dtype="<f4").reshape(shape).copy())
         _read_end(f, "last array", err)

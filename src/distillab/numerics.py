@@ -22,7 +22,7 @@ draw                   raw words consumed
                        uniforms (the angles)
 ``normal_rows(n, d)``  n times what ``normal(d)`` takes, row after row
 ``integers``           1 per value (modulo reduction)
-``beta_symmetric``     1 per value (inverse CDF of one [0, 1) uniform)
+Beta(a, a)             1 per value (inverse CDF of one [0, 1) uniform)
 ``permutation(n)``     n - 1 (Fisher-Yates, one word per swap)
 =====================  ================================================
 
@@ -30,10 +30,11 @@ Each kind turns words into values through one function here
 (:func:`uniform_from_words`, :func:`uniform_oc_from_words`,
 :func:`normal_from_words`, :func:`integers_from_words`,
 :func:`beta_symmetric_from_words`), and the ``SeededRng`` methods use the
-same functions. A hot consumer may therefore draw one block with
-``raw_u64`` and convert slices of it, provided it takes the same words in
-the same order as the per-call draws it replaces: the stream counter then
-advances exactly as before, and every value is bit-identical.
+same functions; Beta values come from words only, as ``SeededRng`` has no
+Beta method. A hot consumer may therefore draw one block with ``raw_u64``
+and convert slices of it, provided it takes the same words in the same
+order as the per-call draws it replaces: the stream counter then advances
+exactly as before, and every value is bit-identical.
 """
 
 from __future__ import annotations
@@ -141,11 +142,10 @@ class SeededRng:
     """Counter-based deterministic RNG (SplitMix64 stream).
 
     The raw stream is ``mix(seed + (counter+i) * GOLDEN)`` for i = 1, 2, ...;
-    every derived quantity (uniforms, normals via Box-Muller, integers,
-    Beta draws via the inverse regularized incomplete beta function) consumes
-    a documented number of raw words, so sequences are bit-exact across
-    platforms. Instances are single-owner mutable state; use :meth:`spawn`
-    to derive independent child streams for parallel work.
+    every derived quantity (uniforms, normals via Box-Muller, integers)
+    consumes a documented number of raw words, so sequences are bit-exact
+    across platforms. Instances are single-owner mutable state; use
+    :meth:`spawn` to derive independent child streams for parallel work.
     """
 
     def __init__(self, seed: int):
@@ -225,11 +225,6 @@ class SeededRng:
             for i, j in zip(range(n - 1, 0, -1), js):
                 perm[i], perm[j] = perm[j], perm[i]
         return np.array(perm, dtype=np.int64)
-
-    def beta_symmetric(self, alpha: float, n: int | None = None):
-        """Beta(alpha, alpha) draws by inverse-CDF on one uniform each."""
-        vals = beta_symmetric_from_words(self.raw_u64(1 if n is None else n), alpha)
-        return float(vals[0]) if n is None else vals
 
 
 # fan_out's (fn, items, cores) while its workers start: they inherit it through fork

@@ -100,12 +100,12 @@ def _lloyd(points: np.ndarray, c: int, max_iters: int, rng: SeededRng):
 def kmeans(
     points: np.ndarray,
     num_clusters: int,
-    max_iters: int = 100,
-    restarts: int = 10,
     *,
+    restarts: int,
     rng: SeededRng,
+    max_iters: int = 100,
 ) -> KmeansResult:
-    """Best-of-restarts Lloyd iterations with k-means++ seeding.
+    """Best-of-``restarts`` Lloyd iterations with k-means++ seeding.
 
     Ties in nearest-centroid assignment break to the lowest centroid index;
     ties in inertia across restarts keep the earliest run. The returned

@@ -144,33 +144,33 @@ def cumulative_similarity(feature: np.ndarray, pool: NormalPool, class_id: int) 
     return float(sum(cosine_similarity(feature, n) for n in feats))
 
 
-def select_replacement(
-    candidates: list[SyntheticSample],
-    pool: NormalPool,
-    top_k: int,
-    beta: float,
-) -> int | None:
-    """Gate, rank, diversify: index of the chosen candidate, or None.
+def select_replacement(candidates: list[SyntheticSample], pool: NormalPool, cfg: DistillConfig) -> int:
+    """Index of a defective slot's replacement among its candidates.
 
-    Keep candidates with matching predicted label and confidence strictly
-    above beta; of those, rank by confidence (ties to the lower index) and
-    keep the top k; return the one with the lowest cumulative similarity to
-    the accepted pool (ties to higher confidence, then lower index).
+    The candidates, ranked by confidence (ties to the lower index), give a
+    shortlist by selection mode: ``tplus_s`` the first ``top_k`` that pass
+    ``is_accepted`` at ``beta``, ``top1`` the first, ``sim`` all of them.
+    The shortlisted candidate least similar to the class's accepted pool
+    wins (ties to higher confidence, then lower index). An empty shortlist
+    falls back to the most confident label-matching candidate, else the
+    most confident overall.
     """
-    passing = [
-        i
-        for i, c in enumerate(candidates)
-        if is_accepted(c.predicted_label, c.confidence, c.intended_label, beta)
-    ]
-    if not passing:
-        return None
-    ranked = sorted(passing, key=lambda i: (-candidates[i].confidence, i))
-    shortlist = ranked[:top_k]
-    scored = [
-        (cumulative_similarity(candidates[i].feature, pool, candidates[i].intended_label), -candidates[i].confidence, i)
-        for i in shortlist
-    ]
-    return min(scored)[2]
+    c = candidates
+    label = c[0].intended_label
+    ranked = sorted(range(len(c)), key=lambda i: (-c[i].confidence, i))
+    mode = cfg.selection_mode
+    if mode == "tplus_s":
+        passing = [i for i in ranked if is_accepted(c[i].predicted_label, c[i].confidence, label, cfg.beta)]
+        shortlist = passing[: cfg.top_k]
+    elif mode == "top1":
+        shortlist = ranked[:1]
+    elif mode == "sim":
+        shortlist = ranked
+    else:
+        raise ValueError(f"cannot refine a slot with selection_mode={mode!r}")
+    if not shortlist:
+        return next((i for i in ranked if c[i].predicted_label == label), ranked[0])
+    return min(shortlist, key=lambda i: (cumulative_similarity(c[i].feature, pool, label), -c[i].confidence, i))
 
 
 def _score(det, images, label, provenances):
@@ -274,43 +274,6 @@ def generate_candidates(
     return CandidateBank(cfg, train, protos, initial, gen, det, rng)
 
 
-def _refine_slot(candidates: list[SyntheticSample], pool: NormalPool, cfg: DistillConfig) -> SyntheticSample:
-    """Pick a defective slot's replacement by selection mode, with its final status.
-
-    Each mode makes a shortlist: ``tplus_s`` the pick of
-    ``select_replacement``, ``top1`` the most confident candidate, ``sim``
-    every candidate. The least similar candidate on it wins (ties to higher
-    confidence, then lower index); an empty shortlist falls back to the most
-    confident label-matching candidate, else the most confident overall.
-    The chosen sample joins the pool only when it passes the acceptance
-    rule (status refined); fallback picks stay out of the pool.
-    """
-    label = candidates[0].intended_label
-    ranked = sorted(range(len(candidates)), key=lambda i: (-candidates[i].confidence, i))
-    mode = cfg.selection_mode
-    if mode == "tplus_s":
-        chosen = select_replacement(candidates, pool, cfg.top_k, cfg.beta)
-        shortlist = [] if chosen is None else [chosen]
-    elif mode == "top1":
-        shortlist = ranked[:1]
-    elif mode == "sim":
-        shortlist = ranked
-    else:
-        raise ValueError(f"cannot refine a slot with selection_mode={mode!r}")
-    if shortlist:
-        chosen = min(
-            (cumulative_similarity(candidates[i].feature, pool, label), -candidates[i].confidence, i) for i in shortlist
-        )[2]
-    else:
-        chosen = next((i for i in ranked if candidates[i].predicted_label == label), ranked[0])
-    cand = candidates[chosen]
-    accepted = is_accepted(cand.predicted_label, cand.confidence, label, cfg.beta)
-    sample = replace(cand, status=STATUS_REFINED if accepted else STATUS_FALLBACK)
-    if accepted:
-        pool.add(label, sample.feature)
-    return sample
-
-
 def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
     """Gate the initial pass, then refine the defective slots from the bank.
 
@@ -320,7 +283,9 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
     selection_mode is "base" defective slots are kept as generated
     (flagged fallback, excluded from the pool); otherwise the bank is asked
     for every flagged slot's batch before the slot loop, so the missing ones
-    are generated together. Raises ValueError when cfg disagrees with the
+    are generated together. A replacement that passes the acceptance rule
+    is refined and joins its class pool; any other pick is a fallback and
+    stays out of the pool. Raises ValueError when cfg disagrees with the
     bank on a field that generation reads.
     """
     key = generation_key(cfg)
@@ -358,8 +323,11 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
         }
         if slot in batches:
             candidates = batches[slot]
-            chosen = _refine_slot(candidates, pool, cfg)
-            samples[slot] = chosen
+            cand = candidates[select_replacement(candidates, pool, cfg)]
+            accepted = is_accepted(cand.predicted_label, cand.confidence, cand.intended_label, cfg.beta)
+            chosen = samples[slot] = replace(cand, status=STATUS_REFINED if accepted else STATUS_FALLBACK)
+            if accepted:
+                pool.add(chosen.intended_label, chosen.feature)
             record.update(
                 status=chosen.status,
                 predicted_label=chosen.predicted_label,

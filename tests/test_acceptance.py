@@ -34,7 +34,7 @@ def criterion(num, name):
 class TestAcceptance:
     def test_01_selection_oracle_equivalence(self):
         from distillab.refine import NormalPool, select_replacement
-        from test_refine import _sample, brute_force_select
+        from test_refine import _cfg, _sample, brute_force_select
 
         with criterion(1, "selection oracle equivalence"):
             t0 = time.perf_counter()
@@ -58,8 +58,8 @@ class TestAcceptance:
                     )
                     for i in range(n)
                 ]
-                assert select_replacement(cands, pool, top_k=k, beta=beta) == \
-                    brute_force_select(cands, pool, top_k=k, beta=beta)
+                cfg = _cfg("tplus_s", top_k=k, beta=beta, num_candidates=n)
+                assert select_replacement(cands, pool, cfg) == brute_force_select(cands, pool, cfg)
             assert time.perf_counter() - t0 < 10.0
 
     def test_02_kmeans_tiny_optimality(self):
@@ -101,19 +101,21 @@ class TestAcceptance:
 
         with criterion(3, "CutMix exactness"):
             rng = SeededRng(9090)
-            h, w = 16, 16
-            base = np.zeros((1, h, w), dtype=np.float32)
-            patch = np.ones((1, h, w), dtype=np.float32)
-            for _ in range(1000):
-                lam = float(rng.uniform(1)[0])
-                out = cutmix(base, 0, patch, 1, lam, num_classes=2, rng=rng)
-                from_patch = int(out.image.sum())
+            n, h, w = 1000, 16, 16
+            base = np.zeros((n, 1, h, w), dtype=np.float32)
+            patch = np.ones((n, 1, h, w), dtype=np.float32)
+            lam = rng.uniform(n)
+            center = (rng.integers(h, n=n), rng.integers(w, n=n))
+            labels = np.zeros(n, dtype=np.int64)
+            out = cutmix(base, labels, patch, labels + 1, lam, num_classes=2, center=center)
+            for r in range(n):
+                from_patch = int(out.image[r].sum())
                 retained = h * w - from_patch
                 # bit-exact: soft-label weight equals the counted fraction
-                assert out.soft_label[0] == retained / (h * w)
-                assert out.mix_ratio == retained / (h * w)
-                # provenance: every pixel comes from exactly one source
-                assert np.all((out.image == 0.0) | (out.image == 1.0))
+                assert out.soft_label[r, 0] == retained / (h * w)
+                assert out.mix_ratio[r] == retained / (h * w)
+            # provenance: every pixel comes from exactly one source
+            assert np.all((out.image == 0.0) | (out.image == 1.0))
 
     def test_04_gradient_checks(self):
         from conftest import as_float64, gradient_check

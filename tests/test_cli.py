@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -434,6 +435,37 @@ class TestFormatErrors:
             assert proc.stderr.startswith(f"format error: {path}: ")
             assert len(proc.stderr.strip().splitlines()) == 1
 
+    def test_forged_dataset_size_exits_5(self, pipeline, tmp_path):
+        """A dataset header that claims more image bytes than the file holds
+        (2 images of (2^32 - 1)^3 pixels) is a one-line format error that
+        names the file, raised before the read allocates anything."""
+        path = _copy_run(pipeline, tmp_path) / "data" / "train.dstl"
+        raw = bytearray(path.read_bytes())
+        big = 2**32 - 1
+        raw[6:26] = struct.pack("<5I", 2, TINY_CONFIG["data"]["num_classes"], big, big, big)  # after magic, version
+        path.write_bytes(bytes(raw))
+        proc = _cli(tmp_path, TINY_CONFIG, "train-detector")
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr.startswith(f"format error: {path}: truncated payload while reading image data")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_forged_array_shape_exits_5(self, pipeline, tmp_path):
+        """A checkpoint array of shape (2^31, 2^31, 4), whose element count
+        2^64 wraps to 0 in int64, is a one-line format error that names the
+        file: its size is counted exactly."""
+        from distillab.models import read_checkpoint, write_checkpoint
+
+        path = _copy_run(pipeline, tmp_path) / "models" / "detector.mdlc"
+        kind, desc, arrays = read_checkpoint(path)
+        write_checkpoint(path, kind, desc, [np.zeros((3, 5, 7), dtype=np.float32)] + arrays)
+        raw = path.read_bytes()
+        shape = struct.pack("<4I", 3, 3, 5, 7)  # rank, then dims
+        assert raw.count(shape) == 1
+        path.write_bytes(raw.replace(shape, struct.pack("<4I", 3, 2**31, 2**31, 4)))
+        proc = _cli(tmp_path, TINY_CONFIG, "distill")
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr.startswith(f"format error: {path}: truncated payload while reading parameter blob")
+        assert len(proc.stderr.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
         "name, text, needle",

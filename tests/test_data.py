@@ -10,13 +10,12 @@ from distillab.data import (
     cutmix,
     grating_image,
     read_dataset,
-    sample_mix_ratio,
     synthesize_toy_dataset,
     write_dataset,
 )
 from distillab.data import _synthesize_split
 from distillab.models import write_checkpoint
-from distillab.numerics import SeededRng
+from distillab.numerics import SeededRng, beta_symmetric_from_words
 
 
 class TestToyDataset:
@@ -119,108 +118,110 @@ class TestBlockSynthesis:
         assert images.shape == (0, 1, 4, 4) and labels.shape == (0,)
 
 
+def _beta(seed, alpha, n):
+    """``n`` CutMix ratios Beta(alpha, alpha), one stream word each, as the detector draws them."""
+    return beta_symmetric_from_words(SeededRng(seed).raw_u64(n), alpha)
+
+
 class TestMixRatio:
     def test_alpha_one_is_uniform(self):
-        rng = SeededRng(1)
-        vals = rng.beta_symmetric(1.0, n=100_000)
+        vals = _beta(1, 1.0, 100_000)
         assert abs(vals.mean() - 0.5) < 0.01
         # Uniform(0,1) variance = 1/12
         assert abs(vals.var() - 1.0 / 12.0) < 0.005
 
     @pytest.mark.parametrize("alpha", [0.2, 1.0, 5.0])
     def test_symmetry(self, alpha):
-        vals = SeededRng(2).beta_symmetric(alpha, n=100_000)
+        vals = _beta(2, alpha, 100_000)
         assert abs(vals.mean() - 0.5) < 0.01
         assert vals.min() >= 0.0 and vals.max() <= 1.0
 
     def test_small_alpha_has_larger_variance(self):
-        v_small = SeededRng(3).beta_symmetric(0.2, n=100_000).var()
-        v_large = SeededRng(3).beta_symmetric(5.0, n=100_000).var()
+        v_small = _beta(3, 0.2, 100_000).var()
+        v_large = _beta(3, 5.0, 100_000).var()
         # Beta(a,a) variance = 1/(8a+4): 0.179 vs 0.023
         assert v_small > v_large
         assert abs(v_small - 1.0 / 5.6) < 0.01
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            sample_mix_ratio(-1.0, SeededRng(1))
+            _beta(1, -1.0, 1)
 
     def test_scalar_draw(self):
-        lam = sample_mix_ratio(1.0, SeededRng(4))
+        (lam,) = _beta(4, 1.0, 1)
         assert 0.0 <= lam <= 1.0
 
 
 class TestCutMix:
-    def _images(self, h=8, w=8):
-        base = np.zeros((1, h, w), dtype=np.float32)
-        patch = np.ones((1, h, w), dtype=np.float32)
+    def _images(self, n=1, h=8, w=8):
+        base = np.zeros((n, 1, h, w), dtype=np.float32)
+        patch = np.ones((n, 1, h, w), dtype=np.float32)
         return base, patch
+
+    @staticmethod
+    def _centers(rng, n, h=8, w=8):
+        return rng.integers(h, n=n), rng.integers(w, n=n)
 
     def test_lambda_one_identity(self):
         base, patch = self._images()
-        out = cutmix(base, 0, patch, 1, 1.0, num_classes=3, rng=SeededRng(5))
+        out = cutmix(base, [0], patch, [1], [1.0], num_classes=3, center=self._centers(SeededRng(5), 1))
         assert np.array_equal(out.image, base)
-        assert out.mix_ratio == 1.0
-        assert np.array_equal(out.soft_label, [1.0, 0.0, 0.0])
+        assert out.mix_ratio[0] == 1.0
+        assert np.array_equal(out.soft_label, [[1.0, 0.0, 0.0]])
 
     def test_lambda_zero_uncropped_full_replacement(self):
         base, patch = self._images()
-        out = cutmix(base, 0, patch, 1, 0.0, num_classes=2, box=(0, 8, 0, 8))
+        # lam = 0 -> an 8x8 box, which fits the image exactly around its centre
+        out = cutmix(base, [0], patch, [1], [0.0], num_classes=2, center=([4], [4]))
         assert np.array_equal(out.image, patch)
-        assert out.mix_ratio == 0.0
-        assert np.array_equal(out.soft_label, [0.0, 1.0])
+        assert out.mix_ratio[0] == 0.0
+        assert np.array_equal(out.soft_label, [[0.0, 1.0]])
 
     def test_quarter_area_box(self):
-        base = np.zeros((1, 32, 32), dtype=np.float32)
-        patch = np.ones((1, 32, 32), dtype=np.float32)
+        base, patch = self._images(h=32, w=32)
         # lam = 0.75 -> side ratio 0.5 -> 16x16 box when fully inside
-        out = cutmix(base, 0, patch, 1, 0.75, num_classes=2, box=(8, 24, 8, 24))
-        assert out.mix_ratio == 0.75
-        assert np.array_equal(out.soft_label, [0.75, 0.25])
-        assert out.image[0, 8:24, 8:24].sum() == 16 * 16
+        out = cutmix(base, [0], patch, [1], [0.75], num_classes=2, center=([16], [16]))
+        assert out.mix_ratio[0] == 0.75
+        assert np.array_equal(out.soft_label, [[0.75, 0.25]])
+        assert out.image[0, 0, 8:24, 8:24].sum() == 16 * 16
 
     def test_shape_mismatch(self):
+        base, _ = self._images(h=4, w=4)
+        _, patch = self._images(h=5, w=5)
         with pytest.raises(ValueError):
-            cutmix(
-                np.zeros((1, 4, 4), dtype=np.float32),
-                0,
-                np.zeros((1, 5, 5), dtype=np.float32),
-                1,
-                0.5,
-                num_classes=2,
-                rng=SeededRng(1),
-            )
+            cutmix(base, [0], patch, [1], [0.5], num_classes=2, center=([1], [1]))
+        with pytest.raises(ValueError):  # a single (C, H, W) image is not a batch
+            cutmix(base[0], 0, base[0], 1, 0.5, num_classes=2, center=(1, 1))
 
     def test_label_weight_equals_retained_fraction_exactly(self):
         # 1000 random (lambda, box) draws; base weight must equal the counted
         # retained-pixel fraction bit-exactly, and every pixel must trace to
         # exactly one source image.
         rng = SeededRng(42)
-        h, w = 16, 16
-        base = np.zeros((1, h, w), dtype=np.float32)
-        patch = np.ones((1, h, w), dtype=np.float32)
-        for _ in range(1000):
-            lam = float(rng.uniform(1)[0])
-            out = cutmix(base, 0, patch, 1, lam, num_classes=2, rng=rng)
-            patched = int(out.image.sum())  # pixels that came from patch
-            retained = h * w - patched
-            assert out.soft_label[0] == retained / (h * w)
-            assert out.soft_label[1] == patched / (h * w)
-            assert np.all((out.image == 0.0) | (out.image == 1.0))
+        n, h, w = 1000, 16, 16
+        base, patch = self._images(n, h, w)
+        lam = rng.uniform(n)
+        labels = np.zeros(n, dtype=np.int64)
+        out = cutmix(base, labels, patch, labels + 1, lam, num_classes=2, center=self._centers(rng, n, h, w))
+        patched = out.image.sum(axis=(1, 2, 3)).astype(np.int64)  # pixels that came from patch
+        retained = h * w - patched
+        assert np.array_equal(out.soft_label[:, 0], retained / (h * w))
+        assert np.array_equal(out.soft_label[:, 1], patched / (h * w))
+        assert np.all((out.image == 0.0) | (out.image == 1.0))
 
     def test_same_class_mix_single_entry(self):
         base, patch = self._images()
-        out = cutmix(base, 1, patch, 1, 0.5, num_classes=3, rng=SeededRng(9))
-        assert out.soft_label[1] == 1.0
+        out = cutmix(base, [1], patch, [1], [0.5], num_classes=3, center=self._centers(SeededRng(9), 1))
+        assert out.soft_label[0, 1] == 1.0
         assert np.count_nonzero(out.soft_label) == 1
 
     def test_soft_label_sums_to_one(self):
-        base, patch = self._images()
         rng = SeededRng(77)
-        for _ in range(100):
-            lam = float(rng.uniform(1)[0])
-            out = cutmix(base, 0, patch, 1, lam, num_classes=4, rng=rng)
-            assert abs(out.soft_label.sum() - 1.0) < 1e-6
-            assert np.count_nonzero(out.soft_label) <= 2
+        base, patch = self._images(100)
+        labels = np.zeros(100, dtype=np.int64)
+        out = cutmix(base, labels, patch, labels + 1, rng.uniform(100), num_classes=4, center=self._centers(rng, 100))
+        assert np.all(np.abs(out.soft_label.sum(axis=1) - 1.0) < 1e-6)
+        assert np.all(np.count_nonzero(out.soft_label, axis=1) <= 2)
 
 
 class TestDatasetIO:

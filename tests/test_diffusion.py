@@ -237,7 +237,7 @@ class TestSampling:
         t = np.full(4, 5)
         from distillab.diffusion import _guided_noise
 
-        guided = _guided_noise(den, z, t, 1, 1.0)
+        guided = _guided_noise(den, z, t, den.label_vec([1] * 4 + [den.null_token] * 4), 1.0)
         cond = den.predict_noise(z, t, np.full(4, 1))
         assert np.allclose(guided, cond, atol=1e-12)
 
@@ -247,7 +247,7 @@ class TestSampling:
         t = np.full(4, 5)
         from distillab.diffusion import _guided_noise
 
-        guided = _guided_noise(den, z, t, 2, 0.0)
+        guided = _guided_noise(den, z, t, den.label_vec([2] * 4 + [den.null_token] * 4), 0.0)
         null = den.predict_noise(z, t, np.full(4, den.null_token))
         assert np.array_equal(guided, null)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from distillab.config import AutoencoderConfig, ConfigError, DetectorConfig, ToyDataSpec, parse_config
-from distillab.data import LabeledDataset, cutmix, sample_mix_ratio, synthesize_toy_dataset
+from distillab.data import LabeledDataset, cutmix, synthesize_toy_dataset
 from distillab.models import (
     Adam,
     CheckpointFormatError,
@@ -26,7 +26,7 @@ from distillab.models import (
     write_checkpoint,
 )
 from distillab.diffusion import load_denoiser, save_denoiser
-from distillab.numerics import SeededRng, cosine_similarity, max_softmax
+from distillab.numerics import SeededRng, beta_symmetric_from_words, cosine_similarity, max_softmax
 
 from conftest import as_float64, gradient_check
 
@@ -91,20 +91,21 @@ class TestCutMixMinibatch:
         images, soft = [], []
         same_class = clipped = 0
         for i in idx:
-            lam = sample_mix_ratio(alpha, loop)
+            lam = beta_symmetric_from_words(loop.raw_u64(1), alpha)
             j = loop.integers(len(train))
+            center = (loop.integers(h, n=1), loop.integers(w, n=1))
             m = cutmix(
-                train.images[i], int(train.labels[i]), train.images[j], int(train.labels[j]),
-                lam, train.num_classes, rng=loop,
+                train.images[[i]], train.labels[[i]], train.images[[j]], train.labels[[j]],
+                lam, train.num_classes, center,
             )
             images.append(m.image)
             soft.append(m.soft_label)
             same_class += int(train.labels[i] == train.labels[j])
-            cut = math.sqrt(1.0 - lam)
+            cut = math.sqrt(1.0 - lam[0])
             unclipped = 2 * (int(h * cut) // 2) * 2 * (int(w * cut) // 2)
-            clipped += int(round((1.0 - m.mix_ratio) * h * w) < unclipped)
-        assert got.image.tobytes() == np.stack(images).tobytes()
-        assert got.soft_label.tobytes() == np.stack(soft).tobytes()
+            clipped += int(round((1.0 - m.mix_ratio[0]) * h * w) < unclipped)
+        assert got.image.tobytes() == np.concatenate(images).tobytes()
+        assert got.soft_label.tobytes() == np.concatenate(soft).tobytes()
         assert block._counter == loop._counter
         # the draws cover a same-class partner and a box clipped at the border
         assert same_class >= 1 and clipped >= 1
@@ -158,8 +159,8 @@ class TestFeatures:
         f1 = predict_batch(detector, toy_test.images[:1])[2]
         f2 = predict_batch(detector, toy_test.images[:1])[2]
         assert np.array_equal(f1, f2)
-        assert f1.shape == (1, detector.feature_dim)
-        assert detector.feature_dim == 64
+        assert f1.shape == (1, 64)  # the last hidden width
+        assert detector.mlp.layer_sizes[-2] == 64
 
     def test_class_structure(self, detector, toy_test):
         feats = predict_batch(detector, toy_test.images)[2]
@@ -271,9 +272,14 @@ class TestAutoencoder:
 
     def test_shape_contract(self, toy_train):
         codec = train_autoencoder(toy_train, AutoencoderConfig(epochs=1, latent_dim=8), SeededRng(2))
-        x = toy_train.images[0]
-        assert codec.encode(x).shape == (8,)
+        x = toy_train.images[:1]
+        assert codec.encode(x).shape == (1, 8)
         assert codec.decode(codec.encode(x)).shape == x.shape
+        # one image or one code is not a batch
+        with pytest.raises(ValueError):
+            codec.encode(x[0])
+        with pytest.raises(ValueError):
+            codec.decode(codec.encode(x)[0])
 
     def test_invalid_mode(self):
         with pytest.raises(TypeError):

@@ -8,6 +8,7 @@ import pytest
 from distillab.numerics import (
     NonFiniteError,
     SeededRng,
+    beta_symmetric_from_words,
     cosine_similarity,
     fan_out,
     max_softmax,
@@ -167,7 +168,7 @@ class TestSeededRng:
 
     def test_beta_symmetric_alpha_validation(self):
         with pytest.raises(ValueError):
-            SeededRng(1).beta_symmetric(0.0)
+            beta_symmetric_from_words(SeededRng(1).raw_u64(1), 0.0)
 
     def test_require_finite(self):
         require_finite("x", np.ones(3))

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from distillab.config import DistillConfig
 from distillab.data import LabeledDataset, grating_image
 from distillab.models import CheckpointFormatError
 from distillab.numerics import SeededRng
@@ -13,6 +14,8 @@ from distillab.prototypes import (
     read_prototypes,
     write_prototypes,
 )
+
+RESTARTS = DistillConfig().kmeans_restarts  # what distill passes by default
 
 
 def exhaustive_kmeans_optimum(points: np.ndarray, c: int) -> float:
@@ -44,13 +47,13 @@ class TestKmeans:
 
     def test_c_equals_n(self):
         pts = SeededRng(2).normal((5, 3)).astype(np.float64)
-        res = kmeans(pts, 5, rng=SeededRng(3))
+        res = kmeans(pts, 5, restarts=RESTARTS, rng=SeededRng(3))
         assert res.inertia == pytest.approx(0.0, abs=1e-10)
         assert sorted(res.assignments.tolist()) == list(range(5))
 
     def test_identical_points_repair(self):
         pts = np.ones((4, 2))
-        res = kmeans(pts, 2, rng=SeededRng(4))
+        res = kmeans(pts, 2, restarts=RESTARTS, rng=SeededRng(4))
         assert res.inertia == 0.0
         # repair adopted a point, so both centroids equal the shared point;
         # the final lowest-index tie rule then assigns everything to cluster 0
@@ -61,14 +64,14 @@ class TestKmeans:
     def test_invalid_cluster_count(self):
         pts = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            kmeans(pts, 4, rng=SeededRng(1))
+            kmeans(pts, 4, restarts=RESTARTS, rng=SeededRng(1))
         with pytest.raises(ValueError):
-            kmeans(pts, 0, rng=SeededRng(1))
+            kmeans(pts, 0, restarts=RESTARTS, rng=SeededRng(1))
 
     def test_nearest_assignment_invariant(self):
         rng = SeededRng(6)
         pts = rng.normal((40, 4)).astype(np.float64)
-        res = kmeans(pts, 5, rng=SeededRng(7))
+        res = kmeans(pts, 5, restarts=RESTARTS, rng=SeededRng(7))
         d = ((pts[:, None, :] - res.centroids[None].astype(np.float64)) ** 2).sum(-1)
         assert np.array_equal(res.assignments, d.argmin(axis=1))
         recomputed = d[np.arange(len(pts)), res.assignments].sum()
@@ -76,8 +79,8 @@ class TestKmeans:
 
     def test_deterministic(self):
         pts = SeededRng(8).normal((30, 2)).astype(np.float64)
-        r1 = kmeans(pts, 4, rng=SeededRng(9))
-        r2 = kmeans(pts, 4, rng=SeededRng(9))
+        r1 = kmeans(pts, 4, restarts=RESTARTS, rng=SeededRng(9))
+        r2 = kmeans(pts, 4, restarts=RESTARTS, rng=SeededRng(9))
         assert np.array_equal(r1.centroids, r2.centroids)
         assert np.array_equal(r1.assignments, r2.assignments)
 

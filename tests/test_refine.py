@@ -47,34 +47,53 @@ def _sample(
     )
 
 
-def brute_force_select(candidates, pool, top_k, beta):
-    """Independent oracle: same gate/rank/argmin semantics, done naively."""
-    passing = []
-    for i, c in enumerate(candidates):
-        if c.predicted_label == c.intended_label and c.confidence > beta:
-            passing.append(i)
-    if not passing:
-        return None
-    # top_k by confidence, ties to lower index: selection sort for clarity
+def _by_confidence(candidates, indices, limit):
+    """The first ``limit`` of ``indices`` by confidence, ties to the lower index (a selection sort)."""
     ranked = []
-    remaining = list(passing)
-    while remaining and len(ranked) < top_k:
+    remaining = list(indices)
+    while remaining and len(ranked) < limit:
         best = remaining[0]
         for i in remaining[1:]:
             if candidates[i].confidence > candidates[best].confidence:
                 best = i
         ranked.append(best)
         remaining.remove(best)
+    return ranked
+
+
+def brute_force_select(candidates, pool, cfg):
+    """Independent oracle: same shortlist/argmin/fallback semantics, done naively."""
+    n = len(candidates)
+    if cfg.selection_mode == "tplus_s":
+        passing = []
+        for i, c in enumerate(candidates):
+            if c.predicted_label == c.intended_label and c.confidence > cfg.beta:
+                passing.append(i)
+        shortlist = _by_confidence(candidates, passing, cfg.top_k)
+    elif cfg.selection_mode == "top1":
+        shortlist = _by_confidence(candidates, range(n), 1)
+    else:
+        shortlist = list(range(n))
+    if not shortlist:
+        matching = [i for i, c in enumerate(candidates) if c.predicted_label == c.intended_label]
+        return _by_confidence(candidates, matching or range(n), 1)[0]
     best = None
     best_key = None
-    for i in ranked:
+    for i in shortlist:
         sim = 0.0
-        for n in pool.features(candidates[i].intended_label):
-            sim += cosine_similarity(candidates[i].feature, n)
+        for f in pool.features(candidates[i].intended_label):
+            sim += cosine_similarity(candidates[i].feature, f)
         key = (sim, -candidates[i].confidence, i)
         if best_key is None or key < best_key:
             best, best_key = i, key
     return best
+
+
+REFINING_MODES = ("tplus_s", "top1", "sim")
+
+
+def _cfg(mode="tplus_s", top_k=2, beta=0.5, num_candidates=32):
+    return DistillConfig(beta=beta, top_k=top_k, num_candidates=num_candidates, selection_mode=mode)
 
 
 # --- acceptance rule ----------------------------------------------------------
@@ -137,7 +156,7 @@ class TestSelectReplacement:
             _sample(conf=0.95, feature=(1.0, 0.0), index=0),
             _sample(conf=0.95, feature=(0.0, 1.0), index=1),
         ]
-        assert select_replacement(cands, pool, top_k=2, beta=0.5) == 1
+        assert select_replacement(cands, pool, _cfg(top_k=2, beta=0.5)) == 1
 
     def test_single_passing_candidate_chosen(self):
         pool = NormalPool(1)
@@ -147,12 +166,14 @@ class TestSelectReplacement:
             _sample(conf=0.6, feature=(1.0, 0.0), index=1),  # low conf
             _sample(conf=0.92, feature=(1.0, 0.0), index=2),  # passes
         ]
-        assert select_replacement(cands, pool, top_k=2, beta=0.9) == 2
+        assert select_replacement(cands, pool, _cfg(top_k=2, beta=0.9)) == 2
 
     def test_none_when_filter_empty(self):
+        """No candidate passes the gate: the pick is the fallback, the most
+        confident label match, which select() keeps out of the pool."""
         pool = NormalPool(1)
-        cands = [_sample(predicted=1, conf=0.99), _sample(conf=0.5)]
-        assert select_replacement(cands, pool, top_k=1, beta=0.9) is None
+        cands = [_sample(predicted=1, conf=0.99, index=0), _sample(conf=0.5, index=1)]
+        assert select_replacement(cands, pool, _cfg(top_k=1, beta=0.9)) == 1
 
     def test_gate_first_then_rank(self):
         # highest-confidence candidate fails the gate; top-k applies to the
@@ -164,12 +185,14 @@ class TestSelectReplacement:
             _sample(conf=0.95, feature=(1.0, 0.0), index=1),
             _sample(conf=0.93, feature=(0.0, 1.0), index=2),
         ]
-        assert select_replacement(cands, pool, top_k=2, beta=0.9) == 2
+        assert select_replacement(cands, pool, _cfg(top_k=2, beta=0.9)) == 2
 
     def test_oracle_equivalence_randomized(self):
+        """Every refining mode agrees with the oracle, the fallback included."""
         rng = SeededRng(2027)
         trials = 1000
-        for _ in range(trials):
+        fallbacks = Counter()
+        for trial in range(trials):
             n = 1 + rng.integers(32)
             d = 1 + rng.integers(64)
             pool_size = rng.integers(17)
@@ -194,9 +217,14 @@ class TestSelectReplacement:
                         index=i,
                     )
                 )
-            fast = select_replacement(cands, pool, top_k=k, beta=beta)
-            slow = brute_force_select(cands, pool, top_k=k, beta=beta)
-            assert fast == slow
+            cfg = _cfg(REFINING_MODES[trial % 3], top_k=k, beta=beta, num_candidates=n)
+            assert select_replacement(cands, pool, cfg) == brute_force_select(cands, pool, cfg)
+            if cfg.selection_mode == "tplus_s" and not any(
+                is_accepted(c.predicted_label, c.confidence, intended, beta) for c in cands
+            ):
+                fallbacks[any(c.predicted_label == intended for c in cands)] += 1
+        # the tplus_s trials reach both fallbacks: to a label match, and with none
+        assert fallbacks[True] >= 1 and fallbacks[False] >= 1
 
     def test_positive_scale_invariance(self):
         rng = SeededRng(404)
@@ -217,8 +245,8 @@ class TestSelectReplacement:
                 _sample(conf=c.confidence, feature=scale * c.feature, index=i)
                 for i, c in enumerate(cands)
             ]
-            a = select_replacement(cands, pool_a, top_k=3, beta=0.5)
-            b = select_replacement(cands_b, pool_b, top_k=3, beta=0.5)
+            a = select_replacement(cands, pool_a, _cfg(top_k=3, beta=0.5))
+            b = select_replacement(cands_b, pool_b, _cfg(top_k=3, beta=0.5))
             assert a == b
 
     def test_beta_monotone_filter(self):
@@ -328,6 +356,8 @@ class TestRefineSlot:
 
     The pool holds (1, 0) for class 0. Candidate 2 is the most confident
     but predicts class 1; candidate 1 is the least similar to the pool.
+    The status is the one select() gives the pick: refined when it passes
+    the acceptance rule, else fallback.
     """
 
     CANDIDATES = [
@@ -349,22 +379,23 @@ class TestRefineSlot:
         ],
     )
     def test_modes(self, mode, beta, chosen, status):
-        from distillab.refine import _refine_slot
-
         pool = NormalPool(2)
         pool.add(0, np.array([1.0, 0.0], dtype=np.float32))
-        cfg = DistillConfig(beta=beta, top_k=2, num_candidates=4, selection_mode=mode)
-        sample = _refine_slot(self.CANDIDATES, pool, cfg)
-        assert (sample.provenance.candidate_index, sample.status) == (chosen, status)
-        assert pool.size(0) == (2 if status == "refined" else 1)
+        cfg = _cfg(mode, top_k=2, beta=beta, num_candidates=4)
+        pick = self.CANDIDATES[select_replacement(self.CANDIDATES, pool, cfg)]
+        accepted = is_accepted(pick.predicted_label, pick.confidence, 0, beta)
+        assert (pick.provenance.candidate_index, "refined" if accepted else "fallback") == (chosen, status)
+        assert select_replacement(self.CANDIDATES, pool, cfg) == brute_force_select(self.CANDIDATES, pool, cfg)
+        assert pool.size(0) == 1  # choosing does not touch the pool
 
     def test_no_label_match_falls_back_to_most_confident(self):
-        from distillab.refine import _refine_slot
-
         candidates = [_sample(predicted=1, conf=c, index=i) for i, c in enumerate((0.5, 0.9, 0.9))]
-        cfg = DistillConfig(beta=0.5, top_k=2, num_candidates=3, selection_mode="tplus_s")
-        sample = _refine_slot(candidates, NormalPool(2), cfg)
-        assert (sample.provenance.candidate_index, sample.status) == (1, "fallback")
+        cfg = _cfg("tplus_s", top_k=2, beta=0.5, num_candidates=3)
+        assert select_replacement(candidates, NormalPool(2), cfg) == 1
+
+    def test_base_mode_refines_nothing(self):
+        with pytest.raises(ValueError, match="selection_mode='base'"):
+            select_replacement(self.CANDIDATES, NormalPool(2), _cfg("base"))
 
 
 class TestRefineDefective:
