@@ -16,7 +16,19 @@ Typical flow::
 Each stage takes its section of ``default_config()`` (see ``config``), or
 drive everything from the CLI: ``distillab synth-data`` through
 ``distillab report``.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS`` to 1 where they are unset, so that BLAS runs one
+thread per process: ``numerics.fan_out`` pins each worker to one core, and
+a BLAS thread per core in every worker would crowd that core. A value set
+before the import is kept. It takes effect only if numpy is imported after
+``distillab``.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .config import (
     AutoencoderConfig,

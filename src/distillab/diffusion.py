@@ -19,9 +19,9 @@ import numpy as np
 
 from .config import DenoiserConfig, check_schedule
 from .data import CheckpointFormatError, names_path
-from .models import Mlp, _desc_size, _desc_sizes, _mlp_from_arrays, fit, mlp_backward, mlp_forward, mlp_init
+from .models import Mlp, _desc_size, _desc_sizes, _mlp_from_arrays, batches, fit, mlp_backward, mlp_forward, mlp_init
 from .models import read_checkpoint, write_checkpoint
-from .numerics import SeededRng, require_finite
+from .numerics import SeededRng, integers_from_words, normal_from_words, require_finite, uniform_from_words
 
 __all__ = [
     "Denoiser",
@@ -108,36 +108,38 @@ class Denoiser:
         return self.num_classes
 
     def label_vec(self, tokens: np.ndarray) -> np.ndarray:
-        """Embedding lookup; the single path by which labels are read."""
+        """Embedding lookup; the single path by which labels are read.
+
+        One lookup in the table of class rows ``base + offset`` and the
+        null row ``base``.
+        """
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.size and (tokens.min() < 0 or tokens.max() > self.num_classes):
             raise ValueError("label token out of range (including null)")
         base = self.label_table[self.null_token]
-        out = np.broadcast_to(base, (len(tokens), base.size)).copy()
-        cls = tokens < self.num_classes
-        out[cls] += self.label_table[tokens[cls]]
-        return out
+        return np.concatenate([self.label_table[: self.null_token] + base, base[None]])[tokens]
 
     def predict_noise(self, z: np.ndarray, t: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """eps_hat for a batch of latents; tokens may include the null token."""
-        return mlp_forward(self.mlp, self._assemble_input(z, t, self.label_vec(tokens)))[-1]
+        temb = timestep_embedding(t, self.time_embed_dim)
+        return mlp_forward(self.mlp, self._assemble_input(z, temb, self.label_vec(tokens)))[-1]
 
-    def _assemble_input(self, z, t, lemb) -> np.ndarray:
-        """The MLP input: latents, time embeddings and the rows' label embeddings ``lemb``."""
+    def _assemble_input(self, z, temb, lemb) -> np.ndarray:
+        """The MLP input: latents, their time embeddings ``temb`` and label embeddings ``lemb``."""
         z = np.asarray(z, dtype=self.label_table.dtype)
         if z.ndim != 2 or z.shape[1] != self.latent_dim:
             raise ValueError(f"latents must be (B, {self.latent_dim})")
-        temb = timestep_embedding(t, self.time_embed_dim)
         return np.concatenate([z, temb, lemb], axis=1, dtype=z.dtype)
 
 
-def denoise_loss_and_grads(den: Denoiser, zt, t, tokens, eps):
+def denoise_loss_and_grads(den: Denoiser, zt, temb, tokens, eps):
     """Mean squared noise-prediction error and gradients.
 
-    Gradient list matches ``den.mlp.params() + [den.label_table]``; the
-    input gradient is scattered back into the looked-up embedding rows.
+    ``temb`` is ``timestep_embedding`` of the rows' timesteps. Gradient
+    list matches ``den.mlp.params() + [den.label_table]``; the input
+    gradient is scattered back into the looked-up embedding rows.
     """
-    x = den._assemble_input(zt, t, den.label_vec(tokens))
+    x = den._assemble_input(zt, temb, den.label_vec(tokens))
     acts = mlp_forward(den.mlp, x)
     diff = acts[-1] - np.asarray(eps, dtype=acts[-1].dtype)
     loss = float(np.mean(diff**2))
@@ -188,16 +190,41 @@ def train_denoiser(
         time_embed_dim=cfg.time_embed_dim,
     )
     loop = rng.spawn(2)
+    n, b = len(latents), cfg.batch_size
+    full, last = divmod(n, b)
 
-    def batch_loss(idx):
-        b = len(idx)
-        t = loop.integers(sched.timesteps, n=b) + 1
-        eps = loop.normal((b, d))
-        zt = forward_noise(latents[idx], t, eps, sched)
-        tokens = np.where(loop.uniform(b) < cfg.label_dropout, den.null_token, labels[idx])
-        return denoise_loss_and_grads(den, zt, t, tokens, eps)
+    def words_per_batch(rows: int) -> int:
+        return 2 * rows + 2 * ((rows * d + 1) // 2)
 
-    losses = fit(mlp.params() + [den.label_table], cfg, len(latents), loop, batch_loss)
+    def batch_draws(words: np.ndarray, rows: int):
+        """(t, eps, dropout uniforms) of batches of ``rows`` rows, one batch per row of ``words``.
+
+        A batch takes, in order, ``rows`` words for ``t``, the words of
+        ``normal((rows, d))`` for eps and ``rows`` words for the uniforms.
+        """
+        eps_end = words_per_batch(rows) - rows
+        t = integers_from_words(words[:, :rows], sched.timesteps) + 1
+        eps = normal_from_words(words[:, rows:eps_end])[:, : rows * d]
+        return t.reshape(-1), eps.reshape(-1, d), uniform_from_words(words[:, eps_end:]).reshape(-1)
+
+    def epoch(order):
+        # One block holds the epoch's words, each batch's after the previous
+        # batch's, as per-batch draws take them. The full batches, then the
+        # short last one, are converted, noised and embedded in one call each.
+        cut = full * words_per_batch(b)
+        words = loop.raw_u64(cut + words_per_batch(last))
+        draws = zip(
+            batch_draws(words[:cut].reshape(full, words_per_batch(b)), b),
+            batch_draws(words[cut:].reshape(1, words_per_batch(last)), last),
+        )
+        t, eps, drop = (np.concatenate(parts) for parts in draws)
+        zt = forward_noise(latents[order], t, eps, sched).astype(np.float32)
+        temb = timestep_embedding(t, cfg.time_embed_dim).astype(np.float32)
+        tokens = np.where(drop < cfg.label_dropout, den.null_token, labels[order])
+        for rows in batches(n, b):
+            yield denoise_loss_and_grads(den, zt[rows], temb[rows], tokens[rows], eps[rows])
+
+    losses = fit(mlp.params() + [den.label_table], cfg, n, loop, epoch)
     den.meta = {
         "epochs": cfg.epochs,
         "loss_history": losses,
@@ -216,7 +243,8 @@ def _guided_noise(den: Denoiser, z: np.ndarray, t: np.ndarray, lemb: np.ndarray,
     between steps.
     """
     b = len(z)
-    out = mlp_forward(den.mlp, den._assemble_input(np.concatenate([z, z]), np.concatenate([t, t]), lemb))[-1]
+    temb = timestep_embedding(np.concatenate([t, t]), den.time_embed_dim)
+    out = mlp_forward(den.mlp, den._assemble_input(np.concatenate([z, z]), temb, lemb))[-1]
     eps_label, eps_null = out[:b], out[b:]
     return eps_null + w * (eps_label - eps_null)
 

@@ -156,24 +156,32 @@ class Adam:
             p -= u
 
 
-def fit(params, cfg: TrainConfig, n: int, loop: SeededRng, batch_loss) -> list[float]:
+def fit(params, cfg: TrainConfig, n: int, loop: SeededRng, epoch) -> list[float]:
     """Minibatch Adam over ``n`` rows; returns the mean loss of each epoch.
 
-    Each epoch draws ``loop.permutation(n)`` and takes one Adam step per
-    ``cfg.batch_size`` slice of it. ``batch_loss(idx)`` gives the slice's
-    ``(loss, grads)``, grads in ``params`` order; it may draw from ``loop``.
+    Each epoch draws ``order = loop.permutation(n)`` and iterates
+    ``epoch(order)``, a generator that yields the ``(loss, grads)`` of each
+    ``cfg.batch_size`` slice of ``order`` in turn, grads in ``params``
+    order. ``fit`` takes one Adam step per yield before it asks for the
+    next, so each slice sees the parameters the steps before it left. The
+    generator may draw from ``loop`` after the permutation; as no draw
+    depends on the parameters, it may draw the whole epoch's words as one
+    block before its first yield.
     """
     opt = Adam(params, cfg.learning_rate)
     losses = []
     for _epoch in range(cfg.epochs):
-        order = loop.permutation(n)
         epoch_losses = []
-        for s in range(0, n, cfg.batch_size):
-            loss, grads = batch_loss(order[s : s + cfg.batch_size])
+        for loss, grads in epoch(loop.permutation(n)):
             opt.step(params, grads)
             epoch_losses.append(loss)
         losses.append(float(np.mean(epoch_losses)))
     return losses
+
+
+def batches(n: int, size: int):
+    """The slices of ``range(n)`` that ``fit`` steps on, ``size`` rows each but the last."""
+    return (slice(s, s + size) for s in range(0, n, size))
 
 
 # --- detector ----------------------------------------------------------------
@@ -208,15 +216,13 @@ def _soft_cross_entropy(logits: np.ndarray, soft_targets: np.ndarray):
     return loss, dlogits
 
 
-def _cutmix_minibatch(train: LabeledDataset, idx: np.ndarray, alpha: float, loop: SeededRng):
+def _cutmix_minibatch(train: LabeledDataset, idx: np.ndarray, alpha: float, words: np.ndarray):
     """CutMix images and soft labels for the minibatch ``train[idx]``.
 
-    Draws one block of 4 words per sample. Sample r takes words 4r .. 4r+3:
-    Beta ratio, partner, box centre y, box centre x.
+    ``words`` is (len(idx), 4): sample r takes row r, its Beta ratio,
+    partner, box centre y and box centre x.
     """
-    b = len(idx)
     _, h, w = train.image_shape
-    words = loop.raw_u64(4 * b).reshape(b, 4)
     j = integers_from_words(words[:, 1], len(train))
     return cutmix(
         train.images[idx],
@@ -247,17 +253,22 @@ def train_detector(
     mlp = mlp_init([din, *cfg.hidden_sizes, train.num_classes], rng.spawn(0))
     loop = rng.spawn(1)
 
-    def batch_loss(idx):
-        if use_cutmix:
-            mixed = _cutmix_minibatch(train, idx, cfg.cutmix_alpha, loop)
-            xb, yb = mixed.image, mixed.soft_label
-        else:
-            xb, yb = train.images[idx], np.eye(train.num_classes)[train.labels[idx]]
-        acts = mlp_forward(mlp, xb.reshape(len(idx), din))
-        loss, dlogits = _soft_cross_entropy(acts[-1], yb)
-        return loss, mlp_backward(mlp, acts, dlogits)[0]
+    def epoch(order):
+        # the epoch's CutMix words in one block, 4 per sample; images are
+        # mixed one minibatch at a time, so no epoch-sized image array is built
+        words = loop.raw_u64(4 * len(order)).reshape(-1, 4) if use_cutmix else None
+        for rows in batches(len(order), cfg.batch_size):
+            idx = order[rows]
+            if use_cutmix:
+                mixed = _cutmix_minibatch(train, idx, cfg.cutmix_alpha, words[rows])
+                xb, yb = mixed.image, mixed.soft_label
+            else:
+                xb, yb = train.images[idx], np.eye(train.num_classes)[train.labels[idx]]
+            acts = mlp_forward(mlp, xb.reshape(len(idx), din))
+            loss, dlogits = _soft_cross_entropy(acts[-1], yb)
+            yield loss, mlp_backward(mlp, acts, dlogits)[0]
 
-    losses = fit(mlp.params(), cfg, len(train), loop, batch_loss)
+    losses = fit(mlp.params(), cfg, len(train), loop, epoch)
     return Detector(
         mlp=mlp,
         num_classes=train.num_classes,
@@ -324,8 +335,12 @@ def train_autoencoder(train: LabeledDataset, cfg: AutoencoderConfig, rng: Seeded
     enc = mlp_init([din, cfg.hidden_size, cfg.latent_dim], rng.spawn(0))
     dec = mlp_init([cfg.latent_dim, cfg.hidden_size, din], rng.spawn(1))
     flat = train.images.reshape(len(train), din)
-    losses = fit(enc.params() + dec.params(), cfg, len(train), rng.spawn(2),
-                 lambda idx: _ae_loss_and_grads(enc, dec, flat[idx]))
+
+    def epoch(order):
+        for rows in batches(len(order), cfg.batch_size):
+            yield _ae_loss_and_grads(enc, dec, flat[order[rows]])
+
+    losses = fit(enc.params() + dec.params(), cfg, len(train), rng.spawn(2), epoch)
     codec = LatentCodec(
         enc=enc,
         dec=dec,
@@ -406,8 +421,9 @@ def read_checkpoint(path):
     return kind, desc, arrays
 
 
-def _is_size(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _is_size(value, least: int = 1) -> bool:
+    """Whether ``value`` is an int, not a bool, of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _desc_size(desc: dict, key: str) -> int:

@@ -130,9 +130,15 @@ def integers_from_words(words: np.ndarray, span, low: int = 0) -> np.ndarray:
 
 
 def beta_symmetric_from_words(words: np.ndarray, alpha: float) -> np.ndarray:
-    """Beta(alpha, alpha) draws, one per word, by inverse CDF of a [0, 1) uniform."""
+    """Beta(alpha, alpha) draws, one per word, by inverse CDF of a [0, 1) uniform.
+
+    Beta(1, 1) is uniform, so at ``alpha == 1`` the inverse CDF is the
+    identity and the draws are the uniforms themselves, without scipy.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    if alpha == 1.0:
+        return uniform_from_words(words)
     from scipy.special import betaincinv  # here, not at load: importing scipy takes ~0.3 s
 
     return betaincinv(alpha, alpha, uniform_from_words(words))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CheckpointFormatError, LabeledDataset, names_path
-from .models import read_checkpoint, write_checkpoint
+from .models import _is_size, read_checkpoint, write_checkpoint
 from .numerics import SeededRng, require_finite
 
 __all__ = [
@@ -207,6 +207,9 @@ def read_prototypes(path) -> tuple[list[Prototype], dict]:
     table = desc.get("table")
     if not isinstance(table, list) or len(table) != len(arrays[0]):
         raise CheckpointFormatError("prototype table does not match the latents")
+    for i, row in enumerate(table):
+        if not (isinstance(row, list) and len(row) == 3 and all(_is_size(v, 0) for v in row)):
+            raise CheckpointFormatError(f"prototype table row {i} is not three non-negative integers")
     protos = [
         Prototype(class_id=cid, latent=arrays[0][i], cluster_size=size, cluster_index=ci)
         for i, (cid, ci, size) in enumerate(table)

@@ -10,6 +10,8 @@ from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
+import distillab  # noqa: F401  # before numpy: BLAS then runs one thread, as in CI
+
 import numpy as np
 import pytest
 

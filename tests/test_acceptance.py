@@ -120,7 +120,7 @@ class TestAcceptance:
     def test_04_gradient_checks(self):
         from conftest import as_float64, gradient_check
         from distillab.config import DenoiserConfig
-        from distillab.diffusion import build_schedule, denoise_loss_and_grads, train_denoiser
+        from distillab.diffusion import build_schedule, denoise_loss_and_grads, timestep_embedding, train_denoiser
         from distillab.models import (
             _ae_loss_and_grads,
             _soft_cross_entropy,
@@ -176,7 +176,7 @@ class TestAcceptance:
             tokens = rng.integers(4, n=b)
             eps = rng.normal((b, 6)).astype(np.float64)
             checked, _ = gradient_check(
-                lambda: denoise_loss_and_grads(den, zt, t, tokens, eps),
+                lambda: denoise_loss_and_grads(den, zt, timestep_embedding(t, 4), tokens, eps),
                 den.mlp.params() + [den.label_table],
                 SeededRng(4),
                 probes=60,

@@ -50,6 +50,8 @@ TINY_CONFIG = {
 }
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 # TINY_CONFIG flags every slot and refines none; at beta 0.3 distill gives
 # every status and the four modes choose differently
 FOUR_MODE_CONFIG = dict(
@@ -372,7 +374,7 @@ class TestMissingArtifacts:
 
 class TestStartup:
     def test_synth_data_does_not_import_scipy(self, tmp_path):
-        """Only the detector's Beta draws need scipy; other commands skip it."""
+        """Only Beta draws at cutmix_alpha other than 1 need scipy; other commands skip it."""
         code = (
             "import sys, distillab, distillab.cli\n"
             f"assert distillab.cli.main(['synth-data', '--config', {str(tmp_path / 'config.json')!r}]) == 0\n"
@@ -382,6 +384,32 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (_run_dir(tmp_path) / "data" / "train.dstl").exists()
+
+    @pytest.mark.parametrize("given, want", [(None, "1"), ("2", "2")])
+    def test_import_defaults_blas_to_one_thread(self, tmp_path, given, want):
+        """Importing distillab sets each unset BLAS thread variable to 1 and keeps a set one."""
+        env = _child_env(tmp_path)
+        for var in BLAS_THREAD_VARS:
+            env.pop(var, None)
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        code = f"import os, distillab; print([os.environ[v] for v in {BLAS_THREAD_VARS!r}])"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr([want, "1", "1"])
+
+    def test_train_detector_does_not_import_scipy(self, tmp_path):
+        """At the default cutmix_alpha 1, the CutMix ratios are the uniforms themselves."""
+        assert TINY_CONFIG["detector"].get("cutmix_alpha", 1.0) == 1.0
+        assert _cli(tmp_path, TINY_CONFIG, "synth-data").returncode == 0
+        code = (
+            "import sys, distillab, distillab.cli\n"
+            f"assert distillab.cli.main(['train-detector', '--config', {str(tmp_path / 'config.json')!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (_run_dir(tmp_path) / "models" / "detector.mdlc").exists()
 
 
 class TestFormatErrors:

@@ -15,7 +15,7 @@ from distillab.data import (
 )
 from distillab.data import _synthesize_split
 from distillab.models import write_checkpoint
-from distillab.numerics import SeededRng, beta_symmetric_from_words
+from distillab.numerics import SeededRng, beta_symmetric_from_words, uniform_from_words
 
 
 class TestToyDataset:
@@ -150,6 +150,17 @@ class TestMixRatio:
     def test_scalar_draw(self):
         (lam,) = _beta(4, 1.0, 1)
         assert 0.0 <= lam <= 1.0
+
+    def test_alpha_one_equals_inverse_cdf(self):
+        """Beta(1, 1) skips scipy: its draws equal betaincinv(1, 1, u) bit for bit."""
+        from scipy.special import betaincinv
+
+        # words whose uniforms are 0, 2^-53 and 1 - 2^-53, then 10^6 stream words
+        edges = np.array([0, 1 << 11, ((1 << 53) - 1) << 11], dtype=np.uint64)
+        words = np.concatenate([edges, SeededRng(5).raw_u64(1_000_000)])
+        u = uniform_from_words(words)
+        assert u[:3].tolist() == [0.0, 2.0**-53, 1.0 - 2.0**-53]
+        assert beta_symmetric_from_words(words, 1.0).tobytes() == betaincinv(1.0, 1.0, u).tobytes()
 
 
 class TestCutMix:

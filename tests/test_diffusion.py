@@ -3,6 +3,7 @@ import pytest
 
 from distillab.config import DenoiserConfig
 from distillab.diffusion import (
+    Denoiser,
     build_schedule,
     denoise_loss_and_grads,
     forward_noise,
@@ -12,7 +13,7 @@ from distillab.diffusion import (
     timestep_embedding,
     train_denoiser,
 )
-from distillab.models import CheckpointFormatError, predict_batch
+from distillab.models import Adam, CheckpointFormatError, mlp_init, predict_batch
 from distillab.numerics import SeededRng
 
 from conftest import as_float64, gradient_check
@@ -152,6 +153,40 @@ def _tiny_denoiser(rng_seed=17, n=40, d=6, k=3, epochs=2):
     return den, sched, latents, labels
 
 
+def _per_batch_reference(latents, labels, sched, cfg, rng):
+    """``train_denoiser`` as it drew and noised one minibatch at a time; (denoiser, loop stream)."""
+    latents = np.asarray(latents, dtype=np.float32)
+    k, d = int(labels.max()) + 1, latents.shape[1]
+    mlp = mlp_init([d + cfg.time_embed_dim + cfg.label_embed_dim, *cfg.hidden_sizes, d], rng.spawn(0))
+    table = np.zeros((k + 1, cfg.label_embed_dim), dtype=np.float32)
+    table[k] = rng.spawn(1).normal(cfg.label_embed_dim) * 0.5
+    den = Denoiser(mlp=mlp, label_table=table, num_classes=k, latent_dim=d, time_embed_dim=cfg.time_embed_dim)
+    params = mlp.params() + [table]
+    opt = Adam(params, cfg.learning_rate)
+    loop = rng.spawn(2)
+    losses = []
+    for _ in range(cfg.epochs):
+        order = loop.permutation(len(latents))
+        epoch_losses = []
+        for s in range(0, len(latents), cfg.batch_size):
+            idx = order[s : s + cfg.batch_size]
+            b = len(idx)
+            t = loop.integers(sched.timesteps, n=b) + 1
+            eps = loop.normal((b, d))
+            zt = forward_noise(latents[idx], t, eps, sched)
+            tokens = np.where(loop.uniform(b) < cfg.label_dropout, den.null_token, labels[idx])
+            # the label embedding as base row plus class offset, added in place
+            lemb = np.broadcast_to(table[k], (b, table.shape[1])).copy()
+            lemb[tokens < k] += table[tokens[tokens < k]]
+            assert den.label_vec(tokens).tobytes() == lemb.tobytes()
+            loss, grads = denoise_loss_and_grads(den, zt, timestep_embedding(t, cfg.time_embed_dim), tokens, eps)
+            opt.step(params, grads)
+            epoch_losses.append(loss)
+        losses.append(float(np.mean(epoch_losses)))
+    den.meta = {"loss_history": losses}
+    return den, loop
+
+
 class TestTrainDenoiser:
     def test_loss_halves_on_frozen_spec(self, denoiser):
         hist = denoiser.meta["loss_history"]
@@ -188,6 +223,29 @@ class TestTrainDenoiser:
         assert denoiser.label_table.shape[0] == denoiser.num_classes + 1
         assert np.abs(denoiser.label_table[denoiser.null_token]).max() > 0
 
+    def test_equals_per_batch_reference(self, rng_spy):
+        """Epoch-at-a-time draws, noising and embedding equal per-batch ones bit for bit.
+
+        29 rows in batches of 8 leave a last batch of 5; at d = 5 its
+        ``normal`` takes a padding word.
+        """
+        rng = SeededRng(21)
+        n, d, k = 29, 5, 3
+        latents = rng.normal((n, d))
+        labels = rng.integers(k, n=n)
+        sched = build_schedule(12, 1e-3, 0.2)
+        cfg = DenoiserConfig(
+            epochs=3, batch_size=8, hidden_sizes=[16, 8], time_embed_dim=6, label_embed_dim=3, label_dropout=0.3
+        )
+        den = train_denoiser(latents, labels, sched, cfg, SeededRng(22))
+        drawn = rng_spy.words[SeededRng(22).spawn(2).seed]  # by the training loop's stream
+
+        ref, ref_loop = _per_batch_reference(latents, labels, sched, cfg, SeededRng(22))
+        for a, b in zip(den.mlp.params() + [den.label_table], ref.mlp.params() + [ref.label_table]):
+            assert a.tobytes() == b.tobytes()
+        assert den.meta["loss_history"] == ref.meta["loss_history"]
+        assert drawn == ref_loop._counter
+
     def test_empty_latents_rejected(self):
         sched = build_schedule(5, 1e-3, 0.1)
         with pytest.raises(ValueError):
@@ -209,8 +267,10 @@ class TestTrainDenoiser:
         tokens = rng.integers(den.num_classes + 1, n=b)
         eps = rng.normal((b, den.latent_dim)).astype(np.float64)
 
+        temb = timestep_embedding(t, den.time_embed_dim)
+
         def loss_fn():
-            return denoise_loss_and_grads(den, zt, t, tokens, eps)
+            return denoise_loss_and_grads(den, zt, temb, tokens, eps)
 
         params = den.mlp.params() + [den.label_table]
         checked, _ = gradient_check(loss_fn, params, SeededRng(12), probes=60)

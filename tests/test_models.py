@@ -77,7 +77,7 @@ class TestTrainDetector:
 
 
 class TestCutMixMinibatch:
-    """One block of 4 words per sample equals the per-sample draw loop."""
+    """A block of 4 words per sample equals the per-sample draw loop."""
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_equals_per_sample_loop(self, alpha):
@@ -87,7 +87,7 @@ class TestCutMixMinibatch:
         block, loop = SeededRng(77), SeededRng(77)
         block.uniform(2)  # start away from counter 0
         loop.uniform(2)
-        got = _cutmix_minibatch(train, idx, alpha, block)
+        got = _cutmix_minibatch(train, idx, alpha, block.raw_u64(4 * len(idx)).reshape(-1, 4))
         images, soft = [], []
         same_class = clipped = 0
         for i in idx:
@@ -110,13 +110,13 @@ class TestCutMixMinibatch:
         # the draws cover a same-class partner and a box clipped at the border
         assert same_class >= 1 and clipped >= 1
 
-    def test_train_detector_one_block_per_minibatch(self, rng_spy):
+    def test_train_detector_one_block_per_epoch(self, rng_spy):
         train, _ = _tiny_dataset(n_per_class=10, k=3)  # 30 images: 4 minibatches of <= 8
         rng = SeededRng(5)
         train_detector(train, DetectorConfig(epochs=3, batch_size=8, hidden_sizes=[8]), rng, use_cutmix=True)
         loop = rng.spawn(1).seed
         draws = {name: count for (seed, name), count in rng_spy.calls.items() if seed == loop}
-        assert draws == {"permutation": 3, "raw_u64": 3 * 4}
+        assert draws == {"permutation": 3, "raw_u64": 3}
         assert rng_spy.words[loop] == 3 * (30 - 1) + 3 * 4 * 30
 
 

@@ -1,11 +1,12 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from distillab.config import DistillConfig
 from distillab.data import LabeledDataset, grating_image
-from distillab.models import CheckpointFormatError
+from distillab.models import CheckpointFormatError, write_checkpoint
 from distillab.numerics import SeededRng
 from distillab.prototypes import (
     Prototype,
@@ -193,6 +194,14 @@ class TestPrototypeIO:
         p = tmp_path / "junk.prto"
         p.write_bytes(b"WHAT" + b"\x00" * 16)
         with pytest.raises(CheckpointFormatError, match="magic"):
+            read_prototypes(p)
+
+    @pytest.mark.parametrize("table", [[[0, 1]], [5], ["abc"], [[0, 1, -3]], [[0.5, 1, 2]], [[True, 1, 2]]])
+    def test_malformed_table_row_is_a_format_error(self, tmp_path, table):
+        """Each table row is three non-negative ints: a class, a cluster index and a cluster size."""
+        p = tmp_path / "p.prto"
+        write_checkpoint(p, "prototypes", {"table": table, "provenance": {}}, [np.zeros((1, 4), dtype=np.float32)])
+        with pytest.raises(CheckpointFormatError, match=re.escape(f"{p}: prototype table row")):
             read_prototypes(p)
 
     def test_empty_rejected(self, tmp_path):
