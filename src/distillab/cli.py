@@ -16,7 +16,8 @@ flags replace fields of the distill section.
 Exit codes: 0 success, 2 config error, 3 missing artifact, 4 numeric
 failure, 5 malformed artifact file (truncated or foreign), 6 run directory
 locked by another live command (a lock left by a process that no longer
-exists is taken over), 7 failed sensitivity-sweep check. Environment:
+exists is taken over), 7 failed sensitivity-sweep check (checked before
+any training, so no report is written). Environment:
 DISTILLAB_OUTPUT_ROOT overrides the output root.
 """
 
@@ -320,7 +321,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     from .data import read_dataset
-    from .evalharness import AblationInputs, run_ablation, run_sensitivity, sensitivity_csv
+    from .evalharness import AblationInputs, plan_ablation, plan_sensitivity, run_plans, sensitivity_csv
 
     run = _Command(args, "train", "test", "detector", "autoencoder", "denoiser")
     cfg = run.cfg
@@ -337,14 +338,17 @@ def _cmd_ablate(args) -> int:
             detector=det,
             generator=gen,
         )
-        report = run_ablation(inputs, cfg.distill, cfg.eval)
+        # every training of the ablation and the sweep in one round, after the sweep's checks
+        plans = [plan_ablation(inputs, cfg.distill, cfg.eval)]
+        if args.sweep:
+            plans.append(plan_sensitivity(inputs, cfg.distill, cfg.eval))
+        report, *grids = run_plans(*plans)
         out_json = run.output("reports/ablation.json", write_atomic, [(report.to_json() + "\n").encode()])
         out_csv = run.output("reports/ablation.csv", write_atomic, [report.to_csv().encode()])
         for mode, s in report.summary.items():
             std = f" +/- {s['std']:.4f}" if s["std"] is not None else ""
             print(f"{mode:10s} {s['mean']:.4f}{std}  (n={s['n']}, fallbacks={s['fallbacks']})")
-        if args.sweep:
-            grid, evidence = run_sensitivity(inputs, cfg.distill, cfg.eval)
+        for grid, evidence in grids:
             sweep = [sensitivity_csv(grid).encode()]
             run.output("reports/sensitivity.csv", write_atomic, sweep, monotone_filter=evidence)
             print(f"sensitivity grid: {len(grid)} runs, {evidence['slots_checked']} slots checked")

@@ -274,6 +274,10 @@ class EvalConfig(ClassifierConfig):
             raise ValueError("sensitivity_top_k values must be >= 1")
         if any(not 0.0 < b < 1.0 for b in self.sensitivity_betas):
             raise ValueError("sensitivity_betas values must lie in (0, 1)")
+        for name in ("modes", "seeds", "sensitivity_top_k", "sensitivity_betas"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
 
 
 @dataclass(frozen=True)

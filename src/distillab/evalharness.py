@@ -6,11 +6,18 @@ held-out test split. The ablation runner compares the selection modes
 (base / top1 / sim / tplus_s) across seeds, with a random-real-subset
 baseline, and the sensitivity runner sweeps the shortlist size and the
 confidence threshold.
+
+Each runner is a plan and an assembly: planning selects from the shared
+candidate banks and lists the downstream trainings (``Plan.jobs``);
+``run_plans`` trains the jobs of every plan it is given in one round
+(``_train_all``: each distinct job once, on every usable core), then
+assembles each plan's result from its classifiers.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 from dataclasses import asdict, dataclass, field, replace
@@ -27,10 +34,14 @@ from .refine import CandidateBank, CandidateGenerator, generate_candidates, gene
 __all__ = [
     "AblationInputs",
     "EvalReport",
+    "Plan",
     "RunRecord",
     "SweepCheckError",
     "evaluate",
+    "plan_ablation",
+    "plan_sensitivity",
     "run_ablation",
+    "run_plans",
     "run_sensitivity",
     "train_downstream",
 ]
@@ -54,13 +65,34 @@ def train_downstream(distilled: LabeledDataset, cfg: EvalConfig, rng: SeededRng)
     return train_detector(distilled, cfg, rng, use_cutmix=False)
 
 
-def _train_all(jobs: list[tuple[LabeledDataset, EvalConfig, SeededRng]]) -> list[Detector]:
-    """``train_downstream(*job)`` for every job, in order, on every usable core (``fan_out``).
+def _job_key(job: tuple[LabeledDataset, EvalConfig, SeededRng]) -> tuple:
+    """Everything ``train_downstream(*job)`` reads; jobs with one key train one classifier.
 
-    A job's classifier depends only on the job, so the result does not
-    depend on the core count.
+    That is the image and label arrays (dtype, shape and bytes),
+    ``num_classes``, the eval config and the stream's seed and counter.
     """
-    return fan_out(lambda job: train_downstream(*job), jobs)
+    dataset, cfg, rng = job
+    digest = hashlib.sha256()
+    for arr in (dataset.images, dataset.labels):
+        digest.update(f"{arr.dtype.str}{arr.shape}".encode())
+        digest.update(np.ascontiguousarray(arr))
+    return digest.digest(), dataset.num_classes, repr(cfg), repr(rng)
+
+
+def _train_all(jobs: list[tuple[LabeledDataset, EvalConfig, SeededRng]]) -> list[Detector]:
+    """``train_downstream(*job)`` for every job, in job order, training each distinct job once.
+
+    The distinct jobs (by ``_job_key``) train in first-seen order in one
+    ``fan_out`` on every usable core; a repeated job gets the classifier of
+    its first occurrence. A job's classifier depends only on the job, so the
+    result does not depend on the core count.
+    """
+    keys = [_job_key(job) for job in jobs]
+    distinct: dict[tuple, tuple] = {}
+    for key, job in zip(keys, jobs):
+        distinct.setdefault(key, job)
+    trained = dict(zip(distinct, fan_out(lambda job: train_downstream(*job), distinct.values())))
+    return [trained[key] for key in keys]
 
 
 def evaluate(classifier: Detector, test: LabeledDataset) -> float:
@@ -143,8 +175,6 @@ class AblationInputs:
 
 
 def _config_fingerprint(base_cfg: DistillConfig, eval_cfg: EvalConfig) -> str:
-    import hashlib
-
     payload = json.dumps(
         {"distill": asdict(base_cfg), "eval": asdict(eval_cfg)}, sort_keys=True
     )
@@ -172,11 +202,28 @@ def _random_subset(train: LabeledDataset, ipc: int, rng: SeededRng) -> LabeledDa
     )
 
 
-def run_ablation(inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig) -> EvalReport:
+@dataclass(frozen=True)
+class Plan:
+    """The downstream trainings of a run, and how their classifiers make its result.
+
+    ``assemble`` takes one classifier per job, in job order.
+    """
+
+    jobs: list[tuple[LabeledDataset, EvalConfig, SeededRng]]
+    assemble: Callable[[list[Detector]], object]
+
+
+def run_plans(*plans: Plan) -> list:
+    """Each plan's result, from one round of trainings over the jobs of every plan (``_train_all``)."""
+    classifiers = iter(_train_all([job for plan in plans for job in plan.jobs]))
+    return [plan.assemble([next(classifiers) for _ in plan.jobs]) for plan in plans]
+
+
+def plan_ablation(inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig) -> Plan:
     """Every eval mode on every eval seed, plus a random-real-subset baseline per seed.
 
     Selection runs here, seed by seed (each bank generates on every core);
-    the downstream trainings then run together (``_train_all``).
+    the plan assembles the ``EvalReport``.
     """
     runs, jobs = [], []
     for seed in eval_cfg.seeds:
@@ -188,15 +235,25 @@ def run_ablation(inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: Eval
         subset = _random_subset(inputs.train, base_cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
         runs.append(("random", seed, 0))
         jobs.append(_downstream_job(subset, eval_cfg, seed))
-    records = [
-        RunRecord(mode, seed, accuracy=evaluate(clf, inputs.test), fallback_count=fallbacks)
-        for (mode, seed, fallbacks), clf in zip(runs, _train_all(jobs))
-    ]
-    return EvalReport(
-        records=records,
-        summary=summarize_records(records),
-        config_fingerprint=_config_fingerprint(base_cfg, eval_cfg),
-    )
+
+    def assemble(classifiers: list[Detector]) -> EvalReport:
+        records = [
+            RunRecord(mode, seed, accuracy=evaluate(clf, inputs.test), fallback_count=fallbacks)
+            for (mode, seed, fallbacks), clf in zip(runs, classifiers)
+        ]
+        return EvalReport(
+            records=records,
+            summary=summarize_records(records),
+            config_fingerprint=_config_fingerprint(base_cfg, eval_cfg),
+        )
+
+    return Plan(jobs, assemble)
+
+
+def run_ablation(inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig) -> EvalReport:
+    """The ablation's ``EvalReport`` (``plan_ablation``), its trainings in one round."""
+    (report,) = run_plans(plan_ablation(inputs, base_cfg, eval_cfg))
+    return report
 
 
 def _passing_set(candidates: list[dict], intended: int, beta: float) -> frozenset:
@@ -207,17 +264,15 @@ def _passing_set(candidates: list[dict], intended: int, beta: float) -> frozense
     )
 
 
-def run_sensitivity(
-    inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig
-) -> tuple[list[dict], dict]:
+def plan_sensitivity(inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig) -> Plan:
     """Sweep the shortlist size and confidence threshold on the first eval seed.
 
-    The grid is ``eval_cfg.sensitivity_top_k`` x ``sensitivity_betas``.
-    Returns (grid records, monotonicity evidence). Every cell selects from
-    the one candidate bank of the seed (generation never reads k or beta),
-    so a slot's candidate batch is the same in every cell that flags it by
-    construction; ``check_sweep_slots`` still checks that, and the exact
-    monotone-filter property, before any training starts.
+    The grid is ``eval_cfg.sensitivity_top_k`` x ``sensitivity_betas``; the
+    plan assembles (grid records, monotonicity evidence). Every cell selects
+    from the one candidate bank of the seed (generation never reads k or
+    beta), so a slot's candidate batch is the same in every cell that flags
+    it by construction; ``check_sweep_slots`` still checks that, and the
+    exact monotone-filter property, here, before any training starts.
     """
     ks, betas, seed = eval_cfg.sensitivity_top_k, eval_cfg.sensitivity_betas, eval_cfg.seeds[0]
     grid, jobs = [], []
@@ -243,9 +298,21 @@ def run_sensitivity(
                 key = (slot["class"], slot["cluster"])
                 slot_candidates.setdefault(key, []).append((beta, slot["candidates"]))
     evidence = {"slots_checked": check_sweep_slots(slot_candidates), "betas": sorted(betas), "ks": sorted(ks)}
-    for row, clf in zip(grid, _train_all(jobs)):
-        row["accuracy"] = evaluate(clf, inputs.test)
-    return grid, evidence
+
+    def assemble(classifiers: list[Detector]) -> tuple[list[dict], dict]:
+        for row, clf in zip(grid, classifiers):
+            row["accuracy"] = evaluate(clf, inputs.test)
+        return grid, evidence
+
+    return Plan(jobs, assemble)
+
+
+def run_sensitivity(
+    inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig
+) -> tuple[list[dict], dict]:
+    """(grid records, monotonicity evidence) of the sweep (``plan_sensitivity``), its trainings in one round."""
+    (result,) = run_plans(plan_sensitivity(inputs, base_cfg, eval_cfg))
+    return result
 
 
 def check_sweep_slots(slot_candidates: dict[tuple, list[tuple[float, list[dict]]]]) -> int:

@@ -305,6 +305,11 @@ class TestDistillConfigErrors:
         proc = _cli(tmp_path, cfg, "ablate")
         _assert_config_error(tmp_path, proc, "selection_mode='best'")
 
+    def test_ablate_repeated_seed(self, tmp_path):
+        cfg = dict(TINY_CONFIG, eval=dict(TINY_CONFIG["eval"], seeds=[1, 1]))
+        proc = _cli(tmp_path, cfg, "ablate")
+        _assert_config_error(tmp_path, proc, "eval: seeds must not repeat a value")
+
     def test_ablate_sweep_top_k(self, tmp_path):
         cfg = dict(TINY_CONFIG, eval=dict(TINY_CONFIG["eval"], sensitivity_top_k=[1, 8]))
         proc = _cli(tmp_path, cfg, "ablate", "--sweep")

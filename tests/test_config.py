@@ -86,3 +86,19 @@ def test_rejections_name_the_key(payload, needle):
     with pytest.raises(ConfigError) as e:
         parse_config(payload)
     assert needle in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "key, values",
+    [
+        ("modes", ["base", "sim", "base"]),
+        ("seeds", [1, 1]),
+        ("sensitivity_top_k", [2, 4, 2]),
+        ("sensitivity_betas", [0.5, 0.5]),
+    ],
+)
+def test_repeated_eval_values_are_rejected(key, values):
+    """A repeated seed would count one run twice in a mode's n and std; a repeated mode or cell, one run twice."""
+    with pytest.raises(ConfigError) as e:
+        parse_config({"eval": {key: values}})
+    assert f"eval: {key} must not repeat a value" in str(e.value)

@@ -422,6 +422,53 @@ class TestFanOut:
         assert multiprocessing.active_children() == []
 
 
+class TestTrainAll:
+    def test_each_distinct_job_trains_once_in_job_order(self, small_world, tmp_path, monkeypatch, cores):
+        """Counted across every process that trains: the parent and fan_out's workers."""
+        import hashlib
+
+        import distillab.evalharness as evalharness
+
+        train, _, _, _ = small_world
+        log = tmp_path / "trainings.txt"
+
+        def logging(dataset, cfg, rng):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {hashlib.sha256(dataset.images).hexdigest()[:12]} {cfg.epochs} {rng!r}\n")
+            return train_downstream(dataset, cfg, rng)
+
+        def subset(rows):
+            return LabeledDataset(train.images[rows].copy(), train.labels[rows].copy(), 3, train.class_names)
+
+        cfg = EvalConfig(epochs=2, batch_size=16, hidden_sizes=[8])
+        a, b, advanced = subset(slice(0, 30)), subset(slice(30, 60)), SeededRng(1)
+        advanced.raw_u64(1)
+        jobs = [
+            (a, cfg, SeededRng(1)),
+            (b, cfg, SeededRng(1)),
+            (subset(slice(0, 30)), cfg, SeededRng(1)),  # other arrays, same bytes: a repeat of job 0
+            (a, cfg, SeededRng(2)),
+            (a, replace(cfg, epochs=3), SeededRng(1)),
+            (a, cfg, advanced),
+            (b, cfg, SeededRng(1)),
+        ]
+        expected = [train_downstream(*job).mlp.params() for job in jobs]
+        monkeypatch.setattr(evalharness, "train_downstream", logging)
+        for n in (1, 2):
+            cores(n)
+            log.unlink(missing_ok=True)
+            out = evalharness._train_all(jobs)
+            lines = log.read_text().splitlines()
+            assert len(lines) == 5
+            assert len({line.split(" ", 1)[1] for line in lines}) == 5
+            pids = {line.split()[0] for line in lines}
+            assert len(pids) == n and str(os.getpid()) in pids
+            assert multiprocessing.active_children() == []
+            assert out[2] is out[0] and out[6] is out[1]
+            for clf, params in zip(out, expected):
+                assert all(np.array_equal(x, y) for x, y in zip(clf.mlp.params(), params))
+
+
 class TestFanOutCli:
     def test_worker_failure_exits_4(self, pipeline, tmp_path, monkeypatch, capsys, cores):
         import distillab.evalharness as evalharness
@@ -470,8 +517,8 @@ class TestFanOutCli:
         cores(2)
         assert cli.main(["ablate", "--config", str(pipeline[1]), "--sweep"]) == 0
         assert exits.read_text().split() == [str(os.getpid())]
-        # each fan-out of trainings (ablation, then sweep): the parent trains its share, one worker the rest
-        assert len(calls) == 2
+        # one fan-out of trainings for the ablation and the sweep: the parent trains its share, one worker the rest
+        assert len(calls) == 1
         for pids in calls:
             assert len(pids) == 2 and os.getpid() in pids
         # every training saw the parent's lock in place
@@ -516,8 +563,22 @@ class TestFanOutCli:
         assert main(["ablate", "--config", str(pipeline[1]), "--sweep"]) == 7
         err = capsys.readouterr().err
         assert err.startswith("sweep check failed: ") and len(err.strip().splitlines()) == 1
-        assert not (rd / "reports" / "sensitivity.csv").exists()
+        # the check runs before any training, so no report is written, the ablation's included
+        for name in ("sensitivity.csv", "ablation.json", "ablation.csv"):
+            assert not (rd / "reports" / name).exists()
         assert not (rd / ".lock").exists()
+
+    def test_sweep_leaves_the_ablation_reports_unchanged(self, pipeline, tmp_path, monkeypatch):
+        from distillab.cli import main
+
+        reports = []
+        for argv in (["ablate"], ["ablate", "--sweep"]):
+            root = tmp_path / str(len(argv))
+            rd = _copy_run(pipeline, root)
+            monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(root / "runs"))
+            assert main([*argv, "--config", str(pipeline[1])]) == 0
+            reports.append([(rd / "reports" / name).read_bytes() for name in ("ablation.json", "ablation.csv")])
+        assert reports[0] == reports[1]
 
 
 def _candidates(*confidences, label=0):
