@@ -9,7 +9,7 @@ beta never grows a candidate batch's passing set.
 
 from dataclasses import replace
 
-from distillab import AblationInputs, DiffusionCandidateGenerator, default_config, run_ablation, run_sensitivity
+from distillab import AblationInputs, DiffusionCandidateGenerator, default_config, run_ablation
 from distillab import synthesize_toy_dataset, train_autoencoder, train_denoiser, train_detector
 from distillab.evalharness import sensitivity_csv
 from distillab.numerics import SeededRng
@@ -31,17 +31,15 @@ inputs = AblationInputs(
     generator=DiffusionCandidateGenerator(denoiser=den, schedule=sched, decode_fn=codec.decode),
 )
 
-# %% the mode x seed grid (2 seeds here; the acceptance suite runs 3)
-report = run_ablation(inputs, defaults.distill, replace(defaults.eval, seeds=[1, 2]))
+# %% the mode x seed grid (2 seeds here; the acceptance suite runs 3) and a
+# reduced k x beta grid on the first seed, all trained in one round
+eval_cfg = replace(defaults.eval, seeds=[1, 2], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9])
+report, (grid, evidence) = run_ablation(inputs, defaults.distill, eval_cfg, sweep=True)
 print("mode        mean    std     fallbacks")
 for mode, s in report.summary.items():
     std = f"{s['std']:.4f}" if s["std"] is not None else "  -   "
     print(f"{mode:10s} {s['mean']:.4f}  {std}  {s['fallbacks']}")
 
-# %% sensitivity: a reduced k x beta grid on the first seed
-grid, evidence = run_sensitivity(
-    inputs, defaults.distill,
-    replace(defaults.eval, seeds=[1], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9]),
-)
+# %% sensitivity
 print(f"\nmonotone filter checked on {evidence['slots_checked']} slots")
 print(sensitivity_csv(grid))

@@ -63,7 +63,6 @@ from .evalharness import (
     EvalReport,
     evaluate,
     run_ablation,
-    run_sensitivity,
     train_downstream,
 )
 from .models import (

@@ -321,7 +321,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     from .data import read_dataset
-    from .evalharness import AblationInputs, plan_ablation, plan_sensitivity, run_plans, sensitivity_csv
+    from .evalharness import AblationInputs, run_ablation, sensitivity_csv
 
     run = _Command(args, "train", "test", "detector", "autoencoder", "denoiser")
     cfg = run.cfg
@@ -338,17 +338,14 @@ def _cmd_ablate(args) -> int:
             detector=det,
             generator=gen,
         )
-        # every training of the ablation and the sweep in one round, after the sweep's checks
-        plans = [plan_ablation(inputs, cfg.distill, cfg.eval)]
-        if args.sweep:
-            plans.append(plan_sensitivity(inputs, cfg.distill, cfg.eval))
-        report, *grids = run_plans(*plans)
+        report, sensitivity = run_ablation(inputs, cfg.distill, cfg.eval, sweep=args.sweep)
         out_json = run.output("reports/ablation.json", write_atomic, [(report.to_json() + "\n").encode()])
         out_csv = run.output("reports/ablation.csv", write_atomic, [report.to_csv().encode()])
         for mode, s in report.summary.items():
             std = f" +/- {s['std']:.4f}" if s["std"] is not None else ""
             print(f"{mode:10s} {s['mean']:.4f}{std}  (n={s['n']}, fallbacks={s['fallbacks']})")
-        for grid, evidence in grids:
+        if sensitivity:
+            grid, evidence = sensitivity
             sweep = [sensitivity_csv(grid).encode()]
             run.output("reports/sensitivity.csv", write_atomic, sweep, monotone_filter=evidence)
             print(f"sensitivity grid: {len(grid)} runs, {evidence['slots_checked']} slots checked")

@@ -5,10 +5,9 @@ takes: ``ToyDataSpec`` (``synthesize_toy_dataset``), ``DetectorConfig``
 (``train_detector``), ``AutoencoderConfig`` (``train_autoencoder``),
 ``DenoiserConfig`` (``train_denoiser``; ``schedule()`` builds its noise
 schedule), ``DistillConfig`` (``generate_candidates``/``select``) and
-``EvalConfig`` (``train_downstream``, ``run_ablation``,
-``run_sensitivity``). Every default is written once, here, and the defaults
-reproduce the frozen desk-scale experiment. Each class checks its values in
-``__post_init__``.
+``EvalConfig`` (``train_downstream``, ``run_ablation``). Every default is
+written once, here, and the defaults reproduce the frozen desk-scale
+experiment. Each class checks its values in ``__post_init__``.
 
 No section carries a seed: a seed reaches the library only as the
 ``SeededRng`` argument, derived from ``master_seed``.
@@ -88,7 +87,7 @@ class ToyDataSpec:
     def __post_init__(self):
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
-        if self.train_per_class < 1 or self.test_per_class < 0:
+        if self.train_per_class < 1 or self.test_per_class < 1:
             raise ValueError("images per class must be positive")
         if min(self.image_shape) < 1:
             raise ValueError("channels, image_height and image_width must be >= 1")

@@ -417,6 +417,8 @@ def read_dataset(path) -> LabeledDataset:
         if version != _DATASET_VERSION:
             raise DatasetFormatError(f"unsupported version {version}")
         n, num_classes, c, h, w = _read_struct(f, "<5I", "header counts")
+        if 0 in (num_classes, c, h, w):
+            raise DatasetFormatError(f"header counts must be positive: {num_classes} classes of shape ({c}, {h}, {w})")
         labels = np.frombuffer(_read_exact(f, 2 * n, "labels"), dtype="<u2").astype(np.int64)
         img_bytes = _read_exact(f, 4 * n * c * h * w, "image data")
         images = np.frombuffer(img_bytes, dtype="<f4").reshape(n, c, h, w).copy()

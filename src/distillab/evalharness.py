@@ -4,14 +4,13 @@ Measures what the distilled set is worth: train a fresh classifier on it
 (plain one-hot cross-entropy, no CutMix) and report Top-1 accuracy on the
 held-out test split. The ablation runner compares the selection modes
 (base / top1 / sim / tplus_s) across seeds, with a random-real-subset
-baseline, and the sensitivity runner sweeps the shortlist size and the
-confidence threshold.
+baseline, and optionally sweeps the shortlist size and the confidence
+threshold.
 
-Each runner is a plan and an assembly: planning selects from the shared
-candidate banks and lists the downstream trainings (``Plan.jobs``);
-``run_plans`` trains the jobs of every plan it is given in one round
-(``_train_all``: each distinct job once, on every usable core), then
-assembles each plan's result from its classifiers.
+One runner, ``run_ablation``, does both: it selects every run from one
+candidate bank per seed, checks the sweep, then trains every run's
+downstream classifier in one round (``_train_all``: each distinct job once,
+on every usable core) and scores the classifiers in run order.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -29,20 +28,15 @@ from .config import DistillConfig, EvalConfig
 from .data import LabeledDataset
 from .models import Detector, predict_batch, train_detector
 from .numerics import SeededRng, fan_out
-from .refine import CandidateBank, CandidateGenerator, generate_candidates, generation_key, select
+from .refine import CandidateBank, CandidateGenerator, generate_candidates, generation_key, is_accepted, select
 
 __all__ = [
     "AblationInputs",
     "EvalReport",
-    "Plan",
     "RunRecord",
     "SweepCheckError",
     "evaluate",
-    "plan_ablation",
-    "plan_sensitivity",
     "run_ablation",
-    "run_plans",
-    "run_sensitivity",
     "train_downstream",
 ]
 
@@ -148,13 +142,11 @@ def summarize_records(records: list[RunRecord]) -> dict[str, dict]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class AblationInputs:
-    """Everything a pipeline run needs besides the per-run config.
+    """Everything an ablation runs on besides its configs.
 
     ``generator`` samples with the config of each bank it generates.
-    ``bank(cfg, seed)`` keeps one candidate bank per seed and generation
-    key, so every run on a seed selects from the same batches.
     """
 
     train: LabeledDataset
@@ -162,16 +154,6 @@ class AblationInputs:
     encode_fn: Callable[[np.ndarray], np.ndarray]
     detector: Detector
     generator: CandidateGenerator
-    _banks: dict[tuple, CandidateBank] = field(default_factory=dict, init=False, repr=False)
-
-    def bank(self, cfg: DistillConfig, seed: int) -> CandidateBank:
-        """The candidate bank for the seed and cfg's generation key, generated on first use."""
-        key = (seed, *generation_key(cfg))
-        if key not in self._banks:
-            self._banks[key] = generate_candidates(
-                self.train, self.encode_fn, self.generator, self.detector, cfg, SeededRng(seed)
-            )
-        return self._banks[key]
 
 
 def _config_fingerprint(base_cfg: DistillConfig, eval_cfg: EvalConfig) -> str:
@@ -179,11 +161,6 @@ def _config_fingerprint(base_cfg: DistillConfig, eval_cfg: EvalConfig) -> str:
         {"distill": asdict(base_cfg), "eval": asdict(eval_cfg)}, sort_keys=True
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _downstream_job(dataset: LabeledDataset, eval_cfg: EvalConfig, seed: int):
-    """The downstream training of a run on ``seed``: every run on a seed trains from one stream."""
-    return dataset, eval_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM)
 
 
 def _random_subset(train: LabeledDataset, ipc: int, rng: SeededRng) -> LabeledDataset:
@@ -202,117 +179,87 @@ def _random_subset(train: LabeledDataset, ipc: int, rng: SeededRng) -> LabeledDa
     )
 
 
-@dataclass(frozen=True)
-class Plan:
-    """The downstream trainings of a run, and how their classifiers make its result.
+def run_ablation(
+    inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig, sweep: bool = False
+) -> tuple[EvalReport, tuple[list[dict], dict] | None]:
+    """The ablation's ``EvalReport`` and, with ``sweep``, the sensitivity sweep's (grid, evidence).
 
-    ``assemble`` takes one classifier per job, in job order.
+    The ablation runs every eval mode on every eval seed plus a random-real
+    subset per seed; the sweep runs ``tplus_s`` in each ``sensitivity_top_k``
+    x ``sensitivity_betas`` cell on the first eval seed. Every run on a seed
+    selects from one candidate bank (generation never reads the mode, k or
+    beta) and equals a standalone ``distill``. The sweep is checked
+    (``check_sweep_slots``) before any training; then every run's classifier
+    trains in one ``_train_all`` round, each run on a seed from the same
+    stream, so the runs differ in their training set only.
     """
+    banks: dict[tuple, CandidateBank] = {}
 
-    jobs: list[tuple[LabeledDataset, EvalConfig, SeededRng]]
-    assemble: Callable[[list[Detector]], object]
+    def selected(cfg: DistillConfig, seed: int):
+        key = (seed, *generation_key(cfg))
+        if key not in banks:
+            banks[key] = generate_candidates(
+                inputs.train, inputs.encode_fn, inputs.generator, inputs.detector, cfg, SeededRng(seed)
+            )
+        return select(banks[key], cfg)
 
-
-def run_plans(*plans: Plan) -> list:
-    """Each plan's result, from one round of trainings over the jobs of every plan (``_train_all``)."""
-    classifiers = iter(_train_all([job for plan in plans for job in plan.jobs]))
-    return [plan.assemble([next(classifiers) for _ in plan.jobs]) for plan in plans]
-
-
-def plan_ablation(inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig) -> Plan:
-    """Every eval mode on every eval seed, plus a random-real-subset baseline per seed.
-
-    Selection runs here, seed by seed (each bank generates on every core);
-    the plan assembles the ``EvalReport``.
-    """
-    runs, jobs = [], []
+    runs, trainings = [], []
     for seed in eval_cfg.seeds:
         for mode in eval_cfg.modes:
-            cfg = replace(base_cfg, selection_mode=mode)
-            res = select(inputs.bank(cfg, seed), cfg)
+            res = selected(replace(base_cfg, selection_mode=mode), seed)
             runs.append((mode, seed, res.report["counts"]["fallback"]))
-            jobs.append(_downstream_job(res.dataset, eval_cfg, seed))
+            trainings.append((res.dataset, seed))
         subset = _random_subset(inputs.train, base_cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
         runs.append(("random", seed, 0))
-        jobs.append(_downstream_job(subset, eval_cfg, seed))
+        trainings.append((subset, seed))
 
-    def assemble(classifiers: list[Detector]) -> EvalReport:
-        records = [
-            RunRecord(mode, seed, accuracy=evaluate(clf, inputs.test), fallback_count=fallbacks)
-            for (mode, seed, fallbacks), clf in zip(runs, classifiers)
-        ]
-        return EvalReport(
-            records=records,
-            summary=summarize_records(records),
-            config_fingerprint=_config_fingerprint(base_cfg, eval_cfg),
-        )
+    grid = []
+    if sweep:
+        ks, betas, seed = eval_cfg.sensitivity_top_k, eval_cfg.sensitivity_betas, eval_cfg.seeds[0]
+        slot_candidates: dict[tuple, list[tuple[float, list[dict]]]] = {}
+        for k in sorted(ks):
+            for beta in betas:
+                res = selected(replace(base_cfg, top_k=k, beta=beta, selection_mode="tplus_s"), seed)
+                trainings.append((res.dataset, seed))
+                grid.append(
+                    {
+                        "top_k": k,
+                        "beta": beta,
+                        "seed": seed,
+                        "accuracy": None,
+                        "fallback_count": res.report["counts"]["fallback"],
+                        "refined_count": res.report["counts"]["refined"],
+                    }
+                )
+                for slot in res.report["slots"]:
+                    if "candidates" not in slot:
+                        continue
+                    key = (slot["class"], slot["cluster"])
+                    slot_candidates.setdefault(key, []).append((beta, slot["candidates"]))
+        evidence = {"slots_checked": check_sweep_slots(slot_candidates), "betas": sorted(betas), "ks": sorted(ks)}
 
-    return Plan(jobs, assemble)
-
-
-def run_ablation(inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig) -> EvalReport:
-    """The ablation's ``EvalReport`` (``plan_ablation``), its trainings in one round."""
-    (report,) = run_plans(plan_ablation(inputs, base_cfg, eval_cfg))
-    return report
+    classifiers = _train_all(
+        [(dataset, eval_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM)) for dataset, seed in trainings]
+    )
+    accuracies = [evaluate(clf, inputs.test) for clf in classifiers]
+    records = [
+        RunRecord(mode, seed, accuracy=acc, fallback_count=fallbacks)
+        for (mode, seed, fallbacks), acc in zip(runs, accuracies)
+    ]
+    for row, acc in zip(grid, accuracies[len(runs):]):
+        row["accuracy"] = acc
+    report = EvalReport(
+        records=records,
+        summary=summarize_records(records),
+        config_fingerprint=_config_fingerprint(base_cfg, eval_cfg),
+    )
+    return report, (grid, evidence) if sweep else None
 
 
 def _passing_set(candidates: list[dict], intended: int, beta: float) -> frozenset:
     return frozenset(
-        c["index"]
-        for c in candidates
-        if c["predicted_label"] == intended and c["confidence"] > beta
+        c["index"] for c in candidates if is_accepted(c["predicted_label"], c["confidence"], intended, beta)
     )
-
-
-def plan_sensitivity(inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig) -> Plan:
-    """Sweep the shortlist size and confidence threshold on the first eval seed.
-
-    The grid is ``eval_cfg.sensitivity_top_k`` x ``sensitivity_betas``; the
-    plan assembles (grid records, monotonicity evidence). Every cell selects
-    from the one candidate bank of the seed (generation never reads k or
-    beta), so a slot's candidate batch is the same in every cell that flags
-    it by construction; ``check_sweep_slots`` still checks that, and the
-    exact monotone-filter property, here, before any training starts.
-    """
-    ks, betas, seed = eval_cfg.sensitivity_top_k, eval_cfg.sensitivity_betas, eval_cfg.seeds[0]
-    grid, jobs = [], []
-    slot_candidates: dict[tuple, dict[float, list[dict]]] = {}
-    for k in sorted(ks):
-        for beta in betas:
-            cfg = replace(base_cfg, top_k=k, beta=beta, selection_mode="tplus_s")
-            res = select(inputs.bank(cfg, seed), cfg)
-            jobs.append(_downstream_job(res.dataset, eval_cfg, seed))
-            grid.append(
-                {
-                    "top_k": k,
-                    "beta": beta,
-                    "seed": seed,
-                    "accuracy": None,
-                    "fallback_count": res.report["counts"]["fallback"],
-                    "refined_count": res.report["counts"]["refined"],
-                }
-            )
-            for slot in res.report["slots"]:
-                if "candidates" not in slot:
-                    continue
-                key = (slot["class"], slot["cluster"])
-                slot_candidates.setdefault(key, []).append((beta, slot["candidates"]))
-    evidence = {"slots_checked": check_sweep_slots(slot_candidates), "betas": sorted(betas), "ks": sorted(ks)}
-
-    def assemble(classifiers: list[Detector]) -> tuple[list[dict], dict]:
-        for row, clf in zip(grid, classifiers):
-            row["accuracy"] = evaluate(clf, inputs.test)
-        return grid, evidence
-
-    return Plan(jobs, assemble)
-
-
-def run_sensitivity(
-    inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig
-) -> tuple[list[dict], dict]:
-    """(grid records, monotonicity evidence) of the sweep (``plan_sensitivity``), its trainings in one round."""
-    (result,) = run_plans(plan_sensitivity(inputs, base_cfg, eval_cfg))
-    return result
 
 
 def check_sweep_slots(slot_candidates: dict[tuple, list[tuple[float, list[dict]]]]) -> int:

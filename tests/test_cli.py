@@ -336,6 +336,7 @@ class TestSectionErrors:
             ("denoiser", {"beta_end": 1.5}, "denoiser: need 0 < beta_start <= beta_end < 1"),
             ("distill", {"top_k": 0}, "distill: top_k must be >= 1"),
             ("eval", {"seeds": []}, "eval: modes and seeds must not be empty"),
+            ("data", {"test_per_class": 0}, "data: images per class must be positive"),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, section, values, needle):
@@ -480,6 +481,21 @@ class TestFormatErrors:
         proc = _cli(tmp_path, TINY_CONFIG, "train-detector")
         assert proc.returncode == 5, proc.stderr
         assert proc.stderr.startswith(f"format error: {path}: truncated payload while reading image data")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("n, num_classes, shape", [(0, 0, (1, 8, 8)), (2, 3, (0, 8, 8))], ids=["classes", "channels"])
+    def test_zero_header_count_exits_5(self, pipeline, tmp_path, n, num_classes, shape):
+        """A dataset header with 0 classes or a zero image dimension is a
+        one-line format error that names the file, even when the labels,
+        image bytes and class names agree with it."""
+        path = _copy_run(pipeline, tmp_path) / "data" / "train.dstl"
+        trailer = json.dumps({"class_names": [str(c) for c in range(num_classes)]}).encode()
+        header = struct.pack("<5I", n, num_classes, *shape)  # after magic, version
+        labels = np.arange(n, dtype="<u2").tobytes()  # no image bytes: n or a dimension is 0
+        path.write_bytes(path.read_bytes()[:6] + header + labels + struct.pack("<I", len(trailer)) + trailer)
+        proc = _cli(tmp_path, TINY_CONFIG, "train-detector")
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr.startswith(f"format error: {path}: header counts must be positive")
         assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_forged_array_shape_exits_5(self, pipeline, tmp_path):

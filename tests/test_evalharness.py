@@ -17,14 +17,13 @@ from distillab.evalharness import (
     check_sweep_slots,
     evaluate,
     run_ablation,
-    run_sensitivity,
     sensitivity_csv,
     train_downstream,
 )
 from distillab.models import Detector, Mlp, train_detector
 from distillab.numerics import NonFiniteError, SeededRng
 from distillab.data import write_dataset
-from distillab.refine import distill, select
+from distillab.refine import distill, generate_candidates, select
 
 from test_cli import _copy_run, pipeline  # noqa: F401  (pipeline is a fixture)
 from test_refine import LoggingGenerator, MockGenerator
@@ -149,7 +148,7 @@ class TestRunAblation:
         return DistillConfig(ipc=5, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
 
     def test_record_counting(self, small_world):
-        report = run_ablation(
+        report, _ = run_ablation(
             self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2, 3])
         )
         assert len([r for r in report.records if r.mode != "random"]) == 6
@@ -171,7 +170,7 @@ class TestRunAblation:
         assert len(starts) == 2 and starts[0] == starts[1]
 
     def test_single_seed_degenerate(self, small_world):
-        report = run_ablation(
+        report, _ = run_ablation(
             self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[9])
         )
         assert report.summary["base"]["n"] == 1
@@ -179,7 +178,7 @@ class TestRunAblation:
         assert report.summary["base"]["mean"] == report.records[0].accuracy
 
     def test_summary_matches_recomputation(self, small_world):
-        report = run_ablation(
+        report, _ = run_ablation(
             self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base", "top1"], seeds=[1, 2])
         )
         for mode, s in report.summary.items():
@@ -207,7 +206,7 @@ class TestRunAblation:
             detector=det,
             generator=DefectThenClean(train, defect_rate=0.5),
         )
-        report = run_ablation(inputs, self._cfg(), _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2]))
+        report, _ = run_ablation(inputs, self._cfg(), _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2]))
         assert report.summary["tplus_s"]["mean"] >= report.summary["base"]["mean"]
 
     def test_validation(self, small_world):
@@ -217,9 +216,10 @@ class TestRunAblation:
     def test_json_and_csv_render(self, small_world):
         import json
 
-        report = run_ablation(
+        report, sensitivity = run_ablation(
             self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[1])
         )
+        assert sensitivity is None
         payload = json.loads(report.to_json())
         assert payload["summary"]["base"]["n"] == 1
         csv_text = report.to_csv()
@@ -238,8 +238,11 @@ class TestRunSensitivity:
             generator=MockGenerator(train, defect_rate=0.4),
         )
         cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
-        grid, evidence = run_sensitivity(
-            inputs, cfg, _downstream_cfg(seeds=[3], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9])
+        _, (grid, evidence) = run_ablation(
+            inputs,
+            cfg,
+            _downstream_cfg(modes=["tplus_s"], seeds=[3], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9]),
+            sweep=True,
         )
         assert len(grid) == 4
         assert {(g["top_k"], g["beta"]) for g in grid} == {(1, 0.5), (1, 0.9), (2, 0.5), (2, 0.9)}
@@ -275,8 +278,7 @@ class TestSharedBank:
         eval_cfg = _downstream_cfg(
             modes=list(SELECTION_MODES), seeds=[1], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9]
         )
-        report = run_ablation(inputs, cfg, eval_cfg)
-        _, evidence = run_sensitivity(inputs, cfg, eval_cfg)
+        report, (_, evidence) = run_ablation(inputs, cfg, eval_cfg, sweep=True)
         assert evidence["slots_checked"] > 0
         assert report.summary["tplus_s"]["n"] == 1
         # the initial pass (one batch per class) plus at least one refined slot
@@ -289,17 +291,17 @@ class TestSharedBank:
         assert sorted(line.split()[1] for line in extractions) == [str(c) for c in range(train.num_classes)]
         assert set(extractions.values()) == {1}
 
-        # every mode's selection from the shared bank equals a standalone run
+        # every mode's selection from one bank equals a standalone run
+        bank = generate_candidates(train, encode_fn, MockGenerator(train, defect_rate=0.4), det, cfg, SeededRng(1))
         for mode in SELECTION_MODES:
             mcfg = replace(cfg, selection_mode=mode)
-            shared = select(inputs.bank(mcfg, 1), mcfg)
+            shared = select(bank, mcfg)
             fresh = distill(train, encode_fn, MockGenerator(train, defect_rate=0.4), det, mcfg, SeededRng(1))
             assert shared.report == fresh.report
             write_dataset(tmp_path / "shared.dstl", shared.dataset)
             write_dataset(tmp_path / "fresh.dstl", fresh.dataset)
             assert (tmp_path / "shared.dstl").read_bytes() == (tmp_path / "fresh.dstl").read_bytes()
 
-        bank = inputs.bank(cfg, 1)
         for field, value in (("num_candidates", 7), ("strength", 0.5)):
             with pytest.raises(ValueError, match=field):
                 select(bank, replace(cfg, **{field: value}))
@@ -347,7 +349,7 @@ class TestFanOut:
         return cfg, eval_cfg
 
     def _loop(self, inputs, cfg, eval_cfg):
-        """The runs one after another: select, train_downstream, evaluate."""
+        """The runs one after another: a standalone distill, train_downstream, evaluate."""
         from distillab.evalharness import _KEY_BASELINE, _KEY_DOWNSTREAM, RunRecord, _random_subset
 
         def accuracy(dataset, seed):
@@ -358,7 +360,7 @@ class TestFanOut:
         for seed in eval_cfg.seeds:
             for mode in eval_cfg.modes:
                 mcfg = replace(cfg, selection_mode=mode)
-                res = select(inputs.bank(mcfg, seed), mcfg)
+                res = distill(inputs.train, inputs.encode_fn, inputs.generator, inputs.detector, mcfg, SeededRng(seed))
                 records.append(RunRecord(mode, seed, accuracy(res.dataset, seed), res.report["counts"]["fallback"]))
             subset = _random_subset(inputs.train, cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
             records.append(RunRecord("random", seed, accuracy(subset, seed), 0))
@@ -366,7 +368,9 @@ class TestFanOut:
         for k in sorted(eval_cfg.sensitivity_top_k):
             for beta in eval_cfg.sensitivity_betas:
                 gcfg = replace(cfg, top_k=k, beta=beta, selection_mode="tplus_s")
-                res = select(inputs.bank(gcfg, eval_cfg.seeds[0]), gcfg)
+                res = distill(
+                    inputs.train, inputs.encode_fn, inputs.generator, inputs.detector, gcfg, SeededRng(eval_cfg.seeds[0])
+                )
                 accuracies.append(accuracy(res.dataset, eval_cfg.seeds[0]))
         return records, accuracies
 
@@ -377,12 +381,10 @@ class TestFanOut:
             cores(n)
             inputs = self._inputs(small_world)
             before = len(job_pids())
-            report = run_ablation(inputs, cfg, eval_cfg)
-            middle = len(job_pids())
-            grid, evidence = run_sensitivity(inputs, cfg, eval_cfg)
-            # each call: the parent trains its share; with 2 cores one worker trains the rest
-            for pids in (set(job_pids()[before:middle]), set(job_pids()[middle:])):
-                assert os.getpid() in pids and len(pids) == n
+            report, (grid, evidence) = run_ablation(inputs, cfg, eval_cfg, sweep=True)
+            # one round: the parent trains its share; with 2 cores one worker trains the rest
+            pids = set(job_pids()[before:])
+            assert os.getpid() in pids and len(pids) == n
             assert multiprocessing.active_children() == []
             results[n] = (report.to_json(), report.to_csv(), sensitivity_csv(grid), evidence)
         assert results[1] == results[2]
