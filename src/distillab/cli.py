@@ -32,11 +32,17 @@ import os
 import sys
 from pathlib import Path
 
-from .config import SELECTION_MODES, ConfigError, config_sha256, default_config, load_config, to_dict
-from .data import FormatError, read_report, write_atomic
-from .evalharness import SweepCheckError
+import numpy as np
 
-__version__ = "0.1.0"
+from . import __version__
+from .config import SELECTION_MODES, ConfigError, config_sha256, default_config, load_config, to_dict
+from .data import FormatError, read_dataset, read_report, synthesize_toy_dataset, write_atomic, write_dataset
+from .diffusion import load_denoiser, save_denoiser, train_denoiser
+from .evalharness import AblationInputs, SweepCheckError, evaluate, run_ablation, sensitivity_csv, train_downstream
+from .models import load_autoencoder, load_detector, save_autoencoder, save_detector, train_autoencoder, train_detector
+from .numerics import SeededRng
+from .prototypes import write_prototypes
+from .refine import DiffusionCandidateGenerator, distill
 
 
 class MissingArtifactError(FileNotFoundError):
@@ -168,40 +174,29 @@ class _Command:
 
 def _write_pgm(path: Path, image) -> None:
     """Debug dump: channel 0 as binary 8-bit PGM."""
-    import numpy as np
-
     gray = np.clip(image[0] * 255.0, 0, 255).astype(np.uint8)
     h, w = gray.shape
     write_atomic(path, [f"P5\n{w} {h}\n255\n".encode(), gray.tobytes()])
 
 
-def _distill_cfg(dcfg, **fields):
-    """``dcfg`` with ``fields`` replaced; a value it rejects is a ConfigError.
+def _distill_cfg(cfg, **fields):
+    """``cfg.distill`` with ``fields`` replaced; a value it rejects is a ConfigError.
 
-    Commands build their distill configs this way before touching the run
-    directory.
+    The new section is also checked against the rest of ``cfg`` (``ipc``
+    against ``data.train_per_class``). Commands build their distill configs
+    this way before touching the run directory.
     """
     try:
-        return dataclasses.replace(dcfg, **fields)
+        return dataclasses.replace(cfg, distill=dataclasses.replace(cfg.distill, **fields)).distill
     except ValueError as e:
         cell = ", ".join(f"{k}={v!r}" for k, v in fields.items())
         raise ConfigError(f"distill ({cell}): {e}") from None
 
 
-def _load_codec(run: _Command):
-    from .models import load_autoencoder
-
-    return load_autoencoder(run.inputs["autoencoder"])
-
-
 def _load_models(run: _Command):
     """The run's detector, codec and candidate generator, for ``distill`` and ``ablate``."""
-    from .diffusion import load_denoiser
-    from .models import load_detector
-    from .refine import DiffusionCandidateGenerator
-
     det = load_detector(run.inputs["detector"])
-    codec = _load_codec(run)
+    codec = load_autoencoder(run.inputs["autoencoder"])
     den = load_denoiser(run.inputs["denoiser"])
     return det, codec, DiffusionCandidateGenerator(den, run.cfg.denoiser.schedule(), codec.decode)
 
@@ -210,9 +205,6 @@ def _load_models(run: _Command):
 
 
 def _cmd_synth_data(args) -> int:
-    from .data import synthesize_toy_dataset, write_dataset
-    from .numerics import SeededRng
-
     with _Command(args) as run:
         train, test = synthesize_toy_dataset(run.cfg.data, SeededRng(run.cfg.master_seed))
         train_path = run.output("data/train.dstl", write_dataset, train, samples=len(train))
@@ -224,10 +216,6 @@ def _cmd_synth_data(args) -> int:
 
 
 def _cmd_train_detector(args) -> int:
-    from .data import read_dataset
-    from .models import save_detector, train_detector
-    from .numerics import SeededRng
-
     with _Command(args, "train") as run:
         train = read_dataset(run.inputs["train"])
         det = train_detector(train, run.cfg.detector, SeededRng(run.cfg.master_seed).spawn(31), use_cutmix=True)
@@ -237,10 +225,6 @@ def _cmd_train_detector(args) -> int:
 
 
 def _cmd_train_autoencoder(args) -> int:
-    from .data import read_dataset
-    from .models import save_autoencoder, train_autoencoder
-    from .numerics import SeededRng
-
     with _Command(args, "train") as run:
         train = read_dataset(run.inputs["train"])
         codec = train_autoencoder(train, run.cfg.autoencoder, SeededRng(run.cfg.master_seed).spawn(32))
@@ -251,13 +235,9 @@ def _cmd_train_autoencoder(args) -> int:
 
 
 def _cmd_train_diffusion(args) -> int:
-    from .data import read_dataset
-    from .diffusion import save_denoiser, train_denoiser
-    from .numerics import SeededRng
-
     with _Command(args, "train", "autoencoder") as run:
         train = read_dataset(run.inputs["train"])
-        latents = _load_codec(run).encode(train.images)
+        latents = load_autoencoder(run.inputs["autoencoder"]).encode(train.images)
         cfg = run.cfg
         den = train_denoiser(
             latents, train.labels, cfg.denoiser.schedule(), cfg.denoiser, SeededRng(cfg.master_seed).spawn(33)
@@ -268,15 +248,10 @@ def _cmd_train_diffusion(args) -> int:
 
 
 def _cmd_distill(args) -> int:
-    from .data import read_dataset, write_dataset
-    from .numerics import SeededRng
-    from .prototypes import write_prototypes
-    from .refine import distill
-
     run = _Command(args, "train", "detector", "autoencoder", "denoiser")
     # each override flag stores into the distill field of its name
     names = [f.name for f in dataclasses.fields(run.cfg.distill)]
-    dcfg = _distill_cfg(run.cfg.distill, **{n: getattr(args, n) for n in names if getattr(args, n, None) is not None})
+    dcfg = _distill_cfg(run.cfg, **{n: getattr(args, n) for n in names if getattr(args, n, None) is not None})
     seed = run.cfg.master_seed if args.seed is None else args.seed
     with run:
         train = read_dataset(run.inputs["train"])
@@ -299,10 +274,6 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .data import read_dataset
-    from .evalharness import evaluate, train_downstream
-    from .numerics import SeededRng
-
     with _Command(args, "distilled", "test") as run:
         distilled = read_dataset(run.inputs["distilled"])
         test = read_dataset(run.inputs["test"])
@@ -320,15 +291,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    from .data import read_dataset
-    from .evalharness import AblationInputs, run_ablation, sensitivity_csv
-
     run = _Command(args, "train", "test", "detector", "autoencoder", "denoiser")
     cfg = run.cfg
     if args.sweep:
         for k in cfg.eval.sensitivity_top_k:
             for beta in cfg.eval.sensitivity_betas:
-                _distill_cfg(cfg.distill, top_k=k, beta=beta)
+                _distill_cfg(cfg, top_k=k, beta=beta)
     with run:
         det, codec, gen = _load_models(run)
         inputs = AblationInputs(

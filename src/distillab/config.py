@@ -7,7 +7,9 @@ takes: ``ToyDataSpec`` (``synthesize_toy_dataset``), ``DetectorConfig``
 schedule), ``DistillConfig`` (``generate_candidates``/``select``) and
 ``EvalConfig`` (``train_downstream``, ``run_ablation``). Every default is
 written once, here, and the defaults reproduce the frozen desk-scale
-experiment. Each class checks its values in ``__post_init__``.
+experiment. Each class checks its values in ``__post_init__``, and
+``RunConfig`` checks the one rule across sections: ``distill.ipc`` may not
+exceed ``data.train_per_class``.
 
 No section carries a seed: a seed reaches the library only as the
 ``SeededRng`` argument, derived from ``master_seed``.
@@ -85,8 +87,8 @@ class ToyDataSpec:
     frequencies: list[float] | None = None
 
     def __post_init__(self):
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
+        if self.num_classes < 2:  # a classifier needs two classes to tell apart
+            raise ValueError("num_classes must be >= 2")
         if self.train_per_class < 1 or self.test_per_class < 1:
             raise ValueError("images per class must be positive")
         if min(self.image_shape) < 1:
@@ -290,6 +292,13 @@ class RunConfig:
     distill: DistillConfig = field(default_factory=DistillConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
+    def __post_init__(self):
+        # each class is clustered into ipc prototypes, one image at least each
+        if self.distill.ipc > self.data.train_per_class:
+            raise ValueError(
+                f"distill.ipc ({self.distill.ipc}) exceeds data.train_per_class ({self.data.train_per_class})"
+            )
+
 
 def _typed(hint, value, path: str):
     """``value`` checked against the annotation ``hint``; floats accept ints.
@@ -337,7 +346,7 @@ def _build(cls, payload, path: str = ""):
     try:
         return cls(**kwargs)
     except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from None
+        raise ConfigError(f"{path}: {e}" if path else str(e)) from None
 
 
 def parse_config(payload: dict) -> RunConfig:

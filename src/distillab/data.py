@@ -23,8 +23,6 @@ from .config import ToyDataSpec
 from .numerics import SeededRng, normal_from_words, require_finite, uniform_from_words
 
 __all__ = [
-    "CheckpointFormatError",
-    "DatasetFormatError",
     "FormatError",
     "LabeledDataset",
     "MixedSample",
@@ -44,15 +42,10 @@ _KEY_TEST = 1
 
 
 class FormatError(ValueError):
-    """An artifact file failed validation; the message names the file, then the field."""
+    """An artifact file (dataset, checkpoint, prototypes, report) failed validation.
 
-
-class DatasetFormatError(FormatError):
-    """A dataset file failed validation."""
-
-
-class CheckpointFormatError(FormatError):
-    """A model or prototype checkpoint failed validation."""
+    The message names the file, then the field.
+    """
 
 
 def names_path(read):
@@ -70,7 +63,7 @@ def names_path(read):
             prefix = f"{path}: "
             if str(e).startswith(prefix):
                 raise
-            raise type(e)(prefix + str(e)) from None
+            raise FormatError(prefix + str(e)) from None
 
     return reader
 
@@ -333,7 +326,7 @@ def write_dataset(path, ds: LabeledDataset) -> str:
     n = len(ds)
     c, h, w = ds.image_shape
     if ds.labels.size and ds.labels.max() >= 2**16:
-        raise DatasetFormatError("labels must fit in u16")
+        raise FormatError("labels must fit in u16")
     trailer = _canonical_json(
         {"class_names": list(ds.class_names), "provenance": ds.provenance}
     )
@@ -342,39 +335,38 @@ def write_dataset(path, ds: LabeledDataset) -> str:
     return write_atomic(path, itertools.chain([header], arrays, [struct.pack("<I", len(trailer)), trailer]))
 
 
-def _read_exact(f, count: int, what: str, error=DatasetFormatError) -> bytes:
-    """Exactly ``count`` bytes of ``f``; a short file raises ``error``.
+def _read_exact(f, count: int, what: str) -> bytes:
+    """Exactly ``count`` bytes of ``f``; a short file raises FormatError.
 
     ``count`` is checked against the bytes left in the file before the
     read, so a size forged in a header fails without a huge allocation.
-    The container readers (datasets, prototypes, checkpoints) read every
-    field through this function and the three below, each passing its own
-    format error class.
+    The container readers (datasets, prototypes, checkpoints, reports) read
+    every field through this function and the three below.
     """
     if count > os.fstat(f.fileno()).st_size - f.tell():
-        raise error(f"truncated payload while reading {what}")
+        raise FormatError(f"truncated payload while reading {what}")
     return f.read(count)
 
 
-def _read_struct(f, fmt: str, what: str, error=DatasetFormatError) -> tuple:
-    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), what, error))
+def _read_struct(f, fmt: str, what: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), what))
 
 
-def _read_json(f, count: int, what: str, error=DatasetFormatError) -> dict:
-    raw = _read_exact(f, count, what, error)
+def _read_json(f, count: int, what: str) -> dict:
+    raw = _read_exact(f, count, what)
     try:
         obj = json.loads(raw.decode("utf-8"))
     except ValueError as e:  # bad UTF-8 or bad JSON
-        raise error(f"{what} is not valid JSON: {e}") from None
+        raise FormatError(f"{what} is not valid JSON: {e}") from None
     if not isinstance(obj, dict):
-        raise error(f"{what} is not a JSON object")
+        raise FormatError(f"{what} is not a JSON object")
     return obj
 
 
-def _read_end(f, what: str, error=DatasetFormatError) -> None:
-    """A container ends with its last field ``what``; more bytes raise ``error``."""
+def _read_end(f, what: str) -> None:
+    """A container ends with its last field ``what``; more bytes raise FormatError."""
     if f.read(1):
-        raise error(f"trailing bytes after the {what}")
+        raise FormatError(f"trailing bytes after the {what}")
 
 
 @names_path
@@ -387,7 +379,7 @@ def read_report(path, schema: dict) -> dict:
     (a JSON boolean is never a number) raises FormatError.
     """
     with open(path, "rb") as f:
-        report = _read_json(f, os.fstat(f.fileno()).st_size, "report", FormatError)
+        report = _read_json(f, os.fstat(f.fileno()).st_size, "report")
     _check_keys(report, schema, "")
     return report
 
@@ -412,13 +404,15 @@ def read_dataset(path) -> LabeledDataset:
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
         if magic != _DATASET_MAGIC:
-            raise DatasetFormatError(f"bad magic {magic!r}, expected {_DATASET_MAGIC!r}")
+            raise FormatError(f"bad magic {magic!r}, expected {_DATASET_MAGIC!r}")
         (version,) = _read_struct(f, "<H", "version")
         if version != _DATASET_VERSION:
-            raise DatasetFormatError(f"unsupported version {version}")
+            raise FormatError(f"unsupported version {version}")
         n, num_classes, c, h, w = _read_struct(f, "<5I", "header counts")
-        if 0 in (num_classes, c, h, w):
-            raise DatasetFormatError(f"header counts must be positive: {num_classes} classes of shape ({c}, {h}, {w})")
+        if 0 in (n, num_classes, c, h, w):
+            raise FormatError(
+                f"header counts must be positive: {n} images of {num_classes} classes of shape ({c}, {h}, {w})"
+            )
         labels = np.frombuffer(_read_exact(f, 2 * n, "labels"), dtype="<u2").astype(np.int64)
         img_bytes = _read_exact(f, 4 * n * c * h * w, "image data")
         images = np.frombuffer(img_bytes, dtype="<f4").reshape(n, c, h, w).copy()
@@ -427,12 +421,12 @@ def read_dataset(path) -> LabeledDataset:
         _read_end(f, "trailer")
     if labels.size and labels.max() >= num_classes:
         bad = int(np.argmax(labels >= num_classes))
-        raise DatasetFormatError(
+        raise FormatError(
             f"labels[{bad}] = {int(labels[bad])} out of range for {num_classes} classes"
         )
     names = trailer.get("class_names")
     if not isinstance(names, list) or len(names) != num_classes:
-        raise DatasetFormatError("trailer field class_names missing or wrong length")
+        raise FormatError("trailer field class_names missing or wrong length")
     return LabeledDataset(
         images=images,
         labels=labels,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DenoiserConfig, check_schedule
-from .data import CheckpointFormatError, names_path
+from .data import FormatError, names_path
 from .models import Mlp, _desc_size, _desc_sizes, _mlp_from_arrays, batches, fit, mlp_backward, mlp_forward, mlp_init
 from .models import read_checkpoint, write_checkpoint
 from .numerics import SeededRng, integers_from_words, normal_from_words, require_finite, uniform_from_words
@@ -320,14 +320,14 @@ def save_denoiser(path, den: Denoiser) -> str:
 def load_denoiser(path) -> Denoiser:
     kind, desc, arrays = read_checkpoint(path)
     if kind != "denoiser-v1":
-        raise CheckpointFormatError(f"expected denoiser-v1 checkpoint, got {kind!r}")
+        raise FormatError(f"expected denoiser-v1 checkpoint, got {kind!r}")
     num_classes, latent_dim, time_embed_dim = (_desc_size(desc, k) for k in ("num_classes", "latent_dim", "time_embed_dim"))
     sizes = _desc_sizes(desc, "layer_sizes")
     label_embed_dim = sizes[0] - latent_dim - time_embed_dim
     if time_embed_dim % 2 or label_embed_dim < 1 or sizes[-1] != latent_dim:
-        raise CheckpointFormatError(f"layer_sizes {sizes} do not fit latent_dim and time_embed_dim")
+        raise FormatError(f"layer_sizes {sizes} do not fit latent_dim and time_embed_dim")
     if not arrays or arrays[-1].shape != (num_classes + 1, label_embed_dim):
-        raise CheckpointFormatError(f"last array is not a ({num_classes + 1}, {label_embed_dim}) label table")
+        raise FormatError(f"last array is not a ({num_classes + 1}, {label_embed_dim}) label table")
     return Denoiser(
         mlp=_mlp_from_arrays(arrays[:-1], sizes),
         label_table=arrays[-1],

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import AutoencoderConfig, ClassifierConfig, TrainConfig
-from .data import CheckpointFormatError, LabeledDataset, cutmix, names_path, write_atomic
+from .data import FormatError, LabeledDataset, cutmix, names_path, write_atomic
 from .data import _read_end, _read_exact, _read_json, _read_struct
 from .numerics import (
     SeededRng,
@@ -32,7 +32,6 @@ from .numerics import (
 
 __all__ = [
     "Adam",
-    "CheckpointFormatError",
     "Detector",
     "LatentCodec",
     "Mlp",
@@ -392,32 +391,31 @@ def write_checkpoint(path, kind: str, desc: dict, params: list[np.ndarray]) -> s
 def read_checkpoint(path):
     """Returns (kind, descriptor dict, list of float32 arrays); bit-exact.
 
-    A short, overlong or undecodable file raises CheckpointFormatError.
+    A short, overlong or undecodable file raises FormatError.
     """
-    err = CheckpointFormatError
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic", err)
+        magic = _read_exact(f, 4, "magic")
         if magic != _CKPT_MAGIC:
-            raise err(f"bad magic {magic!r}, expected {_CKPT_MAGIC!r}")
-        (version,) = _read_struct(f, "<H", "version", err)
+            raise FormatError(f"bad magic {magic!r}, expected {_CKPT_MAGIC!r}")
+        (version,) = _read_struct(f, "<H", "version")
         if version != _CKPT_VERSION:
-            raise err(f"unsupported checkpoint version {version}")
-        (dlen,) = _read_struct(f, "<I", "descriptor length", err)
-        desc = _read_json(f, dlen, "descriptor", err)
-        (count,) = _read_struct(f, "<I", "array count", err)
+            raise FormatError(f"unsupported checkpoint version {version}")
+        (dlen,) = _read_struct(f, "<I", "descriptor length")
+        desc = _read_json(f, dlen, "descriptor")
+        (count,) = _read_struct(f, "<I", "array count")
         shapes = []
         for _ in range(count):
-            (ndim,) = _read_struct(f, "<I", "array rank", err)
-            shapes.append(_read_struct(f, f"<{ndim}I", "array shape", err))
+            (ndim,) = _read_struct(f, "<I", "array rank")
+            shapes.append(_read_struct(f, f"<{ndim}I", "array shape"))
         arrays = []
         for shape in shapes:
             size = math.prod(shape)  # exact: np.prod wraps at 2**64
-            buf = _read_exact(f, 4 * size, "parameter blob", err)
+            buf = _read_exact(f, 4 * size, "parameter blob")
             arrays.append(np.frombuffer(buf, dtype="<f4").reshape(shape).copy())
-        _read_end(f, "last array", err)
+        _read_end(f, "last array")
     kind = desc.pop("kind", None)
     if kind is None:
-        raise CheckpointFormatError("descriptor missing kind")
+        raise FormatError("descriptor missing kind")
     return kind, desc, arrays
 
 
@@ -427,10 +425,10 @@ def _is_size(value, least: int = 1) -> bool:
 
 
 def _desc_size(desc: dict, key: str) -> int:
-    """``desc[key]``, a positive int; CheckpointFormatError when missing or mistyped."""
+    """``desc[key]``, a positive int; FormatError when missing or mistyped."""
     value = desc.get(key)
     if not _is_size(value):
-        raise CheckpointFormatError(f"descriptor key {key} must be a positive integer")
+        raise FormatError(f"descriptor key {key} must be a positive integer")
     return value
 
 
@@ -442,17 +440,17 @@ def _desc_sizes(desc: dict, key: str, count: int | None = None) -> list[int]:
         and (len(value) == count if count else len(value) >= 2)
         and all(_is_size(v) for v in value)
     ):
-        raise CheckpointFormatError(f"descriptor key {key} must list {count or 'at least 2'} positive integers")
+        raise FormatError(f"descriptor key {key} must list {count or 'at least 2'} positive integers")
     return value
 
 
 def _mlp_from_arrays(arrays: list[np.ndarray], layer_sizes: list[int]) -> Mlp:
-    """The Mlp of interleaved (weight, bias) arrays; CheckpointFormatError unless shaped for ``layer_sizes``."""
+    """The Mlp of interleaved (weight, bias) arrays; FormatError unless shaped for ``layer_sizes``."""
     want = []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         want += [(fan_out, fan_in), (fan_out,)]
     if [a.shape for a in arrays] != want:
-        raise CheckpointFormatError(f"{len(arrays)} arrays do not fit layer sizes {layer_sizes}")
+        raise FormatError(f"{len(arrays)} arrays do not fit layer sizes {layer_sizes}")
     return Mlp(arrays[0::2], arrays[1::2])
 
 
@@ -470,12 +468,12 @@ def save_detector(path, det: Detector) -> str:
 def load_detector(path) -> Detector:
     kind, desc, arrays = read_checkpoint(path)
     if kind != "detector":
-        raise CheckpointFormatError(f"expected detector checkpoint, got {kind!r}")
+        raise FormatError(f"expected detector checkpoint, got {kind!r}")
     image_shape = _desc_sizes(desc, "image_shape", 3)
     num_classes = _desc_size(desc, "num_classes")
     sizes = _desc_sizes(desc, "layer_sizes")
     if [sizes[0], sizes[-1]] != [int(np.prod(image_shape)), num_classes]:
-        raise CheckpointFormatError(f"layer_sizes {sizes} do not fit image_shape and num_classes")
+        raise FormatError(f"layer_sizes {sizes} do not fit image_shape and num_classes")
     return Detector(
         mlp=_mlp_from_arrays(arrays, sizes),
         num_classes=num_classes,
@@ -499,12 +497,12 @@ def load_autoencoder(path) -> LatentCodec:
     """The codec of an autoencoder checkpoint; its decoder mirrors ``enc_layers``."""
     kind, desc, arrays = read_checkpoint(path)
     if kind != "autoencoder":
-        raise CheckpointFormatError(f"expected autoencoder checkpoint, got {kind!r}")
+        raise FormatError(f"expected autoencoder checkpoint, got {kind!r}")
     image_shape = _desc_sizes(desc, "image_shape", 3)
     latent_dim = _desc_size(desc, "latent_dim")
     sizes = _desc_sizes(desc, "enc_layers")
     if [sizes[0], sizes[-1]] != [int(np.prod(image_shape)), latent_dim]:
-        raise CheckpointFormatError(f"enc_layers {sizes} do not fit image_shape and latent_dim")
+        raise FormatError(f"enc_layers {sizes} do not fit image_shape and latent_dim")
     n_enc = 2 * (len(sizes) - 1)
     return LatentCodec(
         enc=_mlp_from_arrays(arrays[:n_enc], sizes),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CheckpointFormatError, LabeledDataset, names_path
+from .data import FormatError, LabeledDataset, names_path
 from .models import _is_size, read_checkpoint, write_checkpoint
 from .numerics import SeededRng, require_finite
 
@@ -42,7 +42,6 @@ class KmeansResult:
     centroids: np.ndarray  # (C, d) float32
     assignments: np.ndarray  # (N,) int64, nearest-centroid with low-index ties
     inertia: float
-    iterations_run: int
     inertia_history: tuple[float, ...]  # per assignment phase of the winning run
 
 
@@ -72,9 +71,7 @@ def _lloyd(points: np.ndarray, c: int, max_iters: int, rng: SeededRng):
     centroids = _kmeanspp_init(points, c, rng)
     assign = np.full(n, -1, dtype=np.int64)
     history = []
-    iterations = 0
     for _ in range(max_iters):
-        iterations += 1
         d2 = _sq_dists(points, centroids)
         new_assign = d2.argmin(axis=1)
         # adopt the globally farthest point into each empty cluster
@@ -94,7 +91,7 @@ def _lloyd(points: np.ndarray, c: int, max_iters: int, rng: SeededRng):
         assign = new_assign
         for j in range(c):
             centroids[j] = points[assign == j].mean(axis=0)
-    return centroids, assign, iterations, history
+    return centroids, history
 
 
 def kmeans(
@@ -121,13 +118,10 @@ def kmeans(
         raise ValueError(f"num_clusters={num_clusters} outside [1, {n}]")
     best = None
     for r in range(restarts):
-        centroids, assign, iters, history = _lloyd(
-            points, num_clusters, max_iters, rng.spawn(r)
-        )
-        inertia = history[-1]
-        if best is None or inertia < best[0]:
-            best = (inertia, centroids, iters, history)
-    _, centroids, iters, history = best
+        run = _lloyd(points, num_clusters, max_iters, rng.spawn(r))  # (centroids, inertia history)
+        if best is None or run[1][-1] < best[1][-1]:
+            best = run
+    centroids, history = best
     cent32 = centroids.astype(np.float32)
     d2 = _sq_dists(points, cent32.astype(np.float64))
     assignments = d2.argmin(axis=1).astype(np.int64)
@@ -136,7 +130,6 @@ def kmeans(
         centroids=cent32,
         assignments=assignments,
         inertia=inertia,
-        iterations_run=iters,
         inertia_history=tuple(history),
     )
 
@@ -200,16 +193,16 @@ def write_prototypes(path, protos: list[Prototype], provenance: dict | None = No
 
 @names_path
 def read_prototypes(path) -> tuple[list[Prototype], dict]:
-    """Load a prototype file; a short, overlong or foreign file raises CheckpointFormatError."""
+    """Load a prototype file; a short, overlong or foreign file raises FormatError."""
     kind, desc, arrays = read_checkpoint(path)
     if kind != "prototypes" or len(arrays) != 1 or arrays[0].ndim != 2:
-        raise CheckpointFormatError(f"expected a prototypes checkpoint, got {kind!r}")
+        raise FormatError(f"expected a prototypes checkpoint, got {kind!r}")
     table = desc.get("table")
     if not isinstance(table, list) or len(table) != len(arrays[0]):
-        raise CheckpointFormatError("prototype table does not match the latents")
+        raise FormatError("prototype table does not match the latents")
     for i, row in enumerate(table):
         if not (isinstance(row, list) and len(row) == 3 and all(_is_size(v, 0) for v in row)):
-            raise CheckpointFormatError(f"prototype table row {i} is not three non-negative integers")
+            raise FormatError(f"prototype table row {i} is not three non-negative integers")
     protos = [
         Prototype(class_id=cid, latent=arrays[0][i], cluster_size=size, cluster_index=ci)
         for i, (cid, ci, size) in enumerate(table)

@@ -33,6 +33,7 @@ import numpy as np
 
 from .config import DistillConfig
 from .data import LabeledDataset
+from .diffusion import sample_img2img_batch
 from .models import Detector, predict_batch
 from .numerics import SeededRng, cosine_similarity, fan_out
 from .prototypes import Prototype, extract_prototypes
@@ -43,7 +44,6 @@ __all__ = [
     "CandidateGenerator",
     "DiffusionCandidateGenerator",
     "DistillResult",
-    "NormalPool",
     "SyntheticSample",
     "cumulative_similarity",
     "distill",
@@ -85,22 +85,6 @@ class SyntheticSample:
     provenance: Provenance
 
 
-class NormalPool:
-    """Per-class feature vectors of currently accepted samples."""
-
-    def __init__(self, num_classes: int):
-        self._pools: dict[int, list[np.ndarray]] = {c: [] for c in range(num_classes)}
-
-    def add(self, class_id: int, feature: np.ndarray) -> None:
-        self._pools[class_id].append(np.asarray(feature, dtype=np.float32))
-
-    def features(self, class_id: int) -> list[np.ndarray]:
-        return list(self._pools[class_id])
-
-    def size(self, class_id: int) -> int:
-        return len(self._pools[class_id])
-
-
 class CandidateGenerator(Protocol):
     """Contract for sample producers: one batch of images for one class.
 
@@ -124,8 +108,6 @@ class DiffusionCandidateGenerator:
     decode_fn: Callable[[np.ndarray], np.ndarray]
 
     def generate_batch(self, prototypes: np.ndarray, label: int, rngs, cfg: DistillConfig):
-        from .diffusion import sample_img2img_batch
-
         return self.decode_fn(
             sample_img2img_batch(
                 self.denoiser, self.schedule, prototypes, label, cfg.strength, cfg.guidance_scale, rngs
@@ -138,20 +120,20 @@ def is_accepted(predicted_label: int, confidence: float, intended_label: int, be
     return predicted_label == intended_label and confidence > beta
 
 
-def cumulative_similarity(feature: np.ndarray, pool: NormalPool, class_id: int) -> float:
-    """Sum of cosine similarities against the class pool; empty pool -> 0."""
-    feats = pool.features(class_id)
-    return float(sum(cosine_similarity(feature, n) for n in feats))
+def cumulative_similarity(feature: np.ndarray, pool: list[np.ndarray]) -> float:
+    """Sum of cosine similarities against a class's pool features, in pool order; empty pool -> 0."""
+    return float(sum(cosine_similarity(feature, n) for n in pool))
 
 
-def select_replacement(candidates: list[SyntheticSample], pool: NormalPool, cfg: DistillConfig) -> int:
+def select_replacement(candidates: list[SyntheticSample], pool: list[np.ndarray], cfg: DistillConfig) -> int:
     """Index of a defective slot's replacement among its candidates.
 
     The candidates, ranked by confidence (ties to the lower index), give a
     shortlist by selection mode: ``tplus_s`` the first ``top_k`` that pass
     ``is_accepted`` at ``beta``, ``top1`` the first, ``sim`` all of them.
     The shortlisted candidate least similar to the class's accepted pool
-    wins (ties to higher confidence, then lower index). An empty shortlist
+    wins (ties to higher confidence, then lower index); ``pool`` holds the
+    features of the class's accepted samples. An empty shortlist
     falls back to the most confident label-matching candidate, else the
     most confident overall.
     """
@@ -170,7 +152,7 @@ def select_replacement(candidates: list[SyntheticSample], pool: NormalPool, cfg:
         raise ValueError(f"cannot refine a slot with selection_mode={mode!r}")
     if not shortlist:
         return next((i for i in ranked if c[i].predicted_label == label), ranked[0])
-    return min(shortlist, key=lambda i: (cumulative_similarity(c[i].feature, pool, label), -c[i].confidence, i))
+    return min(shortlist, key=lambda i: (cumulative_similarity(c[i].feature, pool), -c[i].confidence, i))
 
 
 def _score(det, images, label, provenances):
@@ -303,10 +285,8 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
         )
         for s in bank.initial
     ]
-    pool = NormalPool(bank.num_classes)
-    for s in samples:
-        if s.status == STATUS_NORMAL:
-            pool.add(s.intended_label, s.feature)
+    pools = {c: [s.feature for s in samples if s.intended_label == c and s.status == STATUS_NORMAL]
+             for c in range(bank.num_classes)}
     flagged = [slot for slot, s in enumerate(samples) if s.status != STATUS_NORMAL]
     batches = bank.refinements(flagged) if cfg.selection_mode != "base" else {}
     # refinement pass over defective slots in slot order
@@ -323,11 +303,11 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
         }
         if slot in batches:
             candidates = batches[slot]
-            cand = candidates[select_replacement(candidates, pool, cfg)]
+            cand = candidates[select_replacement(candidates, pools[s.intended_label], cfg)]
             accepted = is_accepted(cand.predicted_label, cand.confidence, cand.intended_label, cfg.beta)
             chosen = samples[slot] = replace(cand, status=STATUS_REFINED if accepted else STATUS_FALLBACK)
             if accepted:
-                pool.add(chosen.intended_label, chosen.feature)
+                pools[chosen.intended_label].append(chosen.feature)
             record.update(
                 status=chosen.status,
                 predicted_label=chosen.predicted_label,
@@ -376,9 +356,7 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
             "counts": {k: int(v) for k, v in counts.items()},
         },
     )
-    return DistillResult(
-        dataset=distilled, report=report, samples=samples, pool=pool, prototypes=bank.prototypes
-    )
+    return DistillResult(dataset=distilled, report=report, samples=samples, prototypes=bank.prototypes)
 
 
 def distill(
@@ -397,13 +375,12 @@ def distill(
 class DistillResult:
     """Distilled dataset plus the per-slot provenance report.
 
-    ``samples``, ``pool``, and ``prototypes`` expose the pipeline's final
-    state for tests and analysis; the JSON-ready ``report`` is what the CLI
-    persists.
+    ``samples`` (each with its final status and detector feature) and
+    ``prototypes`` are what ``dataset`` and ``report`` were built from; the
+    CLI writes ``dataset``, ``prototypes`` and the JSON-ready ``report``.
     """
 
     dataset: LabeledDataset
     report: dict
     samples: list[SyntheticSample]
-    pool: NormalPool
     prototypes: list[Prototype]

@@ -34,7 +34,7 @@ def criterion(num, name):
 
 class TestAcceptance:
     def test_01_selection_oracle_equivalence(self):
-        from distillab.refine import NormalPool, select_replacement
+        from distillab.refine import select_replacement
         from test_refine import _cfg, _sample, brute_force_select
 
         with criterion(1, "selection oracle equivalence"):
@@ -46,9 +46,7 @@ class TestAcceptance:
                 pool_size = rng.integers(17)
                 k = 1 + rng.integers(n)
                 beta = 0.2 + 0.7 * float(rng.uniform(1)[0])
-                pool = NormalPool(2)
-                for _ in range(pool_size):
-                    pool.add(0, rng.normal(d))
+                pool = [rng.normal(d).astype(np.float32) for _ in range(pool_size)]
                 cands = [
                     _sample(
                         intended=0,

@@ -300,6 +300,14 @@ class TestDistillConfigErrors:
         proc = _cli(tmp_path, TINY_CONFIG, "distill", *override)
         _assert_config_error(tmp_path, proc, needle)
 
+    @pytest.mark.parametrize("command", [["distill", "--ipc", "41"], ["ablate"]], ids=["flag", "config"])
+    def test_ipc_above_train_per_class(self, tmp_path, command):
+        """k-means needs ipc images per class: an ipc above data.train_per_class
+        (40), from the flag or from the config, is a config error."""
+        cfg = TINY_CONFIG if "--ipc" in command else dict(TINY_CONFIG, distill=dict(TINY_CONFIG["distill"], ipc=41))
+        proc = _cli(tmp_path, cfg, *command)
+        _assert_config_error(tmp_path, proc, "distill.ipc (41) exceeds data.train_per_class (40)")
+
     def test_ablate_mode(self, tmp_path):
         cfg = dict(TINY_CONFIG, eval=dict(TINY_CONFIG["eval"], modes=["base", "best"]))
         proc = _cli(tmp_path, cfg, "ablate")
@@ -326,7 +334,10 @@ class TestSectionErrors:
     @pytest.mark.parametrize(
         "section, values, needle",
         [
-            ("data", {"num_classes": 0}, "data: num_classes must be >= 1"),
+            pytest.param(
+                "data", {"num_classes": 0}, "data: num_classes must be >= 2",
+                id="data-values0-data: num_classes must be >= 1",
+            ),
             ("detector", {"epochs": 0}, "detector: epochs and batch_size must be >= 1"),
             # the codec has no modes left: ``mode`` is an unknown key
             pytest.param(
@@ -337,6 +348,8 @@ class TestSectionErrors:
             ("distill", {"top_k": 0}, "distill: top_k must be >= 1"),
             ("eval", {"seeds": []}, "eval: modes and seeds must not be empty"),
             ("data", {"test_per_class": 0}, "data: images per class must be positive"),
+            # a classifier needs two classes to tell apart
+            ("data", {"num_classes": 1}, "data: num_classes must be >= 2"),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, section, values, needle):
@@ -483,10 +496,14 @@ class TestFormatErrors:
         assert proc.stderr.startswith(f"format error: {path}: truncated payload while reading image data")
         assert len(proc.stderr.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("n, num_classes, shape", [(0, 0, (1, 8, 8)), (2, 3, (0, 8, 8))], ids=["classes", "channels"])
+    @pytest.mark.parametrize(
+        "n, num_classes, shape",
+        [(0, 0, (1, 8, 8)), (2, 3, (0, 8, 8)), (0, 3, (1, 8, 8))],
+        ids=["classes", "channels", "images"],
+    )
     def test_zero_header_count_exits_5(self, pipeline, tmp_path, n, num_classes, shape):
-        """A dataset header with 0 classes or a zero image dimension is a
-        one-line format error that names the file, even when the labels,
+        """A dataset header with 0 images, 0 classes or a zero image dimension
+        is a one-line format error that names the file, even when the labels,
         image bytes and class names agree with it."""
         path = _copy_run(pipeline, tmp_path) / "data" / "train.dstl"
         trailer = json.dumps({"class_names": [str(c) for c in range(num_classes)]}).encode()

@@ -1,11 +1,12 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
 from distillab.config import ToyDataSpec
 from distillab.data import (
-    DatasetFormatError,
+    FormatError,
     LabeledDataset,
     cutmix,
     grating_image,
@@ -270,7 +271,9 @@ class TestDatasetIO:
         write_dataset(p2, read_dataset(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_empty_dataset_round_trips(self, tmp_path):
+    def test_empty_dataset_is_a_format_error(self, tmp_path):
+        """A file with 0 images holds nothing any command can train on or
+        score, so reading it fails with the file's name, whatever wrote it."""
         ds = LabeledDataset(
             np.zeros((0, 1, 4, 4), dtype=np.float32),
             np.zeros(0, dtype=np.int64),
@@ -279,9 +282,8 @@ class TestDatasetIO:
         )
         p = tmp_path / "empty.dstl"
         write_dataset(p, ds)
-        back = read_dataset(p)
-        assert len(back) == 0
-        assert back.image_shape == (1, 4, 4)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: header counts must be positive: 0 images"):
+            read_dataset(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.dstl"
@@ -290,7 +292,7 @@ class TestDatasetIO:
         raw = bytearray(p.read_bytes())
         raw[:4] = b"NOPE"
         p.write_bytes(bytes(raw))
-        with pytest.raises(DatasetFormatError, match="magic"):
+        with pytest.raises(FormatError, match="magic"):
             read_dataset(p)
 
     def test_truncated(self, tmp_path):
@@ -302,7 +304,7 @@ class TestDatasetIO:
         cut_path = tmp_path / "trunc.dstl"
         for cut in range(len(raw)):
             cut_path.write_bytes(raw[:cut])
-            with pytest.raises(DatasetFormatError, match="truncated"):
+            with pytest.raises(FormatError, match="truncated"):
                 read_dataset(cut_path)
         assert len(read_dataset(p)) == 3
 
@@ -314,7 +316,7 @@ class TestDatasetIO:
         # first label lives right after the 26-byte header
         raw[26:28] = (9).to_bytes(2, "little")
         p.write_bytes(bytes(raw))
-        with pytest.raises(DatasetFormatError, match="labels"):
+        with pytest.raises(FormatError, match="labels"):
             read_dataset(p)
 
 

@@ -13,7 +13,8 @@ from distillab.diffusion import (
     timestep_embedding,
     train_denoiser,
 )
-from distillab.models import Adam, CheckpointFormatError, mlp_init, predict_batch
+from distillab.data import FormatError
+from distillab.models import Adam, mlp_init, predict_batch
 from distillab.numerics import SeededRng
 
 from conftest import as_float64, gradient_check
@@ -404,5 +405,5 @@ class TestDenoiserCheckpoint:
 
         p = tmp_path / "det.mdlc"
         save_detector(p, detector)
-        with pytest.raises(CheckpointFormatError):
+        with pytest.raises(FormatError):
             load_denoiser(p)

@@ -530,10 +530,10 @@ class TestFanOutCli:
 
     def test_sampler_failure_in_a_worker_exits_4(self, pipeline, tmp_path, monkeypatch, capsys, cores):
         """A NonFiniteError raised by the sampler in a class job's worker ends distill with exit 4."""
-        import distillab.diffusion as diffusion
+        import distillab.refine as refine
         from distillab.cli import main
 
-        parent, sample = os.getpid(), diffusion.sample_img2img_batch
+        parent, sample = os.getpid(), refine.sample_img2img_batch
 
         def failing_in_workers(*args):
             if os.getpid() != parent:
@@ -542,7 +542,7 @@ class TestFanOutCli:
 
         rd = _copy_run(pipeline, tmp_path)
         monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
-        monkeypatch.setattr(diffusion, "sample_img2img_batch", failing_in_workers)
+        monkeypatch.setattr(refine, "sample_img2img_batch", failing_in_workers)
         cores(2)
         capsys.readouterr()
         assert main(["distill", "--config", str(pipeline[1])]) == 4

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from distillab.config import AutoencoderConfig, ConfigError, DetectorConfig, ToyDataSpec, parse_config
-from distillab.data import LabeledDataset, cutmix, synthesize_toy_dataset
+from distillab.data import FormatError, LabeledDataset, cutmix, synthesize_toy_dataset
 from distillab.models import (
     Adam,
-    CheckpointFormatError,
     Detector,
     LatentCodec,
     Mlp,
@@ -336,19 +335,19 @@ class TestCheckpoints:
         p = tmp_path / "id.mdlc"
         desc = {"mode": "identity", "image_shape": [1, 16, 16], "latent_dim": 256, "enc_layers": None, "meta": {}}
         write_checkpoint(p, "autoencoder", desc, [])
-        with pytest.raises(CheckpointFormatError, match="enc_layers"):
+        with pytest.raises(FormatError, match="enc_layers"):
             load_autoencoder(p)
 
     def test_wrong_kind_rejected(self, detector, tmp_path):
         p = tmp_path / "det.mdlc"
         save_detector(p, detector)
-        with pytest.raises(CheckpointFormatError):
+        with pytest.raises(FormatError):
             load_autoencoder(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.mdlc"
         p.write_bytes(b"XXXX" + b"\x00" * 32)
-        with pytest.raises(CheckpointFormatError, match="magic"):
+        with pytest.raises(FormatError, match="magic"):
             load_detector(p)
 
     def test_truncated_file_is_a_format_error(self, tmp_path):
@@ -365,7 +364,7 @@ class TestCheckpoints:
         cut_path = tmp_path / "cut.mdlc"
         for cut in cuts:
             cut_path.write_bytes(raw[:cut])
-            with pytest.raises(CheckpointFormatError):
+            with pytest.raises(FormatError):
                 load_detector(cut_path)
         assert load_detector(p).num_classes == 3
 

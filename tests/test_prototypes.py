@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from distillab.config import DistillConfig
-from distillab.data import LabeledDataset, grating_image
-from distillab.models import CheckpointFormatError, write_checkpoint
+from distillab.data import FormatError, LabeledDataset, grating_image
+from distillab.models import write_checkpoint
 from distillab.numerics import SeededRng
 from distillab.prototypes import (
     Prototype,
@@ -193,7 +193,7 @@ class TestPrototypeIO:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.prto"
         p.write_bytes(b"WHAT" + b"\x00" * 16)
-        with pytest.raises(CheckpointFormatError, match="magic"):
+        with pytest.raises(FormatError, match="magic"):
             read_prototypes(p)
 
     @pytest.mark.parametrize("table", [[[0, 1]], [5], ["abc"], [[0, 1, -3]], [[0.5, 1, 2]], [[True, 1, 2]]])
@@ -201,7 +201,7 @@ class TestPrototypeIO:
         """Each table row is three non-negative ints: a class, a cluster index and a cluster size."""
         p = tmp_path / "p.prto"
         write_checkpoint(p, "prototypes", {"table": table, "provenance": {}}, [np.zeros((1, 4), dtype=np.float32)])
-        with pytest.raises(CheckpointFormatError, match=re.escape(f"{p}: prototype table row")):
+        with pytest.raises(FormatError, match=re.escape(f"{p}: prototype table row")):
             read_prototypes(p)
 
     def test_empty_rejected(self, tmp_path):
@@ -227,6 +227,6 @@ class TestPrototypeIO:
         cut_path = tmp_path / "cut.prto"
         for cut in cuts:
             cut_path.write_bytes(raw[:cut])
-            with pytest.raises(CheckpointFormatError):
+            with pytest.raises(FormatError):
                 read_prototypes(cut_path)
         assert len(read_prototypes(p)[0]) == 3

@@ -13,7 +13,6 @@ from distillab.models import predict_batch
 from distillab.numerics import SeededRng, cosine_similarity
 from distillab.refine import (
     _KEY_REFINE,
-    NormalPool,
     Provenance,
     SyntheticSample,
     cumulative_similarity,
@@ -81,7 +80,7 @@ def brute_force_select(candidates, pool, cfg):
     best_key = None
     for i in shortlist:
         sim = 0.0
-        for f in pool.features(candidates[i].intended_label):
+        for f in pool:
             sim += cosine_similarity(candidates[i].feature, f)
         key = (sim, -candidates[i].confidence, i)
         if best_key is None or key < best_key:
@@ -126,32 +125,26 @@ class TestAcceptanceRule:
 
 class TestCumulativeSimilarity:
     def test_single_identical(self):
-        pool = NormalPool(2)
-        pool.add(0, np.array([1.0, 0.0], dtype=np.float32))
-        assert cumulative_similarity(np.array([1.0, 0.0]), pool, 0) == pytest.approx(1.0)
+        pool = [np.array([1.0, 0.0], dtype=np.float32)]
+        assert cumulative_similarity(np.array([1.0, 0.0]), pool) == pytest.approx(1.0)
 
     def test_two_entries(self):
-        pool = NormalPool(2)
-        pool.add(0, np.array([1.0, 0.0], dtype=np.float32))
-        pool.add(0, np.array([0.0, 1.0], dtype=np.float32))
+        pool = [np.array([1.0, 0.0], dtype=np.float32), np.array([0.0, 1.0], dtype=np.float32)]
         v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert cumulative_similarity(v, pool, 0) == pytest.approx(np.sqrt(2.0), abs=1e-6)
+        assert cumulative_similarity(v, pool) == pytest.approx(np.sqrt(2.0), abs=1e-6)
 
     def test_empty_pool_is_zero(self):
-        pool = NormalPool(2)
-        assert cumulative_similarity(np.array([3.0, 4.0]), pool, 1) == 0.0
+        assert cumulative_similarity(np.array([3.0, 4.0]), []) == 0.0
 
     def test_dimension_mismatch(self):
-        pool = NormalPool(1)
-        pool.add(0, np.array([1.0, 0.0], dtype=np.float32))
+        pool = [np.array([1.0, 0.0], dtype=np.float32)]
         with pytest.raises(ValueError):
-            cumulative_similarity(np.array([1.0, 0.0, 0.0]), pool, 0)
+            cumulative_similarity(np.array([1.0, 0.0, 0.0]), pool)
 
 
 class TestSelectReplacement:
     def test_orthogonal_beats_identical(self):
-        pool = NormalPool(1)
-        pool.add(0, np.array([1.0, 0.0], dtype=np.float32))
+        pool = [np.array([1.0, 0.0], dtype=np.float32)]
         cands = [
             _sample(conf=0.95, feature=(1.0, 0.0), index=0),
             _sample(conf=0.95, feature=(0.0, 1.0), index=1),
@@ -159,8 +152,7 @@ class TestSelectReplacement:
         assert select_replacement(cands, pool, _cfg(top_k=2, beta=0.5)) == 1
 
     def test_single_passing_candidate_chosen(self):
-        pool = NormalPool(1)
-        pool.add(0, np.array([1.0, 0.0], dtype=np.float32))
+        pool = [np.array([1.0, 0.0], dtype=np.float32)]
         cands = [
             _sample(predicted=1, conf=0.99, feature=(0.0, 1.0), index=0),  # wrong label
             _sample(conf=0.6, feature=(1.0, 0.0), index=1),  # low conf
@@ -171,15 +163,14 @@ class TestSelectReplacement:
     def test_none_when_filter_empty(self):
         """No candidate passes the gate: the pick is the fallback, the most
         confident label match, which select() keeps out of the pool."""
-        pool = NormalPool(1)
+        pool = []
         cands = [_sample(predicted=1, conf=0.99, index=0), _sample(conf=0.5, index=1)]
         assert select_replacement(cands, pool, _cfg(top_k=1, beta=0.9)) == 1
 
     def test_gate_first_then_rank(self):
         # highest-confidence candidate fails the gate; top-k applies to the
         # gated set, so the diverse lower-confidence survivor still wins
-        pool = NormalPool(1)
-        pool.add(0, np.array([1.0, 0.0], dtype=np.float32))
+        pool = [np.array([1.0, 0.0], dtype=np.float32)]
         cands = [
             _sample(predicted=1, conf=0.999, feature=(0.0, 1.0), index=0),
             _sample(conf=0.95, feature=(1.0, 0.0), index=1),
@@ -199,9 +190,7 @@ class TestSelectReplacement:
             k = 1 + rng.integers(n)
             beta = 0.3 + 0.6 * float(rng.uniform(1)[0])
             intended = 0
-            pool = NormalPool(2)
-            for _ in range(pool_size):
-                pool.add(intended, rng.normal(d))
+            pool = [rng.normal(d).astype(np.float32) for _ in range(pool_size)]
             cands = []
             for i in range(n):
                 predicted = intended if rng.uniform(1)[0] < 0.6 else 1
@@ -230,17 +219,14 @@ class TestSelectReplacement:
         rng = SeededRng(404)
         for _ in range(50):
             n, d = 8, 6
-            pool = NormalPool(2)
             feats = [rng.normal(d) for _ in range(4)]
             cands = [
                 _sample(conf=round(float(rng.uniform(1)[0]), 2), feature=rng.normal(d), index=i)
                 for i in range(n)
             ]
             scale = 0.5 + 10 * float(rng.uniform(1)[0])
-            pool_a, pool_b = NormalPool(2), NormalPool(2)
-            for f in feats:
-                pool_a.add(0, f)
-                pool_b.add(0, scale * f)
+            pool_a = [f.astype(np.float32) for f in feats]
+            pool_b = [(scale * f).astype(np.float32) for f in feats]
             cands_b = [
                 _sample(conf=c.confidence, feature=scale * c.feature, index=i)
                 for i, c in enumerate(cands)
@@ -379,23 +365,22 @@ class TestRefineSlot:
         ],
     )
     def test_modes(self, mode, beta, chosen, status):
-        pool = NormalPool(2)
-        pool.add(0, np.array([1.0, 0.0], dtype=np.float32))
+        pool = [np.array([1.0, 0.0], dtype=np.float32)]
         cfg = _cfg(mode, top_k=2, beta=beta, num_candidates=4)
         pick = self.CANDIDATES[select_replacement(self.CANDIDATES, pool, cfg)]
         accepted = is_accepted(pick.predicted_label, pick.confidence, 0, beta)
         assert (pick.provenance.candidate_index, "refined" if accepted else "fallback") == (chosen, status)
         assert select_replacement(self.CANDIDATES, pool, cfg) == brute_force_select(self.CANDIDATES, pool, cfg)
-        assert pool.size(0) == 1  # choosing does not touch the pool
+        assert len(pool) == 1  # choosing does not touch the pool
 
     def test_no_label_match_falls_back_to_most_confident(self):
         candidates = [_sample(predicted=1, conf=c, index=i) for i, c in enumerate((0.5, 0.9, 0.9))]
         cfg = _cfg("tplus_s", top_k=2, beta=0.5, num_candidates=3)
-        assert select_replacement(candidates, NormalPool(2), cfg) == 1
+        assert select_replacement(candidates, [], cfg) == 1
 
     def test_base_mode_refines_nothing(self):
         with pytest.raises(ValueError, match="selection_mode='base'"):
-            select_replacement(self.CANDIDATES, NormalPool(2), _cfg("base"))
+            select_replacement(self.CANDIDATES, [], _cfg("base"))
 
 
 class TestRefineDefective:
@@ -421,7 +406,7 @@ class TestRefineDefective:
         assert sample.status == "refined"
         assert sample.predicted_label == sample.intended_label
         assert sample.confidence > 0.5
-        assert res.pool.size(0) == 1
+        assert res.report["slots"][0]["status"] == "refined"  # joins the class pool: test_pool_soundness
         assert len(cands) == 4
 
     def test_always_wrong_generator_falls_back(self, mock_world):
@@ -437,7 +422,7 @@ class TestRefineDefective:
         res = select(self._bank(mock_world, WrongGen(train), cfg), cfg)
         sample = res.samples[0]
         assert sample.status == "fallback"
-        assert res.pool.size(0) == 0
+        assert res.report["slots"][0]["status"] == "fallback"  # stays out of the class pool: test_pool_soundness
 
     def test_defaults_match_sensitivity_optima(self):
         cfg = DistillConfig()
@@ -511,22 +496,32 @@ class TestDistill:
             checked += 1
         assert checked >= train.num_classes * cfg.ipc - 2
 
-    def test_pool_soundness(self, mock_world):
+    def test_pool_soundness(self, mock_world, monkeypatch):
+        """Each flagged slot's replacement is chosen against its class's pool:
+        the features of the class's normal samples, then of the class's
+        slots refined before it, in slot order. Fallbacks never join."""
+        import distillab.refine as refine_module
+
         train, det, encode_fn = mock_world
         gen = MockGenerator(train, defect_rate=0.25)
         cfg = DistillConfig(ipc=4, beta=0.7, num_candidates=6, top_k=2, kmeans_restarts=2)
+        seen, choose = [], refine_module.select_replacement
+
+        def recording(candidates, pool, cfg):
+            seen.append(list(pool))
+            return choose(candidates, pool, cfg)
+
+        monkeypatch.setattr(refine_module, "select_replacement", recording)
         res = distill(train, encode_fn, gen, det, cfg, SeededRng(14))
-        for c in range(train.num_classes):
-            accepted = [
-                s.feature
-                for s in res.samples
-                if s.intended_label == c and s.status in ("normal", "refined")
-            ]
-            pool_feats = res.pool.features(c)
-            assert len(pool_feats) == len(accepted)
-            got = sorted(tuple(np.round(f, 5)) for f in pool_feats)
-            want = sorted(tuple(np.round(f, 5)) for f in accepted)
-            assert got == want
+        statuses = [s.status for s in res.samples]
+        flagged = [slot for slot, status in enumerate(statuses) if status != "normal"]
+        assert "refined" in statuses and len(seen) == len(flagged)
+        for slot, pool in zip(flagged, seen):
+            c = res.samples[slot].intended_label
+            want = [s.feature for s in res.samples if s.intended_label == c and s.status == "normal"]
+            want += [s.feature for s in res.samples[:slot] if s.intended_label == c and s.status == "refined"]
+            assert len(pool) == len(want)
+            assert all(np.array_equal(got, w) for got, w in zip(pool, want))
 
     def test_deterministic_outputs(self, mock_world, tmp_path):
         import json
@@ -565,17 +560,17 @@ class TestDiffusionCandidateGenerator:
         """At strength 0 the sampler returns its prototypes, so the initial
         samples are their decodings; the report names the settings the
         sampler ran with, not the defaults."""
-        import distillab.diffusion as diffusion
+        import distillab.refine as refine_module
         from distillab.refine import DiffusionCandidateGenerator
 
         used = []
-        sample = diffusion.sample_img2img_batch
+        sample = refine_module.sample_img2img_batch
 
         def spy(den, sched, prototypes, label, strength, guidance_scale, rngs):
             used.append((strength, guidance_scale))
             return sample(den, sched, prototypes, label, strength, guidance_scale, rngs)
 
-        monkeypatch.setattr(diffusion, "sample_img2img_batch", spy)
+        monkeypatch.setattr(refine_module, "sample_img2img_batch", spy)
         gen = DiffusionCandidateGenerator(denoiser, frozen_schedule, codec.decode)
         cfg = DistillConfig(ipc=2, strength=0.0, guidance_scale=3.0, num_candidates=4, kmeans_restarts=2)
         bank = generate_candidates(toy_train, codec.encode, gen, detector, cfg, SeededRng(3))
