@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import SELECTION_MODES, ConfigError, config_sha256, default_config, load_config, to_dict
+from .config import SELECTION_MODES, ConfigError, check_seed, config_sha256, default_config, load_config, to_dict
 from .data import FormatError, read_dataset, read_report, synthesize_toy_dataset, write_atomic, write_dataset
 from .diffusion import load_denoiser, save_denoiser, train_denoiser
 from .evalharness import AblationInputs, SweepCheckError, evaluate, run_ablation, sensitivity_csv, train_downstream
@@ -252,7 +252,7 @@ def _cmd_distill(args) -> int:
     # each override flag stores into the distill field of its name
     names = [f.name for f in dataclasses.fields(run.cfg.distill)]
     dcfg = _distill_cfg(run.cfg, **{n: getattr(args, n) for n in names if getattr(args, n, None) is not None})
-    seed = run.cfg.master_seed if args.seed is None else args.seed
+    seed = run.cfg.master_seed if args.seed is None else check_seed("--seed", args.seed)
     with run:
         train = read_dataset(run.inputs["train"])
         det, codec, gen = _load_models(run)

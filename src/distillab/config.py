@@ -43,6 +43,7 @@ __all__ = [
     "ToyDataSpec",
     "TrainConfig",
     "check_schedule",
+    "check_seed",
     "config_sha256",
     "default_config",
     "load_config",
@@ -63,6 +64,13 @@ def check_schedule(timesteps: int, beta_start: float, beta_end: float) -> None:
         raise ValueError("timesteps must be >= 1")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError("need 0 < beta_start <= beta_end < 1")
+
+
+def check_seed(name: str, seed: int) -> int:
+    """``seed`` when it names one ``SeededRng`` stream, i.e. lies in [0, 2^64); else ConfigError citing ``name``."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -240,8 +248,8 @@ class DistillConfig:
             raise ValueError("top_k cannot exceed num_candidates")
         if not 0.0 <= self.strength <= 1.0:
             raise ValueError("strength must lie in [0, 1]")
-        if self.guidance_scale < 0.0:
-            raise ValueError("guidance_scale must be non-negative")
+        if not 0.0 <= self.guidance_scale < math.inf:
+            raise ValueError("guidance_scale must be a finite non-negative number")
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"selection_mode must be one of {SELECTION_MODES}")
         if self.kmeans_restarts < 1:
@@ -268,6 +276,8 @@ class EvalConfig(ClassifierConfig):
         super().__post_init__()
         if not self.modes or not self.seeds:
             raise ValueError("modes and seeds must not be empty")
+        for seed in self.seeds:
+            check_seed("seeds", seed)
         for mode in self.modes:
             if mode not in SELECTION_MODES:
                 raise ValueError(f"modes must be among {SELECTION_MODES}, got selection_mode={mode!r}")
@@ -293,6 +303,7 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
+        check_seed("master_seed", self.master_seed)
         # each class is clustered into ipc prototypes, one image at least each
         if self.distill.ipc > self.data.train_per_class:
             raise ValueError(

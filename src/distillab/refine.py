@@ -11,12 +11,13 @@ chosen, trading confidence for intra-class diversity.
 It runs in two phases. Generation (``generate_candidates``) reads only its
 rng and the config fields in ``GENERATION_FIELDS``, and yields a
 ``CandidateBank``: the prototypes and every generated batch, each scored
-once by the detector.
-Selection (``select``) applies the gate, pool, shortlist, similarity and
-fallback for one config. Generation never reads the selection knobs (beta,
-top_k, selection_mode), so one bank serves every selection mode and every
-(k, beta) cell on a seed, with outputs equal to a standalone ``distill``
-byte for byte.
+once by the detector into ``SyntheticSample`` records, which carry no
+verdict. Selection (``select``) gives each slot its one verdict for one
+config: the initial sample is kept (normal), a candidate replaces it
+(refined), or the slot falls back. Generation never reads the selection
+knobs (beta, top_k, selection_mode), so one bank serves every selection
+mode and every (k, beta) cell on a seed, with outputs equal to a
+standalone ``distill`` byte for byte.
 
 Generation is split into independent jobs that ``fan_out`` runs on every
 usable core: one per class (encoding, k-means and the class's initial
@@ -26,7 +27,7 @@ its own rng streams, so the bank does not depend on the core count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 import numpy as np
@@ -65,24 +66,20 @@ _KEY_REFINE = 13
 
 
 @dataclass(frozen=True)
-class Provenance:
-    class_id: int
-    cluster_index: int
-    candidate_index: int | None  # None for the initial generation pass
-    seed: int  # seed of the rng stream that generated the sample
-
-
-@dataclass(frozen=True)
 class SyntheticSample:
-    """A generated image with its detector verdict and feature vector."""
+    """A generated image, where it came from, and its detector scores.
+
+    It has no status: ``select`` decides a slot's status once per config.
+    """
 
     image: np.ndarray
-    intended_label: int
+    intended_label: int  # the class it was generated for
+    cluster_index: int  # its prototype within the class
+    candidate_index: int | None  # None for the initial generation pass
+    seed: int  # seed of the rng stream that generated the sample
     predicted_label: int
     confidence: float
     feature: np.ndarray
-    status: str
-    provenance: Provenance
 
 
 class CandidateGenerator(Protocol):
@@ -155,20 +152,12 @@ def select_replacement(candidates: list[SyntheticSample], pool: list[np.ndarray]
     return min(shortlist, key=lambda i: (cumulative_similarity(c[i].feature, pool), -c[i].confidence, i))
 
 
-def _score(det, images, label, provenances):
-    """One detector pass over a generated batch; the status is provisional."""
+def _score(det, images, label, origins):
+    """One detector pass over a generated batch; ``origins`` holds each row's (cluster, candidate, seed)."""
     labels, confs, feats = predict_batch(det, images)
     return [
-        SyntheticSample(
-            image=images[i],
-            intended_label=label,
-            predicted_label=int(labels[i]),
-            confidence=float(confs[i]),
-            feature=feats[i],
-            status=STATUS_FALLBACK,  # provisional; select() sets the final status
-            provenance=provenances[i],
-        )
-        for i in range(len(images))
+        SyntheticSample(images[i], label, *origin, int(labels[i]), float(confs[i]), feats[i])
+        for i, origin in enumerate(origins)
     ]
 
 
@@ -195,7 +184,6 @@ class CandidateBank:
     """
 
     def __init__(self, cfg: DistillConfig, train: LabeledDataset, prototypes, initial, gen, det, rng: SeededRng):
-        self.key = generation_key(cfg)
         self.cfg = cfg
         self.num_classes = train.num_classes
         self.class_names = train.class_names
@@ -214,8 +202,7 @@ class CandidateBank:
         rngs = [slot_rng.spawn(i) for i in range(self.cfg.num_candidates)]
         latents = np.repeat(proto.latent[None], len(rngs), axis=0)
         images = self._gen.generate_batch(latents, label, rngs, self.cfg)
-        provenances = [Provenance(label, cluster, i, r.seed) for i, r in enumerate(rngs)]
-        return _score(self._det, images, label, provenances)
+        return _score(self._det, images, label, [(cluster, i, r.seed) for i, r in enumerate(rngs)])
 
     def refinements(self, slots: list[int]) -> dict[int, list[SyntheticSample]]:
         """Each slot's scored candidates; missing batches are generated, one job per slot."""
@@ -247,8 +234,7 @@ def generate_candidates(
         )
         rngs = [rng.spawn(_KEY_INITIAL, c, p.cluster_index) for p in protos]
         images = gen.generate_batch(np.stack([p.latent for p in protos]), c, rngs, cfg)
-        provenances = [Provenance(c, p.cluster_index, None, r.seed) for p, r in zip(protos, rngs)]
-        return protos, _score(det, images, c, provenances)
+        return protos, _score(det, images, c, [(p.cluster_index, None, r.seed) for p, r in zip(protos, rngs)])
 
     jobs = fan_out(class_job, range(train.num_classes))
     protos = [p for class_protos, _ in jobs for p in class_protos]
@@ -257,78 +243,58 @@ def generate_candidates(
 
 
 def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
-    """Gate the initial pass, then refine the defective slots from the bank.
+    """Give each slot its one verdict: normal, refined or fallback.
 
     Slots are processed in deterministic (class ascending, cluster
-    ascending) order; per-class pools are seeded with the accepted initial
-    samples in that same order before any refinement happens. When
-    selection_mode is "base" defective slots are kept as generated
-    (flagged fallback, excluded from the pool); otherwise the bank is asked
-    for every flagged slot's batch before the slot loop, so the missing ones
-    are generated together. A replacement that passes the acceptance rule
-    is refined and joins its class pool; any other pick is a fallback and
-    stays out of the pool. Raises ValueError when cfg disagrees with the
-    bank on a field that generation reads.
+    ascending) order. An initial sample that passes the acceptance rule is
+    normal, and the per-class pools are seeded with those samples in slot
+    order before any refinement happens. When selection_mode is "base" the
+    other slots keep their initial sample as a fallback; otherwise the bank
+    is asked for every flagged slot's batch before the slot loop, so the
+    missing ones are generated together. A replacement that passes the
+    acceptance rule is refined and joins its class pool; any other pick is
+    a fallback and stays out of the pool. Each slot's report record and
+    distilled image come from its chosen sample. Raises ValueError when cfg
+    disagrees with the bank on a field that generation reads.
     """
-    key = generation_key(cfg)
-    if key != bank.key:
+    key, bank_key = generation_key(cfg), generation_key(bank.cfg)
+    if key != bank_key:
         diff = ", ".join(
-            f"{f}={v!r} (bank: {b!r})" for f, v, b in zip(GENERATION_FIELDS, key, bank.key) if v != b
+            f"{f}={v!r} (bank: {b!r})" for f, v, b in zip(GENERATION_FIELDS, key, bank_key) if v != b
         )
         raise ValueError(f"config disagrees with the candidate bank: {diff}")
-    samples = [
-        replace(
-            s,
-            status=STATUS_NORMAL
-            if is_accepted(s.predicted_label, s.confidence, s.intended_label, cfg.beta)
-            else STATUS_FALLBACK,
-        )
-        for s in bank.initial
-    ]
-    pools = {c: [s.feature for s in samples if s.intended_label == c and s.status == STATUS_NORMAL]
+    accepted = [is_accepted(s.predicted_label, s.confidence, s.intended_label, cfg.beta) for s in bank.initial]
+    pools = {c: [s.feature for s, ok in zip(bank.initial, accepted) if ok and s.intended_label == c]
              for c in range(bank.num_classes)}
-    flagged = [slot for slot, s in enumerate(samples) if s.status != STATUS_NORMAL]
+    flagged = [slot for slot, ok in enumerate(accepted) if not ok]
     batches = bank.refinements(flagged) if cfg.selection_mode != "base" else {}
-    # refinement pass over defective slots in slot order
-    slot_records = []
-    for slot, s in enumerate(samples):
-        record = {
-            "class": s.provenance.class_id,
-            "cluster": s.provenance.cluster_index,
-            "status": s.status,
-            "predicted_label": s.predicted_label,
-            "confidence": s.confidence,
-            "candidate_index": s.provenance.candidate_index,
-            "seed": s.provenance.seed,
-        }
+    chosen, slot_records = [], []
+    for slot, (s, ok) in enumerate(zip(bank.initial, accepted)):
+        status = STATUS_NORMAL if ok else STATUS_FALLBACK
+        extra = {}
         if slot in batches:
             candidates = batches[slot]
-            cand = candidates[select_replacement(candidates, pools[s.intended_label], cfg)]
-            accepted = is_accepted(cand.predicted_label, cand.confidence, cand.intended_label, cfg.beta)
-            chosen = samples[slot] = replace(cand, status=STATUS_REFINED if accepted else STATUS_FALLBACK)
-            if accepted:
-                pools[chosen.intended_label].append(chosen.feature)
-            record.update(
-                status=chosen.status,
-                predicted_label=chosen.predicted_label,
-                confidence=chosen.confidence,
-                candidate_index=chosen.provenance.candidate_index,
-                seed=chosen.provenance.seed,
-                candidates=[
-                    {
-                        "index": i,
-                        "predicted_label": c.predicted_label,
-                        "confidence": c.confidence,
-                    }
-                    for i, c in enumerate(candidates)
-                ],
-            )
-        slot_records.append(record)
-    counts = {
-        STATUS_NORMAL: sum(s.status == STATUS_NORMAL for s in samples),
-        STATUS_REFINED: sum(s.status == STATUS_REFINED for s in samples),
-        STATUS_FALLBACK: sum(s.status == STATUS_FALLBACK for s in samples),
-    }
+            s = candidates[select_replacement(candidates, pools[s.intended_label], cfg)]
+            if is_accepted(s.predicted_label, s.confidence, s.intended_label, cfg.beta):
+                status = STATUS_REFINED
+                pools[s.intended_label].append(s.feature)
+            extra["candidates"] = [
+                {"index": i, "predicted_label": c.predicted_label, "confidence": c.confidence}
+                for i, c in enumerate(candidates)
+            ]
+        chosen.append(s)
+        slot_records.append({
+            "class": s.intended_label,
+            "cluster": s.cluster_index,
+            "status": status,
+            "predicted_label": s.predicted_label,
+            "confidence": s.confidence,
+            "candidate_index": s.candidate_index,
+            "seed": s.seed,
+            **extra,
+        })
+    statuses = [r["status"] for r in slot_records]
+    counts = {st: statuses.count(st) for st in (STATUS_NORMAL, STATUS_REFINED, STATUS_FALLBACK)}
     report = {
         "config": {
             "ipc": cfg.ipc,
@@ -341,22 +307,22 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
             "selection_mode": cfg.selection_mode,
         },
         "master_seed": bank.rng.seed,
-        "counts": dict(counts, total=len(samples)),
+        "counts": dict(counts, total=len(slot_records)),
         "slots": slot_records,
     }
     distilled = LabeledDataset(
-        images=np.stack([s.image for s in samples]),
-        labels=np.array([s.intended_label for s in samples], dtype=np.int64),
+        images=np.stack([s.image for s in chosen]),
+        labels=np.array([s.intended_label for s in chosen], dtype=np.int64),
         num_classes=bank.num_classes,
         class_names=bank.class_names,
         provenance={
             "source": "distill",
             "seed": bank.rng.seed,
             "selection_mode": cfg.selection_mode,
-            "counts": {k: int(v) for k, v in counts.items()},
+            "counts": counts,
         },
     )
-    return DistillResult(dataset=distilled, report=report, samples=samples, prototypes=bank.prototypes)
+    return DistillResult(dataset=distilled, report=report, prototypes=bank.prototypes)
 
 
 def distill(
@@ -373,14 +339,13 @@ def distill(
 
 @dataclass
 class DistillResult:
-    """Distilled dataset plus the per-slot provenance report.
+    """The distilled set, its JSON-ready per-slot report and the prototypes it was generated from.
 
-    ``samples`` (each with its final status and detector feature) and
-    ``prototypes`` are what ``dataset`` and ``report`` were built from; the
-    CLI writes ``dataset``, ``prototypes`` and the JSON-ready ``report``.
+    ``dataset`` holds each slot's chosen image under its intended label;
+    ``report["slots"]`` holds each slot's status, detector scores and
+    origin, in the same order. The CLI writes all three.
     """
 
     dataset: LabeledDataset
     report: dict
-    samples: list[SyntheticSample]
     prototypes: list[Prototype]

@@ -273,11 +273,11 @@ class TestAcceptance:
             fallback_count = res.report["counts"]["fallback"]
             print(f"  fallback count: {fallback_count} of {res.report['counts']['total']}")
             inconsistent = 0
-            for s in res.samples:
-                if s.status == "fallback":
+            for slot, image, label in zip(res.report["slots"], res.dataset.images, res.dataset.labels):
+                if slot["status"] == "fallback":
                     continue
-                labels, confs, _ = predict_batch(det, s.image[None])
-                if int(labels[0]) != s.intended_label or float(confs[0]) <= cfg.beta:
+                labels, confs, _ = predict_batch(det, image[None])
+                if int(labels[0]) != label or float(confs[0]) <= cfg.beta:
                     inconsistent += 1
             assert inconsistent == 0
 

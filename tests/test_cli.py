@@ -294,7 +294,14 @@ class TestDistillConfigErrors:
 
     @pytest.mark.parametrize(
         "override, needle",
-        [(["--beta", "1.5"], "beta must lie in (0, 1)"), (["--top-k", "5"], "top_k cannot exceed")],
+        [
+            (["--beta", "1.5"], "beta must lie in (0, 1)"),
+            (["--top-k", "5"], "top_k cannot exceed"),
+            (["--guidance", "nan"], "guidance_scale must be a finite non-negative number"),
+            (["--guidance", "inf"], "guidance_scale must be a finite non-negative number"),
+            (["--seed", "-1"], "--seed must lie in [0, 2^64), got -1"),
+            (["--seed", str(2**64)], f"--seed must lie in [0, 2^64), got {2**64}"),
+        ],
     )
     def test_distill_override(self, tmp_path, override, needle):
         proc = _cli(tmp_path, TINY_CONFIG, "distill", *override)
@@ -312,6 +319,21 @@ class TestDistillConfigErrors:
         cfg = dict(TINY_CONFIG, eval=dict(TINY_CONFIG["eval"], modes=["base", "best"]))
         proc = _cli(tmp_path, cfg, "ablate")
         _assert_config_error(tmp_path, proc, "selection_mode='best'")
+
+    @pytest.mark.parametrize(
+        "cfg, command, needle",
+        [
+            (dict(TINY_CONFIG, master_seed=-1), "synth-data", "master_seed must lie in [0, 2^64), got -1"),
+            (dict(TINY_CONFIG, master_seed=2**70), "distill", f"master_seed must lie in [0, 2^64), got {2**70}"),
+            (dict(TINY_CONFIG, eval=dict(TINY_CONFIG["eval"], seeds=[-1, 2**64 - 1])), "ablate",
+             "eval: seeds must lie in [0, 2^64), got -1"),
+        ],
+        ids=["master_seed-negative", "master_seed-2^70", "eval.seeds"],
+    )
+    def test_seed_outside_u64(self, tmp_path, cfg, command, needle):
+        """A seed outside [0, 2^64) would name the stream of another seed under another run id."""
+        proc = _cli(tmp_path, cfg, command)
+        _assert_config_error(tmp_path, proc, needle)
 
     def test_ablate_repeated_seed(self, tmp_path):
         cfg = dict(TINY_CONFIG, eval=dict(TINY_CONFIG["eval"], seeds=[1, 1]))

@@ -80,6 +80,10 @@ def test_parse_returns_config_or_config_error(payload):
         ({"denoiser": {"hidden_sizes": 256}}, "denoiser.hidden_sizes expects list, got int"),
         ({"data": {"orientations_deg": [0.0, 0.0], "frequencies": [2.0, 2.0], "num_classes": 2}},
          "data: classes must have distinct"),
+        ({"master_seed": -1}, "master_seed must lie in [0, 2^64), got -1"),
+        ({"master_seed": 2**70}, f"master_seed must lie in [0, 2^64), got {2**70}"),
+        ({"eval": {"seeds": [-1, 2**64 - 1]}}, "eval: seeds must lie in [0, 2^64), got -1"),
+        ({"eval": {"seeds": [1, 2**64]}}, f"eval: seeds must lie in [0, 2^64), got {2**64}"),
     ],
 )
 def test_rejections_name_the_key(payload, needle):
@@ -102,3 +106,9 @@ def test_repeated_eval_values_are_rejected(key, values):
     with pytest.raises(ConfigError) as e:
         parse_config({"eval": {key: values}})
     assert f"eval: {key} must not repeat a value" in str(e.value)
+
+
+def test_u64_seed_bounds_are_accepted():
+    """SeededRng keys its streams by a u64: its bounds parse, and a seed outside them is a ConfigError (above)."""
+    cfg = parse_config({"master_seed": 2**64 - 1, "eval": {"seeds": [0, 2**64 - 1]}})
+    assert (cfg.master_seed, cfg.eval.seeds) == (2**64 - 1, [0, 2**64 - 1])

@@ -13,7 +13,6 @@ from distillab.models import predict_batch
 from distillab.numerics import SeededRng, cosine_similarity
 from distillab.refine import (
     _KEY_REFINE,
-    Provenance,
     SyntheticSample,
     cumulative_similarity,
     distill,
@@ -32,17 +31,17 @@ def _sample(
     conf=0.95,
     feature=(1.0, 0.0),
     index=0,
-    status="fallback",
 ):
     feat = np.asarray(feature, dtype=np.float32)
     return SyntheticSample(
         image=np.zeros((1, 2, 2), dtype=np.float32),
         intended_label=intended,
+        cluster_index=0,
+        candidate_index=index,
+        seed=0,
         predicted_label=predicted,
         confidence=conf,
         feature=feat,
-        status=status,
-        provenance=Provenance(intended, 0, index, 0),
     )
 
 
@@ -369,7 +368,7 @@ class TestRefineSlot:
         cfg = _cfg(mode, top_k=2, beta=beta, num_candidates=4)
         pick = self.CANDIDATES[select_replacement(self.CANDIDATES, pool, cfg)]
         accepted = is_accepted(pick.predicted_label, pick.confidence, 0, beta)
-        assert (pick.provenance.candidate_index, "refined" if accepted else "fallback") == (chosen, status)
+        assert (pick.candidate_index, "refined" if accepted else "fallback") == (chosen, status)
         assert select_replacement(self.CANDIDATES, pool, cfg) == brute_force_select(self.CANDIDATES, pool, cfg)
         assert len(pool) == 1  # choosing does not touch the pool
 
@@ -402,12 +401,13 @@ class TestRefineDefective:
         assert bank.initial[0].predicted_label != 0
         gen.always_correct = True  # clean refinement candidates
         res = select(bank, cfg)
-        sample, cands = res.samples[0], res.report["slots"][0]["candidates"]
-        assert sample.status == "refined"
-        assert sample.predicted_label == sample.intended_label
-        assert sample.confidence > 0.5
-        assert res.report["slots"][0]["status"] == "refined"  # joins the class pool: test_pool_soundness
-        assert len(cands) == 4
+        slot = res.report["slots"][0]
+        assert slot["status"] == "refined"  # joins the class pool: test_pool_soundness
+        assert slot["predicted_label"] == slot["class"] == res.dataset.labels[0] == 0
+        assert slot["confidence"] > 0.5
+        assert len(slot["candidates"]) == 4
+        chosen = bank.refinements([0])[0][slot["candidate_index"]]
+        assert np.array_equal(res.dataset.images[0], chosen.image)
 
     def test_always_wrong_generator_falls_back(self, mock_world):
         train, _, _ = mock_world
@@ -420,9 +420,9 @@ class TestRefineDefective:
 
         cfg = DistillConfig(ipc=1, beta=0.9, top_k=2, num_candidates=4, kmeans_restarts=2)
         res = select(self._bank(mock_world, WrongGen(train), cfg), cfg)
-        sample = res.samples[0]
-        assert sample.status == "fallback"
-        assert res.report["slots"][0]["status"] == "fallback"  # stays out of the class pool: test_pool_soundness
+        slot = res.report["slots"][0]
+        assert slot["status"] == "fallback"  # stays out of the class pool: test_pool_soundness
+        assert slot["predicted_label"] != slot["class"]
 
     def test_defaults_match_sensitivity_optima(self):
         cfg = DistillConfig()
@@ -459,10 +459,11 @@ class TestDistill:
         assert res_base.report["counts"]["refined"] == 0
         n_defective = res_base.report["counts"]["fallback"]
         assert n_defective > 0
-        normal_mask = [s.status == "normal" for s in res_base.samples]
-        for i, is_normal in enumerate(normal_mask):
-            if is_normal:
-                assert np.array_equal(res_base.samples[i].image, res_full.samples[i].image)
+        for i, slot in enumerate(res_base.report["slots"]):
+            assert slot["candidate_index"] is None and "candidates" not in slot
+            if slot["status"] == "normal":
+                assert res_full.report["slots"][i]["status"] == "normal"
+                assert np.array_equal(res_base.dataset.images[i], res_full.dataset.images[i])
 
     def test_controlled_defects_all_repaired(self, mock_world):
         # 12% injected label defects; refiner candidates are always clean
@@ -487,11 +488,11 @@ class TestDistill:
         # must re-verify as label-consistent and confident under the detector
         assert res.report["counts"]["fallback"] <= 2
         checked = 0
-        for s in res.samples:
-            if s.status == "fallback":
+        for slot, image, label in zip(res.report["slots"], res.dataset.images, res.dataset.labels):
+            if slot["status"] == "fallback":
                 continue
-            labels, confs, _ = predict_batch(det, s.image[None])
-            assert int(labels[0]) == s.intended_label
+            labels, confs, _ = predict_batch(det, image[None])
+            assert int(labels[0]) == label == slot["class"]
             assert float(confs[0]) > cfg.beta
             checked += 1
         assert checked >= train.num_classes * cfg.ipc - 2
@@ -512,16 +513,23 @@ class TestDistill:
             return choose(candidates, pool, cfg)
 
         monkeypatch.setattr(refine_module, "select_replacement", recording)
-        res = distill(train, encode_fn, gen, det, cfg, SeededRng(14))
-        statuses = [s.status for s in res.samples]
+        bank = generate_candidates(train, encode_fn, gen, det, cfg, SeededRng(14))
+        slots = select(bank, cfg).report["slots"]
+        statuses = [r["status"] for r in slots]
         flagged = [slot for slot, status in enumerate(statuses) if status != "normal"]
         assert "refined" in statuses and len(seen) == len(flagged)
+        batches = bank.refinements(flagged)  # the batches select() chose from, held by the bank
+
+        def feature(slot):
+            r = slots[slot]
+            return bank.initial[slot].feature if r["status"] == "normal" else batches[slot][r["candidate_index"]].feature
+
         for slot, pool in zip(flagged, seen):
-            c = res.samples[slot].intended_label
-            want = [s.feature for s in res.samples if s.intended_label == c and s.status == "normal"]
-            want += [s.feature for s in res.samples[:slot] if s.intended_label == c and s.status == "refined"]
+            c = slots[slot]["class"]
+            want = [feature(j) for j, r in enumerate(slots) if r["class"] == c and r["status"] == "normal"]
+            want += [feature(j) for j, r in enumerate(slots[:slot]) if r["class"] == c and r["status"] == "refined"]
             assert len(pool) == len(want)
-            assert all(np.array_equal(got, w) for got, w in zip(pool, want))
+            assert all(got.dtype == w.dtype and got.tobytes() == w.tobytes() for got, w in zip(pool, want))
 
     def test_deterministic_outputs(self, mock_world, tmp_path):
         import json
@@ -547,10 +555,10 @@ class TestDistill:
         gen = MockGenerator(train, defect_rate=0.3)
         cfg = DistillConfig(ipc=5, beta=0.75, num_candidates=6, kmeans_restarts=2)
         res = distill(train, encode_fn, gen, det, cfg, SeededRng(16))
-        for s in res.samples:
-            if s.status in ("normal", "refined"):
-                assert s.predicted_label == s.intended_label
-                assert s.confidence > cfg.beta
+        for slot in res.report["slots"]:
+            if slot["status"] in ("normal", "refined"):
+                assert slot["predicted_label"] == slot["class"]
+                assert slot["confidence"] > cfg.beta
 
 
 class TestDiffusionCandidateGenerator:
@@ -608,7 +616,7 @@ class TestBankFanOut:
         for n in (1, 2):
             bank, _ = self._bank(mock_world, cores, n, tmp_path / f"{n}.log")
             cells = [replace(self.CFG, selection_mode=mode, top_k=k, beta=beta) for mode, k, beta in self.GRID]
-            results.append([plain([res.report, res.dataset, res.samples]) for res in (select(bank, c) for c in cells)])
+            results.append([plain([res.report, res.dataset, res.prototypes]) for res in (select(bank, c) for c in cells)])
         assert results[0] == results[1]
         assert any(res[0]["counts"]["refined"] for res in results[1])
 
