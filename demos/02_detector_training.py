@@ -36,7 +36,7 @@ print(f"retained fraction: {np.round(mixed.mix_ratio, 4)} (recomputed from the c
 print(f"soft labels:\n{np.round(mixed.soft_label, 4)}")
 
 # %% train and evaluate (the default detector section: 20 epochs, alpha 1.0)
-det = train_detector(train, defaults.detector, SeededRng(2024), use_cutmix=True)
+[det] = train_detector([train], defaults.detector, [SeededRng(2024)], use_cutmix=True)
 print(f"\nloss: {det.meta['loss_history'][0]:.3f} -> {det.meta['final_loss']:.3f}")
 
 labels, confs, _ = predict_batch(det, test.images)

@@ -42,7 +42,7 @@ den = train_denoiser(latents, train.labels, sched, defaults.denoiser, SeededRng(
 print(f"\ndenoiser loss: {den.meta['loss_history'][0]:.3f} -> {den.meta['final_loss']:.3f}")
 
 # %% guided vs unguided generation, judged by a detector
-det = train_detector(train, defaults.detector, SeededRng(2024), use_cutmix=True)
+[det] = train_detector([train], defaults.detector, [SeededRng(2024)], use_cutmix=True)
 proto = latents[train.labels == 2][:20].mean(axis=0)
 for w in (0.0, 1.0, 10.0):
     reps = np.tile(proto, (50, 1))

@@ -29,7 +29,7 @@ defaults = default_config()
 
 # %% artifacts: data, detector, codec, weak (defect-prone: half the epochs) denoiser
 train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
-det = train_detector(train, defaults.detector, SeededRng(2024), use_cutmix=True)
+[det] = train_detector([train], defaults.detector, [SeededRng(2024)], use_cutmix=True)
 codec = train_autoencoder(train, defaults.autoencoder, SeededRng(2025))
 latents = codec.encode(train.images)
 sched = defaults.denoiser.schedule()
@@ -62,6 +62,6 @@ for slot in res.report["slots"]:
 # %% compare against the unrefined baseline downstream (same bank, no regeneration)
 base = select(bank, replace(cfg, selection_mode="base"))
 for name, r in (("base", base), ("tplus_s", res)):
-    clf = train_downstream(r.dataset, defaults.eval, SeededRng(33))
+    [clf] = train_downstream([r.dataset], defaults.eval, [SeededRng(33)])
     acc = evaluate(clf, test)
     print(f"downstream accuracy ({name:8s}): {acc:.4f}")

@@ -18,7 +18,7 @@ defaults = default_config()
 
 # %% artifacts (weak generator: half the denoiser epochs, so refinement matters)
 train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
-det = train_detector(train, defaults.detector, SeededRng(2024), use_cutmix=True)
+[det] = train_detector([train], defaults.detector, [SeededRng(2024)], use_cutmix=True)
 codec = train_autoencoder(train, defaults.autoencoder, SeededRng(2025))
 sched = defaults.denoiser.schedule()
 den = train_denoiser(

@@ -204,12 +204,21 @@ def _load_models(run: _Command):
 # --- commands -------------------------------------------------------------------
 
 
+def _preview_count(args) -> int:
+    """``--preview``, the number of images to dump; a negative one is a ConfigError."""
+    if args.preview < 0:
+        raise ConfigError(f"--preview must be >= 0, got {args.preview}")
+    return args.preview
+
+
 def _cmd_synth_data(args) -> int:
-    with _Command(args) as run:
+    run = _Command(args)
+    preview = _preview_count(args)
+    with run:
         train, test = synthesize_toy_dataset(run.cfg.data, SeededRng(run.cfg.master_seed))
         train_path = run.output("data/train.dstl", write_dataset, train, samples=len(train))
         test_path = run.output("data/test.dstl", write_dataset, test, samples=len(test))
-        for i in range(min(args.preview, len(train))):
+        for i in range(min(preview, len(train))):
             _write_pgm(run.run_dir / "data" / f"preview_{i:03d}.pgm", train.images[i])
         print(f"wrote {train_path} ({len(train)} images) and {test_path} ({len(test)} images)")
     return 0
@@ -218,7 +227,7 @@ def _cmd_synth_data(args) -> int:
 def _cmd_train_detector(args) -> int:
     with _Command(args, "train") as run:
         train = read_dataset(run.inputs["train"])
-        det = train_detector(train, run.cfg.detector, SeededRng(run.cfg.master_seed).spawn(31), use_cutmix=True)
+        [det] = train_detector([train], run.cfg.detector, [SeededRng(run.cfg.master_seed).spawn(31)], use_cutmix=True)
         out = run.output("models/detector.mdlc", save_detector, det, final_loss=det.meta["final_loss"])
         print(f"wrote {out} (final training loss {det.meta['final_loss']:.4f})")
     return 0
@@ -253,6 +262,7 @@ def _cmd_distill(args) -> int:
     names = [f.name for f in dataclasses.fields(run.cfg.distill)]
     dcfg = _distill_cfg(run.cfg, **{n: getattr(args, n) for n in names if getattr(args, n, None) is not None})
     seed = run.cfg.master_seed if args.seed is None else check_seed("--seed", args.seed)
+    preview = _preview_count(args)
     with run:
         train = read_dataset(run.inputs["train"])
         det, codec, gen = _load_models(run)
@@ -263,7 +273,7 @@ def _cmd_distill(args) -> int:
         run.output("prototypes/prototypes.prto", write_prototypes, res.prototypes, provenance, **extra)
         out_path = run.output("distilled/distilled.dstl", write_dataset, res.dataset, **extra)
         run.output("reports/distill_report.json", write_atomic, [_json_bytes(res.report)], **extra)
-        for i in range(min(args.preview, len(res.dataset))):
+        for i in range(min(preview, len(res.dataset))):
             _write_pgm(run.run_dir / "distilled" / f"distilled_{i:03d}.pgm", res.dataset.images[i])
         c = res.report["counts"]
         print(
@@ -277,7 +287,7 @@ def _cmd_eval(args) -> int:
     with _Command(args, "distilled", "test") as run:
         distilled = read_dataset(run.inputs["distilled"])
         test = read_dataset(run.inputs["test"])
-        clf = train_downstream(distilled, run.cfg.eval, SeededRng(run.cfg.master_seed).spawn(34))
+        [clf] = train_downstream([distilled], run.cfg.eval, [SeededRng(run.cfg.master_seed).spawn(34)])
         acc = evaluate(clf, test)
         payload = {
             "accuracy": acc,

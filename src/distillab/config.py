@@ -276,6 +276,8 @@ class EvalConfig(ClassifierConfig):
         super().__post_init__()
         if not self.modes or not self.seeds:
             raise ValueError("modes and seeds must not be empty")
+        if not self.sensitivity_top_k or not self.sensitivity_betas:
+            raise ValueError("sensitivity_top_k and sensitivity_betas must not be empty")
         for seed in self.seeds:
             check_seed("seeds", seed)
         for mode in self.modes:

@@ -125,11 +125,15 @@ class Denoiser:
         return mlp_forward(self.mlp, self._assemble_input(z, temb, self.label_vec(tokens)))[-1]
 
     def _assemble_input(self, z, temb, lemb) -> np.ndarray:
-        """The MLP input: latents, their time embeddings ``temb`` and label embeddings ``lemb``."""
+        """The MLP input: latents, their time embeddings ``temb`` and label embeddings ``lemb``.
+
+        ``z`` is (B, latent_dim) or a (slots, B, latent_dim) stack, and
+        ``temb`` and ``lemb`` have its leading shape.
+        """
         z = np.asarray(z, dtype=self.label_table.dtype)
-        if z.ndim != 2 or z.shape[1] != self.latent_dim:
-            raise ValueError(f"latents must be (B, {self.latent_dim})")
-        return np.concatenate([z, temb, lemb], axis=1, dtype=z.dtype)
+        if z.ndim not in (2, 3) or z.shape[-1] != self.latent_dim:
+            raise ValueError(f"latents must be (B, {self.latent_dim}) or (slots, B, {self.latent_dim})")
+        return np.concatenate([z, temb, lemb], axis=-1, dtype=z.dtype)
 
 
 def denoise_loss_and_grads(den: Denoiser, zt, temb, tokens, eps):
@@ -207,7 +211,8 @@ def train_denoiser(
         eps = normal_from_words(words[:, rows:eps_end])[:, : rows * d]
         return t.reshape(-1), eps.reshape(-1, d), uniform_from_words(words[:, eps_end:]).reshape(-1)
 
-    def epoch(order):
+    def epoch(orders):
+        (order,) = orders
         # One block holds the epoch's words, each batch's after the previous
         # batch's, as per-batch draws take them. The full batches, then the
         # short last one, are converted, noised and embedded in one call each.
@@ -222,9 +227,10 @@ def train_denoiser(
         temb = timestep_embedding(t, cfg.time_embed_dim).astype(np.float32)
         tokens = np.where(drop < cfg.label_dropout, den.null_token, labels[order])
         for rows in batches(n, b):
-            yield denoise_loss_and_grads(den, zt[rows], temb[rows], tokens[rows], eps[rows])
+            loss, grads = denoise_loss_and_grads(den, zt[rows], temb[rows], tokens[rows], eps[rows])
+            yield [loss], grads
 
-    losses = fit(mlp.params() + [den.label_table], cfg, n, loop, epoch)
+    [losses] = fit(mlp.params() + [den.label_table], cfg, n, [loop], epoch)
     den.meta = {
         "epochs": cfg.epochs,
         "loss_history": losses,
@@ -236,16 +242,19 @@ def train_denoiser(
 
 
 def _guided_noise(den: Denoiser, z: np.ndarray, t: np.ndarray, lemb: np.ndarray, w: float) -> np.ndarray:
-    """Classifier-free guided estimate from one pass over the stacked (label, null) rows.
+    """Classifier-free guided estimate from one pass over each slot's stacked (label, null) rows.
 
-    ``lemb`` is ``label_vec`` of their tokens ``[label] * b + [null] * b``;
-    the sampler builds it once per call, since the tokens do not change
+    ``z`` is a (slots, b, d) stack at timesteps ``t`` (b,). ``lemb`` is
+    ``label_vec`` of each slot's tokens ``[label] * b + [null] * b``; the
+    sampler builds it once per call, since the tokens do not change
     between steps.
     """
-    b = len(z)
+    zz = np.concatenate([z, z], axis=-2)
     temb = timestep_embedding(np.concatenate([t, t]), den.time_embed_dim)
-    out = mlp_forward(den.mlp, den._assemble_input(np.concatenate([z, z]), temb, lemb))[-1]
-    eps_label, eps_null = out[:b], out[b:]
+    temb = np.broadcast_to(temb, zz.shape[:-1] + temb.shape[-1:])  # the same for every slot
+    out = mlp_forward(den.mlp, den._assemble_input(zz, temb, lemb))[-1]
+    b = z.shape[-2]
+    eps_label, eps_null = out[..., :b, :], out[..., b:, :]
     return eps_null + w * (eps_label - eps_null)
 
 
@@ -253,40 +262,58 @@ def sample_img2img_batch(
     den: Denoiser,
     sched: DiffusionSchedule,
     prototypes: np.ndarray,
-    label: int,
+    label,
     strength: float,
     guidance_scale: float,
     rngs,
 ) -> np.ndarray:
     """Partially noise each prototype and denoise it back under guidance.
 
-    ``rngs`` supplies one independent stream per row; each stream is
-    consumed in a fixed order (initial noise, then one draw per ancestral
-    step above t=1), so results are reproducible per (prototype, stream).
-    Each stream draws that whole sequence as one ``normal_rows`` block.
-    Note batched results can differ from one-at-a-time sampling in the last
-    float bit (BLAS blocking); batch shapes are part of the frozen recipe.
+    ``prototypes`` is one batch of rows (rows, d) whose class is the int
+    ``label``, or a (slots, rows, d) stack of batches with a tuple ``label``
+    holding each slot's class; the result has the same shape. ``rngs``
+    supplies one independent stream per row, slot after slot; each stream
+    is consumed in a fixed order (initial noise, then one draw per
+    ancestral step above t=1), so results are reproducible per (prototype,
+    stream). Each stream draws that whole sequence as one ``normal_rows``
+    block, into one float32 block for the call. A stack runs as one loop:
+    each network pass makes one BLAS call per slot, of the shape the slot
+    alone gets, and every other step is elementwise, so each slot equals
+    its own call bit for bit. Batched results can differ from one-at-a-time
+    sampling in the last float bit (BLAS blocking): a slot's shape (its row
+    count) is part of the frozen recipe.
     """
     protos = np.atleast_2d(np.asarray(prototypes, dtype=np.float64))
-    b, d = protos.shape
+    stacked = protos.ndim == 3
+    labels = tuple(label) if stacked else (label,)
+    if not stacked:
+        protos = protos[None]
+    slots, b, d = protos.shape
     if d != den.latent_dim:
         raise ValueError(f"prototype dim {d} != latent dim {den.latent_dim}")
     if not 0.0 <= strength <= 1.0:
         raise ValueError("strength must lie in [0, 1]")
     if guidance_scale < 0.0:
         raise ValueError("guidance_scale must be non-negative")
-    if not 0 <= label < den.num_classes:
-        raise ValueError(f"unknown label {label}")
-    if len(rngs) != b:
+    if len(labels) != slots:
+        raise ValueError(f"need one label per slot: {len(labels)} labels for {slots} slots")
+    for c in labels:
+        if not 0 <= c < den.num_classes:
+            raise ValueError(f"unknown label {c}")
+    if len(rngs) != slots * b:
         raise ValueError("need one rng stream per prototype")
     t_start = int(np.floor(strength * sched.timesteps))
     if t_start == 0:
-        return protos.astype(np.float32)
+        out = protos.astype(np.float32)
+        return out if stacked else out[0]
     # row 0 of a stream's block is the initial noise, row t_start - t + 1
     # the noise of reverse step t (t = t_start .. 2)
-    noise = np.stack([r.normal_rows(t_start, d) for r in rngs]).astype(np.float64)
-    z = forward_noise(protos, t_start, noise[:, 0], sched)
-    lemb = den.label_vec(np.repeat(np.array([label, den.null_token], dtype=np.int64), b))
+    noise = np.empty((slots, b, t_start, d), dtype=np.float32)
+    for row, r in zip(noise.reshape(slots * b, t_start, d), rngs):
+        row[...] = r.normal_rows(t_start, d)
+    z = forward_noise(protos, t_start, noise[:, :, 0], sched)
+    tokens = [[c] * b + [den.null_token] * b for c in labels]
+    lemb = den.label_vec(np.array(tokens, dtype=np.int64))
     for t in range(t_start, 0, -1):
         tb = np.full(b, t, dtype=np.int64)
         eps_hat = _guided_noise(den, z, tb, lemb, guidance_scale)
@@ -297,12 +324,12 @@ def sample_img2img_batch(
         if t > 1:
             ab_prev = sched.alpha_bars[t - 2]
             var = beta * (1.0 - ab_prev) / (1.0 - ab_t)
-            z = mean + np.sqrt(var) * noise[:, t_start - t + 1]
+            z = mean + np.sqrt(var) * noise[:, :, t_start - t + 1].astype(np.float64)
         else:
             z = mean
     out = z.astype(np.float32)
     require_finite("sampled latent", out)
-    return out
+    return out if stacked else out[0]
 
 
 def save_denoiser(path, den: Denoiser) -> str:

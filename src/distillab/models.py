@@ -51,7 +51,9 @@ class Mlp:
     """Plain MLP: tanh on every hidden layer, linear output.
 
     weights[i] has shape (fan_out, fan_in). Parameters are float32 as
-    built by ``mlp_init`` or read from a checkpoint.
+    built by ``mlp_init`` or read from a checkpoint. A stack of models
+    trained in lockstep is one Mlp with a leading model axis on every
+    parameter: weights (models, fan_out, fan_in), biases (models, fan_out).
     """
 
     weights: list[np.ndarray]
@@ -79,13 +81,23 @@ def mlp_init(layer_sizes, rng: SeededRng) -> Mlp:
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray) -> list[np.ndarray]:
-    """Activations [a0=x, a1, ..., aL] in the dtype of x; hidden layers tanh, last linear."""
+    """Activations [a0=x, a1, ..., aL] in the dtype of x; hidden layers tanh, last linear.
+
+    ``x`` is (rows, fan_in) or a (stack, rows, fan_in) stack of batches, one
+    per model of a stacked Mlp. ``np.matmul`` makes one BLAS call per batch,
+    so each batch's activations equal its own pass bit for bit.
+    """
     acts = [np.asarray(x)]
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = acts[-1] @ w.T + b
+        z = acts[-1] @ w.swapaxes(-1, -2) + b[..., None, :]
         acts.append(z if i == last else np.tanh(z))
     return acts
+
+
+def _stack_mlps(mlps: list[Mlp]) -> Mlp:
+    """One stacked Mlp holding ``mlps`` along a leading model axis."""
+    return Mlp([np.stack(ws) for ws in zip(*(m.weights for m in mlps))], [np.stack(bs) for bs in zip(*(m.biases for m in mlps))])
 
 
 def mlp_backward(mlp: Mlp, acts: list[np.ndarray], dout: np.ndarray, input_grad: bool = False):
@@ -93,14 +105,15 @@ def mlp_backward(mlp: Mlp, acts: list[np.ndarray], dout: np.ndarray, input_grad:
 
     Returns (grads, dinput) where grads interleaves [dW1, db1, dW2, ...]
     matching ``Mlp.params()`` order. dinput, d(loss)/d(input), costs one
-    more matmul and is None unless ``input_grad``.
+    more matmul and is None unless ``input_grad``. For a stacked Mlp every
+    gradient has the model axis, and each model's equals its own pass.
     """
     grads: list[np.ndarray] = [None] * (2 * len(mlp.weights))
     delta = np.asarray(dout, dtype=mlp.weights[0].dtype)
     for i in range(len(mlp.weights) - 1, -1, -1):
         a_prev = acts[i]
-        grads[2 * i] = delta.T @ a_prev
-        grads[2 * i + 1] = delta.sum(axis=0)
+        grads[2 * i] = delta.swapaxes(-1, -2) @ a_prev
+        grads[2 * i + 1] = delta.sum(axis=-2)
         if i > 0:
             # acts[i] = tanh(z_{i-1}), so tanh' = 1 - acts[i]^2
             delta = (delta @ mlp.weights[i]) * (1.0 - acts[i] ** 2)
@@ -155,27 +168,31 @@ class Adam:
             p -= u
 
 
-def fit(params, cfg: TrainConfig, n: int, loop: SeededRng, epoch) -> list[float]:
-    """Minibatch Adam over ``n`` rows; returns the mean loss of each epoch.
+def fit(params, cfg: TrainConfig, n: int, loops: list[SeededRng], epoch) -> list[list[float]]:
+    """Minibatch Adam over ``n`` rows for each of ``len(loops)`` jobs in lockstep.
 
-    Each epoch draws ``order = loop.permutation(n)`` and iterates
-    ``epoch(order)``, a generator that yields the ``(loss, grads)`` of each
-    ``cfg.batch_size`` slice of ``order`` in turn, grads in ``params``
+    Returns each job's mean loss of each epoch. Each epoch draws one
+    ``loop.permutation(n)`` per job and iterates ``epoch(orders)``, a
+    generator that yields, for each ``cfg.batch_size`` slice of the orders
+    in turn, the jobs' losses (one per job) and the grads in ``params``
     order. ``fit`` takes one Adam step per yield before it asks for the
     next, so each slice sees the parameters the steps before it left. The
-    generator may draw from ``loop`` after the permutation; as no draw
+    generator may draw from the loops after the permutations; as no draw
     depends on the parameters, it may draw the whole epoch's words as one
-    block before its first yield.
+    block before its first yield. The jobs share ``params``, stacked along a
+    leading job axis when there are several; the Adam update is elementwise,
+    so each job trains as it would alone. One model is the one-job case.
     """
     opt = Adam(params, cfg.learning_rate)
-    losses = []
+    histories = [[] for _ in loops]
     for _epoch in range(cfg.epochs):
         epoch_losses = []
-        for loss, grads in epoch(loop.permutation(n)):
+        for losses, grads in epoch([loop.permutation(n) for loop in loops]):
             opt.step(params, grads)
-            epoch_losses.append(loss)
-        losses.append(float(np.mean(epoch_losses)))
-    return losses
+            epoch_losses.append(losses)
+        for history, job_losses in zip(histories, zip(*epoch_losses)):
+            history.append(float(np.mean(job_losses)))
+    return histories
 
 
 def batches(n: int, size: int):
@@ -206,13 +223,13 @@ def _flatten_images(images: np.ndarray, image_shape) -> np.ndarray:
 
 
 def _soft_cross_entropy(logits: np.ndarray, soft_targets: np.ndarray):
-    """Mean soft-label cross entropy and d(loss)/d(logits)."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = float(-(soft_targets * logp).sum(axis=1).mean())
+    """Each model's mean soft-label cross entropy over a (models, rows, classes) stack, and d(loss)/d(logits)."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    losses = -(soft_targets * logp).sum(axis=-1).mean(axis=-1)
     probs = np.exp(logp)
-    dlogits = (probs - soft_targets) / len(logits)
-    return loss, dlogits
+    dlogits = (probs - soft_targets) / logits.shape[-2]
+    return losses.tolist(), dlogits
 
 
 def _cutmix_minibatch(train: LabeledDataset, idx: np.ndarray, alpha: float, words: np.ndarray):
@@ -235,51 +252,68 @@ def _cutmix_minibatch(train: LabeledDataset, idx: np.ndarray, alpha: float, word
 
 
 def train_detector(
-    train: LabeledDataset, cfg: ClassifierConfig, rng: SeededRng, *, use_cutmix: bool
-) -> Detector:
-    """Train an MLP classifier: the anomaly detector, or a downstream classifier.
+    trains: list[LabeledDataset], cfg: ClassifierConfig, rngs: list[SeededRng], *, use_cutmix: bool
+) -> list[Detector]:
+    """Train one MLP classifier per (training set, rng), in lockstep: the anomaly detector, or downstream classifiers.
 
     With ``use_cutmix`` (the detector; ``cfg`` is then a DetectorConfig)
     each minibatch sample gets a fresh mixing ratio and a partner drawn
     uniformly from the whole training set; without it the targets are
-    plain one-hot. Deterministic per (cfg, rng).
+    plain one-hot. The training sets must agree in size, image shape and
+    class count: their models are stacked along a leading model axis and
+    one ``fit`` steps them together, each minibatch of each model in its
+    own BLAS calls. So each classifier equals training it alone, bit for
+    bit, and is deterministic per (training set, cfg, rng). The detector
+    is the one-job case.
     """
-    if len(train) == 0:
+    if not trains or len(trains) != len(rngs):
+        raise ValueError("need one rng per training set, and at least one")
+    first = trains[0]
+    shape = (len(first), first.image_shape, first.num_classes)
+    if any((len(t), t.image_shape, t.num_classes) != shape for t in trains):
+        raise ValueError("training sets trained in lockstep must agree in size, image shape and class count")
+    if len(first) == 0:
         raise ValueError("training set is empty")
-    if train.num_classes < 2:
+    if first.num_classes < 2:
         raise ValueError("training requires at least 2 classes")
-    din = int(np.prod(train.image_shape))
-    mlp = mlp_init([din, *cfg.hidden_sizes, train.num_classes], rng.spawn(0))
-    loop = rng.spawn(1)
+    n, din, k = len(first), int(np.prod(first.image_shape)), first.num_classes
+    mlp = _stack_mlps([mlp_init([din, *cfg.hidden_sizes, k], rng.spawn(0)) for rng in rngs])
+    loops = [rng.spawn(1) for rng in rngs]
+    if not use_cutmix:  # the stacked sets, so that a minibatch of every model is one gather
+        images, onehot = np.stack([t.images for t in trains]), np.eye(k)[np.stack([t.labels for t in trains])]
+        models = np.arange(len(trains))[:, None]
 
-    def epoch(order):
-        # the epoch's CutMix words in one block, 4 per sample; images are
-        # mixed one minibatch at a time, so no epoch-sized image array is built
-        words = loop.raw_u64(4 * len(order)).reshape(-1, 4) if use_cutmix else None
-        for rows in batches(len(order), cfg.batch_size):
-            idx = order[rows]
+    def epoch(orders):
+        # each job's epoch of CutMix words in one block, 4 per sample; images
+        # are mixed one minibatch at a time, so no epoch-sized image array is built
+        words = [loop.raw_u64(4 * n).reshape(-1, 4) for loop in loops] if use_cutmix else None
+        orders = np.stack(orders)
+        for rows in batches(n, cfg.batch_size):
             if use_cutmix:
-                mixed = _cutmix_minibatch(train, idx, cfg.cutmix_alpha, words[rows])
-                xb, yb = mixed.image, mixed.soft_label
+                mixed = [_cutmix_minibatch(t, o[rows], cfg.cutmix_alpha, w[rows]) for t, o, w in zip(trains, orders, words)]
+                xb, yb = np.stack([m.image for m in mixed]), np.stack([m.soft_label for m in mixed])
             else:
-                xb, yb = train.images[idx], np.eye(train.num_classes)[train.labels[idx]]
-            acts = mlp_forward(mlp, xb.reshape(len(idx), din))
-            loss, dlogits = _soft_cross_entropy(acts[-1], yb)
-            yield loss, mlp_backward(mlp, acts, dlogits)[0]
+                xb, yb = images[models, orders[:, rows]], onehot[models, orders[:, rows]]
+            acts = mlp_forward(mlp, xb.reshape(len(trains), -1, din))
+            losses, dlogits = _soft_cross_entropy(acts[-1], yb)
+            yield losses, mlp_backward(mlp, acts, dlogits)[0]
 
-    losses = fit(mlp.params(), cfg, len(train), loop, epoch)
-    return Detector(
-        mlp=mlp,
-        num_classes=train.num_classes,
-        image_shape=train.image_shape,
-        meta={
-            "epochs": cfg.epochs,
-            "final_loss": losses[-1],
-            "loss_history": losses,
-            "seed": rng.seed,
-            "use_cutmix": use_cutmix,
-        },
-    )
+    histories = fit(mlp.params(), cfg, n, loops, epoch)
+    return [
+        Detector(
+            mlp=Mlp([w[j] for w in mlp.weights], [b[j] for b in mlp.biases]),
+            num_classes=k,
+            image_shape=first.image_shape,
+            meta={
+                "epochs": cfg.epochs,
+                "final_loss": losses[-1],
+                "loss_history": losses,
+                "seed": rng.seed,
+                "use_cutmix": use_cutmix,
+            },
+        )
+        for j, (rng, losses) in enumerate(zip(rngs, histories))
+    ]
 
 
 def predict_batch(det: Detector, images: np.ndarray):
@@ -335,11 +369,13 @@ def train_autoencoder(train: LabeledDataset, cfg: AutoencoderConfig, rng: Seeded
     dec = mlp_init([cfg.latent_dim, cfg.hidden_size, din], rng.spawn(1))
     flat = train.images.reshape(len(train), din)
 
-    def epoch(order):
+    def epoch(orders):
+        (order,) = orders
         for rows in batches(len(order), cfg.batch_size):
-            yield _ae_loss_and_grads(enc, dec, flat[order[rows]])
+            loss, grads = _ae_loss_and_grads(enc, dec, flat[order[rows]])
+            yield [loss], grads
 
-    losses = fit(enc.params() + dec.params(), cfg, len(train), rng.spawn(2), epoch)
+    [losses] = fit(enc.params() + dec.params(), cfg, len(train), [rng.spawn(2)], epoch)
     codec = LatentCodec(
         enc=enc,
         dec=dec,

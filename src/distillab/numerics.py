@@ -1,5 +1,5 @@
 """Deterministic numeric primitives: seeded RNG, softmax, cosine similarity,
-and ``fan_out``, which computes independent jobs on every usable core.
+and ``fan_out``, which hands each usable core its share of independent jobs.
 
 Conventions used across the package:
 
@@ -245,35 +245,45 @@ def _pin(cores: set[int]) -> None:
         pass
 
 
+def _share_results(fn, share: list) -> list:
+    """``fn(share)``: one result per item of the share."""
+    results = list(fn(share))
+    if len(results) != len(share):
+        raise ValueError(f"fan_out: a share of {len(share)} items gave {len(results)} results")
+    return results
+
+
 def _fan_out_share(start: int, step: int) -> list:
     fn, items, cores = _fan_out_job
     _pin({cores[start]})
-    return [fn(item) for item in items[start::step]]
+    return _share_results(fn, items[start::step])
 
 
 def fan_out(fn, items) -> list:
-    """``[fn(item) for item in items]``, computed on every usable core.
+    """One result per item, in item order: each usable core computes its share in one ``fn`` call.
 
     With ``n = min(len(items), usable cores)`` (the cores of
-    ``os.sched_getaffinity``), this process computes ``items[0::n]`` and
+    ``os.sched_getaffinity``), this process computes ``fn(items[0::n])`` and
     ``n - 1`` forked workers compute the other strided shares, so jobs of
-    equal cost balance. Each share runs pinned to a core of its own (this
-    process gets its affinity back on return): left to itself, the kernel
-    may wake a worker on the core of the busy parent and keep it there.
-    ``fn`` and ``items`` reach the workers through fork, not pickling: ``fn``
-    may be a closure over models. Only each share's results are pickled
-    back. When ``n`` is 1 it is a plain loop. A job's result must depend on
-    the item alone (and on the rng streams it spawns), so the results do
-    not depend on ``n``. An exception raised in a worker is raised here with
-    its type; a worker that dies raises ``BrokenProcessPool``; every worker
-    has exited when the call returns.
+    equal cost balance. ``fn`` maps a share (a list of items) to a list of
+    as many results, and may do the share's work as one stacked pass. Each
+    share runs pinned to a core of its own (this process gets its affinity
+    back on return): left to itself, the kernel may wake a worker on the
+    core of the busy parent and keep it there. ``fn`` and ``items`` reach
+    the workers through fork, not pickling: ``fn`` may be a closure over
+    models. Only each share's results are pickled back. When ``n`` is 1 it
+    is the one call ``fn(items)``. An item's result must depend on the item
+    alone (and on the rng streams it spawns), not on the other items of its
+    share, so the results do not depend on ``n``. An exception raised in a
+    worker is raised here with its type; a worker that dies raises
+    ``BrokenProcessPool``; every worker has exited when the call returns.
     """
     global _fan_out_job
     items = list(items)
     cores = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else list(range(os.cpu_count() or 1))
     n = min(len(items), len(cores))
     if n <= 1:
-        return [fn(item) for item in items]
+        return _share_results(fn, items) if items else []
     # imported here, as every command imports this module: they cost 20 ms and 1 MB
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

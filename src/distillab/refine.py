@@ -21,8 +21,12 @@ standalone ``distill`` byte for byte.
 
 Generation is split into independent jobs that ``fan_out`` runs on every
 usable core: one per class (encoding, k-means and the class's initial
-batch) and one per flagged slot (its refinement batch). A job reads only
-its own rng streams, so the bank does not depend on the core count.
+batch) and one per flagged slot (its refinement batch). Each core's share
+of jobs generates its batches in one generator call over a (slots, rows,
+latent) stack, and each slot's batch is decoded and scored on its own. A
+job reads only its own rng streams, and the sampler computes each slot of
+a stack as it would alone, so the bank depends neither on the core count
+nor on which slots share a stack.
 """
 
 from __future__ import annotations
@@ -83,33 +87,36 @@ class SyntheticSample:
 
 
 class CandidateGenerator(Protocol):
-    """Contract for sample producers: one batch of images for one class.
+    """Contract for sample producers: one image batch per slot of a stack.
 
-    ``generate_batch(prototypes, label, rngs, cfg)`` returns stacked images,
-    one row per rng stream, generated from the prototype latent of that row
-    with the sampler settings of ``cfg`` (only its GENERATION_FIELDS are
-    read). Implementations must be deterministic per rng stream. Batches may
-    be generated in forked worker processes, so a generator's own state
-    must not depend on which batches it generated before.
+    ``generate_batch(prototypes, labels, rngs, cfg)`` gets a (slots, rows,
+    latent) stack of prototype latents, a tuple with each slot's class and
+    one rng stream per row, slot after slot. It returns one stacked image
+    batch per slot, one row per stream, generated from the prototype latent
+    of that row with the sampler settings of ``cfg`` (only its
+    GENERATION_FIELDS are read). Implementations must be deterministic per
+    rng stream, and a slot's images must not depend on the other slots of
+    its stack. Stacks may be generated in forked worker processes, so a
+    generator's own state must not depend on which stacks it generated
+    before.
     """
 
-    def generate_batch(self, prototypes: np.ndarray, label: int, rngs: list[SeededRng], cfg: DistillConfig): ...
+    def generate_batch(self, prototypes: np.ndarray, labels: tuple[int, ...], rngs: list[SeededRng], cfg: DistillConfig): ...
 
 
 @dataclass(frozen=True)
 class DiffusionCandidateGenerator:
-    """Candidate generator backed by the guided diffusion sampler."""
+    """Candidate generator backed by the guided diffusion sampler: one sampler call per stack, one decode per slot."""
 
     denoiser: object
     schedule: object
     decode_fn: Callable[[np.ndarray], np.ndarray]
 
-    def generate_batch(self, prototypes: np.ndarray, label: int, rngs, cfg: DistillConfig):
-        return self.decode_fn(
-            sample_img2img_batch(
-                self.denoiser, self.schedule, prototypes, label, cfg.strength, cfg.guidance_scale, rngs
-            )
+    def generate_batch(self, prototypes: np.ndarray, labels: tuple[int, ...], rngs, cfg: DistillConfig):
+        latents = sample_img2img_batch(
+            self.denoiser, self.schedule, prototypes, labels, cfg.strength, cfg.guidance_scale, rngs
         )
+        return [self.decode_fn(slot) for slot in latents]
 
 
 def is_accepted(predicted_label: int, confidence: float, intended_label: int, beta: float) -> bool:
@@ -152,13 +159,24 @@ def select_replacement(candidates: list[SyntheticSample], pool: list[np.ndarray]
     return min(shortlist, key=lambda i: (cumulative_similarity(c[i].feature, pool), -c[i].confidence, i))
 
 
-def _score(det, images, label, origins):
-    """One detector pass over a generated batch; ``origins`` holds each row's (cluster, candidate, seed)."""
-    labels, confs, feats = predict_batch(det, images)
-    return [
-        SyntheticSample(images[i], label, *origin, int(labels[i]), float(confs[i]), feats[i])
-        for i, origin in enumerate(origins)
-    ]
+def _generate_scored(gen, det, cfg: DistillConfig, slots: list[tuple[int, list[Prototype], list[SeededRng], list]]):
+    """Each slot's scored samples, from one generator call over the stack of the slots.
+
+    A slot is (label, the prototype of each row, the stream of each row,
+    each row's candidate index); the slots must have equal row counts.
+    Each slot's batch gets its own detector pass.
+    """
+    latents = np.stack([[p.latent for p in protos] for _, protos, _, _ in slots])
+    rngs = [r for _, _, streams, _ in slots for r in streams]
+    images = gen.generate_batch(latents, tuple(label for label, _, _, _ in slots), rngs, cfg)
+    scored = []
+    for batch, (label, protos, streams, candidates) in zip(images, slots):
+        labels, confs, feats = predict_batch(det, batch)
+        scored.append([
+            SyntheticSample(batch[i], label, p.cluster_index, cand, r.seed, int(labels[i]), float(confs[i]), feats[i])
+            for i, (p, r, cand) in enumerate(zip(protos, streams, candidates))
+        ])
+    return scored
 
 
 # The DistillConfig fields that generation reads; select() may vary all the
@@ -178,9 +196,10 @@ class CandidateBank:
     slot order (class ascending, cluster ascending). Refinement batches are
     generated on request: ``refinements(slots)`` generates and scores the
     batches of the requested slots the bank does not hold yet, one job per
-    slot on every usable core, and keeps them for every later selection. So
-    a slot's batch is generated at most once, and only when some selection
-    flags the slot.
+    slot on every usable core (each core's share in one stack), and keeps
+    them for every later selection. So a slot's batch is generated at most
+    once, only when some selection flags the slot, and it does not depend
+    on which slots were requested with it.
     """
 
     def __init__(self, cfg: DistillConfig, train: LabeledDataset, prototypes, initial, gen, det, rng: SeededRng):
@@ -194,18 +213,17 @@ class CandidateBank:
         self._det = det
         self._refinements: dict[int, list[SyntheticSample]] = {}
 
-    def _generate(self, slot: int) -> list[SyntheticSample]:
-        """The slot's scored candidates: num_candidates rows from its own prototype."""
-        proto = self.prototypes[slot]
-        label, cluster = proto.class_id, proto.cluster_index
-        slot_rng = self.rng.spawn(_KEY_REFINE, label, cluster)
-        rngs = [slot_rng.spawn(i) for i in range(self.cfg.num_candidates)]
-        latents = np.repeat(proto.latent[None], len(rngs), axis=0)
-        images = self._gen.generate_batch(latents, label, rngs, self.cfg)
-        return _score(self._det, images, label, [(cluster, i, r.seed) for i, r in enumerate(rngs)])
+    def _generate(self, slots: list[int]) -> list[list[SyntheticSample]]:
+        """The slots' scored candidates: num_candidates rows from each slot's own prototype, in one stack."""
+        k, jobs = self.cfg.num_candidates, []
+        for slot in slots:
+            proto = self.prototypes[slot]
+            slot_rng = self.rng.spawn(_KEY_REFINE, proto.class_id, proto.cluster_index)
+            jobs.append((proto.class_id, [proto] * k, [slot_rng.spawn(i) for i in range(k)], list(range(k))))
+        return _generate_scored(self._gen, self._det, self.cfg, jobs)
 
     def refinements(self, slots: list[int]) -> dict[int, list[SyntheticSample]]:
-        """Each slot's scored candidates; missing batches are generated, one job per slot."""
+        """Each slot's scored candidates; missing batches are generated, each core's share in one stack."""
         missing = [slot for slot in slots if slot not in self._refinements]
         self._refinements.update(zip(missing, fan_out(self._generate, missing)))
         return {slot: self._refinements[slot] for slot in slots}
@@ -223,20 +241,24 @@ def generate_candidates(
 
     A class's job encodes its images, runs k-means with
     ``rng.spawn(_KEY_PROTO).spawn(c)`` and generates and scores the class's
-    initial batch in one generation call. Reads only the GENERATION_FIELDS
-    of cfg. Refinement batches are left to the returned bank, which
-    generates them on demand from ``rng``.
+    initial batch; a core's share of classes generates its batches in one
+    generation call. Reads only the GENERATION_FIELDS of cfg. Refinement
+    batches are left to the returned bank, which generates them on demand
+    from ``rng``.
     """
 
-    def class_job(c: int):
-        protos = extract_prototypes(
-            encode_fn, train, cfg.ipc, rng.spawn(_KEY_PROTO), restarts=cfg.kmeans_restarts, classes=[c]
-        )
-        rngs = [rng.spawn(_KEY_INITIAL, c, p.cluster_index) for p in protos]
-        images = gen.generate_batch(np.stack([p.latent for p in protos]), c, rngs, cfg)
-        return protos, _score(det, images, c, [(p.cluster_index, None, r.seed) for p, r in zip(protos, rngs)])
+    def class_jobs(classes: list[int]):
+        protos = [
+            extract_prototypes(encode_fn, train, cfg.ipc, rng.spawn(_KEY_PROTO), restarts=cfg.kmeans_restarts, classes=[c])
+            for c in classes
+        ]
+        slots = [
+            (c, ps, [rng.spawn(_KEY_INITIAL, c, p.cluster_index) for p in ps], [None] * len(ps))
+            for c, ps in zip(classes, protos)
+        ]
+        return list(zip(protos, _generate_scored(gen, det, cfg, slots)))
 
-    jobs = fan_out(class_job, range(train.num_classes))
+    jobs = fan_out(class_jobs, range(train.num_classes))
     protos = [p for class_protos, _ in jobs for p in class_protos]
     initial = [s for _, class_initial in jobs for s in class_initial]
     return CandidateBank(cfg, train, protos, initial, gen, det, rng)

@@ -48,7 +48,8 @@ def toy_test(toy_data):
 
 @pytest.fixture(scope="session")
 def detector(toy_train):
-    return train_detector(toy_train, DEFAULTS.detector, SeededRng(DETECTOR_SEED), use_cutmix=True)
+    [det] = train_detector([toy_train], DEFAULTS.detector, [SeededRng(DETECTOR_SEED)], use_cutmix=True)
+    return det
 
 
 @pytest.fixture(scope="session")

@@ -253,8 +253,8 @@ class TestAcceptance:
                 num_classes=3, train_per_class=120, test_per_class=30, image_height=8, image_width=8
             )
             train, _ = synthesize_toy_dataset(spec, SeededRng(99))
-            det = train_detector(
-                train, DetectorConfig(epochs=15, batch_size=32, hidden_sizes=[48, 24]), SeededRng(1),
+            [det] = train_detector(
+                [train], DetectorConfig(epochs=15, batch_size=32, hidden_sizes=[48, 24]), [SeededRng(1)],
                 use_cutmix=True,
             )
             cfg = DistillConfig(ipc=10, beta=0.6, num_candidates=20, top_k=2, kmeans_restarts=2)
@@ -265,9 +265,9 @@ class TestAcceptance:
                 """12% label defects on the initial pass (batches of ipc rows),
                 clean candidates (batches of num_candidates rows)."""
 
-                def generate_batch(self, prototypes, label, rngs, cfg):
-                    use = clean if len(rngs) == cfg.num_candidates else initial
-                    return use.generate_batch(prototypes, label, rngs, cfg)
+                def generate_batch(self, prototypes, labels, rngs, cfg):
+                    use = clean if prototypes.shape[1] == cfg.num_candidates else initial
+                    return use.generate_batch(prototypes, labels, rngs, cfg)
 
             res = distill(train, lambda im: im.reshape(len(im), -1), PhasedGen(), det, cfg, SeededRng(13))
             fallback_count = res.report["counts"]["fallback"]

@@ -335,6 +335,12 @@ class TestDistillConfigErrors:
         proc = _cli(tmp_path, cfg, command)
         _assert_config_error(tmp_path, proc, needle)
 
+    @pytest.mark.parametrize("command", ["synth-data", "distill"])
+    def test_negative_preview(self, tmp_path, command):
+        """A negative image count is a config error, not a run that dumps nothing."""
+        proc = _cli(tmp_path, TINY_CONFIG, command, "--preview", "-1")
+        _assert_config_error(tmp_path, proc, "--preview must be >= 0, got -1")
+
     def test_ablate_repeated_seed(self, tmp_path):
         cfg = dict(TINY_CONFIG, eval=dict(TINY_CONFIG["eval"], seeds=[1, 1]))
         proc = _cli(tmp_path, cfg, "ablate")

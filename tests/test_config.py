@@ -84,6 +84,8 @@ def test_parse_returns_config_or_config_error(payload):
         ({"master_seed": 2**70}, f"master_seed must lie in [0, 2^64), got {2**70}"),
         ({"eval": {"seeds": [-1, 2**64 - 1]}}, "eval: seeds must lie in [0, 2^64), got -1"),
         ({"eval": {"seeds": [1, 2**64]}}, f"eval: seeds must lie in [0, 2^64), got {2**64}"),
+        ({"eval": {"sensitivity_top_k": []}}, "eval: sensitivity_top_k and sensitivity_betas must not be empty"),
+        ({"eval": {"sensitivity_betas": []}}, "eval: sensitivity_top_k and sensitivity_betas must not be empty"),
     ],
 )
 def test_rejections_name_the_key(payload, needle):

@@ -318,7 +318,7 @@ class TestSampling:
         original = den.label_vec
 
         def recording(tokens):
-            seen.extend(np.atleast_1d(np.asarray(tokens)).tolist())
+            seen.extend(np.asarray(tokens).ravel().tolist())
             return original(tokens)
 
         monkeypatch.setattr(den, "label_vec", recording)
@@ -345,6 +345,36 @@ class TestSampling:
         assert dict(rng_spy.calls) == {(r.seed, "normal_rows"): 1 for r in rngs}
         for r in rngs:
             assert rng_spy.words[r.seed] == t_start * 2 * ((den.latent_dim + 1) // 2)
+
+    @pytest.mark.parametrize("labels", [(2,), (0, 2, 1)])
+    def test_stack_equals_per_slot_calls(self, denoiser, frozen_schedule, labels):
+        """A (slots, rows, d) stack gives each slot the bits of its own call."""
+        rows, d = 6, denoiser.latent_dim
+        protos = SeededRng(31).normal((len(labels), rows, d)) * 0.5
+
+        def streams(s):  # fresh streams of slot s: sampling advances them
+            return [SeededRng(32).spawn(s, i) for i in range(rows)]
+
+        stacked = sample_img2img_batch(
+            denoiser, frozen_schedule, protos, labels, 0.7, 5.0, [r for s in range(len(labels)) for r in streams(s)]
+        )
+        assert stacked.shape == (len(labels), rows, d) and stacked.dtype == np.float32
+        for s, label in enumerate(labels):
+            alone = sample_img2img_batch(denoiser, frozen_schedule, protos[s], label, 0.7, 5.0, streams(s))
+            assert stacked[s].tobytes() == alone.tobytes()
+
+    def test_stack_validation(self):
+        den, sched, latents, _ = _tiny_denoiser()
+        stack = np.stack([latents[:2], latents[2:4]])
+        rngs = [SeededRng(1).spawn(i) for i in range(4)]
+        with pytest.raises(ValueError, match="one label per slot"):
+            sample_img2img_batch(den, sched, stack, (0,), 0.5, 1.0, rngs)
+        with pytest.raises(ValueError, match="unknown label"):
+            sample_img2img_batch(den, sched, stack, (0, den.num_classes), 0.5, 1.0, rngs)
+        with pytest.raises(ValueError, match="one rng stream per prototype"):
+            sample_img2img_batch(den, sched, stack, (0, 1), 0.5, 1.0, rngs[:2])
+        out = sample_img2img_batch(den, sched, stack, (0, 1), 0.0, 1.0, rngs)
+        assert out.shape == stack.shape and np.array_equal(out, stack.astype(np.float32))
 
     def test_batch_shape(self):
         den, sched, latents, _ = _tiny_denoiser()

@@ -33,8 +33,8 @@ from test_refine import LoggingGenerator, MockGenerator
 def small_world():
     spec = ToyDataSpec(num_classes=3, train_per_class=100, test_per_class=40, image_height=8, image_width=8)
     train, test = synthesize_toy_dataset(spec, SeededRng(77))
-    det = train_detector(
-        train, DetectorConfig(epochs=15, batch_size=32, hidden_sizes=[48, 24]), SeededRng(5), use_cutmix=True
+    [det] = train_detector(
+        [train], DetectorConfig(epochs=15, batch_size=32, hidden_sizes=[48, 24]), [SeededRng(5)], use_cutmix=True
     )
     encode_fn = lambda imgs: imgs.reshape(len(imgs), -1)
     return train, test, det, encode_fn
@@ -51,7 +51,7 @@ class TestTrainDownstream:
         distilled = LabeledDataset(
             train.images[subset_idx], train.labels[subset_idx], 3, train.class_names
         )
-        clf = train_downstream(distilled, _downstream_cfg(), SeededRng(1))
+        [clf] = train_downstream([distilled], _downstream_cfg(), [SeededRng(1)])
         assert clf.num_classes == 3
 
     def test_deterministic(self, small_world):
@@ -60,22 +60,22 @@ class TestTrainDownstream:
         distilled = LabeledDataset(
             train.images[subset_idx], train.labels[subset_idx], 3, train.class_names
         )
-        a1 = evaluate(train_downstream(distilled, _downstream_cfg(), SeededRng(2)), test)
-        a2 = evaluate(train_downstream(distilled, _downstream_cfg(), SeededRng(2)), test)
+        a1 = evaluate(train_downstream([distilled], _downstream_cfg(), [SeededRng(2)])[0], test)
+        a2 = evaluate(train_downstream([distilled], _downstream_cfg(), [SeededRng(2)])[0], test)
         assert a1 == a2
 
     def test_cutmix_forced_off(self, small_world):
         train, _, _, _ = small_world
         cfg = EvalConfig(epochs=1, hidden_sizes=[8])
-        clf = train_downstream(train, cfg, SeededRng(3))
+        [clf] = train_downstream([train], cfg, [SeededRng(3)])
         assert clf.meta["use_cutmix"] is False
 
     def test_full_train_upper_bound(self, small_world):
         train, test, det, _ = small_world
-        clf = train_downstream(
-            train,
+        [clf] = train_downstream(
+            [train],
             EvalConfig(epochs=15, batch_size=32, hidden_sizes=[48, 24]),
-            SeededRng(4),
+            [SeededRng(4)],
         )
         assert evaluate(clf, test) >= 0.95
 
@@ -85,7 +85,7 @@ class TestTrainDownstream:
             np.zeros((0, 1, 8, 8), dtype=np.float32), np.zeros(0, dtype=np.int64), 3, train.class_names
         )
         with pytest.raises(ValueError):
-            train_downstream(empty, _downstream_cfg(), SeededRng(1))
+            train_downstream([empty], _downstream_cfg(), [SeededRng(1)])
 
 
 class TestEvaluate:
@@ -111,8 +111,8 @@ class TestEvaluate:
         train, _, _, _ = small_world
         subset_idx = np.concatenate([train.class_indices(c)[:5] for c in range(3)])
         tiny = LabeledDataset(train.images[subset_idx], train.labels[subset_idx], 3, train.class_names)
-        clf = train_downstream(
-            tiny, EvalConfig(epochs=150, batch_size=4, hidden_sizes=[48, 24]), SeededRng(7)
+        [clf] = train_downstream(
+            [tiny], EvalConfig(epochs=150, batch_size=4, hidden_sizes=[48, 24]), [SeededRng(7)]
         )
         assert evaluate(clf, tiny) == 1.0
 
@@ -194,10 +194,10 @@ class TestRunAblation:
         class DefectThenClean(MockGenerator):
             """Initial samples carry many label defects; candidates are clean."""
 
-            def generate_batch(self, prototypes, label, rngs, cfg):
+            def generate_batch(self, prototypes, labels, rngs, cfg):
                 # a refinement batch has num_candidates rows, an initial one ipc
-                self.always_correct = len(rngs) == cfg.num_candidates
-                return super().generate_batch(prototypes, label, rngs, cfg)
+                self.always_correct = prototypes.shape[1] == cfg.num_candidates
+                return super().generate_batch(prototypes, labels, rngs, cfg)
 
         inputs = AblationInputs(
             train=train,
@@ -307,7 +307,7 @@ class TestSharedBank:
                 select(bank, replace(cfg, **{field: value}))
 
 
-def _non_finite_training(dataset, cfg, rng):
+def _non_finite_training(datasets, cfg, rngs):
     raise NonFiniteError("downstream loss contains non-finite values")
 
 
@@ -319,10 +319,10 @@ def job_pids(tmp_path, monkeypatch):
     log = tmp_path / "job_pids.txt"
     real = evalharness.train_downstream
 
-    def logging(dataset, cfg, rng):
+    def logging(datasets, cfg, rngs):
         with open(log, "a") as f:
-            f.write(f"{os.getpid()}\n")
-        return real(dataset, cfg, rng)
+            f.write(f"{os.getpid()}\n" * len(datasets))
+        return real(datasets, cfg, rngs)
 
     monkeypatch.setattr(evalharness, "train_downstream", logging)
     return lambda: [int(line) for line in log.read_text().split()] if log.exists() else []
@@ -353,7 +353,7 @@ class TestFanOut:
         from distillab.evalharness import _KEY_BASELINE, _KEY_DOWNSTREAM, RunRecord, _random_subset
 
         def accuracy(dataset, seed):
-            clf = train_downstream(dataset, eval_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM))
+            [clf] = train_downstream([dataset], eval_cfg, [SeededRng(seed).spawn(_KEY_DOWNSTREAM)])
             return evaluate(clf, inputs.test)
 
         records = []
@@ -412,9 +412,10 @@ class TestFanOut:
 
         parent = os.getpid()
 
-        def dying(dataset, cfg, rng):
+        def dying(datasets, cfg, rngs):
             if os.getpid() != parent:
                 os._exit(1)  # as a worker killed for memory would
+            return [None] * len(datasets)
 
         monkeypatch.setattr(evalharness, "train_downstream", dying)
         cores(2)
@@ -426,18 +427,26 @@ class TestFanOut:
 
 class TestTrainAll:
     def test_each_distinct_job_trains_once_in_job_order(self, small_world, tmp_path, monkeypatch, cores):
-        """Counted across every process that trains: the parent and fan_out's workers."""
+        """Counted across every process that trains: the parent and fan_out's workers.
+
+        Each core trains its share's jobs of one shape and eval config in one
+        lockstep call, and every classifier equals training its job alone.
+        """
         import hashlib
 
         import distillab.evalharness as evalharness
 
         train, _, _, _ = small_world
-        log = tmp_path / "trainings.txt"
+        log, calls_log = tmp_path / "trainings.txt", tmp_path / "calls.txt"
 
-        def logging(dataset, cfg, rng):
+        def logging(datasets, cfg, rngs):
+            with open(calls_log, "a") as f:
+                f.write(f"{len(datasets)}\n")
             with open(log, "a") as f:
-                f.write(f"{os.getpid()} {hashlib.sha256(dataset.images).hexdigest()[:12]} {cfg.epochs} {rng!r}\n")
-            return train_downstream(dataset, cfg, rng)
+                for dataset, rng in zip(datasets, rngs):
+                    digest = hashlib.sha256(dataset.images).hexdigest()[:12]
+                    f.write(f"{os.getpid()} {digest} {cfg.epochs} {rng!r}\n")
+            return train_downstream(datasets, cfg, rngs)
 
         def subset(rows):
             return LabeledDataset(train.images[rows].copy(), train.labels[rows].copy(), 3, train.class_names)
@@ -453,22 +462,31 @@ class TestTrainAll:
             (a, replace(cfg, epochs=3), SeededRng(1)),
             (a, cfg, advanced),
             (b, cfg, SeededRng(1)),
+            (subset(slice(0, 21)), cfg, SeededRng(1)),  # another size: another stack
         ]
-        expected = [train_downstream(*job).mlp.params() for job in jobs]
+        alone = [train_downstream([dataset], job_cfg, [rng])[0] for dataset, job_cfg, rng in jobs]
         monkeypatch.setattr(evalharness, "train_downstream", logging)
+        # the distinct jobs are 0, 1, 3, 4, 5 and 7. On 1 core the four 30-row jobs of cfg train in
+        # two stacks of 2 (stacks hold at most 3); on 2 cores the parent's share is 0, 3 and 5, one
+        # stack of 3, and the worker's three jobs differ in config or size
+        assert evalharness._LOCKSTEP_JOBS == 3
+        calls = {1: [2, 2, 1, 1], 2: [3, 1, 1, 1]}
         for n in (1, 2):
             cores(n)
             log.unlink(missing_ok=True)
+            calls_log.unlink(missing_ok=True)
             out = evalharness._train_all(jobs)
             lines = log.read_text().splitlines()
-            assert len(lines) == 5
-            assert len({line.split(" ", 1)[1] for line in lines}) == 5
+            assert len(lines) == 6
+            assert len({line.split(" ", 1)[1] for line in lines}) == 6
             pids = {line.split()[0] for line in lines}
             assert len(pids) == n and str(os.getpid()) in pids
+            assert sorted(map(int, calls_log.read_text().split()), reverse=True) == calls[n]
             assert multiprocessing.active_children() == []
             assert out[2] is out[0] and out[6] is out[1]
-            for clf, params in zip(out, expected):
-                assert all(np.array_equal(x, y) for x, y in zip(clf.mlp.params(), params))
+            for clf, want in zip(out, alone):
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(clf.mlp.params(), want.mlp.params()))
+                assert clf.meta == want.meta
 
 
 class TestFanOutCli:
@@ -502,10 +520,10 @@ class TestFanOutCli:
                 f.write(f"{os.getpid()}\n")
             return real_exit(self, *exc)
 
-        def checking_train(dataset, cfg, rng):
+        def checking_train(datasets, cfg, rngs):
             with open(held, "a") as f:
                 f.write(f"{(rd / '.lock').read_text()}\n")
-            return real_train(dataset, cfg, rng)
+            return real_train(datasets, cfg, rngs)
 
         def marking_train_all(jobs):
             start = len(job_pids())

@@ -64,15 +64,38 @@ class TestTrainDetector:
             ("only",),
         )
         with pytest.raises(ValueError):
-            train_detector(mono, DetectorConfig(epochs=1), SeededRng(1), use_cutmix=True)
+            train_detector([mono], DetectorConfig(epochs=1), [SeededRng(1)], use_cutmix=True)
 
     def test_deterministic_parameters(self):
         train, _ = _tiny_dataset()
         cfg = DetectorConfig(epochs=2, batch_size=8, hidden_sizes=[16, 8])
-        d1 = train_detector(train, cfg, SeededRng(5), use_cutmix=True)
-        d2 = train_detector(train, cfg, SeededRng(5), use_cutmix=True)
+        [d1] = train_detector([train], cfg, [SeededRng(5)], use_cutmix=True)
+        [d2] = train_detector([train], cfg, [SeededRng(5)], use_cutmix=True)
         for a, b in zip(d1.mlp.params(), d2.mlp.params()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("use_cutmix", [True, False])
+    def test_lockstep_equals_training_each_alone(self, use_cutmix):
+        """Three jobs stacked in one fit give each job's weights and loss history bit for bit."""
+        trains = [_tiny_dataset(n_per_class=7, seed=seed)[0] for seed in (3, 4, 5)]  # 21 rows: a short last batch
+        rngs = [SeededRng(5), SeededRng(6), SeededRng(5).spawn(9)]
+        cfg = DetectorConfig(epochs=3, batch_size=8, hidden_sizes=[16, 8])
+        together = train_detector(trains, cfg, rngs, use_cutmix=use_cutmix)
+        assert len(together) == 3
+        for det, train, rng in zip(together, trains, rngs):
+            [alone] = train_detector([train], cfg, [rng], use_cutmix=use_cutmix)
+            assert [p.shape for p in det.mlp.params()] == [p.shape for p in alone.mlp.params()]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(det.mlp.params(), alone.mlp.params()))
+            assert det.meta == alone.meta and len(det.meta["loss_history"]) == 3
+        assert together[0].meta["loss_history"] != together[1].meta["loss_history"]
+
+    def test_lockstep_sets_must_agree_in_shape(self):
+        small, _ = _tiny_dataset(n_per_class=6)
+        large, _ = _tiny_dataset(n_per_class=7)
+        with pytest.raises(ValueError, match="lockstep"):
+            train_detector([small, large], DetectorConfig(epochs=1), [SeededRng(1), SeededRng(2)], use_cutmix=False)
+        with pytest.raises(ValueError, match="one rng per training set"):
+            train_detector([small, small], DetectorConfig(epochs=1), [SeededRng(1)], use_cutmix=False)
 
 
 class TestCutMixMinibatch:
@@ -112,7 +135,7 @@ class TestCutMixMinibatch:
     def test_train_detector_one_block_per_epoch(self, rng_spy):
         train, _ = _tiny_dataset(n_per_class=10, k=3)  # 30 images: 4 minibatches of <= 8
         rng = SeededRng(5)
-        train_detector(train, DetectorConfig(epochs=3, batch_size=8, hidden_sizes=[8]), rng, use_cutmix=True)
+        train_detector([train], DetectorConfig(epochs=3, batch_size=8, hidden_sizes=[8]), [rng], use_cutmix=True)
         loop = rng.spawn(1).seed
         draws = {name: count for (seed, name), count in rng_spy.calls.items() if seed == loop}
         assert draws == {"permutation": 3, "raw_u64": 3}

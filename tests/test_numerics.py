@@ -231,17 +231,38 @@ class TestBlockDraws:
             assert fast._counter == loop._counter == max(n - 1, 0)
 
 
+def _each(fn):
+    """A share function that applies ``fn`` to each item of its share."""
+    return lambda share: [fn(x) for x in share]
+
+
 class TestFanOut:
     def test_results_in_order_for_any_length(self, cores):
         cores(2)
         offset = 10  # a closure: fan_out hands fn to its workers through fork, not pickling
         for n in range(6):
-            assert fan_out(lambda x: x + offset, range(n)) == [x + offset for x in range(n)]
+            assert fan_out(_each(lambda x: x + offset), range(n)) == [x + offset for x in range(n)]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_each_core_gets_its_strided_share_in_one_call(self, cores, n):
+        cores(n)
+        out = fan_out(lambda share: [(os.getpid(), tuple(share))] * len(share), range(5))
+        # item i's result came from the call that got the share items[i % n::n]
+        assert [share for _, share in out] == [tuple(range(5))[i % n :: n] for i in range(5)]
+        assert [pid == os.getpid() for pid, _ in out] == [i % n == 0 for i in range(5)]
+        assert len({pid for pid, _ in out}) == n
+
+    def test_a_share_must_give_one_result_per_item(self, cores):
+        for n in (1, 2):
+            cores(n)
+            with pytest.raises(ValueError, match="a share of"):
+                fan_out(lambda share: share[:1], range(4))
         assert multiprocessing.active_children() == []
 
     def test_parent_computes_the_first_strided_share(self, cores):
         cores(2)
-        pids = fan_out(lambda x: os.getpid(), range(5))
+        pids = fan_out(_each(lambda x: os.getpid()), range(5))
         assert pids[0::2] == [os.getpid()] * 3
         assert len(set(pids[1::2])) == 1 and os.getpid() not in pids[1::2]
 
@@ -250,7 +271,7 @@ class TestFanOut:
         before = os.sched_getaffinity(0)
         usable = sorted(before)[:4]
         n = len(usable)
-        assert fan_out(lambda x: os.sched_getaffinity(0), range(4)) == [{usable[i % n]} for i in range(4)]
+        assert fan_out(_each(lambda x: os.sched_getaffinity(0)), range(4)) == [{usable[i % n]} for i in range(4)]
         assert os.sched_getaffinity(0) == before
 
         def fails_in_the_parent(x):
@@ -259,12 +280,12 @@ class TestFanOut:
 
         parent = os.getpid()
         with pytest.raises(NonFiniteError):
-            fan_out(fails_in_the_parent, range(2))
+            fan_out(_each(fails_in_the_parent), range(2))
         assert os.sched_getaffinity(0) == before
 
     def test_one_core_is_a_plain_loop(self, cores):
         cores(1)
-        assert fan_out(lambda x: os.getpid(), range(3)) == [os.getpid()] * 3
+        assert fan_out(_each(lambda x: os.getpid()), range(3)) == [os.getpid()] * 3
 
     def test_worker_exception_keeps_its_type(self, cores):
         cores(2)
@@ -275,5 +296,5 @@ class TestFanOut:
             return x
 
         with pytest.raises(NonFiniteError, match="item 1"):
-            fan_out(fails_on_one, range(4))
+            fan_out(_each(fails_on_one), range(4))
         assert multiprocessing.active_children() == []

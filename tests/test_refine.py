@@ -284,10 +284,11 @@ class MockGenerator:
         idx = self.ds.class_indices(emit)
         return self.ds.images[idx[rng.integers(len(idx))]]
 
-    def generate_batch(self, prototypes, label, rngs, cfg):
-        """One per-stream draw per rng, stacked; one prototype row per stream."""
-        assert len(prototypes) == len(rngs)
-        return np.stack([self(label, r) for r in rngs])
+    def generate_batch(self, prototypes, labels, rngs, cfg):
+        """One per-stream draw per rng: one stacked batch per slot, one prototype row per stream."""
+        rows = prototypes.shape[1]
+        assert len(prototypes) == len(labels) and len(rngs) == len(labels) * rows
+        return [np.stack([self(label, r) for r in rngs[s * rows : (s + 1) * rows]]) for s, label in enumerate(labels)]
 
 
 class LoggingGenerator(MockGenerator):
@@ -297,15 +298,21 @@ class LoggingGenerator(MockGenerator):
         super().__init__(dataset, **kwargs)
         self.log = log
 
-    def generate_batch(self, prototypes, label, rngs, cfg):
+    def generate_batch(self, prototypes, labels, rngs, cfg):
+        rows = prototypes.shape[1]
         with open(self.log, "a") as f:
-            f.write(" ".join(str(v) for v in (os.getpid(), label, *(r.seed for r in rngs))) + "\n")
-        return super().generate_batch(prototypes, label, rngs, cfg)
+            for s, label in enumerate(labels):
+                f.write(" ".join(str(v) for v in (os.getpid(), len(labels), label, *(r.seed for r in rngs[s * rows : (s + 1) * rows]))) + "\n")
+        return super().generate_batch(prototypes, labels, rngs, cfg)
 
     def batches(self) -> list[tuple[int, int, tuple[int, ...]]]:
-        """(pid, label, stream seeds) of every batch generated so far."""
+        """(pid, label, stream seeds) of every slot batch generated so far."""
+        return [(pid, label, seeds) for pid, _, label, seeds in self.stacks()]
+
+    def stacks(self) -> list[tuple[int, int, int, tuple[int, ...]]]:
+        """(pid, slots in its stack, label, stream seeds) of every slot batch generated so far."""
         rows = [[int(v) for v in line.split()] for line in self.log.read_text().splitlines()] if self.log.exists() else []
-        return [(row[0], row[1], tuple(row[2:])) for row in rows]
+        return [(row[0], row[1], row[2], tuple(row[3:])) for row in rows]
 
 
 def plain(x):
@@ -327,8 +334,8 @@ def mock_world():
     train, test = synthesize_toy_dataset(spec, SeededRng(99))
     from distillab.models import train_detector
 
-    det = train_detector(
-        train, DetectorConfig(epochs=15, batch_size=32, hidden_sizes=[48, 24]), SeededRng(1), use_cutmix=True
+    [det] = train_detector(
+        [train], DetectorConfig(epochs=15, batch_size=32, hidden_sizes=[48, 24]), [SeededRng(1)], use_cutmix=True
     )
     labels, confs, _ = predict_batch(det, test.images)
     assert (labels == test.labels).mean() > 0.95
@@ -479,9 +486,9 @@ class TestDistill:
             A refinement batch has num_candidates rows, an initial one ipc.
             """
 
-            def generate_batch(self, prototypes, label, rngs, cfg):
-                use = refiner if len(rngs) == cfg.num_candidates else initial
-                return use.generate_batch(prototypes, label, rngs, cfg)
+            def generate_batch(self, prototypes, labels, rngs, cfg):
+                use = refiner if prototypes.shape[1] == cfg.num_candidates else initial
+                return use.generate_batch(prototypes, labels, rngs, cfg)
 
         res = distill(train, encode_fn, PhasedGen(), det, cfg, SeededRng(13))
         # fallback count is reported, not forbidden; every non-fallback output
@@ -627,6 +634,9 @@ class TestBankFanOut:
         for rows in (self.CFG.ipc, self.CFG.num_candidates):  # class jobs, then slot jobs
             pids = {pid for pid, _, seeds in gen.batches() if len(seeds) == rows}
             assert len(pids) == 2 and os.getpid() in pids
+            # each process generated its whole share in one stack
+            stacks = [(pid, size) for pid, size, _, seeds in gen.stacks() if len(seeds) == rows]
+            assert sorted(set(stacks)) == sorted(Counter(pid for pid, _ in stacks).items())
         assert multiprocessing.active_children() == []
 
     def test_each_flagged_slot_is_generated_once(self, mock_world, cores, tmp_path):
@@ -642,3 +652,30 @@ class TestBankFanOut:
             (c, tuple(streams.spawn(_KEY_REFINE, c, j).spawn(i).seed for i in range(self.CFG.num_candidates)))
             for c, j in flagged
         }
+
+    def test_a_slot_batch_does_not_depend_on_its_request(
+        self, toy_train, codec, detector, denoiser, frozen_schedule, cores
+    ):
+        """A slot's refinement batch is the same bits whether the bank gets it
+        alone, in one stack with other slots, or after an earlier request for a
+        subset of them, on one core and on two."""
+        from distillab.refine import CandidateBank, DiffusionCandidateGenerator
+
+        gen = DiffusionCandidateGenerator(denoiser, frozen_schedule, codec.decode)
+        cfg = DistillConfig(ipc=2, num_candidates=3, kmeans_restarts=1)
+        bank = generate_candidates(toy_train, codec.encode, gen, detector, cfg, SeededRng(5))
+        slots = [0, 3, 4, 7, 8]
+
+        def fresh():
+            return CandidateBank(cfg, toy_train, bank.prototypes, bank.initial, gen, detector, bank.rng)
+
+        alone = {slot: plain(fresh().refinements([slot])[slot]) for slot in slots}
+        for n in (1, 2):
+            cores(n)
+            together = fresh().refinements(slots)
+            assert {slot: plain(together[slot]) for slot in slots} == alone
+            later = fresh()
+            later.refinements(slots[1:3])
+            after_subset = later.refinements(slots)
+            assert {slot: plain(after_subset[slot]) for slot in slots} == alone
+        assert multiprocessing.active_children() == []
