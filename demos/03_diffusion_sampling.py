@@ -47,12 +47,12 @@ proto = latents[train.labels == 2][:20].mean(axis=0)
 for w in (0.0, 1.0, 10.0):
     reps = np.tile(proto, (50, 1))
     rngs = [SeededRng(1).spawn(int(w * 10), i) for i in range(50)]
-    out = sample_img2img_batch(den, sched, reps, 2, 0.7, w, rngs)
+    [out] = sample_img2img_batch(den, sched, reps[None], (2,), 0.7, w, rngs)
     labels, confs, _ = predict_batch(det, codec.decode(out))
     print(
         f"guidance w={w:4.1f}: {np.mean(labels == 2):.2f} land in class 2, "
         f"mean confidence {confs.mean():.3f}"
     )
 print("\nstrength 0.0 returns the prototype unchanged:")
-out = sample_img2img_batch(den, sched, proto[None], 2, 0.0, 10.0, [SeededRng(9)])
-print("max |out - proto| =", np.abs(out[0] - proto).max())
+out = sample_img2img_batch(den, sched, proto[None, None], (2,), 0.0, 10.0, [SeededRng(9)])
+print("max |out - proto| =", np.abs(out[0, 0] - proto).max())

@@ -13,8 +13,10 @@ then that its inputs exist, before it touches the filesystem. Each section
 of the config is passed to its library function as is; the ``distill``
 flags replace fields of the distill section.
 
-Exit codes: 0 success, 2 config error, 3 missing artifact, 4 numeric
-failure, 5 malformed artifact file (truncated or foreign), 6 run directory
+Exit codes: 0 success, 2 config error (an output root the run directory
+cannot be created under included), 3 missing artifact, 4 numeric failure,
+5 malformed artifact file (truncated or foreign) or inputs that do not fit
+each other (image shape, class count, latent dim), 6 run directory
 locked by another live command (a lock left by a process that no longer
 exists is taken over), 7 failed sensitivity-sweep check (checked before
 any training, so no report is written). Environment:
@@ -113,8 +115,10 @@ class _Command:
     settings on ``cfg`` first. Entering it checks that each needed input
     exists (a missing one raises MissingArtifactError naming its producer,
     before the run directory is created), then creates the run directory's
-    tree and holds ``run_dir/.lock`` (our pid) until exit. A lock whose
-    process no longer exists is taken over once.
+    tree (a ConfigError when the output root does not allow it) and holds
+    ``run_dir/.lock`` (our pid) until exit. A lock whose process no
+    longer exists is taken over once. A command checks what it read with
+    ``check_fit`` before any work.
     """
 
     def __init__(self, args, *needs: str):
@@ -126,8 +130,11 @@ class _Command:
         for name, path in self.inputs.items():
             if not path.exists():
                 raise MissingArtifactError(f"{path}; produce it with `distillab {_INPUTS[name][1]}` first")
-        for sub in ("data", "models", "prototypes", "distilled", "reports"):
-            (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
+        try:
+            for sub in ("data", "models", "prototypes", "distilled", "reports"):
+                (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"output root {self.cfg.output_root}: cannot create {self.run_dir}: {e.strerror}") from None
         self.lock = self.run_dir / ".lock"
         for attempt in range(2):
             try:
@@ -146,6 +153,24 @@ class _Command:
 
     def __exit__(self, *exc) -> None:
         self.lock.unlink(missing_ok=True)
+
+    def check_fit(self, **loaded) -> None:
+        """Check that the inputs read (input name -> dataset or model) come from one config.
+
+        Every ``image_shape``, ``num_classes`` and ``latent_dim`` among them
+        must agree; the first input that differs from an earlier one raises
+        a FormatError naming both files.
+        """
+        first: dict[str, tuple[str, object]] = {}
+        for name, obj in loaded.items():
+            for field in ("image_shape", "num_classes", "latent_dim"):
+                if hasattr(obj, field):
+                    value = getattr(obj, field)
+                    ref, want = first.setdefault(field, (name, value))
+                    if value != want:
+                        raise FormatError(
+                            f"{self.inputs[name]}: {field} {value} does not fit {self.inputs[ref].name}'s {want}"
+                        )
 
     @functools.cached_property
     def input_sha256(self) -> dict[str, str]:
@@ -193,11 +218,12 @@ def _distill_cfg(cfg, **fields):
         raise ConfigError(f"distill ({cell}): {e}") from None
 
 
-def _load_models(run: _Command):
-    """The run's detector, codec and candidate generator, for ``distill`` and ``ablate``."""
+def _load_models(run: _Command, **datasets):
+    """The run's detector, codec and candidate generator for ``distill`` and ``ablate``, checked against ``datasets``."""
     det = load_detector(run.inputs["detector"])
     codec = load_autoencoder(run.inputs["autoencoder"])
     den = load_denoiser(run.inputs["denoiser"])
+    run.check_fit(**datasets, detector=det, autoencoder=codec, denoiser=den)
     return det, codec, DiffusionCandidateGenerator(den, run.cfg.denoiser.schedule(), codec.decode)
 
 
@@ -246,7 +272,9 @@ def _cmd_train_autoencoder(args) -> int:
 def _cmd_train_diffusion(args) -> int:
     with _Command(args, "train", "autoencoder") as run:
         train = read_dataset(run.inputs["train"])
-        latents = load_autoencoder(run.inputs["autoencoder"]).encode(train.images)
+        codec = load_autoencoder(run.inputs["autoencoder"])
+        run.check_fit(train=train, autoencoder=codec)
+        latents = codec.encode(train.images)
         cfg = run.cfg
         den = train_denoiser(
             latents, train.labels, cfg.denoiser.schedule(), cfg.denoiser, SeededRng(cfg.master_seed).spawn(33)
@@ -265,7 +293,7 @@ def _cmd_distill(args) -> int:
     preview = _preview_count(args)
     with run:
         train = read_dataset(run.inputs["train"])
-        det, codec, gen = _load_models(run)
+        det, codec, gen = _load_models(run, train=train)
         res = distill(train, codec.encode, gen, det, dcfg, SeededRng(seed))
 
         extra = {"distill_config": res.report["config"]}
@@ -287,6 +315,7 @@ def _cmd_eval(args) -> int:
     with _Command(args, "distilled", "test") as run:
         distilled = read_dataset(run.inputs["distilled"])
         test = read_dataset(run.inputs["test"])
+        run.check_fit(test=test, distilled=distilled)
         [clf] = train_downstream([distilled], run.cfg.eval, [SeededRng(run.cfg.master_seed).spawn(34)])
         acc = evaluate(clf, test)
         payload = {
@@ -308,10 +337,11 @@ def _cmd_ablate(args) -> int:
             for beta in cfg.eval.sensitivity_betas:
                 _distill_cfg(cfg, top_k=k, beta=beta)
     with run:
-        det, codec, gen = _load_models(run)
+        train, test = read_dataset(run.inputs["train"]), read_dataset(run.inputs["test"])
+        det, codec, gen = _load_models(run, train=train, test=test)
         inputs = AblationInputs(
-            train=read_dataset(run.inputs["train"]),
-            test=read_dataset(run.inputs["test"]),
+            train=train,
+            test=test,
             encode_fn=codec.encode,
             detector=det,
             generator=gen,

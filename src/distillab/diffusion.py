@@ -262,57 +262,51 @@ def sample_img2img_batch(
     den: Denoiser,
     sched: DiffusionSchedule,
     prototypes: np.ndarray,
-    label,
+    label: tuple[int, ...],
     strength: float,
     guidance_scale: float,
     rngs,
 ) -> np.ndarray:
     """Partially noise each prototype and denoise it back under guidance.
 
-    ``prototypes`` is one batch of rows (rows, d) whose class is the int
-    ``label``, or a (slots, rows, d) stack of batches with a tuple ``label``
-    holding each slot's class; the result has the same shape. ``rngs``
-    supplies one independent stream per row, slot after slot; each stream
-    is consumed in a fixed order (initial noise, then one draw per
+    ``prototypes`` is a (slots, rows, d) stack of batches and ``label`` a
+    tuple holding each slot's class; the result has the stack's shape.
+    ``rngs`` supplies one independent stream per row, slot after slot; each
+    stream is consumed in a fixed order (initial noise, then one draw per
     ancestral step above t=1), so results are reproducible per (prototype,
     stream). Each stream draws that whole sequence as one ``normal_rows``
     block, into one float32 block for the call. A stack runs as one loop:
     each network pass makes one BLAS call per slot, of the shape the slot
     alone gets, and every other step is elementwise, so each slot equals
-    its own call bit for bit. Batched results can differ from one-at-a-time
-    sampling in the last float bit (BLAS blocking): a slot's shape (its row
-    count) is part of the frozen recipe.
+    its own one-slot call bit for bit. Batched results can differ from
+    one-at-a-time sampling in the last float bit (BLAS blocking): a slot's
+    shape (its row count) is part of the frozen recipe.
     """
-    protos = np.atleast_2d(np.asarray(prototypes, dtype=np.float64))
-    stacked = protos.ndim == 3
-    labels = tuple(label) if stacked else (label,)
-    if not stacked:
-        protos = protos[None]
+    protos = np.asarray(prototypes, dtype=np.float64)
+    if protos.ndim != 3 or protos.shape[-1] != den.latent_dim:
+        raise ValueError(f"prototypes of shape {protos.shape} are not a (slots, rows, {den.latent_dim}) stack")
     slots, b, d = protos.shape
-    if d != den.latent_dim:
-        raise ValueError(f"prototype dim {d} != latent dim {den.latent_dim}")
     if not 0.0 <= strength <= 1.0:
         raise ValueError("strength must lie in [0, 1]")
     if guidance_scale < 0.0:
         raise ValueError("guidance_scale must be non-negative")
-    if len(labels) != slots:
-        raise ValueError(f"need one label per slot: {len(labels)} labels for {slots} slots")
-    for c in labels:
+    if len(label) != slots:
+        raise ValueError(f"need one label per slot: {len(label)} labels for {slots} slots")
+    for c in label:
         if not 0 <= c < den.num_classes:
             raise ValueError(f"unknown label {c}")
     if len(rngs) != slots * b:
         raise ValueError("need one rng stream per prototype")
     t_start = int(np.floor(strength * sched.timesteps))
     if t_start == 0:
-        out = protos.astype(np.float32)
-        return out if stacked else out[0]
+        return protos.astype(np.float32)
     # row 0 of a stream's block is the initial noise, row t_start - t + 1
     # the noise of reverse step t (t = t_start .. 2)
     noise = np.empty((slots, b, t_start, d), dtype=np.float32)
     for row, r in zip(noise.reshape(slots * b, t_start, d), rngs):
         row[...] = r.normal_rows(t_start, d)
     z = forward_noise(protos, t_start, noise[:, :, 0], sched)
-    tokens = [[c] * b + [den.null_token] * b for c in labels]
+    tokens = [[c] * b + [den.null_token] * b for c in label]
     lemb = den.label_vec(np.array(tokens, dtype=np.int64))
     for t in range(t_start, 0, -1):
         tb = np.full(b, t, dtype=np.int64)
@@ -329,7 +323,7 @@ def sample_img2img_batch(
             z = mean
     out = z.astype(np.float32)
     require_finite("sampled latent", out)
-    return out if stacked else out[0]
+    return out
 
 
 def save_denoiser(path, den: Denoiser) -> str:

@@ -29,7 +29,7 @@ from .config import DistillConfig, EvalConfig
 from .data import LabeledDataset
 from .models import Detector, predict_batch, train_detector
 from .numerics import SeededRng, fan_out
-from .refine import CandidateBank, CandidateGenerator, generate_candidates, generation_key, is_accepted, select
+from .refine import CandidateGenerator, generate_candidates, is_accepted, select
 
 __all__ = [
     "AblationInputs",
@@ -52,28 +52,26 @@ class SweepCheckError(RuntimeError):
 def train_downstream(datasets: list[LabeledDataset], cfg: EvalConfig, rngs: list[SeededRng]) -> list[Detector]:
     """Train a fresh detector-architecture classifier on each distilled set, in lockstep.
 
-    The sets must agree in size, image shape and class count; each
-    classifier equals training it alone (``train_detector``). Always plain
-    one-hot targets: CutMix is a property of detector training on the
-    original data, not of downstream validation.
+    ``train_detector`` with plain one-hot targets: the sets must be
+    non-empty and agree in size, image shape and class count, and each
+    classifier equals training it alone. CutMix is a property of detector
+    training on the original data, not of downstream validation.
     """
-    if any(len(d) == 0 for d in datasets):
-        raise ValueError("distilled dataset is empty")
     return train_detector(datasets, cfg, rngs, use_cutmix=False)
 
 
-def _job_key(job: tuple[LabeledDataset, EvalConfig, SeededRng]) -> tuple:
-    """Everything training the job reads; jobs with one key train one classifier.
+def _job_key(job: tuple[LabeledDataset, SeededRng]) -> tuple:
+    """Everything training the job reads besides the eval config; jobs with one key train one classifier.
 
     That is the image and label arrays (dtype, shape and bytes),
-    ``num_classes``, the eval config and the stream's seed and counter.
+    ``num_classes`` and the stream's seed and counter.
     """
-    dataset, cfg, rng = job
+    dataset, rng = job
     digest = hashlib.sha256()
     for arr in (dataset.images, dataset.labels):
         digest.update(f"{arr.dtype.str}{arr.shape}".encode())
         digest.update(np.ascontiguousarray(arr))
-    return digest.digest(), dataset.num_classes, repr(cfg), repr(rng)
+    return digest.digest(), dataset.num_classes, repr(rng)
 
 
 # At most this many classifiers train in one stack. Each holds its weights,
@@ -85,39 +83,34 @@ def _job_key(job: tuple[LabeledDataset, EvalConfig, SeededRng]) -> tuple:
 _LOCKSTEP_JOBS = 3
 
 
-def _train_share(jobs: list[tuple[LabeledDataset, EvalConfig, SeededRng]]) -> list[Detector]:
-    """One classifier per job; jobs of one shape and eval config train in lockstep stacks.
+def _train_share(jobs: list[tuple[LabeledDataset, SeededRng]], cfg: EvalConfig) -> list[Detector]:
+    """One classifier per job, trained in the fewest lockstep stacks of at most ``_LOCKSTEP_JOBS``.
 
-    The shape is the training set's size, image shape and class count. A
-    group's jobs split into the fewest stacks of at most ``_LOCKSTEP_JOBS``,
-    of near-equal sizes, and each stack is one ``train_downstream`` call.
+    The stacks are of near-equal sizes, and each is one ``train_downstream`` call.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, (dataset, cfg, _) in enumerate(jobs):
-        groups.setdefault((len(dataset), dataset.image_shape, dataset.num_classes, repr(cfg)), []).append(i)
-    out = [None] * len(jobs)
-    for members in groups.values():
-        for stack in np.array_split(members, -(-len(members) // _LOCKSTEP_JOBS)):
-            datasets, cfgs, rngs = zip(*(jobs[i] for i in stack))
-            for i, clf in zip(stack, train_downstream(list(datasets), cfgs[0], list(rngs))):
-                out[i] = clf
+    out = []
+    for stack in np.array_split(np.arange(len(jobs)), -(-len(jobs) // _LOCKSTEP_JOBS)):
+        datasets, rngs = zip(*(jobs[i] for i in stack))
+        out.extend(train_downstream(list(datasets), cfg, list(rngs)))
     return out
 
 
-def _train_all(jobs: list[tuple[LabeledDataset, EvalConfig, SeededRng]]) -> list[Detector]:
-    """A classifier for every (dataset, eval config, rng) job, in job order, training each distinct job once.
+def _train_all(jobs: list[tuple[LabeledDataset, SeededRng]], cfg: EvalConfig) -> list[Detector]:
+    """A classifier for every (dataset, rng) job under ``cfg``, in job order, training each distinct job once.
 
     The distinct jobs (by ``_job_key``) are handed out in first-seen order
     in one ``fan_out`` on every usable core, and each core trains its share
-    in lockstep (``_train_share``); a repeated job gets the classifier of
-    its first occurrence. A job's classifier depends only on the job, so the
-    result depends neither on the core count nor on the jobs it trained with.
+    in lockstep (``_train_share``), so the jobs must agree in size, image
+    shape and class count; a repeated job gets the classifier of its first
+    occurrence. A job's classifier depends only on the job and ``cfg``, so
+    the result depends neither on the core count nor on the jobs it trained
+    with.
     """
     keys = [_job_key(job) for job in jobs]
     distinct: dict[tuple, tuple] = {}
     for key, job in zip(keys, jobs):
         distinct.setdefault(key, job)
-    trained = dict(zip(distinct, fan_out(_train_share, distinct.values())))
+    trained = dict(zip(distinct, fan_out(lambda share: _train_share(share, cfg), distinct.values())))
     return [trained[key] for key in keys]
 
 
@@ -218,61 +211,54 @@ def run_ablation(
 
     The ablation runs every eval mode on every eval seed plus a random-real
     subset per seed; the sweep runs ``tplus_s`` in each ``sensitivity_top_k``
-    x ``sensitivity_betas`` cell on the first eval seed. Every run on a seed
-    selects from one candidate bank (generation never reads the mode, k or
-    beta) and equals a standalone ``distill``. The sweep is checked
-    (``check_sweep_slots``) before any training; then every run's classifier
-    trains in one ``_train_all`` round, each run on a seed from the same
-    stream, so the runs differ in their training set only.
+    x ``sensitivity_betas`` cell on the first eval seed. Each seed generates
+    one candidate bank, selects every run on the seed from it (generation
+    never reads the mode, k or beta) and drops it, so every run equals a
+    standalone ``distill``. The sweep is checked (``check_sweep_slots``) as
+    soon as its cells are selected, before any training; then every run's
+    classifier trains in one ``_train_all`` round, the ablation's runs
+    before the sweep's, each run on a seed from the same stream, so the runs
+    differ in their training set only.
     """
-    banks: dict[tuple, CandidateBank] = {}
-
-    def selected(cfg: DistillConfig, seed: int):
-        key = (seed, *generation_key(cfg))
-        if key not in banks:
-            banks[key] = generate_candidates(
-                inputs.train, inputs.encode_fn, inputs.generator, inputs.detector, cfg, SeededRng(seed)
-            )
-        return select(banks[key], cfg)
-
-    runs, trainings = [], []
+    runs, trainings, grid, sweep_trainings = [], [], [], []
     for seed in eval_cfg.seeds:
+        bank = generate_candidates(
+            inputs.train, inputs.encode_fn, inputs.generator, inputs.detector, base_cfg, SeededRng(seed)
+        )
         for mode in eval_cfg.modes:
-            res = selected(replace(base_cfg, selection_mode=mode), seed)
+            res = select(bank, replace(base_cfg, selection_mode=mode))
             runs.append((mode, seed, res.report["counts"]["fallback"]))
             trainings.append((res.dataset, seed))
         subset = _random_subset(inputs.train, base_cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
         runs.append(("random", seed, 0))
         trainings.append((subset, seed))
+        if sweep and seed == eval_cfg.seeds[0]:
+            ks, betas = sorted(eval_cfg.sensitivity_top_k), eval_cfg.sensitivity_betas
+            slot_candidates: dict[tuple, list[tuple[float, list[dict]]]] = {}
+            for k in ks:
+                for beta in betas:
+                    res = select(bank, replace(base_cfg, top_k=k, beta=beta, selection_mode="tplus_s"))
+                    sweep_trainings.append((res.dataset, seed))
+                    grid.append(
+                        {
+                            "top_k": k,
+                            "beta": beta,
+                            "seed": seed,
+                            "accuracy": None,
+                            "fallback_count": res.report["counts"]["fallback"],
+                            "refined_count": res.report["counts"]["refined"],
+                        }
+                    )
+                    for slot in res.report["slots"]:
+                        if "candidates" not in slot:
+                            continue
+                        key = (slot["class"], slot["cluster"])
+                        slot_candidates.setdefault(key, []).append((beta, slot["candidates"]))
+            evidence = {"slots_checked": check_sweep_slots(slot_candidates), "betas": sorted(betas), "ks": ks}
+        del bank  # one bank alive at a time; the next bank and the trainings reuse its memory
 
-    grid = []
-    if sweep:
-        ks, betas, seed = eval_cfg.sensitivity_top_k, eval_cfg.sensitivity_betas, eval_cfg.seeds[0]
-        slot_candidates: dict[tuple, list[tuple[float, list[dict]]]] = {}
-        for k in sorted(ks):
-            for beta in betas:
-                res = selected(replace(base_cfg, top_k=k, beta=beta, selection_mode="tplus_s"), seed)
-                trainings.append((res.dataset, seed))
-                grid.append(
-                    {
-                        "top_k": k,
-                        "beta": beta,
-                        "seed": seed,
-                        "accuracy": None,
-                        "fallback_count": res.report["counts"]["fallback"],
-                        "refined_count": res.report["counts"]["refined"],
-                    }
-                )
-                for slot in res.report["slots"]:
-                    if "candidates" not in slot:
-                        continue
-                    key = (slot["class"], slot["cluster"])
-                    slot_candidates.setdefault(key, []).append((beta, slot["candidates"]))
-        evidence = {"slots_checked": check_sweep_slots(slot_candidates), "betas": sorted(betas), "ks": sorted(ks)}
-
-    banks.clear()  # every run is selected: the trainings' stacks reuse the banks' memory
     classifiers = _train_all(
-        [(dataset, eval_cfg, SeededRng(seed).spawn(_KEY_DOWNSTREAM)) for dataset, seed in trainings]
+        [(dataset, SeededRng(seed).spawn(_KEY_DOWNSTREAM)) for dataset, seed in trainings + sweep_trainings], eval_cfg
     )
     accuracies = [evaluate(clf, inputs.test) for clf in classifiers]
     records = [

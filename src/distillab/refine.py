@@ -53,7 +53,6 @@ __all__ = [
     "cumulative_similarity",
     "distill",
     "generate_candidates",
-    "generation_key",
     "is_accepted",
     "select",
     "select_replacement",
@@ -184,13 +183,8 @@ def _generate_scored(gen, det, cfg: DistillConfig, slots: list[tuple[int, list[P
 GENERATION_FIELDS = ("ipc", "num_candidates", "strength", "guidance_scale", "kmeans_restarts")
 
 
-def generation_key(cfg: DistillConfig) -> tuple:
-    """Values of GENERATION_FIELDS; configs with equal keys share one bank."""
-    return tuple(getattr(cfg, f) for f in GENERATION_FIELDS)
-
-
 class CandidateBank:
-    """Everything generation produces for one rng and generation key, scored once.
+    """Everything generation produces for one rng and the GENERATION_FIELDS of one config, scored once.
 
     Holds the prototypes and the scored initial sample of every slot, in
     slot order (class ascending, cluster ascending). Refinement batches are
@@ -279,12 +273,10 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
     distilled image come from its chosen sample. Raises ValueError when cfg
     disagrees with the bank on a field that generation reads.
     """
-    key, bank_key = generation_key(cfg), generation_key(bank.cfg)
-    if key != bank_key:
-        diff = ", ".join(
-            f"{f}={v!r} (bank: {b!r})" for f, v, b in zip(GENERATION_FIELDS, key, bank_key) if v != b
-        )
-        raise ValueError(f"config disagrees with the candidate bank: {diff}")
+    diff = [f"{f}={getattr(cfg, f)!r} (bank: {getattr(bank.cfg, f)!r})"
+            for f in GENERATION_FIELDS if getattr(cfg, f) != getattr(bank.cfg, f)]
+    if diff:
+        raise ValueError(f"config disagrees with the candidate bank: {', '.join(diff)}")
     accepted = [is_accepted(s.predicted_label, s.confidence, s.intended_label, cfg.beta) for s in bank.initial]
     pools = {c: [s.feature for s, ok in zip(bank.initial, accepted) if ok and s.intended_label == c]
              for c in range(bank.num_classes)}

@@ -232,8 +232,8 @@ class TestAcceptance:
                 latvecs = np.stack([p.latent for p in protos if p.class_id == c])
                 reps = np.tile(latvecs, (10, 1))[:100]
                 rngs = [SeededRng(0).spawn(55, c, i) for i in range(100)]
-                out = sample_img2img_batch(
-                    denoiser, frozen_schedule, reps, c, 0.7, 10.0, rngs
+                [out] = sample_img2img_batch(
+                    denoiser, frozen_schedule, reps[None], (c,), 0.7, 10.0, rngs
                 )
                 labels, _, _ = predict_batch(detector, codec.decode(out))
                 frac = (labels == c).mean()

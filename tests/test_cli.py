@@ -253,6 +253,18 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "runs").exists()
 
+    def test_output_root_that_is_a_file_exits_2(self, tmp_path):
+        """An output root the run directory cannot be created under is a
+        one-line config error that names it, and the file is left as it was."""
+        root = tmp_path / "runs"
+        root.write_bytes(b"not a directory\n")
+        proc = _cli(tmp_path, TINY_CONFIG, "synth-data")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"config error: output root {root}: cannot create ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert root.read_bytes() == b"not a directory\n"
+
     def test_dump_config(self, workdir, capsys):
         tmp_path, cfg_path = workdir
         assert _run("distill", "--config", str(cfg_path), "--dump-config") == 0
@@ -584,6 +596,71 @@ class TestFormatErrors:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"format error: {reports / name}: {needle}")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def _variant(**sections):
+    return dict(TINY_CONFIG, **{name: dict(TINY_CONFIG[name], **values) for name, values in sections.items()})
+
+
+_TRAININGS = ("synth-data", "train-detector", "train-autoencoder", "train-diffusion")
+# TINY_CONFIG variants whose artifacts do not fit a TINY_CONFIG run: (config, commands run)
+_MISFIT_VARIANTS = {
+    "6x6": (_variant(data={"image_height": 6, "image_width": 6}), _TRAININGS + ("distill",)),
+    "4 classes": (_variant(data={"num_classes": 4}), _TRAININGS),
+    "latent 6": (_variant(autoencoder={"latent_dim": 6}), _TRAININGS),
+}
+
+
+@pytest.fixture(scope="module")
+def misfits(tmp_path_factory):
+    """The run directory of each TINY_CONFIG variant in ``_MISFIT_VARIANTS``, by name."""
+    dirs = {}
+    for name, (cfg, commands) in _MISFIT_VARIANTS.items():
+        tmp_path = tmp_path_factory.mktemp("misfit")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        os.environ["DISTILLAB_OUTPUT_ROOT"] = str(tmp_path / "runs")
+        try:
+            for command in commands:
+                assert _run(command, "--config", str(cfg_path)) == 0
+        finally:
+            del os.environ["DISTILLAB_OUTPUT_ROOT"]
+        dirs[name] = _run_dir(tmp_path)
+    return dirs
+
+
+class TestMisfitInputs:
+    @pytest.mark.parametrize(
+        "variant, rel, command, field",
+        [
+            ("6x6", "models/detector.mdlc", "distill", "image_shape"),
+            ("6x6", "models/autoencoder.mdlc", "train-diffusion", "image_shape"),
+            ("6x6", "models/autoencoder.mdlc", "distill", "image_shape"),
+            ("6x6", "distilled/distilled.dstl", "eval", "image_shape"),
+            ("6x6", "data/test.dstl", "ablate", "image_shape"),
+            ("4 classes", "data/test.dstl", "ablate", "num_classes"),
+            ("4 classes", "data/test.dstl", "eval", "num_classes"),
+            ("4 classes", "models/detector.mdlc", "distill", "num_classes"),
+            ("4 classes", "models/denoiser.mdlc", "distill", "num_classes"),
+            ("latent 6", "models/denoiser.mdlc", "distill", "latent_dim"),
+        ],
+    )
+    def test_misfit_exits_5_before_any_work(
+        self, pipeline, misfits, tmp_path, monkeypatch, capsys, variant, rel, command, field
+    ):
+        """An input from a config with other image shapes, class counts or
+        latent dims than the run's other inputs is a one-line format error
+        that names the file, raised before any output is written."""
+        rd = _copy_run(pipeline, tmp_path)
+        shutil.copyfile(misfits[variant] / rel, rd / rel)
+        before = {path: path.read_bytes() for path in rd.rglob("*") if path.is_file()}
+        monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
+        capsys.readouterr()
+        assert main([command, "--config", str(pipeline[1])]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ") and f"{field} " in err and Path(rel).name in err
+        assert len(err.strip().splitlines()) == 1
+        assert {path: path.read_bytes() for path in rd.rglob("*") if path.is_file()} == before
 
 
 def _copy_run(pipeline, dest):

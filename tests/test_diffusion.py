@@ -282,13 +282,13 @@ class TestSampling:
     def test_strength_zero_returns_prototype(self):
         den, sched, latents, _ = _tiny_denoiser()
         proto = latents[0]
-        out = sample_img2img_batch(den, sched, proto[None], 0, 0.0, 10.0, [SeededRng(1)])[0]
+        out = sample_img2img_batch(den, sched, proto[None, None], (0,), 0.0, 10.0, [SeededRng(1)])[0, 0]
         assert np.array_equal(out, proto.astype(np.float32))
 
     def test_determinism(self):
         den, sched, latents, _ = _tiny_denoiser()
-        a = sample_img2img_batch(den, sched, latents[0][None], 1, 0.7, 5.0, [SeededRng(42)])[0]
-        b = sample_img2img_batch(den, sched, latents[0][None], 1, 0.7, 5.0, [SeededRng(42)])[0]
+        a = sample_img2img_batch(den, sched, latents[None, :1], (1,), 0.7, 5.0, [SeededRng(42)])
+        b = sample_img2img_batch(den, sched, latents[None, :1], (1,), 0.7, 5.0, [SeededRng(42)])
         assert np.array_equal(a, b)
 
     def test_guidance_one_equals_pure_conditional(self):
@@ -322,25 +322,25 @@ class TestSampling:
             return original(tokens)
 
         monkeypatch.setattr(den, "label_vec", recording)
-        sample_img2img_batch(den, sched, latents[0][None], 2, 0.8, 3.0, [SeededRng(6)])[0]
+        sample_img2img_batch(den, sched, latents[None, :1], (2,), 0.8, 3.0, [SeededRng(6)])
         assert set(seen) == {2, den.null_token}
 
     def test_strength_bounds_and_unknown_label(self):
         den, sched, latents, _ = _tiny_denoiser()
         with pytest.raises(ValueError):
-            sample_img2img_batch(den, sched, latents[0][None], 0, 1.5, 1.0, [SeededRng(1)])[0]
+            sample_img2img_batch(den, sched, latents[None, :1], (0,), 1.5, 1.0, [SeededRng(1)])
         with pytest.raises(ValueError):
-            sample_img2img_batch(den, sched, latents[0][None], 0, -0.1, 1.0, [SeededRng(1)])[0]
+            sample_img2img_batch(den, sched, latents[None, :1], (0,), -0.1, 1.0, [SeededRng(1)])
         with pytest.raises(ValueError):
-            sample_img2img_batch(den, sched, latents[0][None], den.num_classes, 0.5, 1.0, [SeededRng(1)])[0]
+            sample_img2img_batch(den, sched, latents[None, :1], (den.num_classes,), 0.5, 1.0, [SeededRng(1)])
         with pytest.raises(ValueError):
-            sample_img2img_batch(den, sched, latents[0][None], 0, 0.5, -1.0, [SeededRng(1)])[0]
+            sample_img2img_batch(den, sched, latents[None, :1], (0,), 0.5, -1.0, [SeededRng(1)])
 
     def test_one_block_draw_per_stream(self, rng_spy):
         den, sched, latents, _ = _tiny_denoiser()
         rngs = [SeededRng(3).spawn(9, i) for i in range(4)]
         rng_spy.calls.clear()
-        sample_img2img_batch(den, sched, latents[:4], 1, 0.7, 2.0, rngs)
+        sample_img2img_batch(den, sched, latents[None, :4], (1,), 0.7, 2.0, rngs)
         t_start = 7  # floor(0.7 * 10): initial noise plus 6 reverse steps above t=1
         assert dict(rng_spy.calls) == {(r.seed, "normal_rows"): 1 for r in rngs}
         for r in rngs:
@@ -360,13 +360,15 @@ class TestSampling:
         )
         assert stacked.shape == (len(labels), rows, d) and stacked.dtype == np.float32
         for s, label in enumerate(labels):
-            alone = sample_img2img_batch(denoiser, frozen_schedule, protos[s], label, 0.7, 5.0, streams(s))
+            alone = sample_img2img_batch(denoiser, frozen_schedule, protos[s : s + 1], (label,), 0.7, 5.0, streams(s))
             assert stacked[s].tobytes() == alone.tobytes()
 
     def test_stack_validation(self):
         den, sched, latents, _ = _tiny_denoiser()
         stack = np.stack([latents[:2], latents[2:4]])
         rngs = [SeededRng(1).spawn(i) for i in range(4)]
+        with pytest.raises(ValueError, match=r"not a \(slots, rows, \d+\) stack"):
+            sample_img2img_batch(den, sched, latents[:2], (0,), 0.5, 1.0, rngs[:2])
         with pytest.raises(ValueError, match="one label per slot"):
             sample_img2img_batch(den, sched, stack, (0,), 0.5, 1.0, rngs)
         with pytest.raises(ValueError, match="unknown label"):
@@ -379,8 +381,8 @@ class TestSampling:
     def test_batch_shape(self):
         den, sched, latents, _ = _tiny_denoiser()
         rngs = [SeededRng(0).spawn(9, i) for i in range(5)]
-        out = sample_img2img_batch(den, sched, latents[:5], 1, 0.6, 2.0, rngs)
-        assert out.shape == (5, den.latent_dim)
+        out = sample_img2img_batch(den, sched, latents[None, :5], (1,), 0.6, 2.0, rngs)
+        assert out.shape == (1, 5, den.latent_dim)
         assert out.dtype == np.float32
 
     def test_class_fidelity_frozen_pipeline(
@@ -397,7 +399,7 @@ class TestSampling:
             latvecs = np.stack([p.latent for p in protos if p.class_id == c])
             reps = np.tile(latvecs, (10, 1))[:100]
             rngs = [SeededRng(0).spawn(55, c, i) for i in range(100)]
-            out = sample_img2img_batch(denoiser, frozen_schedule, reps, c, 0.7, 10.0, rngs)
+            [out] = sample_img2img_batch(denoiser, frozen_schedule, reps[None], (c,), 0.7, 10.0, rngs)
             labels, _, _ = predict_batch(detector, codec.decode(out))
             per_class_ok[c] = (labels == c).mean()
         assert all(v >= 0.8 for v in per_class_ok.values()), per_class_ok
@@ -412,8 +414,8 @@ class TestDenoiserCheckpoint:
         for a, b in zip(den.mlp.params(), back.mlp.params()):
             assert np.array_equal(a, b)
         assert np.array_equal(den.label_table, back.label_table)
-        out1 = sample_img2img_batch(den, sched, latents[0][None], 1, 0.5, 2.0, [SeededRng(3)])[0]
-        out2 = sample_img2img_batch(back, sched, latents[0][None], 1, 0.5, 2.0, [SeededRng(3)])[0]
+        out1 = sample_img2img_batch(den, sched, latents[None, :1], (1,), 0.5, 2.0, [SeededRng(3)])
+        out2 = sample_img2img_batch(back, sched, latents[None, :1], (1,), 0.5, 2.0, [SeededRng(3)])
         assert np.array_equal(out1, out2)
 
     def test_float32_values_in_float64(self, denoiser, tmp_path):

@@ -161,9 +161,9 @@ class TestRunAblation:
         starts = []
         real = evalharness._train_all
 
-        def spy(jobs):
-            starts.extend(rng.seed for _, _, rng in jobs)
-            return real(jobs)
+        def spy(jobs, cfg):
+            starts.extend(rng.seed for _, rng in jobs)
+            return real(jobs, cfg)
 
         monkeypatch.setattr(evalharness, "_train_all", spy)
         run_ablation(self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[4]))
@@ -250,6 +250,29 @@ class TestRunSensitivity:
         csv_text = sensitivity_csv(grid)
         assert csv_text.splitlines()[0].startswith("top_k,beta,seed")
         assert len(csv_text.splitlines()) == 5
+
+    def test_two_seeds_sweep_the_first_seed_only(self, small_world):
+        """Each seed selects from its own bank, and the sweep's cells from the first seed's:
+        sweeping leaves the ablation's report as it is, and the grid is a one-seed run's."""
+        train, test, det, encode_fn = small_world
+        inputs = AblationInputs(
+            train=train,
+            test=test,
+            encode_fn=encode_fn,
+            detector=det,
+            generator=MockGenerator(train, defect_rate=0.4),
+        )
+        cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
+        eval_cfg = _downstream_cfg(
+            modes=["base", "tplus_s"], seeds=[3, 5], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9]
+        )
+        swept, (grid, evidence) = run_ablation(inputs, cfg, eval_cfg, sweep=True)
+        plain, sensitivity = run_ablation(inputs, cfg, eval_cfg)
+        assert sensitivity is None
+        assert swept == plain and {r.seed for r in swept.records} == {3, 5}
+        _, (first_grid, first_evidence) = run_ablation(inputs, cfg, replace(eval_cfg, seeds=[3]), sweep=True)
+        assert grid == first_grid and evidence == first_evidence
+        assert {row["seed"] for row in grid} == {3} and evidence["slots_checked"] > 0
 
 
 class TestSharedBank:
@@ -429,8 +452,8 @@ class TestTrainAll:
     def test_each_distinct_job_trains_once_in_job_order(self, small_world, tmp_path, monkeypatch, cores):
         """Counted across every process that trains: the parent and fan_out's workers.
 
-        Each core trains its share's jobs of one shape and eval config in one
-        lockstep call, and every classifier equals training its job alone.
+        Each core trains its share in near-equal lockstep calls of at most
+        ``_LOCKSTEP_JOBS`` jobs, and every classifier equals training its job alone.
         """
         import hashlib
 
@@ -452,33 +475,34 @@ class TestTrainAll:
             return LabeledDataset(train.images[rows].copy(), train.labels[rows].copy(), 3, train.class_names)
 
         cfg = EvalConfig(epochs=2, batch_size=16, hidden_sizes=[8])
-        a, b, advanced = subset(slice(0, 30)), subset(slice(30, 60)), SeededRng(1)
+        a, b, c, advanced = subset(slice(0, 30)), subset(slice(30, 60)), subset(slice(60, 90)), SeededRng(1)
         advanced.raw_u64(1)
         jobs = [
-            (a, cfg, SeededRng(1)),
-            (b, cfg, SeededRng(1)),
-            (subset(slice(0, 30)), cfg, SeededRng(1)),  # other arrays, same bytes: a repeat of job 0
-            (a, cfg, SeededRng(2)),
-            (a, replace(cfg, epochs=3), SeededRng(1)),
-            (a, cfg, advanced),
-            (b, cfg, SeededRng(1)),
-            (subset(slice(0, 21)), cfg, SeededRng(1)),  # another size: another stack
+            (a, SeededRng(1)),
+            (b, SeededRng(1)),
+            (subset(slice(0, 30)), SeededRng(1)),  # other arrays, same bytes: a repeat of job 0
+            (a, SeededRng(2)),
+            (c, SeededRng(1)),
+            (a, advanced),
+            (b, SeededRng(1)),
+            (b, SeededRng(2)),
+            (c, SeededRng(2)),
+            (c, SeededRng(3)),
         ]
-        alone = [train_downstream([dataset], job_cfg, [rng])[0] for dataset, job_cfg, rng in jobs]
+        alone = [train_downstream([dataset], cfg, [rng])[0] for dataset, rng in jobs]
         monkeypatch.setattr(evalharness, "train_downstream", logging)
-        # the distinct jobs are 0, 1, 3, 4, 5 and 7. On 1 core the four 30-row jobs of cfg train in
-        # two stacks of 2 (stacks hold at most 3); on 2 cores the parent's share is 0, 3 and 5, one
-        # stack of 3, and the worker's three jobs differ in config or size
+        # 8 distinct jobs: on 1 core they train in stacks of 3, 3 and 2 (stacks hold at most 3);
+        # on 2 cores each core's share of 4 trains in two stacks of 2
         assert evalharness._LOCKSTEP_JOBS == 3
-        calls = {1: [2, 2, 1, 1], 2: [3, 1, 1, 1]}
+        calls = {1: [3, 3, 2], 2: [2, 2, 2, 2]}
         for n in (1, 2):
             cores(n)
             log.unlink(missing_ok=True)
             calls_log.unlink(missing_ok=True)
-            out = evalharness._train_all(jobs)
+            out = evalharness._train_all(jobs, cfg)
             lines = log.read_text().splitlines()
-            assert len(lines) == 6
-            assert len({line.split(" ", 1)[1] for line in lines}) == 6
+            assert len(lines) == 8
+            assert len({line.split(" ", 1)[1] for line in lines}) == 8
             pids = {line.split()[0] for line in lines}
             assert len(pids) == n and str(os.getpid()) in pids
             assert sorted(map(int, calls_log.read_text().split()), reverse=True) == calls[n]
@@ -525,9 +549,9 @@ class TestFanOutCli:
                 f.write(f"{(rd / '.lock').read_text()}\n")
             return real_train(datasets, cfg, rngs)
 
-        def marking_train_all(jobs):
+        def marking_train_all(jobs, cfg):
             start = len(job_pids())
-            out = real_train_all(jobs)
+            out = real_train_all(jobs, cfg)
             calls.append(set(job_pids()[start:]))
             return out
 
