@@ -15,7 +15,7 @@ from distillab import (
     synthesize_toy_dataset,
     train_detector,
 )
-from distillab.numerics import SeededRng, beta_symmetric_from_words
+from distillab.numerics import SeededRng, uniform_from_words
 
 defaults = default_config()
 train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
@@ -25,7 +25,7 @@ train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
 rng = SeededRng(7)
 _, h, w = train.image_shape
 base, partner = np.array([0, 1]), np.array([600, 1200])
-lam = beta_symmetric_from_words(rng.raw_u64(2), 1.0)  # Beta(1, 1) ratios, one word each
+lam = uniform_from_words(rng.raw_u64(2))  # uniform (Beta(1, 1)) ratios, one word each
 mixed = cutmix(
     train.images[base], train.labels[base],
     train.images[partner], train.labels[partner],
@@ -35,7 +35,7 @@ print(f"lambda drawn:      {np.round(lam, 4)}")
 print(f"retained fraction: {np.round(mixed.mix_ratio, 4)} (recomputed from the clipped boxes)")
 print(f"soft labels:\n{np.round(mixed.soft_label, 4)}")
 
-# %% train and evaluate (the default detector section: 20 epochs, alpha 1.0)
+# %% train and evaluate (the default detector section: 20 epochs)
 [det] = train_detector([train], defaults.detector, [SeededRng(2024)], use_cutmix=True)
 print(f"\nloss: {det.meta['loss_history'][0]:.3f} -> {det.meta['final_loss']:.3f}")
 

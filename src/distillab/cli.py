@@ -15,12 +15,12 @@ flags replace fields of the distill section.
 
 Exit codes: 0 success, 2 config error (an output root the run directory
 cannot be created under included), 3 missing artifact, 4 numeric failure,
-5 malformed artifact file (truncated or foreign) or inputs that do not fit
-each other (image shape, class count, latent dim), 6 run directory
-locked by another live command (a lock left by a process that no longer
-exists is taken over), 7 failed sensitivity-sweep check (checked before
-any training, so no report is written). Environment:
-DISTILLAB_OUTPUT_ROOT overrides the output root.
+5 malformed artifact file (truncated, foreign or holding a non-finite
+value) or inputs that do not fit each other (image shape, class count,
+latent dim), 6 run directory locked by another live command (a lock left
+by a process that no longer exists is taken over), 7 failed
+sensitivity-sweep check (checked before any training, so no report is
+written). Environment: DISTILLAB_OUTPUT_ROOT overrides the output root.
 """
 
 from __future__ import annotations

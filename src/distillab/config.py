@@ -26,7 +26,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import types
 import typing
 from dataclasses import dataclass, field
 
@@ -77,9 +76,9 @@ def check_seed(name: str, seed: int) -> int:
 class ToyDataSpec:
     """The procedural grating dataset.
 
-    Distinct classes must have distinct (orientation, frequency) pairs.
-    ``orientations_deg`` / ``frequencies`` default to an evenly spaced fan
-    of angles and a 2..6 cycles-per-image ramp.
+    Class c of K is a grating on an evenly spaced fan of angles and a 2..6
+    cycles-per-image ramp (``resolved_patterns``), so no two classes share
+    an (orientation, frequency) pair.
     """
 
     num_classes: int = 5
@@ -91,8 +90,6 @@ class ToyDataSpec:
     amplitude: float = 0.9
     amplitude_jitter: float = 0.1
     noise_std: float = 0.05
-    orientations_deg: list[float] | None = None
-    frequencies: list[float] | None = None
 
     def __post_init__(self):
         if self.num_classes < 2:  # a classifier needs two classes to tell apart
@@ -103,29 +100,15 @@ class ToyDataSpec:
             raise ValueError("channels, image_height and image_width must be >= 1")
         if self.noise_std < 0 or self.amplitude_jitter < 0:
             raise ValueError("noise_std and amplitude_jitter must be non-negative")
-        thetas, freqs = self.orientations_deg, self.frequencies
-        for name, given in (("orientations_deg", thetas), ("frequencies", freqs)):
-            if given is not None and len(given) != self.num_classes:
-                raise ValueError(f"{name} must list one value per class")
-        # the default fan and ramp are distinct per class, so only two given
-        # lists can repeat a pair
-        if thetas is not None and freqs is not None and len(set(zip(thetas, freqs))) != self.num_classes:
-            raise ValueError("classes must have distinct (orientation, frequency) pairs")
 
     @property
     def image_shape(self) -> tuple[int, int, int]:
         return (self.channels, self.image_height, self.image_width)
 
     def resolved_patterns(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Per-class orientations and frequencies, defaults filled in."""
+        """Per-class orientations ``180 c / K`` degrees and frequencies ``2 + 4 c / (K - 1)``."""
         k = self.num_classes
-        thetas = self.orientations_deg
-        freqs = self.frequencies
-        if thetas is None:
-            thetas = [180.0 * c / k for c in range(k)]
-        if freqs is None:
-            freqs = [2.0 + (4.0 * c / max(1, k - 1)) for c in range(k)]
-        return tuple(thetas), tuple(freqs)
+        return tuple(180.0 * c / k for c in range(k)), tuple(2.0 + (4.0 * c / (k - 1)) for c in range(k))
 
 
 @dataclass(frozen=True)
@@ -161,15 +144,9 @@ class ClassifierConfig(TrainConfig):
 
 @dataclass(frozen=True)
 class DetectorConfig(ClassifierConfig):
-    """The anomaly detector, trained with CutMix soft labels."""
+    """The anomaly detector, trained with CutMix soft labels (mixing ratios uniform on [0, 1))."""
 
     epochs: int = 20
-    cutmix_alpha: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.cutmix_alpha <= 0:
-            raise ValueError("cutmix_alpha must be positive")
 
 
 @dataclass(frozen=True)
@@ -318,10 +295,6 @@ def _typed(hint, value, path: str):
 
     Booleans are not numbers here, and floats must be finite.
     """
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # X | None
-        if value is None:
-            return None
-        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
     if typing.get_origin(hint) is list:
         if not isinstance(value, list):
             raise ConfigError(f"config key {path} expects list, got {type(value).__name__}")

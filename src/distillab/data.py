@@ -400,7 +400,7 @@ def _check_keys(obj: dict, schema: dict, where: str) -> None:
 
 @names_path
 def read_dataset(path) -> LabeledDataset:
-    """Load a dataset container, validating magic, sizes, and label range."""
+    """Load a dataset container, validating magic, sizes, finite pixels and label range."""
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
         if magic != _DATASET_MAGIC:
@@ -416,6 +416,8 @@ def read_dataset(path) -> LabeledDataset:
         labels = np.frombuffer(_read_exact(f, 2 * n, "labels"), dtype="<u2").astype(np.int64)
         img_bytes = _read_exact(f, 4 * n * c * h * w, "image data")
         images = np.frombuffer(img_bytes, dtype="<f4").reshape(n, c, h, w).copy()
+        if not np.isfinite(images).all():
+            raise FormatError("image data contains non-finite values")
         (tlen,) = _read_struct(f, "<I", "trailer length")
         trailer = _read_json(f, tlen, "trailer")
         _read_end(f, "trailer")

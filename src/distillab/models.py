@@ -22,13 +22,7 @@ import numpy as np
 from .config import AutoencoderConfig, ClassifierConfig, TrainConfig
 from .data import FormatError, LabeledDataset, cutmix, names_path, write_atomic
 from .data import _read_end, _read_exact, _read_json, _read_struct
-from .numerics import (
-    SeededRng,
-    beta_symmetric_from_words,
-    integers_from_words,
-    max_softmax,
-    require_finite,
-)
+from .numerics import SeededRng, integers_from_words, max_softmax, require_finite, uniform_from_words
 
 __all__ = [
     "Adam",
@@ -232,11 +226,12 @@ def _soft_cross_entropy(logits: np.ndarray, soft_targets: np.ndarray):
     return losses.tolist(), dlogits
 
 
-def _cutmix_minibatch(train: LabeledDataset, idx: np.ndarray, alpha: float, words: np.ndarray):
+def _cutmix_minibatch(train: LabeledDataset, idx: np.ndarray, words: np.ndarray):
     """CutMix images and soft labels for the minibatch ``train[idx]``.
 
-    ``words`` is (len(idx), 4): sample r takes row r, its Beta ratio,
-    partner, box centre y and box centre x.
+    ``words`` is (len(idx), 4): sample r takes row r, its mixing ratio
+    (uniform on [0, 1), i.e. Beta(1, 1)), partner, box centre y and box
+    centre x.
     """
     _, h, w = train.image_shape
     j = integers_from_words(words[:, 1], len(train))
@@ -245,7 +240,7 @@ def _cutmix_minibatch(train: LabeledDataset, idx: np.ndarray, alpha: float, word
         train.labels[idx],
         train.images[j],
         train.labels[j],
-        beta_symmetric_from_words(words[:, 0], alpha),
+        uniform_from_words(words[:, 0]),
         train.num_classes,
         center=(integers_from_words(words[:, 2], h), integers_from_words(words[:, 3], w)),
     )
@@ -290,7 +285,7 @@ def train_detector(
         orders = np.stack(orders)
         for rows in batches(n, cfg.batch_size):
             if use_cutmix:
-                mixed = [_cutmix_minibatch(t, o[rows], cfg.cutmix_alpha, w[rows]) for t, o, w in zip(trains, orders, words)]
+                mixed = [_cutmix_minibatch(t, o[rows], w[rows]) for t, o, w in zip(trains, orders, words)]
                 xb, yb = np.stack([m.image for m in mixed]), np.stack([m.soft_label for m in mixed])
             else:
                 xb, yb = images[models, orders[:, rows]], onehot[models, orders[:, rows]]
@@ -382,10 +377,11 @@ def train_autoencoder(train: LabeledDataset, cfg: AutoencoderConfig, rng: Seeded
         image_shape=train.image_shape,
         meta={"epochs": cfg.epochs, "loss_history": losses, "seed": rng.seed},
     )
-    recon = mlp_forward(dec, codec.encode(train.images))[-1].reshape(train.images.shape)
-    codec.meta["reconstruction_mse"] = float(
-        np.mean((recon.astype(np.float64) - train.images.astype(np.float64)) ** 2)
-    )
+    # squared error in place, so one float64 copy of the images is alive at a time
+    sq = mlp_forward(dec, codec.encode(train.images))[-1].reshape(train.images.shape).astype(np.float64)
+    sq -= train.images
+    sq **= 2
+    codec.meta["reconstruction_mse"] = float(np.mean(sq))
     return codec
 
 
@@ -414,7 +410,12 @@ _CKPT_VERSION = 1
 
 
 def write_checkpoint(path, kind: str, desc: dict, params: list[np.ndarray]) -> str:
-    """Write a checkpoint atomically (``data.write_atomic``); return its sha256."""
+    """Write a checkpoint atomically (``data.write_atomic``); return its sha256.
+
+    A non-finite parameter raises NonFiniteError before anything is written.
+    """
+    for i, p in enumerate(params):
+        require_finite(f"{kind} array {i}", p)
     desc = dict(desc, kind=kind)
     desc_bytes = json.dumps(desc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     header = [_CKPT_MAGIC, struct.pack("<HI", _CKPT_VERSION, len(desc_bytes)), desc_bytes, struct.pack("<I", len(params))]
@@ -427,7 +428,8 @@ def write_checkpoint(path, kind: str, desc: dict, params: list[np.ndarray]) -> s
 def read_checkpoint(path):
     """Returns (kind, descriptor dict, list of float32 arrays); bit-exact.
 
-    A short, overlong or undecodable file raises FormatError.
+    A short, overlong or undecodable file, or a non-finite parameter,
+    raises FormatError.
     """
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
@@ -444,10 +446,12 @@ def read_checkpoint(path):
             (ndim,) = _read_struct(f, "<I", "array rank")
             shapes.append(_read_struct(f, f"<{ndim}I", "array shape"))
         arrays = []
-        for shape in shapes:
+        for i, shape in enumerate(shapes):
             size = math.prod(shape)  # exact: np.prod wraps at 2**64
             buf = _read_exact(f, 4 * size, "parameter blob")
             arrays.append(np.frombuffer(buf, dtype="<f4").reshape(shape).copy())
+            if not np.isfinite(arrays[-1]).all():
+                raise FormatError(f"array {i} contains non-finite values")
         _read_end(f, "last array")
     kind = desc.pop("kind", None)
     if kind is None:

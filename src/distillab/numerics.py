@@ -22,19 +22,17 @@ draw                   raw words consumed
                        uniforms (the angles)
 ``normal_rows(n, d)``  n times what ``normal(d)`` takes, row after row
 ``integers``           1 per value (modulo reduction)
-Beta(a, a)             1 per value (inverse CDF of one [0, 1) uniform)
 ``permutation(n)``     n - 1 (Fisher-Yates, one word per swap)
 =====================  ================================================
 
 Each kind turns words into values through one function here
 (:func:`uniform_from_words`, :func:`uniform_oc_from_words`,
-:func:`normal_from_words`, :func:`integers_from_words`,
-:func:`beta_symmetric_from_words`), and the ``SeededRng`` methods use the
-same functions; Beta values come from words only, as ``SeededRng`` has no
-Beta method. A hot consumer may therefore draw one block with ``raw_u64``
-and convert slices of it, provided it takes the same words in the same
-order as the per-call draws it replaces: the stream counter then advances
-exactly as before, and every value is bit-identical.
+:func:`normal_from_words`, :func:`integers_from_words`), and the
+``SeededRng`` methods use the same functions. A hot consumer may therefore
+draw one block with ``raw_u64`` and convert slices of it, provided it takes
+the same words in the same order as the per-call draws it replaces: the
+stream counter then advances exactly as before, and every value is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ import numpy as np
 __all__ = [
     "NonFiniteError",
     "SeededRng",
-    "beta_symmetric_from_words",
     "cosine_similarity",
     "fan_out",
     "integers_from_words",
@@ -127,21 +124,6 @@ def integers_from_words(words: np.ndarray, span, low: int = 0) -> np.ndarray:
     span sizes used here (< 2^32).
     """
     return (words % np.asarray(span, dtype=np.uint64)).astype(np.int64) + low
-
-
-def beta_symmetric_from_words(words: np.ndarray, alpha: float) -> np.ndarray:
-    """Beta(alpha, alpha) draws, one per word, by inverse CDF of a [0, 1) uniform.
-
-    Beta(1, 1) is uniform, so at ``alpha == 1`` the inverse CDF is the
-    identity and the draws are the uniforms themselves, without scipy.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if alpha == 1.0:
-        return uniform_from_words(words)
-    from scipy.special import betaincinv  # here, not at load: importing scipy takes ~0.3 s
-
-    return betaincinv(alpha, alpha, uniform_from_words(words))
 
 
 class SeededRng:

@@ -193,7 +193,7 @@ def write_prototypes(path, protos: list[Prototype], provenance: dict | None = No
 
 @names_path
 def read_prototypes(path) -> tuple[list[Prototype], dict]:
-    """Load a prototype file; a short, overlong or foreign file raises FormatError."""
+    """Load a prototype file; a short, overlong, foreign or non-finite file raises FormatError."""
     kind, desc, arrays = read_checkpoint(path)
     if kind != "prototypes" or len(arrays) != 1 or arrays[0].ndim != 2:
         raise FormatError(f"expected a prototypes checkpoint, got {kind!r}")

@@ -390,6 +390,10 @@ class TestSectionErrors:
             ("data", {"test_per_class": 0}, "data: images per class must be positive"),
             # a classifier needs two classes to tell apart
             ("data", {"num_classes": 1}, "data: num_classes must be >= 2"),
+            # CutMix ratios are uniform and the class patterns are fixed: these keys are gone
+            ("detector", {"cutmix_alpha": 1.0}, "config error: unknown config key detector.cutmix_alpha"),
+            ("data", {"orientations_deg": [0.0, 60.0, 120.0]}, "config error: unknown config key data.orientations_deg"),
+            ("data", {"frequencies": [2.0, 4.0, 6.0]}, "config error: unknown config key data.frequencies"),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, section, values, needle):
@@ -432,17 +436,24 @@ class TestMissingArtifacts:
 
 
 class TestStartup:
-    def test_synth_data_does_not_import_scipy(self, tmp_path):
-        """Only Beta draws at cutmix_alpha other than 1 need scipy; other commands skip it."""
+    def test_all_commands_run_without_scipy(self, tmp_path):
+        """The pipeline needs numpy only: every command runs with scipy's import blocked."""
+        commands = [
+            ["synth-data"], ["train-detector"], ["train-autoencoder"], ["train-diffusion"],
+            ["distill"], ["eval"], ["ablate", "--sweep"], ["report"],
+        ]
+        cfg = str(tmp_path / "config.json")
         code = (
-            "import sys, distillab, distillab.cli\n"
-            f"assert distillab.cli.main(['synth-data', '--config', {str(tmp_path / 'config.json')!r}]) == 0\n"
-            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+            "import distillab.cli\n"
+            f"for argv in {commands!r}:\n"
+            f"    assert distillab.cli.main([*argv, '--config', {cfg!r}]) == 0, argv\n"
         )
         (tmp_path / "config.json").write_text(json.dumps(TINY_CONFIG))
         proc = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert (_run_dir(tmp_path) / "data" / "train.dstl").exists()
+        assert (_run_dir(tmp_path) / "reports" / "ablation.json").exists()
 
     @pytest.mark.parametrize("given, want", [(None, "1"), ("2", "2")])
     def test_import_defaults_blas_to_one_thread(self, tmp_path, given, want):
@@ -456,19 +467,6 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == repr([want, "1", "1"])
-
-    def test_train_detector_does_not_import_scipy(self, tmp_path):
-        """At the default cutmix_alpha 1, the CutMix ratios are the uniforms themselves."""
-        assert TINY_CONFIG["detector"].get("cutmix_alpha", 1.0) == 1.0
-        assert _cli(tmp_path, TINY_CONFIG, "synth-data").returncode == 0
-        code = (
-            "import sys, distillab, distillab.cli\n"
-            f"assert distillab.cli.main(['train-detector', '--config', {str(tmp_path / 'config.json')!r}]) == 0\n"
-            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path), capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert (_run_dir(tmp_path) / "models" / "detector.mdlc").exists()
 
 
 class TestFormatErrors:
@@ -571,6 +569,34 @@ class TestFormatErrors:
         proc = _cli(tmp_path, TINY_CONFIG, "distill")
         assert proc.returncode == 5, proc.stderr
         assert proc.stderr.startswith(f"format error: {path}: truncated payload while reading parameter blob")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "rel, command, needle",
+        [
+            ("data/train.dstl", "train-detector", "image data contains non-finite values"),
+            ("models/detector.mdlc", "distill", "array 5 contains non-finite values"),
+            ("models/autoencoder.mdlc", "train-diffusion", "array 7 contains non-finite values"),
+            ("models/denoiser.mdlc", "distill", "contains non-finite values"),
+        ],
+        ids=["dataset", "detector", "autoencoder", "denoiser"],
+    )
+    def test_non_finite_payload_exits_5(self, pipeline, tmp_path, rel, command, needle):
+        """A NaN in a dataset's pixels or in a checkpoint's last parameter is a
+        one-line format error that names the file and the array, raised when
+        the file is read."""
+        path = _copy_run(pipeline, tmp_path) / rel
+        raw = bytearray(path.read_bytes())
+        if rel.endswith(".dstl"):  # the first pixel follows the 26-byte header and the u16 labels
+            n = struct.unpack_from("<I", raw, 6)[0]
+            raw[26 + 2 * n:30 + 2 * n] = struct.pack("<f", np.nan)
+        else:  # the last float32 of the last array ends the file
+            raw[-4:] = struct.pack("<f", np.nan)
+        path.write_bytes(bytes(raw))
+        proc = _cli(tmp_path, TINY_CONFIG, command)
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr.startswith(f"format error: {path}: ")
+        assert needle in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from distillab.data import (
 )
 from distillab.data import _synthesize_split
 from distillab.models import write_checkpoint
-from distillab.numerics import SeededRng, beta_symmetric_from_words, uniform_from_words
+from distillab.numerics import SeededRng, uniform_from_words
 
 
 class TestToyDataset:
@@ -57,12 +57,13 @@ class TestToyDataset:
             ToyDataSpec(num_classes=0)
         with pytest.raises(ValueError):
             ToyDataSpec(train_per_class=0)
-        with pytest.raises(ValueError):
-            ToyDataSpec(
-                num_classes=2,
-                orientations_deg=[0.0, 0.0],
-                frequencies=[2.0, 2.0],
-            )
+
+    def test_patterns_distinct_per_class(self):
+        """The fan and the ramp give every class its own (orientation, frequency) pair."""
+        for k in range(2, 65):
+            thetas, freqs = ToyDataSpec(num_classes=k).resolved_patterns()
+            assert len(thetas) == len(freqs) == k
+            assert len(set(zip(thetas, freqs))) == k, k
 
     def test_deterministic(self):
         spec = ToyDataSpec(num_classes=3, train_per_class=5, test_per_class=2)
@@ -119,49 +120,23 @@ class TestBlockSynthesis:
         assert images.shape == (0, 1, 4, 4) and labels.shape == (0,)
 
 
-def _beta(seed, alpha, n):
-    """``n`` CutMix ratios Beta(alpha, alpha), one stream word each, as the detector draws them."""
-    return beta_symmetric_from_words(SeededRng(seed).raw_u64(n), alpha)
+def _ratios(seed, n):
+    """``n`` CutMix ratios, one stream word each, as the detector draws them."""
+    return uniform_from_words(SeededRng(seed).raw_u64(n))
 
 
 class TestMixRatio:
     def test_alpha_one_is_uniform(self):
-        vals = _beta(1, 1.0, 100_000)
+        """The ratios are Beta(1, 1), i.e. uniform on [0, 1)."""
+        vals = _ratios(1, 100_000)
+        assert vals.min() >= 0.0 and vals.max() < 1.0
         assert abs(vals.mean() - 0.5) < 0.01
         # Uniform(0,1) variance = 1/12
         assert abs(vals.var() - 1.0 / 12.0) < 0.005
 
-    @pytest.mark.parametrize("alpha", [0.2, 1.0, 5.0])
-    def test_symmetry(self, alpha):
-        vals = _beta(2, alpha, 100_000)
-        assert abs(vals.mean() - 0.5) < 0.01
-        assert vals.min() >= 0.0 and vals.max() <= 1.0
-
-    def test_small_alpha_has_larger_variance(self):
-        v_small = _beta(3, 0.2, 100_000).var()
-        v_large = _beta(3, 5.0, 100_000).var()
-        # Beta(a,a) variance = 1/(8a+4): 0.179 vs 0.023
-        assert v_small > v_large
-        assert abs(v_small - 1.0 / 5.6) < 0.01
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            _beta(1, -1.0, 1)
-
     def test_scalar_draw(self):
-        (lam,) = _beta(4, 1.0, 1)
+        (lam,) = _ratios(4, 1)
         assert 0.0 <= lam <= 1.0
-
-    def test_alpha_one_equals_inverse_cdf(self):
-        """Beta(1, 1) skips scipy: its draws equal betaincinv(1, 1, u) bit for bit."""
-        from scipy.special import betaincinv
-
-        # words whose uniforms are 0, 2^-53 and 1 - 2^-53, then 10^6 stream words
-        edges = np.array([0, 1 << 11, ((1 << 53) - 1) << 11], dtype=np.uint64)
-        words = np.concatenate([edges, SeededRng(5).raw_u64(1_000_000)])
-        u = uniform_from_words(words)
-        assert u[:3].tolist() == [0.0, 2.0**-53, 1.0 - 2.0**-53]
-        assert beta_symmetric_from_words(words, 1.0).tobytes() == betaincinv(1.0, 1.0, u).tobytes()
 
 
 class TestCutMix:

@@ -8,7 +8,6 @@ import pytest
 from distillab.numerics import (
     NonFiniteError,
     SeededRng,
-    beta_symmetric_from_words,
     cosine_similarity,
     fan_out,
     max_softmax,
@@ -165,10 +164,6 @@ class TestSeededRng:
         u = SeededRng(21).uniform(10_000)
         assert u.min() >= 0.0 and u.max() < 1.0
         assert abs(u.mean() - 0.5) < 0.02
-
-    def test_beta_symmetric_alpha_validation(self):
-        with pytest.raises(ValueError):
-            beta_symmetric_from_words(SeededRng(1).raw_u64(1), 0.0)
 
     def test_require_finite(self):
         require_finite("x", np.ones(3))
