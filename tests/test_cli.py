@@ -455,6 +455,18 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert (_run_dir(tmp_path) / "reports" / "ablation.json").exists()
 
+    def test_synth_data_does_not_import_scipy(self, tmp_path):
+        """Nothing in the pipeline imports scipy; synth-data leaves it unloaded."""
+        code = (
+            "import sys, distillab, distillab.cli\n"
+            f"assert distillab.cli.main(['synth-data', '--config', {str(tmp_path / 'config.json')!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        )
+        (tmp_path / "config.json").write_text(json.dumps(TINY_CONFIG))
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (_run_dir(tmp_path) / "data" / "train.dstl").exists()
+
     @pytest.mark.parametrize("given, want", [(None, "1"), ("2", "2")])
     def test_import_defaults_blas_to_one_thread(self, tmp_path, given, want):
         """Importing distillab sets each unset BLAS thread variable to 1 and keeps a set one."""
@@ -467,6 +479,19 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == repr([want, "1", "1"])
+
+    def test_train_detector_does_not_import_scipy(self, tmp_path):
+        """CutMix ratios are the uniforms themselves, so training the detector leaves scipy unloaded."""
+        assert "cutmix_alpha" not in TINY_CONFIG["detector"]
+        assert _cli(tmp_path, TINY_CONFIG, "synth-data").returncode == 0
+        code = (
+            "import sys, distillab, distillab.cli\n"
+            f"assert distillab.cli.main(['train-detector', '--config', {str(tmp_path / 'config.json')!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (_run_dir(tmp_path) / "models" / "detector.mdlc").exists()
 
 
 class TestFormatErrors:

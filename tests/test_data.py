@@ -134,6 +134,15 @@ class TestMixRatio:
         # Uniform(0,1) variance = 1/12
         assert abs(vals.var() - 1.0 / 12.0) < 0.005
 
+    @pytest.mark.parametrize("alpha", [1.0])
+    def test_symmetry(self, alpha):
+        """CutMix draws its ratio from Beta(alpha, alpha) at alpha 1, the one law it uses."""
+        vals = _ratios(2, 100_000)
+        assert abs(vals.mean() - 0.5) < 0.01
+        assert vals.min() >= 0.0 and vals.max() <= 1.0
+        # Beta(a,a) variance = 1/(8a+4)
+        assert abs(vals.var() - 1.0 / (8.0 * alpha + 4.0)) < 0.005
+
     def test_scalar_draw(self):
         (lam,) = _ratios(4, 1)
         assert 0.0 <= lam <= 1.0
