@@ -16,8 +16,9 @@ flags replace fields of the distill section.
 Exit codes: 0 success, 2 config error (an output root the run directory
 cannot be created under included), 3 missing artifact, 4 numeric failure,
 5 malformed artifact file (truncated, foreign or holding a non-finite
-value) or inputs that do not fit each other (image shape, class count,
-latent dim), 6 run directory locked by another live command (a lock left
+value), inputs that do not fit each other (image shape, class count,
+latent dim) or an input unlike its manifest (another sha256 or config, or
+no manifest), 6 run directory locked by another live command (a lock left
 by a process that no longer exists is taken over), 7 failed
 sensitivity-sweep check (checked before any training, so no report is
 written). Environment: DISTILLAB_OUTPUT_ROOT overrides the output root.
@@ -95,6 +96,8 @@ def _holder_gone(lock: Path) -> bool:
     return False
 
 
+# what ``check_fit`` reads of each input's manifest
+_MANIFEST_SCHEMA = {"output_sha256": str, "config_sha256": str}
 # input artifact -> (path under the run directory, the command that produces it)
 _INPUTS = {
     "train": ("data/train.dstl", "synth-data"),
@@ -123,7 +126,8 @@ class _Command:
 
     def __init__(self, args, *needs: str):
         self.cfg = _resolve_config(args)
-        self.run_dir = Path(self.cfg.output_root) / config_sha256(self.cfg)[:12]
+        self.cfg_sha256 = config_sha256(self.cfg)
+        self.run_dir = Path(self.cfg.output_root) / self.cfg_sha256[:12]
         self.inputs = {name: self.run_dir / _INPUTS[name][0] for name in needs}
 
     def __enter__(self) -> "_Command":
@@ -155,11 +159,14 @@ class _Command:
         self.lock.unlink(missing_ok=True)
 
     def check_fit(self, **loaded) -> None:
-        """Check that the inputs read (input name -> dataset or model) come from one config.
+        """Check that the inputs read (input name -> what its reader returned) are this run's.
 
         Every ``image_shape``, ``num_classes`` and ``latent_dim`` among them
         must agree; the first input that differs from an earlier one raises
-        a FormatError naming both files.
+        a FormatError naming both files. Then each input must be the file its
+        manifest describes: its sha256 the manifest's ``output_sha256`` and
+        the manifest's ``config_sha256`` this run's. A missing manifest or a
+        mismatch raises a FormatError naming the input.
         """
         first: dict[str, tuple[str, object]] = {}
         for name, obj in loaded.items():
@@ -171,6 +178,16 @@ class _Command:
                         raise FormatError(
                             f"{self.inputs[name]}: {field} {value} does not fit {self.inputs[ref].name}'s {want}"
                         )
+        for path in self.inputs.values():
+            manifest = path.with_name(path.name + ".manifest.json")
+            if not manifest.exists():
+                raise FormatError(f"{path}: its manifest {manifest.name} is missing")
+            made = read_report(manifest, _MANIFEST_SCHEMA)
+            if made["output_sha256"] != self.input_sha256[path.name]:
+                raise FormatError(f"{path}: its sha256 is not the output_sha256 in {manifest.name}")
+            if made["config_sha256"] != self.cfg_sha256:
+                theirs, ours = made["config_sha256"][:12], self.cfg_sha256[:12]
+                raise FormatError(f"{path}: its manifest names config {theirs}, not this run's {ours}")
 
     @functools.cached_property
     def input_sha256(self) -> dict[str, str]:
@@ -188,7 +205,7 @@ class _Command:
             "output": path.name,
             "output_sha256": writer(path, *args),
             "inputs": self.input_sha256,
-            "config_sha256": config_sha256(self.cfg),
+            "config_sha256": self.cfg_sha256,
             "master_seed": self.cfg.master_seed,
             "tool_version": __version__,
             **extra,
@@ -253,6 +270,7 @@ def _cmd_synth_data(args) -> int:
 def _cmd_train_detector(args) -> int:
     with _Command(args, "train") as run:
         train = read_dataset(run.inputs["train"])
+        run.check_fit(train=train)
         [det] = train_detector([train], run.cfg.detector, [SeededRng(run.cfg.master_seed).spawn(31)], use_cutmix=True)
         out = run.output("models/detector.mdlc", save_detector, det, final_loss=det.meta["final_loss"])
         print(f"wrote {out} (final training loss {det.meta['final_loss']:.4f})")
@@ -262,6 +280,7 @@ def _cmd_train_detector(args) -> int:
 def _cmd_train_autoencoder(args) -> int:
     with _Command(args, "train") as run:
         train = read_dataset(run.inputs["train"])
+        run.check_fit(train=train)
         codec = train_autoencoder(train, run.cfg.autoencoder, SeededRng(run.cfg.master_seed).spawn(32))
         mse = codec.meta["reconstruction_mse"]
         out = run.output("models/autoencoder.mdlc", save_autoencoder, codec, reconstruction_mse=mse)
@@ -368,17 +387,20 @@ _EVAL_SCHEMA = {"accuracy": _NUMBER}
 
 
 def _cmd_report(args) -> int:
-    with _Command(args, "ablation") as run:
+    run = _Command(args, "ablation")
+    eval_path = run.run_dir / _INPUTS["eval"][0]
+    if eval_path.exists():  # optional: read, checked and listed only when there
+        run.inputs["eval"] = eval_path
+    with run:
         payload = read_report(run.inputs["ablation"], _ABLATION_SCHEMA)
+        evals = read_report(run.inputs["eval"], _EVAL_SCHEMA) if "eval" in run.inputs else None
+        run.check_fit(ablation=payload, eval=evals)
         lines = ["mode        mean      std       n   fallbacks"]
         for mode, s in sorted(payload["summary"].items()):
             std = f"{s['std']:.4f}" if s["std"] is not None else "   -  "
             lines.append(f"{mode:10s} {s['mean']:.4f}   {std}   {s['n']}   {s['fallbacks']}")
-        eval_path = run.run_dir / _INPUTS["eval"][0]
-        if eval_path.exists():  # optional: the manifest lists it only when read
-            run.inputs["eval"] = eval_path
-            acc = read_report(eval_path, _EVAL_SCHEMA)["accuracy"]
-            lines.append(f"single-run downstream accuracy: {acc:.4f}")
+        if evals is not None:
+            lines.append(f"single-run downstream accuracy: {evals['accuracy']:.4f}")
         text = "\n".join(lines) + "\n"
         out = run.output("reports/summary.txt", write_atomic, [text.encode()])
         print(text, end="")

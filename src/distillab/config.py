@@ -340,11 +340,21 @@ def parse_config(payload: dict) -> RunConfig:
     return _build(RunConfig, payload)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is a ConfigError, not a silent last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config key {key!r} is repeated in one object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> RunConfig:
-    """Parse a JSON config file; syntax errors cite line and column."""
+    """Parse a JSON config file; syntax errors cite line and column, a repeated key names it."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            payload = json.load(f)
+            payload = json.load(f, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:

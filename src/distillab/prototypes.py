@@ -46,16 +46,22 @@ class KmeansResult:
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.einsum("ncd,ncd->nc", diff, diff)
+    """(N, C) squared distances as ||x||^2 - 2 x.c^T + ||c||^2 in float64.
+
+    The cross terms are one matrix product; a distance that rounding leaves
+    below 0 is clamped to 0. Every distance in k-means comes from here.
+    """
+    d2 = np.einsum("nd,nd->n", points, points)[:, None] - 2.0 * (points @ centroids.T)
+    return np.maximum(d2 + np.einsum("cd,cd->c", centroids, centroids), 0.0)
 
 
 def _kmeanspp_init(points: np.ndarray, c: int, rng: SeededRng) -> np.ndarray:
     n = len(points)
     centroids = np.empty((c, points.shape[1]), dtype=np.float64)
     centroids[0] = points[rng.integers(n)]
+    d2 = np.full(n, np.inf)
     for j in range(1, c):
-        d2 = _sq_dists(points, centroids[:j]).min(axis=1)
+        d2 = np.minimum(d2, _sq_dists(points, centroids[j - 1 : j])[:, 0])
         total = d2.sum()
         if total <= 0.0:
             centroids[j] = points[rng.integers(n)]
@@ -84,7 +90,7 @@ def _lloyd(points: np.ndarray, c: int, max_iters: int, rng: SeededRng):
             far = int(np.argmax(d2[np.arange(n), new_assign]))
             new_assign[far] = j
             centroids[j] = points[far]
-            d2[:, j] = ((points - centroids[j]) ** 2).sum(axis=1)
+            d2[:, j] = _sq_dists(points, centroids[j : j + 1])[:, 0]
         history.append(float(d2[np.arange(n), new_assign].sum()))
         if np.array_equal(new_assign, assign):
             break
@@ -104,10 +110,14 @@ def kmeans(
 ) -> KmeansResult:
     """Best-of-``restarts`` Lloyd iterations with k-means++ seeding.
 
-    Ties in nearest-centroid assignment break to the lowest centroid index;
-    ties in inertia across restarts keep the earliest run. The returned
-    assignment is recomputed against the float32 centroids so the
-    nearest-centroid invariant holds exactly for the stored values.
+    Every distance is ``_sq_dists``' GEMM form, clamped at 0: the seeding
+    takes a running minimum over each newly chosen centroid's column, each
+    Lloyd step one (N, C) block, and the empty-cluster repair the column of
+    the centroid that adopts a point. Ties in nearest-centroid assignment
+    break to the lowest centroid index; ties in inertia across restarts
+    keep the earliest run. The returned assignment is recomputed against
+    the float32 centroids so the nearest-centroid invariant holds for the
+    stored values.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:

@@ -728,6 +728,95 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def seed_runs(tmp_path_factory):
+    """TINY_CONFIG run directories through ``eval`` and ``ablate``, by master_seed (5, the config's, and 6)."""
+    dirs = {}
+    for seed in (5, 6):
+        tmp_path = tmp_path_factory.mktemp(f"seed{seed}")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(TINY_CONFIG, master_seed=seed)))
+        os.environ["DISTILLAB_OUTPUT_ROOT"] = str(tmp_path / "runs")
+        try:
+            for command in _TRAININGS + ("distill", "eval", "ablate"):
+                assert _run(command, "--config", str(cfg_path)) == 0
+        finally:
+            del os.environ["DISTILLAB_OUTPUT_ROOT"]
+        dirs[seed] = _run_dir(tmp_path)
+    return dirs
+
+
+def _flip_low_bit(path):
+    """Flip the lowest bit of one payload byte so that the file still parses:
+    the first pixel's low mantissa byte of a dataset, the last float32's of
+    a checkpoint, or the last digit of a JSON report (a digit stays a digit)."""
+    raw = bytearray(path.read_bytes())
+    if path.suffix == ".dstl":  # the first pixel follows the 26-byte header and the u16 labels
+        at = 26 + 2 * struct.unpack_from("<I", raw, 6)[0]
+    elif path.suffix == ".mdlc":
+        at = len(raw) - 4
+    else:
+        at = max(raw.rfind(digit) for digit in b"0123456789")
+    raw[at] ^= 1
+    path.write_bytes(bytes(raw))
+
+
+class TestManifestChecks:
+    """Each input must be the file its manifest describes, made under this run's config."""
+
+    @pytest.mark.parametrize("change", ["flipped", "swapped"])
+    @pytest.mark.parametrize(
+        "rel, command",
+        [
+            ("data/train.dstl", "train-detector"),
+            ("models/detector.mdlc", "distill"),
+            ("models/autoencoder.mdlc", "train-diffusion"),
+            ("models/denoiser.mdlc", "distill"),
+            ("distilled/distilled.dstl", "eval"),
+            ("reports/ablation.json", "report"),
+        ],
+        ids=["dataset", "detector", "autoencoder", "denoiser", "distilled", "report"],
+    )
+    def test_input_unlike_its_manifest_exits_5(self, seed_runs, tmp_path, monkeypatch, capsys, rel, command, change):
+        """A payload byte flipped (the file still parses) or the file and its
+        manifest swapped in from the master_seed 6 run is a one-line format
+        error that names the file, raised before any output is written."""
+        shutil.copytree(seed_runs[5].parent, tmp_path / "runs")
+        rd = _run_dir(tmp_path)
+        path = rd / rel
+        if change == "flipped":
+            _flip_low_bit(path)
+        else:
+            for name in (path.name, path.name + ".manifest.json"):
+                shutil.copyfile(seed_runs[6] / rel.rsplit("/", 1)[0] / name, path.with_name(name))
+        before = {p: p.read_bytes() for p in rd.rglob("*") if p.is_file()}
+        monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY_CONFIG))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"format error: {path}: ")
+        assert ("sha256" if change == "flipped" else "config") in err
+        assert len(err.strip().splitlines()) == 1
+        assert {p: p.read_bytes() for p in rd.rglob("*") if p.is_file()} == before
+
+    def test_missing_manifest_exits_5_under_python_O(self, seed_runs, tmp_path):
+        """An input without its manifest is a one-line format error naming it, with asserts stripped too."""
+        shutil.copytree(seed_runs[5].parent, tmp_path / "runs")
+        path = _run_dir(tmp_path) / "reports" / "eval.json"
+        path.with_name("eval.json.manifest.json").unlink()
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY_CONFIG))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "distillab.cli", "report", "--config", str(cfg_path)],
+            env=_child_env(tmp_path), capture_output=True, text=True,
+        )
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr == f"format error: {path}: its manifest eval.json.manifest.json is missing\n"
+        assert not (path.parent / "summary.txt").exists()
+
+
 class TestReports:
     def test_ablation_json_byte_reproducible(self, pipeline, tmp_path, monkeypatch):
         """Two ablate runs into two output roots write the same ablation.json."""

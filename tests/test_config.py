@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distillab.config import ConfigError, RunConfig, parse_config, to_dict
+from distillab.cli import main
+from distillab.config import ConfigError, RunConfig, load_config, parse_config, to_dict
 
 _STRINGS = st.sampled_from(["mlp", "identity", "base", "top1", "sim", "tplus_s", "runs"]) | st.text(max_size=6)
 # json.loads also yields NaN, infinities and integers beyond float range
@@ -111,3 +112,30 @@ def test_u64_seed_bounds_are_accepted():
     """SeededRng keys its streams by a u64: its bounds parse, and a seed outside them is a ConfigError (above)."""
     cfg = parse_config({"master_seed": 2**64 - 1, "eval": {"seeds": [0, 2**64 - 1]}})
     assert (cfg.master_seed, cfg.eval.seeds) == (2**64 - 1, [0, 2**64 - 1])
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"distill": {"ipc": 3}, "master_seed": 1, "distill": {"beta": 0.7}}', "distill"),
+        ('{"distill": {"beta": 0.5, "ipc": 3, "beta": 0.7}}', "beta"),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_repeated_key_is_rejected(tmp_path, text, key):
+    """json.load would keep a repeated key's last value and drop the first without a word."""
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as e:
+        load_config(path)
+    assert str(e.value) == f"config key {key!r} is repeated in one object"
+
+
+def test_repeated_key_exits_2(tmp_path, capsys):
+    """The first ``distill`` section would vanish and the second's ipc run: a one-line config error instead."""
+    path = tmp_path / "config.json"
+    path.write_text('{"distill": {"beta": 0.5, "beta": 0.7}, "distill": {"ipc": 3}}')
+    assert main(["distill", "--config", str(path), "--dump-config"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: config key 'beta' is repeated in one object\n"

@@ -4,12 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from distillab.config import DistillConfig
-from distillab.data import FormatError, LabeledDataset, grating_image
-from distillab.models import write_checkpoint
+from distillab.config import DistillConfig, parse_config
+from distillab.data import FormatError, LabeledDataset, grating_image, synthesize_toy_dataset
+from distillab.models import train_autoencoder, write_checkpoint
 from distillab.numerics import SeededRng
 from distillab.prototypes import (
     Prototype,
+    _kmeanspp_init,
+    _sq_dists,
     extract_prototypes,
     kmeans,
     read_prototypes,
@@ -106,6 +108,155 @@ class TestKmeans:
             res = kmeans(pts, c, restarts=20, rng=SeededRng(500 + trial))
             opt = exhaustive_kmeans_optimum(pts, c)
             assert res.inertia <= opt + 1e-6
+
+
+def diff_sq_dists(points, centroids):
+    """The difference-tensor form: an (N, C, d) tensor of differences, squared and summed."""
+    diff = points[:, None, :] - centroids[None, :, :]
+    return np.einsum("ncd,ncd->nc", diff, diff)
+
+
+def block_seeding(points, c, rng, sq_dists):
+    """k-means++ seeding that takes, at each step, the minimum over a block
+    of distances to all centroids chosen so far."""
+    n = len(points)
+    cents = np.empty((c, points.shape[1]))
+    cents[0] = points[rng.integers(n)]
+    for j in range(1, c):
+        d2 = sq_dists(points, cents[:j]).min(axis=1)
+        total = d2.sum()
+        if total <= 0.0:
+            cents[j] = points[rng.integers(n)]
+            continue
+        u = float(rng.uniform(1)[0]) * total
+        cents[j] = points[min(int(np.searchsorted(np.cumsum(d2), u, side="right")), n - 1)]
+    return cents
+
+
+def reference_kmeans(points, c, restarts, rng, max_iters=100):
+    """k-means with the difference-tensor distance throughout: block
+    seeding, Lloyd steps, an empty-cluster repair with its own formula and
+    the final assignment."""
+    points = np.asarray(points, dtype=np.float64)
+    n = len(points)
+
+    def lloyd(r):
+        cents = block_seeding(points, c, r, diff_sq_dists)
+        assign = np.full(n, -1)
+        history = []
+        for _ in range(max_iters):
+            d2 = diff_sq_dists(points, cents)
+            new = d2.argmin(axis=1)
+            for _repair in range(c):
+                empties = np.nonzero(np.bincount(new, minlength=c) == 0)[0]
+                if len(empties) == 0:
+                    break
+                j = int(empties[0])
+                far = int(np.argmax(d2[np.arange(n), new]))
+                new[far] = j
+                cents[j] = points[far]
+                d2[:, j] = ((points - cents[j]) ** 2).sum(axis=1)
+            history.append(float(d2[np.arange(n), new].sum()))
+            if np.array_equal(new, assign):
+                break
+            assign = new
+            for j in range(c):
+                cents[j] = points[assign == j].mean(axis=0)
+        return cents, history
+
+    best = None
+    for r in range(restarts):
+        run = lloyd(rng.spawn(r))
+        if best is None or run[1][-1] < best[1][-1]:
+            best = run
+    cent32 = best[0].astype(np.float32)
+    return cent32, diff_sq_dists(points, cent32.astype(np.float64)).argmin(axis=1)
+
+
+def _distance_cases():
+    """Seeded (points, centroids) pairs: near and far from the origin, with
+    repeated points and with identical centroids."""
+    rng = SeededRng(40)
+    for offset in (0.0, 10.0, 1000.0):
+        points = rng.normal((200, 16)).astype(np.float64) + offset
+        yield points, points[rng.integers(200, 6)]
+        repeated = np.repeat(points[:20], 10, axis=0)
+        yield repeated, repeated[[0, 0, 3, 3, 3]]
+        yield points, np.repeat(points[:1], 4, axis=0) + rng.normal(16)
+
+
+class TestSqDists:
+    """``_sq_dists`` is the GEMM form of the difference-tensor distance."""
+
+    @staticmethod
+    def _scale(points, centroids):
+        # the size of the terms the GEMM form adds and subtracts, which bounds its rounding
+        return (points**2).sum(axis=1)[:, None] + (centroids**2).sum(axis=1)
+
+    def test_close_to_difference_form_and_non_negative(self):
+        for points, centroids in _distance_cases():
+            got, want = _sq_dists(points, centroids), diff_sq_dists(points, centroids)
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert np.all(got >= 0.0)
+            assert np.all(np.abs(got - want) <= 1e-9 * self._scale(points, centroids))
+
+    def test_same_argmin_where_the_nearest_is_clear(self):
+        """Each row's argmin is the reference's wherever its nearest and
+        second-nearest distances differ by more than 1e-9 (of the term scale)."""
+        clear_rows = 0
+        for points, centroids in _distance_cases():
+            want = diff_sq_dists(points, centroids)
+            two = np.sort(want, axis=1)[:, :2]
+            clear = two[:, 1] - two[:, 0] > 1e-9 * self._scale(points, centroids).max(axis=1)
+            got = _sq_dists(points, centroids).argmin(axis=1)
+            assert np.array_equal(got[clear], want.argmin(axis=1)[clear])
+            clear_rows += int(clear.sum())
+        assert clear_rows >= 500
+
+    def test_identical_centroids_tie_to_the_lowest_index(self):
+        """An identical centroid gives an identical column wherever it sits
+        in the product, so a row's argmin keeps the lower index."""
+        rng = SeededRng(41)
+        for c, d in ((4, 4), (10, 32), (13, 8)):
+            points = rng.normal((60, d)).astype(np.float64)
+            centroids = rng.normal((c, d)).astype(np.float64)
+            centroids[c - 1] = centroids[1]
+            d2 = _sq_dists(points, centroids)
+            assert np.array_equal(d2[:, c - 1], d2[:, 1])
+            nearest = d2.argmin(axis=1)
+            assert np.any(nearest == 1) and not np.any(nearest == c - 1)
+
+    def test_seeding_running_minimum_is_the_block_minimum(self):
+        """The seeding's running minimum over the newest centroid's column
+        equals the minimum over the block of all chosen centroids, and gives
+        the same draws as a seeding that takes the block minimum."""
+        for points, _ in _distance_cases():
+            for c in (1, 4, 9):
+                cents = _kmeanspp_init(points, c, SeededRng(42))
+                running = np.full(len(points), np.inf)
+                for j in range(1, c + 1):
+                    running = np.minimum(running, _sq_dists(points, cents[j - 1 : j])[:, 0])
+                    block = _sq_dists(points, cents[:j]).min(axis=1)
+                    assert np.all(np.abs(running - block) <= 1e-9 * self._scale(points, cents[:j]).max(axis=1))
+                assert np.array_equal(cents, block_seeding(points, c, SeededRng(42), _sq_dists))
+
+    def test_kmeans_matches_the_difference_form_bit_for_bit(self, train_latents, toy_train):
+        """On the train latents of every class, at TINY_CONFIG (through the
+        CLI's data and codec streams) and at the default config, ``kmeans``
+        returns the reference's centroids and assignments bit for bit."""
+        from test_cli import TINY_CONFIG
+
+        cfg = parse_config(TINY_CONFIG)
+        train, _ = synthesize_toy_dataset(cfg.data, SeededRng(cfg.master_seed))
+        codec = train_autoencoder(train, cfg.autoencoder, SeededRng(cfg.master_seed).spawn(32))
+        tiny = (train.labels, codec.encode(train.images), cfg.distill)
+        for labels, latents, dcfg in (tiny, (toy_train.labels, train_latents, DistillConfig())):
+            for c in range(labels.max() + 1):
+                points = np.asarray(latents[labels == c], dtype=np.float64)
+                got = kmeans(points, dcfg.ipc, restarts=dcfg.kmeans_restarts, rng=SeededRng(43).spawn(c))
+                cents, assign = reference_kmeans(points, dcfg.ipc, dcfg.kmeans_restarts, SeededRng(43).spawn(c))
+                assert np.array_equal(got.centroids, cents) and got.centroids.dtype == cents.dtype
+                assert np.array_equal(got.assignments, assign)
 
 
 class TestExtractPrototypes:
