@@ -10,8 +10,8 @@ hashes.
 
 Every command runs in one frame (``_Command``): it checks the whole config,
 then that its inputs exist, before it touches the filesystem. Each section
-of the config is passed to its library function as is; the ``distill``
-flags replace fields of the distill section.
+of the config is passed to its library function as is, so a run directory
+holds the outputs of the one config its run id names.
 
 Exit codes: 0 success, 2 config error (an output root the run directory
 cannot be created under included), 3 missing artifact, 4 numeric failure,
@@ -35,10 +35,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .config import SELECTION_MODES, ConfigError, check_seed, config_sha256, default_config, load_config, to_dict
+from .config import ConfigError, config_sha256, default_config, load_config, to_dict
 from .data import FormatError, read_dataset, read_report, synthesize_toy_dataset, write_atomic, write_dataset
 from .diffusion import load_denoiser, save_denoiser, train_denoiser
 from .evalharness import AblationInputs, SweepCheckError, evaluate, run_ablation, sensitivity_csv, train_downstream
@@ -214,18 +212,10 @@ class _Command:
         return path
 
 
-def _write_pgm(path: Path, image) -> None:
-    """Debug dump: channel 0 as binary 8-bit PGM."""
-    gray = np.clip(image[0] * 255.0, 0, 255).astype(np.uint8)
-    h, w = gray.shape
-    write_atomic(path, [f"P5\n{w} {h}\n255\n".encode(), gray.tobytes()])
-
-
 def _distill_cfg(cfg, **fields):
     """``cfg.distill`` with ``fields`` replaced; a value it rejects is a ConfigError.
 
-    The new section is also checked against the rest of ``cfg`` (``ipc``
-    against ``data.train_per_class``). Commands build their distill configs
+    ``ablate --sweep`` checks each (``top_k``, ``beta``) cell of its grid
     this way before touching the run directory.
     """
     try:
@@ -247,22 +237,11 @@ def _load_models(run: _Command, **datasets):
 # --- commands -------------------------------------------------------------------
 
 
-def _preview_count(args) -> int:
-    """``--preview``, the number of images to dump; a negative one is a ConfigError."""
-    if args.preview < 0:
-        raise ConfigError(f"--preview must be >= 0, got {args.preview}")
-    return args.preview
-
-
 def _cmd_synth_data(args) -> int:
-    run = _Command(args)
-    preview = _preview_count(args)
-    with run:
+    with _Command(args) as run:
         train, test = synthesize_toy_dataset(run.cfg.data, SeededRng(run.cfg.master_seed))
         train_path = run.output("data/train.dstl", write_dataset, train, samples=len(train))
         test_path = run.output("data/test.dstl", write_dataset, test, samples=len(test))
-        for i in range(min(preview, len(train))):
-            _write_pgm(run.run_dir / "data" / f"preview_{i:03d}.pgm", train.images[i])
         print(f"wrote {train_path} ({len(train)} images) and {test_path} ({len(test)} images)")
     return 0
 
@@ -304,15 +283,10 @@ def _cmd_train_diffusion(args) -> int:
 
 
 def _cmd_distill(args) -> int:
-    run = _Command(args, "train", "detector", "autoencoder", "denoiser")
-    # each override flag stores into the distill field of its name
-    names = [f.name for f in dataclasses.fields(run.cfg.distill)]
-    dcfg = _distill_cfg(run.cfg, **{n: getattr(args, n) for n in names if getattr(args, n, None) is not None})
-    seed = run.cfg.master_seed if args.seed is None else check_seed("--seed", args.seed)
-    preview = _preview_count(args)
-    with run:
+    with _Command(args, "train", "detector", "autoencoder", "denoiser") as run:
         train = read_dataset(run.inputs["train"])
         det, codec, gen = _load_models(run, train=train)
+        dcfg, seed = run.cfg.distill, run.cfg.master_seed
         res = distill(train, codec.encode, gen, det, dcfg, SeededRng(seed))
 
         extra = {"distill_config": res.report["config"]}
@@ -320,8 +294,6 @@ def _cmd_distill(args) -> int:
         run.output("prototypes/prototypes.prto", write_prototypes, res.prototypes, provenance, **extra)
         out_path = run.output("distilled/distilled.dstl", write_dataset, res.dataset, **extra)
         run.output("reports/distill_report.json", write_atomic, [_json_bytes(res.report)], **extra)
-        for i in range(min(preview, len(res.dataset))):
-            _write_pgm(run.run_dir / "distilled" / f"distilled_{i:03d}.pgm", res.dataset.images[i])
         c = res.report["counts"]
         print(
             f"wrote {out_path}: {c['total']} samples "
@@ -428,21 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
         return p
 
-    p = add("synth-data", _cmd_synth_data, "generate the procedural train/test datasets")
-    p.add_argument("--preview", type=int, default=0, metavar="N", help="dump N train images as PGM")
+    add("synth-data", _cmd_synth_data, "generate the procedural train/test datasets")
     add("train-detector", _cmd_train_detector, "train the CutMix anomaly detector")
     add("train-autoencoder", _cmd_train_autoencoder, "train the latent codec")
     add("train-diffusion", _cmd_train_diffusion, "train the conditional denoiser on latents")
-    p = add("distill", _cmd_distill, "generate, filter, and refine the distilled dataset")
-    p.add_argument("--beta", type=float, default=None, help="confidence threshold override")
-    p.add_argument("--top-k", dest="top_k", type=int, default=None, help="shortlist size override")
-    p.add_argument("--candidates", dest="num_candidates", type=int, default=None, help="candidates per defective slot")
-    p.add_argument("--guidance", dest="guidance_scale", type=float, default=None, help="guidance scale override")
-    p.add_argument("--strength", type=float, default=None, help="img2img strength override")
-    p.add_argument("--ipc", type=int, default=None, help="images-per-class override")
-    p.add_argument("--mode", dest="selection_mode", type=str, default=None, choices=SELECTION_MODES)
-    p.add_argument("--seed", type=int, default=None, help="distillation seed override")
-    p.add_argument("--preview", type=int, default=0, metavar="N", help="dump N distilled images as PGM")
+    add("distill", _cmd_distill, "generate, filter, and refine the distilled dataset")
     add("eval", _cmd_eval, "train a downstream classifier on the distilled set and score it")
     p = add("ablate", _cmd_ablate, "run the selection-mode ablation grid across seeds")
     p.add_argument("--sweep", action="store_true", help="also sweep top-k and beta (sensitivity grid)")

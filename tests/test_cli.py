@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -152,33 +153,21 @@ class TestFullPipeline:
         after = (ds.read_bytes(), rp.read_bytes())
         assert before == after
 
-    def test_distill_overrides_recorded(self, pipeline, monkeypatch):
-        tmp_path, cfg_path = pipeline
+    def test_every_output_has_its_manifest(self, pipeline, tmp_path, monkeypatch):
+        """After synth-data through report, every file of the run directory
+        is a manifest or has one, and that manifest hashes it."""
+        rd = _copy_run(pipeline, tmp_path)
         monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
-        assert (
-            _run(
-                "distill", "--config", str(cfg_path),
-                "--beta", "0.9", "--top-k", "2", "--candidates", "20", "--seed", "7",
-            )
-            == 0
-        )
-        rd = _run_dir(tmp_path)
-        report = json.loads((rd / "reports" / "distill_report.json").read_text())
-        assert report["config"]["beta"] == 0.9
-        assert report["config"]["top_k"] == 2
-        assert report["config"]["num_candidates"] == 20
-        assert report["config"]["seed"] == 7
-        # restore the canonical artifacts for other tests
-        assert _run("distill", "--config", str(cfg_path)) == 0
-
-    def test_preview_pgm(self, pipeline, monkeypatch):
-        tmp_path, cfg_path = pipeline
-        monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
-        assert _run("synth-data", "--config", str(cfg_path), "--preview", "2") == 0
-        rd = _run_dir(tmp_path)
-        pgm = (rd / "data" / "preview_000.pgm").read_bytes()
-        assert pgm.startswith(b"P5\n8 8\n255\n")
-        assert len(pgm) == len(b"P5\n8 8\n255\n") + 64
+        for command in ("eval", "ablate --sweep", "report"):
+            assert _run(*command.split(), "--config", str(pipeline[1])) == 0
+        files = [path for path in rd.rglob("*") if path.is_file() and path.name != ".lock"]
+        outputs = [path for path in files if not path.name.endswith(".manifest.json")]
+        assert len(outputs) == 13
+        for path in outputs:
+            manifest = path.with_name(path.name + ".manifest.json")
+            assert manifest.exists(), path
+            assert json.loads(manifest.read_text())["output_sha256"] == _sha256(path), path
+        assert len(files) == 2 * len(outputs)
 
 
 class TestFourModes:
@@ -307,25 +296,56 @@ class TestDistillConfigErrors:
     @pytest.mark.parametrize(
         "override, needle",
         [
-            (["--beta", "1.5"], "beta must lie in (0, 1)"),
-            (["--top-k", "5"], "top_k cannot exceed"),
-            (["--guidance", "nan"], "guidance_scale must be a finite non-negative number"),
-            (["--guidance", "inf"], "guidance_scale must be a finite non-negative number"),
-            (["--seed", "-1"], "--seed must lie in [0, 2^64), got -1"),
-            (["--seed", str(2**64)], f"--seed must lie in [0, 2^64), got {2**64}"),
+            pytest.param({"beta": 1.5}, "distill: beta must lie in (0, 1)", id="override0-beta must lie in (0, 1)"),
+            pytest.param({"top_k": 5}, "distill: top_k cannot exceed num_candidates", id="override1-top_k cannot exceed"),
+            # json.dumps writes these as the JSON extensions NaN and Infinity, which the config parser reads
+            pytest.param(
+                {"guidance_scale": float("nan")}, "config key distill.guidance_scale must be a finite number",
+                id="override2-guidance_scale must be a finite non-negative number",
+            ),
+            pytest.param(
+                {"guidance_scale": float("inf")}, "config key distill.guidance_scale must be a finite number",
+                id="override3-guidance_scale must be a finite non-negative number",
+            ),
         ],
     )
     def test_distill_override(self, tmp_path, override, needle):
-        proc = _cli(tmp_path, TINY_CONFIG, "distill", *override)
+        proc = _cli(tmp_path, _variant(distill=override), "distill")
         _assert_config_error(tmp_path, proc, needle)
 
-    @pytest.mark.parametrize("command", [["distill", "--ipc", "41"], ["ablate"]], ids=["flag", "config"])
+    @pytest.mark.parametrize("command", [["ablate"]], ids=["config"])
     def test_ipc_above_train_per_class(self, tmp_path, command):
-        """k-means needs ipc images per class: an ipc above data.train_per_class
-        (40), from the flag or from the config, is a config error."""
-        cfg = TINY_CONFIG if "--ipc" in command else dict(TINY_CONFIG, distill=dict(TINY_CONFIG["distill"], ipc=41))
-        proc = _cli(tmp_path, cfg, *command)
+        """k-means needs ipc images per class: an ipc above
+        data.train_per_class (40) is a config error."""
+        proc = _cli(tmp_path, _variant(distill={"ipc": 41}), *command)
         _assert_config_error(tmp_path, proc, "distill.ipc (41) exceeds data.train_per_class (40)")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distill", "--beta", "0.9"],
+            ["distill", "--top-k", "2"],
+            ["distill", "--candidates", "20"],
+            ["distill", "--guidance", "1"],
+            ["distill", "--strength", "0.5"],
+            ["distill", "--ipc", "3"],
+            ["distill", "--mode", "base"],
+            ["distill", "--seed", "7"],
+            ["distill", "--preview", "1"],
+            ["synth-data", "--preview", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_removed_flag(self, workdir, capsys, argv):
+        """A distill variant is a config variant with its own run id: the
+        former override and preview flags are usage errors (exit 2) that
+        create no output root."""
+        tmp_path, cfg_path = workdir
+        with pytest.raises(SystemExit) as exit_:
+            _run(*argv, "--config", str(cfg_path))
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_ablate_mode(self, tmp_path):
         cfg = dict(TINY_CONFIG, eval=dict(TINY_CONFIG["eval"], modes=["base", "best"]))
@@ -346,12 +366,6 @@ class TestDistillConfigErrors:
         """A seed outside [0, 2^64) would name the stream of another seed under another run id."""
         proc = _cli(tmp_path, cfg, command)
         _assert_config_error(tmp_path, proc, needle)
-
-    @pytest.mark.parametrize("command", ["synth-data", "distill"])
-    def test_negative_preview(self, tmp_path, command):
-        """A negative image count is a config error, not a run that dumps nothing."""
-        proc = _cli(tmp_path, TINY_CONFIG, command, "--preview", "-1")
-        _assert_config_error(tmp_path, proc, "--preview must be >= 0, got -1")
 
     def test_ablate_repeated_seed(self, tmp_path):
         cfg = dict(TINY_CONFIG, eval=dict(TINY_CONFIG["eval"], seeds=[1, 1]))
@@ -815,6 +829,101 @@ class TestManifestChecks:
         assert proc.returncode == 5, proc.stderr
         assert proc.stderr == f"format error: {path}: its manifest eval.json.manifest.json is missing\n"
         assert not (path.parent / "summary.txt").exists()
+
+
+# Runs a command with os.replace wrapped so that the process SIGKILLs itself
+# right after it renames a file onto the name given as argv[1]: the output is
+# in place, its manifest not yet written.
+_KILL_AFTER_RENAME = """
+import os, signal, sys
+import distillab.cli
+replace = os.replace
+def killing_replace(src, dst):
+    replace(src, dst)
+    if os.path.basename(dst) == sys.argv[1]:
+        os.kill(os.getpid(), signal.SIGKILL)
+os.replace = killing_replace
+sys.exit(distillab.cli.main(sys.argv[2:]))
+"""
+
+
+def _files(rd):
+    """Every file of a run directory but its lock, by path relative to it."""
+    return {p.relative_to(rd): p.read_bytes() for p in rd.rglob("*") if p.is_file() and p.name != ".lock"}
+
+
+class TestKilledProducer:
+    """A producer killed between writing an output and writing its manifest
+    leaves a run that the next command refuses; a rerun mends it."""
+
+    def _kill(self, tmp_path, rel, command):
+        """Run ``command`` at TINY_CONFIG under tmp_path/runs until it has renamed onto ``rel``, then kill it."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY_CONFIG))
+        argv = [sys.executable, "-c", _KILL_AFTER_RENAME, Path(rel).name, *command.split(), "--config", str(cfg_path)]
+        with subprocess.Popen(argv, env=_child_env(tmp_path), stderr=subprocess.PIPE, text=True) as proc:
+            err = proc.communicate(timeout=300)[1]
+        assert proc.returncode == -signal.SIGKILL, err
+        return proc.pid
+
+    # (the producer's outputs, removed before it runs; the producer; the next command, which reads the first output)
+    @pytest.mark.parametrize(
+        "outputs, producer, consumer",
+        [
+            (["data/train.dstl", "data/test.dstl"], "synth-data", "train-detector"),
+            (["models/detector.mdlc"], "train-detector", "distill"),
+            (["models/autoencoder.mdlc"], "train-autoencoder", "train-diffusion"),
+            (["models/denoiser.mdlc"], "train-diffusion", "distill"),
+            (["distilled/distilled.dstl", "prototypes/prototypes.prto", "reports/distill_report.json"], "distill", "eval"),
+            (["reports/ablation.json", "reports/ablation.csv"], "ablate", "report"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else None,
+    )
+    def test_output_without_manifest(self, seed_runs, tmp_path, monkeypatch, capsys, outputs, producer, consumer):
+        """The next command exits 5 naming the missing manifest and changes
+        nothing; the rerun producer takes over the dead pid's lock, and the
+        run then has the bytes of an uninterrupted one."""
+        shutil.copytree(seed_runs[5].parent, tmp_path / "runs")
+        rd = _run_dir(tmp_path)
+        complete = _files(rd)
+        for rel in outputs:
+            for path in (rd / rel, rd / (rel + ".manifest.json")):
+                path.unlink()
+        dead = self._kill(tmp_path, outputs[0], producer)
+        path = rd / outputs[0]
+        assert path.exists() and not path.with_name(path.name + ".manifest.json").exists()
+        assert (rd / ".lock").read_text() == str(dead)
+
+        # the consumer runs on a copy, so that the producer meets the dead pid's lock below
+        shutil.copytree(tmp_path / "runs", tmp_path / "copy" / "runs")
+        copy = _run_dir(tmp_path / "copy")
+        before = _files(copy)
+        monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "copy" / "runs"))
+        capsys.readouterr()
+        assert main([consumer, "--config", str(tmp_path / "config.json")]) == 5
+        name = Path(outputs[0]).name
+        assert capsys.readouterr().err == f"format error: {copy / outputs[0]}: its manifest {name}.manifest.json is missing\n"
+        assert _files(copy) == before
+
+        monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
+        for command in (producer, consumer):
+            assert main([command, "--config", str(tmp_path / "config.json")]) == 0
+        assert not (rd / ".lock").exists()
+        files = _files(rd)
+        assert {rel: files[rel] for rel in complete} == complete
+
+    def test_distill_rerun_over_complete_pair(self, seed_runs, tmp_path, monkeypatch):
+        """A distill rerun killed after it renamed the distilled set over the
+        old one wrote the same bytes, since the run directory holds one
+        config: the old manifest still describes the set, and eval runs."""
+        shutil.copytree(seed_runs[5].parent, tmp_path / "runs")
+        rd = _run_dir(tmp_path)
+        complete = _files(rd)
+        self._kill(tmp_path, "distilled/distilled.dstl", "distill")
+        assert _files(rd) == complete
+        monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
+        assert main(["eval", "--config", str(tmp_path / "config.json")]) == 0
+        assert _files(rd) == complete
 
 
 class TestReports:
