@@ -9,6 +9,7 @@ eps_hat = eps_null + w * (eps_label - eps_null).
 import numpy as np
 
 from distillab import (
+    build_schedule,
     default_config,
     forward_noise,
     predict_batch,
@@ -23,7 +24,7 @@ from distillab.numerics import SeededRng
 defaults = default_config()
 
 # %% the variance schedule (200 steps, betas 1e-4 .. 0.03)
-sched = defaults.denoiser.schedule()
+sched = build_schedule(defaults.denoiser)
 print("alpha_bar at t=1, T/2, T:", sched.alpha_bars[0], sched.alpha_bars[99], sched.alpha_bars[-1])
 
 # %% forward noising drains the signal
@@ -38,7 +39,8 @@ for t in (1, 50, 140, 200):
     print(f"t={t:3d}: correlation with clean latent {corr:+.3f}")
 
 # %% train the conditional denoiser (the default, strong config)
-den = train_denoiser(latents, train.labels, sched, defaults.denoiser, SeededRng(2026))
+# it trains, and is sampled below, on the schedule of its config
+den = train_denoiser(latents, train.labels, defaults.denoiser, SeededRng(2026))
 print(f"\ndenoiser loss: {den.meta['loss_history'][0]:.3f} -> {den.meta['final_loss']:.3f}")
 
 # %% guided vs unguided generation, judged by a detector

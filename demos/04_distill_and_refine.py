@@ -13,6 +13,7 @@ import numpy as np
 
 from distillab import (
     DiffusionCandidateGenerator,
+    build_schedule,
     default_config,
     evaluate,
     generate_candidates,
@@ -32,13 +33,15 @@ train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
 [det] = train_detector([train], defaults.detector, [SeededRng(2024)], use_cutmix=True)
 codec = train_autoencoder(train, defaults.autoencoder, SeededRng(2025))
 latents = codec.encode(train.images)
-sched = defaults.denoiser.schedule()
-den = train_denoiser(latents, train.labels, sched, replace(defaults.denoiser, epochs=50), SeededRng(2026))
+weak = replace(defaults.denoiser, epochs=50)
+den = train_denoiser(latents, train.labels, weak, SeededRng(2026))
 print("artifacts ready\n")
 
 # %% distill with the full gate + diversity rule, seed 1
 cfg = defaults.distill
-# the generator samples with the strength and guidance scale of the config it is given
+# the generator samples on the denoiser's schedule, with the strength and
+# guidance scale of the config it is given
+sched = build_schedule(weak)
 gen = DiffusionCandidateGenerator(denoiser=den, schedule=sched, decode_fn=codec.decode)
 # generation and selection are separate phases: the bank holds every
 # generated batch, scored once, and any selection mode can be run over it

@@ -9,7 +9,7 @@ beta never grows a candidate batch's passing set.
 
 from dataclasses import replace
 
-from distillab import AblationInputs, DiffusionCandidateGenerator, default_config, run_ablation
+from distillab import AblationInputs, DiffusionCandidateGenerator, build_schedule, default_config, run_ablation
 from distillab import synthesize_toy_dataset, train_autoencoder, train_denoiser, train_detector
 from distillab.evalharness import sensitivity_csv
 from distillab.numerics import SeededRng
@@ -20,15 +20,13 @@ defaults = default_config()
 train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
 [det] = train_detector([train], defaults.detector, [SeededRng(2024)], use_cutmix=True)
 codec = train_autoencoder(train, defaults.autoencoder, SeededRng(2025))
-sched = defaults.denoiser.schedule()
-den = train_denoiser(
-    codec.encode(train.images), train.labels, sched,
-    replace(defaults.denoiser, epochs=50), SeededRng(2026),
-)
-# one candidate generator; each bank samples with its own config's strength and guidance scale
+weak = replace(defaults.denoiser, epochs=50)
+den = train_denoiser(codec.encode(train.images), train.labels, weak, SeededRng(2026))
+# one candidate generator, on the denoiser's schedule; each bank samples with
+# its own config's strength and guidance scale
 inputs = AblationInputs(
     train=train, test=test, encode_fn=codec.encode, detector=det,
-    generator=DiffusionCandidateGenerator(denoiser=den, schedule=sched, decode_fn=codec.decode),
+    generator=DiffusionCandidateGenerator(den, build_schedule(weak), codec.decode),
 )
 
 # %% the mode x seed grid (2 seeds here; the acceptance suite runs 3) and a

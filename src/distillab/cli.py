@@ -9,17 +9,19 @@ output gets a manifest listing exactly the command's inputs with their
 hashes.
 
 Every command runs in one frame (``_Command``): it checks the whole config,
-then that its inputs exist, before it touches the filesystem. Each section
-of the config is passed to its library function as is, so a run directory
-holds the outputs of the one config its run id names.
+then that its inputs exist, before it touches the filesystem, and it reads
+its inputs only through ``_Command.load``, which checks that they fit each
+other and their manifests. Each section of the config is passed to its
+library function as is, so a run directory holds the outputs of the one
+config its run id names.
 
 Exit codes: 0 success, 2 config error (an output root the run directory
 cannot be created under included), 3 missing artifact, 4 numeric failure,
 5 malformed artifact file (truncated, foreign or holding a non-finite
 value), inputs that do not fit each other (image shape, class count,
 latent dim) or an input unlike its manifest (another sha256 or config, or
-no manifest), 6 run directory locked by another live command (a lock left
-by a process that no longer exists is taken over), 7 failed
+no manifest), 6 run directory locked by another live command (a lock that
+names no live process is taken over), 7 failed
 sensitivity-sweep check (checked before any training, so no report is
 written). Environment: DISTILLAB_OUTPUT_ROOT overrides the output root.
 """
@@ -38,7 +40,7 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, config_sha256, default_config, load_config, to_dict
 from .data import FormatError, read_dataset, read_report, synthesize_toy_dataset, write_atomic, write_dataset
-from .diffusion import load_denoiser, save_denoiser, train_denoiser
+from .diffusion import build_schedule, load_denoiser, save_denoiser, train_denoiser
 from .evalharness import AblationInputs, SweepCheckError, evaluate, run_ablation, sensitivity_csv, train_downstream
 from .models import load_autoencoder, load_detector, save_autoencoder, save_detector, train_autoencoder, train_detector
 from .numerics import SeededRng
@@ -76,36 +78,40 @@ def _resolve_config(args) -> "RunConfig":
 
 
 def _holder_gone(lock: Path) -> bool:
-    """True when the lock names a pid with no process behind it."""
+    """True unless the lock names a positive pid with a process behind it.
+
+    A lock is linked into place whole, so one that is empty or foreign was
+    never a live command's.
+    """
     try:
         pid = int(lock.read_text())
-    except FileNotFoundError:
-        return True
-    except ValueError:  # empty or foreign: its writer may still be starting
-        return False
-    if pid <= 0:
-        return False
-    try:
+        if pid <= 0:
+            return True
         os.kill(pid, 0)
-    except (ProcessLookupError, OverflowError):
+    except (FileNotFoundError, ValueError, ProcessLookupError, OverflowError):
         return True
     except PermissionError:  # alive, owned by another user
         return False
     return False
 
 
-# what ``check_fit`` reads of each input's manifest
+_NUMBER = (int, float)
+# what ``load`` reads of each input's manifest, and of the two report inputs
 _MANIFEST_SCHEMA = {"output_sha256": str, "config_sha256": str}
-# input artifact -> (path under the run directory, the command that produces it)
+_ABLATION_SCHEMA = {"summary": {"*": {"mean": _NUMBER, "std": (*_NUMBER, type(None)), "n": int, "fallbacks": int}}}
+_EVAL_SCHEMA = {"accuracy": _NUMBER}
+# input artifact -> (path under the run directory, the command that produces
+# it, its reader). A reader calls this module's binding of its function when
+# it runs, so a wrapper put there (as perfbench's tracer does) sees the read.
 _INPUTS = {
-    "train": ("data/train.dstl", "synth-data"),
-    "test": ("data/test.dstl", "synth-data"),
-    "detector": ("models/detector.mdlc", "train-detector"),
-    "autoencoder": ("models/autoencoder.mdlc", "train-autoencoder"),
-    "denoiser": ("models/denoiser.mdlc", "train-diffusion"),
-    "distilled": ("distilled/distilled.dstl", "distill"),
-    "ablation": ("reports/ablation.json", "ablate"),
-    "eval": ("reports/eval.json", "eval"),
+    "train": ("data/train.dstl", "synth-data", lambda path: read_dataset(path)),
+    "test": ("data/test.dstl", "synth-data", lambda path: read_dataset(path)),
+    "detector": ("models/detector.mdlc", "train-detector", lambda path: load_detector(path)),
+    "autoencoder": ("models/autoencoder.mdlc", "train-autoencoder", lambda path: load_autoencoder(path)),
+    "denoiser": ("models/denoiser.mdlc", "train-diffusion", lambda path: load_denoiser(path)),
+    "distilled": ("distilled/distilled.dstl", "distill", lambda path: read_dataset(path)),
+    "ablation": ("reports/ablation.json", "ablate", lambda path: read_report(path, _ABLATION_SCHEMA)),
+    "eval": ("reports/eval.json", "eval", lambda path: read_report(path, _EVAL_SCHEMA)),
 }
 
 
@@ -117,9 +123,9 @@ class _Command:
     exists (a missing one raises MissingArtifactError naming its producer,
     before the run directory is created), then creates the run directory's
     tree (a ConfigError when the output root does not allow it) and holds
-    ``run_dir/.lock`` (our pid) until exit. A lock whose process no
-    longer exists is taken over once. A command checks what it read with
-    ``check_fit`` before any work.
+    ``run_dir/.lock`` (our pid) until exit. A lock that names no live
+    process is taken over once. A command gets its inputs from ``load``
+    before any work.
     """
 
     def __init__(self, args, *needs: str):
@@ -137,27 +143,35 @@ class _Command:
                 (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
         except OSError as e:
             raise ConfigError(f"output root {self.cfg.output_root}: cannot create {self.run_dir}: {e.strerror}") from None
+        # the lock is a file holding our pid, hard-linked into place, so it
+        # never exists without its pid; the link fails on an existing lock
+        # just as O_EXCL does
         self.lock = self.run_dir / ".lock"
-        for attempt in range(2):
-            try:
-                fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if attempt or not _holder_gone(self.lock):
-                    raise LockedError(
-                        f"run directory {self.run_dir} is locked by another command "
-                        f"(remove {self.lock} if no command is running)"
-                    ) from None
-                self.lock.unlink(missing_ok=True)
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+        ours = self.run_dir / f".lock.{os.getpid()}"
+        try:
+            fd = os.open(ours, os.O_CREAT | os.O_TRUNC | os.O_WRONLY)
+            os.write(fd, str(os.getpid()).encode())
+            os.close(fd)
+            for attempt in range(2):
+                try:
+                    os.link(ours, self.lock)
+                    break
+                except FileExistsError:
+                    if attempt or not _holder_gone(self.lock):
+                        raise LockedError(
+                            f"run directory {self.run_dir} is locked by another command "
+                            f"(remove {self.lock} if no command is running)"
+                        ) from None
+                    self.lock.unlink(missing_ok=True)
+        finally:
+            ours.unlink(missing_ok=True)
         return self
 
     def __exit__(self, *exc) -> None:
         self.lock.unlink(missing_ok=True)
 
-    def check_fit(self, **loaded) -> None:
-        """Check that the inputs read (input name -> what its reader returned) are this run's.
+    def load(self) -> list:
+        """The inputs, in the order the command named them, each read by its reader and checked.
 
         Every ``image_shape``, ``num_classes`` and ``latent_dim`` among them
         must agree; the first input that differs from an earlier one raises
@@ -166,16 +180,15 @@ class _Command:
         the manifest's ``config_sha256`` this run's. A missing manifest or a
         mismatch raises a FormatError naming the input.
         """
-        first: dict[str, tuple[str, object]] = {}
-        for name, obj in loaded.items():
+        loaded = [_INPUTS[name][2](path) for name, path in self.inputs.items()]
+        first: dict[str, tuple[Path, object]] = {}
+        for path, obj in zip(self.inputs.values(), loaded):
             for field in ("image_shape", "num_classes", "latent_dim"):
                 if hasattr(obj, field):
                     value = getattr(obj, field)
-                    ref, want = first.setdefault(field, (name, value))
+                    ref, want = first.setdefault(field, (path, value))
                     if value != want:
-                        raise FormatError(
-                            f"{self.inputs[name]}: {field} {value} does not fit {self.inputs[ref].name}'s {want}"
-                        )
+                        raise FormatError(f"{path}: {field} {value} does not fit {ref.name}'s {want}")
         for path in self.inputs.values():
             manifest = path.with_name(path.name + ".manifest.json")
             if not manifest.exists():
@@ -186,6 +199,7 @@ class _Command:
             if made["config_sha256"] != self.cfg_sha256:
                 theirs, ours = made["config_sha256"][:12], self.cfg_sha256[:12]
                 raise FormatError(f"{path}: its manifest names config {theirs}, not this run's {ours}")
+        return loaded
 
     @functools.cached_property
     def input_sha256(self) -> dict[str, str]:
@@ -225,15 +239,6 @@ def _distill_cfg(cfg, **fields):
         raise ConfigError(f"distill ({cell}): {e}") from None
 
 
-def _load_models(run: _Command, **datasets):
-    """The run's detector, codec and candidate generator for ``distill`` and ``ablate``, checked against ``datasets``."""
-    det = load_detector(run.inputs["detector"])
-    codec = load_autoencoder(run.inputs["autoencoder"])
-    den = load_denoiser(run.inputs["denoiser"])
-    run.check_fit(**datasets, detector=det, autoencoder=codec, denoiser=den)
-    return det, codec, DiffusionCandidateGenerator(den, run.cfg.denoiser.schedule(), codec.decode)
-
-
 # --- commands -------------------------------------------------------------------
 
 
@@ -248,8 +253,7 @@ def _cmd_synth_data(args) -> int:
 
 def _cmd_train_detector(args) -> int:
     with _Command(args, "train") as run:
-        train = read_dataset(run.inputs["train"])
-        run.check_fit(train=train)
+        [train] = run.load()
         [det] = train_detector([train], run.cfg.detector, [SeededRng(run.cfg.master_seed).spawn(31)], use_cutmix=True)
         out = run.output("models/detector.mdlc", save_detector, det, final_loss=det.meta["final_loss"])
         print(f"wrote {out} (final training loss {det.meta['final_loss']:.4f})")
@@ -258,8 +262,7 @@ def _cmd_train_detector(args) -> int:
 
 def _cmd_train_autoencoder(args) -> int:
     with _Command(args, "train") as run:
-        train = read_dataset(run.inputs["train"])
-        run.check_fit(train=train)
+        [train] = run.load()
         codec = train_autoencoder(train, run.cfg.autoencoder, SeededRng(run.cfg.master_seed).spawn(32))
         mse = codec.meta["reconstruction_mse"]
         out = run.output("models/autoencoder.mdlc", save_autoencoder, codec, reconstruction_mse=mse)
@@ -269,14 +272,9 @@ def _cmd_train_autoencoder(args) -> int:
 
 def _cmd_train_diffusion(args) -> int:
     with _Command(args, "train", "autoencoder") as run:
-        train = read_dataset(run.inputs["train"])
-        codec = load_autoencoder(run.inputs["autoencoder"])
-        run.check_fit(train=train, autoencoder=codec)
+        train, codec = run.load()
         latents = codec.encode(train.images)
-        cfg = run.cfg
-        den = train_denoiser(
-            latents, train.labels, cfg.denoiser.schedule(), cfg.denoiser, SeededRng(cfg.master_seed).spawn(33)
-        )
+        den = train_denoiser(latents, train.labels, run.cfg.denoiser, SeededRng(run.cfg.master_seed).spawn(33))
         out = run.output("models/denoiser.mdlc", save_denoiser, den, final_loss=den.meta["final_loss"])
         print(f"wrote {out} (final training loss {den.meta['final_loss']:.4f})")
     return 0
@@ -284,8 +282,8 @@ def _cmd_train_diffusion(args) -> int:
 
 def _cmd_distill(args) -> int:
     with _Command(args, "train", "detector", "autoencoder", "denoiser") as run:
-        train = read_dataset(run.inputs["train"])
-        det, codec, gen = _load_models(run, train=train)
+        train, det, codec, den = run.load()
+        gen = DiffusionCandidateGenerator(den, build_schedule(run.cfg.denoiser), codec.decode)
         dcfg, seed = run.cfg.distill, run.cfg.master_seed
         res = distill(train, codec.encode, gen, det, dcfg, SeededRng(seed))
 
@@ -304,9 +302,7 @@ def _cmd_distill(args) -> int:
 
 def _cmd_eval(args) -> int:
     with _Command(args, "distilled", "test") as run:
-        distilled = read_dataset(run.inputs["distilled"])
-        test = read_dataset(run.inputs["test"])
-        run.check_fit(test=test, distilled=distilled)
+        distilled, test = run.load()
         [clf] = train_downstream([distilled], run.cfg.eval, [SeededRng(run.cfg.master_seed).spawn(34)])
         acc = evaluate(clf, test)
         payload = {
@@ -328,15 +324,9 @@ def _cmd_ablate(args) -> int:
             for beta in cfg.eval.sensitivity_betas:
                 _distill_cfg(cfg, top_k=k, beta=beta)
     with run:
-        train, test = read_dataset(run.inputs["train"]), read_dataset(run.inputs["test"])
-        det, codec, gen = _load_models(run, train=train, test=test)
-        inputs = AblationInputs(
-            train=train,
-            test=test,
-            encode_fn=codec.encode,
-            detector=det,
-            generator=gen,
-        )
+        train, test, det, codec, den = run.load()
+        gen = DiffusionCandidateGenerator(den, build_schedule(cfg.denoiser), codec.decode)
+        inputs = AblationInputs(train=train, test=test, encode_fn=codec.encode, detector=det, generator=gen)
         report, sensitivity = run_ablation(inputs, cfg.distill, cfg.eval, sweep=args.sweep)
         out_json = run.output("reports/ablation.json", write_atomic, [(report.to_json() + "\n").encode()])
         out_csv = run.output("reports/ablation.csv", write_atomic, [report.to_csv().encode()])
@@ -352,27 +342,19 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
-_NUMBER = (int, float)
-# what ``report`` reads of each report file
-_ABLATION_SCHEMA = {"summary": {"*": {"mean": _NUMBER, "std": (*_NUMBER, type(None)), "n": int, "fallbacks": int}}}
-_EVAL_SCHEMA = {"accuracy": _NUMBER}
-
-
 def _cmd_report(args) -> int:
     run = _Command(args, "ablation")
     eval_path = run.run_dir / _INPUTS["eval"][0]
     if eval_path.exists():  # optional: read, checked and listed only when there
         run.inputs["eval"] = eval_path
     with run:
-        payload = read_report(run.inputs["ablation"], _ABLATION_SCHEMA)
-        evals = read_report(run.inputs["eval"], _EVAL_SCHEMA) if "eval" in run.inputs else None
-        run.check_fit(ablation=payload, eval=evals)
+        payload, *evals = run.load()
         lines = ["mode        mean      std       n   fallbacks"]
         for mode, s in sorted(payload["summary"].items()):
             std = f"{s['std']:.4f}" if s["std"] is not None else "   -  "
             lines.append(f"{mode:10s} {s['mean']:.4f}   {std}   {s['n']}   {s['fallbacks']}")
-        if evals is not None:
-            lines.append(f"single-run downstream accuracy: {evals['accuracy']:.4f}")
+        for e in evals:
+            lines.append(f"single-run downstream accuracy: {e['accuracy']:.4f}")
         text = "\n".join(lines) + "\n"
         out = run.output("reports/summary.txt", write_atomic, [text.encode()])
         print(text, end="")

@@ -3,8 +3,8 @@
 Each ``RunConfig`` section is the config object its library function
 takes: ``ToyDataSpec`` (``synthesize_toy_dataset``), ``DetectorConfig``
 (``train_detector``), ``AutoencoderConfig`` (``train_autoencoder``),
-``DenoiserConfig`` (``train_denoiser``; ``schedule()`` builds its noise
-schedule), ``DistillConfig`` (``generate_candidates``/``select``) and
+``DenoiserConfig`` (``train_denoiser``, and ``build_schedule`` for its
+noise schedule), ``DistillConfig`` (``generate_candidates``/``select``) and
 ``EvalConfig`` (``train_downstream``, ``run_ablation``). Every default is
 written once, here, and the defaults reproduce the frozen desk-scale
 experiment. Each class checks its values in ``__post_init__``, and
@@ -41,7 +41,6 @@ __all__ = [
     "RunConfig",
     "ToyDataSpec",
     "TrainConfig",
-    "check_schedule",
     "check_seed",
     "config_sha256",
     "default_config",
@@ -55,14 +54,6 @@ SELECTION_MODES = ("base", "top1", "sim", "tplus_s")
 
 class ConfigError(ValueError):
     """Configuration rejected; message cites the offending key or location."""
-
-
-def check_schedule(timesteps: int, beta_start: float, beta_end: float) -> None:
-    """Raise ValueError unless the values describe a linear variance schedule."""
-    if timesteps < 1:
-        raise ValueError("timesteps must be >= 1")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ValueError("need 0 < beta_start <= beta_end < 1")
 
 
 def check_seed(name: str, seed: int) -> int:
@@ -94,6 +85,8 @@ class ToyDataSpec:
     def __post_init__(self):
         if self.num_classes < 2:  # a classifier needs two classes to tell apart
             raise ValueError("num_classes must be >= 2")
+        if self.num_classes > 2**16:  # dataset files store labels as u16
+            raise ValueError("num_classes must be <= 65536, as labels are stored as u16")
         if self.train_per_class < 1 or self.test_per_class < 1:
             raise ValueError("images per class must be positive")
         if min(self.image_shape) < 1:
@@ -179,7 +172,10 @@ class DenoiserConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        check_schedule(self.timesteps, self.beta_start, self.beta_end)
+        if self.timesteps < 1:
+            raise ValueError("timesteps must be >= 1")
+        if not (0.0 < self.beta_start <= self.beta_end < 1.0):
+            raise ValueError("need 0 < beta_start <= beta_end < 1")
         _check_widths("hidden_sizes", self.hidden_sizes)
         if self.time_embed_dim < 2 or self.time_embed_dim % 2 != 0:
             raise ValueError("time_embed_dim must be even and >= 2")
@@ -187,12 +183,6 @@ class DenoiserConfig(TrainConfig):
             raise ValueError("label_embed_dim must be >= 1")
         if not 0.0 <= self.label_dropout <= 1.0:
             raise ValueError("label_dropout must lie in [0, 1]")
-
-    def schedule(self):
-        """The ``DiffusionSchedule`` of timesteps, beta_start and beta_end."""
-        from .diffusion import build_schedule
-
-        return build_schedule(self.timesteps, self.beta_start, self.beta_end)
 
 
 @dataclass(frozen=True)

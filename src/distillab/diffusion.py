@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DenoiserConfig, check_schedule
+from .config import DenoiserConfig
 from .data import FormatError, names_path
 from .models import Mlp, _desc_size, _desc_sizes, _mlp_from_arrays, batches, fit, mlp_backward, mlp_forward, mlp_init
 from .models import read_checkpoint, write_checkpoint
@@ -49,10 +49,9 @@ class DiffusionSchedule:
         return len(self.betas)
 
 
-def build_schedule(timesteps: int, beta_start: float, beta_end: float) -> DiffusionSchedule:
-    """Linearly interpolated betas with cumulative-product alpha-bars."""
-    check_schedule(timesteps, beta_start, beta_end)
-    betas = np.linspace(beta_start, beta_end, timesteps, dtype=np.float64)
+def build_schedule(cfg: DenoiserConfig) -> DiffusionSchedule:
+    """The config's ``timesteps`` betas, linear from ``beta_start`` to ``beta_end``, with cumulative-product alpha-bars."""
+    betas = np.linspace(cfg.beta_start, cfg.beta_end, cfg.timesteps, dtype=np.float64)
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
     return DiffusionSchedule(betas=betas, alphas=alphas, alpha_bars=alpha_bars)
@@ -161,11 +160,10 @@ def denoise_loss_and_grads(den: Denoiser, zt, temb, tokens, eps):
 def train_denoiser(
     latents: np.ndarray,
     labels: np.ndarray,
-    sched: DiffusionSchedule,
     cfg: DenoiserConfig,
     rng: SeededRng,
 ) -> Denoiser:
-    """Fit the noise-prediction objective over uniformly sampled timesteps.
+    """Fit the noise-prediction objective over uniformly sampled timesteps of ``build_schedule(cfg)``.
 
     Per sample: t ~ U{1..T}, eps ~ N(0, I), z_t = forward_noise(z0, t, eps),
     and with probability ``label_dropout`` the class token is replaced by
@@ -179,6 +177,7 @@ def train_denoiser(
     if len(labels) != len(latents):
         raise ValueError("labels misaligned with latents")
     require_finite("latents", latents)
+    sched = build_schedule(cfg)
     num_classes = int(labels.max()) + 1
     d = latents.shape[1]
     din = d + cfg.time_embed_dim + cfg.label_embed_dim
@@ -269,8 +268,10 @@ def sample_img2img_batch(
 ) -> np.ndarray:
     """Partially noise each prototype and denoise it back under guidance.
 
-    ``prototypes`` is a (slots, rows, d) stack of batches and ``label`` a
-    tuple holding each slot's class; the result has the stack's shape.
+    ``sched`` is the schedule ``den`` was trained under (``build_schedule``
+    of its config), ``prototypes`` a (slots, rows, d) stack of batches and
+    ``label`` a tuple holding each slot's class; the result has the stack's
+    shape.
     ``rngs`` supplies one independent stream per row, slot after slot; each
     stream is consumed in a fixed order (initial noise, then one draw per
     ancestral step above t=1), so results are reproducible per (prototype,

@@ -45,6 +45,10 @@ class KmeansResult:
     inertia_history: tuple[float, ...]  # per assignment phase of the winning run
 
 
+# Lloyd iterations a k-means run makes at most; each run stops sooner once no assignment changes
+_MAX_ITERS = 100
+
+
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(N, C) squared distances as ||x||^2 - 2 x.c^T + ||c||^2 in float64.
 
@@ -72,12 +76,12 @@ def _kmeanspp_init(points: np.ndarray, c: int, rng: SeededRng) -> np.ndarray:
     return centroids
 
 
-def _lloyd(points: np.ndarray, c: int, max_iters: int, rng: SeededRng):
+def _lloyd(points: np.ndarray, c: int, rng: SeededRng):
     n = len(points)
     centroids = _kmeanspp_init(points, c, rng)
     assign = np.full(n, -1, dtype=np.int64)
     history = []
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         d2 = _sq_dists(points, centroids)
         new_assign = d2.argmin(axis=1)
         # adopt the globally farthest point into each empty cluster
@@ -106,7 +110,6 @@ def kmeans(
     *,
     restarts: int,
     rng: SeededRng,
-    max_iters: int = 100,
 ) -> KmeansResult:
     """Best-of-``restarts`` Lloyd iterations with k-means++ seeding.
 
@@ -128,7 +131,7 @@ def kmeans(
         raise ValueError(f"num_clusters={num_clusters} outside [1, {n}]")
     best = None
     for r in range(restarts):
-        run = _lloyd(points, num_clusters, max_iters, rng.spawn(r))  # (centroids, inertia history)
+        run = _lloyd(points, num_clusters, rng.spawn(r))  # (centroids, inertia history)
         if best is None or run[1][-1] < best[1][-1]:
             best = run
     centroids, history = best

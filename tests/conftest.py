@@ -17,6 +17,7 @@ import pytest
 
 from distillab.config import default_config
 from distillab.data import synthesize_toy_dataset
+from distillab.diffusion import build_schedule, train_denoiser
 from distillab.models import train_autoencoder, train_detector
 from distillab.numerics import SeededRng
 
@@ -59,7 +60,7 @@ def codec(toy_train):
 
 @pytest.fixture(scope="session")
 def frozen_schedule():
-    return DEFAULTS.denoiser.schedule()
+    return build_schedule(DEFAULTS.denoiser)
 
 
 @pytest.fixture(scope="session")
@@ -68,35 +69,19 @@ def train_latents(codec, toy_train):
 
 
 @pytest.fixture(scope="session")
-def denoiser(toy_train, train_latents, frozen_schedule):
-    from distillab.diffusion import train_denoiser
-
-    return train_denoiser(
-        train_latents,
-        toy_train.labels,
-        frozen_schedule,
-        DEFAULTS.denoiser,
-        SeededRng(DENOISER_SEED),
-    )
+def denoiser(toy_train, train_latents):
+    return train_denoiser(train_latents, toy_train.labels, DEFAULTS.denoiser, SeededRng(DENOISER_SEED))
 
 
 @pytest.fixture(scope="session")
-def weak_denoiser(toy_train, train_latents, frozen_schedule):
+def weak_denoiser(toy_train, train_latents):
     """Deliberately under-trained generator for the refinement experiments.
 
     Half the default epochs give roughly 10-20% label-inconsistent samples
     on the default data, the regime where anomaly filtering has something
     to fix; the confidence gate at beta=0.9 binds hard under it.
     """
-    from distillab.diffusion import train_denoiser
-
-    return train_denoiser(
-        train_latents,
-        toy_train.labels,
-        frozen_schedule,
-        replace(DEFAULTS.denoiser, epochs=50),
-        SeededRng(DENOISER_SEED),
-    )
+    return train_denoiser(train_latents, toy_train.labels, replace(DEFAULTS.denoiser, epochs=50), SeededRng(DENOISER_SEED))
 
 
 @pytest.fixture()

@@ -119,7 +119,7 @@ class TestAcceptance:
     def test_04_gradient_checks(self):
         from conftest import as_float64, gradient_check
         from distillab.config import DenoiserConfig
-        from distillab.diffusion import build_schedule, denoise_loss_and_grads, timestep_embedding, train_denoiser
+        from distillab.diffusion import denoise_loss_and_grads, timestep_embedding, train_denoiser
         from distillab.models import (
             _ae_loss_and_grads,
             _soft_cross_entropy,
@@ -158,14 +158,12 @@ class TestAcceptance:
 
             latents = rng.normal((40, 6))
             labels = rng.integers(3, n=40)
-            sched = build_schedule(10, 1e-3, 0.2)
             den = as_float64(train_denoiser(
                 latents,
                 labels,
-                sched,
                 DenoiserConfig(
                     epochs=1, batch_size=8, hidden_sizes=[16, 16],
-                    time_embed_dim=4, label_embed_dim=4,
+                    time_embed_dim=4, label_embed_dim=4, timesteps=10, beta_start=1e-3, beta_end=0.2,
                 ),
                 SeededRng(3),
             ))
@@ -183,6 +181,7 @@ class TestAcceptance:
             assert checked >= 50
 
     def test_05_diffusion_statistics(self, frozen_schedule):
+        from distillab.config import DenoiserConfig
         from distillab.diffusion import build_schedule, forward_noise
 
         with criterion(5, "diffusion schedule and forward-noise statistics"):
@@ -190,7 +189,7 @@ class TestAcceptance:
             import mpmath
 
             mpmath.mp.dps = 50
-            sched1000 = build_schedule(1000, 1e-4, 0.02)
+            sched1000 = build_schedule(DenoiserConfig(timesteps=1000, beta_start=1e-4, beta_end=0.02))
             start, end = mpmath.mpf("1e-4"), mpmath.mpf("0.02")
             prod = mpmath.mpf(1)
             for i in range(1000):

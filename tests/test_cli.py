@@ -408,6 +408,11 @@ class TestSectionErrors:
             ("detector", {"cutmix_alpha": 1.0}, "config error: unknown config key detector.cutmix_alpha"),
             ("data", {"orientations_deg": [0.0, 60.0, 120.0]}, "config error: unknown config key data.orientations_deg"),
             ("data", {"frequencies": [2.0, 4.0, 6.0]}, "config error: unknown config key data.frequencies"),
+            # dataset files store labels as u16: refused before any image is made
+            pytest.param(
+                "data", {"num_classes": 65537, "image_height": 1, "image_width": 1},
+                "data: num_classes must be <= 65536, as labels are stored as u16", id="data-num_classes-above-u16",
+            ),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, section, values, needle):
@@ -782,14 +787,26 @@ class TestManifestChecks:
     @pytest.mark.parametrize(
         "rel, command",
         [
-            ("data/train.dstl", "train-detector"),
-            ("models/detector.mdlc", "distill"),
-            ("models/autoencoder.mdlc", "train-diffusion"),
-            ("models/denoiser.mdlc", "distill"),
-            ("distilled/distilled.dstl", "eval"),
-            ("reports/ablation.json", "report"),
+            # every (input, command) pair that ``_Command.load`` serves; the
+            # first pair tested of an input is named after the input alone
+            pytest.param("data/train.dstl", "train-detector", id="dataset"),
+            pytest.param("data/train.dstl", "train-autoencoder", id="train.dstl-train-autoencoder"),
+            pytest.param("data/train.dstl", "train-diffusion", id="train.dstl-train-diffusion"),
+            pytest.param("data/train.dstl", "distill", id="train.dstl-distill"),
+            pytest.param("data/train.dstl", "ablate", id="train.dstl-ablate"),
+            pytest.param("data/test.dstl", "eval", id="test.dstl-eval"),
+            pytest.param("data/test.dstl", "ablate", id="test.dstl-ablate"),
+            pytest.param("models/detector.mdlc", "distill", id="detector"),
+            pytest.param("models/detector.mdlc", "ablate", id="detector.mdlc-ablate"),
+            pytest.param("models/autoencoder.mdlc", "train-diffusion", id="autoencoder"),
+            pytest.param("models/autoencoder.mdlc", "distill", id="autoencoder.mdlc-distill"),
+            pytest.param("models/autoencoder.mdlc", "ablate", id="autoencoder.mdlc-ablate"),
+            pytest.param("models/denoiser.mdlc", "distill", id="denoiser"),
+            pytest.param("models/denoiser.mdlc", "ablate", id="denoiser.mdlc-ablate"),
+            pytest.param("distilled/distilled.dstl", "eval", id="distilled"),
+            pytest.param("reports/ablation.json", "report", id="report"),
+            pytest.param("reports/eval.json", "report", id="eval.json-report"),
         ],
-        ids=["dataset", "detector", "autoencoder", "denoiser", "distilled", "report"],
     )
     def test_input_unlike_its_manifest_exits_5(self, seed_runs, tmp_path, monkeypatch, capsys, rel, command, change):
         """A payload byte flipped (the file still parses) or the file and its
@@ -1021,3 +1038,17 @@ class TestLocking:
         (rd / ".lock").write_text(str(child.pid))  # a process that has exited
         assert _run("synth-data", "--config", str(cfg_path)) == 0
         assert not (rd / ".lock").exists()
+
+    @pytest.mark.parametrize("text", ["", "0", "-1", "not a pid"], ids=["empty", "zero", "negative", "foreign"])
+    def test_lock_without_a_positive_pid_taken_over(self, workdir, capsys, text):
+        """A command links its lock into place with its pid already written,
+        so a lock that names no positive pid is no live command's: the next
+        command takes it over and leaves no lock file behind."""
+        tmp_path, cfg_path = workdir
+        assert _run("synth-data", "--config", str(cfg_path)) == 0
+        rd = _run_dir(tmp_path)
+        (rd / ".lock").write_text(text)
+        capsys.readouterr()
+        assert _run("synth-data", "--config", str(cfg_path)) == 0
+        assert capsys.readouterr().err == ""
+        assert not list(rd.glob(".lock*"))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import typing
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distillab.cli import main
-from distillab.config import ConfigError, RunConfig, load_config, parse_config, to_dict
+from distillab.config import ConfigError, DenoiserConfig, RunConfig, load_config, parse_config, to_dict
 
 _STRINGS = st.sampled_from(["mlp", "identity", "base", "top1", "sim", "tplus_s", "runs"]) | st.text(max_size=6)
 # json.loads also yields NaN, infinities and integers beyond float range
@@ -90,6 +91,18 @@ def test_rejections_name_the_key(payload, needle):
     with pytest.raises(ConfigError) as e:
         parse_config(payload)
     assert needle in str(e.value)
+
+
+def test_denoiser_config_rejects_a_bad_schedule():
+    """The config holds the one copy of the schedule rule: a step at least, and 0 < beta_start <= beta_end < 1."""
+    for timesteps, beta_start, beta_end, message in [
+        (0, 1e-4, 0.02, "timesteps must be >= 1"),
+        (10, 0.0, 0.02, "need 0 < beta_start <= beta_end < 1"),
+        (10, 0.03, 0.02, "need 0 < beta_start <= beta_end < 1"),
+        (10, 0.5, 1.0, "need 0 < beta_start <= beta_end < 1"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DenoiserConfig(timesteps=timesteps, beta_start=beta_start, beta_end=beta_end)
 
 
 @pytest.mark.parametrize(

@@ -20,16 +20,20 @@ from distillab.numerics import SeededRng
 from conftest import as_float64, gradient_check
 
 
+def _schedule(timesteps, beta_start, beta_end):
+    return build_schedule(DenoiserConfig(timesteps=timesteps, beta_start=beta_start, beta_end=beta_end))
+
+
 class TestSchedule:
     def test_single_step(self):
-        sched = build_schedule(1, 0.1, 0.1)
+        sched = _schedule(1, 0.1, 0.1)
         assert sched.betas.tolist() == [0.1]
         assert sched.alpha_bars[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_ddpm_1000_matches_high_precision_product(self):
         import mpmath
 
-        sched = build_schedule(1000, 1e-4, 0.02)
+        sched = _schedule(1000, 1e-4, 0.02)
         mpmath.mp.dps = 50
         start, end = mpmath.mpf("1e-4"), mpmath.mpf("0.02")
         prod = mpmath.mpf(1)
@@ -42,7 +46,7 @@ class TestSchedule:
 
     def test_alpha_bar_strictly_decreasing(self):
         for t, b0, b1 in [(10, 1e-4, 0.3), (200, 1e-4, 0.03), (50, 0.5, 0.9)]:
-            sched = build_schedule(t, b0, b1)
+            sched = _schedule(t, b0, b1)
             assert np.all(np.diff(sched.alpha_bars) < 0)
             assert np.all((sched.betas > 0) & (sched.betas < 1))
             assert np.all(np.diff(sched.betas) >= 0)
@@ -51,32 +55,33 @@ class TestSchedule:
         assert frozen_schedule.alpha_bars[0] >= 0.99
         assert frozen_schedule.alpha_bars[-1] < 0.05
 
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            build_schedule(0, 1e-4, 0.02)
-        with pytest.raises(ValueError):
-            build_schedule(10, 0.0, 0.02)
-        with pytest.raises(ValueError):
-            build_schedule(10, 0.03, 0.02)
-        with pytest.raises(ValueError):
-            build_schedule(10, 0.5, 1.0)
+    @pytest.mark.parametrize(
+        "timesteps, beta_start, beta_end", [(1, 0.1, 0.1), (10, 1e-3, 0.2), (200, 1e-4, 0.03), (1000, 1e-4, 0.02)]
+    )
+    def test_is_linspace_and_cumprod_of_the_config(self, timesteps, beta_start, beta_end):
+        """The config's fields are the schedule's only source: bit for bit its linspace and cumprod."""
+        sched = _schedule(timesteps, beta_start, beta_end)
+        betas = np.linspace(beta_start, beta_end, timesteps, dtype=np.float64)
+        assert sched.betas.tobytes() == betas.tobytes()
+        assert sched.alphas.tobytes() == (1.0 - betas).tobytes()
+        assert sched.alpha_bars.tobytes() == np.cumprod(1.0 - betas).tobytes()
 
 
 class TestForwardNoise:
     def test_zero_noise(self):
-        sched = build_schedule(10, 0.01, 0.2)
+        sched = _schedule(10, 0.01, 0.2)
         z0 = np.ones(4, dtype=np.float32)
         zt = forward_noise(z0, 3, np.zeros(4, dtype=np.float32), sched)
         assert np.allclose(zt, np.sqrt(sched.alpha_bars[2]), atol=1e-7)
 
     def test_near_identity_at_tiny_beta(self):
-        sched = build_schedule(5, 1e-6, 1e-6)
+        sched = _schedule(5, 1e-6, 1e-6)
         z0 = SeededRng(1).normal(8)
         zt = forward_noise(z0, 1, SeededRng(2).normal(8), sched)
         assert np.allclose(zt, z0, atol=2e-3)
 
     def test_linearity(self):
-        sched = build_schedule(20, 1e-3, 0.1)
+        sched = _schedule(20, 1e-3, 0.1)
         rng = SeededRng(5)
         z0, eps = rng.normal(16), rng.normal(16)
         t = 7
@@ -91,7 +96,7 @@ class TestForwardNoise:
 
     def test_one_t_per_row(self):
         """Rows noised at their own timesteps equal one call per row."""
-        sched = build_schedule(20, 1e-3, 0.1)
+        sched = _schedule(20, 1e-3, 0.1)
         rng = SeededRng(6)
         z0, eps = rng.normal((3, 5)), rng.normal((3, 5))
         t = np.array([1, 7, 20])
@@ -103,7 +108,7 @@ class TestForwardNoise:
             forward_noise(z0, np.array([1, 21, 3]), eps, sched)
 
     def test_t_out_of_range(self):
-        sched = build_schedule(10, 0.01, 0.1)
+        sched = _schedule(10, 0.01, 0.1)
         z = np.zeros(3, dtype=np.float32)
         for t in (0, 11):
             with pytest.raises(ValueError):
@@ -111,7 +116,7 @@ class TestForwardNoise:
 
     def test_monte_carlo_variance(self):
         # element variance of z_t around sqrt(abar)*z0 must be 1 - abar
-        sched = build_schedule(100, 1e-4, 0.05)
+        sched = _schedule(100, 1e-4, 0.05)
         rng = SeededRng(33)
         z0 = np.zeros(16, dtype=np.float32)
         n = 10_000
@@ -146,12 +151,12 @@ def _tiny_denoiser(rng_seed=17, n=40, d=6, k=3, epochs=2):
     rng = SeededRng(rng_seed)
     latents = rng.normal((n, d))
     labels = rng.integers(k, n=n)
-    sched = build_schedule(10, 1e-3, 0.2)
     cfg = DenoiserConfig(
-        epochs=epochs, batch_size=8, hidden_sizes=[16, 16], time_embed_dim=4, label_embed_dim=4
+        epochs=epochs, batch_size=8, hidden_sizes=[16, 16], time_embed_dim=4, label_embed_dim=4,
+        timesteps=10, beta_start=1e-3, beta_end=0.2,
     )
-    den = train_denoiser(latents, labels, sched, cfg, SeededRng(rng_seed + 1))
-    return den, sched, latents, labels
+    den = train_denoiser(latents, labels, cfg, SeededRng(rng_seed + 1))
+    return den, build_schedule(cfg), latents, labels
 
 
 def _per_batch_reference(latents, labels, sched, cfg, rng):
@@ -204,12 +209,11 @@ class TestTrainDenoiser:
         rng = SeededRng(3)
         latents = rng.normal((30, 5))
         labels = rng.integers(2, n=30)
-        sched = build_schedule(8, 1e-3, 0.2)
         cfg = DenoiserConfig(
             epochs=3, batch_size=8, hidden_sizes=[12], time_embed_dim=4,
-            label_embed_dim=4, label_dropout=1.0,
+            label_embed_dim=4, label_dropout=1.0, timesteps=8, beta_start=1e-3, beta_end=0.2,
         )
-        den = train_denoiser(latents, labels, sched, cfg, SeededRng(4))
+        den = train_denoiser(latents, labels, cfg, SeededRng(4))
         z = SeededRng(5).normal((6, 5)).astype(np.float64)
         t = np.full(6, 4)
         null = den.predict_noise(z, t, np.full(6, den.null_token))
@@ -234,26 +238,24 @@ class TestTrainDenoiser:
         n, d, k = 29, 5, 3
         latents = rng.normal((n, d))
         labels = rng.integers(k, n=n)
-        sched = build_schedule(12, 1e-3, 0.2)
         cfg = DenoiserConfig(
-            epochs=3, batch_size=8, hidden_sizes=[16, 8], time_embed_dim=6, label_embed_dim=3, label_dropout=0.3
+            epochs=3, batch_size=8, hidden_sizes=[16, 8], time_embed_dim=6, label_embed_dim=3, label_dropout=0.3,
+            timesteps=12, beta_start=1e-3, beta_end=0.2,
         )
-        den = train_denoiser(latents, labels, sched, cfg, SeededRng(22))
+        den = train_denoiser(latents, labels, cfg, SeededRng(22))
         drawn = rng_spy.words[SeededRng(22).spawn(2).seed]  # by the training loop's stream
 
-        ref, ref_loop = _per_batch_reference(latents, labels, sched, cfg, SeededRng(22))
+        ref, ref_loop = _per_batch_reference(latents, labels, build_schedule(cfg), cfg, SeededRng(22))
         for a, b in zip(den.mlp.params() + [den.label_table], ref.mlp.params() + [ref.label_table]):
             assert a.tobytes() == b.tobytes()
         assert den.meta["loss_history"] == ref.meta["loss_history"]
         assert drawn == ref_loop._counter
 
     def test_empty_latents_rejected(self):
-        sched = build_schedule(5, 1e-3, 0.1)
         with pytest.raises(ValueError):
             train_denoiser(
                 np.zeros((0, 4), dtype=np.float32),
                 np.zeros(0, dtype=np.int64),
-                sched,
                 DenoiserConfig(epochs=1),
                 SeededRng(1),
             )
