@@ -20,8 +20,8 @@ cannot be created under included), 3 missing artifact, 4 numeric failure,
 5 malformed artifact file (truncated, foreign or holding a non-finite
 value), inputs that do not fit each other (image shape, class count,
 latent dim) or an input unlike its manifest (another sha256 or config, or
-no manifest), 6 run directory locked by another live command (a lock that
-names no live process is taken over), 7 failed
+no manifest), 6 run directory locked by another running command (the lock
+is an flock, which the kernel frees when its holder dies), 7 failed
 sensitivity-sweep check (checked before any training, so no report is
 written). Environment: DISTILLAB_OUTPUT_ROOT overrides the output root.
 """
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import fcntl
 import functools
 import hashlib
 import json
@@ -77,24 +78,6 @@ def _resolve_config(args) -> "RunConfig":
     return dataclasses.replace(cfg, output_root=root) if root else cfg
 
 
-def _holder_gone(lock: Path) -> bool:
-    """True unless the lock names a positive pid with a process behind it.
-
-    A lock is linked into place whole, so one that is empty or foreign was
-    never a live command's.
-    """
-    try:
-        pid = int(lock.read_text())
-        if pid <= 0:
-            return True
-        os.kill(pid, 0)
-    except (FileNotFoundError, ValueError, ProcessLookupError, OverflowError):
-        return True
-    except PermissionError:  # alive, owned by another user
-        return False
-    return False
-
-
 _NUMBER = (int, float)
 # what ``load`` reads of each input's manifest, and of the two report inputs
 _MANIFEST_SCHEMA = {"output_sha256": str, "config_sha256": str}
@@ -123,9 +106,10 @@ class _Command:
     exists (a missing one raises MissingArtifactError naming its producer,
     before the run directory is created), then creates the run directory's
     tree (a ConfigError when the output root does not allow it) and holds
-    ``run_dir/.lock`` (our pid) until exit. A lock that names no live
-    process is taken over once. A command gets its inputs from ``load``
-    before any work.
+    an flock on ``run_dir/.lock`` (which names our pid) until exit; while
+    another command holds it, entering raises LockedError. The kernel frees
+    a dead command's flock, so its ``.lock`` is taken over. A command gets
+    its inputs from ``load`` before any work.
     """
 
     def __init__(self, args, *needs: str):
@@ -143,32 +127,27 @@ class _Command:
                 (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
         except OSError as e:
             raise ConfigError(f"output root {self.cfg.output_root}: cannot create {self.run_dir}: {e.strerror}") from None
-        # the lock is a file holding our pid, hard-linked into place, so it
-        # never exists without its pid; the link fails on an existing lock
-        # just as O_EXCL does
+        # an flock on .lock, which the kernel frees when its holder dies; a
+        # holder removes .lock before it lets go, so a lock won on a removed
+        # file (no links left) is let go and taken on the new .lock
         self.lock = self.run_dir / ".lock"
-        ours = self.run_dir / f".lock.{os.getpid()}"
-        try:
-            fd = os.open(ours, os.O_CREAT | os.O_TRUNC | os.O_WRONLY)
-            os.write(fd, str(os.getpid()).encode())
-            os.close(fd)
-            for attempt in range(2):
-                try:
-                    os.link(ours, self.lock)
-                    break
-                except FileExistsError:
-                    if attempt or not _holder_gone(self.lock):
-                        raise LockedError(
-                            f"run directory {self.run_dir} is locked by another command "
-                            f"(remove {self.lock} if no command is running)"
-                        ) from None
-                    self.lock.unlink(missing_ok=True)
-        finally:
-            ours.unlink(missing_ok=True)
+        while True:
+            self.lock_fd = os.open(self.lock, os.O_CREAT | os.O_WRONLY)
+            try:
+                fcntl.flock(self.lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(self.lock_fd)
+                raise LockedError(f"run directory {self.run_dir} is locked by another running command") from None
+            if os.fstat(self.lock_fd).st_nlink:
+                break
+            os.close(self.lock_fd)
+        os.ftruncate(self.lock_fd, 0)
+        os.write(self.lock_fd, str(os.getpid()).encode())
         return self
 
     def __exit__(self, *exc) -> None:
         self.lock.unlink(missing_ok=True)
+        os.close(self.lock_fd)
 
     def load(self) -> list:
         """The inputs, in the order the command named them, each read by its reader and checked.

@@ -79,7 +79,11 @@ def mlp_forward(mlp: Mlp, x: np.ndarray) -> list[np.ndarray]:
 
     ``x`` is (rows, fan_in) or a (stack, rows, fan_in) stack of batches, one
     per model of a stacked Mlp. ``np.matmul`` makes one BLAS call per batch,
-    so each batch's activations equal its own pass bit for bit.
+    so each batch's activations equal its own pass bit for bit. BLAS gets
+    each weight as ``w.swapaxes(-1, -2)``: a transposed operand for C-ordered
+    weights (as trained and loaded), an untransposed one for Fortran-ordered
+    weights. The two kernels round differently, so a pass's last bits depend
+    on the weights' layout as well as their values.
     """
     acts = [np.asarray(x)]
     last = len(mlp.weights) - 1
@@ -377,12 +381,34 @@ def train_autoencoder(train: LabeledDataset, cfg: AutoencoderConfig, rng: Seeded
         image_shape=train.image_shape,
         meta={"epochs": cfg.epochs, "loss_history": losses, "seed": rng.seed},
     )
-    # squared error in place, so one float64 copy of the images is alive at a time
-    sq = mlp_forward(dec, codec.encode(train.images))[-1].reshape(train.images.shape).astype(np.float64)
-    sq -= train.images
-    sq **= 2
-    codec.meta["reconstruction_mse"] = float(np.mean(sq))
+    codec.meta["reconstruction_mse"] = _mean_sq_error(mlp_forward(dec, codec.encode(train.images))[-1], train.images)
     return codec
+
+
+# numpy sums a contiguous float64 block pairwise: it halves a block of n
+# values at n // 2 - n // 2 % 8 until the halves hold at most 128 values
+_SUM_LEAF = 1 << 15
+
+
+def _mean_sq_error(pred: np.ndarray, target: np.ndarray) -> float:
+    """``np.mean`` of the float64 squared error ``(pred - target) ** 2``, bit for bit.
+
+    The error is split as numpy's pairwise sum splits it, down to leaves of
+    at most ``_SUM_LEAF`` values, and each leaf is made float64, squared
+    and summed on its own, so no float64 copy of the whole error is made.
+    """
+    pred, target = pred.reshape(-1), target.reshape(-1)
+
+    def total(lo: int, n: int):
+        if n <= _SUM_LEAF:
+            sq = pred[lo : lo + n].astype(np.float64)
+            sq -= target[lo : lo + n]
+            sq **= 2
+            return np.add.reduce(sq)
+        half = n // 2 - n // 2 % 8
+        return total(lo, half) + total(lo + half, n - half)
+
+    return float(total(0, pred.size) / pred.size)
 
 
 def _ae_loss_and_grads(enc: Mlp, dec: Mlp, xb: np.ndarray):

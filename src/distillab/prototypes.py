@@ -99,9 +99,24 @@ def _lloyd(points: np.ndarray, c: int, rng: SeededRng):
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for j in range(c):
-            centroids[j] = points[assign == j].mean(axis=0)
+        _update_centroids(points, assign, centroids)
     return centroids, history
+
+
+def _update_centroids(points: np.ndarray, assign: np.ndarray, centroids: np.ndarray) -> None:
+    """Set each centroid to the mean of its points, bit for bit ``points[assign == j].mean(axis=0)``.
+
+    One stable sort groups each cluster's rows in index order, so each
+    cluster's sum adds the same rows in the same order as that mean does,
+    and one division by the counts follows.
+    """
+    counts = np.bincount(assign, minlength=len(centroids))
+    grouped = points[np.argsort(assign, kind="stable")]
+    start = 0
+    for j, end in enumerate(np.cumsum(counts)):
+        np.add.reduce(grouped[start:end], axis=0, out=centroids[j])
+        start = end
+    centroids /= counts[:, None]
 
 
 def kmeans(
@@ -116,7 +131,10 @@ def kmeans(
     Every distance is ``_sq_dists``' GEMM form, clamped at 0: the seeding
     takes a running minimum over each newly chosen centroid's column, each
     Lloyd step one (N, C) block, and the empty-cluster repair the column of
-    the centroid that adopts a point. Ties in nearest-centroid assignment
+    the centroid that adopts a point. Each Lloyd step's new centroids are
+    the per-cluster means, summed over one stable sort of the points by
+    cluster (``_update_centroids``), bit for bit ``mean(axis=0)`` of each
+    cluster's points. Ties in nearest-centroid assignment
     break to the lowest centroid index; ties in inertia across restarts
     keep the earliest run. The returned assignment is recomputed against
     the float32 centroids so the nearest-centroid invariant holds for the

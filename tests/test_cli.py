@@ -1,5 +1,8 @@
+import contextlib
+import fcntl
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import signal
@@ -11,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import distillab.cli as cli
 from distillab.cli import main
 
 TINY_CONFIG = {
@@ -1017,17 +1021,22 @@ class TestManifests:
 
 class TestLocking:
     def test_lock_conflict(self, workdir, capsys):
+        """A lock another command holds gives exit 6 with one line and is left
+        as it is; once its holder lets go, the next command takes it over."""
         tmp_path, cfg_path = workdir
         assert _run("synth-data", "--config", str(cfg_path)) == 0
         rd = _run_dir(tmp_path)
-        (rd / ".lock").write_text(str(os.getpid()))  # a live process
-        capsys.readouterr()
-        assert _run("synth-data", "--config", str(cfg_path)) == 6
-        err = capsys.readouterr().err
-        assert err.startswith("locked: ") and len(err.strip().splitlines()) == 1
-        assert (rd / ".lock").read_text() == str(os.getpid())
-        (rd / ".lock").unlink()
+        with open(rd / ".lock", "w") as holder:  # a running command's lock
+            holder.write("1234")
+            holder.flush()
+            fcntl.flock(holder, fcntl.LOCK_EX)
+            capsys.readouterr()
+            assert _run("synth-data", "--config", str(cfg_path)) == 6
+            err = capsys.readouterr().err
+            assert err.startswith("locked: ") and len(err.strip().splitlines()) == 1
+            assert (rd / ".lock").read_text() == "1234"
         assert _run("synth-data", "--config", str(cfg_path)) == 0
+        assert not (rd / ".lock").exists()
 
     def test_stale_lock_taken_over(self, workdir):
         tmp_path, cfg_path = workdir
@@ -1041,9 +1050,9 @@ class TestLocking:
 
     @pytest.mark.parametrize("text", ["", "0", "-1", "not a pid"], ids=["empty", "zero", "negative", "foreign"])
     def test_lock_without_a_positive_pid_taken_over(self, workdir, capsys, text):
-        """A command links its lock into place with its pid already written,
-        so a lock that names no positive pid is no live command's: the next
-        command takes it over and leaves no lock file behind."""
+        """The lock is the flock, not the text of ``.lock``: a ``.lock`` that
+        no process holds is taken over, whatever it names, and the command
+        leaves no lock file behind."""
         tmp_path, cfg_path = workdir
         assert _run("synth-data", "--config", str(cfg_path)) == 0
         rd = _run_dir(tmp_path)
@@ -1052,3 +1061,72 @@ class TestLocking:
         assert _run("synth-data", "--config", str(cfg_path)) == 0
         assert capsys.readouterr().err == ""
         assert not list(rd.glob(".lock*"))
+
+    def test_racing_takeovers_of_a_dead_lock(self, workdir):
+        """Two commands that both opened a dead command's ``.lock`` try to
+        take it at once: one runs, the other exits 6 with one line, and the
+        runner's lock stays in place until the runner removes it."""
+        tmp_path, cfg_path = workdir
+        assert _run("synth-data", "--config", str(cfg_path)) == 0
+        rd = _run_dir(tmp_path)
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait(timeout=60)
+        (rd / ".lock").write_text(str(child.pid))
+        ctx = multiprocessing.get_context("fork")
+        opened, tried, lost = ctx.Barrier(2), ctx.Barrier(2), ctx.Event()
+
+        def command(i):
+            real_flock, real_exit = fcntl.flock, cli._Command.__exit__
+
+            def flock(fd, op):  # each child has opened .lock; both try to take it, then both go on
+                opened.wait(timeout=60)
+                try:
+                    return real_flock(fd, op)
+                finally:
+                    tried.wait(timeout=60)
+
+            def exit_after_the_loser(self, *exc):
+                lost.wait(timeout=60)
+                (tmp_path / "held").write_text(self.lock.read_text())
+                return real_exit(self, *exc)
+
+            fcntl.flock, cli._Command.__exit__ = flock, exit_after_the_loser
+            with open(tmp_path / f"err{i}", "w") as err, contextlib.redirect_stderr(err):
+                code = _run("synth-data", "--config", str(cfg_path))
+            if code == 6:
+                lost.set()
+            os._exit(code)
+
+        procs = [ctx.Process(target=command, args=(i,)) for i in range(2)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert not any(proc.is_alive() for proc in procs)
+        assert sorted(proc.exitcode for proc in procs) == [0, 6]
+        winner, loser = (procs.index(p) for p in sorted(procs, key=lambda p: p.exitcode))
+        err = (tmp_path / f"err{loser}").read_text()
+        assert err.startswith("locked: ") and len(err.strip().splitlines()) == 1
+        assert (tmp_path / "held").read_text() == str(procs[winner].pid)
+        assert not (rd / ".lock").exists()
+
+    def test_lock_won_on_a_removed_file_is_taken_again(self, workdir, monkeypatch):
+        """A holder removes ``.lock`` before it lets go, so a command that
+        wins the flock on a file no longer linked takes it again on a new
+        ``.lock``."""
+        tmp_path, cfg_path = workdir
+        assert _run("synth-data", "--config", str(cfg_path)) == 0
+        rd = _run_dir(tmp_path)
+        (rd / ".lock").write_text("1234")
+        real_flock, calls = fcntl.flock, []
+
+        def flock(fd, op):  # the first holder exits between the command's open and its flock
+            if not calls:
+                (rd / ".lock").unlink()
+            calls.append(os.fstat(fd).st_nlink)
+            return real_flock(fd, op)
+
+        monkeypatch.setattr(fcntl, "flock", flock)
+        assert _run("synth-data", "--config", str(cfg_path)) == 0
+        assert calls == [0, 1]  # the removed file, then the new .lock
+        assert not (rd / ".lock").exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from distillab.diffusion import (
     train_denoiser,
 )
 from distillab.data import FormatError
-from distillab.models import Adam, mlp_init, predict_batch
+from distillab.models import Adam, Mlp, mlp_forward, mlp_init, predict_batch
 from distillab.numerics import SeededRng
 
 from conftest import as_float64, gradient_check
@@ -364,6 +366,29 @@ class TestSampling:
         for s, label in enumerate(labels):
             alone = sample_img2img_batch(denoiser, frozen_schedule, protos[s : s + 1], (label,), 0.7, 5.0, streams(s))
             assert stacked[s].tobytes() == alone.tobytes()
+
+    def test_same_bytes_for_every_weight_layout(self, denoiser, frozen_schedule):
+        """The sampler fixes the layout BLAS sees: C-ordered, Fortran-ordered
+        and strided weights give the same bytes, though one pass over the
+        C- and Fortran-ordered weights rounds differently."""
+
+        def strided(w):
+            wide = np.zeros((w.shape[0], 2 * w.shape[1]), dtype=w.dtype)
+            wide[:, ::2] = w
+            return wide[:, ::2]
+
+        layouts = {
+            name: replace(denoiser, mlp=Mlp([order(w) for w in denoiser.mlp.weights], denoiser.mlp.biases))
+            for name, order in [("C", np.ascontiguousarray), ("F", np.asfortranarray), ("strided", strided)]
+        }
+        protos = SeededRng(41).normal((2, 10, denoiser.latent_dim)) * 0.5
+        x = SeededRng(42).normal((2, 10, denoiser.mlp.layer_sizes[0])).astype(np.float32)
+        assert mlp_forward(layouts["C"].mlp, x)[-1].tobytes() != mlp_forward(layouts["F"].mlp, x)[-1].tobytes()
+        out = {
+            name: sample_img2img_batch(den, frozen_schedule, protos, (0, 1), 0.7, 5.0, [SeededRng(43).spawn(i) for i in range(20)])
+            for name, den in layouts.items()
+        }
+        assert out["C"].tobytes() == out["F"].tobytes() == out["strided"].tobytes()
 
     def test_stack_validation(self):
         den, sched, latents, _ = _tiny_denoiser()

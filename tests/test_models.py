@@ -11,6 +11,7 @@ from distillab.models import (
     LatentCodec,
     Mlp,
     _cutmix_minibatch,
+    _mean_sq_error,
     _soft_cross_entropy,
     load_autoencoder,
     load_detector,
@@ -289,7 +290,16 @@ class TestAutoencoder:
         # the recorded mse is of the unclipped decoder output
         unclipped = mlp_forward(codec.dec, codec.encode(toy_train.images))[-1]
         want = np.mean((unclipped.astype(np.float64) - toy_train.images.reshape(len(toy_train), -1)) ** 2)
-        assert codec.meta["reconstruction_mse"] == pytest.approx(want, rel=1e-12)
+        assert codec.meta["reconstruction_mse"] == want
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 32768, 32769, 32770, 32773, 640000])
+    def test_mean_sq_error_is_np_mean(self, n):
+        """Summed in leaves, the error's mean is ``np.mean`` of the whole float64 squared error, bit for bit.
+
+        At 32,770 and 32,773 values numpy splits the sum at 16,384, not at half."""
+        rng = SeededRng(n)
+        pred, target = rng.uniform(n).astype(np.float32), rng.uniform(n).astype(np.float32)
+        assert _mean_sq_error(pred, target) == float(np.mean((pred.astype(np.float64) - target) ** 2))
 
     def test_shape_contract(self, toy_train):
         codec = train_autoencoder(toy_train, AutoencoderConfig(epochs=1, latent_dim=8), SeededRng(2))

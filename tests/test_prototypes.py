@@ -12,6 +12,7 @@ from distillab.prototypes import (
     Prototype,
     _kmeanspp_init,
     _sq_dists,
+    _update_centroids,
     extract_prototypes,
     kmeans,
     read_prototypes,
@@ -108,6 +109,18 @@ class TestKmeans:
             res = kmeans(pts, c, restarts=20, rng=SeededRng(500 + trial))
             opt = exhaustive_kmeans_optimum(pts, c)
             assert res.inertia <= opt + 1e-6
+
+
+@pytest.mark.parametrize("n, c, d", [(1, 1, 1), (5, 5, 3), (40, 1, 7), (200, 6, 16), (97, 10, 1), (300, 4, 64)])
+def test_centroid_update_is_the_per_cluster_mean(n, c, d):
+    """Each centroid is bit for bit ``points[assign == j].mean(axis=0)``, singleton clusters and c = 1 included."""
+    rng = SeededRng(n * 1000 + c)
+    points = rng.normal((n, d)) * 10.0 + 3.0
+    assign = np.concatenate([np.arange(c), rng.integers(c, n=n - c)])
+    centroids = rng.normal((c, d))
+    _update_centroids(points, assign, centroids)
+    want = np.stack([points[assign == j].mean(axis=0) for j in range(c)])
+    assert centroids.tobytes() == want.tobytes()
 
 
 def diff_sq_dists(points, centroids):
