@@ -9,9 +9,9 @@ beta never grows a candidate batch's passing set.
 
 from dataclasses import replace
 
-from distillab import AblationInputs, DiffusionCandidateGenerator, build_schedule, default_config, run_ablation
+from distillab import DiffusionCandidateGenerator, build_schedule, default_config, run_ablation
 from distillab import synthesize_toy_dataset, train_autoencoder, train_denoiser, train_detector
-from distillab.evalharness import sensitivity_csv
+from distillab.evalharness import GRID_COLUMNS, summary_table, to_csv
 from distillab.numerics import SeededRng
 
 defaults = default_config()
@@ -24,20 +24,14 @@ weak = replace(defaults.denoiser, epochs=50)
 den = train_denoiser(codec.encode(train.images), train.labels, weak, SeededRng(2026))
 # one candidate generator, on the denoiser's schedule; each bank samples with
 # its own config's strength and guidance scale
-inputs = AblationInputs(
-    train=train, test=test, encode_fn=codec.encode, detector=det,
-    generator=DiffusionCandidateGenerator(den, build_schedule(weak), codec.decode),
-)
+gen = DiffusionCandidateGenerator(den, build_schedule(weak), codec.decode)
 
 # %% the mode x seed grid (2 seeds here; the acceptance suite runs 3) and a
 # reduced k x beta grid on the first seed, all trained in one round
 eval_cfg = replace(defaults.eval, seeds=[1, 2], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9])
-report, (grid, evidence) = run_ablation(inputs, defaults.distill, eval_cfg, sweep=True)
-print("mode        mean    std     fallbacks")
-for mode, s in report.summary.items():
-    std = f"{s['std']:.4f}" if s["std"] is not None else "  -   "
-    print(f"{mode:10s} {s['mean']:.4f}  {std}  {s['fallbacks']}")
+payload, (grid, evidence) = run_ablation(train, test, codec.encode, gen, det, defaults.distill, eval_cfg, sweep=True)
+print(summary_table(payload["summary"]), end="")
 
 # %% sensitivity
 print(f"\nmonotone filter checked on {evidence['slots_checked']} slots")
-print(sensitivity_csv(grid))
+print(to_csv(grid, GRID_COLUMNS))

@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 from .config import ToyDataSpec, default_config
 from .data import cutmix, read_dataset, synthesize_toy_dataset, write_dataset
 from .diffusion import build_schedule, forward_noise, sample_img2img_batch, train_denoiser
-from .evalharness import AblationInputs, evaluate, run_ablation, train_downstream
+from .evalharness import evaluate, run_ablation, train_downstream
 from .models import LatentCodec, predict_batch, train_autoencoder, train_detector
 from .numerics import SeededRng
 from .refine import DiffusionCandidateGenerator, distill, generate_candidates, select

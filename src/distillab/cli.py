@@ -42,7 +42,8 @@ from . import __version__
 from .config import ConfigError, config_sha256, default_config, load_config, to_dict
 from .data import FormatError, read_dataset, read_report, synthesize_toy_dataset, write_atomic, write_dataset
 from .diffusion import build_schedule, load_denoiser, save_denoiser, train_denoiser
-from .evalharness import AblationInputs, SweepCheckError, evaluate, run_ablation, sensitivity_csv, train_downstream
+from .evalharness import GRID_COLUMNS, RECORD_COLUMNS, SweepCheckError, evaluate, run_ablation, summary_table, to_csv
+from .evalharness import train_downstream
 from .models import load_autoencoder, load_detector, save_autoencoder, save_detector, train_autoencoder, train_detector
 from .numerics import SeededRng
 from .prototypes import write_prototypes
@@ -69,6 +70,7 @@ def _sha256_file(path: Path) -> str:
 
 
 def _json_bytes(obj) -> bytes:
+    """The one indented JSON encoding: reports, manifests and ``--dump-config``."""
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
 
 
@@ -305,16 +307,13 @@ def _cmd_ablate(args) -> int:
     with run:
         train, test, det, codec, den = run.load()
         gen = DiffusionCandidateGenerator(den, build_schedule(cfg.denoiser), codec.decode)
-        inputs = AblationInputs(train=train, test=test, encode_fn=codec.encode, detector=det, generator=gen)
-        report, sensitivity = run_ablation(inputs, cfg.distill, cfg.eval, sweep=args.sweep)
-        out_json = run.output("reports/ablation.json", write_atomic, [(report.to_json() + "\n").encode()])
-        out_csv = run.output("reports/ablation.csv", write_atomic, [report.to_csv().encode()])
-        for mode, s in report.summary.items():
-            std = f" +/- {s['std']:.4f}" if s["std"] is not None else ""
-            print(f"{mode:10s} {s['mean']:.4f}{std}  (n={s['n']}, fallbacks={s['fallbacks']})")
+        payload, sensitivity = run_ablation(train, test, codec.encode, gen, det, cfg.distill, cfg.eval, sweep=args.sweep)
+        out_json = run.output("reports/ablation.json", write_atomic, [_json_bytes(payload)])
+        out_csv = run.output("reports/ablation.csv", write_atomic, [to_csv(payload["records"], RECORD_COLUMNS).encode()])
+        print(summary_table(payload["summary"]), end="")
         if sensitivity:
             grid, evidence = sensitivity
-            sweep = [sensitivity_csv(grid).encode()]
+            sweep = [to_csv(grid, GRID_COLUMNS).encode()]
             run.output("reports/sensitivity.csv", write_atomic, sweep, monotone_filter=evidence)
             print(f"sensitivity grid: {len(grid)} runs, {evidence['slots_checked']} slots checked")
         print(f"wrote {out_json} and {out_csv}")
@@ -328,13 +327,8 @@ def _cmd_report(args) -> int:
         run.inputs["eval"] = eval_path
     with run:
         payload, *evals = run.load()
-        lines = ["mode        mean      std       n   fallbacks"]
-        for mode, s in sorted(payload["summary"].items()):
-            std = f"{s['std']:.4f}" if s["std"] is not None else "   -  "
-            lines.append(f"{mode:10s} {s['mean']:.4f}   {std}   {s['n']}   {s['fallbacks']}")
-        for e in evals:
-            lines.append(f"single-run downstream accuracy: {e['accuracy']:.4f}")
-        text = "\n".join(lines) + "\n"
+        text = summary_table(payload["summary"])
+        text += "".join(f"single-run downstream accuracy: {e['accuracy']:.4f}\n" for e in evals)
         out = run.output("reports/summary.txt", write_atomic, [text.encode()])
         print(text, end="")
         print(f"wrote {out}")
@@ -379,7 +373,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "dump_config", False):
             cfg = _resolve_config(args)
-            print(json.dumps(to_dict(cfg), sort_keys=True, indent=2))
+            print(_json_bytes(to_dict(cfg)).decode(), end="")
             return 0
         return args.func(args)
     except ConfigError as e:

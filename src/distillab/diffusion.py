@@ -347,9 +347,7 @@ def save_denoiser(path, den: Denoiser) -> str:
 
 @names_path
 def load_denoiser(path) -> Denoiser:
-    kind, desc, arrays = read_checkpoint(path)
-    if kind != "denoiser-v1":
-        raise FormatError(f"expected denoiser-v1 checkpoint, got {kind!r}")
+    desc, arrays = read_checkpoint(path, "denoiser-v1")
     num_classes, latent_dim, time_embed_dim = (_desc_size(desc, k) for k in ("num_classes", "latent_dim", "time_embed_dim"))
     sizes = _desc_sizes(desc, "layer_sizes")
     label_embed_dim = sizes[0] - latent_dim - time_embed_dim

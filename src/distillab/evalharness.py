@@ -11,7 +11,8 @@ One runner, ``run_ablation``, does both: it selects every run from one
 candidate bank per seed, checks the sweep, then trains every run's
 downstream classifier in one round (``_train_all``: each distinct job once,
 on every usable core, each core's share in lockstep) and scores the
-classifiers in run order.
+classifiers in run order. It returns the ``ablation.json`` payload as a
+plain dict; ``to_csv`` and ``summary_table`` render it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from typing import Callable
 
 import numpy as np
@@ -32,17 +33,21 @@ from .numerics import SeededRng, fan_out
 from .refine import CandidateGenerator, generate_candidates, is_accepted, select
 
 __all__ = [
-    "AblationInputs",
-    "EvalReport",
-    "RunRecord",
+    "GRID_COLUMNS",
+    "RECORD_COLUMNS",
     "SweepCheckError",
     "evaluate",
     "run_ablation",
+    "summary_table",
+    "to_csv",
     "train_downstream",
 ]
 
 _KEY_DOWNSTREAM = 21
 _KEY_BASELINE = 22
+# the columns of ablation.csv (one row per record) and sensitivity.csv (one per grid cell)
+RECORD_COLUMNS = ["mode", "seed", "accuracy", "fallback_count"]
+GRID_COLUMNS = ["top_k", "beta", "seed", "accuracy", "fallback_count", "refined_count"]
 
 
 class SweepCheckError(RuntimeError):
@@ -122,63 +127,35 @@ def evaluate(classifier: Detector, test: LabeledDataset) -> float:
     return float((labels == test.labels).mean())
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    mode: str
-    seed: int
-    accuracy: float
-    fallback_count: int
-
-
-@dataclass
-class EvalReport:
-    """Per-run records plus per-mode aggregates (mean, std over seeds)."""
-
-    records: list[RunRecord]
-    summary: dict[str, dict]
-    config_fingerprint: str
-
-    def to_json(self) -> str:
-        payload = {
-            "records": [vars(r) for r in self.records],
-            "summary": self.summary,
-            "config_fingerprint": self.config_fingerprint,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["mode", "seed", "accuracy", "fallback_count"])
-        for r in self.records:
-            writer.writerow([r.mode, r.seed, f"{r.accuracy:.6f}", r.fallback_count])
-        return buf.getvalue()
-
-
-def summarize_records(records: list[RunRecord]) -> dict[str, dict]:
+def _summarize(records: list[dict]) -> dict[str, dict]:
     """Mean and std (ddof=1, absent when fewer than 2 seeds) per mode."""
     out: dict[str, dict] = {}
-    for mode in sorted({r.mode for r in records}):
-        accs = [r.accuracy for r in records if r.mode == mode]
+    for mode in sorted({r["mode"] for r in records}):
+        accs = [r["accuracy"] for r in records if r["mode"] == mode]
         entry = {"n": len(accs), "mean": float(np.mean(accs))}
         entry["std"] = float(np.std(accs, ddof=1)) if len(accs) >= 2 else None
-        entry["fallbacks"] = int(sum(r.fallback_count for r in records if r.mode == mode))
+        entry["fallbacks"] = int(sum(r["fallback_count"] for r in records if r["mode"] == mode))
         out[mode] = entry
     return out
 
 
-@dataclass(frozen=True)
-class AblationInputs:
-    """Everything an ablation runs on besides its configs.
+def summary_table(summary: dict[str, dict]) -> str:
+    """The per-mode table of an ablation summary, one line per mode in name order."""
+    lines = ["mode        mean      std       n   fallbacks"]
+    for mode, s in sorted(summary.items()):
+        std = f"{s['std']:.4f}" if s["std"] is not None else "   -  "
+        lines.append(f"{mode:10s} {s['mean']:.4f}   {std}   {s['n']}   {s['fallbacks']}")
+    return "\n".join(lines) + "\n"
 
-    ``generator`` samples with the config of each bank it generates.
-    """
 
-    train: LabeledDataset
-    test: LabeledDataset
-    encode_fn: Callable[[np.ndarray], np.ndarray]
-    detector: Detector
-    generator: CandidateGenerator
+def to_csv(rows: list[dict], columns: list[str]) -> str:
+    """CSV text of ``rows`` under a ``columns`` header; ``accuracy`` is written to 6 decimals."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([f"{row[c]:.6f}" if c == "accuracy" else row[c] for c in columns])
+    return buf.getvalue()
 
 
 def _config_fingerprint(base_cfg: DistillConfig, eval_cfg: EvalConfig) -> str:
@@ -205,31 +182,39 @@ def _random_subset(train: LabeledDataset, ipc: int, rng: SeededRng) -> LabeledDa
 
 
 def run_ablation(
-    inputs: AblationInputs, base_cfg: DistillConfig, eval_cfg: EvalConfig, sweep: bool = False
-) -> tuple[EvalReport, tuple[list[dict], dict] | None]:
-    """The ablation's ``EvalReport`` and, with ``sweep``, the sensitivity sweep's (grid, evidence).
+    train: LabeledDataset,
+    test: LabeledDataset,
+    encode_fn: Callable[[np.ndarray], np.ndarray],
+    gen: CandidateGenerator,
+    det: Detector,
+    base_cfg: DistillConfig,
+    eval_cfg: EvalConfig,
+    sweep: bool = False,
+) -> tuple[dict, tuple[list[dict], dict] | None]:
+    """The ``ablation.json`` payload and, with ``sweep``, the sensitivity sweep's (grid, evidence).
 
-    The ablation runs every eval mode on every eval seed plus a random-real
-    subset per seed; the sweep runs ``tplus_s`` in each ``sensitivity_top_k``
-    x ``sensitivity_betas`` cell on the first eval seed. Each seed generates
-    one candidate bank, selects every run on the seed from it (generation
-    never reads the mode, k or beta) and drops it, so every run equals a
-    standalone ``distill``. The sweep is checked (``check_sweep_slots``) as
-    soon as its cells are selected, before any training; then every run's
-    classifier trains in one ``_train_all`` round, the ablation's runs
-    before the sweep's, each run on a seed from the same stream, so the runs
-    differ in their training set only.
+    The payload holds ``records`` (one ``{mode, seed, accuracy,
+    fallback_count}`` dict per run), their per-mode ``summary`` and the
+    ``config_fingerprint``. The ablation runs every eval mode on every eval
+    seed plus a random-real subset per seed; the sweep runs ``tplus_s`` in
+    each ``sensitivity_top_k`` x ``sensitivity_betas`` cell on the first
+    eval seed. Each seed generates one candidate bank, selects every run on
+    the seed from it (generation never reads the mode, k or beta) and drops
+    it, so every run equals a standalone ``distill``; ``gen`` samples with
+    the config of each bank it generates. The sweep is checked
+    (``check_sweep_slots``) as soon as its cells are selected, before any
+    training; then every run's classifier trains in one ``_train_all``
+    round, the ablation's runs before the sweep's, each run on a seed from
+    the same stream, so the runs differ in their training set only.
     """
     runs, trainings, grid, sweep_trainings = [], [], [], []
     for seed in eval_cfg.seeds:
-        bank = generate_candidates(
-            inputs.train, inputs.encode_fn, inputs.generator, inputs.detector, base_cfg, SeededRng(seed)
-        )
+        bank = generate_candidates(train, encode_fn, gen, det, base_cfg, SeededRng(seed))
         for mode in eval_cfg.modes:
             res = select(bank, replace(base_cfg, selection_mode=mode))
             runs.append((mode, seed, res.report["counts"]["fallback"]))
             trainings.append((res.dataset, seed))
-        subset = _random_subset(inputs.train, base_cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
+        subset = _random_subset(train, base_cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
         runs.append(("random", seed, 0))
         trainings.append((subset, seed))
         if sweep and seed == eval_cfg.seeds[0]:
@@ -260,19 +245,19 @@ def run_ablation(
     classifiers = _train_all(
         [(dataset, SeededRng(seed).spawn(_KEY_DOWNSTREAM)) for dataset, seed in trainings + sweep_trainings], eval_cfg
     )
-    accuracies = [evaluate(clf, inputs.test) for clf in classifiers]
+    accuracies = [evaluate(clf, test) for clf in classifiers]
     records = [
-        RunRecord(mode, seed, accuracy=acc, fallback_count=fallbacks)
+        {"mode": mode, "seed": seed, "accuracy": acc, "fallback_count": fallbacks}
         for (mode, seed, fallbacks), acc in zip(runs, accuracies)
     ]
     for row, acc in zip(grid, accuracies[len(runs):]):
         row["accuracy"] = acc
-    report = EvalReport(
-        records=records,
-        summary=summarize_records(records),
-        config_fingerprint=_config_fingerprint(base_cfg, eval_cfg),
-    )
-    return report, (grid, evidence) if sweep else None
+    payload = {
+        "records": records,
+        "summary": _summarize(records),
+        "config_fingerprint": _config_fingerprint(base_cfg, eval_cfg),
+    }
+    return payload, (grid, evidence) if sweep else None
 
 
 def _passing_set(candidates: list[dict], intended: int, beta: float) -> frozenset:
@@ -298,21 +283,3 @@ def check_sweep_slots(slot_candidates: dict[tuple, list[tuple[float, list[dict]]
         if any(not hi <= lo for lo, hi in zip(sets, sets[1:])):
             raise SweepCheckError(f"raising beta grew the passing set for slot {key}")
     return len(slot_candidates)
-
-
-def sensitivity_csv(grid: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["top_k", "beta", "seed", "accuracy", "fallback_count", "refined_count"])
-    for row in grid:
-        writer.writerow(
-            [
-                row["top_k"],
-                row["beta"],
-                row["seed"],
-                f"{row['accuracy']:.6f}",
-                row["fallback_count"],
-                row["refined_count"],
-            ]
-        )
-    return buf.getvalue()

@@ -12,7 +12,6 @@ are the float64 softmax of float32 weights. Gradient checks cast to float64.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ import numpy as np
 
 from .config import AutoencoderConfig, ClassifierConfig, TrainConfig
 from .data import FormatError, LabeledDataset, cutmix, names_path, write_atomic
-from .data import _read_end, _read_exact, _read_json, _read_struct
+from .data import _canonical_json, _read_end, _read_exact, _read_json, _read_struct
 from .numerics import SeededRng, integers_from_words, max_softmax, require_finite, uniform_from_words
 
 __all__ = [
@@ -443,7 +442,7 @@ def write_checkpoint(path, kind: str, desc: dict, params: list[np.ndarray]) -> s
     for i, p in enumerate(params):
         require_finite(f"{kind} array {i}", p)
     desc = dict(desc, kind=kind)
-    desc_bytes = json.dumps(desc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    desc_bytes = _canonical_json(desc)
     header = [_CKPT_MAGIC, struct.pack("<HI", _CKPT_VERSION, len(desc_bytes)), desc_bytes, struct.pack("<I", len(params))]
     shapes = [struct.pack(f"<I{p.ndim}I", p.ndim, *p.shape) for p in params]
     blobs = (np.ascontiguousarray(p, dtype="<f4").tobytes() for p in params)
@@ -451,11 +450,11 @@ def write_checkpoint(path, kind: str, desc: dict, params: list[np.ndarray]) -> s
 
 
 @names_path
-def read_checkpoint(path):
-    """Returns (kind, descriptor dict, list of float32 arrays); bit-exact.
+def read_checkpoint(path, kind: str):
+    """Returns (descriptor dict, list of float32 arrays) of a ``kind`` checkpoint; bit-exact.
 
-    A short, overlong or undecodable file, or a non-finite parameter,
-    raises FormatError.
+    A short, overlong or undecodable file, a non-finite parameter or a
+    checkpoint of another kind raises FormatError.
     """
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
@@ -479,10 +478,10 @@ def read_checkpoint(path):
             if not np.isfinite(arrays[-1]).all():
                 raise FormatError(f"array {i} contains non-finite values")
         _read_end(f, "last array")
-    kind = desc.pop("kind", None)
-    if kind is None:
-        raise FormatError("descriptor missing kind")
-    return kind, desc, arrays
+    found = desc.pop("kind", None)
+    if found != kind:
+        raise FormatError(f"expected a {kind} checkpoint, got {found!r}")
+    return desc, arrays
 
 
 def _is_size(value, least: int = 1) -> bool:
@@ -532,9 +531,7 @@ def save_detector(path, det: Detector) -> str:
 
 @names_path
 def load_detector(path) -> Detector:
-    kind, desc, arrays = read_checkpoint(path)
-    if kind != "detector":
-        raise FormatError(f"expected detector checkpoint, got {kind!r}")
+    desc, arrays = read_checkpoint(path, "detector")
     image_shape = _desc_sizes(desc, "image_shape", 3)
     num_classes = _desc_size(desc, "num_classes")
     sizes = _desc_sizes(desc, "layer_sizes")
@@ -561,9 +558,7 @@ def save_autoencoder(path, codec: LatentCodec) -> str:
 @names_path
 def load_autoencoder(path) -> LatentCodec:
     """The codec of an autoencoder checkpoint; its decoder mirrors ``enc_layers``."""
-    kind, desc, arrays = read_checkpoint(path)
-    if kind != "autoencoder":
-        raise FormatError(f"expected autoencoder checkpoint, got {kind!r}")
+    desc, arrays = read_checkpoint(path, "autoencoder")
     image_shape = _desc_sizes(desc, "image_shape", 3)
     latent_dim = _desc_size(desc, "latent_dim")
     sizes = _desc_sizes(desc, "enc_layers")

@@ -117,13 +117,13 @@ def normal_from_words(words: np.ndarray) -> np.ndarray:
     return np.concatenate([r * np.cos(ang), r * np.sin(ang)], axis=-1).astype(np.float32)
 
 
-def integers_from_words(words: np.ndarray, span, low: int = 0) -> np.ndarray:
-    """int64 values ``low + word % span``; ``span`` may be an array.
+def integers_from_words(words: np.ndarray, span) -> np.ndarray:
+    """int64 values ``word % span``; ``span`` may be an array.
 
     The modulo bias is bounded by span / 2^64 and is negligible for the
     span sizes used here (< 2^32).
     """
-    return (words % np.asarray(span, dtype=np.uint64)).astype(np.int64) + low
+    return (words % np.asarray(span, dtype=np.uint64)).astype(np.int64)
 
 
 class SeededRng:
@@ -193,12 +193,11 @@ class SeededRng:
         pairs = (d + 1) // 2
         return normal_from_words(self.raw_u64(n * 2 * pairs).reshape(n, 2 * pairs))[:, :d]
 
-    def integers(self, high: int, n: int | None = None, low: int = 0):
-        """Integers uniform in [low, high); modulo reduction of one raw word each."""
-        span = int(high) - int(low)
-        if span <= 0:
-            raise ValueError("high must exceed low")
-        out = integers_from_words(self.raw_u64(1 if n is None else n), span, low)
+    def integers(self, high: int, n: int | None = None):
+        """Integers uniform in [0, high); modulo reduction of one raw word each."""
+        if int(high) <= 0:
+            raise ValueError("high must be positive")
+        out = integers_from_words(self.raw_u64(1 if n is None else n), int(high))
         return int(out[0]) if n is None else out
 
     def permutation(self, n: int) -> np.ndarray:

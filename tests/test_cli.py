@@ -146,6 +146,21 @@ class TestFullPipeline:
         summary = (rd / "reports" / "summary.txt").read_text()
         assert "tplus_s" in summary
 
+    def test_ablate_prints_the_report_table(self, pipeline, tmp_path, monkeypatch, capsys):
+        """``ablate`` prints the table that ``report`` writes at the head of summary.txt."""
+        rd = _copy_run(pipeline, tmp_path)
+        (rd / "reports" / "eval.json").unlink(missing_ok=True)
+        monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
+        capsys.readouterr()
+        assert _run("ablate", "--sweep", "--config", str(pipeline[1])) == 0
+        printed = capsys.readouterr().out
+        table = printed[: printed.index("sensitivity grid: ")]
+        # a header, then base, random and tplus_s in name order
+        assert [line.split()[0] for line in table.splitlines()] == ["mode", "base", "random", "tplus_s"]
+        assert _run("report", "--config", str(pipeline[1])) == 0
+        assert (rd / "reports" / "summary.txt").read_text() == table
+        assert capsys.readouterr().out.startswith(table)
+
     def test_rerun_distill_byte_identical(self, pipeline, monkeypatch):
         tmp_path, cfg_path = pipeline
         monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
@@ -558,7 +573,7 @@ class TestFormatErrors:
         from distillab.models import read_checkpoint, write_checkpoint
 
         path = _copy_run(pipeline, tmp_path) / "models" / f"{name}.mdlc"
-        _, desc, arrays = read_checkpoint(path)
+        desc, arrays = read_checkpoint(path, kind)
         mistyped = {k: str(v) if isinstance(v, int) else v for k, v in desc.items()}
         for bad_desc, bad_arrays in (({}, arrays), (mistyped, arrays), (dict(desc, **misfit), arrays), (desc, [])):
             write_checkpoint(path, kind, bad_desc, bad_arrays)
@@ -608,8 +623,8 @@ class TestFormatErrors:
         from distillab.models import read_checkpoint, write_checkpoint
 
         path = _copy_run(pipeline, tmp_path) / "models" / "detector.mdlc"
-        kind, desc, arrays = read_checkpoint(path)
-        write_checkpoint(path, kind, desc, [np.zeros((3, 5, 7), dtype=np.float32)] + arrays)
+        desc, arrays = read_checkpoint(path, "detector")
+        write_checkpoint(path, "detector", desc, [np.zeros((3, 5, 7), dtype=np.float32)] + arrays)
         raw = path.read_bytes()
         shape = struct.pack("<4I", 3, 3, 5, 7)  # rank, then dims
         assert raw.count(shape) == 1

@@ -11,13 +11,15 @@ import pytest
 
 from distillab.config import SELECTION_MODES, DetectorConfig, DistillConfig, EvalConfig, ToyDataSpec
 from distillab.data import LabeledDataset, synthesize_toy_dataset
+from distillab.cli import _json_bytes
 from distillab.evalharness import (
-    AblationInputs,
+    GRID_COLUMNS,
+    RECORD_COLUMNS,
     SweepCheckError,
     check_sweep_slots,
     evaluate,
     run_ablation,
-    sensitivity_csv,
+    to_csv,
     train_downstream,
 )
 from distillab.models import Detector, Mlp, train_detector
@@ -136,23 +138,17 @@ class TestEvaluate:
 class TestRunAblation:
     def _inputs(self, small_world, defect_rate=0.25):
         train, test, det, encode_fn = small_world
-        return AblationInputs(
-            train=train,
-            test=test,
-            encode_fn=encode_fn,
-            detector=det,
-            generator=MockGenerator(train, defect_rate=defect_rate),
-        )
+        return (train, test, encode_fn, MockGenerator(train, defect_rate=defect_rate), det)
 
     def _cfg(self):
         return DistillConfig(ipc=5, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
 
     def test_record_counting(self, small_world):
         report, _ = run_ablation(
-            self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2, 3])
+            *self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2, 3])
         )
-        assert len([r for r in report.records if r.mode != "random"]) == 6
-        assert len([r for r in report.records if r.mode == "random"]) == 3
+        assert len([r for r in report["records"] if r["mode"] != "random"]) == 6
+        assert len([r for r in report["records"] if r["mode"] == "random"]) == 3
 
     def test_random_baseline_shares_the_downstream_stream(self, small_world, monkeypatch):
         import distillab.evalharness as evalharness
@@ -166,23 +162,23 @@ class TestRunAblation:
             return real(jobs, cfg)
 
         monkeypatch.setattr(evalharness, "_train_all", spy)
-        run_ablation(self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[4]))
+        run_ablation(*self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[4]))
         assert len(starts) == 2 and starts[0] == starts[1]
 
     def test_single_seed_degenerate(self, small_world):
         report, _ = run_ablation(
-            self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[9])
+            *self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[9])
         )
-        assert report.summary["base"]["n"] == 1
-        assert report.summary["base"]["std"] is None
-        assert report.summary["base"]["mean"] == report.records[0].accuracy
+        assert report["summary"]["base"]["n"] == 1
+        assert report["summary"]["base"]["std"] is None
+        assert report["summary"]["base"]["mean"] == report["records"][0]["accuracy"]
 
     def test_summary_matches_recomputation(self, small_world):
         report, _ = run_ablation(
-            self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base", "top1"], seeds=[1, 2])
+            *self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base", "top1"], seeds=[1, 2])
         )
-        for mode, s in report.summary.items():
-            accs = [r.accuracy for r in report.records if r.mode == mode]
+        for mode, s in report["summary"].items():
+            accs = [r["accuracy"] for r in report["records"] if r["mode"] == mode]
             assert s["mean"] == float(np.mean(accs))
             if len(accs) >= 2:
                 assert s["std"] == float(np.std(accs, ddof=1))
@@ -199,47 +195,52 @@ class TestRunAblation:
                 self.always_correct = prototypes.shape[1] == cfg.num_candidates
                 return super().generate_batch(prototypes, labels, rngs, cfg)
 
-        inputs = AblationInputs(
-            train=train,
-            test=test,
-            encode_fn=encode_fn,
-            detector=det,
-            generator=DefectThenClean(train, defect_rate=0.5),
-        )
-        report, _ = run_ablation(inputs, self._cfg(), _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2]))
-        assert report.summary["tplus_s"]["mean"] >= report.summary["base"]["mean"]
+        inputs = (train, test, encode_fn, DefectThenClean(train, defect_rate=0.5), det)
+        report, _ = run_ablation(*inputs, self._cfg(), _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2]))
+        assert report["summary"]["tplus_s"]["mean"] >= report["summary"]["base"]["mean"]
 
     def test_validation(self, small_world):
         with pytest.raises(ValueError):
-            run_ablation(self._inputs(small_world), self._cfg(), _downstream_cfg(modes=[], seeds=[1]))
+            run_ablation(*self._inputs(small_world), self._cfg(), _downstream_cfg(modes=[], seeds=[1]))
 
     def test_json_and_csv_render(self, small_world):
-        import json
-
-        report, sensitivity = run_ablation(
-            self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[1])
+        """The payload is plain JSON; ``to_csv`` writes both reports' headers and 6-decimal accuracies."""
+        payload, sensitivity = run_ablation(
+            *self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[1])
         )
         assert sensitivity is None
-        payload = json.loads(report.to_json())
+        assert json.loads(_json_bytes(payload)) == payload
+        assert sorted(payload) == ["config_fingerprint", "records", "summary"]
         assert payload["summary"]["base"]["n"] == 1
-        csv_text = report.to_csv()
-        assert csv_text.splitlines()[0] == "mode,seed,accuracy,fallback_count"
-        assert len(csv_text.splitlines()) == 1 + len(report.records)
+        assert all(sorted(r) == sorted(RECORD_COLUMNS) for r in payload["records"])
+
+        records = [
+            {"mode": "base", "seed": 1, "accuracy": 0.5, "fallback_count": 3},
+            {"mode": "random", "seed": 1, "accuracy": 2 / 3, "fallback_count": 0},
+        ]
+        assert to_csv(records, RECORD_COLUMNS).splitlines() == [
+            "mode,seed,accuracy,fallback_count",
+            "base,1,0.500000,3",
+            "random,1,0.666667,0",
+        ]
+        grid = [
+            {"top_k": 1, "beta": 0.5, "seed": 3, "accuracy": 0.125, "fallback_count": 2, "refined_count": 4},
+            {"top_k": 2, "beta": 0.9, "seed": 3, "accuracy": 1.0, "fallback_count": 0, "refined_count": 6},
+        ]
+        assert to_csv(grid, GRID_COLUMNS).splitlines() == [
+            "top_k,beta,seed,accuracy,fallback_count,refined_count",
+            "1,0.5,3,0.125000,2,4",
+            "2,0.9,3,1.000000,0,6",
+        ]
 
 
 class TestRunSensitivity:
     def test_grid_and_monotonicity(self, small_world):
         train, test, det, encode_fn = small_world
-        inputs = AblationInputs(
-            train=train,
-            test=test,
-            encode_fn=encode_fn,
-            detector=det,
-            generator=MockGenerator(train, defect_rate=0.4),
-        )
+        inputs = (train, test, encode_fn, MockGenerator(train, defect_rate=0.4), det)
         cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
         _, (grid, evidence) = run_ablation(
-            inputs,
+            *inputs,
             cfg,
             _downstream_cfg(modes=["tplus_s"], seeds=[3], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9]),
             sweep=True,
@@ -247,30 +248,21 @@ class TestRunSensitivity:
         assert len(grid) == 4
         assert {(g["top_k"], g["beta"]) for g in grid} == {(1, 0.5), (1, 0.9), (2, 0.5), (2, 0.9)}
         assert evidence["slots_checked"] > 0
-        csv_text = sensitivity_csv(grid)
-        assert csv_text.splitlines()[0].startswith("top_k,beta,seed")
-        assert len(csv_text.splitlines()) == 5
 
     def test_two_seeds_sweep_the_first_seed_only(self, small_world):
         """Each seed selects from its own bank, and the sweep's cells from the first seed's:
         sweeping leaves the ablation's report as it is, and the grid is a one-seed run's."""
         train, test, det, encode_fn = small_world
-        inputs = AblationInputs(
-            train=train,
-            test=test,
-            encode_fn=encode_fn,
-            detector=det,
-            generator=MockGenerator(train, defect_rate=0.4),
-        )
+        inputs = (train, test, encode_fn, MockGenerator(train, defect_rate=0.4), det)
         cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
         eval_cfg = _downstream_cfg(
             modes=["base", "tplus_s"], seeds=[3, 5], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9]
         )
-        swept, (grid, evidence) = run_ablation(inputs, cfg, eval_cfg, sweep=True)
-        plain, sensitivity = run_ablation(inputs, cfg, eval_cfg)
+        swept, (grid, evidence) = run_ablation(*inputs, cfg, eval_cfg, sweep=True)
+        plain, sensitivity = run_ablation(*inputs, cfg, eval_cfg)
         assert sensitivity is None
-        assert swept == plain and {r.seed for r in swept.records} == {3, 5}
-        _, (first_grid, first_evidence) = run_ablation(inputs, cfg, replace(eval_cfg, seeds=[3]), sweep=True)
+        assert swept == plain and {r["seed"] for r in swept["records"]} == {3, 5}
+        _, (first_grid, first_evidence) = run_ablation(*inputs, cfg, replace(eval_cfg, seeds=[3]), sweep=True)
         assert grid == first_grid and evidence == first_evidence
         assert {row["seed"] for row in grid} == {3} and evidence["slots_checked"] > 0
 
@@ -290,20 +282,14 @@ class TestSharedBank:
 
         monkeypatch.setattr(refine_module, "extract_prototypes", counting_extract)
         gen = LoggingGenerator(train, tmp_path / "batches.txt", defect_rate=0.4)
-        inputs = AblationInputs(
-            train=train,
-            test=test,
-            encode_fn=encode_fn,
-            detector=det,
-            generator=gen,
-        )
+        inputs = (train, test, encode_fn, gen, det)
         cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
         eval_cfg = _downstream_cfg(
             modes=list(SELECTION_MODES), seeds=[1], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9]
         )
-        report, (_, evidence) = run_ablation(inputs, cfg, eval_cfg, sweep=True)
+        report, (_, evidence) = run_ablation(*inputs, cfg, eval_cfg, sweep=True)
         assert evidence["slots_checked"] > 0
-        assert report.summary["tplus_s"]["n"] == 1
+        assert report["summary"]["tplus_s"]["n"] == 1
         # the initial pass (one batch per class) plus at least one refined slot
         batches = Counter((label, seeds) for _, label, seeds in gen.batches())
         assert len(batches) > train.num_classes
@@ -356,13 +342,7 @@ class TestFanOut:
 
     def _inputs(self, small_world):
         train, test, det, encode_fn = small_world
-        return AblationInputs(
-            train=train,
-            test=test,
-            encode_fn=encode_fn,
-            detector=det,
-            generator=MockGenerator(train, defect_rate=0.4),
-        )
+        return (train, test, encode_fn, MockGenerator(train, defect_rate=0.4), det)
 
     def _cfgs(self):
         cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
@@ -373,27 +353,29 @@ class TestFanOut:
 
     def _loop(self, inputs, cfg, eval_cfg):
         """The runs one after another: a standalone distill, train_downstream, evaluate."""
-        from distillab.evalharness import _KEY_BASELINE, _KEY_DOWNSTREAM, RunRecord, _random_subset
+        from distillab.evalharness import _KEY_BASELINE, _KEY_DOWNSTREAM, _random_subset
+
+        train, test, encode_fn, gen, det = inputs
 
         def accuracy(dataset, seed):
             [clf] = train_downstream([dataset], eval_cfg, [SeededRng(seed).spawn(_KEY_DOWNSTREAM)])
-            return evaluate(clf, inputs.test)
+            return evaluate(clf, test)
+
+        def record(mode, seed, dataset, fallbacks):
+            return {"mode": mode, "seed": seed, "accuracy": accuracy(dataset, seed), "fallback_count": fallbacks}
 
         records = []
         for seed in eval_cfg.seeds:
             for mode in eval_cfg.modes:
-                mcfg = replace(cfg, selection_mode=mode)
-                res = distill(inputs.train, inputs.encode_fn, inputs.generator, inputs.detector, mcfg, SeededRng(seed))
-                records.append(RunRecord(mode, seed, accuracy(res.dataset, seed), res.report["counts"]["fallback"]))
-            subset = _random_subset(inputs.train, cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
-            records.append(RunRecord("random", seed, accuracy(subset, seed), 0))
+                res = distill(train, encode_fn, gen, det, replace(cfg, selection_mode=mode), SeededRng(seed))
+                records.append(record(mode, seed, res.dataset, res.report["counts"]["fallback"]))
+            subset = _random_subset(train, cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
+            records.append(record("random", seed, subset, 0))
         accuracies = []
         for k in sorted(eval_cfg.sensitivity_top_k):
             for beta in eval_cfg.sensitivity_betas:
                 gcfg = replace(cfg, top_k=k, beta=beta, selection_mode="tplus_s")
-                res = distill(
-                    inputs.train, inputs.encode_fn, inputs.generator, inputs.detector, gcfg, SeededRng(eval_cfg.seeds[0])
-                )
+                res = distill(train, encode_fn, gen, det, gcfg, SeededRng(eval_cfg.seeds[0]))
                 accuracies.append(accuracy(res.dataset, eval_cfg.seeds[0]))
         return records, accuracies
 
@@ -404,18 +386,18 @@ class TestFanOut:
             cores(n)
             inputs = self._inputs(small_world)
             before = len(job_pids())
-            report, (grid, evidence) = run_ablation(inputs, cfg, eval_cfg, sweep=True)
+            report, (grid, evidence) = run_ablation(*inputs, cfg, eval_cfg, sweep=True)
             # one round: the parent trains its share; with 2 cores one worker trains the rest
             pids = set(job_pids()[before:])
             assert os.getpid() in pids and len(pids) == n
             assert multiprocessing.active_children() == []
-            results[n] = (report.to_json(), report.to_csv(), sensitivity_csv(grid), evidence)
+            results[n] = (report, grid, evidence)
         assert results[1] == results[2]
 
         records, accuracies = self._loop(self._inputs(small_world), cfg, eval_cfg)
-        report_json, _, grid_csv, _ = results[2]
-        assert json.loads(report_json)["records"] == [vars(r) for r in records]
-        assert [row.split(",")[3] for row in grid_csv.splitlines()[1:]] == [f"{a:.6f}" for a in accuracies]
+        report, grid, _ = results[2]
+        assert report["records"] == records
+        assert [row["accuracy"] for row in grid] == accuracies
         assert len(accuracies) == 4
 
     def test_worker_exception_keeps_its_type(self, small_world, monkeypatch, cores):
@@ -425,7 +407,7 @@ class TestFanOut:
         cores(2)
         cfg, eval_cfg = self._cfgs()
         with pytest.raises(NonFiniteError, match="non-finite"):
-            run_ablation(self._inputs(small_world), cfg, eval_cfg)
+            run_ablation(*self._inputs(small_world), cfg, eval_cfg)
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_raises_instead_of_waiting(self, small_world, monkeypatch, cores):
@@ -444,7 +426,7 @@ class TestFanOut:
         cores(2)
         cfg, eval_cfg = self._cfgs()
         with pytest.raises(BrokenProcessPool):
-            run_ablation(self._inputs(small_world), cfg, eval_cfg)
+            run_ablation(*self._inputs(small_world), cfg, eval_cfg)
         assert multiprocessing.active_children() == []
 
 

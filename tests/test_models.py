@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from distillab.models import (
 )
 from distillab.diffusion import load_denoiser, save_denoiser
 from distillab.numerics import NonFiniteError, SeededRng, cosine_similarity, max_softmax, uniform_from_words
+from distillab.prototypes import Prototype, read_prototypes, write_prototypes
 
 from conftest import as_float64, gradient_check
 
@@ -370,11 +372,24 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="enc_layers"):
             load_autoencoder(p)
 
-    def test_wrong_kind_rejected(self, detector, tmp_path):
-        p = tmp_path / "det.mdlc"
-        save_detector(p, detector)
-        with pytest.raises(FormatError):
-            load_autoencoder(p)
+    def test_wrong_kind_rejected(self, detector, codec, denoiser, tmp_path):
+        """Each of the four readers rejects the other three kinds, naming the kind it found."""
+        protos = [Prototype(class_id=0, latent=np.zeros(4, np.float32), cluster_size=1, cluster_index=0)]
+        kinds = {
+            "detector": (lambda p: save_detector(p, detector), load_detector),
+            "autoencoder": (lambda p: save_autoencoder(p, codec), load_autoencoder),
+            "denoiser-v1": (lambda p: save_denoiser(p, denoiser), load_denoiser),
+            "prototypes": (lambda p: write_prototypes(p, protos), read_prototypes),
+        }
+        for written, (write, _) in kinds.items():
+            p = tmp_path / f"{written}.mdlc"
+            write(p)
+            for wanted, (_, read) in kinds.items():
+                if wanted == written:
+                    read(p)
+                    continue
+                with pytest.raises(FormatError, match=re.escape(f"{p}: expected a {wanted} checkpoint, got '{written}'")):
+                    read(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.mdlc"

@@ -155,6 +155,9 @@ class TestSeededRng:
         vals = r.integers(7, n=1000)
         assert vals.min() >= 0 and vals.max() < 7
         assert set(np.unique(vals)) == set(range(7))
+        for high in (0, -3):
+            with pytest.raises(ValueError, match="high must be positive"):
+                r.integers(high, n=2)
 
     def test_permutation_is_permutation(self):
         perm = SeededRng(13).permutation(50)
