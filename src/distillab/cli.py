@@ -47,7 +47,7 @@ from .evalharness import train_downstream
 from .models import load_autoencoder, load_detector, save_autoencoder, save_detector, train_autoencoder, train_detector
 from .numerics import SeededRng
 from .prototypes import write_prototypes
-from .refine import DiffusionCandidateGenerator, distill
+from .refine import DiffusionCandidateGenerator, generate_candidates, select
 
 
 class MissingArtifactError(FileNotFoundError):
@@ -254,8 +254,9 @@ def _cmd_train_autoencoder(args) -> int:
 def _cmd_train_diffusion(args) -> int:
     with _Command(args, "train", "autoencoder") as run:
         train, codec = run.load()
-        latents = codec.encode(train.images)
-        den = train_denoiser(latents, train.labels, run.cfg.denoiser, SeededRng(run.cfg.master_seed).spawn(33))
+        latents, labels = codec.encode(train.images), train.labels
+        del train  # the images are spent: only their latents train the denoiser
+        den = train_denoiser(latents, labels, run.cfg.denoiser, SeededRng(run.cfg.master_seed).spawn(33))
         out = run.output("models/denoiser.mdlc", save_denoiser, den, final_loss=den.meta["final_loss"])
         print(f"wrote {out} (final training loss {den.meta['final_loss']:.4f})")
     return 0
@@ -266,7 +267,10 @@ def _cmd_distill(args) -> int:
         train, det, codec, den = run.load()
         gen = DiffusionCandidateGenerator(den, build_schedule(run.cfg.denoiser), codec.decode)
         dcfg, seed = run.cfg.distill, run.cfg.master_seed
-        res = distill(train, codec.encode, gen, det, dcfg, SeededRng(seed))
+        # refine.distill in two calls, so the training set is released before refinement
+        bank = generate_candidates(train, codec.encode, gen, det, dcfg, SeededRng(seed))
+        del train
+        res = select(bank, dcfg)
 
         extra = {"distill_config": res.report["config"]}
         provenance = {"seed": seed, "ipc": dcfg.ipc}

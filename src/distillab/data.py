@@ -13,6 +13,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -331,8 +332,23 @@ def write_dataset(path, ds: LabeledDataset) -> str:
         {"class_names": list(ds.class_names), "provenance": ds.provenance}
     )
     header = _DATASET_MAGIC + struct.pack("<H5I", _DATASET_VERSION, n, ds.num_classes, c, h, w)
-    arrays = (a.astype(dtype).tobytes() for a, dtype in ((ds.labels, "<u2"), (ds.images, "<f4")))
+    arrays = (_array_bytes(a, dtype) for a, dtype in ((ds.labels, "<u2"), (ds.images, "<f4")))
     return write_atomic(path, itertools.chain([header], arrays, [struct.pack("<I", len(trailer)), trailer]))
+
+
+def _array_bytes(a: np.ndarray, dtype: str) -> np.ndarray:
+    """The bytes of ``a`` as ``dtype``, in C order, as a flat uint8 array for ``write_atomic``.
+
+    A view of ``a`` when it already has that dtype and order, so writing a
+    payload copies it only when it must be cast or reordered. A zero-size
+    array gives an empty view.
+    """
+    return np.ascontiguousarray(a, dtype=dtype).reshape(-1).view(np.uint8)
+
+
+def _check_left(f, count: int, what: str) -> None:
+    if count > os.fstat(f.fileno()).st_size - f.tell():
+        raise FormatError(f"truncated payload while reading {what}")
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
@@ -341,11 +357,26 @@ def _read_exact(f, count: int, what: str) -> bytes:
     ``count`` is checked against the bytes left in the file before the
     read, so a size forged in a header fails without a huge allocation.
     The container readers (datasets, prototypes, checkpoints, reports) read
-    every field through this function and the three below.
+    every field through this function, ``_read_array`` and the three below.
     """
-    if count > os.fstat(f.fileno()).st_size - f.tell():
-        raise FormatError(f"truncated payload while reading {what}")
+    _check_left(f, count, what)
     return f.read(count)
+
+
+def _read_array(f, dtype: str, shape: tuple, what: str) -> np.ndarray:
+    """A new ``shape`` array of ``dtype``, filled from the next bytes of ``f`` by ``readinto``.
+
+    The byte count is checked against the bytes left, as ``_read_exact``
+    checks it and with its message, before the array is allocated; a read
+    that returns fewer bytes raises the same error. The payload is read
+    straight into the array, with no bytes object in between.
+    """
+    count = math.prod(shape) * np.dtype(dtype).itemsize  # exact: np.prod wraps at 2**64
+    _check_left(f, count, what)
+    out = np.empty(shape, dtype=dtype)
+    if f.readinto(out.reshape(-1).view(np.uint8)) != count:
+        raise FormatError(f"truncated payload while reading {what}")
+    return out
 
 
 def _read_struct(f, fmt: str, what: str) -> tuple:
@@ -413,9 +444,8 @@ def read_dataset(path) -> LabeledDataset:
             raise FormatError(
                 f"header counts must be positive: {n} images of {num_classes} classes of shape ({c}, {h}, {w})"
             )
-        labels = np.frombuffer(_read_exact(f, 2 * n, "labels"), dtype="<u2").astype(np.int64)
-        img_bytes = _read_exact(f, 4 * n * c * h * w, "image data")
-        images = np.frombuffer(img_bytes, dtype="<f4").reshape(n, c, h, w).copy()
+        labels = _read_array(f, "<u2", (n,), "labels").astype(np.int64)
+        images = _read_array(f, "<f4", (n, c, h, w), "image data")
         if not np.isfinite(images).all():
             raise FormatError("image data contains non-finite values")
         (tlen,) = _read_struct(f, "<I", "trailer length")

@@ -12,7 +12,6 @@ are the float64 softmax of float32 weights. Gradient checks cast to float64.
 from __future__ import annotations
 
 import itertools
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .config import AutoencoderConfig, ClassifierConfig, TrainConfig
 from .data import FormatError, LabeledDataset, cutmix, names_path, write_atomic
-from .data import _canonical_json, _read_end, _read_exact, _read_json, _read_struct
+from .data import _array_bytes, _canonical_json, _read_array, _read_end, _read_exact, _read_json, _read_struct
 from .numerics import SeededRng, integers_from_words, max_softmax, require_finite, uniform_from_words
 
 __all__ = [
@@ -83,12 +82,20 @@ def mlp_forward(mlp: Mlp, x: np.ndarray) -> list[np.ndarray]:
     weights (as trained and loaded), an untransposed one for Fortran-ordered
     weights. The two kernels round differently, so a pass's last bits depend
     on the weights' layout as well as their values.
+
+    Each layer is one array: the bias add and the tanh run in place on the
+    matmul's result, the same adds and tanh as ``np.tanh(a @ w.T + b)``
+    without its two temporaries. ``mlp_backward`` reads only the post-tanh
+    activations, so no pre-activation is kept.
     """
     acts = [np.asarray(x)]
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = acts[-1] @ w.swapaxes(-1, -2) + b[..., None, :]
-        acts.append(z if i == last else np.tanh(z))
+        z = acts[-1] @ w.swapaxes(-1, -2)
+        z += b[..., None, :]
+        if i != last:
+            np.tanh(z, out=z)
+        acts.append(z)
     return acts
 
 
@@ -445,7 +452,7 @@ def write_checkpoint(path, kind: str, desc: dict, params: list[np.ndarray]) -> s
     desc_bytes = _canonical_json(desc)
     header = [_CKPT_MAGIC, struct.pack("<HI", _CKPT_VERSION, len(desc_bytes)), desc_bytes, struct.pack("<I", len(params))]
     shapes = [struct.pack(f"<I{p.ndim}I", p.ndim, *p.shape) for p in params]
-    blobs = (np.ascontiguousarray(p, dtype="<f4").tobytes() for p in params)
+    blobs = (_array_bytes(p, "<f4") for p in params)
     return write_atomic(path, itertools.chain(header, shapes, blobs))
 
 
@@ -472,9 +479,7 @@ def read_checkpoint(path, kind: str):
             shapes.append(_read_struct(f, f"<{ndim}I", "array shape"))
         arrays = []
         for i, shape in enumerate(shapes):
-            size = math.prod(shape)  # exact: np.prod wraps at 2**64
-            buf = _read_exact(f, 4 * size, "parameter blob")
-            arrays.append(np.frombuffer(buf, dtype="<f4").reshape(shape).copy())
+            arrays.append(_read_array(f, "<f4", shape, "parameter blob"))
             if not np.isfinite(arrays[-1]).all():
                 raise FormatError(f"array {i} contains non-finite values")
         _read_end(f, "last array")

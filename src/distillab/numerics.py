@@ -75,15 +75,18 @@ _MIX_B = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, vectorized over a uint64 array (wrapping mod 2^64)."""
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer of a uint64 array, in place (wrapping mod 2^64); returns ``z``.
+
+    The three shifts share one scratch array.
+    """
+    shifted = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = x.copy()
-        z ^= z >> np.uint64(30)
+        z ^= np.right_shift(z, np.uint64(30), out=shifted)
         z *= _MIX_A
-        z ^= z >> np.uint64(27)
+        z ^= np.right_shift(z, np.uint64(27), out=shifted)
         z *= _MIX_B
-        z ^= z >> np.uint64(31)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
 
 
@@ -109,12 +112,17 @@ def normal_from_words(words: np.ndarray) -> np.ndarray:
 
     The last axis holds 2 * pairs words: the first ``pairs`` give the (0, 1]
     radius uniforms, the rest the [0, 1) angle uniforms. The output holds the
-    cosine halves, then the sine halves.
+    cosine halves, then the sine halves. Each half is the float64 product
+    ``r * cos`` or ``r * sin`` rounded once to float32 as it is written into
+    the one output array, so no float64 copy of the whole output is made.
     """
     pairs = words.shape[-1] // 2
     r = np.sqrt(-2.0 * np.log(uniform_oc_from_words(words[..., :pairs])))
     ang = 2.0 * np.pi * uniform_from_words(words[..., pairs:])
-    return np.concatenate([r * np.cos(ang), r * np.sin(ang)], axis=-1).astype(np.float32)
+    out = np.empty(words.shape, dtype=np.float32)
+    np.multiply(r, np.cos(ang), out=out[..., :pairs])
+    np.multiply(r, np.sin(ang), out=out[..., pairs:])
+    return out
 
 
 def integers_from_words(words: np.ndarray, span) -> np.ndarray:
@@ -161,10 +169,12 @@ class SeededRng:
         if n < 0:
             raise ValueError("n must be non-negative")
         start = (self._counter + 1) & _U64_MASK
-        idx = np.arange(n, dtype=np.uint64) + np.uint64(start)
         self._counter += n
+        x = np.arange(n, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            x = np.uint64(self.seed) + idx * _GOLDEN
+            x += np.uint64(start)
+            x *= _GOLDEN
+            x += np.uint64(self.seed)
         return _mix64(x)
 
     def uniform(self, n: int) -> np.ndarray:

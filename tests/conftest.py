@@ -6,6 +6,7 @@ once.
 """
 
 import os
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -179,3 +180,19 @@ def gradient_check(loss_fn, params, rng, probes=60, step=1e-5, rel_tol=1e-3):
         assert rel < rel_tol, f"param block {ai} idx {k}: analytic {ana} vs numeric {num}"
         checked += 1
     return checked, worst
+
+
+def peak_bytes(fn, *args):
+    """``(fn(*args), peak)``: ``peak`` is the most memory traced during the call above what was traced before it.
+
+    numpy reports its array buffers to ``tracemalloc``, so the peak counts
+    every array the call held at once.
+    """
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -14,9 +14,11 @@ from distillab.data import (
     synthesize_toy_dataset,
     write_dataset,
 )
-from distillab.data import _synthesize_split
+from distillab.data import _read_array, _synthesize_split
 from distillab.models import write_checkpoint
 from distillab.numerics import SeededRng, uniform_from_words
+
+from conftest import peak_bytes
 
 
 class TestToyDataset:
@@ -281,16 +283,57 @@ class TestDatasetIO:
 
     def test_truncated(self, tmp_path):
         # every offset: the 26-byte header, the label and image blocks, the
-        # trailer length and the trailer
+        # trailer length and the trailer, each named in the message
         p = tmp_path / "full.dstl"
         write_dataset(p, self._random_dataset(SeededRng(3), n=3, shape=(1, 2, 2)))
         raw = p.read_bytes()
+        fields = [(4, "magic"), (6, "version"), (26, "header counts"), (32, "labels"), (80, "image data"),
+                  (84, "trailer length"), (len(raw), "trailer")]  # (end offset, field)
         cut_path = tmp_path / "trunc.dstl"
         for cut in range(len(raw)):
             cut_path.write_bytes(raw[:cut])
-            with pytest.raises(FormatError, match="truncated"):
+            what = next(name for end, name in fields if cut < end)
+            with pytest.raises(FormatError, match=f"^{re.escape(str(cut_path))}: truncated payload while reading {what}$"):
                 read_dataset(cut_path)
         assert len(read_dataset(p)) == 3
+
+    @pytest.mark.parametrize("dtype, shape, what", [("<u2", (3,), "labels"), ("<f4", (3, 1, 2, 2), "image data")])
+    def test_short_read_is_truncation(self, tmp_path, dtype, shape, what):
+        """A read that returns fewer bytes than the file had left when it was
+        checked (the file shrank in between) raises the truncation error."""
+
+        class OneByteShort:
+            def __init__(self, f):
+                self.fileno, self.tell = f.fileno, f.tell
+                self._f = f
+
+            def readinto(self, buf):
+                return self._f.readinto(memoryview(buf)[:-1])
+
+        p = tmp_path / "blob"
+        p.write_bytes(bytes(64))
+        with open(p, "rb") as f:
+            assert _read_array(f, dtype, shape, what).shape == shape
+            f.seek(0)
+            with pytest.raises(FormatError, match=f"^truncated payload while reading {what}$"):
+                _read_array(OneByteShort(f), dtype, shape, what)
+
+    def test_read_holds_one_image_payload(self, tmp_path):
+        """read_dataset reads the 1 MB of pixels straight into the dataset's
+        array: its peak is about one payload, not a bytes copy plus the array."""
+        ds = self._random_dataset(SeededRng(12), n=256, shape=(1, 32, 32))
+        p = tmp_path / "big.dstl"
+        write_dataset(p, ds)
+        back, peak = peak_bytes(read_dataset, p)
+        assert back.images.tobytes() == ds.images.tobytes()
+        assert peak < 1.5 * ds.images.nbytes, peak
+
+    def test_write_makes_no_copy_of_the_images(self, tmp_path):
+        """write_dataset streams the float32 images as they are: nothing near
+        the size of the 1 MB payload is allocated."""
+        ds = self._random_dataset(SeededRng(13), n=256, shape=(1, 32, 32))
+        _, peak = peak_bytes(write_dataset, tmp_path / "big.dstl", ds)
+        assert peak < ds.images.nbytes // 2, peak
 
     def test_label_out_of_range(self, tmp_path):
         p = tmp_path / "badlabel.dstl"

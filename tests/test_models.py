@@ -14,12 +14,14 @@ from distillab.models import (
     _cutmix_minibatch,
     _mean_sq_error,
     _soft_cross_entropy,
+    _stack_mlps,
     load_autoencoder,
     load_detector,
     mlp_forward,
     mlp_backward,
     mlp_init,
     predict_batch,
+    read_checkpoint,
     save_autoencoder,
     save_detector,
     train_autoencoder,
@@ -30,7 +32,7 @@ from distillab.diffusion import load_denoiser, save_denoiser
 from distillab.numerics import NonFiniteError, SeededRng, cosine_similarity, max_softmax, uniform_from_words
 from distillab.prototypes import Prototype, read_prototypes, write_prototypes
 
-from conftest import as_float64, gradient_check
+from conftest import as_float64, gradient_check, peak_bytes
 
 
 def _tiny_dataset(n_per_class=6, k=3, shape=(1, 5, 5), seed=3):
@@ -210,6 +212,50 @@ class TestScoreBatch:
         assert np.array_equal(confs, max_softmax(acts[-1]))
         want_feats = acts[-2].astype(np.float32)
         assert feats.dtype == want_feats.dtype and np.array_equal(feats, want_feats)
+
+
+def _out_of_place_forward(mlp: Mlp, x: np.ndarray) -> list[np.ndarray]:
+    """The former ``mlp_forward``: a new array for the bias add and another for the tanh."""
+    acts = [x]
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = acts[-1] @ w.swapaxes(-1, -2) + b[..., None, :]
+        acts.append(z if i == len(mlp.weights) - 1 else np.tanh(z))
+    return acts
+
+
+class TestForwardInPlace:
+    """mlp_forward holds one array per layer and computes the out-of-place formula's bits."""
+
+    def _mlp(self, seed=5, stack=None):
+        rng = SeededRng(seed)
+        mlp = mlp_init([48, 256, 64, 10], rng)
+        for ws in (mlp.weights, mlp.biases):  # nonzero biases, so the add counts
+            for j, a in enumerate(ws):
+                ws[j] = a + rng.normal(a.shape) * np.float32(0.1)
+        return mlp
+
+    @pytest.mark.parametrize("case", ["2-D float32", "stacked float32", "float64 input"])
+    def test_equals_out_of_place_formula(self, case):
+        rng = SeededRng(6)
+        if case == "stacked float32":
+            mlp = _stack_mlps([self._mlp(7), self._mlp(8), self._mlp(9)])
+            x = rng.normal((3, 33, 48))
+        else:
+            mlp, x = self._mlp(), rng.normal((33, 48))
+            if case == "float64 input":  # predict_batch's pass
+                x = x.astype(np.float64)
+        got, want = mlp_forward(mlp, x), _out_of_place_forward(mlp, x)
+        assert [a.dtype for a in got] == [a.dtype for a in want] == [x.dtype] * 4
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_peak_is_the_returned_activations(self):
+        """No temporary of a layer's size outlives its layer: the pass's peak is
+        the activations it returns plus a small slack."""
+        mlp, x = self._mlp(), SeededRng(10).normal((2048, 48))
+        acts, peak = peak_bytes(mlp_forward, mlp, x)
+        held = sum(a.nbytes for a in acts[1:])
+        assert held <= peak <= held + 64 * 1024, (peak, held)
 
 
 class TestGradients:
@@ -411,9 +457,21 @@ class TestCheckpoints:
         cut_path = tmp_path / "cut.mdlc"
         for cut in cuts:
             cut_path.write_bytes(raw[:cut])
-            with pytest.raises(FormatError):
+            # a cut at or after the shape table falls in the array blobs
+            what = "parameter blob" if cut >= header_end else ""
+            with pytest.raises(FormatError, match=f"truncated payload while reading {what}"):
                 load_detector(cut_path)
         assert load_detector(p).num_classes == 3
+
+    def test_write_makes_no_copy_of_the_parameters(self, tmp_path):
+        """write_checkpoint streams each float32 array as it is: nothing near the
+        size of the 1 MB payload is allocated, and the bytes read back exactly."""
+        w = SeededRng(4).normal((512, 512))
+        desc, p = {"note": "big"}, tmp_path / "big.mdlc"
+        _, peak = peak_bytes(write_checkpoint, p, "detector", desc, [w])
+        assert peak < w.nbytes // 2, peak
+        _, [back] = read_checkpoint(p, "detector")
+        assert back.tobytes() == w.tobytes()
 
     def test_non_finite_parameters_are_not_written(self, tmp_path):
         """write_checkpoint refuses a NaN or infinite parameter before it creates the file."""

@@ -11,8 +11,11 @@ from distillab.numerics import (
     cosine_similarity,
     fan_out,
     max_softmax,
+    normal_from_words,
     require_finite,
     softmax,
+    uniform_from_words,
+    uniform_oc_from_words,
 )
 
 
@@ -121,6 +124,23 @@ class TestSeededRng:
             int(_ref_splitmix(3)),
         ]
         assert raw.tolist() == expected
+        # and a block away from seed 0 and counter 0
+        r = SeededRng(2**63 + 12345)
+        r.uniform(1000)
+        assert r.raw_u64(257).tolist() == [_ref_splitmix(1001 + i, r.seed) for i in range(257)]
+
+    @pytest.mark.parametrize("shape", [(2,), (64,), (5, 34), (3, 4, 258)])
+    def test_normal_from_words_equals_float64_formula(self, shape):
+        """The halves written into one float32 array are the float64 products
+        r * cos and r * sin rounded once, as a float64 concatenate then cast."""
+        words = SeededRng(17).raw_u64(math.prod(shape)).reshape(shape)
+        pairs = shape[-1] // 2
+        r = np.sqrt(-2.0 * np.log(uniform_oc_from_words(words[..., :pairs])))
+        ang = 2.0 * np.pi * uniform_from_words(words[..., pairs:])
+        want = np.concatenate([r * np.cos(ang), r * np.sin(ang)], axis=-1).astype(np.float32)
+        got = normal_from_words(words)
+        assert got.dtype == np.float32 and got.shape == shape
+        assert got.tobytes() == want.tobytes()
 
     def test_gaussian_shape(self):
         t = SeededRng(5).normal((2, 3))
