@@ -32,14 +32,13 @@ import argparse
 import dataclasses
 import fcntl
 import functools
-import hashlib
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, config_sha256, default_config, load_config, to_dict
+from .config import ConfigError, config_sha256, default_config, load_config, sha256, to_dict
 from .data import FormatError, read_dataset, read_report, synthesize_toy_dataset, write_atomic, write_dataset
 from .diffusion import build_schedule, load_denoiser, save_denoiser, train_denoiser
 from .evalharness import GRID_COLUMNS, RECORD_COLUMNS, SweepCheckError, evaluate, run_ablation, summary_table, to_csv
@@ -62,10 +61,13 @@ class LockedError(RuntimeError):
 
 
 def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+    """The file's sha256, read through one reusable 1 MB buffer."""
+    h = sha256()
+    buf = bytearray(1 << 20)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as f:
+        while n := f.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 

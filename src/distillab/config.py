@@ -23,11 +23,21 @@ JSON syntax errors cite line and column.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import typing
 from dataclasses import dataclass, field
+
+# The package's one SHA-256: the interpreter's builtin module gives the standard
+# digests without mapping OpenSSL's libcrypto (3.5 MB resident) into every
+# command. The standard wrapper is the fallback for an interpreter built without it.
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256  # the builtin's name on Python 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "SELECTION_MODES",
@@ -46,6 +56,7 @@ __all__ = [
     "default_config",
     "load_config",
     "parse_config",
+    "sha256",
     "to_dict",
 ]
 
@@ -372,4 +383,4 @@ def config_sha256(cfg: RunConfig) -> str:
     payload = to_dict(cfg)
     payload.pop("output_root")
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()

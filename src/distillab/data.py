@@ -10,7 +10,6 @@ tiny MLPs, and cheap enough for end-to-end pipeline tests.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ToyDataSpec
+from .config import ToyDataSpec, sha256
 from .numerics import SeededRng, normal_from_words, require_finite, uniform_from_words
 
 __all__ = [
@@ -194,7 +193,7 @@ def synthesize_toy_dataset(spec: ToyDataSpec, rng: SeededRng) -> tuple[LabeledDa
     names = tuple(
         f"grating_t{int(round(th))}_f{fq:g}" for th, fq in zip(thetas, freqs)
     )
-    spec_sha = hashlib.sha256(
+    spec_sha = sha256(
         json.dumps(
             {
                 "num_classes": spec.num_classes,
@@ -303,7 +302,7 @@ def write_atomic(path, chunks) -> str:
     writes goes through this function.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    digest = hashlib.sha256()
+    digest = sha256()
     try:
         with open(tmp, "wb") as f:
             for chunk in chunks:

@@ -18,7 +18,6 @@ plain dict; ``to_csv`` and ``summary_table`` render it.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 from dataclasses import asdict, replace
@@ -26,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DistillConfig, EvalConfig
+from .config import DistillConfig, EvalConfig, sha256
 from .data import LabeledDataset
 from .models import Detector, predict_batch, train_detector
 from .numerics import SeededRng, fan_out
@@ -72,7 +71,7 @@ def _job_key(job: tuple[LabeledDataset, SeededRng]) -> tuple:
     ``num_classes`` and the stream's seed and counter.
     """
     dataset, rng = job
-    digest = hashlib.sha256()
+    digest = sha256()
     for arr in (dataset.images, dataset.labels):
         digest.update(f"{arr.dtype.str}{arr.shape}".encode())
         digest.update(np.ascontiguousarray(arr))
@@ -162,7 +161,7 @@ def _config_fingerprint(base_cfg: DistillConfig, eval_cfg: EvalConfig) -> str:
     payload = json.dumps(
         {"distill": asdict(base_cfg), "eval": asdict(eval_cfg)}, sort_keys=True
     )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return sha256(payload.encode()).hexdigest()[:16]
 
 
 def _random_subset(train: LabeledDataset, ipc: int, rng: SeededRng) -> LabeledDataset:

@@ -518,6 +518,24 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == repr([want, "1", "1"])
 
+    def test_commands_do_not_load_openssl(self, tmp_path):
+        """SHA-256 comes from the interpreter's builtin module: no command maps OpenSSL's libcrypto (3.5 MB).
+
+        ``distill`` fans its classes out to worker processes on a machine of
+        two or more cores, so the fan-out's imports are covered too.
+        """
+        commands = ["synth-data", "train-detector", "train-autoencoder", "train-diffusion", "distill"]
+        code = (
+            "import sys, distillab, distillab.cli\n"
+            f"for cmd in {commands!r}:\n"
+            f"    assert distillab.cli.main([cmd, '--config', {str(tmp_path / 'config.json')!r}]) == 0, cmd\n"
+            "assert '_hashlib' not in sys.modules, sorted(m for m in sys.modules if 'hash' in m)\n"
+        )
+        (tmp_path / "config.json").write_text(json.dumps(TINY_CONFIG))
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (_run_dir(tmp_path) / "distilled" / "distilled.dstl").exists()
+
     def test_train_detector_does_not_import_scipy(self, tmp_path):
         """CutMix ratios are the uniforms themselves, so training the detector leaves scipy unloaded."""
         assert "cutmix_alpha" not in TINY_CONFIG["detector"]
@@ -1015,6 +1033,13 @@ class TestManifests:
             out = m.with_name(m.name[: -len(".manifest.json")])
             digest = hashlib.sha256(out.read_bytes()).hexdigest()
             assert json.loads(m.read_text())["output_sha256"] == digest, out.name
+
+    @pytest.mark.parametrize("size", [0, 1 << 20, (5 << 19) + 3])
+    def test_file_hash_is_the_whole_file(self, tmp_path, size):
+        """Inputs are hashed through one reused 1 MB buffer: a file that takes zero, one or three fills hashes whole."""
+        path = tmp_path / "input.bin"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert cli._sha256_file(path) == _sha256(path)
 
     def test_changing_input_changes_manifest(self, workdir, monkeypatch):
         tmp_path, cfg_path = workdir

@@ -1,6 +1,7 @@
 """Config parsing: any JSON object either parses or is a ConfigError."""
 
 import dataclasses
+import hashlib
 import json
 import re
 import typing
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distillab.cli import main
-from distillab.config import ConfigError, DenoiserConfig, RunConfig, load_config, parse_config, to_dict
+from distillab.config import ConfigError, DenoiserConfig, RunConfig, config_sha256, default_config, load_config
+from distillab.config import parse_config, sha256, to_dict
 
 _STRINGS = st.sampled_from(["mlp", "identity", "base", "top1", "sim", "tplus_s", "runs"]) | st.text(max_size=6)
 # json.loads also yields NaN, infinities and integers beyond float range
@@ -152,3 +154,23 @@ def test_repeated_key_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "config error: config key 'beta' is repeated in one object\n"
+
+
+def test_sha256_is_hashlib_sha256():
+    """The package's one SHA-256 gives the standard digests, so artifacts and manifests keep their bytes."""
+    data = bytes(range(256)) * 12289  # about 3 MB
+    assert sha256().hexdigest() == hashlib.sha256().hexdigest()
+    assert sha256(b"distillab").hexdigest() == hashlib.sha256(b"distillab").hexdigest()
+    h, cut = sha256(), 0
+    for step in (1, 63, 65, 4095, 1 << 20, 7):  # uneven chunks across the block size, then the rest
+        h.update(memoryview(data)[cut : cut + step])
+        cut += step
+    h.update(data[cut:])
+    assert h.hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_config_sha256_is_hashlib_digest_of_canonical_json():
+    payload = to_dict(default_config())
+    payload.pop("output_root")
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert config_sha256(default_config()) == hashlib.sha256(canonical).hexdigest()
