@@ -8,6 +8,8 @@ added, so a classifier has to learn the pattern, not memorize pixels.
 import tempfile
 from pathlib import Path
 
+import distillab  # noqa: F401  # before numpy: BLAS then runs one thread per process
+
 import numpy as np
 
 from distillab import ToyDataSpec, synthesize_toy_dataset, write_dataset, read_dataset

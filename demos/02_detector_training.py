@@ -6,6 +6,8 @@ soft label weighted by the exact surviving pixel fraction. That keeps its
 confidence calibrated instead of saturating at 1.0.
 """
 
+import distillab  # noqa: F401  # before numpy: BLAS then runs one thread per process
+
 import numpy as np
 
 from distillab import (

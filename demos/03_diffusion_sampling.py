@@ -6,6 +6,8 @@ run the ancestral reverse process with classifier-free guidance
 eps_hat = eps_null + w * (eps_label - eps_null).
 """
 
+import distillab  # noqa: F401  # before numpy: BLAS then runs one thread per process
+
 import numpy as np
 
 from distillab import (

@@ -9,6 +9,8 @@ installed.
 
 from dataclasses import replace
 
+import distillab  # noqa: F401  # before numpy: BLAS then runs one thread per process
+
 import numpy as np
 
 from distillab import (

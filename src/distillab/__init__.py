@@ -19,10 +19,11 @@ drive everything from the CLI: ``distillab synth-data`` through
 
 Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` to 1 where they are unset, so that BLAS runs one
-thread per process: ``numerics.fan_out`` pins each worker to one core, and
-a BLAS thread per core in every worker would crowd that core. A value set
-before the import is kept. It takes effect only if numpy is imported after
-``distillab``.
+thread per process. A value set before the import is kept; numpy reads it
+only if it is imported after ``distillab``. Whatever the import order,
+``numerics.fan_out`` runs each share at one OpenBLAS thread, set through
+the library's own call: it pins each share to one core, and a BLAS thread
+per core in every share would crowd that core.
 """
 
 import os

@@ -41,8 +41,8 @@ from . import __version__
 from .config import ConfigError, config_sha256, default_config, load_config, sha256, to_dict
 from .data import FormatError, read_dataset, read_report, synthesize_toy_dataset, write_atomic, write_dataset
 from .diffusion import build_schedule, load_denoiser, save_denoiser, train_denoiser
-from .evalharness import GRID_COLUMNS, RECORD_COLUMNS, SweepCheckError, evaluate, run_ablation, summary_table, to_csv
-from .evalharness import train_downstream
+from .evalharness import GRID_COLUMNS, RECORD_COLUMNS, SweepCheckError, evaluate, score_runs, select_runs, summary_table
+from .evalharness import to_csv, train_downstream
 from .models import load_autoencoder, load_detector, save_autoencoder, save_detector, train_autoencoder, train_detector
 from .numerics import SeededRng
 from .prototypes import write_prototypes
@@ -313,7 +313,10 @@ def _cmd_ablate(args) -> int:
     with run:
         train, test, det, codec, den = run.load()
         gen = DiffusionCandidateGenerator(den, build_schedule(cfg.denoiser), codec.decode)
-        payload, sensitivity = run_ablation(train, test, codec.encode, gen, det, cfg.distill, cfg.eval, sweep=args.sweep)
+        # evalharness.run_ablation in two calls, so the training set and the models are released before training
+        selected = select_runs(train, codec.encode, gen, det, cfg.distill, cfg.eval, sweep=args.sweep)
+        del train, det, codec, den, gen
+        payload, sensitivity = score_runs(selected, test, cfg.eval)
         out_json = run.output("reports/ablation.json", write_atomic, [_json_bytes(payload)])
         out_csv = run.output("reports/ablation.csv", write_atomic, [to_csv(payload["records"], RECORD_COLUMNS).encode()])
         print(summary_table(payload["summary"]), end="")

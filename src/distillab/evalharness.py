@@ -7,12 +7,13 @@ held-out test split. The ablation runner compares the selection modes
 baseline, and optionally sweeps the shortlist size and the confidence
 threshold.
 
-One runner, ``run_ablation``, does both: it selects every run from one
-candidate bank per seed, checks the sweep, then trains every run's
-downstream classifier in one round (``_train_all``: each distinct job once,
-on every usable core, each core's share in lockstep) and scores the
-classifiers in run order. It returns the ``ablation.json`` payload as a
-plain dict; ``to_csv`` and ``summary_table`` render it.
+One runner, ``run_ablation``, does both in two phases: ``select_runs``
+selects every run from one candidate bank per seed and checks the sweep,
+then ``score_runs`` trains every run's downstream classifier in one round
+(``_train_all``: each distinct job once, on every usable core, each core's
+share in lockstep) and scores the classifiers in run order. It returns the
+``ablation.json`` payload as a plain dict; ``to_csv`` and ``summary_table``
+render it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ __all__ = [
     "SweepCheckError",
     "evaluate",
     "run_ablation",
+    "score_runs",
+    "select_runs",
     "summary_table",
     "to_csv",
     "train_downstream",
@@ -180,41 +183,42 @@ def _random_subset(train: LabeledDataset, ipc: int, rng: SeededRng) -> LabeledDa
     )
 
 
-def run_ablation(
+def select_runs(
     train: LabeledDataset,
-    test: LabeledDataset,
     encode_fn: Callable[[np.ndarray], np.ndarray],
     gen: CandidateGenerator,
     det: Detector,
     base_cfg: DistillConfig,
     eval_cfg: EvalConfig,
     sweep: bool = False,
-) -> tuple[dict, tuple[list[dict], dict] | None]:
-    """The ``ablation.json`` payload and, with ``sweep``, the sensitivity sweep's (grid, evidence).
+) -> tuple[dict, tuple[list[dict], dict] | None, list[tuple[LabeledDataset, int]]]:
+    """Phase one of ``run_ablation``: every run selected and the sweep checked, for ``score_runs``.
 
-    The payload holds ``records`` (one ``{mode, seed, accuracy,
-    fallback_count}`` dict per run), their per-mode ``summary`` and the
-    ``config_fingerprint``. The ablation runs every eval mode on every eval
-    seed plus a random-real subset per seed; the sweep runs ``tplus_s`` in
-    each ``sensitivity_top_k`` x ``sensitivity_betas`` cell on the first
-    eval seed. Each seed generates one candidate bank, selects every run on
-    the seed from it (generation never reads the mode, k or beta) and drops
-    it, so every run equals a standalone ``distill``; ``gen`` samples with
-    the config of each bank it generates. The sweep is checked
-    (``check_sweep_slots``) as soon as its cells are selected, before any
-    training; then every run's classifier trains in one ``_train_all``
-    round, the ablation's runs before the sweep's, each run on a seed from
-    the same stream, so the runs differ in their training set only.
+    Returns the ``ablation.json`` payload without its ``summary``, the
+    sweep's (grid, evidence) with ``sweep``, every accuracy None, and each
+    run's (training set, seed): the ablation's runs in record order, then
+    the sweep's in grid order. None of it refers to ``train``, ``gen`` or
+    ``det``, so a caller may drop them before ``score_runs``.
+
+    The ablation runs every eval mode on every eval seed plus a random-real
+    subset per seed; the sweep runs ``tplus_s`` in each
+    ``sensitivity_top_k`` x ``sensitivity_betas`` cell on the first eval
+    seed. Each seed generates one candidate bank, selects every run on the
+    seed from it (generation never reads the mode, k or beta) and drops it,
+    so every run equals a standalone ``distill``; ``gen`` samples with the
+    config of each bank it generates. The sweep is checked
+    (``check_sweep_slots``) as soon as its cells are selected.
     """
-    runs, trainings, grid, sweep_trainings = [], [], [], []
+    records, trainings, grid, sweep_trainings = [], [], [], []
     for seed in eval_cfg.seeds:
         bank = generate_candidates(train, encode_fn, gen, det, base_cfg, SeededRng(seed))
         for mode in eval_cfg.modes:
             res = select(bank, replace(base_cfg, selection_mode=mode))
-            runs.append((mode, seed, res.report["counts"]["fallback"]))
+            fallbacks = res.report["counts"]["fallback"]
+            records.append({"mode": mode, "seed": seed, "accuracy": None, "fallback_count": fallbacks})
             trainings.append((res.dataset, seed))
         subset = _random_subset(train, base_cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
-        runs.append(("random", seed, 0))
+        records.append({"mode": "random", "seed": seed, "accuracy": None, "fallback_count": 0})
         trainings.append((subset, seed))
         if sweep and seed == eval_cfg.seeds[0]:
             ks, betas = sorted(eval_cfg.sensitivity_top_k), eval_cfg.sensitivity_betas
@@ -240,23 +244,45 @@ def run_ablation(
                         slot_candidates.setdefault(key, []).append((beta, slot["candidates"]))
             evidence = {"slots_checked": check_sweep_slots(slot_candidates), "betas": sorted(betas), "ks": ks}
         del bank  # one bank alive at a time; the next bank and the trainings reuse its memory
+    payload = {"records": records, "config_fingerprint": _config_fingerprint(base_cfg, eval_cfg)}
+    return payload, (grid, evidence) if sweep else None, trainings + sweep_trainings
 
-    classifiers = _train_all(
-        [(dataset, SeededRng(seed).spawn(_KEY_DOWNSTREAM)) for dataset, seed in trainings + sweep_trainings], eval_cfg
-    )
-    accuracies = [evaluate(clf, test) for clf in classifiers]
-    records = [
-        {"mode": mode, "seed": seed, "accuracy": acc, "fallback_count": fallbacks}
-        for (mode, seed, fallbacks), acc in zip(runs, accuracies)
-    ]
-    for row, acc in zip(grid, accuracies[len(runs):]):
-        row["accuracy"] = acc
-    payload = {
-        "records": records,
-        "summary": _summarize(records),
-        "config_fingerprint": _config_fingerprint(base_cfg, eval_cfg),
-    }
-    return payload, (grid, evidence) if sweep else None
+
+def score_runs(selected: tuple, test: LabeledDataset, eval_cfg: EvalConfig) -> tuple[dict, tuple | None]:
+    """Phase two of ``run_ablation``: ``select_runs``'s payload and sweep, scored.
+
+    Every run's classifier trains in one ``_train_all`` round, the
+    ablation's runs before the sweep's, each run on a seed from the same
+    stream, so the runs differ in their training set only. Each run's
+    accuracy on ``test`` fills its record or grid row, and the payload gets
+    its per-mode ``summary``.
+    """
+    payload, sensitivity, trainings = selected
+    jobs = [(dataset, SeededRng(seed).spawn(_KEY_DOWNSTREAM)) for dataset, seed in trainings]
+    classifiers = _train_all(jobs, eval_cfg)
+    for row, clf in zip(payload["records"] + (sensitivity[0] if sensitivity else []), classifiers):
+        row["accuracy"] = evaluate(clf, test)
+    payload["summary"] = _summarize(payload["records"])
+    return payload, sensitivity
+
+
+def run_ablation(
+    train: LabeledDataset,
+    test: LabeledDataset,
+    encode_fn: Callable[[np.ndarray], np.ndarray],
+    gen: CandidateGenerator,
+    det: Detector,
+    base_cfg: DistillConfig,
+    eval_cfg: EvalConfig,
+    sweep: bool = False,
+) -> tuple[dict, tuple[list[dict], dict] | None]:
+    """The ``ablation.json`` payload and, with ``sweep``, the sensitivity sweep's (grid, evidence).
+
+    ``select_runs``, then ``score_runs``: every run is selected and the
+    sweep checked before any training. ``distillab ablate`` calls the two
+    itself, so it can drop its training set and models between them.
+    """
+    return score_runs(select_runs(train, encode_fn, gen, det, base_cfg, eval_cfg, sweep), test, eval_cfg)
 
 
 def _passing_set(candidates: list[dict], intended: int, beta: float) -> frozenset:

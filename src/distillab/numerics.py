@@ -37,7 +37,12 @@ bit-identical.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import os
+import pickle
+import sys
 
 import numpy as np
 
@@ -224,16 +229,51 @@ class SeededRng:
         return np.array(perm, dtype=np.int64)
 
 
-# fan_out's (fn, items, cores) while its workers start: they inherit it through fork
-_fan_out_job = None
-
-
 def _pin(cores: set[int]) -> None:
     """Run this process on ``cores`` only; where the system does not allow it, leave it be."""
     try:
         os.sched_setaffinity(0, cores)
     except (AttributeError, OSError):  # no affinity call, or cores this process may not use
         pass
+
+
+@functools.cache
+def _blas_threads():
+    """The loaded OpenBLAS's own thread-count (getter, setter), found among this process's mappings.
+
+    numpy's wheels name them ``scipy_openblas_*_num_threads64_``, other
+    builds ``openblas_*_num_threads``. Without them: None, after one warning line.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(None, 5)[5].strip() for line in maps if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: this only looks it up
+        except OSError:  # a mapping of a file since removed
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get, set_ = (getattr(lib, f"{prefix}_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
+            if get and set_:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    print("distillab: no OpenBLAS thread setter found; fan_out shares may run several BLAS threads", file=sys.stderr)
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS at one thread inside the block; its thread count is restored after it."""
+    get, set_ = _blas_threads() or (lambda: None, lambda threads: None)
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
 
 
 def _share_results(fn, share: list) -> list:
@@ -244,10 +284,52 @@ def _share_results(fn, share: list) -> list:
     return results
 
 
-def _fan_out_share(start: int, step: int) -> list:
-    fn, items, cores = _fan_out_job
-    _pin({cores[start]})
-    return _share_results(fn, items[start::step])
+def _fork_share(fn, items: list, start: int, step: int, core: int) -> tuple[int, int]:
+    """Fork a worker that computes ``fn(items[start::step])`` on ``core``; its pid and its pipe's read end.
+
+    The worker writes one pickled reply to the pipe, ``(True, results)`` or
+    ``(False, exception)`` (an exception that does not survive pickling
+    becomes a RuntimeError naming its type), and leaves with ``os._exit``,
+    so none of this process's cleanup runs in it.
+    """
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    code = 1
+    try:
+        os.close(read_end)
+        _pin({core})
+        try:
+            reply = pickle.dumps((True, _share_results(fn, items[start::step])), pickle.HIGHEST_PROTOCOL)
+        except BaseException as e:
+            try:
+                reply = pickle.dumps((False, e), pickle.HIGHEST_PROTOCOL)
+                pickle.loads(reply)
+            except Exception:
+                name = f"{type(e).__module__}.{type(e).__qualname__}"
+                e = RuntimeError(f"a fan_out worker raised {name}, which cannot be pickled: {e}")
+                reply = pickle.dumps((False, e))
+        view = memoryview(reply)
+        while view:
+            view = view[os.write(write_end, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, read_end: int):
+    """The worker's reply, or None if it exited without one complete reply; reads its pipe to EOF and waits for it."""
+    with open(read_end, "rb") as pipe:
+        try:
+            reply = pickle.load(pipe)
+        except Exception:
+            reply = None
+        if pipe.read():  # bytes after the reply: not a reply
+            reply = None
+    _, status = os.waitpid(pid, 0)
+    return reply if os.waitstatus_to_exitcode(status) == 0 else None
 
 
 def fan_out(fn, items) -> list:
@@ -260,35 +342,47 @@ def fan_out(fn, items) -> list:
     as many results, and may do the share's work as one stacked pass. Each
     share runs pinned to a core of its own (this process gets its affinity
     back on return): left to itself, the kernel may wake a worker on the
-    core of the busy parent and keep it there. ``fn`` and ``items`` reach
-    the workers through fork, not pickling: ``fn`` may be a closure over
-    models. Only each share's results are pickled back. When ``n`` is 1 it
-    is the one call ``fn(items)``. An item's result must depend on the item
-    alone (and on the rng streams it spawns), not on the other items of its
-    share, so the results do not depend on ``n``. An exception raised in a
-    worker is raised here with its type; a worker that dies raises
-    ``BrokenProcessPool``; every worker has exited when the call returns.
+    core of the busy parent and keep it there. Each share runs OpenBLAS at
+    one thread, set through the library's own call whatever the import
+    order (this process gets its thread count back on return): a BLAS
+    thread per core in every share would crowd the cores. ``fn`` and
+    ``items`` reach the workers through fork, not pickling: ``fn`` may be a
+    closure over models. Each worker pickles its share's results back
+    through a pipe of its own. When ``n`` is 1 it is the one call
+    ``fn(items)``. An item's result must depend on the item alone (and on
+    the rng streams it spawns), not on the other items of its share, so the
+    results do not depend on ``n``. An exception raised in a worker is
+    raised here with its type (one that cannot be pickled as a RuntimeError
+    naming it); a worker that exits without a complete reply raises
+    ``BrokenProcessPool``. Every worker has exited when the call returns or
+    raises, and an exception of this process's share wins over the workers'.
     """
-    global _fan_out_job
     items = list(items)
     cores = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else list(range(os.cpu_count() or 1))
     n = min(len(items), len(cores))
-    if n <= 1:
-        return _share_results(fn, items) if items else []
-    # imported here, as every command imports this module: they cost 20 ms and 1 MB
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    if n == 0:
+        return []
+    with _one_blas_thread():  # set before the forks: the workers inherit it
+        if n == 1:
+            return _share_results(fn, items)
+        workers = []
+        try:
+            for start in range(1, n):
+                workers.append(_fork_share(fn, items, start, n, cores[start]))
+            _pin({cores[0]})
+            shares = [_share_results(fn, items[0::n])]
+        finally:
+            _pin(set(cores))
+            replies = [_reap(*worker) for worker in workers]
+    for reply in replies:
+        if reply is None:
+            from concurrent.futures.process import BrokenProcessPool  # loaded only when a worker died
 
-    outer, _fan_out_job = _fan_out_job, (fn, items, cores)
-    try:
-        # fork: the executor forks every worker at the first submit, before
-        # it starts its own thread
-        with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_fan_out_share, start, n) for start in range(1, n)]
-            shares = [_fan_out_share(0, n)] + [f.result() for f in futures]
-    finally:
-        _pin(set(cores))
-        _fan_out_job = outer
+            raise BrokenProcessPool("a fan_out worker exited without a complete reply")
+        ok, value = reply
+        if not ok:
+            raise value
+        shares.append(value)
     out = [None] * len(items)
     for start, share in enumerate(shares):
         out[start::n] = share

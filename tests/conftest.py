@@ -8,6 +8,7 @@ once.
 import os
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -196,3 +197,13 @@ def peak_bytes(fn, *args):
         return out, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def assert_no_children():
+    """Every process this one forked has exited and been waited for.
+
+    The kernel lists each thread's children, running or exited but not yet
+    waited for, in ``/proc/self/task/<tid>/children``.
+    """
+    children = [pid for path in Path("/proc/self/task").glob("*/children") for pid in path.read_text().split()]
+    assert children == [], f"child processes left: {children}"

@@ -534,6 +534,26 @@ class TestStartup:
         (tmp_path / "config.json").write_text(json.dumps(TINY_CONFIG))
         proc = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_fan_out_loads_no_process_pool(self, tmp_path):
+        """``fan_out`` forks its own workers: ``distill`` and ``ablate --sweep`` leave
+        ``multiprocessing`` and ``concurrent.futures`` (1.9 MB) unloaded.
+
+        Two cores look usable in the child, so both commands fork workers on any machine.
+        """
+        commands = ["synth-data", "train-detector", "train-autoencoder", "train-diffusion", "distill", "ablate --sweep"]
+        code = (
+            "import os, sys, distillab.cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            f"for cmd in {commands!r}:\n"
+            f"    assert distillab.cli.main([*cmd.split(), '--config', {str(tmp_path / 'config.json')!r}]) == 0, cmd\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))\n"
+            "assert loaded == [], loaded\n"
+        )
+        (tmp_path / "config.json").write_text(json.dumps(TINY_CONFIG))
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (_run_dir(tmp_path) / "reports" / "sensitivity.csv").exists()
         assert (_run_dir(tmp_path) / "distilled" / "distilled.dstl").exists()
 
     def test_train_detector_does_not_import_scipy(self, tmp_path):

@@ -1,8 +1,8 @@
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -27,6 +27,7 @@ from distillab.numerics import NonFiniteError, SeededRng
 from distillab.data import write_dataset
 from distillab.refine import distill, generate_candidates, select
 
+from conftest import assert_no_children
 from test_cli import _copy_run, pipeline  # noqa: F401  (pipeline is a fixture)
 from test_refine import LoggingGenerator, MockGenerator
 
@@ -390,7 +391,7 @@ class TestFanOut:
             # one round: the parent trains its share; with 2 cores one worker trains the rest
             pids = set(job_pids()[before:])
             assert os.getpid() in pids and len(pids) == n
-            assert multiprocessing.active_children() == []
+            assert_no_children()
             results[n] = (report, grid, evidence)
         assert results[1] == results[2]
 
@@ -408,7 +409,7 @@ class TestFanOut:
         cfg, eval_cfg = self._cfgs()
         with pytest.raises(NonFiniteError, match="non-finite"):
             run_ablation(*self._inputs(small_world), cfg, eval_cfg)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_dead_worker_raises_instead_of_waiting(self, small_world, monkeypatch, cores):
         from concurrent.futures.process import BrokenProcessPool
@@ -427,7 +428,7 @@ class TestFanOut:
         cfg, eval_cfg = self._cfgs()
         with pytest.raises(BrokenProcessPool):
             run_ablation(*self._inputs(small_world), cfg, eval_cfg)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
 
 class TestTrainAll:
@@ -488,7 +489,7 @@ class TestTrainAll:
             pids = {line.split()[0] for line in lines}
             assert len(pids) == n and str(os.getpid()) in pids
             assert sorted(map(int, calls_log.read_text().split()), reverse=True) == calls[n]
-            assert multiprocessing.active_children() == []
+            assert_no_children()
             assert out[2] is out[0] and out[6] is out[1]
             for clf, want in zip(out, alone):
                 assert all(x.tobytes() == y.tobytes() for x, y in zip(clf.mlp.params(), want.mlp.params()))
@@ -508,7 +509,7 @@ class TestFanOutCli:
         assert main(["ablate", "--config", str(pipeline[1])]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and len(err.strip().splitlines()) == 1
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         assert not (rd / ".lock").exists()
 
     def test_lock_is_removed_by_the_parent_only(self, pipeline, tmp_path, monkeypatch, job_pids, cores):
@@ -550,7 +551,38 @@ class TestFanOutCli:
         # every training saw the parent's lock in place
         assert set(held.read_text().split()) == {str(os.getpid())}
         assert not (rd / ".lock").exists()
-        assert multiprocessing.active_children() == []
+        assert_no_children()
+
+    def test_inputs_are_released_before_the_trainings(self, pipeline, tmp_path, monkeypatch):
+        """``ablate`` drops the training set and the three models once every run is selected:
+        none of them is alive when its training phase starts, and ``test`` still is."""
+        import distillab.cli as cli
+        import distillab.evalharness as evalharness
+
+        _copy_run(pipeline, tmp_path)
+        monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
+        refs, alive = {}, []
+
+        def recording(read):
+            def reader(path):
+                obj = read(path)
+                refs[os.path.basename(path)] = weakref.ref(obj)
+                return obj
+
+            return reader
+
+        for name in ("read_dataset", "load_detector", "load_autoencoder", "load_denoiser"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        real_train_all = evalharness._train_all
+
+        def training(jobs, cfg):
+            alive.append({name: ref() is not None for name, ref in refs.items()})
+            return real_train_all(jobs, cfg)
+
+        monkeypatch.setattr(evalharness, "_train_all", training)
+        assert cli.main(["ablate", "--config", str(pipeline[1]), "--sweep"]) == 0
+        files = ("train.dstl", "detector.mdlc", "autoencoder.mdlc", "denoiser.mdlc")
+        assert alive == [{"test.dstl": True, **{name: False for name in files}}]
 
     def test_sampler_failure_in_a_worker_exits_4(self, pipeline, tmp_path, monkeypatch, capsys, cores):
         """A NonFiniteError raised by the sampler in a class job's worker ends distill with exit 4."""
@@ -572,7 +604,7 @@ class TestFanOutCli:
         assert main(["distill", "--config", str(pipeline[1])]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and len(err.strip().splitlines()) == 1
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         assert not (rd / ".lock").exists()
 
     def test_sweep_check_failure_exits_7(self, pipeline, tmp_path, monkeypatch, capsys):

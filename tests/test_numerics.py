@@ -1,6 +1,9 @@
 import math
-import multiprocessing
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from distillab.numerics import (
     uniform_from_words,
     uniform_oc_from_words,
 )
+
+from conftest import assert_no_children
 
 
 class TestSoftmax:
@@ -249,6 +254,13 @@ class TestBlockDraws:
             assert fast._counter == loop._counter == max(n - 1, 0)
 
 
+class _TwoArgError(Exception):
+    """Pickles by its args, which do not rebuild it: unpickling it raises TypeError."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
 def _each(fn):
     """A share function that applies ``fn`` to each item of its share."""
     return lambda share: [fn(x) for x in share]
@@ -260,7 +272,7 @@ class TestFanOut:
         offset = 10  # a closure: fan_out hands fn to its workers through fork, not pickling
         for n in range(6):
             assert fan_out(_each(lambda x: x + offset), range(n)) == [x + offset for x in range(n)]
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_each_core_gets_its_strided_share_in_one_call(self, cores, n):
@@ -276,7 +288,7 @@ class TestFanOut:
             cores(n)
             with pytest.raises(ValueError, match="a share of"):
                 fan_out(lambda share: share[:1], range(4))
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_parent_computes_the_first_strided_share(self, cores):
         cores(2)
@@ -315,4 +327,96 @@ class TestFanOut:
 
         with pytest.raises(NonFiniteError, match="item 1"):
             fan_out(_each(fails_on_one), range(4))
-        assert multiprocessing.active_children() == []
+        assert_no_children()
+
+    def test_worker_that_exits_mid_reply_raises_broken_process_pool(self, cores):
+        from concurrent.futures.process import BrokenProcessPool
+
+        cores(2)
+        parent = os.getpid()
+
+        def exits_mid_reply(share):
+            if os.getpid() != parent:
+                real_write = os.write
+
+                def write_half(fd, data):  # in the worker only: half its reply, then exit 0
+                    real_write(fd, bytes(data[: len(data) // 2]))
+                    os._exit(0)
+
+                os.write = write_half
+            return [np.zeros(1000)] * len(share)
+
+        with pytest.raises(BrokenProcessPool):
+            fan_out(exits_mid_reply, range(4))
+        assert_no_children()
+
+    @pytest.mark.parametrize("kind", ["unpicklable", "unrebuildable"])
+    def test_worker_exception_that_cannot_be_pickled_arrives_as_runtime_error(self, cores, kind):
+        cores(2)
+        parent = os.getpid()
+
+        def fails_in_the_worker(share):
+            if os.getpid() != parent:
+                if kind == "unpicklable":
+                    e = NonFiniteError("holds a lambda")
+                    e.callback = lambda: None
+                    raise e
+                raise _TwoArgError("a", "b")
+            return share
+
+        name = "distillab.numerics.NonFiniteError" if kind == "unpicklable" else "_TwoArgError"
+        with pytest.raises(RuntimeError, match=f"raised .*{name}, which cannot be pickled"):
+            fan_out(fails_in_the_worker, range(4))
+        assert_no_children()
+
+    def test_parents_exception_wins_and_the_running_worker_is_reaped(self, cores, tmp_path):
+        cores(2)
+        parent, done = os.getpid(), tmp_path / "done"
+
+        def share(items):
+            if os.getpid() == parent:
+                raise NonFiniteError("the parent's share")
+            time.sleep(0.3)  # still running when the parent's share raises
+            done.write_text(str(os.getpid()))
+            raise ValueError("the worker's share")
+
+        with pytest.raises(NonFiniteError, match="the parent's share"):
+            fan_out(share, range(2))
+        assert done.exists()  # the worker ran to its end before fan_out raised
+        assert_no_children()
+
+    def test_no_blas_thread_setter_warns_in_one_line(self, monkeypatch, capsys):
+        import distillab.numerics as numerics
+
+        def no_maps(path, *args):
+            raise OSError(path)
+
+        monkeypatch.setattr(numerics, "open", no_maps, raising=False)
+        assert numerics._blas_threads.__wrapped__() is None
+        err = capsys.readouterr().err
+        assert err.startswith("distillab: no OpenBLAS thread setter found") and len(err.splitlines()) == 1
+
+    def test_every_share_runs_one_blas_thread_whatever_the_import_order(self, tmp_path):
+        """numpy imported before distillab reads OPENBLAS_NUM_THREADS=2; each share still runs one BLAS thread."""
+        code = (
+            "import ctypes, os\n"
+            "import numpy\n"
+            "from distillab.numerics import fan_out\n"
+            "paths = sorted({l.split(None, 5)[5].strip() for l in open('/proc/self/maps') if 'openblas' in l.lower()})\n"
+            "names = ('scipy_openblas_get_num_threads64_', 'openblas_get_num_threads64_', 'openblas_get_num_threads')\n"
+            "libs = [ctypes.CDLL(p) for p in paths]\n"
+            "get = next((getattr(lib, n) for lib in libs for n in names if hasattr(lib, n)), None)\n"
+            "if get is None:\n"
+            "    raise SystemExit('no OpenBLAS thread getter')\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}  # two shares on any machine\n"
+            "print(get(), fan_out(lambda share: [get()] * len(share), range(4)), get())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        if "no OpenBLAS thread getter" in proc.stderr:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        assert proc.returncode == 0, proc.stderr
+        before, *shares, after = proc.stdout.replace("[", " ").replace("]", " ").replace(",", " ").split()
+        assert shares == ["1"] * 4
+        assert after == before  # fan_out gives this process its thread count back

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 from collections import Counter
 from dataclasses import is_dataclass, replace
@@ -21,6 +20,8 @@ from distillab.refine import (
     select,
     select_replacement,
 )
+
+from conftest import assert_no_children
 
 # --- helpers -----------------------------------------------------------------
 
@@ -616,7 +617,7 @@ class TestBankFanOut:
         slots = list(range(len(banks[0].initial)))
         one, two = (plain([bank.prototypes, bank.initial, bank.refinements(slots)]) for bank in banks)
         assert one == two
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_select_agrees_on_one_and_two_cores(self, mock_world, cores, tmp_path):
         results = []
@@ -637,7 +638,7 @@ class TestBankFanOut:
             # each process generated its whole share in one stack
             stacks = [(pid, size) for pid, size, _, seeds in gen.stacks() if len(seeds) == rows]
             assert sorted(set(stacks)) == sorted(Counter(pid for pid, _ in stacks).items())
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_each_flagged_slot_is_generated_once(self, mock_world, cores, tmp_path):
         bank, gen = self._bank(mock_world, cores, 2, tmp_path / "2.log")
@@ -678,4 +679,4 @@ class TestBankFanOut:
             later.refinements(slots[1:3])
             after_subset = later.refinements(slots)
             assert {slot: plain(after_subset[slot]) for slot in slots} == alone
-        assert multiprocessing.active_children() == []
+        assert_no_children()
