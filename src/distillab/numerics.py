@@ -242,13 +242,15 @@ def _blas_threads():
     """The loaded OpenBLAS's own thread-count (getter, setter), found among this process's mappings.
 
     numpy's wheels name them ``scipy_openblas_*_num_threads64_``, other
-    builds ``openblas_*_num_threads``. Without them: None, after one warning line.
+    builds ``openblas_*_num_threads``. None where no OpenBLAS is mapped (or
+    there is no ``/proc``); None after one warning line where one is mapped
+    without them.
     """
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted({line.split(None, 5)[5].strip() for line in maps if "openblas" in line.lower()})
     except OSError:
-        paths = []
+        return None
     for path in paths:
         try:
             lib = ctypes.CDLL(path)  # already loaded: this only looks it up
@@ -260,7 +262,8 @@ def _blas_threads():
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 return get, set_
-    print("distillab: no OpenBLAS thread setter found; fan_out shares may run several BLAS threads", file=sys.stderr)
+    if paths:
+        print("distillab: no OpenBLAS thread setter found; fan_out shares may run several BLAS threads", file=sys.stderr)
     return None
 
 
@@ -293,7 +296,12 @@ def _fork_share(fn, items: list, start: int, step: int, core: int) -> tuple[int,
     so none of this process's cleanup runs in it.
     """
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
     if pid:
         os.close(write_end)
         return pid, read_end
@@ -348,7 +356,7 @@ def fan_out(fn, items) -> list:
     thread per core in every share would crowd the cores. ``fn`` and
     ``items`` reach the workers through fork, not pickling: ``fn`` may be a
     closure over models. Each worker pickles its share's results back
-    through a pipe of its own. When ``n`` is 1 it is the one call
+    through a pipe of its own. When ``n`` is 1 it is the plain call
     ``fn(items)``. An item's result must depend on the item alone (and on
     the rng streams it spawns), not on the other items of its share, so the
     results do not depend on ``n``. An exception raised in a worker is
@@ -360,12 +368,10 @@ def fan_out(fn, items) -> list:
     items = list(items)
     cores = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else list(range(os.cpu_count() or 1))
     n = min(len(items), len(cores))
-    if n == 0:
-        return []
+    if n <= 1:
+        return _share_results(fn, items) if items else []
+    workers = []
     with _one_blas_thread():  # set before the forks: the workers inherit it
-        if n == 1:
-            return _share_results(fn, items)
-        workers = []
         try:
             for start in range(1, n):
                 workers.append(_fork_share(fn, items, start, n, cores[start]))

@@ -521,40 +521,26 @@ class TestStartup:
     def test_commands_do_not_load_openssl(self, tmp_path):
         """SHA-256 comes from the interpreter's builtin module: no command maps OpenSSL's libcrypto (3.5 MB).
 
-        ``distill`` fans its classes out to worker processes on a machine of
-        two or more cores, so the fan-out's imports are covered too.
-        """
-        commands = ["synth-data", "train-detector", "train-autoencoder", "train-diffusion", "distill"]
-        code = (
-            "import sys, distillab, distillab.cli\n"
-            f"for cmd in {commands!r}:\n"
-            f"    assert distillab.cli.main([cmd, '--config', {str(tmp_path / 'config.json')!r}]) == 0, cmd\n"
-            "assert '_hashlib' not in sys.modules, sorted(m for m in sys.modules if 'hash' in m)\n"
-        )
-        (tmp_path / "config.json").write_text(json.dumps(TINY_CONFIG))
-        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path), capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-
-    def test_fan_out_loads_no_process_pool(self, tmp_path):
-        """``fan_out`` forks its own workers: ``distill`` and ``ablate --sweep`` leave
-        ``multiprocessing`` and ``concurrent.futures`` (1.9 MB) unloaded.
-
-        Two cores look usable in the child, so both commands fork workers on any machine.
+        ``fan_out`` forks its own workers, so ``distill`` and ``ablate --sweep``
+        also leave ``multiprocessing`` and ``concurrent.futures`` (1.9 MB)
+        unloaded. Two cores look usable in the child, so both commands fork
+        workers on any machine and the fan-out's imports are covered too.
         """
         commands = ["synth-data", "train-detector", "train-autoencoder", "train-diffusion", "distill", "ablate --sweep"]
         code = (
-            "import os, sys, distillab.cli\n"
+            "import os, sys, distillab, distillab.cli\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             f"for cmd in {commands!r}:\n"
             f"    assert distillab.cli.main([*cmd.split(), '--config', {str(tmp_path / 'config.json')!r}]) == 0, cmd\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))\n"
-            "assert loaded == [], loaded\n"
+            "assert '_hashlib' not in sys.modules, sorted(m for m in sys.modules if 'hash' in m)\n"
+            "pools = sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))\n"
+            "assert pools == [], pools\n"
         )
         (tmp_path / "config.json").write_text(json.dumps(TINY_CONFIG))
         proc = subprocess.run([sys.executable, "-c", code], env=_child_env(tmp_path), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert (_run_dir(tmp_path) / "reports" / "sensitivity.csv").exists()
         assert (_run_dir(tmp_path) / "distilled" / "distilled.dstl").exists()
+        assert (_run_dir(tmp_path) / "reports" / "sensitivity.csv").exists()
 
     def test_train_detector_does_not_import_scipy(self, tmp_path):
         """CutMix ratios are the uniforms themselves, so training the detector leaves scipy unloaded."""

@@ -1,3 +1,5 @@
+import errno
+import io
 import math
 import os
 import subprocess
@@ -385,13 +387,40 @@ class TestFanOut:
         assert done.exists()  # the worker ran to its end before fan_out raised
         assert_no_children()
 
-    def test_no_blas_thread_setter_warns_in_one_line(self, monkeypatch, capsys):
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_failed_fork_leaves_no_pipe_open(self, cores, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "fork")
+
+        cores(2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            fan_out(_each(lambda x: x), range(2))
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+
+    def test_one_share_is_the_plain_call(self, cores, monkeypatch):
+        import distillab.numerics as numerics
+
+        monkeypatch.setattr(numerics, "_one_blas_thread", None)  # one share neither looks up nor sets BLAS threads
+        for n, items in ((1, range(3)), (2, range(1))):
+            cores(n)
+            assert fan_out(_each(lambda x: x), items) == list(items)
+
+    def test_only_an_openblas_without_a_thread_setter_warns(self, monkeypatch, capsys):
         import distillab.numerics as numerics
 
         def no_maps(path, *args):
             raise OSError(path)
 
         monkeypatch.setattr(numerics, "open", no_maps, raising=False)
+        assert numerics._blas_threads.__wrapped__() is None  # no /proc
+        monkeypatch.setattr(numerics, "open", lambda path, *args: io.StringIO(""), raising=False)
+        assert numerics._blas_threads.__wrapped__() is None  # no OpenBLAS mapped
+        assert capsys.readouterr().err == ""
+        maps = "7f00-7f01 r-xp 00000000 08:01 1 /usr/lib/libopenblas.so.0\n"
+        monkeypatch.setattr(numerics, "open", lambda path, *args: io.StringIO(maps), raising=False)
+        monkeypatch.setattr(numerics.ctypes, "CDLL", lambda path: object())  # a library without the calls
         assert numerics._blas_threads.__wrapped__() is None
         err = capsys.readouterr().err
         assert err.startswith("distillab: no OpenBLAS thread setter found") and len(err.splitlines()) == 1
