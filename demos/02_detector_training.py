@@ -11,15 +11,15 @@ import distillab  # noqa: F401  # before numpy: BLAS then runs one thread per pr
 import numpy as np
 
 from distillab import (
+    RunConfig,
     cutmix,
-    default_config,
     predict_batch,
     synthesize_toy_dataset,
     train_detector,
 )
 from distillab.numerics import SeededRng, uniform_from_words
 
-defaults = default_config()
+defaults = RunConfig()
 train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
 
 # %% one CutMix batch, by hand: each row pastes a box from its partner

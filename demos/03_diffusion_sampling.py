@@ -11,8 +11,8 @@ import distillab  # noqa: F401  # before numpy: BLAS then runs one thread per pr
 import numpy as np
 
 from distillab import (
+    RunConfig,
     build_schedule,
-    default_config,
     forward_noise,
     predict_batch,
     sample_img2img_batch,
@@ -23,7 +23,7 @@ from distillab import (
 )
 from distillab.numerics import SeededRng
 
-defaults = default_config()
+defaults = RunConfig()
 
 # %% the variance schedule (200 steps, betas 1e-4 .. 0.03)
 sched = build_schedule(defaults.denoiser)

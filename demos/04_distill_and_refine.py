@@ -15,8 +15,8 @@ import numpy as np
 
 from distillab import (
     DiffusionCandidateGenerator,
+    RunConfig,
     build_schedule,
-    default_config,
     evaluate,
     generate_candidates,
     select,
@@ -28,7 +28,7 @@ from distillab import (
 )
 from distillab.numerics import SeededRng
 
-defaults = default_config()
+defaults = RunConfig()
 
 # %% artifacts: data, detector, codec, weak (defect-prone: half the epochs) denoiser
 train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))

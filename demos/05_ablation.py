@@ -9,12 +9,12 @@ beta never grows a candidate batch's passing set.
 
 from dataclasses import replace
 
-from distillab import DiffusionCandidateGenerator, build_schedule, default_config, run_ablation
+from distillab import DiffusionCandidateGenerator, RunConfig, build_schedule
 from distillab import synthesize_toy_dataset, train_autoencoder, train_denoiser, train_detector
-from distillab.evalharness import GRID_COLUMNS, summary_table, to_csv
+from distillab.evalharness import GRID_COLUMNS, score_runs, select_runs, summary_table, to_csv
 from distillab.numerics import SeededRng
 
-defaults = default_config()
+defaults = RunConfig()
 
 # %% artifacts (weak generator: half the denoiser epochs, so refinement matters)
 train, test = synthesize_toy_dataset(defaults.data, SeededRng(0))
@@ -27,9 +27,11 @@ den = train_denoiser(codec.encode(train.images), train.labels, weak, SeededRng(2
 gen = DiffusionCandidateGenerator(den, build_schedule(weak), codec.decode)
 
 # %% the mode x seed grid (2 seeds here; the acceptance suite runs 3) and a
-# reduced k x beta grid on the first seed, all trained in one round
+# reduced k x beta grid on the first seed: every run selected from one bank
+# per seed, then all trained in one round
 eval_cfg = replace(defaults.eval, seeds=[1, 2], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9])
-payload, (grid, evidence) = run_ablation(train, test, codec.encode, gen, det, defaults.distill, eval_cfg, sweep=True)
+selected = select_runs(train, codec.encode, gen, det, defaults.distill, eval_cfg, sweep=True)
+payload, (grid, evidence) = score_runs(selected, test, eval_cfg)
 print(summary_table(payload["summary"]), end="")
 
 # %% sensitivity

@@ -8,14 +8,15 @@ feature-diversity criterion.
 Typical flow::
 
     from distillab import (
-        default_config, synthesize_toy_dataset, train_detector,
+        RunConfig, synthesize_toy_dataset, train_detector,
         LatentCodec, train_autoencoder, train_denoiser,
-        DiffusionCandidateGenerator, distill, SeededRng,
+        DiffusionCandidateGenerator, generate_candidates, select, SeededRng,
     )
 
-Each stage takes its section of ``default_config()`` (see ``config``), or
-drive everything from the CLI: ``distillab synth-data`` through
-``distillab report``.
+Each stage takes its section of ``RunConfig()`` (see ``config``), and a
+distilled set is ``select(generate_candidates(...), cfg)``; or drive
+everything from the CLI: ``distillab synth-data`` through ``distillab
+report``.
 
 Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` to 1 where they are unset, so that BLAS runs one
@@ -35,10 +36,10 @@ __version__ = "0.1.0"
 
 # what the demos, the README's quickstart and the flow above import; every
 # other name is imported from its module
-from .config import ToyDataSpec, default_config
+from .config import RunConfig, ToyDataSpec
 from .data import cutmix, read_dataset, synthesize_toy_dataset, write_dataset
 from .diffusion import build_schedule, forward_noise, sample_img2img_batch, train_denoiser
-from .evalharness import evaluate, run_ablation, train_downstream
+from .evalharness import evaluate, train_downstream
 from .models import LatentCodec, predict_batch, train_autoencoder, train_detector
 from .numerics import SeededRng
-from .refine import DiffusionCandidateGenerator, distill, generate_candidates, select
+from .refine import DiffusionCandidateGenerator, generate_candidates, select

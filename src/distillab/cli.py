@@ -38,7 +38,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, config_sha256, default_config, load_config, sha256, to_dict
+from .config import ConfigError, RunConfig, config_sha256, load_config, sha256
 from .data import FormatError, read_dataset, read_report, synthesize_toy_dataset, write_atomic, write_dataset
 from .diffusion import build_schedule, load_denoiser, save_denoiser, train_denoiser
 from .evalharness import GRID_COLUMNS, RECORD_COLUMNS, SweepCheckError, evaluate, score_runs, select_runs, summary_table
@@ -76,8 +76,8 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
 
 
-def _resolve_config(args) -> "RunConfig":
-    cfg = load_config(args.config) if args.config else default_config()
+def _resolve_config(args) -> RunConfig:
+    cfg = load_config(args.config) if args.config else RunConfig()
     root = os.environ.get("DISTILLAB_OUTPUT_ROOT")
     return dataclasses.replace(cfg, output_root=root) if root else cfg
 
@@ -269,7 +269,7 @@ def _cmd_distill(args) -> int:
         train, det, codec, den = run.load()
         gen = DiffusionCandidateGenerator(den, build_schedule(run.cfg.denoiser), codec.decode)
         dcfg, seed = run.cfg.distill, run.cfg.master_seed
-        # refine.distill in two calls, so the training set is released before refinement
+        # generation, then selection, so the training set is released before refinement
         bank = generate_candidates(train, codec.encode, gen, det, dcfg, SeededRng(seed))
         del train
         res = select(bank, dcfg)
@@ -313,7 +313,7 @@ def _cmd_ablate(args) -> int:
     with run:
         train, test, det, codec, den = run.load()
         gen = DiffusionCandidateGenerator(den, build_schedule(cfg.denoiser), codec.decode)
-        # evalharness.run_ablation in two calls, so the training set and the models are released before training
+        # selection, then training, so the training set and the models are released before training
         selected = select_runs(train, codec.encode, gen, det, cfg.distill, cfg.eval, sweep=args.sweep)
         del train, det, codec, den, gen
         payload, sensitivity = score_runs(selected, test, cfg.eval)
@@ -382,7 +382,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "dump_config", False):
             cfg = _resolve_config(args)
-            print(_json_bytes(to_dict(cfg)).decode(), end="")
+            print(_json_bytes(dataclasses.asdict(cfg)).decode(), end="")
             return 0
         return args.func(args)
     except ConfigError as e:

@@ -5,11 +5,12 @@ takes: ``ToyDataSpec`` (``synthesize_toy_dataset``), ``DetectorConfig``
 (``train_detector``), ``AutoencoderConfig`` (``train_autoencoder``),
 ``DenoiserConfig`` (``train_denoiser``, and ``build_schedule`` for its
 noise schedule), ``DistillConfig`` (``generate_candidates``/``select``) and
-``EvalConfig`` (``train_downstream``, ``run_ablation``). Every default is
-written once, here, and the defaults reproduce the frozen desk-scale
-experiment. Each class checks its values in ``__post_init__``, and
-``RunConfig`` checks the one rule across sections: ``distill.ipc`` may not
-exceed ``data.train_per_class``.
+``EvalConfig`` (``train_downstream``, ``select_runs``/``score_runs``).
+Every default is written once, here: ``RunConfig()`` is the frozen
+desk-scale experiment, and ``dataclasses.asdict`` gives its JSON form.
+Each class checks its values in ``__post_init__``, and ``RunConfig``
+checks the one rule across sections: ``distill.ipc`` may not exceed
+``data.train_per_class``.
 
 No section carries a seed: a seed reaches the library only as the
 ``SeededRng`` argument, derived from ``master_seed``.
@@ -53,11 +54,9 @@ __all__ = [
     "TrainConfig",
     "check_seed",
     "config_sha256",
-    "default_config",
     "load_config",
     "parse_config",
     "sha256",
-    "to_dict",
 ]
 
 SELECTION_MODES = ("base", "top1", "sim", "tplus_s")
@@ -365,14 +364,6 @@ def load_config(path) -> RunConfig:
     return parse_config(payload)
 
 
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
-def to_dict(cfg: RunConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def config_sha256(cfg: RunConfig) -> str:
     """Hash of the experiment-defining fields.
 
@@ -380,7 +371,7 @@ def config_sha256(cfg: RunConfig) -> str:
     bytes, so two runs of one experiment share a run id and manifests
     regardless of location.
     """
-    payload = to_dict(cfg)
+    payload = dataclasses.asdict(cfg)
     payload.pop("output_root")
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return sha256(canonical.encode("utf-8")).hexdigest()

@@ -7,13 +7,15 @@ held-out test split. The ablation runner compares the selection modes
 baseline, and optionally sweeps the shortlist size and the confidence
 threshold.
 
-One runner, ``run_ablation``, does both in two phases: ``select_runs``
-selects every run from one candidate bank per seed and checks the sweep,
-then ``score_runs`` trains every run's downstream classifier in one round
-(``_train_all``: each distinct job once, on every usable core, each core's
-share in lockstep) and scores the classifiers in run order. It returns the
-``ablation.json`` payload as a plain dict; ``to_csv`` and ``summary_table``
-render it.
+Both run in two phases, ``score_runs(select_runs(...), test, eval_cfg)``:
+``select_runs`` selects every run from one candidate bank per seed and
+checks the sweep, then ``score_runs`` trains every run's downstream
+classifier in one round (``_train_all``: each distinct job once, on every
+usable core, each core's share in lockstep) and scores the classifiers in
+run order. Between the two a caller may drop its training set and models,
+as ``distillab ablate`` does. The result is the ``ablation.json`` payload
+as a plain dict and, with ``sweep``, the sweep's (grid, evidence);
+``to_csv`` and ``summary_table`` render them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "RECORD_COLUMNS",
     "SweepCheckError",
     "evaluate",
-    "run_ablation",
     "score_runs",
     "select_runs",
     "summary_table",
@@ -192,7 +193,7 @@ def select_runs(
     eval_cfg: EvalConfig,
     sweep: bool = False,
 ) -> tuple[dict, tuple[list[dict], dict] | None, list[tuple[LabeledDataset, int]]]:
-    """Phase one of ``run_ablation``: every run selected and the sweep checked, for ``score_runs``.
+    """Phase one of an ablation: every run selected and the sweep checked, for ``score_runs``.
 
     Returns the ``ablation.json`` payload without its ``summary``, the
     sweep's (grid, evidence) with ``sweep``, every accuracy None, and each
@@ -205,9 +206,10 @@ def select_runs(
     ``sensitivity_top_k`` x ``sensitivity_betas`` cell on the first eval
     seed. Each seed generates one candidate bank, selects every run on the
     seed from it (generation never reads the mode, k or beta) and drops it,
-    so every run equals a standalone ``distill``; ``gen`` samples with the
-    config of each bank it generates. The sweep is checked
-    (``check_sweep_slots``) as soon as its cells are selected.
+    so every run equals ``select(generate_candidates(...), cfg)`` of its
+    config; ``gen`` samples with the config of each bank it generates. The
+    sweep is checked (``check_sweep_slots``) as soon as its cells are
+    selected.
     """
     records, trainings, grid, sweep_trainings = [], [], [], []
     for seed in eval_cfg.seeds:
@@ -249,7 +251,7 @@ def select_runs(
 
 
 def score_runs(selected: tuple, test: LabeledDataset, eval_cfg: EvalConfig) -> tuple[dict, tuple | None]:
-    """Phase two of ``run_ablation``: ``select_runs``'s payload and sweep, scored.
+    """Phase two of an ablation: ``select_runs``'s payload and sweep, scored.
 
     Every run's classifier trains in one ``_train_all`` round, the
     ablation's runs before the sweep's, each run on a seed from the same
@@ -264,25 +266,6 @@ def score_runs(selected: tuple, test: LabeledDataset, eval_cfg: EvalConfig) -> t
         row["accuracy"] = evaluate(clf, test)
     payload["summary"] = _summarize(payload["records"])
     return payload, sensitivity
-
-
-def run_ablation(
-    train: LabeledDataset,
-    test: LabeledDataset,
-    encode_fn: Callable[[np.ndarray], np.ndarray],
-    gen: CandidateGenerator,
-    det: Detector,
-    base_cfg: DistillConfig,
-    eval_cfg: EvalConfig,
-    sweep: bool = False,
-) -> tuple[dict, tuple[list[dict], dict] | None]:
-    """The ``ablation.json`` payload and, with ``sweep``, the sensitivity sweep's (grid, evidence).
-
-    ``select_runs``, then ``score_runs``: every run is selected and the
-    sweep checked before any training. ``distillab ablate`` calls the two
-    itself, so it can drop its training set and models between them.
-    """
-    return score_runs(select_runs(train, encode_fn, gen, det, base_cfg, eval_cfg, sweep), test, eval_cfg)
 
 
 def _passing_set(candidates: list[dict], intended: int, beta: float) -> frozenset:

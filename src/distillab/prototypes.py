@@ -147,6 +147,8 @@ def kmeans(
     n = len(points)
     if not 1 <= num_clusters <= n:
         raise ValueError(f"num_clusters={num_clusters} outside [1, {n}]")
+    if restarts < 1:
+        raise ValueError(f"restarts={restarts} must be >= 1")
     best = None
     for r in range(restarts):
         run = _lloyd(points, num_clusters, rng.spawn(r))  # (centroids, inertia history)

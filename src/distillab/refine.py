@@ -16,8 +16,9 @@ verdict. Selection (``select``) gives each slot its one verdict for one
 config: the initial sample is kept (normal), a candidate replaces it
 (refined), or the slot falls back. Generation never reads the selection
 knobs (beta, top_k, selection_mode), so one bank serves every selection
-mode and every (k, beta) cell on a seed, with outputs equal to a
-standalone ``distill`` byte for byte.
+mode and every (k, beta) cell on a seed, with outputs equal byte for byte
+to ``select(generate_candidates(...), cfg)`` of that cell's config, which is
+what ``distillab distill`` runs.
 
 Generation is split into independent jobs that ``fan_out`` runs on every
 usable core: one per class (encoding, k-means and the class's initial
@@ -51,7 +52,6 @@ __all__ = [
     "DistillResult",
     "SyntheticSample",
     "cumulative_similarity",
-    "distill",
     "generate_candidates",
     "is_accepted",
     "select",
@@ -337,18 +337,6 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
         },
     )
     return DistillResult(dataset=distilled, report=report, prototypes=bank.prototypes)
-
-
-def distill(
-    train: LabeledDataset,
-    encode_fn: Callable[[np.ndarray], np.ndarray],
-    gen: CandidateGenerator,
-    det: Detector,
-    cfg: DistillConfig,
-    rng: SeededRng,
-) -> "DistillResult":
-    """Run the full pipeline: ``select(generate_candidates(...), cfg)``."""
-    return select(generate_candidates(train, encode_fn, gen, det, cfg, rng), cfg)
 
 
 @dataclass

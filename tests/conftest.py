@@ -1,6 +1,6 @@
 """Shared fixtures: the frozen desk-scale pipeline artifacts.
 
-Every stage runs at its ``default_config()`` section. Heavy artifacts
+Every stage runs at its ``RunConfig()`` section. Heavy artifacts
 (trained detector, denoiser) are session-scoped so the suite trains them
 once.
 """
@@ -17,13 +17,13 @@ import distillab  # noqa: F401  # before numpy: BLAS then runs one thread, as in
 import numpy as np
 import pytest
 
-from distillab.config import default_config
+from distillab.config import RunConfig
 from distillab.data import synthesize_toy_dataset
 from distillab.diffusion import build_schedule, train_denoiser
 from distillab.models import train_autoencoder, train_detector
 from distillab.numerics import SeededRng
 
-DEFAULTS = default_config()
+DEFAULTS = RunConfig()
 DETECTOR_SEED = 2024
 AUTOENCODER_SEED = 2025
 DENOISER_SEED = 2026

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from distillab.config import default_config
+from distillab.config import RunConfig
 from distillab.numerics import SeededRng
 
 
@@ -244,7 +244,7 @@ class TestAcceptance:
         from distillab.config import DetectorConfig, DistillConfig, ToyDataSpec
         from distillab.data import synthesize_toy_dataset
         from distillab.models import predict_batch, train_detector
-        from distillab.refine import distill
+        from distillab.refine import generate_candidates, select
         from test_refine import MockGenerator
 
         with criterion(7, "controlled-defect refinement consistency"):
@@ -268,7 +268,8 @@ class TestAcceptance:
                     use = clean if prototypes.shape[1] == cfg.num_candidates else initial
                     return use.generate_batch(prototypes, labels, rngs, cfg)
 
-            res = distill(train, lambda im: im.reshape(len(im), -1), PhasedGen(), det, cfg, SeededRng(13))
+            bank = generate_candidates(train, lambda im: im.reshape(len(im), -1), PhasedGen(), det, cfg, SeededRng(13))
+            res = select(bank, cfg)
             fallback_count = res.report["counts"]["fallback"]
             print(f"  fallback count: {fallback_count} of {res.report['counts']['total']}")
             inconsistent = 0
@@ -281,16 +282,17 @@ class TestAcceptance:
             assert inconsistent == 0
 
     def test_08_ablation_direction(self, toy_train, toy_test, codec, detector, weak_denoiser, frozen_schedule):
-        from distillab.evalharness import run_ablation
+        from distillab.evalharness import score_runs, select_runs
         from distillab.refine import DiffusionCandidateGenerator
 
         with criterion(8, "desk-scale ablation direction"):
             t0 = time.perf_counter()
             gen = DiffusionCandidateGenerator(weak_denoiser, frozen_schedule, codec.decode)
-            defaults = default_config()
+            defaults = RunConfig()
             assert defaults.eval.modes == ["base", "top1", "sim", "tplus_s"]
             assert defaults.eval.seeds == [1, 2, 3]
-            report, _ = run_ablation(toy_train, toy_test, codec.encode, gen, detector, defaults.distill, defaults.eval)
+            selected = select_runs(toy_train, codec.encode, gen, detector, defaults.distill, defaults.eval)
+            report, _ = score_runs(selected, toy_test, defaults.eval)
             m = report["summary"]
             for mode in ("base", "top1", "sim", "tplus_s", "random"):
                 s = m[mode]
@@ -343,19 +345,19 @@ class TestAcceptance:
             assert digests[0] == digests[1]
 
     def test_10_sensitivity_harness(self, toy_train, toy_test, codec, detector, weak_denoiser, frozen_schedule):
-        from distillab.evalharness import run_ablation
+        from distillab.evalharness import score_runs, select_runs
         from distillab.refine import DiffusionCandidateGenerator
 
         with criterion(10, "k/beta sensitivity grid with monotone filter"):
             gen = DiffusionCandidateGenerator(weak_denoiser, frozen_schedule, codec.decode)
-            defaults = default_config()
+            defaults = RunConfig()
             assert defaults.eval.sensitivity_top_k == [1, 2, 4, 8]
             assert defaults.eval.sensitivity_betas == [0.5, 0.7, 0.9]
             assert defaults.eval.seeds[0] == 1
             # the grid runs on the first seed; one mode keeps the ablation's share of the call small
             ablation = replace(defaults.eval, modes=["tplus_s"], seeds=defaults.eval.seeds[:1])
-            inputs = (toy_train, toy_test, codec.encode, gen, detector)
-            _, (grid, evidence) = run_ablation(*inputs, defaults.distill, ablation, sweep=True)
+            selected = select_runs(toy_train, codec.encode, gen, detector, defaults.distill, ablation, sweep=True)
+            _, (grid, evidence) = score_runs(selected, toy_test, ablation)
             assert len(grid) == 12
             assert {(g["top_k"], g["beta"]) for g in grid} == set(
                 itertools.product([1, 2, 4, 8], [0.5, 0.7, 0.9])

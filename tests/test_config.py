@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distillab.cli import main
-from distillab.config import ConfigError, DenoiserConfig, RunConfig, config_sha256, default_config, load_config
-from distillab.config import parse_config, sha256, to_dict
+from distillab.config import ConfigError, DenoiserConfig, RunConfig, config_sha256, load_config, parse_config, sha256
 
 _STRINGS = st.sampled_from(["mlp", "identity", "base", "top1", "sim", "tplus_s", "runs"]) | st.text(max_size=6)
 # json.loads also yields NaN, infinities and integers beyond float range
@@ -66,7 +65,7 @@ def test_parse_returns_config_or_config_error(payload):
         return
     assert isinstance(cfg, RunConfig)
     # what --dump-config prints is standard JSON and parses back to the same config
-    dumped = json.dumps(to_dict(cfg), allow_nan=False)
+    dumped = json.dumps(dataclasses.asdict(cfg), allow_nan=False)
     assert parse_config(json.loads(dumped)) == cfg
 
 
@@ -170,7 +169,7 @@ def test_sha256_is_hashlib_sha256():
 
 
 def test_config_sha256_is_hashlib_digest_of_canonical_json():
-    payload = to_dict(default_config())
+    payload = dataclasses.asdict(RunConfig())
     payload.pop("output_root")
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    assert config_sha256(default_config()) == hashlib.sha256(canonical).hexdigest()
+    assert config_sha256(RunConfig()) == hashlib.sha256(canonical).hexdigest()

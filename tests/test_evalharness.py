@@ -18,14 +18,15 @@ from distillab.evalharness import (
     SweepCheckError,
     check_sweep_slots,
     evaluate,
-    run_ablation,
+    score_runs,
+    select_runs,
     to_csv,
     train_downstream,
 )
 from distillab.models import Detector, Mlp, train_detector
 from distillab.numerics import NonFiniteError, SeededRng
 from distillab.data import write_dataset
-from distillab.refine import distill, generate_candidates, select
+from distillab.refine import generate_candidates, select
 
 from conftest import assert_no_children
 from test_cli import _copy_run, pipeline  # noqa: F401  (pipeline is a fixture)
@@ -138,16 +139,15 @@ class TestEvaluate:
 
 class TestRunAblation:
     def _inputs(self, small_world, defect_rate=0.25):
-        train, test, det, encode_fn = small_world
-        return (train, test, encode_fn, MockGenerator(train, defect_rate=defect_rate), det)
+        train, _, det, encode_fn = small_world
+        return (train, encode_fn, MockGenerator(train, defect_rate=defect_rate), det)
 
     def _cfg(self):
         return DistillConfig(ipc=5, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
 
     def test_record_counting(self, small_world):
-        report, _ = run_ablation(
-            *self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2, 3])
-        )
+        eval_cfg = _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2, 3])
+        report, _ = score_runs(select_runs(*self._inputs(small_world), self._cfg(), eval_cfg), small_world[1], eval_cfg)
         assert len([r for r in report["records"] if r["mode"] != "random"]) == 6
         assert len([r for r in report["records"] if r["mode"] == "random"]) == 3
 
@@ -163,21 +163,20 @@ class TestRunAblation:
             return real(jobs, cfg)
 
         monkeypatch.setattr(evalharness, "_train_all", spy)
-        run_ablation(*self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[4]))
+        eval_cfg = _downstream_cfg(modes=["base"], seeds=[4])
+        score_runs(select_runs(*self._inputs(small_world), self._cfg(), eval_cfg), small_world[1], eval_cfg)
         assert len(starts) == 2 and starts[0] == starts[1]
 
     def test_single_seed_degenerate(self, small_world):
-        report, _ = run_ablation(
-            *self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[9])
-        )
+        eval_cfg = _downstream_cfg(modes=["base"], seeds=[9])
+        report, _ = score_runs(select_runs(*self._inputs(small_world), self._cfg(), eval_cfg), small_world[1], eval_cfg)
         assert report["summary"]["base"]["n"] == 1
         assert report["summary"]["base"]["std"] is None
         assert report["summary"]["base"]["mean"] == report["records"][0]["accuracy"]
 
     def test_summary_matches_recomputation(self, small_world):
-        report, _ = run_ablation(
-            *self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base", "top1"], seeds=[1, 2])
-        )
+        eval_cfg = _downstream_cfg(modes=["base", "top1"], seeds=[1, 2])
+        report, _ = score_runs(select_runs(*self._inputs(small_world), self._cfg(), eval_cfg), small_world[1], eval_cfg)
         for mode, s in report["summary"].items():
             accs = [r["accuracy"] for r in report["records"] if r["mode"] == mode]
             assert s["mean"] == float(np.mean(accs))
@@ -196,19 +195,21 @@ class TestRunAblation:
                 self.always_correct = prototypes.shape[1] == cfg.num_candidates
                 return super().generate_batch(prototypes, labels, rngs, cfg)
 
-        inputs = (train, test, encode_fn, DefectThenClean(train, defect_rate=0.5), det)
-        report, _ = run_ablation(*inputs, self._cfg(), _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2]))
+        inputs = (train, encode_fn, DefectThenClean(train, defect_rate=0.5), det)
+        eval_cfg = _downstream_cfg(modes=["base", "tplus_s"], seeds=[1, 2])
+        report, _ = score_runs(select_runs(*inputs, self._cfg(), eval_cfg), test, eval_cfg)
         assert report["summary"]["tplus_s"]["mean"] >= report["summary"]["base"]["mean"]
 
     def test_validation(self, small_world):
         with pytest.raises(ValueError):
-            run_ablation(*self._inputs(small_world), self._cfg(), _downstream_cfg(modes=[], seeds=[1]))
+            eval_cfg = _downstream_cfg(modes=[], seeds=[1])
+            score_runs(select_runs(*self._inputs(small_world), self._cfg(), eval_cfg), small_world[1], eval_cfg)
 
     def test_json_and_csv_render(self, small_world):
         """The payload is plain JSON; ``to_csv`` writes both reports' headers and 6-decimal accuracies."""
-        payload, sensitivity = run_ablation(
-            *self._inputs(small_world), self._cfg(), _downstream_cfg(modes=["base"], seeds=[1])
-        )
+        eval_cfg = _downstream_cfg(modes=["base"], seeds=[1])
+        selected = select_runs(*self._inputs(small_world), self._cfg(), eval_cfg)
+        payload, sensitivity = score_runs(selected, small_world[1], eval_cfg)
         assert sensitivity is None
         assert json.loads(_json_bytes(payload)) == payload
         assert sorted(payload) == ["config_fingerprint", "records", "summary"]
@@ -238,14 +239,10 @@ class TestRunAblation:
 class TestRunSensitivity:
     def test_grid_and_monotonicity(self, small_world):
         train, test, det, encode_fn = small_world
-        inputs = (train, test, encode_fn, MockGenerator(train, defect_rate=0.4), det)
+        inputs = (train, encode_fn, MockGenerator(train, defect_rate=0.4), det)
         cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
-        _, (grid, evidence) = run_ablation(
-            *inputs,
-            cfg,
-            _downstream_cfg(modes=["tplus_s"], seeds=[3], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9]),
-            sweep=True,
-        )
+        eval_cfg = _downstream_cfg(modes=["tplus_s"], seeds=[3], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9])
+        _, (grid, evidence) = score_runs(select_runs(*inputs, cfg, eval_cfg, sweep=True), test, eval_cfg)
         assert len(grid) == 4
         assert {(g["top_k"], g["beta"]) for g in grid} == {(1, 0.5), (1, 0.9), (2, 0.5), (2, 0.9)}
         assert evidence["slots_checked"] > 0
@@ -254,16 +251,17 @@ class TestRunSensitivity:
         """Each seed selects from its own bank, and the sweep's cells from the first seed's:
         sweeping leaves the ablation's report as it is, and the grid is a one-seed run's."""
         train, test, det, encode_fn = small_world
-        inputs = (train, test, encode_fn, MockGenerator(train, defect_rate=0.4), det)
+        inputs = (train, encode_fn, MockGenerator(train, defect_rate=0.4), det)
         cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
         eval_cfg = _downstream_cfg(
             modes=["base", "tplus_s"], seeds=[3, 5], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9]
         )
-        swept, (grid, evidence) = run_ablation(*inputs, cfg, eval_cfg, sweep=True)
-        plain, sensitivity = run_ablation(*inputs, cfg, eval_cfg)
+        swept, (grid, evidence) = score_runs(select_runs(*inputs, cfg, eval_cfg, sweep=True), test, eval_cfg)
+        plain, sensitivity = score_runs(select_runs(*inputs, cfg, eval_cfg), test, eval_cfg)
         assert sensitivity is None
         assert swept == plain and {r["seed"] for r in swept["records"]} == {3, 5}
-        _, (first_grid, first_evidence) = run_ablation(*inputs, cfg, replace(eval_cfg, seeds=[3]), sweep=True)
+        first_cfg = replace(eval_cfg, seeds=[3])
+        _, (first_grid, first_evidence) = score_runs(select_runs(*inputs, cfg, first_cfg, sweep=True), test, first_cfg)
         assert grid == first_grid and evidence == first_evidence
         assert {row["seed"] for row in grid} == {3} and evidence["slots_checked"] > 0
 
@@ -283,12 +281,12 @@ class TestSharedBank:
 
         monkeypatch.setattr(refine_module, "extract_prototypes", counting_extract)
         gen = LoggingGenerator(train, tmp_path / "batches.txt", defect_rate=0.4)
-        inputs = (train, test, encode_fn, gen, det)
         cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
         eval_cfg = _downstream_cfg(
             modes=list(SELECTION_MODES), seeds=[1], sensitivity_top_k=[1, 2], sensitivity_betas=[0.5, 0.9]
         )
-        report, (_, evidence) = run_ablation(*inputs, cfg, eval_cfg, sweep=True)
+        selected = select_runs(train, encode_fn, gen, det, cfg, eval_cfg, sweep=True)
+        report, (_, evidence) = score_runs(selected, test, eval_cfg)
         assert evidence["slots_checked"] > 0
         assert report["summary"]["tplus_s"]["n"] == 1
         # the initial pass (one batch per class) plus at least one refined slot
@@ -306,7 +304,8 @@ class TestSharedBank:
         for mode in SELECTION_MODES:
             mcfg = replace(cfg, selection_mode=mode)
             shared = select(bank, mcfg)
-            fresh = distill(train, encode_fn, MockGenerator(train, defect_rate=0.4), det, mcfg, SeededRng(1))
+            fresh_gen = MockGenerator(train, defect_rate=0.4)
+            fresh = select(generate_candidates(train, encode_fn, fresh_gen, det, mcfg, SeededRng(1)), mcfg)
             assert shared.report == fresh.report
             write_dataset(tmp_path / "shared.dstl", shared.dataset)
             write_dataset(tmp_path / "fresh.dstl", fresh.dataset)
@@ -342,8 +341,8 @@ class TestFanOut:
     """The downstream trainings run on every usable core; results do not depend on how many."""
 
     def _inputs(self, small_world):
-        train, test, det, encode_fn = small_world
-        return (train, test, encode_fn, MockGenerator(train, defect_rate=0.4), det)
+        train, _, det, encode_fn = small_world
+        return (train, encode_fn, MockGenerator(train, defect_rate=0.4), det)
 
     def _cfgs(self):
         cfg = DistillConfig(ipc=4, beta=0.7, top_k=2, num_candidates=6, kmeans_restarts=2)
@@ -352,11 +351,11 @@ class TestFanOut:
         )
         return cfg, eval_cfg
 
-    def _loop(self, inputs, cfg, eval_cfg):
-        """The runs one after another: a standalone distill, train_downstream, evaluate."""
+    def _loop(self, inputs, test, cfg, eval_cfg):
+        """The runs one after another: generate_candidates and select, train_downstream, evaluate."""
         from distillab.evalharness import _KEY_BASELINE, _KEY_DOWNSTREAM, _random_subset
 
-        train, test, encode_fn, gen, det = inputs
+        train, encode_fn, gen, det = inputs
 
         def accuracy(dataset, seed):
             [clf] = train_downstream([dataset], eval_cfg, [SeededRng(seed).spawn(_KEY_DOWNSTREAM)])
@@ -368,7 +367,8 @@ class TestFanOut:
         records = []
         for seed in eval_cfg.seeds:
             for mode in eval_cfg.modes:
-                res = distill(train, encode_fn, gen, det, replace(cfg, selection_mode=mode), SeededRng(seed))
+                mcfg = replace(cfg, selection_mode=mode)
+                res = select(generate_candidates(train, encode_fn, gen, det, mcfg, SeededRng(seed)), mcfg)
                 records.append(record(mode, seed, res.dataset, res.report["counts"]["fallback"]))
             subset = _random_subset(train, cfg.ipc, SeededRng(seed).spawn(_KEY_BASELINE))
             records.append(record("random", seed, subset, 0))
@@ -376,7 +376,7 @@ class TestFanOut:
         for k in sorted(eval_cfg.sensitivity_top_k):
             for beta in eval_cfg.sensitivity_betas:
                 gcfg = replace(cfg, top_k=k, beta=beta, selection_mode="tplus_s")
-                res = distill(train, encode_fn, gen, det, gcfg, SeededRng(eval_cfg.seeds[0]))
+                res = select(generate_candidates(train, encode_fn, gen, det, gcfg, SeededRng(eval_cfg.seeds[0])), gcfg)
                 accuracies.append(accuracy(res.dataset, eval_cfg.seeds[0]))
         return records, accuracies
 
@@ -387,7 +387,8 @@ class TestFanOut:
             cores(n)
             inputs = self._inputs(small_world)
             before = len(job_pids())
-            report, (grid, evidence) = run_ablation(*inputs, cfg, eval_cfg, sweep=True)
+            selected = select_runs(*inputs, cfg, eval_cfg, sweep=True)
+            report, (grid, evidence) = score_runs(selected, small_world[1], eval_cfg)
             # one round: the parent trains its share; with 2 cores one worker trains the rest
             pids = set(job_pids()[before:])
             assert os.getpid() in pids and len(pids) == n
@@ -395,7 +396,7 @@ class TestFanOut:
             results[n] = (report, grid, evidence)
         assert results[1] == results[2]
 
-        records, accuracies = self._loop(self._inputs(small_world), cfg, eval_cfg)
+        records, accuracies = self._loop(self._inputs(small_world), small_world[1], cfg, eval_cfg)
         report, grid, _ = results[2]
         assert report["records"] == records
         assert [row["accuracy"] for row in grid] == accuracies
@@ -408,7 +409,7 @@ class TestFanOut:
         cores(2)
         cfg, eval_cfg = self._cfgs()
         with pytest.raises(NonFiniteError, match="non-finite"):
-            run_ablation(*self._inputs(small_world), cfg, eval_cfg)
+            score_runs(select_runs(*self._inputs(small_world), cfg, eval_cfg), small_world[1], eval_cfg)
         assert_no_children()
 
     def test_dead_worker_raises_instead_of_waiting(self, small_world, monkeypatch, cores):
@@ -427,7 +428,7 @@ class TestFanOut:
         cores(2)
         cfg, eval_cfg = self._cfgs()
         with pytest.raises(BrokenProcessPool):
-            run_ablation(*self._inputs(small_world), cfg, eval_cfg)
+            score_runs(select_runs(*self._inputs(small_world), cfg, eval_cfg), small_world[1], eval_cfg)
         assert_no_children()
 
 

@@ -71,6 +71,8 @@ class TestKmeans:
             kmeans(pts, 4, restarts=RESTARTS, rng=SeededRng(1))
         with pytest.raises(ValueError):
             kmeans(pts, 0, restarts=RESTARTS, rng=SeededRng(1))
+        with pytest.raises(ValueError, match="restarts"):
+            kmeans(np.zeros((4, 2)), 2, restarts=0, rng=SeededRng(1))
 
     def test_nearest_assignment_invariant(self):
         rng = SeededRng(6)

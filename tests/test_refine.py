@@ -14,7 +14,6 @@ from distillab.refine import (
     _KEY_REFINE,
     SyntheticSample,
     cumulative_similarity,
-    distill,
     generate_candidates,
     is_accepted,
     select,
@@ -444,7 +443,7 @@ class TestDistill:
         train, det, encode_fn = mock_world
         gen = MockGenerator(train, defect_rate=0.0)
         cfg = DistillConfig(ipc=4, beta=0.5, num_candidates=5, top_k=2, kmeans_restarts=2)
-        res = distill(train, encode_fn, gen, det, cfg, SeededRng(11))
+        res = select(generate_candidates(train, encode_fn, gen, det, cfg, SeededRng(11)), cfg)
         assert len(res.dataset) == train.num_classes * 4
         assert np.array_equal(
             res.dataset.labels, np.repeat(np.arange(train.num_classes), 4)
@@ -457,11 +456,11 @@ class TestDistill:
         cfg_base = DistillConfig(
             ipc=3, beta=0.8, num_candidates=5, selection_mode="base", kmeans_restarts=2
         )
-        res_base = distill(train, encode_fn, gen, det, cfg_base, SeededRng(12))
+        res_base = select(generate_candidates(train, encode_fn, gen, det, cfg_base, SeededRng(12)), cfg_base)
         cfg_full = DistillConfig(
             ipc=3, beta=0.8, num_candidates=5, selection_mode="tplus_s", kmeans_restarts=2
         )
-        res_full = distill(train, encode_fn, gen, det, cfg_full, SeededRng(12))
+        res_full = select(generate_candidates(train, encode_fn, gen, det, cfg_full, SeededRng(12)), cfg_full)
         # base output equals the raw pass: normal slots agree with the full
         # run's normal slots, and defective slots keep their original images
         assert res_base.report["counts"]["refined"] == 0
@@ -491,7 +490,7 @@ class TestDistill:
                 use = refiner if prototypes.shape[1] == cfg.num_candidates else initial
                 return use.generate_batch(prototypes, labels, rngs, cfg)
 
-        res = distill(train, encode_fn, PhasedGen(), det, cfg, SeededRng(13))
+        res = select(generate_candidates(train, encode_fn, PhasedGen(), det, cfg, SeededRng(13)), cfg)
         # fallback count is reported, not forbidden; every non-fallback output
         # must re-verify as label-consistent and confident under the detector
         assert res.report["counts"]["fallback"] <= 2
@@ -549,7 +548,8 @@ class TestDistill:
         cfg = DistillConfig(ipc=3, beta=0.7, num_candidates=5, kmeans_restarts=2)
         paths = []
         for run in (0, 1):
-            res = distill(train, encode_fn, MockGenerator(train, defect_rate=0.2), det, cfg, SeededRng(15))
+            bank = generate_candidates(train, encode_fn, MockGenerator(train, defect_rate=0.2), det, cfg, SeededRng(15))
+            res = select(bank, cfg)
             p = tmp_path / f"run{run}.dstl"
             write_dataset(p, res.dataset)
             rp = tmp_path / f"run{run}.json"
@@ -562,7 +562,7 @@ class TestDistill:
         train, det, encode_fn = mock_world
         gen = MockGenerator(train, defect_rate=0.3)
         cfg = DistillConfig(ipc=5, beta=0.75, num_candidates=6, kmeans_restarts=2)
-        res = distill(train, encode_fn, gen, det, cfg, SeededRng(16))
+        res = select(generate_candidates(train, encode_fn, gen, det, cfg, SeededRng(16)), cfg)
         for slot in res.report["slots"]:
             if slot["status"] in ("normal", "refined"):
                 assert slot["predicted_label"] == slot["class"]
