@@ -275,8 +275,7 @@ def _cmd_distill(args) -> int:
         res = select(bank, dcfg)
 
         extra = {"distill_config": res.report["config"]}
-        provenance = {"seed": seed, "ipc": dcfg.ipc}
-        run.output("prototypes/prototypes.prto", write_prototypes, res.prototypes, provenance, **extra)
+        run.output("prototypes/prototypes.prto", write_prototypes, res.prototypes, **extra)
         out_path = run.output("distilled/distilled.dstl", write_dataset, res.dataset, **extra)
         run.output("reports/distill_report.json", write_atomic, [_json_bytes(res.report)], **extra)
         c = res.report["counts"]

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,15 +73,14 @@ class LabeledDataset:
     """Images plus integer class labels.
 
     images: (N, C, H, W) float32 in [0, 1]; labels: (N,) integers in
-    [0, num_classes). ``provenance`` is free-form metadata that rides along
-    in the container file (generator spec hash, seed, ...).
+    [0, num_classes). Where a written dataset came from is its manifest's
+    record, not the dataset's.
     """
 
     images: np.ndarray
     labels: np.ndarray
     num_classes: int
     class_names: tuple[str, ...]
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float32)
@@ -187,41 +186,15 @@ def synthesize_toy_dataset(spec: ToyDataSpec, rng: SeededRng) -> tuple[LabeledDa
 
     The train and test splits use separate child RNG streams, so they are
     statistically disjoint draws of phase, amplitude jitter, and noise.
-    The provenance records ``rng.seed`` as the seed.
     """
     thetas, freqs = spec.resolved_patterns()
     names = tuple(
         f"grating_t{int(round(th))}_f{fq:g}" for th, fq in zip(thetas, freqs)
     )
-    spec_sha = sha256(
-        json.dumps(
-            {
-                "num_classes": spec.num_classes,
-                "train_per_class": spec.train_per_class,
-                "test_per_class": spec.test_per_class,
-                "image_shape": list(spec.image_shape),
-                "orientations_deg": list(thetas),
-                "frequencies": list(freqs),
-                "amplitude": spec.amplitude,
-                "amplitude_jitter": spec.amplitude_jitter,
-                "noise_std": spec.noise_std,
-                "seed": rng.seed,
-            },
-            sort_keys=True,
-        ).encode()
-    ).hexdigest()[:16]
-    prov = {
-        "generator": "toy-gratings-v1",
-        "spec_sha": spec_sha,
-        "seed": rng.seed,
-        "noise_std": spec.noise_std,
-        "orientations_deg": list(thetas),
-        "frequencies": list(freqs),
-    }
     train_imgs, train_labels = _synthesize_split(spec, spec.train_per_class, rng, _KEY_TRAIN)
     test_imgs, test_labels = _synthesize_split(spec, spec.test_per_class, rng, _KEY_TEST)
-    train = LabeledDataset(train_imgs, train_labels, spec.num_classes, names, dict(prov, split="train"))
-    test = LabeledDataset(test_imgs, test_labels, spec.num_classes, names, dict(prov, split="test"))
+    train = LabeledDataset(train_imgs, train_labels, spec.num_classes, names)
+    test = LabeledDataset(test_imgs, test_labels, spec.num_classes, names)
     return train, test
 
 
@@ -282,7 +255,8 @@ def cutmix(base, base_label, patch, patch_label, lam, num_classes: int, center) 
 # Bit-exact layout, little-endian throughout:
 #   magic "DSTL" | u16 version | u32 num_images, num_classes, C, H, W
 #   | labels as num_images x u16 | images as num_images*C*H*W float32
-#   | u32 trailer_len | UTF-8 JSON trailer {class_names, provenance}
+#   | u32 trailer_len | UTF-8 JSON trailer {class_names}
+# A reader takes class_names from the trailer and ignores any other key.
 
 _DATASET_MAGIC = b"DSTL"
 _DATASET_VERSION = 1
@@ -327,9 +301,7 @@ def write_dataset(path, ds: LabeledDataset) -> str:
     c, h, w = ds.image_shape
     if ds.labels.size and ds.labels.max() >= 2**16:
         raise FormatError("labels must fit in u16")
-    trailer = _canonical_json(
-        {"class_names": list(ds.class_names), "provenance": ds.provenance}
-    )
+    trailer = _canonical_json({"class_names": list(ds.class_names)})
     header = _DATASET_MAGIC + struct.pack("<H5I", _DATASET_VERSION, n, ds.num_classes, c, h, w)
     arrays = (_array_bytes(a, dtype) for a, dtype in ((ds.labels, "<u2"), (ds.images, "<f4")))
     return write_atomic(path, itertools.chain([header], arrays, [struct.pack("<I", len(trailer)), trailer]))
@@ -463,5 +435,4 @@ def read_dataset(path) -> LabeledDataset:
         labels=labels,
         num_classes=num_classes,
         class_names=tuple(names),
-        provenance=trailer.get("provenance", {}),
     )

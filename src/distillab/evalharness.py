@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import asdict, replace
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -161,13 +160,6 @@ def to_csv(rows: list[dict], columns: list[str]) -> str:
     return buf.getvalue()
 
 
-def _config_fingerprint(base_cfg: DistillConfig, eval_cfg: EvalConfig) -> str:
-    payload = json.dumps(
-        {"distill": asdict(base_cfg), "eval": asdict(eval_cfg)}, sort_keys=True
-    )
-    return sha256(payload.encode()).hexdigest()[:16]
-
-
 def _random_subset(train: LabeledDataset, ipc: int, rng: SeededRng) -> LabeledDataset:
     """ipc uniformly chosen real images per class, without replacement."""
     picks = []
@@ -180,7 +172,6 @@ def _random_subset(train: LabeledDataset, ipc: int, rng: SeededRng) -> LabeledDa
         labels=train.labels[picks],
         num_classes=train.num_classes,
         class_names=train.class_names,
-        provenance={"source": "random-subset", "ipc": ipc},
     )
 
 
@@ -246,7 +237,7 @@ def select_runs(
                         slot_candidates.setdefault(key, []).append((beta, slot["candidates"]))
             evidence = {"slots_checked": check_sweep_slots(slot_candidates), "betas": sorted(betas), "ks": ks}
         del bank  # one bank alive at a time; the next bank and the trainings reuse its memory
-    payload = {"records": records, "config_fingerprint": _config_fingerprint(base_cfg, eval_cfg)}
+    payload = {"records": records}
     return payload, (grid, evidence) if sweep else None, trainings + sweep_trainings
 
 

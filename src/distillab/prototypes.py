@@ -138,7 +138,8 @@ def kmeans(
     break to the lowest centroid index; ties in inertia across restarts
     keep the earliest run. The returned assignment is recomputed against
     the float32 centroids so the nearest-centroid invariant holds for the
-    stored values.
+    stored values. More clusters than distinct rows is a ValueError, as
+    some cluster would then stay empty.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:
@@ -149,6 +150,9 @@ def kmeans(
         raise ValueError(f"num_clusters={num_clusters} outside [1, {n}]")
     if restarts < 1:
         raise ValueError(f"restarts={restarts} must be >= 1")
+    distinct = len(np.unique(points, axis=0))
+    if num_clusters > distinct:
+        raise ValueError(f"num_clusters={num_clusters} exceeds the {distinct} distinct rows of points")
     best = None
     for r in range(restarts):
         run = _lloyd(points, num_clusters, rng.spawn(r))  # (centroids, inertia history)
@@ -210,22 +214,20 @@ def extract_prototypes(
 # --- persistence --------------------------------------------------------------
 #
 # A checkpoint container (see models.write_checkpoint) of kind "prototypes":
-# the descriptor holds the (class_id, cluster_index, cluster_size) table and
-# the provenance; the one array is the (count, latent_dim) float32 latents.
+# the descriptor holds the (class_id, cluster_index, cluster_size) table, and
+# a reader ignores any other key; the one array is the (count, latent_dim)
+# float32 latents.
 
 
-def write_prototypes(path, protos: list[Prototype], provenance: dict | None = None) -> str:
+def write_prototypes(path, protos: list[Prototype]) -> str:
     if not protos:
         raise ValueError("prototype list is empty")
-    desc = {
-        "table": [[p.class_id, p.cluster_index, p.cluster_size] for p in protos],
-        "provenance": provenance or {},
-    }
+    desc = {"table": [[p.class_id, p.cluster_index, p.cluster_size] for p in protos]}
     return write_checkpoint(path, "prototypes", desc, [np.stack([p.latent for p in protos])])
 
 
 @names_path
-def read_prototypes(path) -> tuple[list[Prototype], dict]:
+def read_prototypes(path) -> list[Prototype]:
     """Load a prototype file; a short, overlong, foreign or non-finite file raises FormatError."""
     desc, arrays = read_checkpoint(path, "prototypes")
     if len(arrays) != 1 or arrays[0].ndim != 2:
@@ -236,8 +238,7 @@ def read_prototypes(path) -> tuple[list[Prototype], dict]:
     for i, row in enumerate(table):
         if not (isinstance(row, list) and len(row) == 3 and all(_is_size(v, 0) for v in row)):
             raise FormatError(f"prototype table row {i} is not three non-negative integers")
-    protos = [
+    return [
         Prototype(class_id=cid, latent=arrays[0][i], cluster_size=size, cluster_index=ci)
         for i, (cid, ci, size) in enumerate(table)
     ]
-    return protos, desc.get("provenance", {})

@@ -329,12 +329,6 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
         labels=np.array([s.intended_label for s in chosen], dtype=np.int64),
         num_classes=bank.num_classes,
         class_names=bank.class_names,
-        provenance={
-            "source": "distill",
-            "seed": bank.rng.seed,
-            "selection_mode": cfg.selection_mode,
-            "counts": counts,
-        },
     )
     return DistillResult(dataset=distilled, report=report, prototypes=bank.prototypes)
 

@@ -71,7 +71,7 @@ class TestAcceptance:
             instances = [
                 (np.array([[0.0], [1.0], [10.0], [11.0]]), 2),
                 (np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [10.0, 0.0], [11.0, 0.0]]), 3),
-                (np.ones((5, 2)), 2),
+                (np.array([[1.0, 1.0]] * 4 + [[0.0, 0.0]]), 2),
             ]
             gen = SeededRng(31337)
             for trial in range(12):

@@ -1,5 +1,7 @@
+import json
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from distillab.data import (
     write_dataset,
 )
 from distillab.data import _read_array, _synthesize_split
-from distillab.models import write_checkpoint
+from distillab.models import read_checkpoint, write_checkpoint
 from distillab.numerics import SeededRng, uniform_from_words
+from distillab.prototypes import Prototype, read_prototypes, write_prototypes
 
 from conftest import peak_bytes
 
@@ -226,13 +229,7 @@ class TestDatasetIO:
     def _random_dataset(self, rng, n=7, shape=(2, 3, 4), k=3):
         images = rng.uniform(n * np.prod(shape)).reshape(n, *shape).astype(np.float32)
         labels = rng.integers(k, n=n)
-        return LabeledDataset(
-            images,
-            labels,
-            k,
-            tuple(f"c{i}" for i in range(k)),
-            provenance={"seed": 7, "spec_sha": "abc"},
-        )
+        return LabeledDataset(images, labels, k, tuple(f"c{i}" for i in range(k)))
 
     def test_round_trip_identity(self, tmp_path):
         rng = SeededRng(31)
@@ -247,7 +244,6 @@ class TestDatasetIO:
             assert back.images.tobytes() == ds.images.tobytes()
             assert np.array_equal(back.labels, ds.labels)
             assert back.class_names == ds.class_names
-            assert back.provenance == ds.provenance
             assert back.num_classes == ds.num_classes
 
     def test_write_read_write_stable_bytes(self, tmp_path):
@@ -345,6 +341,52 @@ class TestDatasetIO:
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="labels"):
             read_dataset(p)
+
+    @staticmethod
+    def _split_trailer(raw: bytes) -> tuple[bytes, dict]:
+        """A DSTL file's bytes before its trailer length, and its trailer."""
+        _, n, _, c, h, w = struct.unpack_from("<H5I", raw, 4)
+        end = 26 + 2 * n + 4 * n * c * h * w
+        (tlen,) = struct.unpack_from("<I", raw, end)
+        assert len(raw) == end + 4 + tlen
+        return raw[:end], json.loads(raw[end + 4 :])
+
+    def test_files_hold_no_origin_record(self, tmp_path):
+        """Where an artifact came from is its manifest's record: a dataset's
+        trailer holds only its class names, a prototype descriptor only its table."""
+        p = tmp_path / "ds.dstl"
+        write_dataset(p, self._random_dataset(SeededRng(5)))
+        _, trailer = self._split_trailer(p.read_bytes())
+        assert sorted(trailer) == ["class_names"]
+        protos = [Prototype(class_id=0, latent=np.zeros(4, np.float32), cluster_size=2, cluster_index=0)]
+        write_prototypes(tmp_path / "p.prto", protos)
+        desc, _ = read_checkpoint(tmp_path / "p.prto", "prototypes")
+        assert sorted(desc) == ["table"]
+
+    def test_files_with_a_provenance_key_read_back_equal(self, tmp_path):
+        """Files written while datasets and prototypes carried a ``provenance``
+        key still load, to what the same file without the key loads to."""
+        ds = self._random_dataset(SeededRng(6))
+        p, old = tmp_path / "new.dstl", tmp_path / "old.dstl"
+        write_dataset(p, ds)
+        body, trailer = self._split_trailer(p.read_bytes())
+        trailer = json.dumps(dict(trailer, provenance={"seed": 7, "spec_sha": "abc"})).encode()
+        old.write_bytes(body + struct.pack("<I", len(trailer)) + trailer)
+        back = read_dataset(old)
+        assert back.images.tobytes() == ds.images.tobytes()
+        assert np.array_equal(back.labels, ds.labels)
+        assert (back.num_classes, back.class_names) == (ds.num_classes, ds.class_names)
+
+        protos = [
+            Prototype(class_id=c, latent=SeededRng(c).normal(4).astype(np.float32), cluster_size=3, cluster_index=0)
+            for c in range(2)
+        ]
+        write_prototypes(tmp_path / "new.prto", protos)
+        desc, arrays = read_checkpoint(tmp_path / "new.prto", "prototypes")
+        write_checkpoint(tmp_path / "old.prto", "prototypes", dict(desc, provenance={"seed": 1, "ipc": 1}), arrays)
+        back = read_prototypes(tmp_path / "old.prto")
+        assert [(b.class_id, b.cluster_index, b.cluster_size) for b in back] == [(0, 0, 3), (1, 0, 3)]
+        assert np.array_equal(np.stack([b.latent for b in back]), arrays[0])
 
 
 def _dataset_writer(path, seed):

@@ -212,7 +212,7 @@ class TestRunAblation:
         payload, sensitivity = score_runs(selected, small_world[1], eval_cfg)
         assert sensitivity is None
         assert json.loads(_json_bytes(payload)) == payload
-        assert sorted(payload) == ["config_fingerprint", "records", "summary"]
+        assert sorted(payload) == ["records", "summary"]
         assert payload["summary"]["base"]["n"] == 1
         assert all(sorted(r) == sorted(RECORD_COLUMNS) for r in payload["records"])
 

@@ -55,16 +55,6 @@ class TestKmeans:
         assert res.inertia == pytest.approx(0.0, abs=1e-10)
         assert sorted(res.assignments.tolist()) == list(range(5))
 
-    def test_identical_points_repair(self):
-        pts = np.ones((4, 2))
-        res = kmeans(pts, 2, restarts=RESTARTS, rng=SeededRng(4))
-        assert res.inertia == 0.0
-        # repair adopted a point, so both centroids equal the shared point;
-        # the final lowest-index tie rule then assigns everything to cluster 0
-        assert np.allclose(res.centroids, 1.0)
-        assert res.centroids.shape == (2, 2)
-        assert np.all(res.assignments == 0)
-
     def test_invalid_cluster_count(self):
         pts = np.zeros((3, 2))
         with pytest.raises(ValueError):
@@ -73,6 +63,15 @@ class TestKmeans:
             kmeans(pts, 0, restarts=RESTARTS, rng=SeededRng(1))
         with pytest.raises(ValueError, match="restarts"):
             kmeans(np.zeros((4, 2)), 2, restarts=0, rng=SeededRng(1))
+        # more clusters than distinct rows would leave a cluster empty
+        few_distinct = [
+            (np.zeros((4, 2)), 3, 1),
+            (np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]), 3, 2),
+            (np.ones((4, 2)), 2, 1),
+        ]
+        for pts, c, distinct in few_distinct:
+            with pytest.raises(ValueError, match=f"num_clusters={c} exceeds the {distinct} distinct rows"):
+                kmeans(pts, c, restarts=1, rng=SeededRng(1))
 
     def test_nearest_assignment_invariant(self):
         rng = SeededRng(6)
@@ -344,9 +343,8 @@ class TestPrototypeIO:
             for j in range(3)
         ]
         p = tmp_path / "p.prto"
-        write_prototypes(p, protos, provenance={"seed": 1})
-        back, prov = read_prototypes(p)
-        assert prov == {"seed": 1}
+        write_prototypes(p, protos)
+        back = read_prototypes(p)
         assert len(back) == len(protos)
         for a, b in zip(protos, back):
             assert (a.class_id, a.cluster_index, a.cluster_size) == (
@@ -376,7 +374,7 @@ class TestPrototypeIO:
 
     def test_truncated_file_is_a_format_error(self, tmp_path):
         # every offset through the end of the header (magic, version,
-        # descriptor with the table and provenance, shape table of the one
+        # descriptor with the table, shape table of the one
         # latent array) and a few inside the latent blob
         rng = SeededRng(20)
         protos = [
@@ -384,7 +382,7 @@ class TestPrototypeIO:
             for c in range(3)
         ]
         p = tmp_path / "p.prto"
-        write_prototypes(p, protos, provenance={"seed": 3, "note": "truncation"})
+        write_prototypes(p, protos)
         raw = p.read_bytes()
         dlen = int.from_bytes(raw[6:10], "little")
         header_end = 10 + dlen + 4 + 4 + 4 * 2
@@ -395,4 +393,4 @@ class TestPrototypeIO:
             cut_path.write_bytes(raw[:cut])
             with pytest.raises(FormatError):
                 read_prototypes(cut_path)
-        assert len(read_prototypes(p)[0]) == 3
+        assert len(read_prototypes(p)) == 3
