@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from distillab import prototypes
 from distillab.config import DistillConfig, parse_config
 from distillab.data import FormatError, LabeledDataset, grating_image, synthesize_toy_dataset
 from distillab.models import train_autoencoder, write_checkpoint
@@ -54,6 +55,25 @@ class TestKmeans:
         res = kmeans(pts, 5, restarts=RESTARTS, rng=SeededRng(3))
         assert res.inertia == pytest.approx(0.0, abs=1e-10)
         assert sorted(res.assignments.tolist()) == list(range(5))
+
+    def test_identical_points_repair(self, monkeypatch):
+        # repeated rows, as many clusters as distinct rows: each cluster is one repeated row
+        pts = np.repeat(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]), 3, axis=0)
+        res = kmeans(pts, 3, restarts=RESTARTS, rng=SeededRng(4))
+        assert res.inertia == 0.0
+        assert np.bincount(res.assignments).tolist() == [3, 3, 3]
+        ones = kmeans(np.ones((4, 2)), 1, restarts=RESTARTS, rng=SeededRng(4))
+        assert ones.inertia == 0.0
+        assert np.allclose(ones.centroids, 1.0)
+        assert np.all(ones.assignments == 0)
+        # a seeding that stacks every centroid on one row leaves clusters 1 and 2
+        # empty; the repair adopts the farthest points and Lloyd reaches 0
+        monkeypatch.setattr(prototypes, "_kmeanspp_init", lambda points, c, rng: np.repeat(points[:1], c, axis=0))
+        res = kmeans(pts, 3, restarts=1, rng=SeededRng(4))
+        assert res.inertia_history[0] == 43.0  # 3 * 3^2 + 4^2: one (0, 4) row is left on cluster 0
+        assert res.inertia == 0.0
+        assert np.bincount(res.assignments).tolist() == [3, 3, 3]
+        assert np.all(np.diff(res.inertia_history) <= 0.0)
 
     def test_invalid_cluster_count(self):
         pts = np.zeros((3, 2))
