@@ -1,9 +1,11 @@
 """Latent diffusion on the toy task: schedule, noising, guided sampling.
 
 The denoiser lives in the autoencoder's 32-dim latent space. Sampling is
-image-to-image: partially noise a prototype to floor(strength * T), then
-run the ancestral reverse process with classifier-free guidance
-eps_hat = eps_null + w * (eps_label - eps_null).
+image-to-image: partially noise a prototype to t_start = floor(strength * T)
+(SDEdit), then denoise it with deterministic DDIM (eta = 0) over at most 20
+timesteps from t_start down to 1, each step one pass with classifier-free
+guidance eps_hat = eps_null + w * (eps_label - eps_null). A sample's only
+randomness is its initial noise.
 """
 
 import distillab  # noqa: F401  # before numpy: BLAS then runs one thread per process

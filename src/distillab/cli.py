@@ -23,7 +23,10 @@ latent dim) or an input unlike its manifest (another sha256 or config, or
 no manifest), 6 run directory locked by another running command (the lock
 is an flock, which the kernel frees when its holder dies), 7 failed
 sensitivity-sweep check (checked before any training, so no report is
-written). Environment: DISTILLAB_OUTPUT_ROOT overrides the output root.
+written), 8 data that cannot support the config (a class with fewer
+distinct latents than ``distill.ipc``), 9 stdout closed by its reader (a
+command prints only after its last output is written). Environment:
+DISTILLAB_OUTPUT_ROOT overrides the output root.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .evalharness import GRID_COLUMNS, RECORD_COLUMNS, SweepCheckError, evaluate
 from .evalharness import to_csv, train_downstream
 from .models import load_autoencoder, load_detector, save_autoencoder, save_detector, train_autoencoder, train_detector
 from .numerics import SeededRng
-from .prototypes import write_prototypes
+from .prototypes import DegenerateDataError, write_prototypes
 from .refine import DiffusionCandidateGenerator, generate_candidates, select
 
 
@@ -318,13 +321,13 @@ def _cmd_ablate(args) -> int:
         payload, sensitivity = score_runs(selected, test, cfg.eval)
         out_json = run.output("reports/ablation.json", write_atomic, [_json_bytes(payload)])
         out_csv = run.output("reports/ablation.csv", write_atomic, [to_csv(payload["records"], RECORD_COLUMNS).encode()])
-        print(summary_table(payload["summary"]), end="")
+        text = summary_table(payload["summary"])
         if sensitivity:
             grid, evidence = sensitivity
             sweep = [to_csv(grid, GRID_COLUMNS).encode()]
             run.output("reports/sensitivity.csv", write_atomic, sweep, monotone_filter=evidence)
-            print(f"sensitivity grid: {len(grid)} runs, {evidence['slots_checked']} slots checked")
-        print(f"wrote {out_json} and {out_csv}")
+            text += f"sensitivity grid: {len(grid)} runs, {evidence['slots_checked']} slots checked\n"
+        print(f"{text}wrote {out_json} and {out_csv}")  # printed last, so a closed stdout costs no report
     return 0
 
 
@@ -379,11 +382,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "dump_config", False):
-            cfg = _resolve_config(args)
-            print(_json_bytes(dataclasses.asdict(cfg)).decode(), end="")
-            return 0
-        return args.func(args)
+        if args.dump_config:
+            print(_json_bytes(dataclasses.asdict(_resolve_config(args))).decode(), end="")
+        code = 0 if args.dump_config else args.func(args)
+        sys.stdout.flush()  # a buffered stdout meets a closed reader here
+        return code
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -402,6 +405,12 @@ def main(argv=None) -> int:
     except SweepCheckError as e:
         print(f"sweep check failed: {e}", file=sys.stderr)
         return 7
+    except DegenerateDataError as e:
+        print(f"data cannot support the config: {e}", file=sys.stderr)
+        return 8
+    except BrokenPipeError:  # stdout's reader is gone: devnull takes the interpreter's flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 9
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ classifier-free guidance at sampling time:
     eps_hat = eps_null + w * (eps_label - eps_null)
 
 Image-to-image sampling noises a prototype latent to timestep
-floor(strength * T) and runs the ancestral reverse process from there.
+floor(strength * T) (SDEdit) and denoises it from there with deterministic
+DDIM (eta = 0) in at most ``_SAMPLE_STEPS`` guided steps.
 """
 
 from __future__ import annotations
@@ -38,23 +39,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
-    """Linear variance schedule; float64 so the cumulative product stays sharp."""
+    """Cumulative-product alpha-bars of a linear variance schedule; float64 so they stay sharp."""
 
-    betas: np.ndarray
-    alphas: np.ndarray
     alpha_bars: np.ndarray
 
     @property
     def timesteps(self) -> int:
-        return len(self.betas)
+        return len(self.alpha_bars)
 
 
 def build_schedule(cfg: DenoiserConfig) -> DiffusionSchedule:
-    """The config's ``timesteps`` betas, linear from ``beta_start`` to ``beta_end``, with cumulative-product alpha-bars."""
+    """The cumulative products of 1 - beta over the config's ``timesteps`` betas, linear from ``beta_start`` to ``beta_end``."""
     betas = np.linspace(cfg.beta_start, cfg.beta_end, cfg.timesteps, dtype=np.float64)
-    alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
-    return DiffusionSchedule(betas=betas, alphas=alphas, alpha_bars=alpha_bars)
+    return DiffusionSchedule(alpha_bars=np.cumprod(1.0 - betas))
 
 
 def forward_noise(z0: np.ndarray, t, eps: np.ndarray, sched: DiffusionSchedule) -> np.ndarray:
@@ -240,6 +237,10 @@ def train_denoiser(
     return den
 
 
+# denoiser timesteps a sampler call visits at most, so its guided passes per call
+_SAMPLE_STEPS = 20
+
+
 def _guided_noise(den: Denoiser, z: np.ndarray, t: np.ndarray, lemb: np.ndarray, w: float) -> np.ndarray:
     """Classifier-free guided estimate from one pass over each slot's stacked (label, null) rows.
 
@@ -272,11 +273,15 @@ def sample_img2img_batch(
     of its config), ``prototypes`` a (slots, rows, d) stack of batches and
     ``label`` a tuple holding each slot's class; the result has the stack's
     shape.
+    Each prototype is noised to t_start = floor(strength * T) (SDEdit) and
+    denoised by deterministic DDIM (eta = 0) over ``min(_SAMPLE_STEPS,
+    t_start)`` timesteps, evenly spaced from t_start down to 1 and rounded:
+    each step estimates x0 = (z - sqrt(1 - abar_t) eps) / sqrt(abar_t) from
+    the guided eps and re-noises it to the next timestep with the same eps,
+    and the last step returns x0, unclipped.
     ``rngs`` supplies one independent stream per row, slot after slot; each
-    stream is consumed in a fixed order (initial noise, then one draw per
-    ancestral step above t=1), so results are reproducible per (prototype,
-    stream). Each stream draws that whole sequence as one ``normal_rows``
-    block, into one float32 block for the call. A stack runs as one loop:
+    stream draws only its initial noise, one ``normal(d)``, so results are
+    reproducible per (prototype, stream). A stack runs as one loop:
     each network pass makes one BLAS call per slot, of the shape the slot
     alone gets, and every other step is elementwise, so each slot equals
     its own one-slot call bit for bit. Batched results can differ from
@@ -305,30 +310,20 @@ def sample_img2img_batch(
     t_start = int(np.floor(strength * sched.timesteps))
     if t_start == 0:
         return protos.astype(np.float32)
-    # row 0 of a stream's block is the initial noise, row t_start - t + 1
-    # the noise of reverse step t (t = t_start .. 2)
-    noise = np.empty((slots, b, t_start, d), dtype=np.float32)
-    for row, r in zip(noise.reshape(slots * b, t_start, d), rngs):
-        row[...] = r.normal_rows(t_start, d)
-    z = forward_noise(protos, t_start, noise[:, :, 0], sched)
+    noise = np.stack([r.normal(d) for r in rngs]).reshape(slots, b, d)
+    z = forward_noise(protos, t_start, noise, sched)
     tokens = [[c] * b + [den.null_token] * b for c in label]
     lemb = den.label_vec(np.array(tokens, dtype=np.int64))
     # Fortran-ordered weights make each pass's w.swapaxes(-1, -2) a contiguous
     # (fan_in, fan_out) operand, which BLAS multiplies untransposed
     den = replace(den, mlp=Mlp([np.asfortranarray(w) for w in den.mlp.weights], den.mlp.biases))
-    for t in range(t_start, 0, -1):
-        tb = np.full(b, t, dtype=np.int64)
-        eps_hat = _guided_noise(den, z, tb, lemb, guidance_scale)
-        beta = sched.betas[t - 1]
-        alpha = sched.alphas[t - 1]
+    steps = np.rint(np.linspace(t_start, 1, min(_SAMPLE_STEPS, t_start))).astype(np.int64).tolist()
+    for t, t_next in zip(steps, steps[1:] + [0]):
+        eps_hat = _guided_noise(den, z, np.full(b, t, dtype=np.int64), lemb, guidance_scale)
         ab_t = sched.alpha_bars[t - 1]
-        mean = (z - (beta / np.sqrt(1.0 - ab_t)) * eps_hat) / np.sqrt(alpha)
-        if t > 1:
-            ab_prev = sched.alpha_bars[t - 2]
-            var = beta * (1.0 - ab_prev) / (1.0 - ab_t)
-            z = mean + np.sqrt(var) * noise[:, :, t_start - t + 1].astype(np.float64)
-        else:
-            z = mean
+        z = (z - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t)  # x0; each step but the last re-noises it
+        if t_next:
+            z = forward_noise(z, t_next, eps_hat, sched)
     out = z.astype(np.float32)
     require_finite("sampled latent", out)
     return out

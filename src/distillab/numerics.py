@@ -20,7 +20,6 @@ draw                   raw words consumed
 ``normal(shape)``      2 * ceil(size/2): a block of (0, 1] uniforms
                        (the Box-Muller radii), then a block of [0, 1)
                        uniforms (the angles)
-``normal_rows(n, d)``  n times what ``normal(d)`` takes, row after row
 ``integers``           1 per value (modulo reduction)
 ``permutation(n)``     n - 1 (Fisher-Yates, one word per swap)
 =====================  ================================================
@@ -196,17 +195,6 @@ class SeededRng:
         size = int(np.prod(shape)) if shape else 1
         pairs = (size + 1) // 2
         return normal_from_words(self.raw_u64(2 * pairs))[:size].reshape(shape)
-
-    def normal_rows(self, n: int, d: int) -> np.ndarray:
-        """``n`` successive ``normal(d)`` draws as one (n, d) float32 array.
-
-        Equal bit for bit to stacking ``n`` calls of ``normal(d)``, and
-        advances the counter by the same n * 2 * ceil(d/2) words, drawn as
-        one block.
-        """
-        n, d = int(n), int(d)
-        pairs = (d + 1) // 2
-        return normal_from_words(self.raw_u64(n * 2 * pairs).reshape(n, 2 * pairs))[:, :d]
 
     def integers(self, high: int, n: int | None = None):
         """Integers uniform in [0, high); modulo reduction of one raw word each."""

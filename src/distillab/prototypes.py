@@ -18,6 +18,7 @@ from .models import _is_size, read_checkpoint, write_checkpoint
 from .numerics import SeededRng, require_finite
 
 __all__ = [
+    "DegenerateDataError",
     "KmeansResult",
     "Prototype",
     "extract_prototypes",
@@ -25,6 +26,10 @@ __all__ = [
     "read_prototypes",
     "write_prototypes",
 ]
+
+
+class DegenerateDataError(ValueError):
+    """A class has fewer distinct latents than the prototypes asked of it, so k-means cannot cluster it."""
 
 
 @dataclass(frozen=True)
@@ -185,18 +190,17 @@ def extract_prototypes(
     Class ``c`` clusters with ``rng.spawn(c)``, so its prototypes do not
     depend on the other classes: ``classes`` (default: every class, in
     ascending order) picks the ones to extract. Output ordering is (class
-    order, cluster_index ascending), ipc prototypes per class.
+    order, cluster_index ascending), ipc prototypes per class. A class with
+    fewer than ``ipc`` distinct latents raises DegenerateDataError.
     """
     if ipc < 1:
         raise ValueError("ipc must be >= 1")
     protos: list[Prototype] = []
     for c in range(dataset.num_classes) if classes is None else classes:
-        idx = dataset.class_indices(c)
-        if len(idx) < ipc:
-            raise ValueError(
-                f"class {c} has {len(idx)} samples, fewer than ipc={ipc}"
-            )
-        latents = np.asarray(encode_fn(dataset.images[idx]), dtype=np.float32)
+        latents = np.asarray(encode_fn(dataset.images[dataset.class_indices(c)]), dtype=np.float32)
+        distinct = len(np.unique(latents, axis=0))
+        if distinct < ipc:
+            raise DegenerateDataError(f"class {c} has {distinct} distinct latents, fewer than ipc={ipc}")
         result = kmeans(latents, ipc, restarts=restarts, rng=rng.spawn(c))
         counts = np.bincount(result.assignments, minlength=ipc)
         for j in range(ipc):

@@ -204,7 +204,7 @@ class TestFourModes:
     def test_distill_gives_every_status(self, run_dir):
         report = json.loads((run_dir / "reports" / "distill_report.json").read_text())
         counts = report["counts"]
-        assert counts == {"normal": 2, "refined": 2, "fallback": 2, "total": 6}
+        assert counts == {"normal": 3, "refined": 1, "fallback": 2, "total": 6}
         statuses = [slot["status"] for slot in report["slots"]]
         assert {status: statuses.count(status) for status in ("normal", "refined", "fallback")} == {
             k: v for k, v in counts.items() if k != "total"
@@ -215,7 +215,7 @@ class TestFourModes:
     def test_modes_fall_back_on_different_slots(self, run_dir):
         summary = json.loads((run_dir / "reports" / "ablation.json").read_text())["summary"]
         fallbacks = {mode: s["fallbacks"] for mode, s in summary.items()}
-        assert fallbacks == {"base": 3, "sim": 2, "top1": 1, "tplus_s": 1, "random": 0}
+        assert fallbacks == {"base": 3, "sim": 2, "top1": 2, "tplus_s": 0, "random": 0}
         assert len((run_dir / "reports" / "sensitivity.csv").read_text().splitlines()) == 1 + 4
 
 
@@ -1014,6 +1014,56 @@ class TestReports:
             manifest = _manifest(reports / "summary.txt")
             assert manifest["output_sha256"] == _sha256(reports / "summary.txt")
             assert manifest["inputs"] == {name: _sha256(reports / name) for name in read}
+
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_leaves_every_report(self, pipeline, tmp_path, unbuffered):
+        """``ablate --sweep`` into a pipe whose reader is gone writes all three
+        reports with their manifests, then exits 9 without a traceback: it
+        prints only after its last report is written."""
+        rd = _copy_run(pipeline, tmp_path)
+        for stale in rd.glob("reports/*"):
+            stale.unlink()
+        env = _child_env(tmp_path)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "distillab.cli", "ablate", "--sweep", "--config", str(pipeline[1])],
+                env=env, stdout=write, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 9, proc.stderr
+        assert proc.stderr == ""
+        for name in ("ablation.json", "ablation.csv", "sensitivity.csv"):
+            path = rd / "reports" / name
+            assert _manifest(path)["output_sha256"] == _sha256(path), name
+
+
+class TestDataCannotSupportConfig:
+    def test_flat_data_exits_8(self, tmp_path, monkeypatch, capsys):
+        """Images all alike leave each class 1 distinct latent for ipc 2:
+        ``distill`` and ``ablate`` exit 8 with one line naming the class,
+        and write no distilled set or report."""
+        flat = dict(TINY_CONFIG, data=dict(TINY_CONFIG["data"], amplitude=0.0, noise_std=0.0))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(flat))
+        monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
+        for command in ("synth-data", "train-detector", "train-autoencoder", "train-diffusion"):
+            assert _run(command, "--config", str(cfg_path)) == 0
+        capsys.readouterr()
+        for command in ("distill", "ablate"):
+            assert _run(command, "--config", str(cfg_path)) == 8
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.endswith("\n")
+            assert "class 0 has 1 distinct latents, fewer than ipc=2" in err
+        rd = _run_dir(tmp_path)
+        assert not (rd / "distilled" / "distilled.dstl").exists()
+        assert not any((rd / "reports").iterdir())
 
 
 class TestManifests:

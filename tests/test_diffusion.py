@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from distillab import diffusion
 from distillab.config import DenoiserConfig
 from distillab.diffusion import (
     Denoiser,
@@ -29,7 +30,7 @@ def _schedule(timesteps, beta_start, beta_end):
 class TestSchedule:
     def test_single_step(self):
         sched = _schedule(1, 0.1, 0.1)
-        assert sched.betas.tolist() == [0.1]
+        assert sched.timesteps == 1 and sched.alpha_bars.tolist() == [1.0 - 0.1]
         assert sched.alpha_bars[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_ddpm_1000_matches_high_precision_product(self):
@@ -50,8 +51,10 @@ class TestSchedule:
         for t, b0, b1 in [(10, 1e-4, 0.3), (200, 1e-4, 0.03), (50, 0.5, 0.9)]:
             sched = _schedule(t, b0, b1)
             assert np.all(np.diff(sched.alpha_bars) < 0)
-            assert np.all((sched.betas > 0) & (sched.betas < 1))
-            assert np.all(np.diff(sched.betas) >= 0)
+            # each step's factor 1 - beta_t = abar_t / abar_{t-1} lies in (0, 1) and never grows
+            alphas = sched.alpha_bars / np.concatenate([[1.0], sched.alpha_bars[:-1]])
+            assert np.all((alphas > 0) & (alphas < 1))
+            assert np.all(np.diff(alphas) <= 0)
 
     def test_default_schedule_endpoints(self, frozen_schedule):
         assert frozen_schedule.alpha_bars[0] >= 0.99
@@ -61,11 +64,10 @@ class TestSchedule:
         "timesteps, beta_start, beta_end", [(1, 0.1, 0.1), (10, 1e-3, 0.2), (200, 1e-4, 0.03), (1000, 1e-4, 0.02)]
     )
     def test_is_linspace_and_cumprod_of_the_config(self, timesteps, beta_start, beta_end):
-        """The config's fields are the schedule's only source: bit for bit its linspace and cumprod."""
+        """The config's fields are the schedule's only source: bit for bit the cumprod of its linspace."""
         sched = _schedule(timesteps, beta_start, beta_end)
         betas = np.linspace(beta_start, beta_end, timesteps, dtype=np.float64)
-        assert sched.betas.tobytes() == betas.tobytes()
-        assert sched.alphas.tobytes() == (1.0 - betas).tobytes()
+        assert sched.timesteps == timesteps
         assert sched.alpha_bars.tobytes() == np.cumprod(1.0 - betas).tobytes()
 
 
@@ -345,10 +347,53 @@ class TestSampling:
         rngs = [SeededRng(3).spawn(9, i) for i in range(4)]
         rng_spy.calls.clear()
         sample_img2img_batch(den, sched, latents[None, :4], (1,), 0.7, 2.0, rngs)
-        t_start = 7  # floor(0.7 * 10): initial noise plus 6 reverse steps above t=1
-        assert dict(rng_spy.calls) == {(r.seed, "normal_rows"): 1 for r in rngs}
+        # the initial noise is a stream's one draw: a DDIM (eta = 0) step draws no noise
+        assert dict(rng_spy.calls) == {(r.seed, "normal"): 1 for r in rngs}
         for r in rngs:
-            assert rng_spy.words[r.seed] == t_start * 2 * ((den.latent_dim + 1) // 2)
+            assert rng_spy.words[r.seed] == 2 * ((den.latent_dim + 1) // 2)
+
+    @pytest.mark.parametrize("strength, passes", [(0.7, 20), (0.1, 20), (0.095, 19), (0.05, 10), (0.005, 1)])
+    def test_guided_passes_per_call(self, denoiser, frozen_schedule, monkeypatch, strength, passes):
+        """One guided pass per visited timestep: min(20, t_start) of them, evenly
+        spaced from t_start = floor(strength * T) down to 1, so 20 passes at
+        strength 0.7 and T=200 (t_start 140)."""
+        visited = []
+        guided = diffusion._guided_noise
+
+        def counting(den, z, t, lemb, w):
+            visited.append(int(t[0]))
+            return guided(den, z, t, lemb, w)
+
+        monkeypatch.setattr(diffusion, "_guided_noise", counting)
+        protos = SeededRng(51).normal((1, 3, denoiser.latent_dim))
+        sample_img2img_batch(denoiser, frozen_schedule, protos, (0,), strength, 5.0, [SeededRng(52).spawn(i) for i in range(3)])
+        t_start = int(np.floor(strength * frozen_schedule.timesteps))
+        assert len(visited) == passes
+        assert visited[0] == t_start and visited[-1] == 1
+        gaps = [a - b for a, b in zip(visited, visited[1:])]
+        assert all(g >= 1 and g - min(gaps) <= 1 for g in gaps)
+
+    def test_one_step_returns_x0_unclipped(self, monkeypatch):
+        """At t_start = 1 the one step returns x0 = (z - sqrt(1 - abar_1) eps) / sqrt(abar_1), unclipped."""
+        den, sched, latents, _ = _tiny_denoiser()
+        seen = []
+        guided = diffusion._guided_noise
+
+        def recording(*args):
+            seen.append(guided(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(diffusion, "_guided_noise", recording)
+        protos = 40.0 * latents[None, :2]  # far outside any clipping range
+        rngs = [SeededRng(7).spawn(i) for i in range(2)]
+        out = sample_img2img_batch(den, sched, protos, (1,), 0.1, 3.0, rngs)
+        noise = np.stack([SeededRng(7).spawn(i).normal(den.latent_dim) for i in range(2)])
+        z = forward_noise(protos.astype(np.float64), 1, noise[None], sched)
+        ab = sched.alpha_bars[0]
+        assert len(seen) == 1
+        want = ((z - np.sqrt(1.0 - ab) * seen[0]) / np.sqrt(ab)).astype(np.float32)
+        assert out.tobytes() == want.tobytes()
+        assert np.abs(out).max() > 10.0
 
     @pytest.mark.parametrize("labels", [(2,), (0, 2, 1)])
     def test_stack_equals_per_slot_calls(self, denoiser, frozen_schedule, labels):

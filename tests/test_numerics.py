@@ -230,19 +230,24 @@ class TestBlockDraws:
     @pytest.mark.parametrize("d", [1, 2, 31, 32, 33, 256])
     @pytest.mark.parametrize("n", [1, 5, 140])
     def test_normal_rows_equals_stacked_normal(self, n, d):
+        """``normal_from_words`` over an (n, words of ``normal(d)``) block, as
+        ``train_denoiser`` converts an epoch's batches, gives n stacked
+        ``normal(d)`` draws: each row of words converts as one draw."""
         block, loop = SeededRng(8080 + d), SeededRng(8080 + d)
         block.uniform(3)  # start away from counter 0
         loop.uniform(3)
-        rows = block.normal_rows(n, d)
+        pairs = (d + 1) // 2
+        rows = normal_from_words(block.raw_u64(n * 2 * pairs).reshape(n, 2 * pairs))[:, :d]
         want = np.stack([loop.normal(d) for _ in range(n)])
         assert rows.dtype == np.float32 and rows.shape == (n, d)
         assert rows.tobytes() == want.tobytes()
         assert block._counter == loop._counter
 
     def test_normal_rows_empty(self):
+        """An empty block of rows, or rows of no words, converts to an empty array."""
         rng = SeededRng(1)
-        assert rng.normal_rows(0, 4).shape == (0, 4)
-        assert rng.normal_rows(3, 0).shape == (3, 0)
+        assert normal_from_words(rng.raw_u64(0).reshape(0, 4)).shape == (0, 4)
+        assert normal_from_words(rng.raw_u64(0).reshape(3, 0)).shape == (3, 0)
         assert rng._counter == 0
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 2500])
