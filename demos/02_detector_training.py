@@ -39,7 +39,7 @@ print(f"soft labels:\n{np.round(mixed.soft_label, 4)}")
 
 # %% train and evaluate (the default detector section: 20 epochs)
 [det] = train_detector([train], defaults.detector, [SeededRng(2024)], use_cutmix=True)
-print(f"\nloss: {det.meta['loss_history'][0]:.3f} -> {det.meta['final_loss']:.3f}")
+print(f"\nloss: {det.meta['loss_history'][0]:.3f} -> {det.meta['loss_history'][-1]:.3f}")
 
 labels, confs, _ = predict_batch(det, test.images)
 acc = (labels == test.labels).mean()

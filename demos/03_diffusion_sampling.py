@@ -45,7 +45,7 @@ for t in (1, 50, 140, 200):
 # %% train the conditional denoiser (the default, strong config)
 # it trains, and is sampled below, on the schedule of its config
 den = train_denoiser(latents, train.labels, defaults.denoiser, SeededRng(2026))
-print(f"\ndenoiser loss: {den.meta['loss_history'][0]:.3f} -> {den.meta['final_loss']:.3f}")
+print(f"\ndenoiser loss: {den.meta['loss_history'][0]:.3f} -> {den.meta['loss_history'][-1]:.3f}")
 
 # %% guided vs unguided generation, judged by a detector
 [det] = train_detector([train], defaults.detector, [SeededRng(2024)], use_cutmix=True)

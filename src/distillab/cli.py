@@ -25,8 +25,11 @@ is an flock, which the kernel frees when its holder dies), 7 failed
 sensitivity-sweep check (checked before any training, so no report is
 written), 8 data that cannot support the config (a class with fewer
 distinct latents than ``distill.ipc``), 9 stdout closed by its reader (a
-command prints only after its last output is written). Environment:
-DISTILLAB_OUTPUT_ROOT overrides the output root.
+command prints only after its last output is written), 10 out of memory (a
+config whose arrays do not fit). A command runs with numpy raising on float
+overflow, invalid operations and division by zero, so a numeric failure is
+exit 4 with one line. Environment: DISTILLAB_OUTPUT_ROOT overrides the
+output root.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, config_sha256, load_config, sha256
@@ -231,8 +236,8 @@ def _distill_cfg(cfg, **fields):
 def _cmd_synth_data(args) -> int:
     with _Command(args) as run:
         train, test = synthesize_toy_dataset(run.cfg.data, SeededRng(run.cfg.master_seed))
-        train_path = run.output("data/train.dstl", write_dataset, train, samples=len(train))
-        test_path = run.output("data/test.dstl", write_dataset, test, samples=len(test))
+        train_path = run.output("data/train.dstl", write_dataset, train)
+        test_path = run.output("data/test.dstl", write_dataset, test)
         print(f"wrote {train_path} ({len(train)} images) and {test_path} ({len(test)} images)")
     return 0
 
@@ -241,8 +246,8 @@ def _cmd_train_detector(args) -> int:
     with _Command(args, "train") as run:
         [train] = run.load()
         [det] = train_detector([train], run.cfg.detector, [SeededRng(run.cfg.master_seed).spawn(31)], use_cutmix=True)
-        out = run.output("models/detector.mdlc", save_detector, det, final_loss=det.meta["final_loss"])
-        print(f"wrote {out} (final training loss {det.meta['final_loss']:.4f})")
+        out = run.output("models/detector.mdlc", save_detector, det)
+        print(f"wrote {out} (final training loss {det.meta['loss_history'][-1]:.4f})")
     return 0
 
 
@@ -250,9 +255,8 @@ def _cmd_train_autoencoder(args) -> int:
     with _Command(args, "train") as run:
         [train] = run.load()
         codec = train_autoencoder(train, run.cfg.autoencoder, SeededRng(run.cfg.master_seed).spawn(32))
-        mse = codec.meta["reconstruction_mse"]
-        out = run.output("models/autoencoder.mdlc", save_autoencoder, codec, reconstruction_mse=mse)
-        print(f"wrote {out} (reconstruction mse {mse:.5f})")
+        out = run.output("models/autoencoder.mdlc", save_autoencoder, codec)
+        print(f"wrote {out} (reconstruction mse {codec.meta['reconstruction_mse']:.5f})")
     return 0
 
 
@@ -262,8 +266,8 @@ def _cmd_train_diffusion(args) -> int:
         latents, labels = codec.encode(train.images), train.labels
         del train  # the images are spent: only their latents train the denoiser
         den = train_denoiser(latents, labels, run.cfg.denoiser, SeededRng(run.cfg.master_seed).spawn(33))
-        out = run.output("models/denoiser.mdlc", save_denoiser, den, final_loss=den.meta["final_loss"])
-        print(f"wrote {out} (final training loss {den.meta['final_loss']:.4f})")
+        out = run.output("models/denoiser.mdlc", save_denoiser, den)
+        print(f"wrote {out} (final training loss {den.meta['loss_history'][-1]:.4f})")
     return 0
 
 
@@ -277,10 +281,9 @@ def _cmd_distill(args) -> int:
         del train
         res = select(bank, dcfg)
 
-        extra = {"distill_config": res.report["config"]}
-        run.output("prototypes/prototypes.prto", write_prototypes, res.prototypes, **extra)
-        out_path = run.output("distilled/distilled.dstl", write_dataset, res.dataset, **extra)
-        run.output("reports/distill_report.json", write_atomic, [_json_bytes(res.report)], **extra)
+        run.output("prototypes/prototypes.prto", write_prototypes, res.prototypes)
+        out_path = run.output("distilled/distilled.dstl", write_dataset, res.dataset)
+        run.output("reports/distill_report.json", write_atomic, [_json_bytes(res.report)])
         c = res.report["counts"]
         print(
             f"wrote {out_path}: {c['total']} samples "
@@ -384,7 +387,10 @@ def main(argv=None) -> int:
     try:
         if args.dump_config:
             print(_json_bytes(dataclasses.asdict(_resolve_config(args))).decode(), end="")
-        code = 0 if args.dump_config else args.func(args)
+            code = 0
+        else:  # numpy raises, so a numeric failure is one line, not a warning from each process; underflow is no failure
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                code = args.func(args)
         sys.stdout.flush()  # a buffered stdout meets a closed reader here
         return code
     except ConfigError as e:
@@ -408,6 +414,9 @@ def main(argv=None) -> int:
     except DegenerateDataError as e:
         print(f"data cannot support the config: {e}", file=sys.stderr)
         return 8
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
+        return 10
     except BrokenPipeError:  # stdout's reader is gone: devnull takes the interpreter's flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 9

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DenoiserConfig
 from .data import FormatError, names_path
-from .models import Mlp, _desc_size, _desc_sizes, _mlp_from_arrays, batches, fit, mlp_backward, mlp_forward, mlp_init
+from .models import Mlp, _is_size, _mlp_from_arrays, batches, fit, mlp_backward, mlp_forward, mlp_init
 from .models import read_checkpoint, write_checkpoint
 from .numerics import SeededRng, integers_from_words, normal_from_words, require_finite, uniform_from_words
 
@@ -227,13 +227,7 @@ def train_denoiser(
             yield [loss], grads
 
     [losses] = fit(mlp.params() + [den.label_table], cfg, n, [loop], epoch)
-    den.meta = {
-        "epochs": cfg.epochs,
-        "loss_history": losses,
-        "final_loss": losses[-1],
-        "seed": rng.seed,
-        "label_dropout": cfg.label_dropout,
-    }
+    den.meta = {"loss_history": losses, "seed": rng.seed, "label_dropout": cfg.label_dropout}
     return den
 
 
@@ -330,30 +324,31 @@ def sample_img2img_batch(
 
 
 def save_denoiser(path, den: Denoiser) -> str:
-    desc = {
-        "layer_sizes": den.mlp.layer_sizes,
-        "num_classes": den.num_classes,
-        "latent_dim": den.latent_dim,
-        "time_embed_dim": den.time_embed_dim,
-        "meta": den.meta,
-    }
+    desc = {"time_embed_dim": den.time_embed_dim, "meta": den.meta}
     return write_checkpoint(path, "denoiser-v1", desc, den.mlp.params() + [den.label_table])
 
 
 @names_path
 def load_denoiser(path) -> Denoiser:
+    """The denoiser of a checkpoint: its MLP's arrays, then its label table.
+
+    Its class count is the table's rows less the null row, its latent dim
+    its last width; the MLP takes a latent, a time embedding and a label
+    embedding.
+    """
     desc, arrays = read_checkpoint(path, "denoiser-v1")
-    num_classes, latent_dim, time_embed_dim = (_desc_size(desc, k) for k in ("num_classes", "latent_dim", "time_embed_dim"))
-    sizes = _desc_sizes(desc, "layer_sizes")
-    label_embed_dim = sizes[0] - latent_dim - time_embed_dim
-    if time_embed_dim % 2 or label_embed_dim < 1 or sizes[-1] != latent_dim:
-        raise FormatError(f"layer_sizes {sizes} do not fit latent_dim and time_embed_dim")
-    if not arrays or arrays[-1].shape != (num_classes + 1, label_embed_dim):
-        raise FormatError(f"last array is not a ({num_classes + 1}, {label_embed_dim}) label table")
+    time_embed_dim = desc.get("time_embed_dim")
+    if not _is_size(time_embed_dim) or time_embed_dim % 2:
+        raise FormatError("descriptor key time_embed_dim must be a positive even integer")
+    shapes = [a.shape for a in arrays]
+    if len(shapes) < 3 or len(shapes[-2]) != 1 or len(shapes[-1]) != 2 or shapes[-1][0] < 2 or shapes[-1][1] < 1:
+        raise FormatError(f"arrays of shapes {shapes} do not end in a bias and a label table of at least 2 rows")
+    *params, table = arrays
+    latent_dim = len(params[-1])
     return Denoiser(
-        mlp=_mlp_from_arrays(arrays[:-1], sizes),
-        label_table=arrays[-1],
-        num_classes=num_classes,
+        mlp=_mlp_from_arrays(params, latent_dim + time_embed_dim + table.shape[1]),
+        label_table=table,
+        num_classes=len(table) - 1,
         latent_dim=latent_dim,
         time_embed_dim=time_embed_dim,
         meta=desc.get("meta", {}),

@@ -309,13 +309,7 @@ def train_detector(
             mlp=Mlp([w[j] for w in mlp.weights], [b[j] for b in mlp.biases]),
             num_classes=k,
             image_shape=first.image_shape,
-            meta={
-                "epochs": cfg.epochs,
-                "final_loss": losses[-1],
-                "loss_history": losses,
-                "seed": rng.seed,
-                "use_cutmix": use_cutmix,
-            },
+            meta={"loss_history": losses, "seed": rng.seed, "use_cutmix": use_cutmix},
         )
         for j, (rng, losses) in enumerate(zip(rngs, histories))
     ]
@@ -385,7 +379,7 @@ def train_autoencoder(train: LabeledDataset, cfg: AutoencoderConfig, rng: Seeded
         enc=enc,
         dec=dec,
         image_shape=train.image_shape,
-        meta={"epochs": cfg.epochs, "loss_history": losses, "seed": rng.seed},
+        meta={"loss_history": losses, "seed": rng.seed},
     )
     codec.meta["reconstruction_mse"] = _mean_sq_error(mlp_forward(dec, codec.encode(train.images))[-1], train.images)
     return codec
@@ -436,6 +430,12 @@ def _ae_loss_and_grads(enc: Mlp, dec: Mlp, xb: np.ndarray):
 #
 # magic "MDLC" | u16 version | u32 desc_len | UTF-8 JSON descriptor
 # | u32 num_arrays | per array: u32 ndim + u32 dims... | float32 LE blob
+#
+# The array shapes are the one record of a model's layer sizes, so a
+# descriptor holds its kind, what the arrays cannot say and the training meta:
+#   detector      image_shape, meta; arrays: the MLP's (weight, bias) pairs
+#   autoencoder   image_shape, meta; arrays: the encoder's pairs, then the decoder's
+#   denoiser-v1   time_embed_dim, meta; arrays: the MLP's pairs, then the label table
 
 _CKPT_MAGIC = b"MDLC"
 _CKPT_VERSION = 1
@@ -494,85 +494,53 @@ def _is_size(value, least: int = 1) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
-def _desc_size(desc: dict, key: str) -> int:
-    """``desc[key]``, a positive int; FormatError when missing or mistyped."""
-    value = desc.get(key)
-    if not _is_size(value):
-        raise FormatError(f"descriptor key {key} must be a positive integer")
-    return value
+def _desc_image_shape(desc: dict) -> tuple[int, int, int]:
+    """``desc["image_shape"]``, three positive ints; FormatError when missing or mistyped."""
+    value = desc.get("image_shape")
+    if not (isinstance(value, list) and len(value) == 3 and all(_is_size(v) for v in value)):
+        raise FormatError("descriptor key image_shape must list 3 positive integers")
+    return tuple(value)
 
 
-def _desc_sizes(desc: dict, key: str, count: int | None = None) -> list[int]:
-    """``desc[key]``, a list of ``count`` (by default at least 2) positive ints."""
-    value = desc.get(key)
-    if not (
-        isinstance(value, list)
-        and (len(value) == count if count else len(value) >= 2)
-        and all(_is_size(v) for v in value)
-    ):
-        raise FormatError(f"descriptor key {key} must list {count or 'at least 2'} positive integers")
-    return value
+def _mlp_from_arrays(arrays: list[np.ndarray], fan_in: int) -> Mlp:
+    """The Mlp of interleaved (weight, bias) arrays, its layer sizes read off their shapes.
 
-
-def _mlp_from_arrays(arrays: list[np.ndarray], layer_sizes: list[int]) -> Mlp:
-    """The Mlp of interleaved (weight, bias) arrays; FormatError unless shaped for ``layer_sizes``."""
-    want = []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        want += [(fan_out, fan_in), (fan_out,)]
-    if [a.shape for a in arrays] != want:
-        raise FormatError(f"{len(arrays)} arrays do not fit layer sizes {layer_sizes}")
+    FormatError unless there is at least one (weight, bias) pair, the first
+    weight takes ``fan_in`` inputs and each pair chains onto the next.
+    """
+    sizes = [fan_in] + [b.shape[0] for b in arrays[1::2] if b.ndim == 1 and b.size]
+    want = [shape for n_in, n_out in zip(sizes, sizes[1:]) for shape in ((n_out, n_in), (n_out,))]
+    if len(sizes) < 2 or [a.shape for a in arrays] != want:
+        raise FormatError(f"arrays of shapes {[a.shape for a in arrays]} are not layers chained from {fan_in} inputs")
     return Mlp(arrays[0::2], arrays[1::2])
 
 
 def save_detector(path, det: Detector) -> str:
-    desc = {
-        "layer_sizes": det.mlp.layer_sizes,
-        "num_classes": det.num_classes,
-        "image_shape": list(det.image_shape),
-        "meta": det.meta,
-    }
-    return write_checkpoint(path, "detector", desc, det.mlp.params())
+    return write_checkpoint(path, "detector", {"image_shape": list(det.image_shape), "meta": det.meta}, det.mlp.params())
 
 
 @names_path
 def load_detector(path) -> Detector:
+    """The detector of a checkpoint; its class count is its last width."""
     desc, arrays = read_checkpoint(path, "detector")
-    image_shape = _desc_sizes(desc, "image_shape", 3)
-    num_classes = _desc_size(desc, "num_classes")
-    sizes = _desc_sizes(desc, "layer_sizes")
-    if [sizes[0], sizes[-1]] != [int(np.prod(image_shape)), num_classes]:
-        raise FormatError(f"layer_sizes {sizes} do not fit image_shape and num_classes")
-    return Detector(
-        mlp=_mlp_from_arrays(arrays, sizes),
-        num_classes=num_classes,
-        image_shape=tuple(image_shape),
-        meta=desc.get("meta", {}),
-    )
+    image_shape = _desc_image_shape(desc)
+    mlp = _mlp_from_arrays(arrays, int(np.prod(image_shape)))
+    return Detector(mlp=mlp, num_classes=mlp.layer_sizes[-1], image_shape=image_shape, meta=desc.get("meta", {}))
 
 
 def save_autoencoder(path, codec: LatentCodec) -> str:
-    desc = {
-        "image_shape": list(codec.image_shape),
-        "latent_dim": codec.latent_dim,
-        "enc_layers": codec.enc.layer_sizes,
-        "meta": codec.meta,
-    }
+    desc = {"image_shape": list(codec.image_shape), "meta": codec.meta}
     return write_checkpoint(path, "autoencoder", desc, codec.enc.params() + codec.dec.params())
 
 
 @names_path
 def load_autoencoder(path) -> LatentCodec:
-    """The codec of an autoencoder checkpoint; its decoder mirrors ``enc_layers``."""
+    """The codec of an autoencoder checkpoint: its encoder's arrays, then its decoder's, which mirror them."""
     desc, arrays = read_checkpoint(path, "autoencoder")
-    image_shape = _desc_sizes(desc, "image_shape", 3)
-    latent_dim = _desc_size(desc, "latent_dim")
-    sizes = _desc_sizes(desc, "enc_layers")
-    if [sizes[0], sizes[-1]] != [int(np.prod(image_shape)), latent_dim]:
-        raise FormatError(f"enc_layers {sizes} do not fit image_shape and latent_dim")
-    n_enc = 2 * (len(sizes) - 1)
-    return LatentCodec(
-        enc=_mlp_from_arrays(arrays[:n_enc], sizes),
-        dec=_mlp_from_arrays(arrays[n_enc:], sizes[::-1]),
-        image_shape=tuple(image_shape),
-        meta=desc.get("meta", {}),
-    )
+    image_shape = _desc_image_shape(desc)
+    half = len(arrays) // 2
+    enc = _mlp_from_arrays(arrays[:half], int(np.prod(image_shape)))
+    dec = _mlp_from_arrays(arrays[half:], enc.layer_sizes[-1])
+    if dec.layer_sizes != enc.layer_sizes[::-1]:
+        raise FormatError(f"decoder layer sizes {dec.layer_sizes} do not mirror encoder layer sizes {enc.layer_sizes}")
+    return LatentCodec(enc=enc, dec=dec, image_shape=image_shape, meta=desc.get("meta", {}))

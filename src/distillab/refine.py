@@ -320,7 +320,6 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
             "seed": bank.rng.seed,
             "selection_mode": cfg.selection_mode,
         },
-        "master_seed": bank.rng.seed,
         "counts": dict(counts, total=len(slot_records)),
         "slots": slot_records,
     }

@@ -585,21 +585,29 @@ class TestFormatErrors:
     @pytest.mark.parametrize(
         "name, kind, misfit",
         [
-            ("detector", "detector", {"num_classes": 2}),
-            ("autoencoder", "autoencoder", {"latent_dim": 9}),
-            ("denoiser", "denoiser-v1", {"time_embed_dim": 7}),
+            ("detector", "detector", ["image_shape", "unchained"]),
+            ("autoencoder", "autoencoder", ["image_shape", "unchained", "unmirrored"]),
+            ("denoiser", "denoiser-v1", ["odd time_embed_dim", "time_embed_dim"]),
         ],
     )
     def test_malformed_descriptor_exits_5(self, pipeline, tmp_path, name, kind, misfit):
         """A descriptor with a key missing, of the wrong type or at odds with
-        the others, or arrays that do not fit its layer sizes, is a one-line
+        the arrays, or arrays that do not chain into layers, is a one-line
         format error that names the file, not a traceback."""
         from distillab.models import read_checkpoint, write_checkpoint
 
         path = _copy_run(pipeline, tmp_path) / "models" / f"{name}.mdlc"
         desc, arrays = read_checkpoint(path, kind)
-        mistyped = {k: str(v) if isinstance(v, int) else v for k, v in desc.items()}
-        for bad_desc, bad_arrays in (({}, arrays), (mistyped, arrays), (dict(desc, **misfit), arrays), (desc, [])):
+        mistyped = json.loads(json.dumps(desc), parse_int=str)  # every int a string, in lists too
+        misfits = {
+            "image_shape": (dict(desc, image_shape=[1, 8, 9]), arrays),  # 72 pixels for a first layer of 64
+            "unchained": (desc, arrays[:2] + arrays[4:]),  # the second layer dropped
+            # a decoder from the latent dim 8 to 64 pixels through 16 units, for an encoder through 32
+            "unmirrored": (desc, arrays[:4] + [np.zeros(s, np.float32) for s in [(16, 8), (16,), (64, 16), (64,)]]),
+            "odd time_embed_dim": (dict(desc, time_embed_dim=7), arrays),
+            "time_embed_dim": (dict(desc, time_embed_dim=6), arrays),  # 2 inputs short of the first layer
+        }
+        for bad_desc, bad_arrays in (({}, arrays), (mistyped, arrays), *(misfits[m] for m in misfit), (desc, [])):
             write_checkpoint(path, kind, bad_desc, bad_arrays)
             proc = _cli(tmp_path, TINY_CONFIG, "distill")
             assert proc.returncode == 5, proc.stderr
@@ -1064,6 +1072,31 @@ class TestDataCannotSupportConfig:
         rd = _run_dir(tmp_path)
         assert not (rd / "distilled" / "distilled.dstl").exists()
         assert not any((rd / "reports").iterdir())
+
+
+class TestOneLineFailures:
+    def test_float_overflow_exits_4(self, tmp_path, monkeypatch):
+        """A guidance scale of 1e300 overflows the sampler's float32 cast:
+        distill exits 4 with one line, no RuntimeWarning from it or its workers."""
+        cfg = dict(TINY_CONFIG, distill=dict(TINY_CONFIG["distill"], guidance_scale=1e300))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        monkeypatch.setenv("DISTILLAB_OUTPUT_ROOT", str(tmp_path / "runs"))
+        for command in ("synth-data", "train-detector", "train-autoencoder", "train-diffusion"):
+            assert _run(command, "--config", str(cfg_path)) == 0
+        proc = _cli(tmp_path, cfg, "distill")
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == "numeric failure: overflow encountered in cast\n"
+        assert not (_run_dir(tmp_path) / "distilled" / "distilled.dstl").exists()
+
+    def test_out_of_memory_exits_10(self, tmp_path):
+        """2**40 images per class is a 768 TiB image array, past what any
+        machine can map: synth-data exits 10 with one line and writes no dataset."""
+        cfg = dict(TINY_CONFIG, data=dict(TINY_CONFIG["data"], train_per_class=2**40))
+        proc = _cli(tmp_path, cfg, "synth-data")
+        assert proc.returncode == 10, proc.stderr
+        assert proc.stderr.startswith("out of memory: ") and len(proc.stderr.splitlines()) == 1
+        assert not (_run_dir(tmp_path) / "data" / "train.dstl").exists()
 
 
 class TestManifests:

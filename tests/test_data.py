@@ -17,7 +17,9 @@ from distillab.data import (
     write_dataset,
 )
 from distillab.data import _read_array, _synthesize_split
-from distillab.models import read_checkpoint, write_checkpoint
+from distillab.diffusion import Denoiser, load_denoiser, save_denoiser
+from distillab.models import Detector, LatentCodec, load_autoencoder, load_detector, mlp_init, read_checkpoint
+from distillab.models import save_autoencoder, save_detector, write_checkpoint
 from distillab.numerics import SeededRng, uniform_from_words
 from distillab.prototypes import Prototype, read_prototypes, write_prototypes
 
@@ -353,7 +355,9 @@ class TestDatasetIO:
 
     def test_files_hold_no_origin_record(self, tmp_path):
         """Where an artifact came from is its manifest's record: a dataset's
-        trailer holds only its class names, a prototype descriptor only its table."""
+        trailer holds only its class names, a prototype descriptor only its
+        table, and a model descriptor only its meta and the one size its
+        array shapes do not give (image_shape, or the denoiser's time_embed_dim)."""
         p = tmp_path / "ds.dstl"
         write_dataset(p, self._random_dataset(SeededRng(5)))
         _, trailer = self._split_trailer(p.read_bytes())
@@ -362,10 +366,16 @@ class TestDatasetIO:
         write_prototypes(tmp_path / "p.prto", protos)
         desc, _ = read_checkpoint(tmp_path / "p.prto", "prototypes")
         assert sorted(desc) == ["table"]
+        # a model's layer sizes are its array shapes: its descriptor holds what they cannot say
+        for kind, model, save, _, _ in _models():
+            save(tmp_path / f"{kind}.mdlc", model)
+            desc, _ = read_checkpoint(tmp_path / f"{kind}.mdlc", kind)
+            assert set(desc) == {"time_embed_dim" if kind == "denoiser-v1" else "image_shape", "meta"}, kind
 
     def test_files_with_a_provenance_key_read_back_equal(self, tmp_path):
         """Files written while datasets and prototypes carried a ``provenance``
-        key still load, to what the same file without the key loads to."""
+        key, or model descriptors listed their layer sizes, class count and
+        latent dim, still load, to what the same file without the keys loads to."""
         ds = self._random_dataset(SeededRng(6))
         p, old = tmp_path / "new.dstl", tmp_path / "old.dstl"
         write_dataset(p, ds)
@@ -387,6 +397,30 @@ class TestDatasetIO:
         back = read_prototypes(tmp_path / "old.prto")
         assert [(b.class_id, b.cluster_index, b.cluster_size) for b in back] == [(0, 0, 3), (1, 0, 3)]
         assert np.array_equal(np.stack([b.latent for b in back]), arrays[0])
+
+        # models written while their descriptors also listed their sizes load as they load without them
+        for kind, model, save, load, dropped in _models():
+            new, old = tmp_path / f"{kind}.mdlc", tmp_path / f"old-{kind}.mdlc"
+            save(new, model)
+            desc, arrays = read_checkpoint(new, kind)
+            write_checkpoint(old, kind, dict(desc, **dropped), arrays)
+            for path in (new, old):
+                save(tmp_path / "again.mdlc", load(path))
+                assert (tmp_path / "again.mdlc").read_bytes() == new.read_bytes(), (kind, path.name)
+
+
+def _models():
+    """(kind, model, saver, loader, the sizes its descriptor used to list) of a small detector, codec and denoiser."""
+    rng, meta = SeededRng(9), {"loss_history": [0.5, 0.25], "seed": 9}
+    det = Detector(mlp_init([24, 5, 3], rng.spawn(0)), 3, (2, 3, 4), meta=meta)
+    codec = LatentCodec(mlp_init([24, 6, 4], rng.spawn(1)), mlp_init([4, 6, 24], rng.spawn(2)), (2, 3, 4), meta=meta)
+    table = rng.spawn(3).normal((4, 3)).astype(np.float32)
+    den = Denoiser(mlp_init([4 + 2 + 3, 8, 4], rng.spawn(4)), table, num_classes=3, latent_dim=4, time_embed_dim=2, meta=meta)
+    return [
+        ("detector", det, save_detector, load_detector, {"layer_sizes": [24, 5, 3], "num_classes": 3}),
+        ("autoencoder", codec, save_autoencoder, load_autoencoder, {"latent_dim": 4, "enc_layers": [24, 6, 4]}),
+        ("denoiser-v1", den, save_denoiser, load_denoiser, {"layer_sizes": [9, 8, 4], "num_classes": 3, "latent_dim": 4}),
+    ]
 
 
 def _dataset_writer(path, seed):

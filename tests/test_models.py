@@ -415,7 +415,7 @@ class TestCheckpoints:
         p = tmp_path / "id.mdlc"
         desc = {"mode": "identity", "image_shape": [1, 16, 16], "latent_dim": 256, "enc_layers": None, "meta": {}}
         write_checkpoint(p, "autoencoder", desc, [])
-        with pytest.raises(FormatError, match="enc_layers"):
+        with pytest.raises(FormatError, match=re.escape("arrays of shapes [] are not layers chained from 256 inputs")):
             load_autoencoder(p)
 
     def test_wrong_kind_rejected(self, detector, codec, denoiser, tmp_path):
