@@ -281,7 +281,7 @@ def _cmd_distill(args) -> int:
         del train
         res = select(bank, dcfg)
 
-        run.output("prototypes/prototypes.prto", write_prototypes, res.prototypes)
+        run.output("prototypes/prototypes.prto", write_prototypes, bank.prototypes)
         out_path = run.output("distilled/distilled.dstl", write_dataset, res.dataset)
         run.output("reports/distill_report.json", write_atomic, [_json_bytes(res.report)])
         c = res.report["counts"]

@@ -73,37 +73,39 @@ class LabeledDataset:
     """Images plus integer class labels.
 
     images: (N, C, H, W) float32 in [0, 1]; labels: (N,) integers in
-    [0, num_classes). Where a written dataset came from is its manifest's
-    record, not the dataset's.
+    [0, num_classes), where ``num_classes`` is the number of class names.
+    Where a written dataset came from is its manifest's record, not the
+    dataset's.
     """
 
     images: np.ndarray
     labels: np.ndarray
-    num_classes: int
     class_names: tuple[str, ...]
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float32)
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.class_names = tuple(self.class_names)
         if self.images.ndim != 4:
             raise ValueError("images must have shape (N, C, H, W)")
         if len(self.images) != len(self.labels):
             raise ValueError(
                 f"images/labels length mismatch: {len(self.images)} vs {len(self.labels)}"
             )
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be positive")
-        if len(self.class_names) != self.num_classes:
-            raise ValueError("class_names length must equal num_classes")
+        if not self.class_names:
+            raise ValueError("class_names must name at least one class")
         if self.labels.size and (
             self.labels.min() < 0 or self.labels.max() >= self.num_classes
         ):
             raise ValueError("labels out of range [0, num_classes)")
         require_finite("images", self.images)
-        self.class_names = tuple(self.class_names)
 
     def __len__(self) -> int:
         return len(self.images)
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.class_names)
 
     @property
     def image_shape(self) -> tuple[int, int, int]:
@@ -193,8 +195,8 @@ def synthesize_toy_dataset(spec: ToyDataSpec, rng: SeededRng) -> tuple[LabeledDa
     )
     train_imgs, train_labels = _synthesize_split(spec, spec.train_per_class, rng, _KEY_TRAIN)
     test_imgs, test_labels = _synthesize_split(spec, spec.test_per_class, rng, _KEY_TEST)
-    train = LabeledDataset(train_imgs, train_labels, spec.num_classes, names)
-    test = LabeledDataset(test_imgs, test_labels, spec.num_classes, names)
+    train = LabeledDataset(train_imgs, train_labels, names)
+    test = LabeledDataset(test_imgs, test_labels, names)
     return train, test
 
 
@@ -430,9 +432,4 @@ def read_dataset(path) -> LabeledDataset:
     names = trailer.get("class_names")
     if not isinstance(names, list) or len(names) != num_classes:
         raise FormatError("trailer field class_names missing or wrong length")
-    return LabeledDataset(
-        images=images,
-        labels=labels,
-        num_classes=num_classes,
-        class_names=tuple(names),
-    )
+    return LabeledDataset(images, labels, names)

@@ -90,14 +90,26 @@ class Denoiser:
     Offsets only receive gradient when their class survives label dropout,
     so a model trained with full dropout has identically zero offsets and
     its conditional and null predictions coincide exactly.
+
+    Its sizes are read off its arrays: the MLP takes a latent, a time
+    embedding and a label embedding and returns a latent-sized noise estimate.
     """
 
     mlp: Mlp
     label_table: np.ndarray  # (num_classes + 1, label_embed_dim) float32; sets the pass dtype
-    num_classes: int
-    latent_dim: int
-    time_embed_dim: int
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict, kw_only=True)
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.label_table) - 1
+
+    @property
+    def latent_dim(self) -> int:
+        return self.mlp.layer_sizes[-1]
+
+    @property
+    def time_embed_dim(self) -> int:
+        return self.mlp.layer_sizes[0] - self.latent_dim - self.label_table.shape[1]
 
     @property
     def null_token(self) -> int:
@@ -182,13 +194,7 @@ def train_denoiser(
     # zero-init class offsets; random base (null) row
     table = np.zeros((num_classes + 1, cfg.label_embed_dim), dtype=np.float32)
     table[num_classes] = rng.spawn(1).normal(cfg.label_embed_dim) * 0.5
-    den = Denoiser(
-        mlp=mlp,
-        label_table=table,
-        num_classes=num_classes,
-        latent_dim=d,
-        time_embed_dim=cfg.time_embed_dim,
-    )
+    den = Denoiser(mlp, table)
     loop = rng.spawn(2)
     n, b = len(latents), cfg.batch_size
     full, last = divmod(n, b)
@@ -332,9 +338,8 @@ def save_denoiser(path, den: Denoiser) -> str:
 def load_denoiser(path) -> Denoiser:
     """The denoiser of a checkpoint: its MLP's arrays, then its label table.
 
-    Its class count is the table's rows less the null row, its latent dim
-    its last width; the MLP takes a latent, a time embedding and a label
-    embedding.
+    The descriptor's ``time_embed_dim`` must be the first layer's inputs
+    less the latent dim and the table's width.
     """
     desc, arrays = read_checkpoint(path, "denoiser-v1")
     time_embed_dim = desc.get("time_embed_dim")
@@ -344,12 +349,5 @@ def load_denoiser(path) -> Denoiser:
     if len(shapes) < 3 or len(shapes[-2]) != 1 or len(shapes[-1]) != 2 or shapes[-1][0] < 2 or shapes[-1][1] < 1:
         raise FormatError(f"arrays of shapes {shapes} do not end in a bias and a label table of at least 2 rows")
     *params, table = arrays
-    latent_dim = len(params[-1])
-    return Denoiser(
-        mlp=_mlp_from_arrays(params, latent_dim + time_embed_dim + table.shape[1]),
-        label_table=table,
-        num_classes=len(table) - 1,
-        latent_dim=latent_dim,
-        time_embed_dim=time_embed_dim,
-        meta=desc.get("meta", {}),
-    )
+    mlp = _mlp_from_arrays(params, len(params[-1]) + time_embed_dim + table.shape[1])
+    return Denoiser(mlp, table, meta=desc.get("meta", {}))

@@ -167,12 +167,7 @@ def _random_subset(train: LabeledDataset, ipc: int, rng: SeededRng) -> LabeledDa
         idx = train.class_indices(c)
         perm = rng.spawn(c).permutation(len(idx))
         picks.extend(idx[perm[:ipc]].tolist())
-    return LabeledDataset(
-        images=train.images[picks],
-        labels=train.labels[picks],
-        num_classes=train.num_classes,
-        class_names=train.class_names,
-    )
+    return LabeledDataset(train.images[picks], train.labels[picks], train.class_names)
 
 
 def select_runs(

@@ -209,12 +209,15 @@ def batches(n: int, size: int):
 
 @dataclass
 class Detector:
-    """MLP classifier over flattened images; features = penultimate activation."""
+    """MLP classifier over flattened images; features = penultimate activation, classes = its last width."""
 
     mlp: Mlp
-    num_classes: int
     image_shape: tuple[int, int, int]
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict, kw_only=True)
+
+    @property
+    def num_classes(self) -> int:
+        return self.mlp.layer_sizes[-1]
 
 
 def _flatten_images(images: np.ndarray, image_shape) -> np.ndarray:
@@ -307,7 +310,6 @@ def train_detector(
     return [
         Detector(
             mlp=Mlp([w[j] for w in mlp.weights], [b[j] for b in mlp.biases]),
-            num_classes=k,
             image_shape=first.image_shape,
             meta={"loss_history": losses, "seed": rng.seed, "use_cutmix": use_cutmix},
         )
@@ -432,7 +434,10 @@ def _ae_loss_and_grads(enc: Mlp, dec: Mlp, xb: np.ndarray):
 # | u32 num_arrays | per array: u32 ndim + u32 dims... | float32 LE blob
 #
 # The array shapes are the one record of a model's layer sizes, so a
-# descriptor holds its kind, what the arrays cannot say and the training meta:
+# descriptor holds its kind, the image shape (the arrays give only its pixel
+# count) and the training meta. The denoiser's time_embed_dim is the first
+# layer's fan-in less the latent dim and the label table's width; its
+# descriptor still stores it, and the reader checks the two agree:
 #   detector      image_shape, meta; arrays: the MLP's (weight, bias) pairs
 #   autoencoder   image_shape, meta; arrays: the encoder's pairs, then the decoder's
 #   denoiser-v1   time_embed_dim, meta; arrays: the MLP's pairs, then the label table
@@ -521,11 +526,10 @@ def save_detector(path, det: Detector) -> str:
 
 @names_path
 def load_detector(path) -> Detector:
-    """The detector of a checkpoint; its class count is its last width."""
+    """The detector of a checkpoint."""
     desc, arrays = read_checkpoint(path, "detector")
     image_shape = _desc_image_shape(desc)
-    mlp = _mlp_from_arrays(arrays, int(np.prod(image_shape)))
-    return Detector(mlp=mlp, num_classes=mlp.layer_sizes[-1], image_shape=image_shape, meta=desc.get("meta", {}))
+    return Detector(_mlp_from_arrays(arrays, int(np.prod(image_shape))), image_shape, meta=desc.get("meta", {}))
 
 
 def save_autoencoder(path, codec: LatentCodec) -> str:

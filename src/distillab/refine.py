@@ -198,7 +198,6 @@ class CandidateBank:
 
     def __init__(self, cfg: DistillConfig, train: LabeledDataset, prototypes, initial, gen, det, rng: SeededRng):
         self.cfg = cfg
-        self.num_classes = train.num_classes
         self.class_names = train.class_names
         self.prototypes: list[Prototype] = prototypes
         self.initial: list[SyntheticSample] = initial
@@ -279,7 +278,7 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
         raise ValueError(f"config disagrees with the candidate bank: {', '.join(diff)}")
     accepted = [is_accepted(s.predicted_label, s.confidence, s.intended_label, cfg.beta) for s in bank.initial]
     pools = {c: [s.feature for s, ok in zip(bank.initial, accepted) if ok and s.intended_label == c]
-             for c in range(bank.num_classes)}
+             for c in range(len(bank.class_names))}
     flagged = [slot for slot, ok in enumerate(accepted) if not ok]
     batches = bank.refinements(flagged) if cfg.selection_mode != "base" else {}
     chosen, slot_records = [], []
@@ -326,21 +325,20 @@ def select(bank: CandidateBank, cfg: DistillConfig) -> "DistillResult":
     distilled = LabeledDataset(
         images=np.stack([s.image for s in chosen]),
         labels=np.array([s.intended_label for s in chosen], dtype=np.int64),
-        num_classes=bank.num_classes,
         class_names=bank.class_names,
     )
-    return DistillResult(dataset=distilled, report=report, prototypes=bank.prototypes)
+    return DistillResult(dataset=distilled, report=report)
 
 
 @dataclass
 class DistillResult:
-    """The distilled set, its JSON-ready per-slot report and the prototypes it was generated from.
+    """The distilled set and its JSON-ready per-slot report.
 
     ``dataset`` holds each slot's chosen image under its intended label;
     ``report["slots"]`` holds each slot's status, detector scores and
-    origin, in the same order. The CLI writes all three.
+    origin, in the same order. The CLI writes both, beside the bank's
+    prototypes.
     """
 
     dataset: LabeledDataset
     report: dict
-    prototypes: list[Prototype]

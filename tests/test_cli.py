@@ -1,18 +1,24 @@
 import contextlib
 import fcntl
 import hashlib
+import io
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import distillab.cli as cli
 from distillab.cli import main
@@ -1097,6 +1103,61 @@ class TestOneLineFailures:
         assert proc.returncode == 10, proc.stderr
         assert proc.stderr.startswith("out of memory: ") and len(proc.stderr.splitlines()) == 1
         assert not (_run_dir(tmp_path) / "data" / "train.dstl").exists()
+
+
+def _documented_exit_codes() -> set[int]:
+    """The exit codes the README's "Exit codes:" paragraph lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = re.search(r"^Exit codes:.*?\n\n", readme, re.M | re.S).group(0)
+    return {int(code) for code in re.findall(r"`(\d+)`", paragraph)}
+
+
+# (section, key) -> the edge values drawn for it; None leaves it at TINY_CONFIG's value or the default
+_EDGES = {
+    ("data", "amplitude"): [None, 0.0],  # with noise_std 0: flat data
+    ("data", "noise_std"): [None, 0.0],
+    **{(section, "learning_rate"): [None, 1.0, 1e6] for section in ("detector", "autoencoder", "denoiser", "eval")},
+    ("distill", "guidance_scale"): [0.0, 2.0, 1e300],
+    ("distill", "strength"): [0.0, 0.7, 1.0],
+    ("denoiser", "timesteps"): [1, 30],
+    ("denoiser", "beta_end"): [0.08, 0.999999],
+}
+
+
+@st.composite
+def _edge_configs(draw):
+    """TINY_CONFIG with one value drawn for each field of ``_EDGES``."""
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    for (section, key), values in _EDGES.items():
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            cfg[section][key] = value
+    return cfg
+
+
+_PIPELINE = ("synth-data", "train-detector", "train-autoencoder", "train-diffusion", "distill", "eval", "ablate", "report")
+
+
+class TestConfigSpace:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(_edge_configs())
+    def test_every_exit_is_documented_with_one_line(self, cfg):
+        """Over degenerate data, learning rates up to 1e6, guidance up to
+        1e300, strength 0 and 1, one timestep and a beta_end near 1, each
+        command from synth-data through report returns an exit code the
+        README documents, a non-zero one with exactly one stderr line and a
+        zero one with none, and no exception leaves main."""
+        documented = _documented_exit_codes()
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"DISTILLAB_OUTPUT_ROOT": tmp}):
+            cfg_path = Path(tmp) / "config.json"
+            cfg_path.write_text(json.dumps(cfg))
+            for command in _PIPELINE:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main([command, "--config", str(cfg_path)])
+                assert code in documented, (command, code, err.getvalue())
+                lines = err.getvalue().splitlines()
+                assert len(lines) == (1 if code else 0), (command, code, err.getvalue())
 
 
 class TestManifests:

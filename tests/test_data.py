@@ -231,7 +231,7 @@ class TestDatasetIO:
     def _random_dataset(self, rng, n=7, shape=(2, 3, 4), k=3):
         images = rng.uniform(n * np.prod(shape)).reshape(n, *shape).astype(np.float32)
         labels = rng.integers(k, n=n)
-        return LabeledDataset(images, labels, k, tuple(f"c{i}" for i in range(k)))
+        return LabeledDataset(images, labels, tuple(f"c{i}" for i in range(k)))
 
     def test_round_trip_identity(self, tmp_path):
         rng = SeededRng(31)
@@ -261,7 +261,6 @@ class TestDatasetIO:
         ds = LabeledDataset(
             np.zeros((0, 1, 4, 4), dtype=np.float32),
             np.zeros(0, dtype=np.int64),
-            2,
             ("a", "b"),
         )
         p = tmp_path / "empty.dstl"
@@ -356,8 +355,11 @@ class TestDatasetIO:
     def test_files_hold_no_origin_record(self, tmp_path):
         """Where an artifact came from is its manifest's record: a dataset's
         trailer holds only its class names, a prototype descriptor only its
-        table, and a model descriptor only its meta and the one size its
-        array shapes do not give (image_shape, or the denoiser's time_embed_dim)."""
+        table, and a model descriptor only its meta and one size: the
+        image_shape its array shapes do not give, or the denoiser's
+        time_embed_dim, which they do give (the first layer's fan-in less the
+        latent dim and the label table's width) and which is kept until a
+        metadata re-freeze drops it."""
         p = tmp_path / "ds.dstl"
         write_dataset(p, self._random_dataset(SeededRng(5)))
         _, trailer = self._split_trailer(p.read_bytes())
@@ -366,7 +368,7 @@ class TestDatasetIO:
         write_prototypes(tmp_path / "p.prto", protos)
         desc, _ = read_checkpoint(tmp_path / "p.prto", "prototypes")
         assert sorted(desc) == ["table"]
-        # a model's layer sizes are its array shapes: its descriptor holds what they cannot say
+        # a model's layer sizes are its array shapes: its descriptor holds meta and one size
         for kind, model, save, _, _ in _models():
             save(tmp_path / f"{kind}.mdlc", model)
             desc, _ = read_checkpoint(tmp_path / f"{kind}.mdlc", kind)
@@ -412,15 +414,56 @@ class TestDatasetIO:
 def _models():
     """(kind, model, saver, loader, the sizes its descriptor used to list) of a small detector, codec and denoiser."""
     rng, meta = SeededRng(9), {"loss_history": [0.5, 0.25], "seed": 9}
-    det = Detector(mlp_init([24, 5, 3], rng.spawn(0)), 3, (2, 3, 4), meta=meta)
+    det = Detector(mlp_init([24, 5, 3], rng.spawn(0)), (2, 3, 4), meta=meta)
     codec = LatentCodec(mlp_init([24, 6, 4], rng.spawn(1)), mlp_init([4, 6, 24], rng.spawn(2)), (2, 3, 4), meta=meta)
     table = rng.spawn(3).normal((4, 3)).astype(np.float32)
-    den = Denoiser(mlp_init([4 + 2 + 3, 8, 4], rng.spawn(4)), table, num_classes=3, latent_dim=4, time_embed_dim=2, meta=meta)
+    den = Denoiser(mlp_init([4 + 2 + 3, 8, 4], rng.spawn(4)), table, meta=meta)
     return [
         ("detector", det, save_detector, load_detector, {"layer_sizes": [24, 5, 3], "num_classes": 3}),
         ("autoencoder", codec, save_autoencoder, load_autoencoder, {"latent_dim": 4, "enc_layers": [24, 6, 4]}),
         ("denoiser-v1", den, save_denoiser, load_denoiser, {"layer_sizes": [9, 8, 4], "num_classes": 3, "latent_dim": 4}),
     ]
+
+
+class TestSizesFromArrays:
+    """A model or a dataset is its arrays: every size is read off them, so
+    none can disagree with them, and a save and a load keep each one."""
+
+    def test_models_report_the_sizes_of_their_arrays(self):
+        (_, det, *_), (_, codec, *_), (_, den, *_) = _models()
+        assert det.num_classes == 3
+        assert codec.latent_dim == 4
+        assert (den.num_classes, den.latent_dim, den.time_embed_dim) == (3, 4, 2)
+        assert den.label_vec(np.arange(den.num_classes + 1)).shape == (4, 3)  # 3 classes and the null token
+
+    def test_no_size_is_passed_beside_the_arrays(self):
+        mlp = mlp_init([6, 4, 3], SeededRng(1))
+        with pytest.raises(TypeError):
+            Detector(mlp, 5, (1, 2, 3))
+        assert Detector(mlp, (1, 2, 3)).num_classes == 3
+        with pytest.raises(TypeError):
+            Denoiser(mlp_init([9, 8, 4], SeededRng(2)), np.zeros((4, 3), np.float32), num_classes=7, latent_dim=9)
+        with pytest.raises(TypeError):
+            LabeledDataset(np.zeros((1, 1, 2, 2)), [0], 3, ("a", "b", "c"))
+
+    def test_save_load_save_keeps_sizes_and_bytes(self, tmp_path):
+        for kind, model, save, load, _ in _models():
+            first, again = tmp_path / f"{kind}.mdlc", tmp_path / f"again-{kind}.mdlc"
+            save(first, model)
+            back = load(first)
+            for size in ("num_classes", "latent_dim", "time_embed_dim"):
+                assert getattr(back, size, None) == getattr(model, size, None), (kind, size)
+            save(again, back)
+            assert again.read_bytes() == first.read_bytes(), kind
+
+    def test_dataset_class_count_is_its_class_names(self):
+        images = np.zeros((3, 1, 2, 2), dtype=np.float32)
+        ds = LabeledDataset(images, [0, 2, 1], ["a", "b", "c", "d"])
+        assert (ds.num_classes, ds.class_names) == (4, ("a", "b", "c", "d"))
+        with pytest.raises(ValueError, match="at least one class"):
+            LabeledDataset(images, [0, 0, 0], ())
+        with pytest.raises(ValueError, match="out of range"):
+            LabeledDataset(images, [0, 1, 2], ("a", "b"))
 
 
 def _dataset_writer(path, seed):

@@ -170,7 +170,7 @@ def _per_batch_reference(latents, labels, sched, cfg, rng):
     mlp = mlp_init([d + cfg.time_embed_dim + cfg.label_embed_dim, *cfg.hidden_sizes, d], rng.spawn(0))
     table = np.zeros((k + 1, cfg.label_embed_dim), dtype=np.float32)
     table[k] = rng.spawn(1).normal(cfg.label_embed_dim) * 0.5
-    den = Denoiser(mlp=mlp, label_table=table, num_classes=k, latent_dim=d, time_embed_dim=cfg.time_embed_dim)
+    den = Denoiser(mlp=mlp, label_table=table)
     params = mlp.params() + [table]
     opt = Adam(params, cfg.learning_rate)
     loop = rng.spawn(2)

@@ -52,18 +52,14 @@ class TestTrainDownstream:
     def test_smoke_on_tiny_distilled(self, small_world):
         train, test, det, _ = small_world
         subset_idx = np.concatenate([train.class_indices(c)[:10] for c in range(3)])
-        distilled = LabeledDataset(
-            train.images[subset_idx], train.labels[subset_idx], 3, train.class_names
-        )
+        distilled = LabeledDataset(train.images[subset_idx], train.labels[subset_idx], train.class_names)
         [clf] = train_downstream([distilled], _downstream_cfg(), [SeededRng(1)])
         assert clf.num_classes == 3
 
     def test_deterministic(self, small_world):
         train, test, det, _ = small_world
         subset_idx = np.concatenate([train.class_indices(c)[:5] for c in range(3)])
-        distilled = LabeledDataset(
-            train.images[subset_idx], train.labels[subset_idx], 3, train.class_names
-        )
+        distilled = LabeledDataset(train.images[subset_idx], train.labels[subset_idx], train.class_names)
         a1 = evaluate(train_downstream([distilled], _downstream_cfg(), [SeededRng(2)])[0], test)
         a2 = evaluate(train_downstream([distilled], _downstream_cfg(), [SeededRng(2)])[0], test)
         assert a1 == a2
@@ -86,7 +82,7 @@ class TestTrainDownstream:
     def test_empty_rejected(self, small_world):
         train, _, _, _ = small_world
         empty = LabeledDataset(
-            np.zeros((0, 1, 8, 8), dtype=np.float32), np.zeros(0, dtype=np.int64), 3, train.class_names
+            np.zeros((0, 1, 8, 8), dtype=np.float32), np.zeros(0, dtype=np.int64), train.class_names
         )
         with pytest.raises(ValueError):
             train_downstream([empty], _downstream_cfg(), [SeededRng(1)])
@@ -98,13 +94,13 @@ class TestEvaluate:
             [np.zeros((4, 4), dtype=np.float32), np.zeros((k, 4), dtype=np.float32)],
             [np.zeros(4, dtype=np.float32), np.zeros(k, dtype=np.float32)],
         )
-        return Detector(mlp=mlp, num_classes=k, image_shape=(1, 2, 2))
+        return Detector(mlp=mlp, image_shape=(1, 2, 2))
 
     def _balanced_set(self, k=5, per=8):
         rng = SeededRng(6)
         images = rng.uniform(k * per * 4).reshape(k * per, 1, 2, 2).astype(np.float32)
         labels = np.repeat(np.arange(k), per)
-        return LabeledDataset(images, labels, k, tuple(str(i) for i in range(k)))
+        return LabeledDataset(images, labels, tuple(str(i) for i in range(k)))
 
     def test_constant_predictor_on_balanced_set(self):
         clf = self._constant_classifier()
@@ -114,7 +110,7 @@ class TestEvaluate:
     def test_memorization_is_one(self, small_world):
         train, _, _, _ = small_world
         subset_idx = np.concatenate([train.class_indices(c)[:5] for c in range(3)])
-        tiny = LabeledDataset(train.images[subset_idx], train.labels[subset_idx], 3, train.class_names)
+        tiny = LabeledDataset(train.images[subset_idx], train.labels[subset_idx], train.class_names)
         [clf] = train_downstream(
             [tiny], EvalConfig(epochs=150, batch_size=4, hidden_sizes=[48, 24]), [SeededRng(7)]
         )
@@ -123,15 +119,13 @@ class TestEvaluate:
     def test_permutation_invariance(self, small_world):
         train, test, det, _ = small_world
         perm = SeededRng(8).permutation(len(test))
-        shuffled = LabeledDataset(
-            test.images[perm], test.labels[perm], test.num_classes, test.class_names
-        )
+        shuffled = LabeledDataset(test.images[perm], test.labels[perm], test.class_names)
         assert evaluate(det, test) == pytest.approx(evaluate(det, shuffled))
 
     def test_empty_test_rejected(self):
         clf = self._constant_classifier()
         empty = LabeledDataset(
-            np.zeros((0, 1, 2, 2), dtype=np.float32), np.zeros(0, dtype=np.int64), 5, tuple("01234")
+            np.zeros((0, 1, 2, 2), dtype=np.float32), np.zeros(0, dtype=np.int64), tuple("01234")
         )
         with pytest.raises(ValueError):
             evaluate(clf, empty)
@@ -456,7 +450,7 @@ class TestTrainAll:
             return train_downstream(datasets, cfg, rngs)
 
         def subset(rows):
-            return LabeledDataset(train.images[rows].copy(), train.labels[rows].copy(), 3, train.class_names)
+            return LabeledDataset(train.images[rows].copy(), train.labels[rows].copy(), train.class_names)
 
         cfg = EvalConfig(epochs=2, batch_size=16, hidden_sizes=[8])
         a, b, c, advanced = subset(slice(0, 30)), subset(slice(30, 60)), subset(slice(60, 90)), SeededRng(1)

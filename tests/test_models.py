@@ -65,7 +65,6 @@ class TestTrainDetector:
         mono = LabeledDataset(
             train.images[train.labels == 0],
             np.zeros((train.labels == 0).sum(), dtype=np.int64),
-            1,
             ("only",),
         )
         with pytest.raises(ValueError):
@@ -154,7 +153,7 @@ class TestPredict:
             [np.zeros((4, 1), dtype=np.float32), np.zeros((k, 4), dtype=np.float32)],
             [np.zeros(4, dtype=np.float32), np.asarray(logits, dtype=np.float32)],
         )
-        return Detector(mlp=mlp, num_classes=k, image_shape=(1, 1, 1))
+        return Detector(mlp=mlp, image_shape=(1, 1, 1))
 
     def test_softmax_oracle_confidence(self):
         det = self._fixed_logit_detector([2.0, 0.0, 0.0])
@@ -446,7 +445,7 @@ class TestCheckpoints:
     def test_truncated_file_is_a_format_error(self, tmp_path):
         # every offset through the end of the header (magic, version,
         # descriptor, shape table) and a few inside the parameter blob
-        det = Detector(mlp_init([6, 4, 3], SeededRng(1)), 3, (1, 2, 3), meta={"note": "cut"})
+        det = Detector(mlp_init([6, 4, 3], SeededRng(1)), (1, 2, 3), meta={"note": "cut"})
         p = tmp_path / "det.mdlc"
         save_detector(p, det)
         raw = p.read_bytes()

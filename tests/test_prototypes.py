@@ -299,7 +299,7 @@ class TestExtractPrototypes:
         n = per_class * k
         images = rng.uniform(n * np.prod(shape)).reshape(n, *shape).astype(np.float32)
         labels = np.repeat(np.arange(k), per_class)
-        return LabeledDataset(images, labels, k, tuple(f"c{i}" for i in range(k)))
+        return LabeledDataset(images, labels, tuple(f"c{i}" for i in range(k)))
 
     @staticmethod
     def _flatten(imgs):
@@ -336,7 +336,7 @@ class TestExtractPrototypes:
             phase = (0.0 if group == 0 else np.pi) + 0.2 * (float(rng.uniform(1)[0]) - 0.5)
             images.append(grating_image(shape, 30.0, 3.0, phase, 0.9))
             groups.append(group)
-        ds = LabeledDataset(np.stack(images), np.zeros(60, dtype=np.int64), 1, ("bimodal",))
+        ds = LabeledDataset(np.stack(images), np.zeros(60, dtype=np.int64), ("bimodal",))
         protos = extract_prototypes(self._flatten, ds, 2, SeededRng(17), restarts=5)
         assert len(protos) == 2
         # purity: assignments must track the generating phase groups

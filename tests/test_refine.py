@@ -624,7 +624,7 @@ class TestBankFanOut:
         for n in (1, 2):
             bank, _ = self._bank(mock_world, cores, n, tmp_path / f"{n}.log")
             cells = [replace(self.CFG, selection_mode=mode, top_k=k, beta=beta) for mode, k, beta in self.GRID]
-            results.append([plain([res.report, res.dataset, res.prototypes]) for res in (select(bank, c) for c in cells)])
+            results.append([plain([res.report, res.dataset, bank.prototypes]) for res in (select(bank, c) for c in cells)])
         assert results[0] == results[1]
         assert any(res[0]["counts"]["refined"] for res in results[1])
 
