@@ -26,10 +26,11 @@ sensitivity-sweep check (checked before any training, so no report is
 written), 8 data that cannot support the config (a class with fewer
 distinct latents than ``distill.ipc``), 9 stdout closed by its reader (a
 command prints only after its last output is written), 10 out of memory (a
-config whose arrays do not fit). A command runs with numpy raising on float
-overflow, invalid operations and division by zero, so a numeric failure is
-exit 4 with one line. Environment: DISTILLAB_OUTPUT_ROOT overrides the
-output root.
+config whose arrays do not fit), 11 an operating-system error on a path
+(say, a directory where an input, an output or the lock should be). A
+command runs with numpy raising on float overflow, invalid operations and
+division by zero, so a numeric failure is exit 4 with one line.
+Environment: DISTILLAB_OUTPUT_ROOT overrides the output root.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def _cmd_train_autoencoder(args) -> int:
         [train] = run.load()
         codec = train_autoencoder(train, run.cfg.autoencoder, SeededRng(run.cfg.master_seed).spawn(32))
         out = run.output("models/autoencoder.mdlc", save_autoencoder, codec)
-        print(f"wrote {out} (reconstruction mse {codec.meta['reconstruction_mse']:.5f})")
+        print(f"wrote {out} (final training loss {codec.meta['loss_history'][-1]:.4f})")
     return 0
 
 
@@ -420,6 +421,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # stdout's reader is gone: devnull takes the interpreter's flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 9
+    except OSError as e:
+        print(f"os error: {e}", file=sys.stderr)
+        return 11
 
 
 if __name__ == "__main__":

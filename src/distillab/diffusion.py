@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DenoiserConfig
 from .data import FormatError, names_path
-from .models import Mlp, _is_size, _mlp_from_arrays, batches, fit, mlp_backward, mlp_forward, mlp_init
+from .models import Mlp, _mlp_from_arrays, batches, fit, mlp_backward, mlp_forward, mlp_init
 from .models import read_checkpoint, write_checkpoint
 from .numerics import SeededRng, integers_from_words, normal_from_words, require_finite, uniform_from_words
 
@@ -233,7 +233,7 @@ def train_denoiser(
             yield [loss], grads
 
     [losses] = fit(mlp.params() + [den.label_table], cfg, n, [loop], epoch)
-    den.meta = {"loss_history": losses, "seed": rng.seed, "label_dropout": cfg.label_dropout}
+    den.meta = {"loss_history": losses}
     return den
 
 
@@ -330,24 +330,22 @@ def sample_img2img_batch(
 
 
 def save_denoiser(path, den: Denoiser) -> str:
-    desc = {"time_embed_dim": den.time_embed_dim, "meta": den.meta}
-    return write_checkpoint(path, "denoiser-v1", desc, den.mlp.params() + [den.label_table])
+    return write_checkpoint(path, "denoiser-v1", {"meta": den.meta}, den.mlp.params() + [den.label_table])
 
 
 @names_path
 def load_denoiser(path) -> Denoiser:
     """The denoiser of a checkpoint: its MLP's arrays, then its label table.
 
-    The descriptor's ``time_embed_dim`` must be the first layer's inputs
-    less the latent dim and the table's width.
+    The time embedding's width is the first layer's fan-in less the latent
+    dim and the table's width; FormatError unless it is positive and even.
     """
     desc, arrays = read_checkpoint(path, "denoiser-v1")
-    time_embed_dim = desc.get("time_embed_dim")
-    if not _is_size(time_embed_dim) or time_embed_dim % 2:
-        raise FormatError("descriptor key time_embed_dim must be a positive even integer")
     shapes = [a.shape for a in arrays]
     if len(shapes) < 3 or len(shapes[-2]) != 1 or len(shapes[-1]) != 2 or shapes[-1][0] < 2 or shapes[-1][1] < 1:
         raise FormatError(f"arrays of shapes {shapes} do not end in a bias and a label table of at least 2 rows")
     *params, table = arrays
-    mlp = _mlp_from_arrays(params, len(params[-1]) + time_embed_dim + table.shape[1])
-    return Denoiser(mlp, table, meta=desc.get("meta", {}))
+    den = Denoiser(_mlp_from_arrays(params, shapes[0][-1] if shapes[0] else 0), table, meta=desc.get("meta", {}))
+    if den.time_embed_dim < 2 or den.time_embed_dim % 2:
+        raise FormatError(f"arrays of shapes {shapes} leave a time embedding {den.time_embed_dim} wide, not a positive even width")
+    return den

@@ -311,9 +311,9 @@ def train_detector(
         Detector(
             mlp=Mlp([w[j] for w in mlp.weights], [b[j] for b in mlp.biases]),
             image_shape=first.image_shape,
-            meta={"loss_history": losses, "seed": rng.seed, "use_cutmix": use_cutmix},
+            meta={"loss_history": losses},
         )
-        for j, (rng, losses) in enumerate(zip(rngs, histories))
+        for j, losses in enumerate(histories)
     ]
 
 
@@ -362,7 +362,7 @@ class LatentCodec:
 
 
 def train_autoencoder(train: LabeledDataset, cfg: AutoencoderConfig, rng: SeededRng) -> LatentCodec:
-    """Train the latent codec; ``meta["reconstruction_mse"]`` is of the unclipped decoder output."""
+    """Train the latent codec on mean squared reconstruction; ``meta`` holds its loss history."""
     if len(train) == 0:
         raise ValueError("training set is empty")
     din = int(np.prod(train.image_shape))
@@ -377,40 +377,7 @@ def train_autoencoder(train: LabeledDataset, cfg: AutoencoderConfig, rng: Seeded
             yield [loss], grads
 
     [losses] = fit(enc.params() + dec.params(), cfg, len(train), [rng.spawn(2)], epoch)
-    codec = LatentCodec(
-        enc=enc,
-        dec=dec,
-        image_shape=train.image_shape,
-        meta={"loss_history": losses, "seed": rng.seed},
-    )
-    codec.meta["reconstruction_mse"] = _mean_sq_error(mlp_forward(dec, codec.encode(train.images))[-1], train.images)
-    return codec
-
-
-# numpy sums a contiguous float64 block pairwise: it halves a block of n
-# values at n // 2 - n // 2 % 8 until the halves hold at most 128 values
-_SUM_LEAF = 1 << 15
-
-
-def _mean_sq_error(pred: np.ndarray, target: np.ndarray) -> float:
-    """``np.mean`` of the float64 squared error ``(pred - target) ** 2``, bit for bit.
-
-    The error is split as numpy's pairwise sum splits it, down to leaves of
-    at most ``_SUM_LEAF`` values, and each leaf is made float64, squared
-    and summed on its own, so no float64 copy of the whole error is made.
-    """
-    pred, target = pred.reshape(-1), target.reshape(-1)
-
-    def total(lo: int, n: int):
-        if n <= _SUM_LEAF:
-            sq = pred[lo : lo + n].astype(np.float64)
-            sq -= target[lo : lo + n]
-            sq **= 2
-            return np.add.reduce(sq)
-        half = n // 2 - n // 2 % 8
-        return total(lo, half) + total(lo + half, n - half)
-
-    return float(total(0, pred.size) / pred.size)
+    return LatentCodec(enc=enc, dec=dec, image_shape=train.image_shape, meta={"loss_history": losses})
 
 
 def _ae_loss_and_grads(enc: Mlp, dec: Mlp, xb: np.ndarray):
@@ -433,14 +400,12 @@ def _ae_loss_and_grads(enc: Mlp, dec: Mlp, xb: np.ndarray):
 # magic "MDLC" | u16 version | u32 desc_len | UTF-8 JSON descriptor
 # | u32 num_arrays | per array: u32 ndim + u32 dims... | float32 LE blob
 #
-# The array shapes are the one record of a model's layer sizes, so a
-# descriptor holds its kind, the image shape (the arrays give only its pixel
-# count) and the training meta. The denoiser's time_embed_dim is the first
-# layer's fan-in less the latent dim and the label table's width; its
-# descriptor still stores it, and the reader checks the two agree:
+# The array shapes are the one record of a model's sizes, so a descriptor
+# holds its kind, the image shape (the arrays give only its pixel count) and
+# the training meta, which is the loss history:
 #   detector      image_shape, meta; arrays: the MLP's (weight, bias) pairs
 #   autoencoder   image_shape, meta; arrays: the encoder's pairs, then the decoder's
-#   denoiser-v1   time_embed_dim, meta; arrays: the MLP's pairs, then the label table
+#   denoiser-v1   meta; arrays: the MLP's pairs, then the label table
 
 _CKPT_MAGIC = b"MDLC"
 _CKPT_VERSION = 1

@@ -591,29 +591,34 @@ class TestFormatErrors:
     @pytest.mark.parametrize(
         "name, kind, misfit",
         [
-            ("detector", "detector", ["image_shape", "unchained"]),
-            ("autoencoder", "autoencoder", ["image_shape", "unchained", "unmirrored"]),
-            ("denoiser", "denoiser-v1", ["odd time_embed_dim", "time_embed_dim"]),
+            ("detector", "detector", ["empty", "mistyped", "image_shape", "unchained"]),
+            ("autoencoder", "autoencoder", ["empty", "mistyped", "image_shape", "unchained", "unmirrored"]),
+            ("denoiser", "denoiser-v1", ["odd time embedding", "no time embedding"]),
         ],
     )
     def test_malformed_descriptor_exits_5(self, pipeline, tmp_path, name, kind, misfit):
         """A descriptor with a key missing, of the wrong type or at odds with
         the arrays, or arrays that do not chain into layers, is a one-line
-        format error that names the file, not a traceback."""
+        format error that names the file, not a traceback. The denoiser's
+        descriptor needs no key, so its misfits are label tables that leave
+        the first layer an odd or no time-embedding width."""
         from distillab.models import read_checkpoint, write_checkpoint
 
         path = _copy_run(pipeline, tmp_path) / "models" / f"{name}.mdlc"
         desc, arrays = read_checkpoint(path, kind)
-        mistyped = json.loads(json.dumps(desc), parse_int=str)  # every int a string, in lists too
+        rows, width = len(arrays[-1]), arrays[-1].shape[-1]
         misfits = {
+            "empty": ({}, arrays),
+            "mistyped": (json.loads(json.dumps(desc), parse_int=str), arrays),  # every int a string, in lists too
             "image_shape": (dict(desc, image_shape=[1, 8, 9]), arrays),  # 72 pixels for a first layer of 64
             "unchained": (desc, arrays[:2] + arrays[4:]),  # the second layer dropped
             # a decoder from the latent dim 8 to 64 pixels through 16 units, for an encoder through 32
             "unmirrored": (desc, arrays[:4] + [np.zeros(s, np.float32) for s in [(16, 8), (16,), (64, 16), (64,)]]),
-            "odd time_embed_dim": (dict(desc, time_embed_dim=7), arrays),
-            "time_embed_dim": (dict(desc, time_embed_dim=6), arrays),  # 2 inputs short of the first layer
+            # a label table one column wider, then 8 wider: a time embedding of 7, then of none
+            "odd time embedding": (desc, arrays[:-1] + [np.zeros((rows, width + 1), np.float32)]),
+            "no time embedding": (desc, arrays[:-1] + [np.zeros((rows, width + 8), np.float32)]),
         }
-        for bad_desc, bad_arrays in (({}, arrays), (mistyped, arrays), *(misfits[m] for m in misfit), (desc, [])):
+        for bad_desc, bad_arrays in (*(misfits[m] for m in misfit), (desc, [])):
             write_checkpoint(path, kind, bad_desc, bad_arrays)
             proc = _cli(tmp_path, TINY_CONFIG, "distill")
             assert proc.returncode == 5, proc.stderr
@@ -1103,6 +1108,23 @@ class TestOneLineFailures:
         assert proc.returncode == 10, proc.stderr
         assert proc.stderr.startswith("out of memory: ") and len(proc.stderr.splitlines()) == 1
         assert not (_run_dir(tmp_path) / "data" / "train.dstl").exists()
+
+    @pytest.mark.parametrize("rel", ["data/train.dstl", ".lock", "models/detector.mdlc"])
+    def test_directory_in_the_way_exits_11(self, pipeline, tmp_path, rel):
+        """A directory where train-detector's input, the lock or its output
+        should be is an OS error: exit 11 with one line naming the path, and
+        the output's temp file removed."""
+        run_dir = _copy_run(pipeline, tmp_path)
+        path = run_dir / rel
+        if path.exists():
+            path.unlink()
+        path.mkdir()
+        proc = _cli(tmp_path, TINY_CONFIG, "train-detector")
+        assert proc.returncode == 11, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("os error: ") and len(proc.stderr.splitlines()) == 1
+        assert str(path) in proc.stderr
+        assert list(run_dir.rglob("*.tmp")) == []
 
 
 def _documented_exit_codes() -> set[int]:

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from distillab.config import ToyDataSpec
+from distillab.config import AutoencoderConfig, DenoiserConfig, DetectorConfig, ToyDataSpec
 from distillab.data import (
     FormatError,
     LabeledDataset,
@@ -17,9 +17,9 @@ from distillab.data import (
     write_dataset,
 )
 from distillab.data import _read_array, _synthesize_split
-from distillab.diffusion import Denoiser, load_denoiser, save_denoiser
+from distillab.diffusion import Denoiser, load_denoiser, save_denoiser, train_denoiser
 from distillab.models import Detector, LatentCodec, load_autoencoder, load_detector, mlp_init, read_checkpoint
-from distillab.models import save_autoencoder, save_detector, write_checkpoint
+from distillab.models import save_autoencoder, save_detector, train_autoencoder, train_detector, write_checkpoint
 from distillab.numerics import SeededRng, uniform_from_words
 from distillab.prototypes import Prototype, read_prototypes, write_prototypes
 
@@ -355,29 +355,34 @@ class TestDatasetIO:
     def test_files_hold_no_origin_record(self, tmp_path):
         """Where an artifact came from is its manifest's record: a dataset's
         trailer holds only its class names, a prototype descriptor only its
-        table, and a model descriptor only its meta and one size: the
-        image_shape its array shapes do not give, or the denoiser's
-        time_embed_dim, which they do give (the first layer's fan-in less the
-        latent dim and the label table's width) and which is kept until a
-        metadata re-freeze drops it."""
+        table, and a trained model's descriptor only the image shape its
+        array shapes do not give (none for the denoiser) and a meta of its
+        loss history."""
+        train = self._random_dataset(SeededRng(5), n=12)
         p = tmp_path / "ds.dstl"
-        write_dataset(p, self._random_dataset(SeededRng(5)))
+        write_dataset(p, train)
         _, trailer = self._split_trailer(p.read_bytes())
         assert sorted(trailer) == ["class_names"]
         protos = [Prototype(class_id=0, latent=np.zeros(4, np.float32), cluster_size=2, cluster_index=0)]
         write_prototypes(tmp_path / "p.prto", protos)
         desc, _ = read_checkpoint(tmp_path / "p.prto", "prototypes")
         assert sorted(desc) == ["table"]
-        # a model's layer sizes are its array shapes: its descriptor holds meta and one size
-        for kind, model, save, _, _ in _models():
+        [det] = train_detector([train], DetectorConfig(epochs=1, hidden_sizes=[4]), [SeededRng(1)], use_cutmix=True)
+        codec = train_autoencoder(train, AutoencoderConfig(epochs=1, hidden_size=4, latent_dim=2), SeededRng(2))
+        den_cfg = DenoiserConfig(epochs=1, hidden_sizes=[4], time_embed_dim=2, label_embed_dim=2)
+        den = train_denoiser(codec.encode(train.images), train.labels, den_cfg, SeededRng(3))
+        trained = [("detector", det, save_detector), ("autoencoder", codec, save_autoencoder), ("denoiser-v1", den, save_denoiser)]
+        for kind, model, save in trained:
             save(tmp_path / f"{kind}.mdlc", model)
             desc, _ = read_checkpoint(tmp_path / f"{kind}.mdlc", kind)
-            assert set(desc) == {"time_embed_dim" if kind == "denoiser-v1" else "image_shape", "meta"}, kind
+            assert sorted(desc) == (["meta"] if kind == "denoiser-v1" else ["image_shape", "meta"]), kind
+            assert sorted(desc["meta"]) == ["loss_history"], kind
 
     def test_files_with_a_provenance_key_read_back_equal(self, tmp_path):
         """Files written while datasets and prototypes carried a ``provenance``
-        key, or model descriptors listed their layer sizes, class count and
-        latent dim, still load, to what the same file without the keys loads to."""
+        key, or model descriptors listed their sizes and model meta a seed and
+        a training setting, still load, to what the same file without the
+        keys loads to."""
         ds = self._random_dataset(SeededRng(6))
         p, old = tmp_path / "new.dstl", tmp_path / "old.dstl"
         write_dataset(p, ds)
@@ -400,28 +405,37 @@ class TestDatasetIO:
         assert [(b.class_id, b.cluster_index, b.cluster_size) for b in back] == [(0, 0, 3), (1, 0, 3)]
         assert np.array_equal(np.stack([b.latent for b in back]), arrays[0])
 
-        # models written while their descriptors also listed their sizes load as they load without them
+        # models written while their descriptors also listed their sizes, and
+        # their meta a seed and a setting, load to the same arrays and sizes
         for kind, model, save, load, dropped in _models():
             new, old = tmp_path / f"{kind}.mdlc", tmp_path / f"old-{kind}.mdlc"
             save(new, model)
             desc, arrays = read_checkpoint(new, kind)
             write_checkpoint(old, kind, dict(desc, **dropped), arrays)
-            for path in (new, old):
-                save(tmp_path / "again.mdlc", load(path))
-                assert (tmp_path / "again.mdlc").read_bytes() == new.read_bytes(), (kind, path.name)
+            back = load(old)
+            save(tmp_path / "again.mdlc", back)
+            _, again = read_checkpoint(tmp_path / "again.mdlc", kind)
+            assert [(a.shape, a.tobytes()) for a in again] == [(a.shape, a.tobytes()) for a in arrays], kind
+            for size in ("image_shape", "num_classes", "latent_dim", "time_embed_dim"):
+                assert getattr(back, size, None) == getattr(model, size, None), (kind, size)
 
 
 def _models():
-    """(kind, model, saver, loader, the sizes its descriptor used to list) of a small detector, codec and denoiser."""
-    rng, meta = SeededRng(9), {"loss_history": [0.5, 0.25], "seed": 9}
+    """(kind, model, saver, loader, the keys its descriptor used to hold) of a small detector, codec and denoiser."""
+    rng, meta = SeededRng(9), {"loss_history": [0.5, 0.25]}
     det = Detector(mlp_init([24, 5, 3], rng.spawn(0)), (2, 3, 4), meta=meta)
     codec = LatentCodec(mlp_init([24, 6, 4], rng.spawn(1)), mlp_init([4, 6, 24], rng.spawn(2)), (2, 3, 4), meta=meta)
     table = rng.spawn(3).normal((4, 3)).astype(np.float32)
     den = Denoiser(mlp_init([4 + 2 + 3, 8, 4], rng.spawn(4)), table, meta=meta)
+    det_meta, codec_meta = dict(meta, seed=9, use_cutmix=True), dict(meta, seed=9, reconstruction_mse=0.004)
+    den_meta = dict(meta, seed=9, label_dropout=0.1)
     return [
-        ("detector", det, save_detector, load_detector, {"layer_sizes": [24, 5, 3], "num_classes": 3}),
-        ("autoencoder", codec, save_autoencoder, load_autoencoder, {"latent_dim": 4, "enc_layers": [24, 6, 4]}),
-        ("denoiser-v1", den, save_denoiser, load_denoiser, {"layer_sizes": [9, 8, 4], "num_classes": 3, "latent_dim": 4}),
+        ("detector", det, save_detector, load_detector, {"layer_sizes": [24, 5, 3], "num_classes": 3, "meta": det_meta}),
+        ("autoencoder", codec, save_autoencoder, load_autoencoder, {"latent_dim": 4, "enc_layers": [24, 6, 4], "meta": codec_meta}),
+        (
+            "denoiser-v1", den, save_denoiser, load_denoiser,
+            {"layer_sizes": [9, 8, 4], "num_classes": 3, "latent_dim": 4, "time_embed_dim": 2, "meta": den_meta},
+        ),
     ]
 
 

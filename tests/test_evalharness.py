@@ -68,7 +68,10 @@ class TestTrainDownstream:
         train, _, _, _ = small_world
         cfg = EvalConfig(epochs=1, hidden_sizes=[8])
         [clf] = train_downstream([train], cfg, [SeededRng(3)])
-        assert clf.meta["use_cutmix"] is False
+        [plain] = train_detector([train], cfg, [SeededRng(3)], use_cutmix=False)
+        [mixed] = train_detector([train], cfg, [SeededRng(3)], use_cutmix=True)
+        assert [p.tobytes() for p in clf.mlp.params()] == [p.tobytes() for p in plain.mlp.params()]
+        assert [p.tobytes() for p in clf.mlp.params()] != [p.tobytes() for p in mixed.mlp.params()]
 
     def test_full_train_upper_bound(self, small_world):
         train, test, det, _ = small_world
