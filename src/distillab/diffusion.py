@@ -20,9 +20,9 @@ import numpy as np
 
 from .config import DenoiserConfig
 from .data import FormatError, names_path
-from .models import Mlp, _mlp_from_arrays, batches, fit, mlp_backward, mlp_forward, mlp_init
+from .models import Mlp, _mlp_from_arrays, fit, mlp_backward, mlp_forward, mlp_init
 from .models import read_checkpoint, write_checkpoint
-from .numerics import SeededRng, integers_from_words, normal_from_words, require_finite, uniform_from_words
+from .numerics import SeededRng, batches, integers_from_words, normal_from_words, require_finite, uniform_from_words
 
 __all__ = [
     "Denoiser",
@@ -166,6 +166,10 @@ def denoise_loss_and_grads(den: Denoiser, zt, temb, tokens, eps):
     return loss, grads + [dtable]
 
 
+# batches an epoch draws, noises and embeds at a time
+_EPOCH_BLOCK = 8
+
+
 def train_denoiser(
     latents: np.ndarray,
     labels: np.ndarray,
@@ -178,6 +182,12 @@ def train_denoiser(
     and with probability ``label_dropout`` the class token is replaced by
     the null token so the unconditional branch gets trained too. Loss is
     the mean squared error between predicted and true noise.
+
+    An epoch draws, noises and embeds ``_EPOCH_BLOCK`` batches at a time,
+    taking the words in the order per-batch draws take them, so its
+    scratch is one block's words, noise, noised latents and time
+    embeddings: about 1.7 KB per row at the default config (0.9 MB for a
+    block of 512 rows of 32-wide latents), whatever the number of latents.
     """
     latents = np.asarray(latents, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
@@ -197,7 +207,6 @@ def train_denoiser(
     den = Denoiser(mlp, table)
     loop = rng.spawn(2)
     n, b = len(latents), cfg.batch_size
-    full, last = divmod(n, b)
 
     def words_per_batch(rows: int) -> int:
         return 2 * rows + 2 * ((rows * d + 1) // 2)
@@ -215,22 +224,24 @@ def train_denoiser(
 
     def epoch(orders):
         (order,) = orders
-        # One block holds the epoch's words, each batch's after the previous
-        # batch's, as per-batch draws take them. The full batches, then the
-        # short last one, are converted, noised and embedded in one call each.
-        cut = full * words_per_batch(b)
-        words = loop.raw_u64(cut + words_per_batch(last))
-        draws = zip(
-            batch_draws(words[:cut].reshape(full, words_per_batch(b)), b),
-            batch_draws(words[cut:].reshape(1, words_per_batch(last)), last),
-        )
-        t, eps, drop = (np.concatenate(parts) for parts in draws)
-        zt = forward_noise(latents[order], t, eps, sched).astype(np.float32)
-        temb = timestep_embedding(t, cfg.time_embed_dim).astype(np.float32)
-        tokens = np.where(drop < cfg.label_dropout, den.null_token, labels[order])
-        for rows in batches(n, b):
-            loss, grads = denoise_loss_and_grads(den, zt[rows], temb[rows], tokens[rows], eps[rows])
-            yield [loss], grads
+        # a block's full batches, then its short last one, are converted,
+        # noised and embedded in one call each
+        for block in batches(n, _EPOCH_BLOCK * b):
+            block_order = order[block]
+            full, last = divmod(len(block_order), b)
+            cut = full * words_per_batch(b)
+            words = loop.raw_u64(cut + words_per_batch(last))
+            draws = zip(
+                batch_draws(words[:cut].reshape(full, words_per_batch(b)), b),
+                batch_draws(words[cut:].reshape(1, words_per_batch(last)), last),
+            )
+            t, eps, drop = (np.concatenate(parts) for parts in draws)
+            zt = forward_noise(latents[block_order], t, eps, sched).astype(np.float32)
+            temb = timestep_embedding(t, cfg.time_embed_dim).astype(np.float32)
+            tokens = np.where(drop < cfg.label_dropout, den.null_token, labels[block_order])
+            for rows in batches(len(block_order), b):
+                loss, grads = denoise_loss_and_grads(den, zt[rows], temb[rows], tokens[rows], eps[rows])
+                yield [loss], grads
 
     [losses] = fit(mlp.params() + [den.label_table], cfg, n, [loop], epoch)
     den.meta = {"loss_history": losses}

@@ -20,7 +20,7 @@ import numpy as np
 from .config import AutoencoderConfig, ClassifierConfig, TrainConfig
 from .data import FormatError, LabeledDataset, cutmix, names_path, write_atomic
 from .data import _array_bytes, _canonical_json, _read_array, _read_end, _read_exact, _read_json, _read_struct
-from .numerics import SeededRng, integers_from_words, max_softmax, require_finite, uniform_from_words
+from .numerics import SeededRng, all_finite, batches, integers_from_words, max_softmax, require_finite, uniform_from_words
 
 __all__ = [
     "Adam",
@@ -175,23 +175,27 @@ class Adam:
 def fit(params, cfg: TrainConfig, n: int, loops: list[SeededRng], epoch) -> list[list[float]]:
     """Minibatch Adam over ``n`` rows for each of ``len(loops)`` jobs in lockstep.
 
-    Returns each job's mean loss of each epoch. Each epoch draws one
-    ``loop.permutation(n)`` per job and iterates ``epoch(orders)``, a
-    generator that yields, for each ``cfg.batch_size`` slice of the orders
-    in turn, the jobs' losses (one per job) and the grads in ``params``
-    order. ``fit`` takes one Adam step per yield before it asks for the
-    next, so each slice sees the parameters the steps before it left. The
-    generator may draw from the loops after the permutations; as no draw
-    depends on the parameters, it may draw the whole epoch's words as one
-    block before its first yield. The jobs share ``params``, stacked along a
-    leading job axis when there are several; the Adam update is elementwise,
-    so each job trains as it would alone. One model is the one-job case.
+    Returns each job's mean loss of each epoch. Each epoch gives each job
+    ``loop.permutation(n)`` and iterates ``epoch(orders)``, a generator that
+    yields, for each ``cfg.batch_size`` slice of the orders in turn, the
+    jobs' losses (one per job) and the grads in ``params`` order. ``fit``
+    takes one Adam step per yield before it asks for the next, so each
+    slice sees the parameters the steps before it left. Loops in one state
+    (seed and counter) draw one permutation: the first shuffles, and each
+    other one skips the same n - 1 words and shares its order, so every
+    loop ends the epoch where its own shuffle would leave it. The generator
+    may draw from the loops after the permutations; as no draw depends on
+    the parameters, it may draw the epoch's words in blocks, each before
+    the first yield that uses it. The jobs share ``params``, stacked along
+    a leading job axis when there are several; the Adam update is
+    elementwise, so each job trains as it would alone. One model is the
+    one-job case.
     """
     opt = Adam(params, cfg.learning_rate)
     histories = [[] for _ in loops]
     for _epoch in range(cfg.epochs):
         epoch_losses = []
-        for losses, grads in epoch([loop.permutation(n) for loop in loops]):
+        for losses, grads in epoch(_shared_permutations(loops, n)):
             opt.step(params, grads)
             epoch_losses.append(losses)
         for history, job_losses in zip(histories, zip(*epoch_losses)):
@@ -199,9 +203,18 @@ def fit(params, cfg: TrainConfig, n: int, loops: list[SeededRng], epoch) -> list
     return histories
 
 
-def batches(n: int, size: int):
-    """The slices of ``range(n)`` that ``fit`` steps on, ``size`` rows each but the last."""
-    return (slice(s, s + size) for s in range(0, n, size))
+def _shared_permutations(loops: list[SeededRng], n: int) -> list[np.ndarray]:
+    """``[loop.permutation(n) for loop in loops]``, shuffling once per distinct loop state."""
+    drawn: dict[str, np.ndarray] = {}
+    orders = []
+    for loop in loops:
+        state = repr(loop)
+        if state in drawn:
+            loop.raw_u64(max(n - 1, 0))  # the words its own permutation would take
+        else:
+            drawn[state] = loop.permutation(n)
+        orders.append(drawn[state])
+    return orders
 
 
 # --- detector ----------------------------------------------------------------
@@ -221,11 +234,10 @@ class Detector:
 
 
 def _flatten_images(images: np.ndarray, image_shape) -> np.ndarray:
-    """A (B, C, H, W) batch of ``image_shape`` images as (B, C*H*W) rows."""
+    """A (B, C, H, W) batch of ``image_shape`` images as (B, C*H*W) rows, not yet checked for finite values."""
     images = np.asarray(images)
     if images.ndim != 4 or tuple(images.shape[1:]) != tuple(image_shape):
         raise ValueError(f"images of shape {images.shape} are not a batch of {tuple(image_shape)} images")
-    require_finite("images", images)
     return images.reshape(len(images), -1)
 
 
@@ -322,13 +334,17 @@ def predict_batch(det: Detector, images: np.ndarray):
 
     Argmax ties break low; features are the penultimate activations as float32.
     """
-    x = _flatten_images(images, det.image_shape)
+    x = require_finite("images", _flatten_images(images, det.image_shape))
     acts = mlp_forward(det.mlp, x.astype(np.float64))
     logits = acts[-1]
     return logits.argmax(axis=1).astype(np.int64), max_softmax(logits), acts[-2].astype(np.float32)
 
 
 # --- latent codec ------------------------------------------------------------
+
+
+# the fewest rows the codec encodes in one pass (see LatentCodec.encode)
+_ENCODE_ROWS = 1024
 
 
 @dataclass
@@ -350,8 +366,26 @@ class LatentCodec:
         return self.enc.weights[-1].shape[0]
 
     def encode(self, images: np.ndarray) -> np.ndarray:
-        """(B, C, H, W) images -> (B, latent_dim) tanh codes, float32."""
-        return np.tanh(mlp_forward(self.enc, _flatten_images(images, self.image_shape))[-1]).astype(np.float32)
+        """(B, C, H, W) images -> (B, latent_dim) tanh codes, float32.
+
+        The images are checked for finite values and encoded in
+        ``B // _ENCODE_ROWS`` near-equal row blocks (one block when B is
+        smaller), each of ``_ENCODE_ROWS`` to ``2 * _ENCODE_ROWS - 1`` rows,
+        whose codes are written into the one output. So beside the output
+        the scratch is one block's activations, at most
+        ``2 * _ENCODE_ROWS * (hidden + latent) * 4`` bytes (1.3 MB at the
+        default config), whatever B is. At blocks of 1,024 rows and more the
+        BLAS products round as one pass over the batch does; at 64 rows
+        they do not.
+        """
+        x = _flatten_images(images, self.image_shape)
+        n = len(x)
+        blocks = max(1, n // _ENCODE_ROWS)
+        out = np.empty((n, self.latent_dim), dtype=np.float32)
+        for i in range(blocks):
+            rows = slice(n * i // blocks, n * (i + 1) // blocks)
+            np.tanh(mlp_forward(self.enc, require_finite("images", x[rows]))[-1], out=out[rows])
+        return out
 
     def decode(self, latents: np.ndarray) -> np.ndarray:
         """(B, latent_dim) codes -> (B, C, H, W) images clipped to [0, 1], float32."""
@@ -450,7 +484,7 @@ def read_checkpoint(path, kind: str):
         arrays = []
         for i, shape in enumerate(shapes):
             arrays.append(_read_array(f, "<f4", shape, "parameter blob"))
-            if not np.isfinite(arrays[-1]).all():
+            if not all_finite(arrays[-1]):
                 raise FormatError(f"array {i} contains non-finite values")
         _read_end(f, "last array")
     found = desc.pop("kind", None)

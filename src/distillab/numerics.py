@@ -48,6 +48,8 @@ import numpy as np
 __all__ = [
     "NonFiniteError",
     "SeededRng",
+    "all_finite",
+    "batches",
     "cosine_similarity",
     "fan_out",
     "integers_from_words",
@@ -64,9 +66,19 @@ class NonFiniteError(ArithmeticError):
     """A tensor contained NaN or Inf where finite values are required."""
 
 
+def all_finite(arr) -> bool:
+    """Whether every element of ``arr`` is finite, found without an array of its size.
+
+    A NaN makes both the minimum and the maximum NaN, and an infinity is one
+    of them, so two reductions check every element.
+    """
+    a = np.asarray(arr)
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def require_finite(name: str, arr: np.ndarray) -> np.ndarray:
-    """Raise :class:`NonFiniteError` unless every element of ``arr`` is finite."""
-    if not np.isfinite(arr).all():
+    """Raise :class:`NonFiniteError` unless every element of ``arr`` is finite (``all_finite``)."""
+    if not all_finite(arr):
         raise NonFiniteError(f"{name} contains non-finite values")
     return arr
 
@@ -127,6 +139,11 @@ def normal_from_words(words: np.ndarray) -> np.ndarray:
     np.multiply(r, np.cos(ang), out=out[..., :pairs])
     np.multiply(r, np.sin(ang), out=out[..., pairs:])
     return out
+
+
+def batches(n: int, size: int):
+    """The slices of ``range(n)``, ``size`` rows each but the last: ``fit``'s minibatches, and the row blocks of blocked work."""
+    return (slice(s, s + size) for s in range(0, n, size))
 
 
 def integers_from_words(words: np.ndarray, span) -> np.ndarray:

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from distillab import data
 from distillab.config import AutoencoderConfig, DenoiserConfig, DetectorConfig, ToyDataSpec
 from distillab.data import (
     FormatError,
@@ -20,7 +21,7 @@ from distillab.data import _read_array, _synthesize_split
 from distillab.diffusion import Denoiser, load_denoiser, save_denoiser, train_denoiser
 from distillab.models import Detector, LatentCodec, load_autoencoder, load_detector, mlp_init, read_checkpoint
 from distillab.models import save_autoencoder, save_detector, train_autoencoder, train_detector, write_checkpoint
-from distillab.numerics import SeededRng, uniform_from_words
+from distillab.numerics import SeededRng, normal_from_words, uniform_from_words
 from distillab.prototypes import Prototype, read_prototypes, write_prototypes
 
 from conftest import peak_bytes
@@ -104,7 +105,48 @@ def _synthesize_split_loop(spec, per_class, rng, split_key):
     return np.array(images, dtype=np.float32).reshape(-1, c, h, w), np.array(labels, dtype=np.int64)
 
 
+def _synthesize_split_one_pass(spec, per_class, rng, split_key):
+    """Reference: each class draws the words of all its images as one block and renders them at once."""
+    thetas, freqs = spec.resolved_patterns()
+    c, h, w = spec.image_shape
+    size = c * h * w
+    noise_words = 2 * ((size + 1) // 2) if spec.noise_std > 0 else 0
+    images = np.empty((spec.num_classes, per_class, c, h, w), dtype=np.float32)
+    for cls in range(spec.num_classes):
+        words = rng.spawn(split_key, cls).raw_u64(per_class * (2 + noise_words)).reshape(per_class, 2 + noise_words)
+        phase = 2.0 * np.pi * uniform_from_words(words[:, 0])
+        amp = spec.amplitude * (1.0 + spec.amplitude_jitter * (2.0 * uniform_from_words(words[:, 1]) - 1.0))
+        img = grating_image(spec.image_shape, thetas[cls], freqs[cls], phase, amp)
+        if noise_words:
+            img = img + spec.noise_std * normal_from_words(words[:, 2:])[:, :size].reshape(per_class, c, h, w)
+        images[cls] = np.clip(img, 0.0, 1.0)
+    return images.reshape(-1, c, h, w), np.repeat(np.arange(spec.num_classes, dtype=np.int64), per_class)
+
+
 class TestBlockSynthesis:
+    @pytest.mark.parametrize("per_class", [1, 63, 64, 65, 130])
+    def test_blocks_equal_one_pass(self, rng_spy, per_class):
+        """Blocks of 64 images, a short last one included, give the one-pass bytes and word counts."""
+        assert data._SYNTH_BLOCK == 64
+        spec = ToyDataSpec(num_classes=2, image_height=8, image_width=6)
+        got = _synthesize_split(spec, per_class, SeededRng(5), 0)
+        block_words = dict(rng_spy.words)
+        rng_spy.words.clear()
+        want = _synthesize_split_one_pass(spec, per_class, SeededRng(5), 0)
+        assert got[0].shape == (2 * per_class, 1, 8, 6)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert block_words == dict(rng_spy.words) and len(block_words) == 2
+
+    def test_peak_above_the_data_stays_flat(self):
+        """Four times the images leave the scratch above the returned arrays about where it was."""
+        extra = {}
+        for per_class in (200, 800):
+            spec = ToyDataSpec(train_per_class=per_class)
+            (train, test), peak = peak_bytes(synthesize_toy_dataset, spec, SeededRng(0))
+            extra[per_class] = peak - sum(a.nbytes for ds in (train, test) for a in (ds.images, ds.labels))
+        assert extra[800] < extra[200] + 256 * 1024, extra
+        assert extra[800] < 1024 * 1024, extra
+
     @pytest.mark.parametrize("noise_std", [0.05, 0.0])
     @pytest.mark.parametrize("image_shape", [(2, 5, 7), (1, 16, 16)])
     def test_equals_per_image_loop(self, rng_spy, noise_std, image_shape):

@@ -18,9 +18,9 @@ from distillab.diffusion import (
 )
 from distillab.data import FormatError
 from distillab.models import Adam, Mlp, mlp_forward, mlp_init, predict_batch
-from distillab.numerics import SeededRng
+from distillab.numerics import SeededRng, integers_from_words, normal_from_words, uniform_from_words
 
-from conftest import as_float64, gradient_check
+from conftest import as_float64, gradient_check, peak_bytes
 
 
 def _schedule(timesteps, beta_start, beta_end):
@@ -197,6 +197,47 @@ def _per_batch_reference(latents, labels, sched, cfg, rng):
     return den, loop
 
 
+def _one_pass_reference(latents, labels, cfg, rng):
+    """``train_denoiser`` as it drew, noised and embedded each epoch in one pass; (denoiser, loop stream)."""
+    sched = build_schedule(cfg)
+    latents = np.asarray(latents, dtype=np.float32)
+    k, (n, d), b = int(labels.max()) + 1, latents.shape, cfg.batch_size
+    mlp = mlp_init([d + cfg.time_embed_dim + cfg.label_embed_dim, *cfg.hidden_sizes, d], rng.spawn(0))
+    table = np.zeros((k + 1, cfg.label_embed_dim), dtype=np.float32)
+    table[k] = rng.spawn(1).normal(cfg.label_embed_dim) * 0.5
+    den = Denoiser(mlp, table)
+    params = mlp.params() + [table]
+    opt = Adam(params, cfg.learning_rate)
+    loop = rng.spawn(2)
+    full, last = divmod(n, b)
+    wpb = [2 * rows + 2 * ((rows * d + 1) // 2) for rows in (b, last)]
+
+    def draws(words, rows):
+        eps_end = words.shape[1] - rows
+        t = integers_from_words(words[:, :rows], sched.timesteps) + 1
+        eps = normal_from_words(words[:, rows:eps_end])[:, : rows * d]
+        return t.reshape(-1), eps.reshape(-1, d), uniform_from_words(words[:, eps_end:]).reshape(-1)
+
+    losses = []
+    for _ in range(cfg.epochs):
+        order = loop.permutation(n)
+        words = loop.raw_u64(full * wpb[0] + wpb[1])
+        parts = zip(draws(words[: full * wpb[0]].reshape(full, wpb[0]), b), draws(words[full * wpb[0] :].reshape(1, wpb[1]), last))
+        t, eps, drop = (np.concatenate(p) for p in parts)
+        zt = forward_noise(latents[order], t, eps, sched).astype(np.float32)
+        temb = timestep_embedding(t, cfg.time_embed_dim).astype(np.float32)
+        tokens = np.where(drop < cfg.label_dropout, den.null_token, labels[order])
+        epoch_losses = []
+        for s in range(0, n, b):
+            rows = slice(s, s + b)
+            loss, grads = denoise_loss_and_grads(den, zt[rows], temb[rows], tokens[rows], eps[rows])
+            opt.step(params, grads)
+            epoch_losses.append(loss)
+        losses.append(float(np.mean(epoch_losses)))
+    den.meta = {"loss_history": losses}
+    return den, loop
+
+
 class TestTrainDenoiser:
     def test_loss_halves_on_frozen_spec(self, denoiser):
         hist = denoiser.meta["loss_history"]
@@ -254,6 +295,35 @@ class TestTrainDenoiser:
             assert a.tobytes() == b.tobytes()
         assert den.meta["loss_history"] == ref.meta["loss_history"]
         assert drawn == ref_loop._counter
+
+    @pytest.mark.parametrize("n", [2500, 2100, 1024])
+    def test_blocks_equal_one_pass(self, rng_spy, n):
+        """Blocks of 8 batches give the one-pass epoch's loss history, every parameter byte and word count.
+
+        2,500 rows are 40 batches of 64, the last of 4 rows: five whole
+        blocks. 2,100 rows leave a last block of one short batch, and 1,024
+        rows two blocks with no short batch.
+        """
+        assert diffusion._EPOCH_BLOCK == 8
+        rng = SeededRng(31)
+        latents, labels = np.tanh(rng.normal((n, 32))), rng.integers(5, n=n)
+        cfg = DenoiserConfig(epochs=2, hidden_sizes=[32], time_embed_dim=8, label_embed_dim=8)
+        den = train_denoiser(latents, labels, cfg, SeededRng(32))
+        drawn = rng_spy.words[SeededRng(32).spawn(2).seed]
+        ref, ref_loop = _one_pass_reference(latents, labels, cfg, SeededRng(32))
+        for a, b in zip(den.mlp.params() + [den.label_table], ref.mlp.params() + [ref.label_table]):
+            assert a.tobytes() == b.tobytes()
+        assert den.meta["loss_history"] == ref.meta["loss_history"]
+        assert drawn == ref_loop._counter
+
+    def test_epoch_scratch_does_not_grow_with_the_latents(self):
+        """One epoch over 4,000 latents peaks within 0.5 MB of one over 1,000."""
+        peaks = {}
+        for n in (1000, 4000):
+            rng = SeededRng(3)
+            latents, labels = np.tanh(rng.normal((n, 32))), rng.integers(5, n=n)
+            _, peaks[n] = peak_bytes(train_denoiser, latents, labels, DenoiserConfig(epochs=1), SeededRng(4))
+        assert peaks[4000] < peaks[1000] + 512 * 1024, peaks
 
     def test_empty_latents_rejected(self):
         with pytest.raises(ValueError):

@@ -494,6 +494,22 @@ class TestTrainAll:
                 assert clf.meta == want.meta
 
 
+    def test_one_shuffle_per_stream_per_stack_and_epoch(self, small_world, cores, rng_spy):
+        """Eight jobs on one downstream stream and one on another train on one core in
+        stacks of 3, 3 and 3: each epoch shuffles once per stream in a stack, 4 times, not 9."""
+        import distillab.evalharness as evalharness
+
+        train = small_world[0]
+        cfg = EvalConfig(epochs=2, batch_size=16, hidden_sizes=[8])
+        jobs = [
+            (LabeledDataset(train.images[rows], train.labels[rows], train.class_names), SeededRng(seed).spawn(21))
+            for rows, seed in [(slice(10 * i, 10 * i + 30), 1) for i in range(8)] + [(slice(0, 30), 2)]
+        ]
+        cores(1)
+        evalharness._train_all(jobs, cfg)
+        assert sum(count for (_, name), count in rng_spy.calls.items() if name == "permutation") == 4 * 2
+
+
 class TestFanOutCli:
     def test_worker_failure_exits_4(self, pipeline, tmp_path, monkeypatch, capsys, cores):
         import distillab.evalharness as evalharness

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from distillab.config import AutoencoderConfig, ConfigError, DetectorConfig, ToyDataSpec, parse_config
+from distillab import models
+from distillab.config import AutoencoderConfig, ConfigError, DetectorConfig, ToyDataSpec, TrainConfig, parse_config
 from distillab.data import FormatError, LabeledDataset, cutmix, synthesize_toy_dataset
 from distillab.models import (
     Adam,
@@ -14,6 +15,7 @@ from distillab.models import (
     _cutmix_minibatch,
     _soft_cross_entropy,
     _stack_mlps,
+    fit,
     load_autoencoder,
     load_detector,
     mlp_forward,
@@ -92,6 +94,28 @@ class TestTrainDetector:
             assert det.meta == alone.meta and len(det.meta["loss_history"]) == 3
         assert together[0].meta["loss_history"] != together[1].meta["loss_history"]
 
+    @pytest.mark.parametrize("use_cutmix", [True, False])
+    def test_lockstep_jobs_on_one_stream_equal_each_alone(self, rng_spy, use_cutmix):
+        """Jobs whose loops start in one state, as the downstream jobs of one seed do, shuffle
+        once an epoch between them, and each still trains and draws as it would alone."""
+        trains = [_tiny_dataset(n_per_class=7, seed=seed)[0] for seed in (3, 4, 5)]
+        rngs = [SeededRng(5), SeededRng(6), SeededRng(5)]
+        cfg = DetectorConfig(epochs=3, batch_size=8, hidden_sizes=[16, 8])
+        rng_spy.calls.clear()
+        rng_spy.words.clear()
+        together = train_detector(trains, cfg, rngs, use_cutmix=use_cutmix)
+        shuffles = sum(count for (_, name), count in rng_spy.calls.items() if name == "permutation")
+        words = dict(rng_spy.words)
+        rng_spy.calls.clear()
+        rng_spy.words.clear()
+        alone = [train_detector([train], cfg, [rng], use_cutmix=use_cutmix)[0] for train, rng in zip(trains, rngs)]
+        assert shuffles == 2 * 3  # two loop states, three epochs
+        assert sum(count for (_, name), count in rng_spy.calls.items() if name == "permutation") == 3 * 3
+        assert words == dict(rng_spy.words)  # every stream took the words it takes alone
+        for det, want in zip(together, alone):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(det.mlp.params(), want.mlp.params()))
+            assert det.meta == want.meta
+
     def test_lockstep_sets_must_agree_in_shape(self):
         small, _ = _tiny_dataset(n_per_class=6)
         large, _ = _tiny_dataset(n_per_class=7)
@@ -99,6 +123,33 @@ class TestTrainDetector:
             train_detector([small, large], DetectorConfig(epochs=1), [SeededRng(1), SeededRng(2)], use_cutmix=False)
         with pytest.raises(ValueError, match="one rng per training set"):
             train_detector([small, small], DetectorConfig(epochs=1), [SeededRng(1)], use_cutmix=False)
+
+
+class TestFit:
+    def test_one_permutation_per_loop_state(self, rng_spy):
+        """Loops in one state share one shuffle; each gets its own order and ends each
+        epoch where its own shuffle and draws leave it."""
+        n, epochs = 23, 3
+        advanced = SeededRng(5)
+        advanced.raw_u64(1)
+        loops = [SeededRng(5), SeededRng(7), SeededRng(5), advanced, SeededRng(5)]
+        refs = [SeededRng(5), SeededRng(7), SeededRng(5), SeededRng(5), SeededRng(5)]
+        refs[3].raw_u64(1)
+        seen, param = [], np.zeros(1, dtype=np.float32)
+
+        def epoch(orders):
+            seen.append([order.tolist() for order in orders])
+            for loop in loops:  # a draw after the permutations
+                loop.raw_u64(2)
+            yield [0.0] * len(loops), [np.zeros(1, dtype=np.float32)]
+
+        fit([param], TrainConfig(epochs=epochs), n, loops, epoch)
+        assert sum(count for (_, name), count in rng_spy.calls.items() if name == "permutation") == 3 * epochs
+        for orders in seen:
+            assert orders == [ref.permutation(n).tolist() for ref in refs]
+            for ref in refs:
+                ref.raw_u64(2)
+        assert [repr(loop) for loop in loops] == [repr(ref) for ref in refs]
 
 
 class TestCutMixMinibatch:
@@ -369,6 +420,29 @@ class TestLatentCodec:
         assert back.dtype == np.float32 and back.shape == toy_train.images[:8].shape
         assert back.min() >= 0.0 and back.max() <= 1.0
         assert np.mean(np.abs(back - toy_train.images[:8])) < 0.1
+
+    @pytest.mark.parametrize("rows", [1, 255, 1023, 1025, 2049, 2500])
+    def test_blocks_equal_one_pass(self, codec, toy_train, rows):
+        """Blocks of 1,024 rows and more give the one-pass codes bit for bit."""
+        assert models._ENCODE_ROWS == 1024
+        images = toy_train.images[:rows]
+        want = np.tanh(mlp_forward(codec.enc, images.reshape(rows, -1))[-1]).astype(np.float32)
+        got = codec.encode(images)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    def test_peak_is_the_codes_and_one_block(self, codec, toy_train):
+        """5,000 rows encode in 4 blocks of 1,250: the peak is the codes plus one block's activations
+        (with the slack of ``mlp_forward``'s own peak test)."""
+        images = np.concatenate([toy_train.images, toy_train.images])
+        codes, peak = peak_bytes(codec.encode, images)
+        block = 1250 * sum(codec.enc.layer_sizes[1:]) * 4
+        assert codes.nbytes + block <= peak <= codes.nbytes + block + 64 * 1024, (peak, codes.nbytes, block)
+
+    def test_non_finite_images_rejected(self, codec, toy_train):
+        images = np.concatenate([toy_train.images, toy_train.images])
+        images[-1, 0, 0, 0] = np.nan  # in the last block
+        with pytest.raises(NonFiniteError):
+            codec.encode(images)
 
     def test_decode_clips(self, codec):
         for value in (5.0, -5.0):

@@ -13,6 +13,7 @@ import pytest
 from distillab.numerics import (
     NonFiniteError,
     SeededRng,
+    all_finite,
     cosine_similarity,
     fan_out,
     max_softmax,
@@ -23,7 +24,7 @@ from distillab.numerics import (
     uniform_oc_from_words,
 )
 
-from conftest import assert_no_children
+from conftest import assert_no_children, peak_bytes
 
 
 class TestSoftmax:
@@ -199,6 +200,25 @@ class TestSeededRng:
         require_finite("x", np.ones(3))
         with pytest.raises(NonFiniteError):
             require_finite("x", np.array([1.0, np.inf]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_all_finite_equals_isfinite_all(self, dtype):
+        """Every NaN and infinity is found, wherever it sits, also in a strided view."""
+        base = SeededRng(3).normal((7, 33)).astype(dtype)
+        assert all_finite(base) and all_finite(base[:, ::3]) and all_finite(base[:0])
+        assert all_finite(np.arange(5)) and all_finite(np.float64(2.0))
+        for bad in (np.nan, np.inf, -np.inf):
+            for where in ((0, 0), (3, 17), (6, 32)):
+                a = base.copy()
+                a[where] = bad
+                assert not all_finite(a)
+                assert all_finite(a[:, ::2]) == bool(np.isfinite(a[:, ::2]).all())
+        assert not all_finite(np.array([np.inf, -np.inf])) and not all_finite(np.float32(np.nan))
+
+    def test_all_finite_makes_no_array_of_its_input_size(self):
+        x = SeededRng(4).normal(1 << 18)
+        ok, peak = peak_bytes(all_finite, x)
+        assert ok and peak < 4096, peak
 
 
 def _ref_splitmix(counter: int, seed: int = 0) -> int:
